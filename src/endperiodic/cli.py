@@ -9,7 +9,9 @@ Subcommands:
 * ``render`` -- produce one or more SVG figures for an input.
 * ``spectral`` -- print exact characteristic data and Perron eigendata.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 internal consistency error (a structural guarantee of the construction
+failed; this is a bug, not bad input).
 The ``ENDPERIODIC_OUT`` environment variable sets the default output
 directory.
 """
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from .errors import (
     ConvergenceError,
+    InternalConsistencyError,
     InvalidInputError,
     PreconditionError,
     VerificationError,
@@ -237,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -168,10 +168,7 @@ class ExtendedPieceMap:
     points: dict[str, list[PeriodicPoint]]
     switch_regions: dict[tuple[str, int], SwitchRegion]
     case_table: tuple[str, ...]
-
-    @property
-    def point_index(self) -> dict[tuple[str, int], PeriodicPoint]:
-        return {pt.key: pt for pts in self.points.values() for pt in pts}
+    point_index: dict[tuple[str, int], PeriodicPoint]
 
 
 _CASE_TABLE = (
@@ -217,6 +214,7 @@ def build_extended_map(
         points=points,
         switch_regions=regions,
         case_table=_CASE_TABLE,
+        point_index=index,
     )
 
 
@@ -670,7 +668,17 @@ def classify_classes(
 
     families: dict[tuple, list] = {}
     for root in shard_roots:
-        families.setdefault(family_uf.find(root), []).extend(members[root])
+        families.setdefault(family_uf.find(root), []).append(root)
+
+    # both ends of a pairing edge share a union-find root, so the edges of a
+    # class are exactly the bucket of its root
+    root_edges: dict[tuple, list] = {
+        root: [] for root in growing_roots | shard_roots
+    }
+    for edge in pair_edges:
+        bucket = root_edges.get(uf.find(edge[0]))
+        if bucket is not None:
+            bucket.append(edge)
 
     infinite_classes = []
     for root in sorted(growing_roots, key=_node_str):
@@ -679,17 +687,20 @@ def classify_classes(
             EquivalenceClass(
                 nodes=nodes,
                 infinite=True,
-                link_type=_classify_link(nodes, pair_edges),
+                link_type=_classify_link(nodes, root_edges[root]),
                 strip_keys=tuple(sorted({n[1] for n in nodes if n[0] == "S"})),
             )
         )
     for key in sorted(families, key=_node_str):
-        nodes = tuple(sorted(families[key], key=_node_str))
+        roots = families[key]
+        nodes = tuple(sorted((n for r in roots for n in members[r]), key=_node_str))
         infinite_classes.append(
             EquivalenceClass(
                 nodes=nodes,
                 infinite=True,
-                link_type=_classify_link(nodes, pair_edges),
+                link_type=_classify_link(
+                    nodes, [e for r in roots for e in root_edges[r]]
+                ),
                 strip_keys=tuple(sorted({n[1] for n in nodes if n[0] == "S"})),
             )
         )
@@ -713,9 +724,9 @@ def classify_classes(
     )
 
 
-def _classify_link(nodes, pair_edges) -> str:
+def _classify_link(nodes, edges) -> str:
+    """Link label of one class from its own pairing edges."""
     node_set = set(nodes)
-    edges = {e for e in pair_edges if e[0] in node_set and e[1] in node_set}
     degree = {n: 0 for n in nodes}
     for a, b in edges:
         degree[a] += 1

@@ -1,9 +1,9 @@
 """Exact integer matrix algebra and Perron eigendata.
 
 Matrices are kept as exact integers; the characteristic polynomial and its
-largest real root are computed exactly (Sturm-sequence bisection over the
-rationals), while eigenvectors come from power iteration with a certified
-residual. The two routes cross-check each other.
+largest real root are computed exactly (Sturm-sequence bisection in exact
+integer arithmetic at dyadic probes), while eigenvectors come from power
+iteration with a certified residual. The two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -311,13 +311,6 @@ def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     chain = [p, _poly_trim([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
@@ -328,45 +321,80 @@ def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _integer_chain(chain: list[list[Fraction]]) -> list[tuple[int, ...]]:
+    """Each polynomial times the lcm of its denominators; signs are kept."""
+    out = []
+    for q in chain:
+        if q:
+            scale = lcm(*(c.denominator for c in q))
+            out.append(tuple(int(c * scale) for c in q))
+    return out
+
+
+def _dyadic_value(q: tuple[int, ...], num: int, exp: int) -> int:
+    """``2**(exp*d) * q(num / 2**exp)`` for q of degree d; same sign as q there."""
+    d = len(q) - 1
+    acc = q[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + (q[i] << (exp * (d - i)))
+    return acc
+
+
+def _count_sign_changes(values) -> int:
+    changes = 0
+    prev = 0
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                changes += 1
+            prev = v
+    return changes
 
 
 def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     """Largest real root of a monic integer polynomial, by Sturm bisection.
 
-    Exact rational arithmetic throughout; the returned float is the midpoint
-    of an isolating interval narrower than ``precision``.
+    Exact integer arithmetic at dyadic probes: every bracket end and probe
+    is ``num / 2**exp``, and each Sturm polynomial is scaled to integer
+    coefficients, so a sign is one integer Horner pass. The returned float
+    is the midpoint of an isolating interval narrower than ``precision``.
     """
     coefficients = tuple(getattr(poly, "coefficients", poly))
-    p = [Fraction(c) for c in coefficients]
-    chain = _sturm_chain(p)
-    hi = Fraction(1 + max(abs(c) for c in coefficients))  # Cauchy bound
-    lo = -hi
-    if _sign_changes(chain, lo) - _sign_changes(chain, hi) == 0:
+    bound = 1 + max(abs(c) for c in coefficients)  # Cauchy bound
+    chain = _integer_chain(_sturm_chain([Fraction(c) for c in coefficients]))
+    p, rest = chain[0], chain[1:]
+
+    def sign_changes(num: int, exp: int, head: int) -> int:
+        return _count_sign_changes(
+            [head] + [_dyadic_value(q, num, exp) for q in rest]
+        )
+
+    # the bracket is [lo, hi] / 2**exp
+    lo, hi, exp = -bound, bound, 0
+    changes_hi = sign_changes(hi, exp, _dyadic_value(p, hi, exp))
+    if sign_changes(lo, exp, _dyadic_value(p, lo, exp)) == changes_hi:
         raise InvalidInputError("polynomial has no real roots")
 
-    def roots_in(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
     # shrink toward the topmost root; sign-change counts need probe points
-    # that are not themselves roots, so nudge midpoints off exact roots
-    while float(hi - lo) > precision:
-        probe = (lo + hi) / 2
-        shift = (hi - probe) / 2
-        while _poly_eval(p, probe) == 0:
-            probe += shift
-            shift /= 2
-        if roots_in(probe, hi) > 0:
-            lo = probe
+    # that are not themselves roots, so nudge a midpoint that is a root
+    # toward hi by a quarter of the bracket, then an eighth, and so on
+    while (hi - lo) / (1 << exp) > precision:
+        num, probe_exp = lo + hi, exp + 1
+        head = _dyadic_value(p, num, probe_exp)
+        while head == 0:
+            num, probe_exp = 2 * num + (hi - lo), probe_exp + 1
+            head = _dyadic_value(p, num, probe_exp)
+        changes = sign_changes(num, probe_exp, head)
+        lo <<= probe_exp - exp
+        hi <<= probe_exp - exp
+        exp = probe_exp
+        # the probe has at least hi's sign changes (hi's count never moves),
+        # and more iff a root lies above the probe
+        if changes > changes_hi:
+            lo = num
         else:
-            hi = probe
-    return float((lo + hi) / 2)
+            hi = num
+    return (lo + hi) / (1 << (exp + 1))
 
 
 def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:

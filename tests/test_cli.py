@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import endperiodic.record
+from endperiodic import InternalConsistencyError
 from endperiodic.cli import main
 
 from conftest import RUNNING_ROWS
@@ -98,3 +100,17 @@ class TestUsageErrors:
 
     def test_bad_integer(self, capsys):
         assert main(["construct", "--integer", "1"]) == 2
+
+
+class TestInternalErrors:
+    def test_internal_consistency_error_has_own_exit_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("attachment leaves its host edge")
+
+        monkeypatch.setattr(endperiodic.record, "attach_strips", broken)
+        code = main(["construct", "--integer", "2", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "internal consistency error: attachment leaves its host edge\n"

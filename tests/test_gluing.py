@@ -1,5 +1,7 @@
 """Infinite-strip attachments, boundary identifications, ends, surfaces."""
 
+from collections import Counter
+
 import pytest
 
 from endperiodic import (
@@ -11,6 +13,8 @@ from endperiodic import (
     escape_bound,
     run_pipeline,
 )
+
+from conftest import random_irreducible_matrices
 
 
 class TestIntegerCaseGeometry:
@@ -68,6 +72,19 @@ class TestIntegerCaseGeometry:
         for d, res in d_results.items():
             assert res.census.oversized_finite == 0
             assert res.census.finite_pairs > 0
+
+
+class TestLinkLabels:
+    def test_corpus_label_census(self):
+        # Pinned labels: a family class (stitched from several union-find
+        # shards) must be labelled from the pairing edges of all its shards;
+        # the CountableCircles classes here are all such families.
+        labels = Counter(
+            c.link_type
+            for M in random_irreducible_matrices(40)
+            for c in run_pipeline(M).census.infinite_classes
+        )
+        assert labels == {"Line": 733, "Undetermined": 119, "CountableCircles": 11}
 
 
 class TestAttachments:

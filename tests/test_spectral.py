@@ -147,6 +147,116 @@ class TestCharPoly:
             assert determinant(M) == _fraction_determinant(M)
 
 
+def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
+    """Reference Sturm bisection over Fractions, probe for probe.
+
+    Same Cauchy start bracket, midpoint probes nudged off exact roots by
+    half the distance to ``hi``, and the same stopping rule, so an exact
+    implementation must return the same float.
+    """
+
+    def rem(a, b):
+        a = a[:]
+        while len(a) >= len(b):
+            factor = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= factor * bc
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    def value(q, x):
+        acc = Fraction(0)
+        for c in reversed(q):
+            acc = acc * x + c
+        return acc
+
+    def changes(x):
+        signs = [v > 0 for v in (value(q, x) for q in chain) if v != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    p = [Fraction(c) for c in coeffs]
+    derivative = [i * c for i, c in enumerate(p)][1:]
+    while derivative and derivative[-1] == 0:
+        derivative.pop()
+    chain = [p, derivative]
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    hi = Fraction(1 + max(abs(c) for c in coeffs))
+    lo = -hi
+    if changes(lo) == changes(hi):
+        raise InvalidInputError("polynomial has no real roots")
+    while float(hi - lo) > precision:
+        probe = (lo + hi) / 2
+        shift = (hi - probe) / 2
+        while value(p, probe) == 0:
+            probe += shift
+            shift /= 2
+        if changes(probe) > changes(hi):
+            lo = probe
+        else:
+            hi = probe
+    return float((lo + hi) / 2)
+
+
+def _poly_square(coeffs):
+    out = [0] * (2 * len(coeffs) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(coeffs):
+            out[i + j] += a * b
+    return out
+
+
+class TestLargestRealRootIsBitExact:
+    """The integer bisection returns exactly the Fraction oracle's float."""
+
+    def test_corpus_and_squares(self):
+        for M in random_irreducible_matrices(200):
+            coeffs = list(char_poly(M).coefficients)
+            assert largest_real_root(coeffs) == _fraction_sturm_root(coeffs)
+            # the doubled incidence matrix has the squared polynomial
+            squared = _poly_square(coeffs)
+            assert largest_real_root(squared) == _fraction_sturm_root(squared)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_lifts_of_two(self, k):
+        poly = char_poly(block_lift(IntMatrix.from_rows([[2]]), k))
+        assert largest_real_root(poly) == _fraction_sturm_root(poly.coefficients)
+
+    @pytest.mark.parametrize(
+        "coeffs, root",
+        [
+            ([0, 0, 1], 0.0),  # x^2: the first probe is the double root
+            ([0, -1, 1], 1.0),  # x(x-1): the first nudge lands on a root too
+            ([0, -3, 2, 1], 1.0),  # x(x-1)(x+3)
+            ([4, 0, -3, 1], 2.0),  # (x-2)^2 (x+1)
+            ([-16, 0, 0, 0, 1], 2.0),  # x^4 - 16
+        ],
+    )
+    def test_roots_on_dyadic_probes(self, coeffs, root):
+        got = largest_real_root(coeffs)
+        assert got == _fraction_sturm_root(coeffs)
+        assert got == pytest.approx(root, abs=1e-12)
+
+    def test_precision_argument(self):
+        coeffs = list(char_poly(IntMatrix.from_rows(RUNNING_ROWS)).coefficients)
+        for precision in (1e-3, 1e-9, 1e-14):
+            assert largest_real_root(coeffs, precision) == _fraction_sturm_root(
+                coeffs, precision
+            )
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, 1], [5, 2, 1], [1, 0, 0, 0, 1], [3]])
+    def test_no_real_roots_raises(self, coeffs):
+        with pytest.raises(InvalidInputError):
+            largest_real_root(coeffs)
+        with pytest.raises(InvalidInputError):
+            _fraction_sturm_root(coeffs)
+
+
 class TestLargestRealRoot:
     def test_against_numpy_roots(self):
         for M in random_irreducible_matrices(40, seed=13):

@@ -382,20 +382,23 @@ def nesting_period(system: EdgeMapSystem) -> int:
     return m
 
 
+def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:
+    """One JSON-ready row per periodic point, map by map in ``KINDS`` order."""
+    return [
+        {
+            "map": pt.map_kind,
+            "rect": pt.location.rect,
+            "offset": pt.location.offset,
+            "period": pt.period,
+            "orbit": pt.orbit_id,
+            "position": pt.orbit_position,
+            "corner": pt.corner_type,
+            "initial": pt.is_initial,
+        }
+        for kind in KINDS
+        for pt in points[kind]
+    ]
+
+
 def census_json(points: dict[str, list[PeriodicPoint]]) -> str:
-    rows = []
-    for kind in KINDS:
-        for pt in points[kind]:
-            rows.append(
-                {
-                    "map": pt.map_kind,
-                    "rect": pt.location.rect,
-                    "offset": pt.location.offset,
-                    "period": pt.period,
-                    "orbit": pt.orbit_id,
-                    "position": pt.orbit_position,
-                    "corner": pt.corner_type,
-                    "initial": pt.is_initial,
-                }
-            )
-    return json.dumps(rows, sort_keys=True, indent=2)
+    return json.dumps(census_rows(points), sort_keys=True, indent=2)

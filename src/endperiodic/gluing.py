@@ -441,19 +441,6 @@ class _NodeRegistry:
         self.strips = strips
         self._edge_bins: dict[tuple[int, str], list[float]] = {}
         self._strip_bins: dict[tuple, list[float]] = {}
-        self._corner_positions = self._strip_corner_positions()
-
-    def _strip_corner_positions(self):
-        out: dict[tuple[int, str], list[float]] = {}
-        D = self.D
-        for k in range(1, D.n + 1):
-            hb = [x.evaluate(D.eigen) for x in D.horizontal_boundaries[k]]
-            vb = [x.evaluate(D.eigen) for x in D.vertical_boundaries[k]]
-            out[(k, "L")] = hb
-            out[(k, "R")] = hb
-            out[(k, "T")] = vb
-            out[(k, "B")] = vb
-        return out
 
     def _edge_len(self, rect, side):
         return (
@@ -499,23 +486,6 @@ class _NodeRegistry:
             return self.edge_node(rect, side, (a, b)[endpoint])
         _, key, za, zb, w = state
         return self.strip_node(key, (za, zb)[endpoint], w)
-
-    def is_corner_derived(self, node) -> bool:
-        """Rectangle corners, strip base corners, and strip-boundary corners.
-
-        These nodes are iterated images of corner points; they locate the
-        classes where infinite chains can accumulate. A class containing
-        one is not automatically infinite: strip-side points at a single
-        height pair off into finite two-point classes.
-        """
-        if node[0] == "C":
-            return True
-        if node[0] == "S":
-            return node[3] in (0.0, 1.0)
-        _, rect, side, pos = node
-        return any(
-            abs(pos - c) <= COORD_TOL for c in self._corner_positions[(rect, side)]
-        )
 
 
 def _corner_alias(rect, side, pos, length):

@@ -2,9 +2,17 @@
 
 ``run_pipeline`` chains every stage of the construction for one input
 matrix.  ``build_record`` freezes the result into a versioned,
-deterministic JSON document (a single timestamp field is excluded from
-hashing), and ``verify_record`` re-runs the construction from the
-embedded configuration and checks the stored sections against it.
+deterministic record, and ``verify_record`` re-runs the construction from
+the embedded configuration and checks the stored sections against it.
+
+A record is written as canonical compact JSON: sorted keys and no
+whitespace (``sort_keys=True, separators=(",", ":")``), which CPython
+encodes in C.  Its SHA-256 ``content_hash`` covers the same canonical
+text of ``config``, ``schema_version`` and ``sections``; only
+``created_at`` is left out.  Each part is serialised once, and both the
+hash payload and the record text are assembled from those strings.
+Records in any other JSON layout (older ones are indented) load and
+verify the same way, because verification re-serialises what it parses.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .edgemaps import (
     EdgeMapSystem,
     all_periodic_points,
     build_edge_maps,
-    census_json,
+    census_rows,
     choose_initial_points,
     link_corner_partners,
 )
@@ -130,21 +138,46 @@ class ConstructionRecord:
             "content_hash": self.content_hash(),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The record as canonical compact JSON, each part dumped once."""
+        config = _canonical(self.config)
+        version = _canonical(self.schema_version)
+        sections = _canonical(self.sections)
+        digest = _hash_hex(config, version, sections)
+        # Sorted top-level key order: config, content_hash, created_at,
+        # schema_version, sections.
+        return (
+            f'{{"config":{config},"content_hash":"{digest}",'
+            f'"created_at":{_canonical(self.created_at)},'
+            f'"schema_version":{version},"sections":{sections}}}'
+        )
 
     def content_hash(self) -> str:
         """SHA-256 over everything except the timestamp."""
-        payload = json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "config": self.config,
-                "sections": self.sections,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return _hash_hex(
+            _canonical(self.config),
+            _canonical(self.schema_version),
+            _canonical(self.sections),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _canonical(obj) -> str:
+    """Canonical compact JSON: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _hash_hex(config: str, version: str, sections: str) -> str:
+    """SHA-256 of the canonical text of the hashed fields, from their texts.
+
+    Equal to hashing ``_canonical({"config": ..., "schema_version": ...,
+    "sections": ...})``: the keys are written in sorted order.  The parts
+    are fed one by one, so the payload is never built as one string.
+    """
+    h = hashlib.sha256()
+    for part in ('{"config":', config, ',"schema_version":', version,
+                 ',"sections":', sections, "}"):
+        h.update(part.encode("utf-8"))
+    return h.hexdigest()
 
 
 def _config_dict(
@@ -193,7 +226,7 @@ def build_record(
             kind: result.system.maps[kind].export_digraph()
             for kind in result.system.maps
         },
-        "periodic_points": json.loads(census_json(result.points)),
+        "periodic_points": census_rows(result.points),
         "identifications": result.schema.to_json_dict(),
         "class_census": result.census.to_json_dict(),
         "surface": result.surface.to_json_dict(),
@@ -223,8 +256,11 @@ def load_record(text: str) -> dict:
 def verify_record(data: dict) -> list[tuple[str, bool, str]]:
     """Re-run the construction from the embedded config and diff sections.
 
-    Returns one (section, passed, detail) triple per stored section.
-    Raises :class:`VerificationError` if any section disagrees.
+    Returns one (section, passed, detail) triple per section, stored or
+    recomputed, then one for the content hash.  The detail of a section
+    that differs names the first JSON path at which it does, such as
+    ``eigendata.lambda``.  Raises :class:`VerificationError` if any check
+    fails.
     """
     cfg = data["config"]
     M = IntMatrix.from_rows(cfg["matrix"])
@@ -237,33 +273,56 @@ def verify_record(data: dict) -> list[tuple[str, bool, str]]:
         weak_perron_k=cfg["weak_perron_k"],
         doubled=cfg["doubled"],
     )
+    stored = {name: _canonical(section) for name, section in data["sections"].items()}
     results = []
-    failures = []
-    for name in sorted(fresh.sections):
-        stored = data["sections"].get(name)
-        expected = fresh.sections[name]
-        same = json.dumps(stored, sort_keys=True) == json.dumps(
-            expected, sort_keys=True
-        )
-        detail = "match" if same else "stored section differs from recomputation"
-        results.append((name, same, detail))
-        if not same:
-            failures.append(name)
-    stored_hash = data.get("content_hash")
-    hash_ok = stored_hash == ConstructionRecord(
-        schema_version=data["schema_version"],
-        config=cfg,
-        sections=data["sections"],
-    ).content_hash()
+    for name in sorted(stored.keys() | fresh.sections.keys()):
+        if name not in stored:
+            ok, detail = False, "missing from the stored record"
+        elif name not in fresh.sections:
+            ok, detail = False, "not produced by the recomputation"
+        else:
+            expected = _canonical(fresh.sections[name])
+            ok = stored[name] == expected
+            detail = "match"
+            if not ok:
+                path = _first_difference(
+                    json.loads(stored[name]), json.loads(expected), name
+                )
+                detail = f"stored section differs from recomputation at {path}"
+        results.append((name, ok, detail))
+    sections = "{" + ",".join(
+        f"{_canonical(name)}:{stored[name]}" for name in sorted(stored)
+    ) + "}"
+    hash_ok = data.get("content_hash") == _hash_hex(
+        _canonical(cfg), _canonical(data["schema_version"]), sections
+    )
     results.append(
         ("content_hash", hash_ok, "match" if hash_ok else "hash mismatch")
     )
-    if not hash_ok:
-        failures.append("content_hash")
+    failures = [(name, detail) for name, ok, detail in results if not ok]
     if failures:
         raise VerificationError(
-            "record verification failed: " + ", ".join(failures),
+            "record verification failed: "
+            + ", ".join(f"{name} ({detail})" for name, detail in failures),
             expected="stored sections equal to recomputation",
-            actual=failures,
+            actual=[name for name, _ in failures],
         )
     return results
+
+
+def _first_difference(stored, fresh, path: str) -> str:
+    """The first JSON path, in sorted key order, at which two parsed JSON
+    values differ; ``path`` itself when they differ at the top."""
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        for key in sorted(stored.keys() | fresh.keys()):
+            if key not in stored or key not in fresh:
+                return f"{path}.{key}"
+            if _canonical(stored[key]) != _canonical(fresh[key]):
+                return _first_difference(stored[key], fresh[key], f"{path}.{key}")
+    elif isinstance(stored, list) and isinstance(fresh, list):
+        for i, (a, b) in enumerate(zip(stored, fresh)):
+            if _canonical(a) != _canonical(b):
+                return _first_difference(a, b, f"{path}[{i}]")
+        if len(stored) != len(fresh):
+            return f"{path}[{min(len(stored), len(fresh))}]"
+    return path

@@ -72,13 +72,14 @@ class TestVerify:
         record = tmp_path / "integer-2.record.json"
         assert main(["verify", str(record)]) == 0
 
-    def test_mutated_record_fails(self, tmp_path):
+    def test_mutated_record_fails(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"
         data = json.loads(record.read_text())
         data["sections"]["incidence"]["incidence"][0][0] = 9
         record.write_text(json.dumps(data))
         assert main(["verify", str(record)]) == 1
+        assert "at incidence.incidence[0][0]" in capsys.readouterr().err
 
     def test_missing_record_is_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2

@@ -1,10 +1,16 @@
 """Tests for construction record serialization, hashing, and re-verification."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import endperiodic
 from endperiodic import (
+    ConstructionRecord,
     InvalidInputError,
     VerificationError,
     build_record,
@@ -16,10 +22,21 @@ from endperiodic.record import SCHEMA_VERSION
 from conftest import RUNNING_ROWS
 
 
+RUNNING_HASH = "2f83dc68f1857fda382067db3469cb01199a4f745a860c96b3e5970b0105e1a3"
+
+
 @pytest.fixture(scope="module")
 def running_record(running_matrix):
     record, _ = build_record(running_matrix)
     return record
+
+
+def _rehashed(data: dict) -> dict:
+    """``data`` with its content hash recomputed, so only sections can fail."""
+    data["content_hash"] = ConstructionRecord(
+        data["schema_version"], data["config"], data["sections"]
+    ).content_hash()
+    return data
 
 
 class TestDeterminism:
@@ -42,6 +59,32 @@ class TestDeterminism:
         assert list(data) == sorted(data)
         assert json.loads(running_record.to_json()) == data
 
+    def test_json_is_canonical_compact(self, running_record):
+        assert running_record.to_json() == json.dumps(
+            running_record.to_json_dict(), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_running_example_hash_is_pinned(self, running_record):
+        assert running_record.content_hash() == RUNNING_HASH
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_hash_independent_of_hash_seed(self, seed):
+        src = Path(endperiodic.__file__).resolve().parents[1]
+        code = (
+            "from endperiodic import IntMatrix, build_record; "
+            f"print(build_record(IntMatrix({RUNNING_ROWS!r}))[0].content_hash())"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert out.stdout.strip() == RUNNING_HASH
+
 
 class TestVerifyRecord:
     def test_fresh_record_verifies(self, running_record):
@@ -52,12 +95,34 @@ class TestVerifyRecord:
         assert "eigendata" in names
         assert "incidence" in names
 
+    def test_indented_record_verifies(self, running_record):
+        text = json.dumps(running_record.to_json_dict(), indent=2, sort_keys=True)
+        assert text != running_record.to_json()
+        data = load_record(text)
+        assert data["content_hash"] == RUNNING_HASH
+        assert all(ok for _, ok, _ in verify_record(data))
+
     def test_mutated_section_fails_with_name(self, running_record):
         data = load_record(running_record.to_json())
         data["sections"]["eigendata"]["lambda"] = "2.0"
         with pytest.raises(VerificationError) as exc:
             verify_record(data)
         assert "eigendata" in str(exc.value)
+        assert "at eigendata.lambda" in str(exc.value)
+
+    def test_missing_section_fails(self, running_record):
+        data = load_record(running_record.to_json())
+        del data["sections"]["surface"]
+        with pytest.raises(VerificationError) as exc:
+            verify_record(_rehashed(data))
+        assert exc.value.actual == ["surface"]
+
+    def test_extra_section_fails(self, running_record):
+        data = load_record(running_record.to_json())
+        data["sections"]["extra"] = {}
+        with pytest.raises(VerificationError) as exc:
+            verify_record(_rehashed(data))
+        assert exc.value.actual == ["extra"]
 
     def test_mutated_hash_fails(self, running_record):
         data = load_record(running_record.to_json())

@@ -17,7 +17,7 @@ form equivalence classes whose census drives the surface report.
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .edgemaps import (
@@ -143,41 +143,13 @@ def _check_attachments_disjoint(strips) -> None:
 
 
 @dataclass(frozen=True)
-class SwitchRegion:
-    """Opaque transition region P(x) around a periodic point.
-
-    Only boundary incidence data is recorded: the endpoints of the defining
-    path W (whose interior must stay clear of the edges for one period) and
-    the edge segment closing the region. The interpolating homeomorphism on
-    the interior is never evaluated.
-    """
-
-    point_key: tuple[str, int]
-    case: str
-    w_endpoints: tuple[tuple, tuple]
-    edge_segment: tuple | None
-    interior_disjoint_steps: int
-
-
-@dataclass(frozen=True)
 class ExtendedPieceMap:
-    """The extended map: base piece map, strips, switch regions, case table."""
+    """The extended map: base piece map, strips, and periodic points by key."""
 
     system: EdgeMapSystem
     strips: dict[tuple[str, int], InfiniteStrip]
     points: dict[str, list[PeriodicPoint]]
-    switch_regions: dict[tuple[str, int], SwitchRegion]
-    case_table: tuple[str, ...]
     point_index: dict[tuple[str, int], PeriodicPoint]
-
-
-_CASE_TABLE = (
-    "piece-map region: apply the affine branch",
-    "switch region P(x): interpolating homeomorphism (opaque)",
-    "strip, image point not initial: (z, w) -> (z, w)",
-    "strip, image point initial, vertical-side strip: (z, w) -> (z, w+1)",
-    "strip, image point initial, horizontal-side strip: (z, w) -> (z, w-1)",
-)
 
 
 def build_extended_map(
@@ -185,36 +157,12 @@ def build_extended_map(
     strips: dict[tuple[str, int], InfiniteStrip],
     points: dict[str, list[PeriodicPoint]],
 ) -> ExtendedPieceMap:
-    """Assemble switch regions and the symbolic case table."""
-    index = {pt.key: pt for pts in points.values() for pt in pts}
-    regions = {}
-    for key, pt in index.items():
-        strip = strips[key]
-        p = pt.period
-        if pt.is_corner:
-            case = "corner"
-            edge_seg = (strip.rect, strip.side, strip.lo, strip.hi)
-        elif pt.map_kind in ("L", "R"):
-            case = "vertical-noncorner"
-            edge_seg = (strip.rect, strip.side, strip.lo, strip.hi)
-        else:
-            case = "horizontal-noncorner"
-            edge_seg = None
-        regions[key] = SwitchRegion(
-            point_key=key,
-            case=case,
-            w_endpoints=((strip.rect, strip.side, strip.lo),
-                         (strip.rect, strip.side, strip.hi)),
-            edge_segment=edge_seg,
-            interior_disjoint_steps=p,
-        )
+    """Bundle the strips with the piece map and index the periodic points."""
     return ExtendedPieceMap(
         system=system,
         strips=strips,
         points=points,
-        switch_regions=regions,
-        case_table=_CASE_TABLE,
-        point_index=index,
+        point_index={pt.key: pt for pts in points.values() for pt in pts},
     )
 
 
@@ -429,25 +377,37 @@ def _trace(ext, gen_id, family, rect, pos, source_length, kinds, first, depth_ca
 
 
 class _NodeRegistry:
-    """Quantized geometric points on edges and strip boundaries.
+    """Dense integer ids for quantized points on edges and strip boundaries.
 
-    Edge positions are merged within coordinate tolerance; rectangle corners
-    and strip base corners are aliased to a single canonical node, since the
-    same geometric point appears under several coordinate descriptions.
+    ``node_id`` gives each geometric point an ``int`` id the first time it
+    sees it; ``nodes[i]`` is the node tuple of id ``i``, so ids run
+    0, 1, 2, ... in order of first sight. Positions within coordinate
+    tolerance of 0 or of the edge length (of 0 or 1 on strips) snap there;
+    rectangle corners and strip base corners are aliased to a single
+    canonical corner node, since the same geometric point appears under
+    several coordinate descriptions. Any other position joins the first
+    bin of its edge (or strip level) within tolerance.
     """
 
     def __init__(self, decomposition, strips):
         self.D = decomposition
         self.strips = strips
-        self._edge_bins: dict[tuple[int, str], list[float]] = {}
-        self._strip_bins: dict[tuple, list[float]] = {}
+        self.nodes: list[tuple] = []
+        self._corner_ids: dict[tuple, int] = {}
+        # bins hold ids; a bin's position is ``nodes[i][3]``
+        self._edge_bins: dict[tuple[int, str], list[int]] = {}
+        self._strip_bins: dict[tuple, list[int]] = {}
+
+    def _new(self, node) -> int:
+        self.nodes.append(node)
+        return len(self.nodes) - 1
 
     def _edge_len(self, rect, side):
         return (
             self.D.rect_height(rect) if side in ("L", "R") else self.D.rect_width(rect)
         )
 
-    def edge_node(self, rect, side, pos):
+    def edge_id(self, rect, side, pos) -> int:
         length = self._edge_len(rect, side)
         if abs(pos) <= COORD_TOL:
             pos = 0.0
@@ -455,37 +415,43 @@ class _NodeRegistry:
             pos = length
         corner = _corner_alias(rect, side, pos, length)
         if corner is not None:
-            return corner
-        bin_key = (rect, side)
-        bins = self._edge_bins.setdefault(bin_key, [])
-        for v in bins:
-            if abs(v - pos) <= COORD_TOL:
-                return ("E", rect, side, v)
-        bins.append(pos)
-        return ("E", rect, side, pos)
+            i = self._corner_ids.get(corner)
+            if i is None:
+                i = self._corner_ids[corner] = self._new(corner)
+            return i
+        nodes = self.nodes
+        bins = self._edge_bins.setdefault((rect, side), [])
+        for i in bins:
+            if abs(nodes[i][3] - pos) <= COORD_TOL:
+                return i
+        i = self._new(("E", rect, side, pos))
+        bins.append(i)
+        return i
 
-    def strip_node(self, key, z, w):
+    def strip_id(self, key, z, w) -> int:
         if abs(z) <= COORD_TOL:
             z = 0.0
-        if abs(z - 1.0) <= COORD_TOL:
+        elif abs(z - 1.0) <= COORD_TOL:
             z = 1.0
-        strip = self.strips[key]
-        if w == 0 and z in (0.0, 1.0):
-            return self.edge_node(strip.rect, strip.side, strip.z_to_offset(z))
-        bin_key = (key, w)
-        bins = self._strip_bins.setdefault(bin_key, [])
-        for v in bins:
-            if abs(v - z) <= COORD_TOL:
-                return ("S", key, w, v)
-        bins.append(z)
-        return ("S", key, w, z)
+        if w == 0 and (z == 0.0 or z == 1.0):
+            strip = self.strips[key]
+            return self.edge_id(strip.rect, strip.side, strip.z_to_offset(z))
+        nodes = self.nodes
+        bins = self._strip_bins.get((key, w))
+        if bins is None:
+            bins = self._strip_bins[(key, w)] = []
+        else:
+            for i in bins:
+                if abs(nodes[i][3] - z) <= COORD_TOL:
+                    return i
+        i = self._new(("S", key, w, z))
+        bins.append(i)
+        return i
 
-    def node_for(self, state, endpoint: int):
+    def node_id(self, state, endpoint: int) -> int:
         if state[0] == "E":
-            _, rect, side, a, b = state
-            return self.edge_node(rect, side, (a, b)[endpoint])
-        _, key, za, zb, w = state
-        return self.strip_node(key, (za, zb)[endpoint], w)
+            return self.edge_id(state[1], state[2], state[3 + endpoint])
+        return self.strip_id(state[1], state[2 + endpoint], state[4])
 
 
 def _corner_alias(rect, side, pos, length):
@@ -502,23 +468,21 @@ def _corner_alias(rect, side, pos, length):
     return ("C", rect, corner)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _find(parent, x):
+    """Root of ``x`` in a union-find forest ``parent`` (a list or a dict),
+    compressing the path it walks."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _union(parent, a, b) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
 
 
 @dataclass(frozen=True)
@@ -561,6 +525,10 @@ def _node_str(node) -> str:
     return ":".join(str(x) for x in node)
 
 
+def _strip_keys(nodes) -> tuple:
+    return tuple(sorted({n[1] for n in nodes if n[0] == "S"}))
+
+
 def classify_classes(
     schema: IdentificationSchema, ext: ExtendedPieceMap
 ) -> ClassCensus:
@@ -581,116 +549,127 @@ def classify_classes(
     graph: a degree-at-most-2 acyclic connected graph is a Line, two or
     more disjoint cycles are CountableCircles, anything else is
     Undetermined.
+
+    The pass runs over the registry's dense integer node ids: the
+    union-find is a ``parent`` list (``parent[ra] = rb`` on each union, so
+    the roots, and with them the order of the infinite classes, depend
+    only on the order of the identifications), first depths are a list
+    indexed by id, and pairing edges are pairs of ids. Infinite classes
+    list their nodes in ``_node_str`` order, which fixes their
+    representatives; finite classes list theirs in plain tuple order.
     """
     registry = _NodeRegistry(ext.system.decomposition, ext.strips)
-    uf = _UnionFind()
-    pair_edges: set[tuple] = set()
-    first_depth: dict[tuple, int] = {}
-    orbit_steps: list[tuple] = []
+    node_id = registry.node_id
+    nodes = registry.nodes
+    parent: list[int] = []
+    first_depth: list[int] = []
+    pair_edges: set[tuple[int, int]] = set()
+    orbit_steps: list[tuple[int, int]] = []
     for gen in schema.generators:
-        history: list[tuple] = []
+        # the side-a ids of the two previous depths
+        older = previous = None
         for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
-            current = []
-            for endpoint in (0, 1):
-                na = registry.node_for(sa, endpoint)
-                nb = registry.node_for(sb, endpoint)
-                uf.union(na, nb)
+            a0, b0 = node_id(sa, 0), node_id(sb, 0)
+            a1, b1 = node_id(sa, 1), node_id(sb, 1)
+            while len(parent) < len(nodes):
+                parent.append(len(parent))
+                first_depth.append(depth)
+            for na, nb in ((a0, b0), (a1, b1)):
+                _union(parent, na, nb)
                 if na != nb:
-                    pair_edges.add((min(na, nb), max(na, nb)))
-                first_depth.setdefault(na, depth)
-                first_depth.setdefault(nb, depth)
-                # Stitch along the square of the edge maps: the vertical
-                # factor reverses orientation each step, so only every
-                # second image returns to the same side of its strip.
-                if len(history) >= 2:
-                    orbit_steps.append((history[-2][endpoint], na))
-                current.append(na)
-            history.append(tuple(current))
+                    pair_edges.add((na, nb) if na < nb else (nb, na))
+            # Stitch along the square of the edge maps: the vertical
+            # factor reverses orientation each step, so only every
+            # second image returns to the same side of its strip.
+            if older is not None:
+                orbit_steps.append((older[0], a0))
+                orbit_steps.append((older[1], a1))
+            older, previous = previous, (a0, a1)
 
-    members: dict[tuple, list] = {}
-    for node in list(uf.parent):
-        members.setdefault(uf.find(node), []).append(node)
+    # one find per id; afterwards parent[i] is the root of i
+    members: dict[int, list[int]] = {}
+    for i in range(len(nodes)):
+        root = _find(parent, i)
+        group = members.get(root)
+        if group is None:
+            members[root] = [i]
+        else:
+            group.append(i)
 
     cap = schema.depth_cap
     m = schema.nesting_period
-    growing_roots = set()
-    shard_roots = set()
+    growing_roots = []
+    shard_roots = []
     finite_classes = []
-    for root, nodes in members.items():
-        size = len(nodes)
-        last_new = max(first_depth[n] for n in nodes)
-        has_corner = any(n[0] == "C" for n in nodes)
-        if size >= 4 and last_new > cap - m:
-            growing_roots.add(root)
-        elif size >= 3 or has_corner:
-            shard_roots.add(root)
+    for root, ids in members.items():
+        size = len(ids)
+        if size >= 4 and max(first_depth[i] for i in ids) > cap - m:
+            growing_roots.append(root)
+        elif size >= 3 or any(nodes[i][0] == "C" for i in ids):
+            shard_roots.append(root)
         else:
-            finite_classes.append(sorted(nodes, key=_node_str))
+            finite_classes.append(tuple(sorted(nodes[i] for i in ids)))
 
     # Stitch saturated shards of one corner family: consecutive depths of
     # a generator endpoint orbit land in consecutive shards. Chains that
     # are still growing already hold their whole family and stay separate.
-    family_uf = _UnionFind()
+    family = {root: root for root in shard_roots}
     for a, b in orbit_steps:
-        ra, rb = uf.find(a), uf.find(b)
-        if ra != rb and ra in shard_roots and rb in shard_roots:
-            family_uf.union(ra, rb)
+        ra, rb = parent[a], parent[b]
+        if ra != rb and ra in family and rb in family:
+            _union(family, ra, rb)
 
-    families: dict[tuple, list] = {}
+    families: dict[int, list[int]] = {}
     for root in shard_roots:
-        families.setdefault(family_uf.find(root), []).append(root)
+        families.setdefault(_find(family, root), []).append(root)
 
     # both ends of a pairing edge share a union-find root, so the edges of a
     # class are exactly the bucket of its root
-    root_edges: dict[tuple, list] = {
-        root: [] for root in growing_roots | shard_roots
-    }
+    root_edges: dict[int, list] = {root: [] for root in growing_roots + shard_roots}
     for edge in pair_edges:
-        bucket = root_edges.get(uf.find(edge[0]))
+        bucket = root_edges.get(parent[edge[0]])
         if bucket is not None:
             bucket.append(edge)
 
-    infinite_classes = []
-    for root in sorted(growing_roots, key=_node_str):
-        nodes = tuple(sorted(members[root], key=_node_str))
-        infinite_classes.append(
-            EquivalenceClass(
-                nodes=nodes,
-                infinite=True,
-                link_type=_classify_link(nodes, root_edges[root]),
-                strip_keys=tuple(sorted({n[1] for n in nodes if n[0] == "S"})),
-            )
+    def infinite_class(ids, edges) -> EquivalenceClass:
+        class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
+        return EquivalenceClass(
+            nodes=class_nodes,
+            infinite=True,
+            link_type=_classify_link(ids, edges),
+            strip_keys=_strip_keys(class_nodes),
         )
-    for key in sorted(families, key=_node_str):
-        roots = families[key]
-        nodes = tuple(sorted((n for r in roots for n in members[r]), key=_node_str))
-        infinite_classes.append(
-            EquivalenceClass(
-                nodes=nodes,
-                infinite=True,
-                link_type=_classify_link(
-                    nodes, [e for r in roots for e in root_edges[r]]
-                ),
-                strip_keys=tuple(sorted({n[1] for n in nodes if n[0] == "S"})),
-            )
+
+    def by_node_str(root):
+        return _node_str(nodes[root])
+
+    infinite_classes = [
+        infinite_class(members[root], root_edges[root])
+        for root in sorted(growing_roots, key=by_node_str)
+    ] + [
+        infinite_class(
+            [i for r in families[key] for i in members[r]],
+            [e for r in families[key] for e in root_edges[r]],
         )
+        for key in sorted(families, key=by_node_str)
+    ]
 
     finite = [
         EquivalenceClass(
-            nodes=tuple(nodes),
+            nodes=class_nodes,
             infinite=False,
             link_type=None,
-            strip_keys=tuple(sorted({n[1] for n in nodes if n[0] == "S"})),
+            strip_keys=_strip_keys(class_nodes),
         )
-        for nodes in finite_classes
+        for class_nodes in finite_classes
     ]
-    all_classes = tuple(finite) + tuple(infinite_classes)
+    sizes = Counter(len(class_nodes) for class_nodes in finite_classes)
     return ClassCensus(
-        finite_singletons=sum(1 for c in finite if c.size == 1),
-        finite_pairs=sum(1 for c in finite if c.size == 2),
-        oversized_finite=sum(1 for c in finite if c.size > 2),
+        finite_singletons=sizes[1],
+        finite_pairs=sizes[2],
+        oversized_finite=sum(n for size, n in sizes.items() if size > 2),
         infinite_classes=tuple(infinite_classes),
-        classes=all_classes,
+        classes=tuple(finite) + tuple(infinite_classes),
     )
 
 
@@ -844,16 +823,16 @@ def assemble_surface(
         orbit_sign[strip.orbit_id] = (
             "Attracting" if strip.kind in ("L", "R") else "Repelling"
         )
-    uf = _UnionFind()
-    for orbit in orbit_sign:
-        uf.find(orbit)
+    parent = {orbit: orbit for orbit in orbit_sign}
     for gen in schema.generators:
-        a = _tailed_orbit(system, gen, 0)
-        b = _tailed_orbit(system, gen, 1)
-        uf.union(a, b)
+        a = gen.periodic_tail[0]["orbit"]
+        b = gen.periodic_tail[1]["orbit"]
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        _union(parent, a, b)
     components: dict = {}
     for orbit in orbit_sign:
-        components.setdefault(uf.find(orbit), []).append(orbit)
+        components.setdefault(_find(parent, orbit), []).append(orbit)
     ends = []
     for orbits in components.values():
         signs = {orbit_sign[o] for o in orbits}
@@ -883,10 +862,6 @@ def assemble_surface(
         escape_depth=schema.escape_depth,
         stretch_factor=D.eigen.lam,
     )
-
-
-def _tailed_orbit(system, gen: GeneratorTrace, side: int) -> str:
-    return gen.periodic_tail[side]["orbit"]
 
 
 def _connectedness(M: IntMatrix, ext: ExtendedPieceMap, weak_perron_k):

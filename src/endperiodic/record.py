@@ -180,6 +180,13 @@ def _hash_hex(config: str, version: str, sections: str) -> str:
     return h.hexdigest()
 
 
+#: the keys of a record's ``config``, as ``_config_dict`` writes them
+_CONFIG_KEYS = (
+    "matrix", "tol", "depth_cap", "corner_selection", "insert_genus",
+    "weak_perron_k", "doubled",
+)
+
+
 def _config_dict(
     M: IntMatrix,
     tol: float,
@@ -242,14 +249,31 @@ def build_record(
 
 
 def load_record(text: str) -> dict:
-    """Parse a stored record, checking the schema version."""
+    """Parse a stored record, checking its schema version and shape.
+
+    The record must be a JSON object whose ``config`` is an object with
+    exactly the keys of ``_config_dict`` and whose ``sections`` is an
+    object; anything else raises :class:`InvalidInputError`.
+    """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidInputError("record is not a JSON object")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise InvalidInputError(
             f"record schema version {version!r} is not supported "
             f"(expected {SCHEMA_VERSION!r})"
         )
+    config = data.get("config")
+    if not isinstance(config, dict):
+        raise InvalidInputError("record config is missing or not an object")
+    if set(config) != set(_CONFIG_KEYS):
+        raise InvalidInputError(
+            f"record config must hold exactly the keys {list(_CONFIG_KEYS)}, "
+            f"not {sorted(config)}"
+        )
+    if not isinstance(data.get("sections"), dict):
+        raise InvalidInputError("record sections are missing or not an object")
     return data
 
 

@@ -70,12 +70,6 @@ class IntMatrix:
             [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         )
 
-    def column_sum(self, j: int) -> int:
-        return sum(row[j] for row in self.entries)
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.entries[i])
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -96,13 +90,6 @@ class Digraph:
             for j in range(self.vertex_count):
                 if self.multiplicity[i][j] > 0:
                     yield j, i, self.multiplicity[i][j]
-
-    def export_arcs(self) -> str:
-        """One arc per line ``source target``, with multiplicity repeats."""
-        lines = []
-        for j, i, m in self.arcs():
-            lines.extend(f"{j} {i}" for _ in range(m))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,23 @@ class TestVerify:
     def test_missing_record_is_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("text", ['{"schema_version":"1"}', "[1]"])
+    def test_malformed_record_is_input_error(self, tmp_path, capsys, text):
+        record = tmp_path / "bad.record.json"
+        record.write_text(text)
+        assert main(["verify", str(record)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: record ") and err.count("\n") == 1
+
+    def test_config_key_missing_is_input_error(self, tmp_path, capsys):
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        del data["config"]["tol"]
+        record.write_text(json.dumps(data))
+        assert main(["verify", str(record)]) == 2
+        assert "config" in capsys.readouterr().err
+
 
 class TestSpectral:
     def test_prints_characteristic_polynomial(self, matrix_file, capsys):

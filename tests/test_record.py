@@ -142,3 +142,26 @@ class TestLoadRecord:
         data = load_record(running_record.to_json())
         assert data["schema_version"] == SCHEMA_VERSION
         assert data["config"]["matrix"] == RUNNING_ROWS
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"schema_version":"1"}', "config"),
+            ("[1]", "not a JSON object"),
+        ],
+    )
+    def test_malformed_record_is_input_error(self, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            load_record(text)
+
+    def test_config_key_missing_is_input_error(self, running_record):
+        data = json.loads(running_record.to_json())
+        del data["config"]["doubled"]
+        with pytest.raises(InvalidInputError, match="config"):
+            load_record(json.dumps(data))
+
+    def test_sections_not_an_object_is_input_error(self, running_record):
+        data = json.loads(running_record.to_json())
+        data["sections"] = []
+        with pytest.raises(InvalidInputError, match="sections"):
+            load_record(json.dumps(data))

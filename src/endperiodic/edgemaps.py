@@ -217,11 +217,11 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
     return EdgeMapSystem(piece_map=P, maps=maps)
 
 
-def composed_branch(E: EdgeMap, start: int, steps: int) -> tuple[int, float, int]:
+def composed_branch(E: EdgeMap, start: int, steps: int) -> tuple[int, float]:
     """steps-fold composition from rectangle ``start``.
 
-    Returns (final rectangle, offset b, exponent e) with the composition
-    acting as x -> lam^-e * x + b.
+    Returns (final rectangle, offset b) with the composition acting as
+    x -> lam^-steps * x + b.
     """
     lam = next(iter(E.branches.values())).lam
     b = 0.0
@@ -230,7 +230,7 @@ def composed_branch(E: EdgeMap, start: int, steps: int) -> tuple[int, float, int
         br = E.branches[v]
         b = br.offset0 + b / lam
         v = br.target_rect
-    return v, b, steps
+    return v, b
 
 
 def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
@@ -253,7 +253,7 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
                 f"cycle {cyc} in {E.kind} is simultaneously first and last"
             )
         for pos, v in enumerate(cyc):
-            _, b, _ = composed_branch(E, v, p)
+            _, b = composed_branch(E, v, p)
             if all_first:
                 x = 0.0
                 corner = _CORNER_AT_START[E.kind]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, islice
 
 from .edgemaps import (
     KINDS,
@@ -93,7 +95,7 @@ def attach_strips(
             edge_len = E.edge_length(i0, D)
             for pt in pts_in_orbit:
                 j = (pt.orbit_position - initial.orbit_position) % p
-                rect, b, _ = composed_branch(E, i0, 2 * p + j)
+                rect, b = composed_branch(E, i0, 2 * p + j)
                 if rect != pt.location.rect:
                     raise InternalConsistencyError(
                         "attachment landed on the wrong rectangle edge"
@@ -239,6 +241,12 @@ class IdentificationSchema:
     nesting_period: int
 
     def to_json_dict(self) -> dict:
+        """The ``identifications`` section.
+
+        ``pairs`` is each generator's ``pair_states`` itself, a tuple of
+        state tuples, not a copy: JSON writes a tuple as an array, so the
+        text is the same as for nested lists.
+        """
         return {
             "depth_cap": self.depth_cap,
             "escape_depth": self.escape_depth,
@@ -252,7 +260,7 @@ class IdentificationSchema:
                     "kinds": list(g.kinds),
                     "stabilization_depth": g.stabilization_depth,
                     "periodic_tail": list(g.periodic_tail),
-                    "pairs": [[list(a), list(b)] for a, b in g.pair_states],
+                    "pairs": g.pair_states,
                 }
                 for g in self.generators
             ],
@@ -394,9 +402,11 @@ class _NodeRegistry:
         self.strips = strips
         self.nodes: list[tuple] = []
         self._corner_ids: dict[tuple, int] = {}
-        # bins hold ids; a bin's position is ``nodes[i][3]``
+        # bins hold ids; a bin's position is ``nodes[i][3]``. There is one
+        # strip bin per strip level, so those are tuples: the collector does
+        # not track a tuple that holds only ints.
         self._edge_bins: dict[tuple[int, str], list[int]] = {}
-        self._strip_bins: dict[tuple, list[int]] = {}
+        self._strip_bins: dict[tuple, tuple[int, ...]] = {}
 
     def _new(self, node) -> int:
         self.nodes.append(node)
@@ -437,15 +447,12 @@ class _NodeRegistry:
             strip = self.strips[key]
             return self.edge_id(strip.rect, strip.side, strip.z_to_offset(z))
         nodes = self.nodes
-        bins = self._strip_bins.get((key, w))
-        if bins is None:
-            bins = self._strip_bins[(key, w)] = []
-        else:
-            for i in bins:
-                if abs(nodes[i][3] - z) <= COORD_TOL:
-                    return i
+        bins = self._strip_bins.get((key, w), ())
+        for i in bins:
+            if abs(nodes[i][3] - z) <= COORD_TOL:
+                return i
         i = self._new(("S", key, w, z))
-        bins.append(i)
+        self._strip_bins[(key, w)] = bins + (i,)
         return i
 
     def node_id(self, state, endpoint: int) -> int:
@@ -499,11 +506,45 @@ class EquivalenceClass:
 
 @dataclass(frozen=True)
 class ClassCensus:
+    """Finite-class counts and the infinite classes of one classify pass.
+
+    ``nodes`` (id -> node tuple) and ``parent`` (id -> union-find root,
+    fully compressed) are the registry and the forest of the pass; the
+    record reads neither. ``classes`` is built from them on first read and
+    then cached: the finite classes first, in order of their smallest id,
+    each listing its nodes in tuple order, then ``infinite_classes``.
+    """
+
     finite_singletons: int
     finite_pairs: int
     oversized_finite: int
     infinite_classes: tuple[EquivalenceClass, ...]
-    classes: tuple[EquivalenceClass, ...] = field(repr=False)
+    nodes: list[tuple] = field(repr=False, compare=False)
+    parent: list[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def classes(self) -> tuple[EquivalenceClass, ...]:
+        nodes = self.nodes
+        groups: dict[int, list[tuple]] = {}
+        for i, root in enumerate(self.parent):
+            group = groups.get(root)
+            if group is None:
+                groups[root] = [nodes[i]]
+            else:
+                group.append(nodes[i])
+        finite = tuple(
+            EquivalenceClass(
+                nodes=tuple(sorted(group)),
+                infinite=False,
+                link_type=None,
+                strip_keys=_strip_keys(group),
+            )
+            for group in groups.values()
+            # classify_classes's rule: only a class of three or more nodes
+            # or with a corner node can be infinite
+            if len(group) <= 2 and all(node[0] != "C" for node in group)
+        )
+        return finite + self.infinite_classes
 
     def to_json_dict(self) -> dict:
         return {
@@ -550,86 +591,101 @@ def classify_classes(
     more disjoint cycles are CountableCircles, anything else is
     Undetermined.
 
-    The pass runs over the registry's dense integer node ids: the
+    The pass runs over the registry's dense integer node ids and builds
+    only what the census reads. Each generator keeps four id columns (the
+    first and second endpoints of sides a and b, one entry per depth); the
     union-find is a ``parent`` list (``parent[ra] = rb`` on each union, so
     the roots, and with them the order of the infinite classes, depend
-    only on the order of the identifications), first depths are a list
-    indexed by id, and pairing edges are pairs of ids. Infinite classes
-    list their nodes in ``_node_str`` order, which fixes their
-    representatives; finite classes list theirs in plain tuple order.
+    only on the order of the identifications). Finite classes are counted
+    from a flat list of class sizes, not built: member lists, pairing
+    edges and the orbit stitch exist only for the roots of infinite
+    classes, those of size at least three or holding a corner node. Infinite
+    classes list their nodes in ``_node_str`` order, which fixes their
+    representatives; ``ClassCensus.classes`` builds the finite ones on
+    first read.
     """
     registry = _NodeRegistry(ext.system.decomposition, ext.strips)
     node_id = registry.node_id
     nodes = registry.nodes
     parent: list[int] = []
     first_depth: list[int] = []
-    pair_edges: set[tuple[int, int]] = set()
-    orbit_steps: list[tuple[int, int]] = []
+    # per generator: the ids of a0, b0, a1, b1, one entry per depth
+    columns: list[tuple[list[int], list[int], list[int], list[int]]] = []
     for gen in schema.generators:
-        # the side-a ids of the two previous depths
-        older = previous = None
+        a0s, b0s, a1s, b1s = cols = ([], [], [], [])
+        columns.append(cols)
         for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
             a0, b0 = node_id(sa, 0), node_id(sb, 0)
             a1, b1 = node_id(sa, 1), node_id(sb, 1)
             while len(parent) < len(nodes):
                 parent.append(len(parent))
                 first_depth.append(depth)
-            for na, nb in ((a0, b0), (a1, b1)):
-                _union(parent, na, nb)
-                if na != nb:
-                    pair_edges.add((na, nb) if na < nb else (nb, na))
-            # Stitch along the square of the edge maps: the vertical
-            # factor reverses orientation each step, so only every
-            # second image returns to the same side of its strip.
-            if older is not None:
-                orbit_steps.append((older[0], a0))
-                orbit_steps.append((older[1], a1))
-            older, previous = previous, (a0, a1)
+            _union(parent, a0, b0)
+            _union(parent, a1, b1)
+            a0s.append(a0)
+            b0s.append(b0)
+            a1s.append(a1)
+            b1s.append(b1)
 
     # one find per id; afterwards parent[i] is the root of i
-    members: dict[int, list[int]] = {}
+    size = [0] * len(nodes)
     for i in range(len(nodes)):
-        root = _find(parent, i)
-        group = members.get(root)
-        if group is None:
-            members[root] = [i]
-        else:
-            group.append(i)
+        size[_find(parent, i)] += 1
+    # a class of three or more nodes, or with a corner node, is infinite
+    infinite_roots = {root for root, n in enumerate(size) if n >= 3}
+    infinite_roots.update(parent[i] for i in registry._corner_ids.values())
+    finite_sizes = Counter(
+        n for root, n in enumerate(size) if n and root not in infinite_roots
+    )
+
+    # member lists of the infinite roots, keyed in order of smallest id
+    members: dict[int, list[int]] = {}
+    for i, root in enumerate(parent):
+        if root in infinite_roots:
+            group = members.get(root)
+            if group is None:
+                members[root] = [i]
+            else:
+                group.append(i)
 
     cap = schema.depth_cap
     m = schema.nesting_period
     growing_roots = []
     shard_roots = []
-    finite_classes = []
     for root, ids in members.items():
-        size = len(ids)
-        if size >= 4 and max(first_depth[i] for i in ids) > cap - m:
+        if len(ids) >= 4 and max(first_depth[i] for i in ids) > cap - m:
             growing_roots.append(root)
-        elif size >= 3 or any(nodes[i][0] == "C" for i in ids):
-            shard_roots.append(root)
         else:
-            finite_classes.append(tuple(sorted(nodes[i] for i in ids)))
+            shard_roots.append(root)
 
     # Stitch saturated shards of one corner family: consecutive depths of
     # a generator endpoint orbit land in consecutive shards. Chains that
     # are still growing already hold their whole family and stay separate.
+    # The vertical factor reverses orientation each step, so only every
+    # second image returns to the same side of its strip: the stitch runs
+    # along the square of the edge maps, from depth d-2 to depth d.
     family = {root: root for root in shard_roots}
-    for a, b in orbit_steps:
-        ra, rb = parent[a], parent[b]
-        if ra != rb and ra in family and rb in family:
-            _union(family, ra, rb)
+    for a0s, _, a1s, _ in columns:
+        steps = zip(a0s, islice(a0s, 2, None), a1s, islice(a1s, 2, None))
+        for x, y, u, v in steps:
+            for a, b in ((x, y), (u, v)):
+                ra, rb = parent[a], parent[b]
+                if ra != rb and ra in family and rb in family:
+                    _union(family, ra, rb)
 
     families: dict[int, list[int]] = {}
     for root in shard_roots:
         families.setdefault(_find(family, root), []).append(root)
 
     # both ends of a pairing edge share a union-find root, so the edges of a
-    # class are exactly the bucket of its root
-    root_edges: dict[int, list] = {root: [] for root in growing_roots + shard_roots}
-    for edge in pair_edges:
-        bucket = root_edges.get(parent[edge[0]])
-        if bucket is not None:
-            bucket.append(edge)
+    # class are exactly the set of its root
+    root_edges: dict[int, set] = {root: set() for root in members}
+    for a0s, b0s, a1s, b1s in columns:
+        for na, nb in chain(zip(a0s, b0s), zip(a1s, b1s)):
+            if na != nb:
+                edges = root_edges.get(parent[na])
+                if edges is not None:
+                    edges.add((na, nb) if na < nb else (nb, na))
 
     def infinite_class(ids, edges) -> EquivalenceClass:
         class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
@@ -654,22 +710,13 @@ def classify_classes(
         for key in sorted(families, key=by_node_str)
     ]
 
-    finite = [
-        EquivalenceClass(
-            nodes=class_nodes,
-            infinite=False,
-            link_type=None,
-            strip_keys=_strip_keys(class_nodes),
-        )
-        for class_nodes in finite_classes
-    ]
-    sizes = Counter(len(class_nodes) for class_nodes in finite_classes)
     return ClassCensus(
-        finite_singletons=sizes[1],
-        finite_pairs=sizes[2],
-        oversized_finite=sum(n for size, n in sizes.items() if size > 2),
+        finite_singletons=finite_sizes[1],
+        finite_pairs=finite_sizes[2],
+        oversized_finite=sum(n for k, n in finite_sizes.items() if k > 2),
         infinite_classes=tuple(infinite_classes),
-        classes=tuple(finite) + tuple(infinite_classes),
+        nodes=nodes,
+        parent=parent,
     )
 
 

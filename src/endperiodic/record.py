@@ -252,8 +252,9 @@ def load_record(text: str) -> dict:
     """Parse a stored record, checking its schema version and shape.
 
     The record must be a JSON object whose ``config`` is an object with
-    exactly the keys of ``_config_dict`` and whose ``sections`` is an
-    object; anything else raises :class:`InvalidInputError`.
+    exactly the keys of ``_config_dict``, each holding a value of the type
+    ``_config_dict`` writes, and whose ``sections`` is an object; anything
+    else raises :class:`InvalidInputError`.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -272,9 +273,54 @@ def load_record(text: str) -> dict:
             f"record config must hold exactly the keys {list(_CONFIG_KEYS)}, "
             f"not {sorted(config)}"
         )
+    _check_config_values(config)
     if not isinstance(data.get("sections"), dict):
         raise InvalidInputError("record sections are missing or not an object")
     return data
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config_values(config: dict) -> None:
+    """Raise :class:`InvalidInputError` unless each config value has the
+    type ``_config_dict`` writes: ``matrix`` a non-empty square list of
+    lists of non-negative ints, ``tol`` a finite positive number,
+    ``depth_cap`` and ``weak_perron_k`` ``None`` or an int, and the three
+    flags bools."""
+    rows = config["matrix"]
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(
+            isinstance(row, list)
+            and len(row) == len(rows)
+            and all(_is_int(v) and v >= 0 for v in row)
+            for row in rows
+        )
+    ):
+        raise InvalidInputError(
+            "record config.matrix is not a non-empty square list of lists "
+            "of non-negative integers"
+        )
+    tol = config["tol"]
+    if not (
+        (_is_int(tol) or isinstance(tol, float)) and 0 < tol < float("inf")
+    ):
+        raise InvalidInputError(
+            f"record config.tol {tol!r} is not a finite positive number"
+        )
+    for key in ("depth_cap", "weak_perron_k"):
+        if not (config[key] is None or _is_int(config[key])):
+            raise InvalidInputError(
+                f"record config.{key} {config[key]!r} is neither null nor an integer"
+            )
+    for key in ("corner_selection", "insert_genus", "doubled"):
+        if not isinstance(config[key], bool):
+            raise InvalidInputError(
+                f"record config.{key} {config[key]!r} is not a boolean"
+            )
 
 
 def verify_record(data: dict) -> list[tuple[str, bool, str]]:

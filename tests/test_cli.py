@@ -101,6 +101,21 @@ class TestVerify:
         assert main(["verify", str(record)]) == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("matrix", "x"), ("tol", "a"), ("depth_cap", "q")]
+    )
+    def test_bad_config_value_is_input_error(self, tmp_path, capsys, key, value):
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        data["config"][key] = value
+        record.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(record)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record config.{key} ")
+        assert err.count("\n") == 1
+
 
 class TestSpectral:
     def test_prints_characteristic_polynomial(self, matrix_file, capsys):

@@ -16,11 +16,20 @@ from endperiodic import (
     InvalidInputError,
     PreconditionError,
     block_lift,
+    classify_classes,
     enumerate_identifications,
     escape_bound,
     run_pipeline,
 )
-from endperiodic.gluing import _NodeRegistry, _node_str
+from endperiodic.gluing import (
+    EquivalenceClass,
+    _classify_link,
+    _find,
+    _NodeRegistry,
+    _node_str,
+    _strip_keys,
+    _union,
+)
 
 from conftest import random_irreducible_matrices
 
@@ -346,3 +355,137 @@ class TestCensusDeterminism:
             json.dumps(json.loads(outputs[0]), sort_keys=True,
                        separators=(",", ":")).encode("utf-8")
         ).hexdigest() == LIFT_CENSUS_SHA[3]
+
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _list_copy_identifications(schema) -> dict:
+    """The ``identifications`` section with every pair copied into lists,
+    as it was built before ``pair_states`` was emitted as it is."""
+    return {
+        "depth_cap": schema.depth_cap,
+        "escape_depth": schema.escape_depth,
+        "nesting_period": schema.nesting_period,
+        "generators": [
+            {
+                "id": g.gen_id,
+                "family": g.family,
+                "rect": g.rect,
+                "position": g.position,
+                "kinds": list(g.kinds),
+                "stabilization_depth": g.stabilization_depth,
+                "periodic_tail": list(g.periodic_tail),
+                "pairs": [[list(a), list(b)] for a, b in g.pair_states],
+            }
+            for g in schema.generators
+        ],
+    }
+
+
+class TestIdentificationsJson:
+    @pytest.mark.parametrize("case", ["running", "lift"])
+    def test_pairs_dump_like_the_list_copy(self, case, running_result):
+        res = running_result if case == "running" else _lift_result(3)
+        assert _canonical(res.schema.to_json_dict()) == _canonical(
+            _list_copy_identifications(res.schema)
+        )
+
+
+def _eager_classes(schema, ext):
+    """The census as one eager pass builds it: every class grouped into
+    member lists, pairing edges as one set, orbit steps as a list of id
+    pairs. Returns (finite counts, infinite classes, all classes)."""
+    registry = _NodeRegistry(ext.system.decomposition, ext.strips)
+    nodes = registry.nodes
+    parent, first_depth = [], []
+    pair_edges, orbit_steps = set(), []
+    for gen in schema.generators:
+        older = previous = None
+        for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
+            a0, b0 = registry.node_id(sa, 0), registry.node_id(sb, 0)
+            a1, b1 = registry.node_id(sa, 1), registry.node_id(sb, 1)
+            while len(parent) < len(nodes):
+                parent.append(len(parent))
+                first_depth.append(depth)
+            for na, nb in ((a0, b0), (a1, b1)):
+                _union(parent, na, nb)
+                if na != nb:
+                    pair_edges.add((min(na, nb), max(na, nb)))
+            if older is not None:
+                orbit_steps += [(older[0], a0), (older[1], a1)]
+            older, previous = previous, (a0, a1)
+    members = {}
+    for i in range(len(nodes)):
+        members.setdefault(_find(parent, i), []).append(i)
+    cap, m = schema.depth_cap, schema.nesting_period
+    growing, shards, finite = [], [], []
+    for root, ids in members.items():
+        if len(ids) >= 4 and max(first_depth[i] for i in ids) > cap - m:
+            growing.append(root)
+        elif len(ids) >= 3 or any(nodes[i][0] == "C" for i in ids):
+            shards.append(root)
+        else:
+            finite.append(tuple(sorted(nodes[i] for i in ids)))
+    family = {root: root for root in shards}
+    for a, b in orbit_steps:
+        ra, rb = parent[a], parent[b]
+        if ra != rb and ra in family and rb in family:
+            _union(family, ra, rb)
+    families = {}
+    for root in shards:
+        families.setdefault(_find(family, root), []).append(root)
+
+    def edges_of(roots):
+        return [e for e in pair_edges if parent[e[0]] in roots]
+
+    def infinite_class(ids, edges):
+        class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
+        return EquivalenceClass(
+            class_nodes, True, _classify_link(ids, edges), _strip_keys(class_nodes)
+        )
+
+    def by_node_str(root):
+        return _node_str(nodes[root])
+
+    infinite = [
+        infinite_class(members[root], edges_of({root}))
+        for root in sorted(growing, key=by_node_str)
+    ] + [
+        infinite_class(
+            [i for r in families[key] for i in members[r]],
+            edges_of(set(families[key])),
+        )
+        for key in sorted(families, key=by_node_str)
+    ]
+    sizes = Counter(len(c) for c in finite)
+    counts = (sizes[1], sizes[2], sum(n for k, n in sizes.items() if k > 2))
+    classes = tuple(
+        EquivalenceClass(c, False, None, _strip_keys(c)) for c in finite
+    ) + tuple(infinite)
+    return counts, tuple(infinite), classes
+
+
+class TestLazyClasses:
+    @pytest.mark.parametrize("case", ["running", "corpus", "lift"])
+    def test_classes_equal_the_eager_census(self, case, running_result):
+        if case == "running":
+            results = [running_result]
+        elif case == "corpus":
+            results = [run_pipeline(M) for M in random_irreducible_matrices(10)]
+        else:
+            results = [_lift_result(3)]
+        for res in results:
+            census = classify_classes(res.schema, res.extended)
+            assert "classes" not in vars(census)
+            counts, infinite, classes = _eager_classes(res.schema, res.extended)
+            assert (
+                census.finite_singletons,
+                census.finite_pairs,
+                census.oversized_finite,
+            ) == counts
+            assert census.infinite_classes == infinite
+            assert census.classes == classes
+            assert "classes" in vars(census)
+            assert census.classes is census.classes

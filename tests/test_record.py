@@ -165,3 +165,38 @@ class TestLoadRecord:
         data["sections"] = []
         with pytest.raises(InvalidInputError, match="sections"):
             load_record(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("matrix", "x"),
+            ("matrix", []),
+            ("matrix", [[1, 1], [1]]),
+            ("matrix", [[1, -1], [1, 1]]),
+            ("matrix", [[True, 1], [1, 1]]),
+            ("matrix", [[1.0, 1], [1, 1]]),
+            ("tol", "a"),
+            ("tol", 0.0),
+            ("tol", -1e-9),
+            ("tol", float("inf")),
+            ("tol", float("nan")),
+            ("tol", True),
+            ("depth_cap", "q"),
+            ("depth_cap", 2.5),
+            ("depth_cap", False),
+            ("weak_perron_k", "2"),
+            ("corner_selection", 1),
+            ("insert_genus", None),
+            ("doubled", "yes"),
+        ],
+    )
+    def test_bad_config_value_is_input_error(self, running_record, key, value):
+        data = json.loads(running_record.to_json())
+        data["config"][key] = value
+        with pytest.raises(InvalidInputError, match=f"config.{key}"):
+            load_record(json.dumps(data))
+
+    def test_good_config_values_load(self, running_record):
+        data = json.loads(running_record.to_json())
+        data["config"].update(tol=1, depth_cap=250, weak_perron_k=None)
+        assert load_record(json.dumps(data))["config"]["depth_cap"] == 250

@@ -84,7 +84,7 @@ def _load_matrix(args) -> tuple[IntMatrix, str]:
     text = Path(args.matrix).read_text(encoding="utf-8")
     M = parse_matrix_text(text)
     stem = Path(args.matrix).stem
-    if getattr(args, "lift", None):
+    if getattr(args, "lift", None) is not None:
         M = block_lift(M, args.lift)
         stem = f"{stem}-lift{args.lift}"
     return M, stem
@@ -99,7 +99,8 @@ def _add_input_options(sub, with_flags=True):
     if with_flags:
         sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
         sub.add_argument("--depth", type=int, default=None,
-                         help="identification depth cap (default: N + 3m)")
+                         help="identification depth cap (default: N + 3m, N the "
+                              "escape depth, m the lcm of the cycle periods)")
         sub.add_argument("--corner-selection",
                          action=argparse.BooleanOptionalAction, default=True,
                          help="choose the permutations that make a corner periodic")

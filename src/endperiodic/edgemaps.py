@@ -12,6 +12,7 @@ point, available in closed form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .decomposition import PieceMap, StripLabel
@@ -374,12 +375,10 @@ def max_escape_depth(system: EdgeMapSystem) -> int:
 
 
 def nesting_period(system: EdgeMapSystem) -> int:
-    """Product of the periods of every cycle across the four edge maps."""
-    m = 1
-    for E in system.maps.values():
-        for cyc in E.cycles:
-            m *= len(cyc)
-    return m
+    """Least common multiple of the periods of every cycle across the four
+    edge maps: the least depth shift that returns every strip-boundary
+    segment to its strip (see ``enumerate_identifications``)."""
+    return math.lcm(*(len(cyc) for E in system.maps.values() for cyc in E.cycles))
 
 
 def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:

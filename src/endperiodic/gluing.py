@@ -226,7 +226,6 @@ class GeneratorTrace:
     family: str
     rect: int
     position: float
-    source_length: float
     kinds: tuple[str, str]
     pair_states: tuple[tuple[tuple, tuple], ...]
     stabilization_depth: int | None
@@ -296,6 +295,33 @@ def enumerate_identifications(
     depths beyond escape lie in strip boundaries and advance by unit
     translation once per orbit period, so the bounded table plus the tail
     record certifies the full relation.
+
+    The default window is ``N + 3m``, with N the escape depth and m the
+    ``nesting_period``, the lcm of the cycle periods. Why one common
+    period is enough:
+
+    * Past N, each generator endpoint is a strip state
+      ``("S", key, za, zb, w)``. ``_advance`` moves its key along the
+      orbit of the edge map and keeps za and zb; it adds one to w once per
+      orbit period p, when the orbit passes its initial point. After p
+      steps the state is back at its key, one unit higher.
+    * So after any common multiple m of all periods, every state past N is
+      its own state m depths earlier, translated by m/p units on the strip
+      of period p. That translation depends only on the key, so the pairs
+      at depths d + m are the translates of those at depth d, for every
+      generator at once: m is a period of the whole schema past N. The
+      lcm is the least such common multiple.
+    * ``N + 3m`` (three whole periods past escape) and the test in
+      ``classify_classes`` for a class that acquired a node after
+      ``cap - m`` (one whole period at the end of the window) are
+      statements about windows of whole periods, so they need only that m
+      is a common period, not that it is the product of the periods.
+    * The family stitch in ``classify_classes`` joins depth d-2 to depth d
+      at every depth of the window, not at every second depth from a fixed
+      start. Translation by m maps those stitch edges onto stitch edges
+      whether m is odd or even, and it keeps the z coordinates, so it
+      keeps the side of the strip that the squared step follows: the
+      stitch needs no even m.
     """
     system = ext.system
     D = system.decomposition
@@ -324,7 +350,7 @@ def enumerate_identifications(
                  br_left.y0 + height / lam),
             )
             traces.append(
-                _trace(ext, f"X:{k}:{t}", "X", k, pos, height, ("L", "R"),
+                _trace(ext, f"X:{k}:{t}", "X", k, pos, ("L", "R"),
                        first, depth_cap)
             )
         horder = D.horizontal_order[k]
@@ -340,7 +366,7 @@ def enumerate_identifications(
                  br_above.x0 + width / lam),
             )
             traces.append(
-                _trace(ext, f"Y:{k}:{t}", "Y", k, pos, width, ("T", "B"),
+                _trace(ext, f"Y:{k}:{t}", "Y", k, pos, ("T", "B"),
                        first, depth_cap)
             )
     return IdentificationSchema(
@@ -351,7 +377,7 @@ def enumerate_identifications(
     )
 
 
-def _trace(ext, gen_id, family, rect, pos, source_length, kinds, first, depth_cap):
+def _trace(ext, gen_id, family, rect, pos, kinds, first, depth_cap):
     a, b = (_transfer(s, ext.strips) for s in first)
     pairs = [(a, b)]
     for _ in range(depth_cap - 1):
@@ -372,7 +398,6 @@ def _trace(ext, gen_id, family, rect, pos, source_length, kinds, first, depth_ca
         family=family,
         rect=rect,
         position=pos,
-        source_length=source_length,
         kinds=kinds,
         pair_states=tuple(pairs),
         stabilization_depth=stabilization,
@@ -497,7 +522,6 @@ class EquivalenceClass:
     nodes: tuple
     infinite: bool
     link_type: str | None
-    strip_keys: tuple
 
     @property
     def size(self) -> int:
@@ -537,7 +561,6 @@ class ClassCensus:
                 nodes=tuple(sorted(group)),
                 infinite=False,
                 link_type=None,
-                strip_keys=_strip_keys(group),
             )
             for group in groups.values()
             # classify_classes's rule: only a class of three or more nodes
@@ -564,10 +587,6 @@ class ClassCensus:
 
 def _node_str(node) -> str:
     return ":".join(str(x) for x in node)
-
-
-def _strip_keys(nodes) -> tuple:
-    return tuple(sorted({n[1] for n in nodes if n[0] == "S"}))
 
 
 def classify_classes(
@@ -693,7 +712,6 @@ def classify_classes(
             nodes=class_nodes,
             infinite=True,
             link_type=_classify_link(ids, edges),
-            strip_keys=_strip_keys(class_nodes),
         )
 
     def by_node_str(root):

@@ -51,7 +51,9 @@ from .gluing import (
 from .markov import IncidenceReport, verify_stretch
 from .spectral import DEFAULT_TOL, IntMatrix, PerronData, perron_eigendata
 
-SCHEMA_VERSION = "1"
+#: "2": a null ``depth_cap`` means N + 3m with m the lcm of the cycle
+#: periods; in version "1" it meant the product of the periods.
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)

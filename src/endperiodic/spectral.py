@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 
@@ -422,8 +422,8 @@ def perron_eigendata(M: IntMatrix, tol: float = DEFAULT_TOL) -> PerronData:
     not oscillate; the eigenvalue is cross-checked against the largest real
     root of the exact characteristic polynomial.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not 0 < tol < inf:
+        raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
     if not is_irreducible(M):
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
     A = np.array(M.entries, dtype=float)

@@ -49,6 +49,22 @@ def random_irreducible_matrices(count: int, seed: int = 20260826):
     return out
 
 
+#: seed of the large random inputs (n = 12 and n = 16) in test_large_inputs.py
+LARGE_INPUT_SEED = 20261018
+
+
+def seeded_irreducible_matrix(n: int, seed: int = LARGE_INPUT_SEED) -> IntMatrix:
+    """The first irreducible n x n matrix with entries <= 2 drawn from
+    ``seed``."""
+    from endperiodic import is_irreducible
+
+    rng = np.random.default_rng(seed)
+    while True:
+        M = IntMatrix.from_rows(rng.integers(0, 3, size=(n, n)).tolist())
+        if is_irreducible(M):
+            return M
+
+
 # --- acceptance criterion reporting ---------------------------------------
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []

@@ -7,6 +7,7 @@ import pytest
 import endperiodic.record
 from endperiodic import InternalConsistencyError
 from endperiodic.cli import main
+from endperiodic.record import SCHEMA_VERSION
 
 from conftest import RUNNING_ROWS
 
@@ -84,13 +85,29 @@ class TestVerify:
     def test_missing_record_is_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
 
-    @pytest.mark.parametrize("text", ['{"schema_version":"1"}', "[1]"])
+    @pytest.mark.parametrize(
+        "text", [f'{{"schema_version":"{SCHEMA_VERSION}"}}', "[1]"]
+    )
     def test_malformed_record_is_input_error(self, tmp_path, capsys, text):
         record = tmp_path / "bad.record.json"
         record.write_text(text)
         assert main(["verify", str(record)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: record ") and err.count("\n") == 1
+
+    def test_version_1_record_is_input_error(self, tmp_path, capsys):
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        data["schema_version"] = "1"
+        record.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(record)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: record schema version '1' is not supported "
+            f"(expected '{SCHEMA_VERSION}')\n"
+        )
 
     def test_config_key_missing_is_input_error(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
@@ -133,6 +150,23 @@ class TestUsageErrors:
 
     def test_bad_integer(self, capsys):
         assert main(["construct", "--integer", "1"]) == 2
+
+    def test_lift_zero(self, tmp_path, capsys):
+        two = tmp_path / "two.txt"
+        two.write_text("2\n")
+        code = main(["construct", "--matrix", str(two), "--lift", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not list(tmp_path.glob("*.record.json"))
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_tol_outside_the_open_half_line(self, tmp_path, capsys, tol):
+        code = main(["construct", "--integer", "2", f"--tol={tol}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol ") and err.count("\n") == 1
 
 
 class TestInternalErrors:

@@ -1,5 +1,7 @@
 """Edge maps, their functional digraphs, and closed-form periodic points."""
 
+import math
+
 import pytest
 
 from endperiodic import (
@@ -166,7 +168,8 @@ class TestDepthConstants:
     def test_running_example_constants(self, running_result):
         system = running_result.system
         assert max_escape_depth(system) == 10
-        assert nesting_period(system) == 64
+        # one cycle per map, of periods 4, 2, 4 and 2 (product 64): lcm 4
+        assert nesting_period(system) == 4
 
     def test_escape_depth_formula(self):
         for M in random_irreducible_matrices(20, seed=39):
@@ -182,8 +185,10 @@ class TestDepthConstants:
     def test_nesting_period_formula(self):
         for M in random_irreducible_matrices(20, seed=40):
             system = _system(M)
-            product = 1
-            for E in system.maps.values():
-                for cyc in E.cycles:
-                    product *= len(cyc)
-            assert nesting_period(system) == product
+            periods = [len(c) for E in system.maps.values() for c in E.cycles]
+            m = nesting_period(system)
+            assert all(m % p == 0 for p in periods)
+            assert not any(
+                all(d % p == 0 for p in periods) for d in range(1, m)
+            )
+            assert math.prod(periods) % m == 0

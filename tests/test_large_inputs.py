@@ -1,0 +1,88 @@
+"""Inputs well beyond the n <= 4 corpus: long block lifts, a lift of the
+running example, a sparse 7x7 and seeded random n = 12 and n = 16.
+
+Each one certifies and verifies at the default window N + 3m, m the lcm
+of the cycle periods. On a 2-core machine (Python 3.11) certify plus
+verify took about 0.4 s each, 5 s for the lift k = 32 and 2 s for
+n = 16. Under the product of the periods the lifts k = 16 and k = 32
+needed windows of 196,640 and 3,145,792 depths.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import endperiodic
+from endperiodic import (
+    IntMatrix,
+    block_lift,
+    build_record,
+    load_record,
+    verify_record,
+)
+
+from conftest import RUNNING_ROWS, seeded_irreducible_matrix
+
+SPARSE7 = [
+    [0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 1, 0, 0, 0, 1],
+    [0, 0, 1, 1, 1, 1, 0],
+    [1, 0, 1, 1, 1, 1, 0],
+    [0, 1, 0, 1, 1, 0, 0],
+    [0, 1, 0, 0, 0, 0, 1],
+    [0, 0, 0, 1, 1, 0, 0],
+]
+
+
+def _lift(rows, k):
+    return block_lift(IntMatrix.from_rows(rows), k), k
+
+
+# name -> (matrix and weak_perron_k, escape depth N, lcm m of the periods)
+CASES = {
+    "lift16": (lambda: _lift([[2]], 16), 32, 16),
+    "lift32": (lambda: _lift([[2]], 32), 64, 32),
+    "running-lift4": (lambda: _lift(RUNNING_ROWS, 4), 40, 16),
+    "sparse7": (lambda: (IntMatrix.from_rows(SPARSE7), None), 15, 28),
+    "n12": (lambda: (seeded_irreducible_matrix(12), None), 4, 1),
+    "n16": (lambda: (seeded_irreducible_matrix(16), None), 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_certifies_and_verifies(name):
+    case, N, m = CASES[name]
+    M, k = case()
+    record, result = build_record(M, weak_perron_k=k)
+    schema = result.schema
+    assert (schema.escape_depth, schema.nesting_period) == (N, m)
+    assert schema.depth_cap == N + 3 * m
+    assert result.surface.connected is True
+    results = verify_record(load_record(record.to_json()))
+    assert all(ok for _, ok, _ in results)
+
+
+@pytest.mark.parametrize("name", ["sparse7", "lift16"])
+def test_content_hash_independent_of_hash_seed(name):
+    M, k = CASES[name][0]()
+    expected = build_record(M, weak_perron_k=k)[0].content_hash()
+    src = Path(endperiodic.__file__).resolve().parents[1]
+    code = (
+        "from endperiodic import IntMatrix, build_record; "
+        f"M = IntMatrix.from_rows({M.to_lists()!r}); "
+        f"print(build_record(M, weak_perron_k={k!r})[0].content_hash())"
+    )
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert out.stdout.strip() == expected

@@ -1,9 +1,19 @@
 """Property suite over a seeded corpus of random irreducible matrices."""
 
+import math
+
 import numpy as np
 import pytest
 
-from endperiodic import COORD_TOL, run_pipeline
+from endperiodic import (
+    COORD_TOL,
+    IntMatrix,
+    assemble_surface,
+    block_lift,
+    classify_classes,
+    enumerate_identifications,
+    run_pipeline,
+)
 
 from conftest import random_irreducible_matrices
 
@@ -143,3 +153,53 @@ class TestSurface:
                 }
                 for orbit in end.strip_orbits:
                     assert end.sign == expected[orbit.split(":")[0]]
+
+
+def _invariants(surface, census):
+    """What the census reports that must not depend on the window: the
+    ends, connectedness, infinite type and the set of link labels. The
+    number of infinite classes is left out: many Line classes are one
+    shard per depth, so their count grows with the window."""
+    return (
+        surface.ends,
+        surface.connected,
+        surface.infinite_type,
+        {c.link_type for c in census.infinite_classes},
+    )
+
+
+def _window_caps(res):
+    """cap + m and cap + 2m past the default cap N + 3m (m the lcm of the
+    cycle periods), and N + 3 * product of the periods when that product
+    is at most 1000."""
+    schema = res.schema
+    cap, m = schema.depth_cap, schema.nesting_period
+    caps = [cap + m, cap + 2 * m]
+    product = math.prod(
+        len(c) for E in res.system.maps.values() for c in E.cycles
+    )
+    if product <= 1000:
+        caps.append(schema.escape_depth + 3 * product)
+    return caps
+
+
+class TestWindowIndependence:
+    @pytest.mark.parametrize("case", ["corpus", "lifts"])
+    def test_invariants_equal_on_longer_windows(self, case, corpus_results):
+        if case == "corpus":
+            inputs = [(res, None) for _, res in corpus_results]
+        else:
+            inputs = [
+                (run_pipeline(block_lift(IntMatrix.from_rows([[2]]), k),
+                              weak_perron_k=k), k)
+                for k in range(2, 7)
+            ]
+        for res, k in inputs:
+            expected = _invariants(res.surface, res.census)
+            for cap in _window_caps(res):
+                schema = enumerate_identifications(res.extended, depth_cap=cap)
+                census = classify_classes(schema, res.extended)
+                surface = assemble_surface(
+                    res.extended, schema, census, weak_perron_k=k
+                )
+                assert _invariants(surface, census) == expected, cap

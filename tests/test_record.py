@@ -22,7 +22,8 @@ from endperiodic.record import SCHEMA_VERSION
 from conftest import RUNNING_ROWS
 
 
-RUNNING_HASH = "2f83dc68f1857fda382067db3469cb01199a4f745a860c96b3e5970b0105e1a3"
+# schema version "2", default window N + 3m with m the lcm of the periods
+RUNNING_HASH = "1e3074536e748397acd7afe5a7c12f80b3fc917319ebd806a46bac0915edae2a"
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +147,7 @@ class TestLoadRecord:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"schema_version":"1"}', "config"),
+            (f'{{"schema_version":"{SCHEMA_VERSION}"}}', "config"),
             ("[1]", "not a JSON object"),
         ],
     )

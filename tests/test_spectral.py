@@ -328,6 +328,13 @@ class TestPerronEigendata:
         with pytest.raises(ConvergenceError):
             perron_eigendata(M, tol=1e-300)
 
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9]
+    )
+    def test_tolerance_outside_the_open_half_line_is_input_error(self, tol):
+        with pytest.raises(InvalidInputError, match="finite positive"):
+            perron_eigendata(IntMatrix.from_rows([[0, 1], [1, 1]]), tol=tol)
+
 
 class TestBlockLift:
     def test_structure(self):

@@ -81,7 +81,17 @@ def run_pipeline(
     weak_perron_k: int | None = None,
     doubled: bool = True,
 ) -> PipelineResult:
-    """Run the full construction on one irreducible matrix."""
+    """Run the full construction on one irreducible matrix.
+
+    ``tol`` may not exceed ``DEFAULT_TOL``: eigenvectors with a looser
+    residual can misplace the strip attachments downstream, which would
+    then fail as internal consistency errors.
+    """
+    if tol > DEFAULT_TOL:
+        raise InvalidInputError(
+            f"tol {tol!r} is looser than {DEFAULT_TOL!r}, the loosest residual "
+            "the construction accepts"
+        )
     eigen = perron_eigendata(M, tol=tol)
     if use_corner_selection:
         sigma, tau = corner_selection(M)

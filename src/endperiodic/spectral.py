@@ -338,17 +338,16 @@ def _count_sign_changes(values) -> int:
     return changes
 
 
-def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
-    """Largest real root of a monic integer polynomial, by Sturm bisection.
+def _bisect_top_root(
+    chain: list[tuple[int, ...]], bound: int, precision: float
+) -> float:
+    """Bisect ``[-bound, bound]`` down to the topmost root of ``chain[0]``.
 
-    Exact integer arithmetic at dyadic probes: every bracket end and probe
-    is ``num / 2**exp``, and each Sturm polynomial is scaled to integer
-    coefficients, so a sign is one integer Horner pass. The returned float
-    is the midpoint of an isolating interval narrower than ``precision``.
+    ``chain`` is an integer Sturm chain and ``bound`` exceeds every real
+    root of ``chain[0]``. Every bracket end and probe is ``num / 2**exp``,
+    so a sign is one integer Horner pass. The returned float is the
+    midpoint of an isolating interval narrower than ``precision``.
     """
-    coefficients = tuple(getattr(poly, "coefficients", poly))
-    bound = 1 + max(abs(c) for c in coefficients)  # Cauchy bound
-    chain = _integer_chain(_sturm_chain([Fraction(c) for c in coefficients]))
     p, rest = chain[0], chain[1:]
 
     def sign_changes(num: int, exp: int, head: int) -> int:
@@ -384,6 +383,39 @@ def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     return (lo + hi) / (1 << (exp + 1))
 
 
+def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
+    return _integer_chain(_sturm_chain([Fraction(c) for c in coefficients]))
+
+
+def _cauchy_bound(coefficients) -> int:
+    return 1 + max(abs(c) for c in coefficients)
+
+
+def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
+    """Largest real root of a monic integer polynomial, by Sturm bisection.
+
+    Exact integer arithmetic at dyadic probes: each Sturm polynomial is
+    scaled to integer coefficients and the bracket starts at the Cauchy
+    bound. The returned float is the midpoint of an isolating interval
+    narrower than ``precision``.
+    """
+    coefficients = tuple(getattr(poly, "coefficients", poly))
+    return _bisect_top_root(
+        _integer_sturm_chain(coefficients), _cauchy_bound(coefficients), precision
+    )
+
+
+def _poly_power(coefficients: tuple[int, ...], k: int) -> list[int]:
+    out = [1]
+    for _ in range(k):
+        prod = [0] * (len(out) + len(coefficients) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coefficients):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
 def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:
     """Spectral radius of a non-negative integer matrix.
 
@@ -393,25 +425,44 @@ def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:
     return max(0.0, largest_real_root(char_poly(M), precision))
 
 
+def block_diagonal_radius(block: IntMatrix, k: int, precision: float = 1e-12) -> float:
+    """``spectral_radius_exact`` of diag(block, ..., block), k copies, bit for bit.
+
+    That matrix has the characteristic polynomial p**k, p = char_poly(block),
+    so only p is computed. The bisection starts from the Cauchy bound of
+    p**k, as ``spectral_radius_exact`` does, but runs on p's own Sturm
+    chain. p**k has the roots of p, and at a probe that is not a root both
+    chains count the same distinct roots above it; the bisection therefore
+    takes every step the one on p**k takes and returns the same float.
+    """
+    coefficients = char_poly(block).coefficients
+    bound = _cauchy_bound(_poly_power(coefficients, k))
+    return max(
+        0.0, _bisect_top_root(_integer_sturm_chain(coefficients), bound, precision)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Perron eigendata
 
 
 def _power_iterate(A: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
     n = A.shape[0]
-    v = np.ones(n) / n
+    # one product per step: A @ w serves the Rayleigh quotient, the
+    # residual and, as the next unnormalised iterate, the following step
+    Aw = A @ (np.ones(n) / n)
     resid = float("inf")
     for it in range(_POWER_ITER_BUDGET):
-        w = A @ v
+        w = Aw
         s = w.sum()
         if s <= 0:
             raise ConvergenceError("power iteration collapsed", float("inf"))
         w /= s
-        lam = float(w @ (A @ w) / (w @ w))
-        resid = float(np.max(np.abs(A @ w - lam * w)))
-        v = w
+        Aw = A @ w
+        lam = float(w @ Aw / (w @ w))
+        resid = float(np.abs(Aw - lam * w).max())
         if resid <= tol * max(1.0, lam) and it > 2:
-            return lam, v
+            return lam, w
     raise ConvergenceError(f"power iteration did not reach residual {tol}", resid)
 
 

@@ -9,6 +9,17 @@ from endperiodic import IntMatrix, run_pipeline
 
 RUNNING_ROWS = [[0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [1, 2, 0, 0]]
 
+#: a sparse irreducible 7 x 7 input (escape depth 15, lcm of its cycle periods 28)
+SPARSE7 = [
+    [0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 1, 0, 0, 0, 1],
+    [0, 0, 1, 1, 1, 1, 0],
+    [1, 0, 1, 1, 1, 1, 0],
+    [0, 1, 0, 1, 1, 0, 0],
+    [0, 1, 0, 0, 0, 0, 1],
+    [0, 0, 0, 1, 1, 0, 0],
+]
+
 
 @pytest.fixture(scope="session")
 def running_matrix() -> IntMatrix:

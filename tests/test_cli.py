@@ -169,6 +169,20 @@ class TestUsageErrors:
         assert err.startswith("error: tol ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-9"])
+    def test_tol_looser_than_the_default(self, matrix_file, tmp_path, capsys, tol):
+        code = main(["construct", "--matrix", str(matrix_file), f"--tol={tol}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.record.json"))
+
+    def test_tol_tighter_than_the_default(self, matrix_file, tmp_path):
+        code = main(["construct", "--matrix", str(matrix_file), "--tol=1e-11",
+                     "--out", str(tmp_path)])
+        assert code == 0
+
 class TestInternalErrors:
     def test_internal_consistency_error_has_own_exit_code(
         self, tmp_path, monkeypatch, capsys

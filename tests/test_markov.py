@@ -1,11 +1,17 @@
 """Tests for the incidence matrix block structure and stretch verification."""
 
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import endperiodic.markov
+import endperiodic.spectral
 from endperiodic import (
     IntMatrix,
     VerificationError,
+    block_lift,
     incidence_matrix,
     is_primitive,
     run_pipeline,
@@ -13,7 +19,22 @@ from endperiodic import (
     verify_stretch,
 )
 
-from conftest import RUNNING_ROWS, random_irreducible_matrices
+from conftest import (
+    RUNNING_ROWS,
+    SPARSE7,
+    random_irreducible_matrices,
+    seeded_irreducible_matrix,
+)
+
+
+def _oracle_inputs():
+    """The corpus, the lifts of [[2]] with k = 2..12, the sparse 7x7 and
+    the seeded n = 12 and n = 16."""
+    out = random_irreducible_matrices(200)
+    out += [block_lift(IntMatrix.from_rows([[2]]), k) for k in range(2, 13)]
+    out += [IntMatrix.from_rows(SPARSE7)]
+    out += [seeded_irreducible_matrix(n) for n in (12, 16)]
+    return out
 
 
 class TestIncidenceMatrix:
@@ -84,3 +105,69 @@ class TestVerifyStretch:
         data = report.to_json_dict()
         assert float(data["relative_error"]) <= 1e-9
         assert len(data["incidence"]) == 2 * running_matrix.n
+
+    @pytest.mark.parametrize("doubled", [True, False])
+    def test_radius_equals_the_whole_matrix_oracle(self, doubled):
+        # the whole (2n x 2n when doubled) characteristic polynomial survives
+        # only here, as the oracle of the block route
+        for M in _oracle_inputs():
+            rho = spectral_radius_exact(M)
+            surface = SimpleNamespace(stretch_factor=rho, doubled=doubled)
+            expected = spectral_radius_exact(incidence_matrix(M, doubled))
+            assert verify_stretch(M, surface).spectral_radius == expected
+
+    def test_nonzero_off_diagonal_block_fails(self, running_matrix, running_result,
+                                              monkeypatch):
+        def leaky(M, doubled=True):
+            rows = incidence_matrix(M, doubled).to_lists()
+            rows[1][M.n + 2] = 1
+            return IntMatrix.from_rows(rows)
+
+        monkeypatch.setattr(endperiodic.markov, "incidence_matrix", leaky)
+        with pytest.raises(VerificationError, match=r"off-diagonal block \(0, 1\)"):
+            verify_stretch(running_matrix, running_result.surface)
+
+    def test_unequal_diagonal_blocks_fail(self, running_matrix, running_result,
+                                          monkeypatch):
+        n = running_matrix.n
+        other = [list(r) for r in running_matrix.entries]
+        other[2][3] += 1
+
+        def mismatched(M, doubled=True):
+            rows = [list(r) + [0] * n for r in M.entries]
+            rows += [[0] * n + r for r in other]
+            return IntMatrix.from_rows(rows)
+
+        monkeypatch.setattr(endperiodic.markov, "incidence_matrix", mismatched)
+        with pytest.raises(VerificationError, match=r"diagonal block \(1, 1\)"):
+            verify_stretch(running_matrix, running_result.surface)
+
+
+@pytest.mark.parametrize(
+    "rows, k",
+    [(RUNNING_ROWS, None), ([[2]], 4)],
+    ids=["running", "lift4"],
+)
+def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch):
+    """Tooling guard: the pipeline computes no characteristic polynomial of
+    a matrix larger than its input, such as the doubled incidence matrix."""
+    M = IntMatrix.from_rows(rows)
+    if k is not None:
+        M = block_lift(M, k)
+    original = endperiodic.spectral.char_poly
+    sizes = []
+
+    def recording(A):
+        sizes.append(A.n)
+        return original(A)
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "endperiodic" and (
+            getattr(module, "char_poly", None) is original
+        ):
+            monkeypatch.setattr(module, "char_poly", recording)
+            patched += 1
+    assert patched >= 1
+    run_pipeline(M, weak_perron_k=k)
+    assert sizes and max(sizes) <= M.n

@@ -22,7 +22,13 @@ from endperiodic import (
     perron_eigendata,
     spectral_radius_exact,
 )
-from endperiodic.spectral import is_block_lift_of, wielandt_bound
+from endperiodic.spectral import (
+    _POWER_ITER_BUDGET,
+    DEFAULT_TOL,
+    _power_iterate,
+    is_block_lift_of,
+    wielandt_bound,
+)
 
 from conftest import RUNNING_ROWS, random_irreducible_matrices
 
@@ -334,6 +340,42 @@ class TestPerronEigendata:
     def test_tolerance_outside_the_open_half_line_is_input_error(self, tol):
         with pytest.raises(InvalidInputError, match="finite positive"):
             perron_eigendata(IntMatrix.from_rows([[0, 1], [1, 1]]), tol=tol)
+
+
+def _three_matvec_power_iterate(A, tol):
+    """The power iteration with three products per step, kept as the
+    reference of the one-product loop in ``spectral._power_iterate``."""
+    n = A.shape[0]
+    v = np.ones(n) / n
+    resid = float("inf")
+    for it in range(_POWER_ITER_BUDGET):
+        w = A @ v
+        s = w.sum()
+        if s <= 0:
+            raise ConvergenceError("power iteration collapsed", float("inf"))
+        w /= s
+        lam = float(w @ (A @ w) / (w @ w))
+        resid = float(np.max(np.abs(A @ w - lam * w)))
+        v = w
+        if resid <= tol * max(1.0, lam) and it > 2:
+            return lam, v
+    raise ConvergenceError(f"power iteration did not reach residual {tol}", resid)
+
+
+class TestPowerIterateIsBitExact:
+    """One product per step gives the three-product loop's floats exactly."""
+
+    def test_corpus_and_lifts(self):
+        inputs = random_irreducible_matrices(200)
+        inputs += [block_lift(IntMatrix.from_rows([[2]]), k) for k in range(2, 13)]
+        for M in inputs:
+            # the shifted matrix and the tolerance perron_eigendata uses
+            shifted = np.array(M.entries, dtype=float) + np.eye(M.n)
+            for A in (shifted, shifted.T):
+                lam, v = _power_iterate(A, DEFAULT_TOL * 1e-2)
+                ref_lam, ref_v = _three_matvec_power_iterate(A, DEFAULT_TOL * 1e-2)
+                assert lam == ref_lam
+                assert np.array_equal(v, ref_v)
 
 
 class TestBlockLift:

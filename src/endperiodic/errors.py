@@ -14,7 +14,7 @@ class PreconditionError(EndPeriodicError, ValueError):
 
 
 class ConvergenceError(EndPeriodicError, RuntimeError):
-    """Iterative eigensolve did not reach the requested residual."""
+    """Eigensolve gave a non-positive vector or missed the requested residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

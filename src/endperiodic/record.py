@@ -51,9 +51,11 @@ from .gluing import (
 from .markov import IncidenceReport, verify_stretch
 from .spectral import DEFAULT_TOL, IntMatrix, PerronData, perron_eigendata
 
-#: "2": a null ``depth_cap`` means N + 3m with m the lcm of the cycle
-#: periods; in version "1" it meant the product of the periods.
-SCHEMA_VERSION = "2"
+#: "3": eigendata come from the Sturm root and inverse iteration, so every
+#: stored float moves in its last digits against version "2"; "2": a null
+#: ``depth_cap`` means N + 3m with m the lcm of the cycle periods; in
+#: version "1" it meant the product of the periods.
+SCHEMA_VERSION = "3"
 
 
 @dataclass(frozen=True)

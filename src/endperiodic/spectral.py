@@ -2,8 +2,15 @@
 
 Matrices are kept as exact integers; the characteristic polynomial and its
 largest real root are computed exactly (Sturm-sequence bisection in exact
-integer arithmetic at dyadic probes), while eigenvectors come from power
-iteration with a certified residual. The two routes cross-check each other.
+integer arithmetic at dyadic probes). The Perron eigenvectors come from
+inverse iteration at that root, with a checked residual. Inverse iteration
+at an approximation t of lambda converges at |lambda - t| / |mu - t| over
+the other eigenvalues mu; with t a few ulps from lambda one solve
+suffices, however close lambda is to 1 and whether or not other
+eigenvalues share its modulus. Power iteration on M + I, used before,
+converged at max |mu + 1| / (lambda + 1), which tends to 1 for the block
+lifts lambda = 2**(1/k) and failed from k = 40 on. The module is plain
+Python: no numpy.
 """
 
 from __future__ import annotations
@@ -11,9 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
-
-import numpy as np
+from math import fsum, gcd, inf, lcm
+from sys import float_info
 
 from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
@@ -21,8 +27,6 @@ from .errors import ConvergenceError, InvalidInputError, PreconditionError
 DEFAULT_TOL = 1e-10
 #: coarser tolerance used for all downstream coordinate comparisons
 COORD_TOL = 1e-7
-
-_POWER_ITER_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -249,22 +253,27 @@ def char_poly(M: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - M), exact over the integers.
 
     Faddeev-LeVerrier recurrence; the division by k is exact at every step.
+    Each product M @ (aux + c*I) is formed row by row as a combination of
+    the rows of aux + c*I, one per nonzero entry of M, so a sparse M (a
+    block lift has one nonzero per row) costs n**2 per step, not n**3.
     """
     n = M.n
-    rows = [list(r) for r in M.entries]
+    nonzero = [[(t, v) for t, v in enumerate(row) if v] for row in M.entries]
     aux = [[0] * n for _ in range(n)]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     c = 1
     for k in range(1, n + 1):
         # aux <- M @ (aux + c*I)
-        shifted = [row[:] for row in aux]
         for i in range(n):
-            shifted[i][i] += c
-        aux = [
-            [sum(rows[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+            aux[i][i] += c
+        product = []
+        for terms in nonzero:
+            row = [0] * n
+            for t, v in terms:
+                row = [a + v * b for a, b in zip(row, aux[t])]
+            product.append(row)
+        aux = product
         trace = sum(aux[i][i] for i in range(n))
         assert trace % k == 0
         c = -trace // k
@@ -346,9 +355,16 @@ def _bisect_top_root(
     ``chain`` is an integer Sturm chain and ``bound`` exceeds every real
     root of ``chain[0]``. Every bracket end and probe is ``num / 2**exp``,
     so a sign is one integer Horner pass. The returned float is the
-    midpoint of an isolating interval narrower than ``precision``.
+    midpoint of an isolating interval narrower than ``precision``, or, if
+    that comes first, the rounded midpoint once it no longer lies strictly
+    between the rounded bracket ends (float resolution, where
+    ``precision=0`` stops).
     """
     p, rest = chain[0], chain[1:]
+    # a constant last term means p has no repeated root; then, once the
+    # bracket holds a single root, the sign of p at a probe against its
+    # sign at hi takes the decision the whole chain would take
+    squarefree = len(chain[-1]) == 1
 
     def sign_changes(num: int, exp: int, head: int) -> int:
         return _count_sign_changes(
@@ -357,30 +373,40 @@ def _bisect_top_root(
 
     # the bracket is [lo, hi] / 2**exp
     lo, hi, exp = -bound, bound, 0
-    changes_hi = sign_changes(hi, exp, _dyadic_value(p, hi, exp))
-    if sign_changes(lo, exp, _dyadic_value(p, lo, exp)) == changes_hi:
+    head_hi = _dyadic_value(p, hi, exp)
+    changes_hi = sign_changes(hi, exp, head_hi)
+    changes_lo = sign_changes(lo, exp, _dyadic_value(p, lo, exp))
+    if changes_lo == changes_hi:
         raise InvalidInputError("polynomial has no real roots")
 
     # shrink toward the topmost root; sign-change counts need probe points
     # that are not themselves roots, so nudge a midpoint that is a root
     # toward hi by a quarter of the bracket, then an eighth, and so on
-    while (hi - lo) / (1 << exp) > precision:
+    while True:
+        scale = 1 << exp
+        mid = (lo + hi) / (scale << 1)
+        if (hi - lo) / scale <= precision or not lo / scale < mid < hi / scale:
+            return mid
         num, probe_exp = lo + hi, exp + 1
         head = _dyadic_value(p, num, probe_exp)
         while head == 0:
             num, probe_exp = 2 * num + (hi - lo), probe_exp + 1
             head = _dyadic_value(p, num, probe_exp)
-        changes = sign_changes(num, probe_exp, head)
+        if squarefree and changes_lo == changes_hi + 1:
+            changes = changes_lo
+            root_above = (head > 0) != (head_hi > 0)
+        else:
+            # the probe has at least hi's sign changes (hi's count never
+            # moves), and more iff a root lies above the probe
+            changes = sign_changes(num, probe_exp, head)
+            root_above = changes > changes_hi
         lo <<= probe_exp - exp
         hi <<= probe_exp - exp
         exp = probe_exp
-        # the probe has at least hi's sign changes (hi's count never moves),
-        # and more iff a root lies above the probe
-        if changes > changes_hi:
-            lo = num
+        if root_above:
+            lo, changes_lo = num, changes
         else:
-            hi = num
-    return (lo + hi) / (1 << (exp + 1))
+            hi, head_hi = num, head
 
 
 def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
@@ -397,7 +423,9 @@ def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     Exact integer arithmetic at dyadic probes: each Sturm polynomial is
     scaled to integer coefficients and the bracket starts at the Cauchy
     bound. The returned float is the midpoint of an isolating interval
-    narrower than ``precision``.
+    narrower than ``precision``; ``precision=0`` bisects until the float
+    midpoint no longer lies strictly inside the rounded bracket, so the
+    result is within a few units in the last place of the root.
     """
     coefficients = tuple(getattr(poly, "coefficients", poly))
     return _bisect_top_root(
@@ -446,63 +474,96 @@ def block_diagonal_radius(block: IntMatrix, k: int, precision: float = 1e-12) ->
 # Perron eigendata
 
 
-def _power_iterate(A: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    n = A.shape[0]
-    # one product per step: A @ w serves the Rayleigh quotient, the
-    # residual and, as the next unnormalised iterate, the following step
-    Aw = A @ (np.ones(n) / n)
-    resid = float("inf")
-    for it in range(_POWER_ITER_BUDGET):
-        w = Aw
-        s = w.sum()
-        if s <= 0:
-            raise ConvergenceError("power iteration collapsed", float("inf"))
-        w /= s
-        Aw = A @ w
-        lam = float(w @ Aw / (w @ w))
-        resid = float(np.abs(Aw - lam * w).max())
-        if resid <= tol * max(1.0, lam) and it > 2:
-            return lam, w
-    raise ConvergenceError(f"power iteration did not reach residual {tol}", resid)
+def _inverse_iteration_step(rows, lam: float, tiny: float) -> list[float]:
+    """Solve (A - lam*I) x = (1, ..., 1) for the integer matrix with ``rows``.
+
+    Gaussian elimination with partial pivoting in floats; rows are swapped
+    to the first largest pivot, and zero entries of a pivot row are
+    skipped, so a sparse block lift eliminates in O(n**2). At an exact
+    eigenvalue a pivot can be exactly zero (``[[2]]`` at 2, or
+    ``[[1, 1], [1, 1]]`` at 2); it is replaced by ``tiny``, and the solve
+    returns a large multiple of the null vector.
+    """
+    n = len(rows)
+    a = [[float(v) for v in row] for row in rows]
+    for i in range(n):
+        a[i][i] -= lam
+    b = [1.0] * n
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(a[r][c]))
+        a[c], a[p] = a[p], a[c]
+        b[c], b[p] = b[p], b[c]
+        top = a[c]
+        if top[c] == 0.0:
+            top[c] = tiny
+        pivot = top[c]
+        support = [j for j in range(c + 1, n) if top[j] != 0.0]
+        for r in range(c + 1, n):
+            row = a[r]
+            if row[c] != 0.0:
+                factor = row[c] / pivot
+                for j in support:
+                    row[j] -= factor * top[j]
+                b[r] -= factor * b[c]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = b[i]
+        for j in range(i + 1, n):
+            if row[j] != 0.0:
+                acc -= row[j] * x[j]
+        x[i] = acc / row[i]
+    return x
+
+
+def _max_residual(rows, lam: float, v: list[float]) -> float:
+    """max_i |(A v)_i - lam v_i|, each entry summed exactly by ``fsum``."""
+    return max(
+        abs(fsum([m * v[j] for j, m in enumerate(row) if m] + [-lam * v[i]]))
+        for i, row in enumerate(rows)
+    )
 
 
 def perron_eigendata(M: IntMatrix, tol: float = DEFAULT_TOL) -> PerronData:
     """Spectral radius and positive right/left eigenvectors of an irreducible M.
 
-    Power iteration runs on M + I so that imprimitive (periodic) spectra do
-    not oscillate; the eigenvalue is cross-checked against the largest real
-    root of the exact characteristic polynomial.
+    lambda is the largest real root of the exact characteristic
+    polynomial, bisected on its integer Sturm chain to float resolution.
+    eta and omega come from one step of inverse iteration at that lambda:
+    one solve each with M - lambda*I and its transpose, from the all-ones
+    vector, scaled to last entry 1. Inverse iteration at an approximation
+    t of lambda converges at |lambda - t| / |mu - t| over the other
+    eigenvalues mu, and t is a few ulps from lambda, so one solve
+    suffices. Power iteration on M + I, used before, converged at
+    max |mu + 1| / (lambda + 1), which tends to 1 for lambda = 2**(1/k)
+    as k grows; from k = 40 on its residual stayed above 1e-10.
+    Imprimitive spectra, with other eigenvalues of modulus lambda, need
+    no shift.
+
+    Raises ``ConvergenceError`` if a vector is not positive or the
+    residual exceeds ``tol * max(1, lambda)``.
     """
     if not 0 < tol < inf:
         raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
     if not is_irreducible(M):
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
-    A = np.array(M.entries, dtype=float)
-    shifted = A + np.eye(M.n)
-    lam_r, eta = _power_iterate(shifted, tol * 1e-2)
-    lam_l, omega = _power_iterate(shifted.T, tol * 1e-2)
-    lam = (lam_r + lam_l) / 2 - 1.0
+    lam = largest_real_root(char_poly(M), precision=0.0)
+    rows = M.entries
+    columns = tuple(zip(*rows))
+    tiny = float_info.epsilon * max(sum(row) for row in rows)
 
-    eta = eta / eta[-1]
-    omega = omega / omega[-1]
-    residual = max(
-        float(np.max(np.abs(A @ eta - lam * eta))),
-        float(np.max(np.abs(omega @ A - lam * omega))),
-    )
+    vectors = []
+    for name, A in (("eta", rows), ("omega", columns)):
+        x = _inverse_iteration_step(A, lam, tiny)
+        v = [xi / x[-1] for xi in x] if x[-1] else x
+        if not all(0.0 < vi < inf for vi in v):
+            raise ConvergenceError(f"{name} is not a positive vector", inf)
+        vectors.append(v)
+    eta, omega = vectors
+    residual = max(_max_residual(rows, lam, eta), _max_residual(columns, lam, omega))
     if residual > tol * max(1.0, lam):
         raise ConvergenceError(f"residual {residual} above tol {tol}", residual)
-
-    root = largest_real_root(char_poly(M))
-    if abs(lam - root) > max(tol, 1e-9):
-        raise ConvergenceError(
-            f"eigenvalue {lam} disagrees with exact root {root}", abs(lam - root)
-        )
-    return PerronData(
-        lam=lam,
-        eta=tuple(float(v) for v in eta),
-        omega=tuple(float(v) for v in omega),
-        residual=residual,
-    )
+    return PerronData(lam=lam, eta=tuple(eta), omega=tuple(omega), residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -227,46 +227,46 @@ def _census_sha(census) -> str:
 # N + 3m, m the lcm of the cycle periods. Only the inputs whose lcm is below
 # the product of the periods (15 of these 40, the running example, every
 # lift) differ from the census at N + 3 * product.
-RUNNING_CENSUS_SHA = "803b79fc70c6fe4ae98dd2cee410332f2b40c857f430dfcdbd6bf2f9d6086ad8"
+RUNNING_CENSUS_SHA = "c485981194c93935d6f37b37f943ac9097a023d14da0d5545f76c76275fa19ee"
 CORPUS40_CENSUS_SHA = [
-    "34f35a82fe741c4e1c2f9cddc48f9a4083d4b00fcee63b250178691e548aeb4f",
-    "daa56ef6a471971640b454f7f956cd950a93dc668f7e37915f19caca031941e9",
+    "855ad66475098e52d67b6b027197bea3c594bdb26ca5bd7fa019c45263e4adcf",
+    "c2326507b4ecf453ed6d696658531f7b8388d0ef03936f90fedf8031ccf7f2a9",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
-    "0d67e0964cd3c5ebab76f4e0fb7eb1129e045780785176489a3afe3567e8e023",
+    "64de03bce7a6e5fde944a6fb2615c17746a72404d953eaf3caaabf86476eea24",
     "908247c0ea18dd5bcba9f53c5cb3b0a6621c6ecb4cd8cd14ce42a1df57cd914a",
-    "b66157814b4c0e6b244983be3ef2b387de0770d6272a39ce4cf3aeb039901ff5",
-    "334ed4877ee9a571d70ebe4ced1a04b03a335a5731469a1c8db48661fc593451",
-    "a26278f0479772918f3476dc4502b394f05e56ce994d5a0fc640be0710f6b205",
-    "53d3ab9f94ffeb0660999358f4fba0c1bb6c0ef2d628e223b37a9ec135e92602",
+    "32c62e21b8c1a620d10f4745920ba5fd52d109cecc07de5562e3b69cff845837",
+    "5af8e8519c83ed293edc0c59b6a7ef83fd3c981ac9086ecab5946200ad9863f9",
+    "f9ac0cef952a0f4770f6e2feb58b39fa7ff5946f957cddef63d23fa38746a1ac",
+    "d79e38255f40fd0f01761cbb55cf92d9d545289ce5bfc3c414faea40b1e49259",
     "e78499303d57cd35432f1563ba23c9e06444bdf3265e1c29ea54d99043987822",
     "f4a301a1c1b70952dc5de869fb08d964b60187238bddf344c33fdcacd3be928b",
-    "f8cdd3064a0f40c8415e74f216784320e3babf4e200df6fe12396a63ad36caa1",
+    "80ae100bab0cdfef126f702844b389251e1b1111fcba3cc7de92ab6d0d00c895",
     "428f9a85c99941e2200b177c6428a4ecd1c664607effe84d8664f4f0ee2cba77",
     "ab28bb8c829373e39ea6a7edfe3f2c9c553b6570313206d48639e36f9cfeae94",
     "3c0905793d52dcbd7cf179af3f5f7c880e21ce7389394344f7ecf6ff4e5ea5d0",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
-    "d3663147534b8fb6afd52d0179a20404365cc1ed89b9a21009f3dcf02049cbf6",
-    "ee28e692fa68bc61669eaa8a5e52b860a6c1e6335ad334406e0af0a128d24b05",
+    "75f2718b71e0bf9bba9d29eb7e034b325567a8ae2e9994c69c8c128ff8cb5feb",
+    "8df0ae9896924b0378e9be6d5e2fda00cd7a93ac149b328eb0d7a19404b546d8",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
-    "c0d890bd0be0c29cea477f94f248634dfcbca1ab70069056909e34f97265078b",
-    "be2f2d10f6a1162a5e972295b26168be20f273a6107a6e819f540dcb4fa742ef",
-    "af30edb709ba45a840ea6d63265f5ef63a5cdeea52f7eaf8653cff42296b7998",
-    "52b00c0d2242d62c4b51d5d33452fffff04657d8c7c4f332cc02c4280df7e00e",
-    "6030d4e66bdcaa9e5fbc325f6cc831d91a583f880d8935ad1903702daa816328",
-    "f8a8e275ceff34fea48a62ce499ae3ab261b2e3c8fb47311202fc3c2c8018fca",
-    "804c049d86db058211613ad79633be5c4e21531678f3d5a56bda00e7641d5a34",
-    "5393c691931fe6c7a103f5ec60606f82448999f7ba500f5d3026dbeaa3b7bed6",
-    "6030d4e66bdcaa9e5fbc325f6cc831d91a583f880d8935ad1903702daa816328",
-    "e8b098d53691b9d12755273d726e1d7a8f3aed756a9dbe4e11e7b9bc7a124d03",
-    "a2ceba5af5cf536718ad1c81be5591002164af6829bb34c6298e59d4667cb86f",
+    "eaeb34083663d8af5452923f9c4aa299cf9a2b4769766dd8437c27072e04ccb2",
+    "d28baa295d0100fbc4935a305132226a389165b807cc972d78d2d4818ff0dbfb",
+    "ec568b7ec28a34f32c386b53bd7d5be71e844ac96ef49405ebfccbd3198ea7c9",
+    "cd8db2b9baf877ccb893c1df2d8969d28b3bf73c01908a6ebd484886ed46e92c",
+    "9dfc42e09fdf46bc78297b3e66c1139bf507d904674959a92d4c64eaf37bc356",
+    "71153a228c2f1224193ff6e611c5a2bb594a13b42096018fde4e71a0f1d7a16b",
+    "0e8d84fb2f2bd7e5c9cb808210365f9b5dd72c61caabbd374da112d6b99e981a",
+    "956277fe507ae31436d269a1a7ac71aebaf8858778ccc6656c839f746276f50a",
+    "9dfc42e09fdf46bc78297b3e66c1139bf507d904674959a92d4c64eaf37bc356",
+    "ee86483eb74fb6103210d3ee00770439d4a136a08b057dc6e473956a5099d9b8",
+    "92e9a27ba6768371b0ab5936f2793a12f90d11ecba045d6afa67fade9a1768d4",
     "cad342ed4b5453a6f9f5b20fd308887a5d5103d034948ad90425936fc76d4ddd",
-    "c1040f43003bf0e2f504513d18d1549e3434b17605eaebc1a28711abaf8b168d",
-    "ff9e98b71d7527c66fa15d3d151e7a6edfb8830ccbc00b30048ccf7ffe7cca8a",
-    "b399d654622acc95d2bf80dc786cec7d135dbceb583f63ee5d2c47972b7f7106",
-    "2ef8b5e53c2ff3fb33266841dada733355e3de74ccf78f0d60eaae978a3f0dba",
+    "c47b21b901cf1aabeba21ba17085be3af760c2cc6b1dc3a58b775522e33d8d3f",
+    "e8990c48d9b7784d1844e88942350ff265beba457d6cc75585bb597c89988352",
+    "48f973ec3684aa6b23ebafd58756775d5f2b4fe1fa00c08e8c6f9ce6a32edc8e",
+    "6faa0d30668e4ce308cffec39743839a9a38f4cff7e51daf431abbcdfad944d5",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
-    "4554938e85dce5cb63b74a0909892099cc7642d7a557c592b3d93ed04e74d2d7",
+    "aa9d8b06233500f5248419395d58f401ee4ed627f92c701fd92b4ef365b4d64d",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
     "281fc43bdea490ecc8cd295bb229f398ae1aeb8cb5c44c6bdcf442e031c48c02",
 ]

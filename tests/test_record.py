@@ -23,7 +23,7 @@ from conftest import RUNNING_ROWS
 
 
 # schema version "2", default window N + 3m with m the lcm of the periods
-RUNNING_HASH = "1e3074536e748397acd7afe5a7c12f80b3fc917319ebd806a46bac0915edae2a"
+RUNNING_HASH = "7ec20ddd0303a7142ee7a3abfb2934f3b90273f796da87b27d9efef78d35f1a2"
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,18 @@
 """Exact matrix algebra and Perron eigendata against independent oracles."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
+import endperiodic
+from endperiodic import spectral
 from endperiodic import (
     ConvergenceError,
     IntMatrix,
@@ -22,15 +29,26 @@ from endperiodic import (
     perron_eigendata,
     spectral_radius_exact,
 )
-from endperiodic.spectral import (
-    _POWER_ITER_BUDGET,
-    DEFAULT_TOL,
-    _power_iterate,
-    is_block_lift_of,
-    wielandt_bound,
+from endperiodic.spectral import is_block_lift_of, wielandt_bound
+
+from conftest import (
+    RUNNING_ROWS,
+    SPARSE7,
+    random_irreducible_matrices,
+    seeded_irreducible_matrix,
 )
 
-from conftest import RUNNING_ROWS, random_irreducible_matrices
+
+def _lift_of_two(k: int) -> IntMatrix:
+    return block_lift(IntMatrix.from_rows([[2]]), k)
+
+
+def _large_inputs() -> list[IntMatrix]:
+    """Lifts of [[2]] with k = 2..64, the sparse 7x7, seeded n = 12 and 16."""
+    out = [_lift_of_two(k) for k in range(2, 65)]
+    out.append(IntMatrix.from_rows(SPARSE7))
+    out += [seeded_irreducible_matrix(n) for n in (12, 16)]
+    return out
 
 
 def _sympy_charpoly_coeffs(M: IntMatrix) -> list[int]:
@@ -39,6 +57,28 @@ def _sympy_charpoly_coeffs(M: IntMatrix) -> list[int]:
     poly = sympy.Matrix(M.to_lists()).charpoly(x)
     coeffs = [int(c) for c in poly.all_coeffs()]  # descending, monic
     return coeffs[::-1]
+
+
+def _dense_char_poly(M: IntMatrix) -> list[int]:
+    """Faddeev-LeVerrier with dense n**3 products, the reference of the
+    row-by-row products in ``char_poly``; ascending coefficients."""
+    n = M.n
+    rows = [list(r) for r in M.entries]
+    aux = [[0] * n for _ in range(n)]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    c = 1
+    for k in range(1, n + 1):
+        shifted = [row[:] for row in aux]
+        for i in range(n):
+            shifted[i][i] += c
+        aux = [
+            [sum(rows[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        c = -sum(aux[i][i] for i in range(n)) // k
+        coeffs[n - k] = c
+    return coeffs
 
 
 def _fraction_determinant(M: IntMatrix) -> int:
@@ -144,6 +184,18 @@ class TestCharPoly:
     def test_against_sympy(self):
         for M in random_irreducible_matrices(40, seed=11):
             assert list(char_poly(M).coefficients) == _sympy_charpoly_coeffs(M)
+
+    def test_sparse_products_match_dense_reference(self):
+        # the dense reference costs k**4: 25 s for the lifts k = 33..63, so
+        # those are checked against the closed form x**k - 2 alone
+        inputs = random_irreducible_matrices(200) + [
+            M for M in _large_inputs() if M.n <= 32 or M.n == 64
+        ]
+        for M in inputs:
+            assert list(char_poly(M).coefficients) == _dense_char_poly(M)
+        for k in range(2, 65):
+            expected = (-2,) + (0,) * (k - 1) + (1,)
+            assert char_poly(_lift_of_two(k)).coefficients == expected
 
     def test_determinant_against_fraction_elimination(self):
         rng = np.random.default_rng(12)
@@ -330,9 +382,11 @@ class TestPerronEigendata:
         assert back.eta == pytest.approx(eigen.eta, abs=1e-14)
 
     def test_unreasonable_tolerance_raises(self):
+        # nothing iterates: the residual of the single solve misses tol at once
         M = IntMatrix.from_rows([[0, 1], [1, 1]])
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as info:
             perron_eigendata(M, tol=1e-300)
+        assert 0 < info.value.residual <= 1e-15
 
     @pytest.mark.parametrize(
         "tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9]
@@ -342,40 +396,69 @@ class TestPerronEigendata:
             perron_eigendata(IntMatrix.from_rows([[0, 1], [1, 1]]), tol=tol)
 
 
-def _three_matvec_power_iterate(A, tol):
-    """The power iteration with three products per step, kept as the
-    reference of the one-product loop in ``spectral._power_iterate``."""
-    n = A.shape[0]
-    v = np.ones(n) / n
-    resid = float("inf")
-    for it in range(_POWER_ITER_BUDGET):
-        w = A @ v
-        s = w.sum()
-        if s <= 0:
-            raise ConvergenceError("power iteration collapsed", float("inf"))
-        w /= s
-        lam = float(w @ (A @ w) / (w @ w))
-        resid = float(np.max(np.abs(A @ w - lam * w)))
-        v = w
-        if resid <= tol * max(1.0, lam) and it > 2:
-            return lam, v
-    raise ConvergenceError(f"power iteration did not reach residual {tol}", resid)
+def _sympy_top_root(M: IntMatrix) -> float:
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sympy.Matrix(M.to_lists()).charpoly(x).as_expr(), x)
+    return float(max(poly.real_roots()).evalf(40))
 
 
-class TestPowerIterateIsBitExact:
-    """One product per step gives the three-product loop's floats exactly."""
+def _max_residual(M: IntMatrix, lam: float, v) -> float:
+    return max(
+        abs(math.fsum([m * v[j] for j, m in enumerate(row)] + [-lam * v[i]]))
+        for i, row in enumerate(M.entries)
+    )
 
-    def test_corpus_and_lifts(self):
-        inputs = random_irreducible_matrices(200)
-        inputs += [block_lift(IntMatrix.from_rows([[2]]), k) for k in range(2, 13)]
+
+class TestInverseIteration:
+    """Eigendata by inverse iteration at the Sturm root."""
+
+    def test_residual_and_positivity(self):
+        inputs = random_irreducible_matrices(200) + _large_inputs()
         for M in inputs:
-            # the shifted matrix and the tolerance perron_eigendata uses
-            shifted = np.array(M.entries, dtype=float) + np.eye(M.n)
-            for A in (shifted, shifted.T):
-                lam, v = _power_iterate(A, DEFAULT_TOL * 1e-2)
-                ref_lam, ref_v = _three_matvec_power_iterate(A, DEFAULT_TOL * 1e-2)
-                assert lam == ref_lam
-                assert np.array_equal(v, ref_v)
+            eigen = perron_eigendata(M)
+            bound = 1e-13 * max(1.0, eigen.lam)
+            assert eigen.residual <= bound
+            assert all(v > 0 for v in eigen.eta + eigen.omega)
+            assert eigen.eta[-1] == eigen.omega[-1] == 1.0
+            assert _max_residual(M, eigen.lam, eigen.eta) <= bound
+            assert _max_residual(M.transpose(), eigen.lam, eigen.omega) <= bound
+
+    def test_lambda_within_four_ulps_of_sympy(self):
+        inputs = random_irreducible_matrices(20)
+        inputs += [_lift_of_two(k) for k in range(2, 13)]
+        for M in inputs:
+            root = _sympy_top_root(M)
+            assert abs(perron_eigendata(M).lam - root) <= 4 * math.ulp(root)
+
+    @pytest.mark.parametrize(
+        "rows, eta", [([[2]], (1.0,)), ([[1, 1], [1, 1]], (1.0, 1.0))]
+    )
+    def test_exactly_zero_pivot(self, rows, eta):
+        # lambda = 2 is a float, so M - 2I is singular and a pivot is exactly 0
+        eigen = perron_eigendata(IntMatrix.from_rows(rows))
+        assert eigen.lam == 2.0
+        assert eigen.residual <= 1e-15
+        assert eigen.eta == pytest.approx(eta, abs=1e-15)
+        assert eigen.omega == pytest.approx(eta, abs=1e-15)
+
+    @pytest.mark.parametrize("solution", [[-1.0, 1.0], [1.0, 0.0], [1.0, float("nan")]])
+    def test_non_positive_vector_raises(self, monkeypatch, solution):
+        monkeypatch.setattr(spectral, "_inverse_iteration_step", lambda *a: solution)
+        with pytest.raises(ConvergenceError, match="eta is not a positive vector"):
+            perron_eigendata(IntMatrix.from_rows([[0, 1], [1, 1]]))
+
+    def test_import_leaves_numpy_out(self):
+        src = Path(endperiodic.__file__).resolve().parents[1]
+        code = "import sys, endperiodic; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBlockLift:

@@ -242,9 +242,19 @@ class IdentificationSchema:
     def to_json_dict(self) -> dict:
         """The ``identifications`` section.
 
-        ``pairs`` is each generator's ``pair_states`` itself, a tuple of
-        state tuples, not a copy: JSON writes a tuple as an array, so the
-        text is the same as for nested lists.
+        ``pairs`` holds a generator's pairs at depths 1..s only, s its
+        ``stabilization_depth`` (all ``depth_cap`` pairs when s is
+        ``None``): a slice of ``pair_states``, a tuple of state tuples,
+        which JSON writes as nested arrays. The deeper pairs follow by
+        rule. From depth s on both images are strip states, and
+        ``_advance`` sends a strip state to a strip state: side kind
+        ``kind`` steps ``("S", key, za, zb, w)``, ``key = (kind, rect)``,
+        to ``("S", (kind, r), za, zb, w + shift)`` with ``r =
+        digraph[rect]`` from ``edge_digraphs[kind]``; ``shift`` is 1 if
+        the point of ``periodic_points`` with map ``kind`` on rect ``r``
+        (on ``rect`` for T and B) is ``initial``, else 0. So pair d + 1
+        is pair d stepped, side a with ``kinds[0]`` and side b with
+        ``kinds[1]``, for every d from s to ``depth_cap - 1``.
         """
         return {
             "depth_cap": self.depth_cap,
@@ -259,7 +269,7 @@ class IdentificationSchema:
                     "kinds": list(g.kinds),
                     "stabilization_depth": g.stabilization_depth,
                     "periodic_tail": list(g.periodic_tail),
-                    "pairs": g.pair_states,
+                    "pairs": g.pair_states[:g.stabilization_depth],
                 }
                 for g in self.generators
             ],
@@ -322,6 +332,16 @@ def enumerate_identifications(
       whether m is odd or even, and it keeps the z coordinates, so it
       keeps the side of the strip that the squared step follows: the
       stitch needs no even m.
+
+    The record stores each generator's pairs only up to its
+    ``stabilization_depth`` s (see ``IdentificationSchema.to_json_dict``
+    for the rule that gives the rest). That is sound from depth s
+    itself: s is the first depth at which both images are strip
+    states, ``_transfer`` leaves a strip state as it is, and ``_advance``
+    sends a strip state to the strip state named by its key, the edge
+    digraph and the initial flags alone. So pair s and the rule fix every
+    pair up to ``depth_cap``, while ``pair_states`` keeps all of them for
+    the census.
     """
     system = ext.system
     D = system.decomposition
@@ -606,9 +626,12 @@ def classify_classes(
     are the finite ones and have size one or two.
 
     Links of infinite chains are labeled conservatively from the pairing
-    graph: a degree-at-most-2 acyclic connected graph is a Line, two or
-    more disjoint cycles are CountableCircles, anything else is
-    Undetermined.
+    graph: a path is a Line, two or more disjoint cycles are
+    CountableCircles, anything else is Undetermined. No graph search is
+    needed: the unions are exactly the pairing edges, so each union-find
+    shard is one component of its class's graph, and ``_link_label``
+    decides from the degrees, the edge count and the number of shards (one
+    for a growing chain, the stitched shards for a family).
 
     The pass runs over the registry's dense integer node ids and builds
     only what the census reads. Each generator keeps four id columns (the
@@ -706,24 +729,25 @@ def classify_classes(
                 if edges is not None:
                     edges.add((na, nb) if na < nb else (nb, na))
 
-    def infinite_class(ids, edges) -> EquivalenceClass:
+    def infinite_class(ids, edges, shards) -> EquivalenceClass:
         class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
         return EquivalenceClass(
             nodes=class_nodes,
             infinite=True,
-            link_type=_classify_link(ids, edges),
+            link_type=_link_label(len(ids), edges, shards),
         )
 
     def by_node_str(root):
         return _node_str(nodes[root])
 
     infinite_classes = [
-        infinite_class(members[root], root_edges[root])
+        infinite_class(members[root], root_edges[root], 1)
         for root in sorted(growing_roots, key=by_node_str)
     ] + [
         infinite_class(
             [i for r in families[key] for i in members[r]],
             [e for r in families[key] for e in root_edges[r]],
+            len(families[key]),
         )
         for key in sorted(families, key=by_node_str)
     ]
@@ -738,64 +762,24 @@ def classify_classes(
     )
 
 
-def _classify_link(nodes, edges) -> str:
-    """Link label of one class from its own pairing edges."""
-    node_set = set(nodes)
-    degree = {n: 0 for n in nodes}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if all(d <= 2 for d in degree.values()) and len(edges) == len(nodes) - 1:
-        # connected degree-<=2 tree: a chain that keeps growing with depth
-        if _connected(node_set, edges):
+def _link_label(node_count: int, edges, shards: int) -> str:
+    """Link label of one class from its pairing edges and its shard count.
+
+    Each shard is connected by its own pairing edges, and no pairing edge
+    joins two shards, so the shards are the components of the pairing
+    graph. It is a path, a ``Line``, iff it has one component, no node of
+    degree above 2 and one edge fewer than nodes. It is two or more
+    disjoint cycles, ``CountableCircles``, iff it has at least two
+    components, no node of degree above 2 and as many edges as nodes: the
+    degrees then sum to twice the node count, so every node has degree 2.
+    """
+    degree = Counter(chain.from_iterable(edges))
+    if max(degree.values(), default=0) <= 2:
+        if shards == 1 and len(edges) == node_count - 1:
             return "Line"
-    cycles = _disjoint_cycle_count(node_set, edges, degree)
-    if cycles >= 2:
-        return "CountableCircles"
+        if shards >= 2 and len(edges) == node_count:
+            return "CountableCircles"
     return "Undetermined"
-
-
-def _connected(nodes, edges) -> bool:
-    if not nodes:
-        return True
-    adj: dict = {n: [] for n in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set()
-    stack = [next(iter(nodes))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v])
-    return len(seen) == len(nodes)
-
-
-def _disjoint_cycle_count(nodes, edges, degree) -> int:
-    if any(d != 2 for d in degree.values()):
-        return 0
-    adj: dict = {n: [] for n in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set()
-    count = 0
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v])
-        seen |= comp
-        count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .spectral import IntMatrix, block_diagonal_radius
+from .spectral import IntMatrix, IntPolynomial, block_diagonal_radius, char_poly
 
 
 def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
@@ -95,7 +95,9 @@ def _diagonal_block(inc: IntMatrix, n: int) -> tuple[IntMatrix, int]:
     return IntMatrix(block), k
 
 
-def verify_stretch(M: IntMatrix, report, tol: float = 1e-9) -> IncidenceReport:
+def verify_stretch(
+    M: IntMatrix, report, tol: float = 1e-9, poly: IntPolynomial | None = None
+) -> IncidenceReport:
     """Check that the incidence matrix realizes the reported stretch factor.
 
     ``report`` is a surface report exposing ``stretch_factor`` and
@@ -108,12 +110,18 @@ def verify_stretch(M: IntMatrix, report, tol: float = 1e-9) -> IncidenceReport:
     at a probe that is not a root both Sturm chains count the same
     distinct roots above it, so every bisection step is the one on p**k
     and the radius is the same float as ``spectral_radius_exact`` of the
-    whole matrix.  A relative mismatch with the reported stretch factor
-    beyond ``tol`` raises :class:`VerificationError` carrying both values.
+    whole matrix.  ``poly``, if given, is ``char_poly(M)`` (with its
+    Sturm chain) from the eigen stage; it stands for p only once B has
+    been checked equal to M entry for entry, else p is computed from B.
+    A relative mismatch with the reported stretch factor beyond ``tol``
+    raises :class:`VerificationError` carrying both values.
     """
     target_lambda = float(report.stretch_factor)
     inc = incidence_matrix(M, doubled=bool(report.doubled))
-    rho = block_diagonal_radius(*_diagonal_block(inc, M.n))
+    block, k = _diagonal_block(inc, M.n)
+    if poly is None or block != M:
+        poly = char_poly(block)
+    rho = block_diagonal_radius(poly, k)
     rel = abs(rho - target_lambda) / target_lambda
     if rel > tol:
         raise VerificationError(

@@ -49,13 +49,21 @@ from .gluing import (
     enumerate_identifications,
 )
 from .markov import IncidenceReport, verify_stretch
-from .spectral import DEFAULT_TOL, IntMatrix, PerronData, perron_eigendata
+from .spectral import (
+    DEFAULT_TOL,
+    IntMatrix,
+    PerronData,
+    char_poly,
+    perron_eigendata,
+)
 
-#: "3": eigendata come from the Sturm root and inverse iteration, so every
-#: stored float moves in its last digits against version "2"; "2": a null
-#: ``depth_cap`` means N + 3m with m the lcm of the cycle periods; in
-#: version "1" it meant the product of the periods.
-SCHEMA_VERSION = "3"
+#: "4": ``identifications`` stores each generator's pairs up to its
+#: stabilization depth, not to ``depth_cap``; "3": eigendata come from the
+#: Sturm root and inverse iteration, so every stored float moves in its
+#: last digits against version "2"; "2": a null ``depth_cap`` means
+#: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
+#: product of the periods.
+SCHEMA_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,10 @@ def run_pipeline(
             f"tol {tol!r} is looser than {DEFAULT_TOL!r}, the loosest residual "
             "the construction accepts"
         )
-    eigen = perron_eigendata(M, tol=tol)
+    # char_poly(M) and its Sturm chain serve both the eigen stage and
+    # verify_stretch
+    poly = char_poly(M)
+    eigen = perron_eigendata(M, tol=tol, poly=poly)
     if use_corner_selection:
         sigma, tau = corner_selection(M)
         D = build_decomposition(M, eigen, sigma=sigma, tau=tau)
@@ -117,7 +128,7 @@ def run_pipeline(
         weak_perron_k=weak_perron_k,
         doubled=doubled,
     )
-    incidence = verify_stretch(M, surface, tol=max(tol, 1e-9))
+    incidence = verify_stretch(M, surface, tol=max(tol, 1e-9), poly=poly)
     return PipelineResult(
         matrix=M,
         eigen=eigen,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import fsum, gcd, inf, lcm
 from sys import float_info
@@ -109,6 +110,12 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+    @cached_property
+    def sturm_chain(self) -> list[tuple[int, ...]]:
+        """The integer Sturm chain, built on first read and then kept, so
+        every bisection on one polynomial object shares it."""
+        return _integer_sturm_chain(self.coefficients)
 
     def __call__(self, x):
         acc = 0
@@ -425,12 +432,16 @@ def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     bound. The returned float is the midpoint of an isolating interval
     narrower than ``precision``; ``precision=0`` bisects until the float
     midpoint no longer lies strictly inside the rounded bracket, so the
-    result is within a few units in the last place of the root.
+    result is within a few units in the last place of the root. ``poly``
+    is an ``IntPolynomial``, whose cached ``sturm_chain`` is used, or a
+    sequence of ascending coefficients, whose chain is built here.
     """
-    coefficients = tuple(getattr(poly, "coefficients", poly))
-    return _bisect_top_root(
-        _integer_sturm_chain(coefficients), _cauchy_bound(coefficients), precision
-    )
+    if isinstance(poly, IntPolynomial):
+        coefficients, chain = poly.coefficients, poly.sturm_chain
+    else:
+        coefficients = tuple(poly)
+        chain = _integer_sturm_chain(coefficients)
+    return _bisect_top_root(chain, _cauchy_bound(coefficients), precision)
 
 
 def _poly_power(coefficients: tuple[int, ...], k: int) -> list[int]:
@@ -453,21 +464,21 @@ def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:
     return max(0.0, largest_real_root(char_poly(M), precision))
 
 
-def block_diagonal_radius(block: IntMatrix, k: int, precision: float = 1e-12) -> float:
-    """``spectral_radius_exact`` of diag(block, ..., block), k copies, bit for bit.
+def block_diagonal_radius(
+    p: IntPolynomial, k: int, precision: float = 1e-12
+) -> float:
+    """``spectral_radius_exact`` of diag(B, ..., B), k copies, bit for bit,
+    for a block B with ``p = char_poly(B)``.
 
-    That matrix has the characteristic polynomial p**k, p = char_poly(block),
-    so only p is computed. The bisection starts from the Cauchy bound of
-    p**k, as ``spectral_radius_exact`` does, but runs on p's own Sturm
-    chain. p**k has the roots of p, and at a probe that is not a root both
-    chains count the same distinct roots above it; the bisection therefore
-    takes every step the one on p**k takes and returns the same float.
+    That matrix has the characteristic polynomial p**k, so only p is
+    needed. The bisection starts from the Cauchy bound of p**k, as
+    ``spectral_radius_exact`` does, but runs on p's own Sturm chain. p**k
+    has the roots of p, and at a probe that is not a root both chains
+    count the same distinct roots above it; the bisection therefore takes
+    every step the one on p**k takes and returns the same float.
     """
-    coefficients = char_poly(block).coefficients
-    bound = _cauchy_bound(_poly_power(coefficients, k))
-    return max(
-        0.0, _bisect_top_root(_integer_sturm_chain(coefficients), bound, precision)
-    )
+    bound = _cauchy_bound(_poly_power(p.coefficients, k))
+    return max(0.0, _bisect_top_root(p.sturm_chain, bound, precision))
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +535,15 @@ def _max_residual(rows, lam: float, v: list[float]) -> float:
     )
 
 
-def perron_eigendata(M: IntMatrix, tol: float = DEFAULT_TOL) -> PerronData:
+def perron_eigendata(
+    M: IntMatrix, tol: float = DEFAULT_TOL, poly: IntPolynomial | None = None
+) -> PerronData:
     """Spectral radius and positive right/left eigenvectors of an irreducible M.
 
     lambda is the largest real root of the exact characteristic
     polynomial, bisected on its integer Sturm chain to float resolution.
+    ``poly``, if given, must be ``char_poly(M)``; a caller that needs the
+    polynomial again passes it here, so it and its chain are built once.
     eta and omega come from one step of inverse iteration at that lambda:
     one solve each with M - lambda*I and its transpose, from the all-ones
     vector, scaled to last entry 1. Inverse iteration at an approximation
@@ -547,7 +562,9 @@ def perron_eigendata(M: IntMatrix, tol: float = DEFAULT_TOL) -> PerronData:
         raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
     if not is_irreducible(M):
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
-    lam = largest_real_root(char_poly(M), precision=0.0)
+    if poly is None:
+        poly = char_poly(M)
+    lam = largest_real_root(poly, precision=0.0)
     rows = M.entries
     columns = tuple(zip(*rows))
     tiny = float_info.epsilon * max(sum(row) for row in rows)

@@ -117,6 +117,11 @@ class TestVerify:
         # differ in the last digits, so such a record is refused, not failed
         self._assert_version_refused(tmp_path, capsys, "2")
 
+    def test_version_3_record_is_input_error(self, tmp_path, capsys):
+        # version "3" stored every depth up to depth_cap; version "4" stores
+        # each generator's pairs up to its stabilization depth
+        self._assert_version_refused(tmp_path, capsys, "3")
+
     def test_config_key_missing_is_input_error(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"

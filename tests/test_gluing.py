@@ -23,14 +23,13 @@ from endperiodic import (
 )
 from endperiodic.gluing import (
     EquivalenceClass,
-    _classify_link,
     _find,
     _NodeRegistry,
     _node_str,
     _union,
 )
 
-from conftest import random_irreducible_matrices
+from conftest import RUNNING_ROWS, SPARSE7, random_irreducible_matrices
 
 
 class TestIntegerCaseGeometry:
@@ -367,9 +366,20 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _list_copy_prefix(pair_states) -> list:
+    """The pairs up to the first depth at which both images are strip
+    states (all of them if there is none), copied into lists."""
+    out = []
+    for a, b in pair_states:
+        out.append([list(a), list(b)])
+        if a[0] == "S" and b[0] == "S":
+            break
+    return out
+
+
 def _list_copy_identifications(schema) -> dict:
-    """The ``identifications`` section with every pair copied into lists,
-    as it was built before ``pair_states`` was emitted as it is."""
+    """The ``identifications`` section with every stored pair copied into
+    lists, as it was built before ``pair_states`` was emitted as it is."""
     return {
         "depth_cap": schema.depth_cap,
         "escape_depth": schema.escape_depth,
@@ -383,7 +393,7 @@ def _list_copy_identifications(schema) -> dict:
                 "kinds": list(g.kinds),
                 "stabilization_depth": g.stabilization_depth,
                 "periodic_tail": list(g.periodic_tail),
-                "pairs": [[list(a), list(b)] for a, b in g.pair_states],
+                "pairs": _list_copy_prefix(g.pair_states),
             }
             for g in schema.generators
         ],
@@ -397,6 +407,113 @@ class TestIdentificationsJson:
         assert _canonical(res.schema.to_json_dict()) == _canonical(
             _list_copy_identifications(res.schema)
         )
+
+
+def _classify_link(nodes, edges) -> str:
+    """The link label by graph search, as the census decided it before it
+    read the label off the union-find: the reference of ``_link_label``."""
+    node_set = set(nodes)
+    degree = {n: 0 for n in nodes}
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    if all(d <= 2 for d in degree.values()) and len(edges) == len(nodes) - 1:
+        # connected degree-<=2 tree: a chain that keeps growing with depth
+        if _connected(node_set, edges):
+            return "Line"
+    cycles = _disjoint_cycle_count(node_set, edges, degree)
+    if cycles >= 2:
+        return "CountableCircles"
+    return "Undetermined"
+
+
+def _connected(nodes, edges) -> bool:
+    if not nodes:
+        return True
+    adj = {n: [] for n in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set()
+    stack = [next(iter(nodes))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v])
+    return len(seen) == len(nodes)
+
+
+def _disjoint_cycle_count(nodes, edges, degree) -> int:
+    if any(d != 2 for d in degree.values()):
+        return 0
+    adj = {n: [] for n in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set()
+    count = 0
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(adj[v])
+        seen |= comp
+        count += 1
+    return count
+
+
+def _reference_labels(res) -> list[str]:
+    """The link label of each infinite class by ``_classify_link``, from
+    the class's nodes and the pairing edges among them."""
+    census = res.census
+    registry = _NodeRegistry(res.decomposition, res.extended.strips)
+    edges_by_root = {}
+    for gen in res.schema.generators:
+        for sa, sb in gen.pair_states:
+            for endpoint in (0, 1):
+                na = registry.node_id(sa, endpoint)
+                nb = registry.node_id(sb, endpoint)
+                if na != nb:
+                    edges_by_root.setdefault(census.parent[na], set()).add(
+                        (min(na, nb), max(na, nb))
+                    )
+    # the same node_id calls in the same order as classify_classes
+    assert registry.nodes == census.nodes
+    ids = {node: i for i, node in enumerate(registry.nodes)}
+    labels = []
+    for c in census.infinite_classes:
+        class_ids = [ids[node] for node in c.nodes]
+        roots = {census.parent[i] for i in class_ids}
+        edges = [e for r in roots for e in edges_by_root.get(r, ())]
+        labels.append(_classify_link(class_ids, edges))
+    return labels
+
+
+class TestLinkLabelsFromShards:
+    @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "running-lift4"])
+    def test_labels_equal_the_graph_search(self, case):
+        if case == "corpus":
+            inputs = [(M, None) for M in random_irreducible_matrices(200)]
+        elif case == "lifts":
+            inputs = [
+                (block_lift(IntMatrix.from_rows([[2]]), k), k) for k in range(2, 13)
+            ]
+        elif case == "sparse7":
+            inputs = [(IntMatrix.from_rows(SPARSE7), None)]
+        else:
+            inputs = [(block_lift(IntMatrix.from_rows(RUNNING_ROWS), 4), 4)]
+        for M, k in inputs:
+            res = run_pipeline(M, weak_perron_k=k)
+            labels = [c.link_type for c in res.census.infinite_classes]
+            assert labels == _reference_labels(res)
 
 
 def _eager_classes(schema, ext):

@@ -12,6 +12,7 @@ from endperiodic import (
     IntMatrix,
     VerificationError,
     block_lift,
+    char_poly,
     incidence_matrix,
     is_primitive,
     run_pipeline,
@@ -115,6 +116,30 @@ class TestVerifyStretch:
             surface = SimpleNamespace(stretch_factor=rho, doubled=doubled)
             expected = spectral_radius_exact(incidence_matrix(M, doubled))
             assert verify_stretch(M, surface).spectral_radius == expected
+            shared = verify_stretch(M, surface, poly=char_poly(M))
+            assert shared.spectral_radius == expected
+
+    def test_shared_polynomial_unused_when_the_block_is_not_the_input(
+        self, running_matrix, monkeypatch
+    ):
+        # an incidence matrix diag(B, B) with B != M: the radius must be
+        # that of B, whatever polynomial of M the caller passes
+        other = [list(r) for r in running_matrix.entries]
+        other[2][3] += 1
+        B = IntMatrix.from_rows(other)
+
+        def of_other(M, doubled=True):
+            return incidence_matrix(B, doubled)
+
+        monkeypatch.setattr(endperiodic.markov, "incidence_matrix", of_other)
+        rho = spectral_radius_exact(B)
+        surface = SimpleNamespace(stretch_factor=rho, doubled=True)
+        report = verify_stretch(
+            running_matrix, surface, poly=char_poly(running_matrix)
+        )
+        assert report.spectral_radius == spectral_radius_exact(
+            incidence_matrix(B, True)
+        )
 
     def test_nonzero_off_diagonal_block_fails(self, running_matrix, running_result,
                                               monkeypatch):
@@ -150,16 +175,29 @@ class TestVerifyStretch:
 )
 def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch):
     """Tooling guard: the pipeline computes no characteristic polynomial of
-    a matrix larger than its input, such as the doubled incidence matrix."""
+    a matrix larger than its input, such as the doubled incidence matrix,
+    and computes char_poly(M) and its Sturm chain once: the eigen stage
+    and verify_stretch share them."""
     M = IntMatrix.from_rows(rows)
     if k is not None:
         M = block_lift(M, k)
     original = endperiodic.spectral.char_poly
     sizes = []
+    chains = []
 
     def recording(A):
         sizes.append(A.n)
         return original(A)
+
+    original_chain = endperiodic.spectral._integer_sturm_chain
+
+    def recording_chain(coefficients):
+        chains.append(tuple(coefficients))
+        return original_chain(coefficients)
+
+    monkeypatch.setattr(
+        endperiodic.spectral, "_integer_sturm_chain", recording_chain
+    )
 
     patched = 0
     for name, module in list(sys.modules.items()):
@@ -170,4 +208,5 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
             patched += 1
     assert patched >= 1
     run_pipeline(M, weak_perron_k=k)
-    assert sizes and max(sizes) <= M.n
+    assert sizes == [M.n]
+    assert chains == [original(M).coefficients]

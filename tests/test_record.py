@@ -11,19 +11,27 @@ import pytest
 import endperiodic
 from endperiodic import (
     ConstructionRecord,
+    IntMatrix,
     InvalidInputError,
     VerificationError,
+    block_lift,
     build_record,
     load_record,
     verify_record,
 )
 from endperiodic.record import SCHEMA_VERSION
 
-from conftest import RUNNING_ROWS
+from conftest import (
+    RUNNING_ROWS,
+    SPARSE7,
+    random_irreducible_matrices,
+    seeded_irreducible_matrix,
+)
 
 
-# schema version "2", default window N + 3m with m the lcm of the periods
-RUNNING_HASH = "7ec20ddd0303a7142ee7a3abfb2934f3b90273f796da87b27d9efef78d35f1a2"
+# schema version "4": default window N + 3m with m the lcm of the periods,
+# identifications stored up to each generator's stabilization depth
+RUNNING_HASH = "04920eecaf11df1c6bd61f68c78995782618ae47d37412f46106890bdca17935"
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +209,68 @@ class TestLoadRecord:
         data = json.loads(running_record.to_json())
         data["config"].update(tol=1, depth_cap=250, weak_perron_k=None)
         assert load_record(json.dumps(data))["config"]["depth_cap"] == 250
+
+
+def _state(stored: list) -> tuple:
+    """A stored state as the tuple ``pair_states`` holds: the key of a
+    strip state is a (kind, rect) tuple."""
+    return tuple(tuple(x) if isinstance(x, list) else x for x in stored)
+
+
+def _tail_pairs(sections: dict) -> list[tuple]:
+    """Every generator's pairs at depths 1..depth_cap, read from the
+    ``identifications``, ``edge_digraphs`` and ``periodic_points``
+    sections alone: the stored prefix, then the tail rule. Side kind
+    ``kind`` steps a strip state on rect r to ``digraph[r]``, one unit
+    higher when the periodic point of map ``kind`` on the new rect (on r
+    for T and B) is initial."""
+    digraph = {
+        kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
+        for kind, text in sections["edge_digraphs"].items()
+    }
+    initial = {
+        (row["map"], row["rect"]): row["initial"]
+        for row in sections["periodic_points"]
+    }
+
+    def step(state, kind):
+        tag, (_, rect), za, zb, w = state
+        assert tag == "S"
+        target = digraph[kind][rect]
+        shift = initial[(kind, target if kind in ("L", "R") else rect)]
+        return ("S", (kind, target), za, zb, w + int(shift))
+
+    identifications = sections["identifications"]
+    out = []
+    for gen in identifications["generators"]:
+        pairs = [tuple(_state(s) for s in pair) for pair in gen["pairs"]]
+        while len(pairs) < identifications["depth_cap"]:
+            pairs.append(tuple(
+                step(state, kind) for state, kind in zip(pairs[-1], gen["kinds"])
+            ))
+        out.append(tuple(pairs))
+    return out
+
+
+def _tail_inputs(case: str) -> list:
+    if case == "corpus":
+        return [(M, None) for M in random_irreducible_matrices(200)]
+    if case == "lifts":
+        two = IntMatrix.from_rows([[2]])
+        return [(block_lift(two, k), k) for k in range(2, 65)]
+    if case == "sparse7":
+        return [(IntMatrix.from_rows(SPARSE7), None)]
+    return [(seeded_irreducible_matrix(int(case[1:])), None)]
+
+
+class TestTailFromRecord:
+    @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
+    def test_stored_prefix_and_rule_give_the_whole_window(self, case):
+        for M, k in _tail_inputs(case):
+            record, result = build_record(M, weak_perron_k=k)
+            sections = json.loads(record.to_json())["sections"]
+            for gen in sections["identifications"]["generators"]:
+                assert len(gen["pairs"]) == gen["stabilization_depth"]
+            assert _tail_pairs(sections) == [
+                g.pair_states for g in result.schema.generators
+            ]

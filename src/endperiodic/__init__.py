@@ -73,7 +73,6 @@ from .gluing import (
     build_extended_map,
     classify_classes,
     enumerate_identifications,
-    escape_bound,
 )
 from .markov import IncidenceReport, incidence_matrix, verify_stretch
 from .record import (

@@ -126,6 +126,15 @@ def _build(args):
     return M, stem, record, result
 
 
+def _write_figures(figs, result, out: Path, stem: str) -> None:
+    for fig in figs:
+        kind = _fig_kind(fig)
+        fig_path = out / f"{stem}.{kind}.svg"
+        fig_path.write_text(render(DiagramSpec(kind=kind, result=result)),
+                            encoding="utf-8")
+        print(f"figure: {fig_path}")
+
+
 def _cmd_construct(args) -> int:
     M, stem, record, result = _build(args)
     out = _out_dir(args)
@@ -140,12 +149,7 @@ def _cmd_construct(args) -> int:
     print(f"ends: {[(e.sign, len(e.strip_orbits)) for e in surface.ends]}")
     print(f"connected: {surface.connected}  infinite type: {surface.infinite_type}")
     print(f"record: {record_path}")
-    for fig in args.fig or []:
-        kind = _fig_kind(fig)
-        doc = render(DiagramSpec(kind=kind, result=result))
-        fig_path = out / f"{stem}.{kind}.svg"
-        fig_path.write_text(doc, encoding="utf-8")
-        print(f"figure: {fig_path}")
+    _write_figures(args.fig or [], result, out, stem)
     if args.verify:
         results = verify_record(load_record(record_path.read_text("utf-8")))
         for name, ok, detail in results:
@@ -162,15 +166,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    args.verify = False
-    M, stem, record, result = _build(args)
-    out = _out_dir(args)
-    for fig in args.fig:
-        kind = _fig_kind(fig)
-        doc = render(DiagramSpec(kind=kind, result=result))
-        fig_path = out / f"{stem}.{kind}.svg"
-        fig_path.write_text(doc, encoding="utf-8")
-        print(f"figure: {fig_path}")
+    _, stem, _, result = _build(args)
+    _write_figures(args.fig, result, _out_dir(args), stem)
     return 0
 
 

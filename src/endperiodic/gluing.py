@@ -23,6 +23,8 @@ from functools import cached_property
 from itertools import chain, islice
 
 from .edgemaps import (
+    _CORNER_AT_END,
+    _CORNER_AT_START,
     KINDS,
     EdgeMapSystem,
     PeriodicPoint,
@@ -44,7 +46,7 @@ _TRANSFER_TOL = 1e-9
 class InfiniteStrip:
     """One infinite strip [0,1] x [0,oo) attached at a periodic point.
 
-    The base [0,1] x {0} is glued onto ``(lo, hi)`` of the ``side`` edge of
+    The base [0,1] x {0} is glued onto ``(lo, hi)`` of the ``kind`` edge of
     rectangle ``rect``. On vertical sides z runs against the edge offset
     (z = 0 at the far corner); on horizontal sides z runs with it.
     """
@@ -55,7 +57,6 @@ class InfiniteStrip:
     period: int
     j: int
     rect: int
-    side: str
     lo: float
     hi: float
     shift_on_initial: bool
@@ -117,7 +118,6 @@ def attach_strips(
                     period=p,
                     j=j,
                     rect=rect,
-                    side=kind,
                     lo=lo,
                     hi=hi,
                     shift_on_initial=pt.is_initial,
@@ -136,7 +136,7 @@ def _orbits(points: list[PeriodicPoint]) -> dict[str, list[PeriodicPoint]]:
 def _check_attachments_disjoint(strips) -> None:
     by_edge: dict[tuple[int, str], list[InfiniteStrip]] = {}
     for s in strips.values():
-        by_edge.setdefault((s.rect, s.side), []).append(s)
+        by_edge.setdefault((s.rect, s.kind), []).append(s)
     for edge_strips in by_edge.values():
         spans = sorted((s.lo, s.hi) for s in edge_strips)
         for (a, b), (c, d) in zip(spans, spans[1:]):
@@ -146,12 +146,23 @@ def _check_attachments_disjoint(strips) -> None:
 
 @dataclass(frozen=True)
 class ExtendedPieceMap:
-    """The extended map: base piece map, strips, and periodic points by key."""
+    """The extended map: base piece map, strips, periodic points, and the
+    tail rule.
+
+    ``step[key] = (next_key, rise)`` is the extended map of kind
+    ``key[0]`` on the boundary of strip ``key``: it sends a strip state
+    ``("S", key, za, zb, w)`` to ``("S", next_key, za, zb, w + rise)``.
+    ``next_key`` is ``(kind, digraph[rect])`` from the edge digraph of that
+    kind, and ``rise`` is 1 where the orbit passes its initial point, at
+    ``next_key`` for L and R and at ``key`` for T and B, else 0. So after p
+    steps, p the orbit period, a strip state is back on its strip one unit
+    higher.
+    """
 
     system: EdgeMapSystem
     strips: dict[tuple[str, int], InfiniteStrip]
     points: dict[str, list[PeriodicPoint]]
-    point_index: dict[tuple[str, int], PeriodicPoint]
+    step: dict[tuple[str, int], tuple[tuple[str, int], int]]
 
 
 def build_extended_map(
@@ -159,13 +170,14 @@ def build_extended_map(
     strips: dict[tuple[str, int], InfiniteStrip],
     points: dict[str, list[PeriodicPoint]],
 ) -> ExtendedPieceMap:
-    """Bundle the strips with the piece map and index the periodic points."""
-    return ExtendedPieceMap(
-        system=system,
-        strips=strips,
-        points=points,
-        point_index={pt.key: pt for pts in points.values() for pt in pts},
-    )
+    """Bundle the strips with the piece map and build the tail rule."""
+    step = {}
+    for key in strips:
+        kind, rect = key
+        next_key = (kind, system.maps[kind].digraph[rect])
+        rise_at = next_key if kind in ("L", "R") else key
+        step[key] = (next_key, int(strips[rise_at].shift_on_initial))
+    return ExtendedPieceMap(system=system, strips=strips, points=points, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +203,12 @@ def _transfer(state, strips):
 
 
 def _advance(state, kind, ext: ExtendedPieceMap):
-    """One application of the extended edge map to a boundary segment."""
-    state = _transfer(state, ext.strips)
+    """One application of the extended edge map to a boundary segment that
+    ``_transfer`` leaves as it is; the image is one too."""
     if state[0] == "S":
         _, key, za, zb, w = state
-        _, rect = key
-        E = ext.system.maps[kind]
-        next_rect = E.digraph[rect]
-        index = ext.point_index
-        if kind in ("L", "R"):
-            shift = 1 if index[(kind, next_rect)].is_initial else 0
-        else:
-            shift = 1 if index[(kind, rect)].is_initial else 0
-        return ("S", (kind, next_rect), za, zb, w + shift)
+        next_key, rise = ext.step[key]
+        return ("S", next_key, za, zb, w + rise)
     _, rect, side, a, b = state
     br = ext.system.maps[kind].branches[rect]
     return _transfer(
@@ -246,15 +251,12 @@ class IdentificationSchema:
         ``stabilization_depth`` (all ``depth_cap`` pairs when s is
         ``None``): a slice of ``pair_states``, a tuple of state tuples,
         which JSON writes as nested arrays. The deeper pairs follow by
-        rule. From depth s on both images are strip states, and
-        ``_advance`` sends a strip state to a strip state: side kind
-        ``kind`` steps ``("S", key, za, zb, w)``, ``key = (kind, rect)``,
-        to ``("S", (kind, r), za, zb, w + shift)`` with ``r =
-        digraph[rect]`` from ``edge_digraphs[kind]``; ``shift`` is 1 if
-        the point of ``periodic_points`` with map ``kind`` on rect ``r``
-        (on ``rect`` for T and B) is ``initial``, else 0. So pair d + 1
-        is pair d stepped, side a with ``kinds[0]`` and side b with
-        ``kinds[1]``, for every d from s to ``depth_cap - 1``.
+        the tail rule ``ExtendedPieceMap.step``, which reads only the
+        edge digraph and the initial flag of each periodic point, both
+        in the record (``edge_digraphs``, ``periodic_points``): from
+        depth s on both images are strip states, and pair d + 1 is pair
+        d with each image stepped by the rule of its own strip key, for
+        every d from s to ``depth_cap - 1``.
         """
         return {
             "depth_cap": self.depth_cap,
@@ -276,24 +278,19 @@ class IdentificationSchema:
         }
 
 
-def _eventual_orbit(E, rect: int) -> str:
-    """Orbit id of the cycle eventually reached from ``rect``."""
-    v = rect
-    for _ in range(len(E.digraph) + 1):
-        if E.tails[v] == 0:
-            break
-        v = E.digraph[v]
-    for cyc in E.cycles:
-        if v in cyc:
-            return f"{E.kind}:{cyc[0]}"
-    raise InternalConsistencyError("functional digraph without a reachable cycle")
-
-
-def _tail_record(E, state) -> dict:
+def _tail_record(kind: str, state, ext: ExtendedPieceMap) -> dict:
+    """Orbit and period of the strip that ``state`` sits on, or that its
+    rectangle reaches along the edge digraph of ``kind``: every cycle
+    vertex carries a strip."""
     rect = state[1][1] if state[0] == "S" else state[1]
-    orbit = _eventual_orbit(E, rect)
-    period = next(len(c) for c in E.cycles if f"{E.kind}:{c[0]}" == orbit)
-    return {"kind": E.kind, "orbit": orbit, "period": period, "shift_per_period": 1}
+    digraph = ext.system.maps[kind].digraph
+    for _ in range(len(digraph)):
+        strip = ext.strips.get((kind, rect))
+        if strip is not None:
+            return {"kind": kind, "orbit": strip.orbit_id,
+                    "period": strip.period, "shift_per_period": 1}
+        rect = digraph[rect]
+    raise InternalConsistencyError("functional digraph without a reachable cycle")
 
 
 def enumerate_identifications(
@@ -302,29 +299,38 @@ def enumerate_identifications(
     """All identified segment pairs up to depth_cap, plus periodic tails.
 
     Each interior strip boundary generates one identified pair per depth;
-    depths beyond escape lie in strip boundaries and advance by unit
-    translation once per orbit period, so the bounded table plus the tail
-    record certifies the full relation.
+    from a generator's stabilization depth on, both images lie in strip
+    boundaries and advance by unit translation once per orbit period, so
+    the bounded table plus the tail record certifies the full relation.
 
     The default window is ``N + 3m``, with N the escape depth and m the
     ``nesting_period``, the lcm of the cycle periods. Why one common
     period is enough:
 
-    * Past N, each generator endpoint is a strip state
-      ``("S", key, za, zb, w)``. ``_advance`` moves its key along the
-      orbit of the edge map and keeps za and zb; it adds one to w once per
-      orbit period p, when the orbit passes its initial point. After p
-      steps the state is back at its key, one unit higher.
-    * So after any common multiple m of all periods, every state past N is
-      its own state m depths earlier, translated by m/p units on the strip
-      of period p. That translation depends only on the key, so the pairs
-      at depths d + m are the translates of those at depth d, for every
-      generator at once: m is a period of the whole schema past N. The
-      lcm is the least such common multiple.
-    * ``N + 3m`` (three whole periods past escape) and the test in
-      ``classify_classes`` for a class that acquired a node after
-      ``cap - m`` (one whole period at the end of the window) are
-      statements about windows of whole periods, so they need only that m
+    * From its ``stabilization_depth`` s on, both images of a generator
+      are strip states ``("S", key, za, zb, w)``. The tail rule
+      ``ExtendedPieceMap.step`` moves the key along the orbit of the edge
+      map and keeps za and zb; it adds one to w once per orbit period p,
+      when the orbit passes its initial point. After p steps the state is
+      back at its key, one unit higher.
+    * So after any common multiple m of all periods, every state past s
+      is its own state m depths earlier, translated by m/p units on the
+      strip of period p. That translation depends only on the key, so
+      the pairs at depths d + m are the translates of those at depth d,
+      for every d from s on and every generator at once. The lcm is the
+      least such common multiple.
+    * N does not bound s. A segment reaches a cycle of the edge digraph
+      within the longest tail, but it lies inside a strip attachment, the
+      image of an edge under 2p + j steps, only up to about one period
+      after N: the lifts of ``[[2]]`` stabilize at N + m, and most inputs
+      have some generator with s > N. What the window gives is at least
+      two whole periods past the last stabilization, ``max(s) <= N + m``.
+      Over the 200 corpus matrices, the lifts k = 2..64, the sparse 7x7
+      and seeded n = 12 and 16 the least margin is exactly 2m
+      (``corpus:1``: N 4, m 1, cap 7, max s 5); a tier-1 test guards it.
+    * The test in ``classify_classes`` for a class that acquired a node
+      after ``cap - m`` (one whole period at the end of the window) is a
+      statement about windows of whole periods, so it needs only that m
       is a common period, not that it is the product of the periods.
     * The family stitch in ``classify_classes`` joins depth d-2 to depth d
       at every depth of the window, not at every second depth from a fixed
@@ -333,15 +339,13 @@ def enumerate_identifications(
       keeps the side of the strip that the squared step follows: the
       stitch needs no even m.
 
-    The record stores each generator's pairs only up to its
-    ``stabilization_depth`` s (see ``IdentificationSchema.to_json_dict``
-    for the rule that gives the rest). That is sound from depth s
-    itself: s is the first depth at which both images are strip
-    states, ``_transfer`` leaves a strip state as it is, and ``_advance``
-    sends a strip state to the strip state named by its key, the edge
-    digraph and the initial flags alone. So pair s and the rule fix every
-    pair up to ``depth_cap``, while ``pair_states`` keeps all of them for
-    the census.
+    The record stores each generator's pairs only up to s (see
+    ``IdentificationSchema.to_json_dict``). That is sound from depth s
+    itself: s is the first depth at which both images are strip states,
+    and ``ExtendedPieceMap.step`` sends a strip state to the strip state
+    named by its key, the edge digraph and the initial flags alone. So
+    pair s and the rule fix every pair up to ``depth_cap``, while
+    ``pair_states`` keeps all of them for the census.
     """
     system = ext.system
     D = system.decomposition
@@ -410,8 +414,8 @@ def _trace(ext, gen_id, family, rect, pos, kinds, first, depth_cap):
             stabilization = d
             break
     tails = (
-        _tail_record(ext.system.maps[kinds[0]], pairs[-1][0]),
-        _tail_record(ext.system.maps[kinds[1]], pairs[-1][1]),
+        _tail_record(kinds[0], pairs[-1][0], ext),
+        _tail_record(kinds[1], pairs[-1][1], ext),
     )
     return GeneratorTrace(
         gen_id=gen_id,
@@ -490,7 +494,7 @@ class _NodeRegistry:
             z = 1.0
         if w == 0 and (z == 0.0 or z == 1.0):
             strip = self.strips[key]
-            return self.edge_id(strip.rect, strip.side, strip.z_to_offset(z))
+            return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
         nodes = self.nodes
         bins = self._strip_bins.get((key, w), ())
         for i in bins:
@@ -507,17 +511,11 @@ class _NodeRegistry:
 
 
 def _corner_alias(rect, side, pos, length):
-    at_zero = pos == 0.0
-    at_end = pos == length
-    if not (at_zero or at_end):
-        return None
-    corner = {
-        ("L", True): "TL", ("L", False): "BL",
-        ("R", True): "TR", ("R", False): "BR",
-        ("T", True): "TL", ("T", False): "TR",
-        ("B", True): "BL", ("B", False): "BR",
-    }[(side, at_zero)]
-    return ("C", rect, corner)
+    if pos == 0.0:
+        return ("C", rect, _CORNER_AT_START[side])
+    if pos == length:
+        return ("C", rect, _CORNER_AT_END[side])
+    return None
 
 
 def _find(parent, x):
@@ -553,10 +551,11 @@ class ClassCensus:
     """Finite-class counts and the infinite classes of one classify pass.
 
     ``nodes`` (id -> node tuple) and ``parent`` (id -> union-find root,
-    fully compressed) are the registry and the forest of the pass; the
-    record reads neither. ``classes`` is built from them on first read and
-    then cached: the finite classes first, in order of their smallest id,
-    each listing its nodes in tuple order, then ``infinite_classes``.
+    fully compressed) are the registry and the forest of the pass, and
+    ``infinite_roots`` the roots of its infinite classes; the record reads
+    none of them. ``classes`` is built from them on first read and then
+    cached: the finite classes first, in order of their smallest id, each
+    listing its nodes in tuple order, then ``infinite_classes``.
     """
 
     finite_singletons: int
@@ -565,12 +564,16 @@ class ClassCensus:
     infinite_classes: tuple[EquivalenceClass, ...]
     nodes: list[tuple] = field(repr=False, compare=False)
     parent: list[int] = field(repr=False, compare=False)
+    infinite_roots: set[int] = field(repr=False, compare=False)
 
     @cached_property
     def classes(self) -> tuple[EquivalenceClass, ...]:
         nodes = self.nodes
+        infinite_roots = self.infinite_roots
         groups: dict[int, list[tuple]] = {}
         for i, root in enumerate(self.parent):
+            if root in infinite_roots:
+                continue
             group = groups.get(root)
             if group is None:
                 groups[root] = [nodes[i]]
@@ -583,9 +586,6 @@ class ClassCensus:
                 link_type=None,
             )
             for group in groups.values()
-            # classify_classes's rule: only a class of three or more nodes
-            # or with a corner node can be infinite
-            if len(group) <= 2 and all(node[0] != "C" for node in group)
         )
         return finite + self.infinite_classes
 
@@ -759,6 +759,7 @@ def classify_classes(
         infinite_classes=tuple(infinite_classes),
         nodes=nodes,
         parent=parent,
+        infinite_roots=infinite_roots,
     )
 
 
@@ -780,27 +781,6 @@ def _link_label(node_count: int, edges, shards: int) -> str:
         if shards >= 2 and len(edges) == node_count:
             return "CountableCircles"
     return "Undetermined"
-
-
-# ---------------------------------------------------------------------------
-# combinatorial escape certificate
-
-
-def escape_bound(system: EdgeMapSystem, kind: str, rect: int) -> int:
-    """Depth after which boundary orbits from this edge stay in strip territory.
-
-    A point riding the edge map reaches an edge carrying a periodic point
-    after tail(rect) steps; the next application enters the switch boundary,
-    and one orbit sweep of switch maps later (2p applications counting the
-    entry) the image lies in the strip complex, where it remains.
-    """
-    E = system.maps[kind]
-    t = E.tails[rect]
-    v = rect
-    for _ in range(t):
-        v = E.digraph[v]
-    period = next(len(c) for c in E.cycles if v in c)
-    return t + 2 * period
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def run_pipeline(
         weak_perron_k=weak_perron_k,
         doubled=doubled,
     )
-    incidence = verify_stretch(M, surface, tol=max(tol, 1e-9), poly=poly)
+    incidence = verify_stretch(M, surface, poly=poly)
     return PipelineResult(
         matrix=M,
         eigen=eigen,

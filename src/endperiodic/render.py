@@ -334,16 +334,16 @@ def _render_expanded(result) -> str:
         lo, hi = strip.lo * _SCALE, strip.hi * _SCALE
         color = strip_color(1, strip.j + 1, k, light=True)
         ext_len = pad - 6
-        if strip.side == "L":
+        if strip.kind == "L":
             sx, sy, sw_, sh = x0 - ext_len, y_top + lo, ext_len, hi - lo
-        elif strip.side == "R":
+        elif strip.kind == "R":
             sx, sy, sw_, sh = x0 + w, y_top + lo, ext_len, hi - lo
-        elif strip.side == "T":
+        elif strip.kind == "T":
             sx, sy, sw_, sh = x0 + lo, y_top - ext_len, hi - lo, ext_len
         else:
             sx, sy, sw_, sh = x0 + lo, y_top + h, hi - lo, ext_len
         svg.rect(sx, sy, sw_, sh, fill=color, stroke="#888888", sw=0.8)
-        svg.rect(sx, sy, sw_, sh, fill=f"url(#{fade[strip.side]})", stroke="none")
+        svg.rect(sx, sy, sw_, sh, fill=f"url(#{fade[strip.kind]})", stroke="none")
         # switch path: rounded elbow from inside the rectangle into the strip
         mx, my = sx + sw_ / 2, sy + sh / 2
         ix = x0 + w * 0.5

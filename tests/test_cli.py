@@ -61,6 +61,16 @@ class TestConstruct:
         assert len(svgs) == 1
         assert "<svg" in svgs[0].read_text()
 
+    def test_render_writes_the_construct_figure(self, tmp_path):
+        construct, rend = tmp_path / "construct", tmp_path / "render"
+        assert main(["construct", "--integer", "2", "--fig", "complex",
+                     "--out", str(construct)]) == 0
+        assert main(["render", "--integer", "2", "--fig", "complex",
+                     "--out", str(rend)]) == 0
+        name = "integer-2.Complex2D.svg"
+        assert [p.name for p in rend.iterdir()] == [name]
+        assert (rend / name).read_bytes() == (construct / name).read_bytes()
+
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENDPERIODIC_OUT", str(tmp_path))
         assert main(["construct", "--integer", "2"]) == 0

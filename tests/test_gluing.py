@@ -18,7 +18,6 @@ from endperiodic import (
     block_lift,
     classify_classes,
     enumerate_identifications,
-    escape_bound,
     run_pipeline,
 )
 from endperiodic.gluing import (
@@ -26,6 +25,7 @@ from endperiodic.gluing import (
     _find,
     _NodeRegistry,
     _node_str,
+    _transfer,
     _union,
 )
 
@@ -110,7 +110,7 @@ class TestAttachments:
     def test_disjoint_and_on_host_edges(self, running_result):
         by_edge = {}
         for strip in running_result.extended.strips.values():
-            by_edge.setdefault((strip.rect, strip.side), []).append(strip)
+            by_edge.setdefault((strip.rect, strip.kind), []).append(strip)
         for (rect, side), strips in by_edge.items():
             edge_len = running_result.system.maps[side].edge_length(
                 rect, running_result.decomposition
@@ -122,7 +122,7 @@ class TestAttachments:
                 assert a >= -1e-9 and b <= edge_len + 1e-9
 
     def test_attachment_contains_its_point(self, running_result):
-        index = running_result.extended.point_index
+        index = {pt.key: pt for pts in running_result.points.values() for pt in pts}
         for key, strip in running_result.extended.strips.items():
             pt = index[key]
             assert strip.lo - 1e-9 <= pt.location.offset <= strip.hi + 1e-9
@@ -148,12 +148,35 @@ class TestIdentifications:
                 fams[gen.family] = fams.get(gen.family, 0) + 1
             assert fams == {"X": d - 1, "Y": d - 1}
 
-    def test_escape_bound_within_depth(self, running_result):
-        system = running_result.system
-        N = running_result.schema.escape_depth
-        for kind in ("L", "R", "T", "B"):
-            for rect in range(1, 5):
-                assert escape_bound(system, kind, rect) <= N
+    def test_tails_of_unstabilized_generators(self):
+        # At depth_cap = N some lift generators still have an image on a
+        # rectangle edge, so their tails come from the digraph walk, not
+        # from the strip under the image; they must be the same tails.
+        for k in (2, 4, 64):
+            res = _lift_result(k)
+            short = enumerate_identifications(
+                res.extended, depth_cap=res.schema.escape_depth
+            )
+            unstabilized = 0
+            for gen, full in zip(short.generators, res.schema.generators):
+                if gen.stabilization_depth is None:
+                    unstabilized += 1
+                    assert gen.periodic_tail == full.periodic_tail
+            assert unstabilized == 2
+
+    @pytest.mark.parametrize("case", ["corpus", "lifts"])
+    def test_every_state_is_transferred(self, case):
+        # _advance relies on this: it never transfers the state it is given
+        if case == "corpus":
+            results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
+        else:
+            results = [_lift_result(k) for k in range(2, 13)]
+        for res in results:
+            strips = res.extended.strips
+            for gen in res.schema.generators:
+                for pair in gen.pair_states:
+                    for state in pair:
+                        assert _transfer(state, strips) == state
 
 
 class TestRunningExample:

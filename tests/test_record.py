@@ -17,6 +17,7 @@ from endperiodic import (
     block_lift,
     build_record,
     load_record,
+    run_pipeline,
     verify_record,
 )
 from endperiodic.record import SCHEMA_VERSION
@@ -274,3 +275,15 @@ class TestTailFromRecord:
             assert _tail_pairs(sections) == [
                 g.pair_states for g in result.schema.generators
             ]
+
+    @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
+    def test_window_holds_two_periods_past_the_last_stabilization(self, case):
+        # Past each stabilization depth the stored prefix and the rule give
+        # the pairs; the default window N + 3m keeps at least two whole
+        # periods of them (exactly two on corpus:1), though the
+        # stabilization depth itself may exceed the escape depth N.
+        for M, k in _tail_inputs(case):
+            schema = run_pipeline(M, weak_perron_k=k).schema
+            depths = [g.stabilization_depth for g in schema.generators]
+            assert None not in depths
+            assert max(depths) <= schema.depth_cap - 2 * schema.nesting_period

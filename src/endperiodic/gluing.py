@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .edgemaps import (
     _CORNER_AT_END,
@@ -327,7 +328,10 @@ def enumerate_identifications(
       two whole periods past the last stabilization, ``max(s) <= N + m``.
       Over the 200 corpus matrices, the lifts k = 2..64, the sparse 7x7
       and seeded n = 12 and 16 the least margin is exactly 2m
-      (``corpus:1``: N 4, m 1, cap 7, max s 5); a tier-1 test guards it.
+      (``corpus:1``: N 4, m 1, cap 7, max s 5). This margin is measured,
+      not derived, so with the default window every generator is checked
+      against it: one with s unset or above N + m raises
+      ``InternalConsistencyError``, naming the generator and both depths.
     * The test in ``classify_classes`` for a class that acquired a node
       after ``cap - m`` (one whole period at the end of the window) is a
       statement about windows of whole periods, so it needs only that m
@@ -351,7 +355,8 @@ def enumerate_identifications(
     D = system.decomposition
     N = max_escape_depth(system)
     m = nesting_period(system)
-    if depth_cap is None:
+    default_window = depth_cap is None
+    if default_window:
         depth_cap = N + 3 * m
     if depth_cap < N:
         raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
@@ -393,6 +398,15 @@ def enumerate_identifications(
                 _trace(ext, f"Y:{k}:{t}", "Y", k, pos, ("T", "B"),
                        first, depth_cap)
             )
+    if default_window:
+        for trace in traces:
+            s = trace.stabilization_depth
+            if s is None or s > N + m:
+                raise InternalConsistencyError(
+                    f"generator {trace.gen_id} stabilizes at depth {s}, past "
+                    f"N + m = {N + m}: the default window {depth_cap} holds "
+                    "less than two whole periods past its stabilization"
+                )
     return IdentificationSchema(
         generators=tuple(traces),
         depth_cap=depth_cap,
@@ -479,7 +493,9 @@ class _NodeRegistry:
                 i = self._corner_ids[corner] = self._new(corner)
             return i
         nodes = self.nodes
-        bins = self._edge_bins.setdefault((rect, side), [])
+        bins = self._edge_bins.get((rect, side))
+        if bins is None:
+            bins = self._edge_bins[(rect, side)] = []
         for i in bins:
             if abs(nodes[i][3] - pos) <= COORD_TOL:
                 return i
@@ -488,26 +504,88 @@ class _NodeRegistry:
         return i
 
     def strip_id(self, key, z, w) -> int:
-        if abs(z) <= COORD_TOL:
-            z = 0.0
-        elif abs(z - 1.0) <= COORD_TOL:
-            z = 1.0
+        z = _snap_unit(z)
         if w == 0 and (z == 0.0 or z == 1.0):
             strip = self.strips[key]
             return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
         nodes = self.nodes
-        bins = self._strip_bins.get((key, w), ())
-        for i in bins:
+        for i in self._strip_bins.get((key, w), ()):
             if abs(nodes[i][3] - z) <= COORD_TOL:
                 return i
-        i = self._new(("S", key, w, z))
-        self._strip_bins[(key, w)] = bins + (i,)
-        return i
+        return self._add_strip_node((key, w), z)
 
     def node_id(self, state, endpoint: int) -> int:
         if state[0] == "E":
             return self.edge_id(state[1], state[2], state[3 + endpoint])
         return self.strip_id(state[1], state[2 + endpoint], state[4])
+
+    def pair_ids(self, sa, sb) -> tuple[int, int, int, int]:
+        """The ids of one identified pair of segments: ``node_id(sa, 0)``,
+        ``node_id(sb, 0)``, ``node_id(sa, 1)``, ``node_id(sb, 1)``, with
+        new ids given in that order.
+
+        When both segments are strip states above the base (w >= 1), each
+        scans its ``(key, w)`` bin once for both of its endpoints, under
+        ``strip_id``'s rules: the first bin within ``COORD_TOL`` wins, and
+        an endpoint that finds none joins the node its segment's first
+        endpoint has just created if that one is within tolerance. The two
+        segments never share a strip level (their sides are L and R, or T
+        and B), so neither scan can see the other's new nodes.
+        """
+        if sa[0] == "E" or sb[0] == "E" or not (sa[4] and sb[4]):
+            node_id = self.node_id
+            return (node_id(sa, 0), node_id(sb, 0),
+                    node_id(sa, 1), node_id(sb, 1))
+        scan, add = self._strip_scan, self._add_strip_node
+        level_a, pa, qa, a0, a1 = scan(sa)
+        level_b, pb, qb, b0, b1 = scan(sb)
+        new_a0, new_b0 = a0 is None, b0 is None
+        if new_a0:
+            a0 = add(level_a, pa)
+        if new_b0:
+            b0 = add(level_b, pb)
+        if a1 is None:
+            close = new_a0 and abs(qa - pa) <= COORD_TOL
+            a1 = a0 if close else add(level_a, qa)
+        if b1 is None:
+            close = new_b0 and abs(qb - pb) <= COORD_TOL
+            b1 = b0 if close else add(level_b, qb)
+        return a0, b0, a1, b1
+
+    def _strip_scan(self, state) -> tuple:
+        """One scan of the bin of a strip state with w >= 1: its level, both
+        snapped endpoints, and for each the first id within tolerance, or
+        None."""
+        _, key, p, q, w = state
+        p, q = _snap_unit(p), _snap_unit(q)
+        level = (key, w)
+        ip = iq = None
+        nodes = self.nodes
+        for i in self._strip_bins.get(level, ()):
+            z = nodes[i][3]
+            if ip is None and -COORD_TOL <= z - p <= COORD_TOL:
+                ip = i
+                if iq is not None:
+                    break
+            if iq is None and -COORD_TOL <= z - q <= COORD_TOL:
+                iq = i
+                if ip is not None:
+                    break
+        return level, p, q, ip, iq
+
+    def _add_strip_node(self, level, z) -> int:
+        i = len(self.nodes)
+        self.nodes.append(("S", level[0], level[1], z))
+        self._strip_bins[level] = self._strip_bins.get(level, ()) + (i,)
+        return i
+
+
+def _snap_unit(z: float) -> float:
+    if abs(z) <= COORD_TOL:
+        return 0.0
+    if abs(z - 1.0) <= COORD_TOL:
+        return 1.0
+    return z
 
 
 def _corner_alias(rect, side, pos, length):
@@ -546,25 +624,53 @@ class EquivalenceClass:
         return len(self.nodes)
 
 
+class InfiniteClassSummary(NamedTuple):
+    """What the record reads of one infinite class, and its member ids."""
+
+    link_type: str
+    size: int
+    representative: str
+    ids: list[int]
+
+
 @dataclass(frozen=True)
 class ClassCensus:
     """Finite-class counts and the infinite classes of one classify pass.
 
-    ``nodes`` (id -> node tuple) and ``parent`` (id -> union-find root,
-    fully compressed) are the registry and the forest of the pass, and
-    ``infinite_roots`` the roots of its infinite classes; the record reads
-    none of them. ``classes`` is built from them on first read and then
-    cached: the finite classes first, in order of their smallest id, each
-    listing its nodes in tuple order, then ``infinite_classes``.
+    ``infinite_summaries`` holds, per infinite class in record order, its
+    link label, its size, its representative (the least ``_node_str`` of
+    its nodes) and its member ids: all that ``to_json_dict`` and
+    ``assemble_surface`` read. ``nodes`` (id -> node tuple) and ``parent``
+    (id -> union-find root, fully compressed) are the registry and the
+    forest of the pass, and ``infinite_roots`` the roots of its infinite
+    classes; the record reads none of them.
+
+    Two views are built from these on first read and then cached:
+    ``infinite_classes``, one ``EquivalenceClass`` per summary listing its
+    nodes in ``_node_str`` order, and ``classes``, the finite classes
+    first, in order of their smallest id, each listing its nodes in tuple
+    order, then ``infinite_classes``.
     """
 
     finite_singletons: int
     finite_pairs: int
     oversized_finite: int
-    infinite_classes: tuple[EquivalenceClass, ...]
+    infinite_summaries: tuple[InfiniteClassSummary, ...]
     nodes: list[tuple] = field(repr=False, compare=False)
     parent: list[int] = field(repr=False, compare=False)
     infinite_roots: set[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def infinite_classes(self) -> tuple[EquivalenceClass, ...]:
+        nodes = self.nodes
+        return tuple(
+            EquivalenceClass(
+                nodes=tuple(sorted((nodes[i] for i in s.ids), key=_node_str)),
+                infinite=True,
+                link_type=s.link_type,
+            )
+            for s in self.infinite_summaries
+        )
 
     @cached_property
     def classes(self) -> tuple[EquivalenceClass, ...]:
@@ -596,17 +702,54 @@ class ClassCensus:
             "oversized_finite": self.oversized_finite,
             "infinite_classes": [
                 {
-                    "link": c.link_type,
-                    "size_at_cap": c.size,
-                    "representative": _node_str(c.nodes[0]),
+                    "link": s.link_type,
+                    "size_at_cap": s.size,
+                    "representative": s.representative,
                 }
-                for c in self.infinite_classes
+                for s in self.infinite_summaries
             ],
         }
 
 
 def _node_str(node) -> str:
-    return ":".join(str(x) for x in node)
+    return ":".join(map(str, node))
+
+
+class _NodePrefixes(dict):
+    """The head of ``_node_str`` of an edge or strip node, keyed by
+    ``node[:3]`` (type, rectangle or strip key, side or level) and built on
+    first use: ``_node_str(node[:3]) + ":"``."""
+
+    def __missing__(self, head):
+        text = self[head] = _node_str(head) + ":"
+        return text
+
+
+def _least_node_str(nodes, ids, prefixes: _NodePrefixes) -> str:
+    """``min(_node_str(nodes[i]) for i in ids)``, stringifying only the
+    nodes of the least type letter whose cached prefix is the least.
+
+    The type letter is the first character of a node string, so the least
+    string has the least type (``C`` < ``E`` < ``S``); corner nodes are
+    few and are compared whole. An edge or strip node string is its
+    prefix followed by its position, and the prefix has exactly three
+    ``":"``, the last at its end; no node component holds a ``":"``. So
+    two different prefixes are not prefixes of each other: they differ at
+    some index inside both, and the node strings differ first at that
+    same index. The prefixes thus decide every comparison except between
+    nodes that tie on the least one.
+    """
+    members = [nodes[i] for i in ids]
+    least_type = min([node[0] for node in members])
+    if least_type != "S":
+        members = [node for node in members if node[0] == least_type]
+        if least_type == "C":
+            return min(map(_node_str, members))
+    heads = [prefixes[node[:3]] for node in members]
+    least = min(heads)
+    return min(
+        _node_str(node) for node, head in zip(members, heads) if head == least
+    )
 
 
 def classify_classes(
@@ -634,20 +777,25 @@ def classify_classes(
     for a growing chain, the stitched shards for a family).
 
     The pass runs over the registry's dense integer node ids and builds
-    only what the census reads. Each generator keeps four id columns (the
-    first and second endpoints of sides a and b, one entry per depth); the
-    union-find is a ``parent`` list (``parent[ra] = rb`` on each union, so
-    the roots, and with them the order of the infinite classes, depend
-    only on the order of the identifications). Finite classes are counted
-    from a flat list of class sizes, not built: member lists, pairing
-    edges and the orbit stitch exist only for the roots of infinite
-    classes, those of size at least three or holding a corner node. Infinite
-    classes list their nodes in ``_node_str`` order, which fixes their
-    representatives; ``ClassCensus.classes`` builds the finite ones on
-    first read.
+    only what the census reads. Each identified pair of segments takes one
+    registry lookup, ``_NodeRegistry.pair_ids``, which gives the same ids
+    in the same order as four ``node_id`` calls and scans a strip level
+    once for both endpoints of a segment. Each generator keeps four id
+    columns (the first and second endpoints of sides a and b, one entry
+    per depth); the union-find is a ``parent`` list (``parent[ra] = rb``
+    on each union of two different nodes, so the roots, and with them the
+    order of the infinite classes, depend only on the order of the
+    identifications). Finite classes are counted from a flat list of class
+    sizes, not built: member lists, pairing edges and the orbit stitch
+    exist only for the roots of infinite classes, those of size at least
+    three or holding a corner node. Each infinite class keeps its member
+    ids, link label, size and representative, the least ``_node_str`` of
+    its nodes, found by ``_least_node_str`` without stringifying every
+    node. ``ClassCensus.infinite_classes`` and ``ClassCensus.classes``
+    build the class objects on first read.
     """
     registry = _NodeRegistry(ext.system.decomposition, ext.strips)
-    node_id = registry.node_id
+    pair_ids = registry.pair_ids
     nodes = registry.nodes
     parent: list[int] = []
     first_depth: list[int] = []
@@ -657,13 +805,22 @@ def classify_classes(
         a0s, b0s, a1s, b1s = cols = ([], [], [], [])
         columns.append(cols)
         for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
-            a0, b0 = node_id(sa, 0), node_id(sb, 0)
-            a1, b1 = node_id(sa, 1), node_id(sb, 1)
-            while len(parent) < len(nodes):
-                parent.append(len(parent))
-                first_depth.append(depth)
-            _union(parent, a0, b0)
-            _union(parent, a1, b1)
+            a0, b0, a1, b1 = pair_ids(sa, sb)
+            known = len(parent)
+            if len(nodes) > known:
+                parent.extend(range(known, len(nodes)))
+                first_depth.extend([depth] * (len(nodes) - known))
+            # union, with the find inlined: the root of x is the root of
+            # parent[x], and the path to it is compressed
+            for x, y in ((a0, b0), (a1, b1)):
+                if x != y:
+                    rx, ry = parent[x], parent[y]
+                    if parent[rx] != rx:
+                        rx = parent[x] = _find(parent, rx)
+                    if parent[ry] != ry:
+                        ry = parent[y] = _find(parent, ry)
+                    if rx != ry:
+                        parent[rx] = ry
             a0s.append(a0)
             b0s.append(b0)
             a1s.append(a1)
@@ -671,8 +828,10 @@ def classify_classes(
 
     # one find per id; afterwards parent[i] is the root of i
     size = [0] * len(nodes)
-    for i in range(len(nodes)):
-        size[_find(parent, i)] += 1
+    for i, root in enumerate(parent):
+        if parent[root] != root:
+            root = parent[i] = _find(parent, root)
+        size[root] += 1
     # a class of three or more nodes, or with a corner node, is infinite
     infinite_roots = {root for root, n in enumerate(size) if n >= 3}
     infinite_roots.update(parent[i] for i in registry._corner_ids.values())
@@ -729,22 +888,24 @@ def classify_classes(
                 if edges is not None:
                     edges.add((na, nb) if na < nb else (nb, na))
 
-    def infinite_class(ids, edges, shards) -> EquivalenceClass:
-        class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
-        return EquivalenceClass(
-            nodes=class_nodes,
-            infinite=True,
+    prefixes = _NodePrefixes()
+
+    def summary(ids, edges, shards) -> InfiniteClassSummary:
+        return InfiniteClassSummary(
             link_type=_link_label(len(ids), edges, shards),
+            size=len(ids),
+            representative=_least_node_str(nodes, ids, prefixes),
+            ids=ids,
         )
 
     def by_node_str(root):
         return _node_str(nodes[root])
 
-    infinite_classes = [
-        infinite_class(members[root], root_edges[root], 1)
+    summaries = [
+        summary(members[root], root_edges[root], 1)
         for root in sorted(growing_roots, key=by_node_str)
     ] + [
-        infinite_class(
+        summary(
             [i for r in families[key] for i in members[r]],
             [e for r in families[key] for e in root_edges[r]],
             len(families[key]),
@@ -756,7 +917,7 @@ def classify_classes(
         finite_singletons=finite_sizes[1],
         finite_pairs=finite_sizes[2],
         oversized_finite=sum(n for k, n in finite_sizes.items() if k > 2),
-        infinite_classes=tuple(infinite_classes),
+        infinite_summaries=tuple(summaries),
         nodes=nodes,
         parent=parent,
         infinite_roots=infinite_roots,
@@ -876,7 +1037,7 @@ def assemble_surface(
     if insert_genus:
         site = _genus_site(ext)
     infinite_type = insert_genus or any(
-        c.link_type == "Line" for c in census.infinite_classes
+        s.link_type == "Line" for s in census.infinite_summaries
     )
 
     return SurfaceReport(
@@ -910,11 +1071,15 @@ def _connectedness(M: IntMatrix, ext: ExtendedPieceMap, weak_perron_k):
         }
         return True, record
     if is_primitive(M):
-        power = M
-        for _ in range(wielandt_bound(M.n)):
-            if all(row[0] > 0 for row in power.entries):
+        # reach = {i : (M^t)[i][0] > 0} for t = 1, 2, ...: row i of M^(t+1)
+        # has a positive first entry iff M[i][j] > 0 for some j in reach
+        n = M.n
+        into = [[i for i in range(n) if M.entries[i][j] > 0] for j in range(n)]
+        reach = {0}
+        for _ in range(wielandt_bound(n)):
+            reach = {i for j in reach for i in into[j]}
+            if len(reach) == n:
                 return True, None
-            power = power.matmul(M)
         raise InternalConsistencyError("primitive matrix without positive column")
     return None, None
 

@@ -187,8 +187,16 @@ class ConstructionRecord:
 
 
 def _canonical(obj) -> str:
-    """Canonical compact JSON: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical compact JSON: sorted keys, no whitespace.
+
+    ``check_circular=False`` skips the encoder's bookkeeping of the
+    containers it is inside, which the record's acyclic sections never
+    need; the text is the same. A self-referencing object still raises,
+    as ``RecursionError`` rather than ``ValueError``.
+    """
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
 
 
 def _hash_hex(config: str, version: str, sections: str) -> str:

@@ -13,6 +13,7 @@ import pytest
 import endperiodic
 from endperiodic import (
     IntMatrix,
+    InternalConsistencyError,
     InvalidInputError,
     PreconditionError,
     block_lift,
@@ -163,6 +164,21 @@ class TestIdentifications:
                     unstabilized += 1
                     assert gen.periodic_tail == full.periodic_tail
             assert unstabilized == 2
+
+    def test_default_window_checks_the_two_period_margin(
+        self, running_result, monkeypatch
+    ):
+        # The running example has N 10, m 4 and stabilizes by depth 12
+        # (X:4:1). Reporting N as 7 leaves the default window 7 + 12 with
+        # X:4:1 past N + m = 11, which must be named, not certified.
+        ext = running_result.extended
+        monkeypatch.setattr(endperiodic.gluing, "max_escape_depth", lambda s: 7)
+        with pytest.raises(InternalConsistencyError) as info:
+            enumerate_identifications(ext)
+        message = str(info.value)
+        assert "X:4:1" in message and "12" in message and "11" in message
+        # an explicit depth_cap is the caller's window and is not checked
+        assert enumerate_identifications(ext, depth_cap=19).depth_cap == 19
 
     @pytest.mark.parametrize("case", ["corpus", "lifts"])
     def test_every_state_is_transferred(self, case):
@@ -328,6 +344,37 @@ def _registry_nodes(res) -> list:
                 for endpoint in (0, 1):
                     registry.node_id(state, endpoint)
     return registry.nodes
+
+
+class TestPairIds:
+    def test_pair_ids_equal_four_node_id_calls(self, running_result):
+        # Strip states at w >= 1 that exercise each rule of the one-scan
+        # lookup: new nodes, hits on earlier ones, a second endpoint within
+        # tolerance of the node its first endpoint has just created, a hit
+        # within tolerance but not equal, a point within tolerance of two
+        # nodes (the first one wins), and endpoints snapped to 0 and 1.
+        res = running_result
+        spans = [
+            (0.3, 0.3 + 5e-8), (0.3, 0.6), (0.6 + 5e-8, 0.9),
+            (0.3 + 1.5e-7, 0.9), (0.3 + 7.5e-8, 0.7), (0.8, 0.3 + 7.5e-8),
+            (1e-9, 1 - 1e-9), (0.9, 0.3), (0.45, 0.45),
+        ]
+        pairs = [
+            (("S", ("L", 2), za, zb, w), ("S", ("R", 4), zb, za, w))
+            for w in (1, 2)
+            for za, zb in spans
+        ]
+        pairs += [(sa, sb) for gen in res.schema.generators
+                  for sa, sb in gen.pair_states]
+        fast = _NodeRegistry(res.decomposition, res.extended.strips)
+        reference = _NodeRegistry(res.decomposition, res.extended.strips)
+        for sa, sb in pairs:
+            expected = tuple(
+                reference.node_id(state, endpoint)
+                for endpoint in (0, 1) for state in (sa, sb)
+            )
+            assert fast.pair_ids(sa, sb) == expected
+        assert fast.nodes == reference.nodes
 
 
 class TestClassPartition:
@@ -623,6 +670,8 @@ class TestLazyClasses:
         for res in results:
             census = classify_classes(res.schema, res.extended)
             assert "classes" not in vars(census)
+            census.to_json_dict()
+            assert "infinite_classes" not in vars(census)
             counts, infinite, classes = _eager_classes(res.schema, res.extended)
             assert (
                 census.finite_singletons,
@@ -633,3 +682,24 @@ class TestLazyClasses:
             assert census.classes == classes
             assert "classes" in vars(census)
             assert census.classes is census.classes
+
+
+class TestInfiniteSummaries:
+    @pytest.mark.parametrize("case", ["running", "corpus", "lifts"])
+    def test_summaries_match_the_classes(self, case, running_result):
+        # the stored representative is the least node string, found
+        # without stringifying every node
+        if case == "running":
+            results = [running_result]
+        elif case == "corpus":
+            results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
+        else:
+            results = [_lift_result(k) for k in range(2, 13)]
+        for res in results:
+            census = res.census
+            summaries = census.infinite_summaries
+            assert len(summaries) == len(census.infinite_classes)
+            for s, c in zip(summaries, census.infinite_classes):
+                assert s.representative == min(map(_node_str, c.nodes))
+                assert s.representative == _node_str(c.nodes[0])
+                assert (s.link_type, s.size) == (c.link_type, c.size)

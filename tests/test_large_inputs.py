@@ -1,5 +1,6 @@
 """Inputs well beyond the n <= 4 corpus: long block lifts, a lift of the
-running example, a sparse 7x7 and seeded random n = 12 and n = 16.
+running example, a sparse 7x7, seeded random n = 12 and n = 16, and the
+companion matrices of x^n - x - 1 for n = 16 and 32.
 
 Each one certifies and verifies at the default window N + 3m, m the lcm
 of the cycle periods. On a 2-core machine (Python 3.11) certify plus
@@ -7,6 +8,13 @@ verify took at most about 0.4 s each, 1.5 s for n = 16. Under the
 product of the periods the lifts k = 16 and k = 32 needed windows of
 196,640 and 3,145,792 depths. The lifts k = 40 and k = 64 failed the
 eigensolve while it was a power iteration (residual above 1e-10).
+
+x^n - x - 1 has λ close to 1 (1.0458 at n = 16, 1.0223 at n = 32), and its
+companion matrix is Wielandt's extremal primitive matrix: the first
+column of M^t turns positive only at t = n^2 - 2n + 2. Its edge-map
+cycles have periods n and n - 1, so m = n(n - 1). The budget is 1 s for
+certify plus verify at n = 32 (about 0.2 s on the machine above; 9 s
+while connectedness multiplied dense integer matrices).
 """
 
 import os
@@ -32,6 +40,14 @@ def _lift(rows, k):
     return block_lift(IntMatrix.from_rows(rows), k), k
 
 
+def _x_n_minus_x_minus_1(n):
+    """Companion matrix of x^n - x - 1: ones on the superdiagonal, last
+    row [1, 1, 0, ..., 0]."""
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 2))
+    return IntMatrix.from_rows(rows), None
+
+
 # name -> (matrix and weak_perron_k, escape depth N, lcm m of the periods)
 CASES = {
     "lift16": (lambda: _lift([[2]], 16), 32, 16),
@@ -42,6 +58,8 @@ CASES = {
     "sparse7": (lambda: (IntMatrix.from_rows(SPARSE7), None), 15, 28),
     "n12": (lambda: (seeded_irreducible_matrix(12), None), 4, 1),
     "n16": (lambda: (seeded_irreducible_matrix(16), None), 6, 2),
+    "xn16": (lambda: _x_n_minus_x_minus_1(16), 33, 240),
+    "xn32": (lambda: _x_n_minus_x_minus_1(32), 65, 992),
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for construction record serialization, hashing, and re-verification."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,21 @@ from conftest import (
 # schema version "4": default window N + 3m with m the lcm of the periods,
 # identifications stored up to each generator's stabilization depth
 RUNNING_HASH = "04920eecaf11df1c6bd61f68c78995782618ae47d37412f46106890bdca17935"
+
+
+# Digests of whole input lists: the 200-matrix corpus and the lifts
+# k = 4, 8, 10 of [[2]], each built with weak_perron_k = k.
+DIGESTS = {
+    "corpus200": "58549934ef9fbabca95ab99b4bc60281e9594228f97d7f42f36afdd30222c99d",
+    "lifts": "36afd01734fa51d8fae117fd6cc6f9ce2e80753a2dd0c655a54a1d41ff75d08f",
+}
+
+
+def _digest_inputs(case: str) -> list:
+    if case == "corpus200":
+        return [(M, None) for M in random_irreducible_matrices(200)]
+    two = IntMatrix.from_rows([[2]])
+    return [(block_lift(two, k), k) for k in (4, 8, 10)]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +92,14 @@ class TestDeterminism:
 
     def test_running_example_hash_is_pinned(self, running_record):
         assert running_record.content_hash() == RUNNING_HASH
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_workload_digest_is_pinned(self, case):
+        # SHA-256 over the newline-joined content hashes, in input order
+        hashes = [build_record(M, weak_perron_k=k)[0].content_hash()
+                  for M, k in _digest_inputs(case)]
+        digest = hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
+        assert digest == DIGESTS[case]
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     def test_hash_independent_of_hash_seed(self, seed):

@@ -185,12 +185,17 @@ class StripDecomposition:
 
 
 def _canonical_labels(M: IntMatrix, k: int, orientation: str) -> tuple[StripLabel, ...]:
-    n = M.n
-    out = []
-    for i in range(1, n + 1):
-        mult = M[i - 1, k - 1] if orientation == VERTICAL else M[k - 1, i - 1]
-        out.extend(StripLabel(orientation, k, i, j) for j in range(1, mult + 1))
-    return tuple(out)
+    """The labels of rectangle k in ascending order: column k of M gives
+    the vertical ones, row k the horizontal ones."""
+    if orientation == VERTICAL:
+        mults = [row[k - 1] for row in M.entries]
+    else:
+        mults = M.entries[k - 1]
+    return tuple(
+        StripLabel(orientation, k, i, j)
+        for i, mult in enumerate(mults, start=1)
+        for j in range(1, mult + 1)
+    )
 
 
 def _check_permutation(perm: dict, labels: tuple[StripLabel, ...], M: IntMatrix):
@@ -382,21 +387,22 @@ def corner_selection(M: IntMatrix) -> tuple[dict, dict]:
     cycle = _embedded_cycle_through_first_vertex(M)
     klen = len(cycle)
 
+    vertical = {k: _canonical_labels(M, k, VERTICAL) for k in range(1, n + 1)}
+    horizontal = {k: _canonical_labels(M, k, HORIZONTAL) for k in range(1, n + 1)}
+
     tau_pairs: dict[int, dict] = {k: {} for k in range(1, n + 1)}
     sigma_pairs: dict[int, dict] = {k: {} for k in range(1, n + 1)}
     for t in range(klen):
         s, s_next = cycle[t], cycle[(t + 1) % klen]
-        v_min = _canonical_labels(M, s, VERTICAL)[0]
+        v_min, h_min = vertical[s][0], horizontal[s_next][0]
         tau_pairs[s][v_min] = StripLabel(VERTICAL, s, s_next, 1)
-        h_min = _canonical_labels(M, s_next, HORIZONTAL)[0]
         sigma_pairs[s_next][StripLabel(HORIZONTAL, s_next, s, 1)] = h_min
 
     tau = {
-        k: _constrained_completion(_canonical_labels(M, k, VERTICAL), tau_pairs[k])
-        for k in range(1, n + 1)
+        k: _constrained_completion(vertical[k], tau_pairs[k]) for k in range(1, n + 1)
     }
     sigma = {
-        k: _constrained_completion(_canonical_labels(M, k, HORIZONTAL), sigma_pairs[k])
+        k: _constrained_completion(horizontal[k], sigma_pairs[k])
         for k in range(1, n + 1)
     }
     return sigma, tau

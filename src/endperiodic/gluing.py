@@ -17,6 +17,7 @@ form equivalence classes whose census drives the surface report.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -447,153 +448,128 @@ def _trace(ext, gen_id, family, rect, pos, kinds, first, depth_cap):
 # node registry and class census
 
 
+_WINDOW = 2 * COORD_TOL
+
+
+class _Bin:
+    """One edge ``(rect, side)`` or strip level ``(key, w)`` of the
+    registry: ``prefix``, the node tuple without its position; ``head``,
+    the string ``_node_str(prefix) + ":"``, which the caller formats; the
+    positions of its nodes in ascending order and their ids in the same
+    order."""
+
+    __slots__ = ("prefix", "head", "positions", "ids")
+
+    def __init__(self, prefix, head):
+        self.prefix = prefix
+        self.head = head
+        self.positions: list[float] = []
+        self.ids: list[int] = []
+
+
 class _NodeRegistry:
     """Dense integer ids for quantized points on edges and strip boundaries.
 
     ``node_id`` gives each geometric point an ``int`` id the first time it
     sees it; ``nodes[i]`` is the node tuple of id ``i``, so ids run
-    0, 1, 2, ... in order of first sight. Positions within coordinate
+    0, 1, 2, ... in order of first sight, and ``heads[i]`` is the head of
+    its ``_node_str``: the node string up to its position for an edge or
+    strip node, the whole string for a corner. Positions within coordinate
     tolerance of 0 or of the edge length (of 0 or 1 on strips) snap there;
     rectangle corners and strip base corners are aliased to a single
     canonical corner node, since the same geometric point appears under
-    several coordinate descriptions. Any other position joins the first
-    bin of its edge (or strip level) within tolerance.
+    several coordinate descriptions. Any other position gets the least id
+    of its edge (or strip level) within tolerance, or a new one.
+
+    Each edge keeps its length, its two corner nodes and a ``_Bin``; each
+    strip level keeps a ``_Bin``. A lookup bisects the bin's sorted
+    positions to the window ``[z - 2 COORD_TOL, z + 2 COORD_TOL]`` and
+    tests each position p in it with ``abs(p - z) <= COORD_TOL``. The
+    window is wider than that test reaches by ``COORD_TOL`` on each side,
+    and computing ``z - p`` or a window end rounds by at most a unit in the
+    last place of coordinates of size about 1, some 1e-16: every position
+    that passes the test lies in the window, so the test alone decides.
+    Nodes of one bin are more than ``COORD_TOL`` apart, so the window holds
+    a few of them. The least id is the first node a scan in insertion order
+    would meet, since a bin's ids grow in the order its nodes were made.
     """
 
     def __init__(self, decomposition, strips):
         self.D = decomposition
         self.strips = strips
         self.nodes: list[tuple] = []
+        self.heads: list[str] = []
         self._corner_ids: dict[tuple, int] = {}
-        # bins hold ids; a bin's position is ``nodes[i][3]``. There is one
-        # strip bin per strip level, so those are tuples: the collector does
-        # not track a tuple that holds only ints.
-        self._edge_bins: dict[tuple[int, str], list[int]] = {}
-        self._strip_bins: dict[tuple, tuple[int, ...]] = {}
+        # (rect, side) -> (length, start corner, end corner, bin)
+        self._edges: dict[tuple[int, str], tuple] = {}
+        self._levels: dict[tuple, _Bin] = {}
 
-    def _new(self, node) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
-
-    def _edge_len(self, rect, side):
-        return (
-            self.D.rect_height(rect) if side in ("L", "R") else self.D.rect_width(rect)
+    def _edge(self, rect, side) -> tuple:
+        vertical = side in ("L", "R")
+        length = self.D.rect_height(rect) if vertical else self.D.rect_width(rect)
+        edge = self._edges[(rect, side)] = (
+            length,
+            ("C", rect, _CORNER_AT_START[side]),
+            ("C", rect, _CORNER_AT_END[side]),
+            _Bin(("E", rect, side), f"E:{rect}:{side}:"),
         )
+        return edge
 
     def edge_id(self, rect, side, pos) -> int:
-        length = self._edge_len(rect, side)
+        edge = self._edges.get((rect, side)) or self._edge(rect, side)
+        length, start, end, bin = edge
         if abs(pos) <= COORD_TOL:
             pos = 0.0
         if abs(pos - length) <= COORD_TOL:
             pos = length
-        corner = _corner_alias(rect, side, pos, length)
-        if corner is not None:
+        if pos == 0.0 or pos == length:
+            corner = start if pos == 0.0 else end
             i = self._corner_ids.get(corner)
             if i is None:
-                i = self._corner_ids[corner] = self._new(corner)
+                i = self._corner_ids[corner] = len(self.nodes)
+                self.nodes.append(corner)
+                self.heads.append(_node_str(corner))
             return i
-        nodes = self.nodes
-        bins = self._edge_bins.get((rect, side))
-        if bins is None:
-            bins = self._edge_bins[(rect, side)] = []
-        for i in bins:
-            if abs(nodes[i][3] - pos) <= COORD_TOL:
-                return i
-        i = self._new(("E", rect, side, pos))
-        bins.append(i)
-        return i
+        return self._bin_id(bin, pos)
 
-    def strip_id(self, key, z, w) -> int:
-        z = _snap_unit(z)
+    def node_id(self, state, endpoint: int) -> int:
+        """The id of endpoint 0 or 1 of an edge or strip state."""
+        if state[0] == "E":
+            return self.edge_id(state[1], state[2], state[3 + endpoint])
+        _, key, _, _, w = state
+        z = state[2 + endpoint]
+        if abs(z) <= COORD_TOL:
+            z = 0.0
+        elif abs(z - 1.0) <= COORD_TOL:
+            z = 1.0
         if w == 0 and (z == 0.0 or z == 1.0):
             strip = self.strips[key]
             return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
-        nodes = self.nodes
-        for i in self._strip_bins.get((key, w), ()):
-            if abs(nodes[i][3] - z) <= COORD_TOL:
-                return i
-        return self._add_strip_node((key, w), z)
+        bin = self._levels.get((key, w))
+        if bin is None:
+            bin = self._levels[(key, w)] = _Bin(("S", key, w), f"S:{key}:{w}:")
+        return self._bin_id(bin, z)
 
-    def node_id(self, state, endpoint: int) -> int:
-        if state[0] == "E":
-            return self.edge_id(state[1], state[2], state[3 + endpoint])
-        return self.strip_id(state[1], state[2 + endpoint], state[4])
-
-    def pair_ids(self, sa, sb) -> tuple[int, int, int, int]:
-        """The ids of one identified pair of segments: ``node_id(sa, 0)``,
-        ``node_id(sb, 0)``, ``node_id(sa, 1)``, ``node_id(sb, 1)``, with
-        new ids given in that order.
-
-        When both segments are strip states above the base (w >= 1), each
-        scans its ``(key, w)`` bin once for both of its endpoints, under
-        ``strip_id``'s rules: the first bin within ``COORD_TOL`` wins, and
-        an endpoint that finds none joins the node its segment's first
-        endpoint has just created if that one is within tolerance. The two
-        segments never share a strip level (their sides are L and R, or T
-        and B), so neither scan can see the other's new nodes.
-        """
-        if sa[0] == "E" or sb[0] == "E" or not (sa[4] and sb[4]):
-            node_id = self.node_id
-            return (node_id(sa, 0), node_id(sb, 0),
-                    node_id(sa, 1), node_id(sb, 1))
-        scan, add = self._strip_scan, self._add_strip_node
-        level_a, pa, qa, a0, a1 = scan(sa)
-        level_b, pb, qb, b0, b1 = scan(sb)
-        new_a0, new_b0 = a0 is None, b0 is None
-        if new_a0:
-            a0 = add(level_a, pa)
-        if new_b0:
-            b0 = add(level_b, pb)
-        if a1 is None:
-            close = new_a0 and abs(qa - pa) <= COORD_TOL
-            a1 = a0 if close else add(level_a, qa)
-        if b1 is None:
-            close = new_b0 and abs(qb - pb) <= COORD_TOL
-            b1 = b0 if close else add(level_b, qb)
-        return a0, b0, a1, b1
-
-    def _strip_scan(self, state) -> tuple:
-        """One scan of the bin of a strip state with w >= 1: its level, both
-        snapped endpoints, and for each the first id within tolerance, or
-        None."""
-        _, key, p, q, w = state
-        p, q = _snap_unit(p), _snap_unit(q)
-        level = (key, w)
-        ip = iq = None
-        nodes = self.nodes
-        for i in self._strip_bins.get(level, ()):
-            z = nodes[i][3]
-            if ip is None and -COORD_TOL <= z - p <= COORD_TOL:
-                ip = i
-                if iq is not None:
-                    break
-            if iq is None and -COORD_TOL <= z - q <= COORD_TOL:
-                iq = i
-                if ip is not None:
-                    break
-        return level, p, q, ip, iq
-
-    def _add_strip_node(self, level, z) -> int:
+    def _bin_id(self, bin: _Bin, z: float) -> int:
+        positions, ids = bin.positions, bin.ids
+        lo = t = bisect_left(positions, z - _WINDOW)
+        top = z + _WINDOW
+        end = len(positions)
+        least = None
+        while t < end and positions[t] <= top:
+            if abs(positions[t] - z) <= COORD_TOL:
+                if least is None or ids[t] < least:
+                    least = ids[t]
+            t += 1
+        if least is not None:
+            return least
         i = len(self.nodes)
-        self.nodes.append(("S", level[0], level[1], z))
-        self._strip_bins[level] = self._strip_bins.get(level, ()) + (i,)
+        t = bisect_left(positions, z, lo, t)
+        positions.insert(t, z)
+        ids.insert(t, i)
+        self.nodes.append(bin.prefix + (z,))
+        self.heads.append(bin.head)
         return i
-
-
-def _snap_unit(z: float) -> float:
-    if abs(z) <= COORD_TOL:
-        return 0.0
-    if abs(z - 1.0) <= COORD_TOL:
-        return 1.0
-    return z
-
-
-def _corner_alias(rect, side, pos, length):
-    if pos == 0.0:
-        return ("C", rect, _CORNER_AT_START[side])
-    if pos == length:
-        return ("C", rect, _CORNER_AT_END[side])
-    return None
 
 
 def _find(parent, x):
@@ -715,41 +691,22 @@ def _node_str(node) -> str:
     return ":".join(map(str, node))
 
 
-class _NodePrefixes(dict):
-    """The head of ``_node_str`` of an edge or strip node, keyed by
-    ``node[:3]`` (type, rectangle or strip key, side or level) and built on
-    first use: ``_node_str(node[:3]) + ":"``."""
-
-    def __missing__(self, head):
-        text = self[head] = _node_str(head) + ":"
-        return text
-
-
-def _least_node_str(nodes, ids, prefixes: _NodePrefixes) -> str:
+def _least_node_str(nodes, heads, ids) -> str:
     """``min(_node_str(nodes[i]) for i in ids)``, stringifying only the
-    nodes of the least type letter whose cached prefix is the least.
+    nodes whose head ``heads[i]`` is the least.
 
-    The type letter is the first character of a node string, so the least
-    string has the least type (``C`` < ``E`` < ``S``); corner nodes are
-    few and are compared whole. An edge or strip node string is its
-    prefix followed by its position, and the prefix has exactly three
-    ``":"``, the last at its end; no node component holds a ``":"``. So
-    two different prefixes are not prefixes of each other: they differ at
-    some index inside both, and the node strings differ first at that
-    same index. The prefixes thus decide every comparison except between
-    nodes that tie on the least one.
+    An edge or strip node string is its head followed by its position, and
+    the head has exactly three ``":"``, the last at its end; no node
+    component holds a ``":"``. So two different such heads are not
+    prefixes of each other: they differ at some index inside both, and the
+    node strings differ first at that same index. A corner's head is its
+    whole string, and it differs from every edge or strip string at the
+    first character, the type letter (``C`` < ``E`` < ``S``). The heads
+    thus decide every comparison except between nodes that tie on the
+    least one.
     """
-    members = [nodes[i] for i in ids]
-    least_type = min([node[0] for node in members])
-    if least_type != "S":
-        members = [node for node in members if node[0] == least_type]
-        if least_type == "C":
-            return min(map(_node_str, members))
-    heads = [prefixes[node[:3]] for node in members]
-    least = min(heads)
-    return min(
-        _node_str(node) for node, head in zip(members, heads) if head == least
-    )
+    least = min([heads[i] for i in ids])
+    return min(_node_str(nodes[i]) for i in ids if heads[i] == least)
 
 
 def classify_classes(
@@ -777,25 +734,27 @@ def classify_classes(
     for a growing chain, the stitched shards for a family).
 
     The pass runs over the registry's dense integer node ids and builds
-    only what the census reads. Each identified pair of segments takes one
-    registry lookup, ``_NodeRegistry.pair_ids``, which gives the same ids
-    in the same order as four ``node_id`` calls and scans a strip level
-    once for both endpoints of a segment. Each generator keeps four id
-    columns (the first and second endpoints of sides a and b, one entry
-    per depth); the union-find is a ``parent`` list (``parent[ra] = rb``
-    on each union of two different nodes, so the roots, and with them the
-    order of the infinite classes, depend only on the order of the
-    identifications). Finite classes are counted from a flat list of class
-    sizes, not built: member lists, pairing edges and the orbit stitch
-    exist only for the roots of infinite classes, those of size at least
-    three or holding a corner node. Each infinite class keeps its member
-    ids, link label, size and representative, the least ``_node_str`` of
-    its nodes, found by ``_least_node_str`` without stringifying every
-    node. ``ClassCensus.infinite_classes`` and ``ClassCensus.classes``
-    build the class objects on first read.
+    only what the census reads. Each identified pair of segments takes four
+    ``_NodeRegistry.node_id`` calls, the first endpoints of sides a and b,
+    then the second ones. Each call bisects the sorted bin of its edge or
+    strip level, and the id it returns is the first one within tolerance
+    that a scan of the bin in insertion order would meet (see
+    ``_NodeRegistry``). Each generator keeps four id columns (the first
+    and second endpoints of sides a and b, one entry per depth); the
+    union-find is a ``parent`` list (``parent[ra] = rb`` on each union of
+    two different nodes, so the roots, and with them the order of the
+    infinite classes, depend only on the order of the identifications).
+    Finite classes are counted from a flat list of class sizes, not built:
+    member lists, pairing edges and the orbit stitch exist only for the
+    roots of infinite classes, those of size at least three or holding a
+    corner node. Each infinite class keeps its member ids, link label,
+    size and representative, the least ``_node_str`` of its nodes, found
+    by ``_least_node_str`` from the registry's heads without stringifying
+    every node. ``ClassCensus.infinite_classes`` and
+    ``ClassCensus.classes`` build the class objects on first read.
     """
     registry = _NodeRegistry(ext.system.decomposition, ext.strips)
-    pair_ids = registry.pair_ids
+    node_id = registry.node_id
     nodes = registry.nodes
     parent: list[int] = []
     first_depth: list[int] = []
@@ -805,7 +764,8 @@ def classify_classes(
         a0s, b0s, a1s, b1s = cols = ([], [], [], [])
         columns.append(cols)
         for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
-            a0, b0, a1, b1 = pair_ids(sa, sb)
+            a0, b0 = node_id(sa, 0), node_id(sb, 0)
+            a1, b1 = node_id(sa, 1), node_id(sb, 1)
             known = len(parent)
             if len(nodes) > known:
                 parent.extend(range(known, len(nodes)))
@@ -888,13 +848,13 @@ def classify_classes(
                 if edges is not None:
                     edges.add((na, nb) if na < nb else (nb, na))
 
-    prefixes = _NodePrefixes()
+    heads = registry.heads
 
     def summary(ids, edges, shards) -> InfiniteClassSummary:
         return InfiniteClassSummary(
             link_type=_link_label(len(ids), edges, shards),
             size=len(ids),
-            representative=_least_node_str(nodes, ids, prefixes),
+            representative=_least_node_str(nodes, heads, ids),
             ids=ids,
         )
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from math import fsum, gcd, inf, lcm
+from math import fsum, gcd, inf
 from sys import float_info
 
 from .errors import ConvergenceError, InvalidInputError, PreconditionError
@@ -297,41 +296,25 @@ def determinant(M: IntMatrix) -> int:
 # exact largest real root (Sturm bisection)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a by b: each step
+    scales a by ``abs(b[-1])`` before it cancels the leading term."""
+    a = list(a)
+    scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(a) >= len(b):
+        factor = sign * a[-1]
         shift = len(a) - len(b)
+        a = [scale * c for c in a]
         for i, bc in enumerate(b):
             a[shift + i] -= factor * bc
-        _poly_trim(a)
+        while a and a[-1] == 0:
+            a.pop()
     return a
 
 
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, _poly_trim([i * c for i, c in enumerate(p)][1:])]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _integer_chain(chain: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """Each polynomial times the lcm of its denominators; signs are kept."""
-    out = []
-    for q in chain:
-        if q:
-            scale = lcm(*(c.denominator for c in q))
-            out.append(tuple(int(c * scale) for c in q))
-    return out
+def _primitive(q: list[int]) -> tuple[int, ...]:
+    g = gcd(*q) or 1  # the zero polynomial stays as it is
+    return tuple(c // g for c in q)
 
 
 def _dyadic_value(q: tuple[int, ...], num: int, exp: int) -> int:
@@ -417,7 +400,25 @@ def _bisect_top_root(
 
 
 def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
-    return _integer_chain(_sturm_chain([Fraction(c) for c in coefficients]))
+    """The Sturm chain of p, each term a positive multiple of the rational
+    chain p, p', -rem(p, p'), ...: built by pseudo-remainders, each term
+    cut to its primitive part. A positive factor keeps every sign, so the
+    bisection takes the same steps as on the rational chain, with far
+    smaller integers."""
+    p = list(coefficients)
+    derivative = [i * c for i, c in enumerate(p)][1:]
+    while derivative and derivative[-1] == 0:
+        derivative.pop()
+    chain = [_primitive(p)]
+    if not derivative:
+        return chain
+    chain.append(_primitive(derivative))
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
 def _cauchy_bound(coefficients) -> int:

@@ -60,7 +60,7 @@ def random_irreducible_matrices(count: int, seed: int = 20260826):
     return out
 
 
-#: seed of the large random inputs (n = 12 and n = 16) in test_large_inputs.py
+#: seed of the large random inputs (n = 12, 16 and 20) in test_large_inputs.py
 LARGE_INPUT_SEED = 20261018
 
 

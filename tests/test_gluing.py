@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from endperiodic import (
     enumerate_identifications,
     run_pipeline,
 )
+from endperiodic.edgemaps import _CORNER_AT_END, _CORNER_AT_START
 from endperiodic.gluing import (
     EquivalenceClass,
     _find,
@@ -29,8 +31,14 @@ from endperiodic.gluing import (
     _transfer,
     _union,
 )
+from endperiodic.spectral import COORD_TOL
 
-from conftest import RUNNING_ROWS, SPARSE7, random_irreducible_matrices
+from conftest import (
+    RUNNING_ROWS,
+    SPARSE7,
+    random_irreducible_matrices,
+    seeded_irreducible_matrix,
+)
 
 
 class TestIntegerCaseGeometry:
@@ -346,35 +354,150 @@ def _registry_nodes(res) -> list:
     return registry.nodes
 
 
-class TestPairIds:
-    def test_pair_ids_equal_four_node_id_calls(self, running_result):
-        # Strip states at w >= 1 that exercise each rule of the one-scan
-        # lookup: new nodes, hits on earlier ones, a second endpoint within
-        # tolerance of the node its first endpoint has just created, a hit
-        # within tolerance but not equal, a point within tolerance of two
-        # nodes (the first one wins), and endpoints snapped to 0 and 1.
-        res = running_result
-        spans = [
-            (0.3, 0.3 + 5e-8), (0.3, 0.6), (0.6 + 5e-8, 0.9),
-            (0.3 + 1.5e-7, 0.9), (0.3 + 7.5e-8, 0.7), (0.8, 0.3 + 7.5e-8),
-            (1e-9, 1 - 1e-9), (0.9, 0.3), (0.45, 0.45),
-        ]
-        pairs = [
-            (("S", ("L", 2), za, zb, w), ("S", ("R", 4), zb, za, w))
-            for w in (1, 2)
-            for za, zb in spans
-        ]
-        pairs += [(sa, sb) for gen in res.schema.generators
-                  for sa, sb in gen.pair_states]
-        fast = _NodeRegistry(res.decomposition, res.extended.strips)
-        reference = _NodeRegistry(res.decomposition, res.extended.strips)
-        for sa, sb in pairs:
-            expected = tuple(
-                reference.node_id(state, endpoint)
-                for endpoint in (0, 1) for state in (sa, sb)
-            )
-            assert fast.pair_ids(sa, sb) == expected
-        assert fast.nodes == reference.nodes
+class _ScanRegistry:
+    """The reference registry: every lookup scans its whole bin in
+    insertion order and takes the first node within ``COORD_TOL``."""
+
+    def __init__(self, decomposition, strips):
+        self.D = decomposition
+        self.strips = strips
+        self.nodes = []
+        self._corner_ids = {}
+        self._bins = {}
+
+    def _new(self, node, bin=None):
+        self.nodes.append(node)
+        if bin is not None:
+            bin.append(len(self.nodes) - 1)
+        return len(self.nodes) - 1
+
+    def _scan(self, prefix, pos):
+        bin = self._bins.setdefault(prefix, [])
+        for i in bin:
+            if abs(self.nodes[i][3] - pos) <= COORD_TOL:
+                return i
+        return self._new(prefix + (pos,), bin)
+
+    def edge_id(self, rect, side, pos):
+        if side in ("L", "R"):
+            length = self.D.rect_height(rect)
+        else:
+            length = self.D.rect_width(rect)
+        if abs(pos) <= COORD_TOL:
+            pos = 0.0
+        if abs(pos - length) <= COORD_TOL:
+            pos = length
+        if pos == 0.0 or pos == length:
+            at = _CORNER_AT_START if pos == 0.0 else _CORNER_AT_END
+            corner = ("C", rect, at[side])
+            if corner not in self._corner_ids:
+                self._corner_ids[corner] = self._new(corner)
+            return self._corner_ids[corner]
+        return self._scan(("E", rect, side), pos)
+
+    def node_id(self, state, endpoint):
+        if state[0] == "E":
+            return self.edge_id(state[1], state[2], state[3 + endpoint])
+        _, key, _, _, w = state
+        z = state[2 + endpoint]
+        if abs(z) <= COORD_TOL:
+            z = 0.0
+        elif abs(z - 1.0) <= COORD_TOL:
+            z = 1.0
+        if w == 0 and z in (0.0, 1.0):
+            strip = self.strips[key]
+            return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
+        return self._scan(("S", key, w), z)
+
+
+def _tolerance_points(a):
+    """``a``, a point exactly ``COORD_TOL`` above it (the float difference
+    equals ``COORD_TOL``, so the two are within tolerance), and the next
+    float above that one (not within tolerance of ``a``)."""
+    b = a + COORD_TOL
+    assert b - a == COORD_TOL
+    return a, b, math.nextafter(b, math.inf)
+
+
+def _synthetic_states(res):
+    """Strip and edge states that exercise each rule of the lookup: new
+    nodes, hits on earlier ones, hits within tolerance but not equal, a
+    point within tolerance of two nodes of which the later one is closer
+    (the earlier one wins), points exactly ``COORD_TOL`` apart, snaps to
+    0, 1 and the edge length, and corners."""
+    a, b, c = _tolerance_points(5e-7)
+    spans = [
+        (0.3, 0.3 + 5e-8), (0.3, 0.6), (0.6 + 5e-8, 0.9),
+        (0.3 + 1.5e-7, 0.9), (0.3 + 7.5e-8, 0.7), (0.8, 0.3 + 7.5e-8),
+        (0.9, 0.3), (0.45, 0.45),
+        # 0.5 + 0.7e-7 is within tolerance of 0.5 and, closer, of the
+        # later node 0.5 + 1.2e-7
+        (0.5, 0.5 + 1.2e-7), (0.5 + 0.7e-7, 0.5 + 0.5e-7),
+        (a, b), (c, b),
+        (1e-9, 1 - 1e-9), (-5e-8, 1 + 5e-8), (0.0, 1.0),
+    ]
+    states = [
+        ("S", key, za, zb, w)
+        for w in (0, 1, 2)
+        for key in (("L", 2), ("R", 4))
+        for za, zb in spans
+    ]
+    D = res.decomposition
+    for rect in range(1, D.n + 1):
+        for side in ("L", "R", "T", "B"):
+            length = D.rect_height(rect) if side in ("L", "R") else D.rect_width(rect)
+            third = length / 3
+            states += [
+                ("E", rect, side, x, y)
+                for x, y in [
+                    (0.0, length), (5e-8, length - 5e-8),
+                    (-COORD_TOL, length + 5e-8),
+                    (third, third + 1.2e-7), (third + 0.7e-7, third + 0.5e-7),
+                    (a, b), (c, third),
+                ]
+            ]
+    return states
+
+
+def _assert_same_ids(res, calls):
+    """The bisected registry and the scan give the same id on every
+    ``(state, endpoint)`` call, and end with the same nodes."""
+    fast = _NodeRegistry(res.decomposition, res.extended.strips)
+    reference = _ScanRegistry(res.decomposition, res.extended.strips)
+    for state, endpoint in calls:
+        expected = reference.node_id(state, endpoint)
+        assert fast.node_id(state, endpoint) == expected, (state, endpoint)
+    assert fast.nodes == reference.nodes
+    assert fast.heads == [
+        _node_str(node) if node[0] == "C" else _node_str(node[:3]) + ":"
+        for node in fast.nodes
+    ]
+    return fast.nodes
+
+
+class TestBisectedRegistry:
+    def test_synthetic_points(self, running_result):
+        states = _synthetic_states(running_result)
+        _assert_same_ids(running_result, [(s, e) for s in states for e in (0, 1)])
+
+    @pytest.mark.parametrize("case", ["running", "corpus", "n16"])
+    def test_every_pair_in_classify_order(self, case, running_result):
+        if case == "running":
+            results = [running_result]
+        elif case == "corpus":
+            results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
+        else:
+            results = [run_pipeline(seeded_irreducible_matrix(16))]
+        for res in results:
+            # classify_classes asks for a0, b0, a1, b1
+            calls = [
+                (state, endpoint)
+                for gen in res.schema.generators
+                for sa, sb in gen.pair_states
+                for endpoint in (0, 1)
+                for state in (sa, sb)
+            ]
+            assert _assert_same_ids(res, calls) == res.census.nodes
 
 
 class TestClassPartition:

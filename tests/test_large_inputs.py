@@ -1,13 +1,16 @@
 """Inputs well beyond the n <= 4 corpus: long block lifts, a lift of the
-running example, a sparse 7x7, seeded random n = 12 and n = 16, and the
+running example, a sparse 7x7, seeded random n = 12, 16 and 20, and the
 companion matrices of x^n - x - 1 for n = 16 and 32.
 
 Each one certifies and verifies at the default window N + 3m, m the lcm
 of the cycle periods. On a 2-core machine (Python 3.11) certify plus
-verify took at most about 0.4 s each, 1.5 s for n = 16. Under the
-product of the periods the lifts k = 16 and k = 32 needed windows of
-196,640 and 3,145,792 depths. The lifts k = 40 and k = 64 failed the
-eigensolve while it was a power iteration (residual above 1e-10).
+verify took at most about 0.4 s each, about 0.3 s for n = 16 and for
+n = 20. Seeded n = 20 has the largest registry bins of the tier-1
+inputs: while the registry scanned each bin from its start, n = 20 took
+1.5 s and n = 16 1.2 s. Under the product of the periods the lifts
+k = 16 and k = 32 needed windows of 196,640 and 3,145,792 depths. The
+lifts k = 40 and k = 64 failed the eigensolve while it was a power
+iteration (residual above 1e-10).
 
 x^n - x - 1 has λ close to 1 (1.0458 at n = 16, 1.0223 at n = 32), and its
 companion matrix is Wielandt's extremal primitive matrix: the first
@@ -58,6 +61,7 @@ CASES = {
     "sparse7": (lambda: (IntMatrix.from_rows(SPARSE7), None), 15, 28),
     "n12": (lambda: (seeded_irreducible_matrix(12), None), 4, 1),
     "n16": (lambda: (seeded_irreducible_matrix(16), None), 6, 2),
+    "n20": (lambda: (seeded_irreducible_matrix(20), None), 4, 1),
     "xn16": (lambda: _x_n_minus_x_minus_1(16), 33, 240),
     "xn32": (lambda: _x_n_minus_x_minus_1(32), 65, 992),
 }

@@ -205,13 +205,9 @@ class TestCharPoly:
             assert determinant(M) == _fraction_determinant(M)
 
 
-def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
-    """Reference Sturm bisection over Fractions, probe for probe.
-
-    Same Cauchy start bracket, midpoint probes nudged off exact roots by
-    half the distance to ``hi``, and the same stopping rule, so an exact
-    implementation must return the same float.
-    """
+def _fraction_sturm_chain(coeffs) -> list[list[Fraction]]:
+    """The Sturm chain p, p', -rem(p, p'), ... over the rationals; an empty
+    derivative (p constant) is left out."""
 
     def rem(a, b):
         a = a[:]
@@ -224,6 +220,27 @@ def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
                 a.pop()
         return a
 
+    p = [Fraction(c) for c in coeffs]
+    derivative = [i * c for i, c in enumerate(p)][1:]
+    while derivative and derivative[-1] == 0:
+        derivative.pop()
+    chain = [p] + ([derivative] if derivative else [])
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
+    """Reference Sturm bisection over Fractions, probe for probe.
+
+    Same Cauchy start bracket, midpoint probes nudged off exact roots by
+    half the distance to ``hi``, and the same stopping rule, so an exact
+    implementation must return the same float.
+    """
+
     def value(q, x):
         acc = Fraction(0)
         for c in reversed(q):
@@ -234,16 +251,8 @@ def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
         signs = [v > 0 for v in (value(q, x) for q in chain) if v != 0]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    p = [Fraction(c) for c in coeffs]
-    derivative = [i * c for i, c in enumerate(p)][1:]
-    while derivative and derivative[-1] == 0:
-        derivative.pop()
-    chain = [p, derivative]
-    while len(chain[-1]) > 1:
-        r = rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
+    chain = _fraction_sturm_chain(coeffs)
+    p = chain[0]
     hi = Fraction(1 + max(abs(c) for c in coeffs))
     lo = -hi
     if changes(lo) == changes(hi):
@@ -261,12 +270,85 @@ def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
     return float((lo + hi) / 2)
 
 
-def _poly_square(coeffs):
-    out = [0] * (2 * len(coeffs) - 1)
-    for i, a in enumerate(coeffs):
-        for j, b in enumerate(coeffs):
-            out[i + j] += a * b
+def _poly_product(*factors):
+    out = [1]
+    for q in factors:
+        prod = [0] * (len(out) + len(q) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(q):
+                prod[i + j] += a * b
+        out = prod
     return out
+
+
+def _repeated_root_polynomials(count, seed=17):
+    """Random a * b^2 * c^3 with small integer coefficients; leading
+    coefficients of either sign."""
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        q = rng.integers(-3, 4, size=int(rng.integers(2, 4))).tolist()
+        q[-1] = int(rng.choice([-2, -1, 1, 3]))
+        return q
+
+    out = []
+    for _ in range(count):
+        a, b, c = factor(), factor(), factor()
+        out.append(_poly_product(a, b, b, c, c, c))
+    return out
+
+
+def _sparse_polynomials(count, seed=5):
+    """Random polynomials of degree 2..7, about half their coefficients
+    zero, leading coefficients of either sign: their chains drop by more
+    than one degree, where a pseudo-remainder by a term with a negative
+    leading coefficient would flip the sign if it scaled by that
+    coefficient rather than by its absolute value."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q = rng.integers(-3, 4, size=int(rng.integers(3, 9))).tolist()
+        q = [c if rng.random() < 0.5 else 0 for c in q]
+        q[-1] = int(rng.choice([-2, -1, 1, 2]))
+        out.append(q)
+    return out
+
+
+class TestIntegerSturmChain:
+    """Each term of the integer chain is a positive multiple of the term of
+    the rational chain, so every sign the bisection reads is the same."""
+
+    @staticmethod
+    def _assert_positive_multiples(coeffs):
+        chain = spectral._integer_sturm_chain(coeffs)
+        reference = _fraction_sturm_chain(coeffs)
+        assert len(chain) == len(reference), coeffs
+        for term, q in zip(chain, reference):
+            assert len(term) == len(q)
+            ratio = Fraction(term[-1]) / q[-1]
+            assert ratio > 0
+            assert all(Fraction(a) == ratio * b for a, b in zip(term, q)), coeffs
+
+    @pytest.mark.parametrize(
+        "case", ["corpus", "lifts", "x^n-x-1", "repeated", "sparse"]
+    )
+    def test_terms_are_positive_multiples(self, case):
+        if case == "corpus":
+            inputs = [
+                char_poly(M).coefficients for M in random_irreducible_matrices(200)
+            ]
+        elif case == "lifts":
+            inputs = [char_poly(_lift_of_two(k)).coefficients for k in range(2, 65)]
+        elif case == "x^n-x-1":
+            inputs = [[-1, -1] + [0] * (n - 2) + [1] for n in range(2, 33)]
+        elif case == "sparse":
+            inputs = _sparse_polynomials(300) + [[3], [-2], [5, 2], [1, -4]]
+        else:
+            inputs = _repeated_root_polynomials(60)
+            # every one has a repeated root: the chain ends above degree 0
+            assert all(len(spectral._integer_sturm_chain(p)[-1]) > 1 for p in inputs)
+        for coeffs in inputs:
+            self._assert_positive_multiples(coeffs)
 
 
 class TestLargestRealRootIsBitExact:
@@ -277,7 +359,7 @@ class TestLargestRealRootIsBitExact:
             coeffs = list(char_poly(M).coefficients)
             assert largest_real_root(coeffs) == _fraction_sturm_root(coeffs)
             # the doubled incidence matrix has the squared polynomial
-            squared = _poly_square(coeffs)
+            squared = _poly_product(coeffs, coeffs)
             assert largest_real_root(squared) == _fraction_sturm_root(squared)
 
     @pytest.mark.parametrize("k", range(2, 13))

@@ -77,14 +77,14 @@ def _out_dir(args) -> Path:
 
 
 def _load_matrix(args) -> tuple[IntMatrix, str]:
-    if getattr(args, "integer", None) is not None:
+    if args.integer is not None:
         if args.integer < 2:
             raise InvalidInputError("--integer requires d >= 2")
-        return IntMatrix.from_rows([[args.integer]]), f"integer-{args.integer}"
-    text = Path(args.matrix).read_text(encoding="utf-8")
-    M = parse_matrix_text(text)
-    stem = Path(args.matrix).stem
-    if getattr(args, "lift", None) is not None:
+        M, stem = IntMatrix.from_rows([[args.integer]]), f"integer-{args.integer}"
+    else:
+        M = parse_matrix_text(Path(args.matrix).read_text(encoding="utf-8"))
+        stem = Path(args.matrix).stem
+    if args.lift is not None:
         M = block_lift(M, args.lift)
         stem = f"{stem}-lift{args.lift}"
     return M, stem

@@ -125,9 +125,6 @@ class StripDecomposition:
     def rect_height(self, k: int) -> float:
         return self.eigen.eta[k - 1]
 
-    def sigma_inv(self, k: int) -> dict[StripLabel, StripLabel]:
-        return {v: u for u, v in self.sigma[k].items()}
-
     def tau_inv(self, k: int) -> dict[StripLabel, StripLabel]:
         return {v: u for u, v in self.tau[k].items()}
 
@@ -136,12 +133,6 @@ class StripDecomposition:
             raise InvalidInputError("strip_width expects a vertical label")
         image = self.tau[label.rect][label]
         return SymbolicLength.unit(self.n, image.source, "W")
-
-    def strip_height(self, label: StripLabel) -> SymbolicLength:
-        if label.orientation != HORIZONTAL:
-            raise InvalidInputError("strip_height expects a horizontal label")
-        preimage = self.sigma_inv(label.rect)[label]
-        return SymbolicLength.unit(self.n, preimage.source, "H")
 
     def strip_span(self, label: StripLabel) -> tuple[SymbolicLength, SymbolicLength]:
         """Symbolic (start, end) offsets of the strip inside its rectangle."""

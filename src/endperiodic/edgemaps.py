@@ -88,9 +88,27 @@ class EdgeMap:
         return "\n".join(f"{k} {v}" for k, v in sorted(self.digraph.items())) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicPoint:
-    """Periodic point of one edge map with its orbit bookkeeping."""
+    """Periodic point of one edge map with its orbit bookkeeping.
+
+    ``orbit_position`` counts the steps from the orbit's point on its least
+    rectangle, and that point is the orbit's initial point (``is_initial``).
+    This is the least (rectangle, offset) of the orbit, with each corner
+    orbit's initial point on its partner orbit's initial point:
+
+    1. There is one point per edge per map, so the least (rect, offset) of
+       an orbit is the point on its least rect.
+    2. ``_functional_analysis`` lists each cycle from its least vertex, so
+       that point has position 0.
+    3. The partners of a corner orbit sit on the same rects and lie in one
+       orbit of the same period (``choose_initial_points`` checks this), so
+       both orbits have the same least rect: the partner of an initial
+       point is initial.
+
+    A corner point's ``partner_key`` names the point of the other map kind
+    at the same corner of the same rectangle (``_PARTNER_KIND``).
+    """
 
     map_kind: str
     location: EdgeCoordinate
@@ -100,12 +118,15 @@ class PeriodicPoint:
     is_corner: bool
     corner_type: str | None = None
     partner_key: tuple[str, int] | None = None
-    is_initial: bool = False
 
     @property
     def key(self) -> tuple[str, int]:
         """(map kind, rectangle) identifies a point: one per edge per map."""
         return (self.map_kind, self.location.rect)
+
+    @property
+    def is_initial(self) -> bool:
+        return self.orbit_position == 0
 
 
 @dataclass(frozen=True)
@@ -241,6 +262,9 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
     fixed point is b / (1 - lam^-p). Corner status is decided exactly: the
     point sits at the starting (resp. far) corner of its edge if and only if
     every branch around the cycle targets the first (resp. last) strip.
+    Each orbit is listed from its point on its least rectangle, position 0,
+    its initial point; a corner point names its partner on the same
+    rectangle.
     """
     lam = next(iter(E.branches.values())).lam
     points = []
@@ -273,6 +297,10 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
                     orbit_position=pos,
                     is_corner=corner is not None,
                     corner_type=corner,
+                    partner_key=(
+                        None if corner is None
+                        else (_PARTNER_KIND[corner][E.kind], v)
+                    ),
                 )
             )
     return points
@@ -284,82 +312,59 @@ def all_periodic_points(system: EdgeMapSystem) -> dict[str, list[PeriodicPoint]]
 
 
 def link_corner_partners(points: dict[str, list[PeriodicPoint]]) -> None:
-    """Pair every corner periodic point with its counterpart.
+    """Check that every corner periodic point has its counterpart.
 
     A corner of the left or right edge map is the same geometric point as a
     corner of the inverse top or bottom edge map on the same rectangle; the
-    two must exist together and share their period.
+    two must exist together, name each other and share their period.
     """
     index = {pt.key: pt for pts in points.values() for pt in pts}
     for pts in points.values():
         for pt in pts:
             if not pt.is_corner:
                 continue
-            other_kind = _PARTNER_KIND[pt.corner_type][pt.map_kind]
-            partner = index.get((other_kind, pt.location.rect))
+            partner = index.get(pt.partner_key)
             if (
                 partner is None
                 or not partner.is_corner
                 or partner.corner_type != pt.corner_type
                 or partner.period != pt.period
+                or partner.partner_key != pt.key
             ):
                 raise InternalConsistencyError(
                     f"corner point {pt.key} ({pt.corner_type}) lacks a "
                     f"matching partner of period {pt.period}"
                 )
-            pt.partner_key = partner.key
 
 
 def choose_initial_points(points: dict[str, list[PeriodicPoint]]) -> None:
-    """Mark exactly one initial point per orbit.
+    """Check that each corner orbit's partners fill one orbit, and that the
+    partner of an initial point is initial.
 
-    Default choice is the least (rectangle, offset) in each orbit; when an
-    orbit's initial point is a corner, the partner orbit's initial point is
-    forced to the partner point. A forced assignment that contradicts an
-    earlier forced assignment cannot occur geometrically and raises an
-    internal error.
+    The initial point of an orbit is its point at position 0 (see
+    ``PeriodicPoint``). Run after ``link_corner_partners``: with mutual
+    partners of equal corner type, ``_PARTNER_KIND`` is an involution, so a
+    pairing of orbits cannot be one-sided.
     """
     index = {pt.key: pt for pts in points.values() for pt in pts}
-    orbits: dict[tuple[str, str], list[PeriodicPoint]] = {}
-    for kind in KINDS:
-        for pt in points[kind]:
-            orbits.setdefault((kind, pt.orbit_id), []).append(pt)
-
-    paired: dict[tuple[str, str], tuple[str, str]] = {}
-    for okey, pts in orbits.items():
-        if not pts[0].is_corner:
-            continue
-        partner_orbits = set()
+    for pts in points.values():
+        partner_orbits: dict[str, set[tuple[str, str]]] = {}
         for pt in pts:
-            partner = index[pt.partner_key]
-            partner_orbits.add((partner.map_kind, partner.orbit_id))
-        if len(partner_orbits) != 1:
-            raise InternalConsistencyError(
-                f"corner orbit {okey} pairs with several orbits {partner_orbits}"
-            )
-        paired[okey] = partner_orbits.pop()
-    for okey, pokey in paired.items():
-        if paired.get(pokey) != okey:
-            raise InternalConsistencyError(
-                f"corner pairing between orbits {okey} and {pokey} is one-sided"
-            )
-
-    handled: set[tuple[str, str]] = set()
-    for okey in sorted(orbits, key=lambda kv: (KINDS.index(kv[0]), kv[1])):
-        if okey in handled:
-            continue
-        chosen = min(
-            orbits[okey], key=lambda pt: (pt.location.rect, pt.location.offset)
-        )
-        chosen.is_initial = True
-        handled.add(okey)
-        if okey in paired:
-            partner = index[chosen.partner_key]
-            partner.is_initial = True
-            handled.add(paired[okey])
-    for pts in orbits.values():
-        if sum(pt.is_initial for pt in pts) != 1:
-            raise InternalConsistencyError("orbit without a unique initial point")
+            if pt.is_corner:
+                partner = index[pt.partner_key]
+                partner_orbits.setdefault(pt.orbit_id, set()).add(
+                    (partner.map_kind, partner.orbit_id)
+                )
+                if pt.is_initial and not partner.is_initial:
+                    raise InternalConsistencyError(
+                        f"initial point {pt.key} has the non-initial partner "
+                        f"{partner.key}"
+                    )
+        for orbit_id, orbits in partner_orbits.items():
+            if len(orbits) != 1:
+                raise InternalConsistencyError(
+                    f"corner orbit {orbit_id} pairs with several orbits {orbits}"
+                )
 
 
 def max_escape_depth(system: EdgeMapSystem) -> int:

@@ -61,7 +61,6 @@ class InfiniteStrip:
     rect: int
     lo: float
     hi: float
-    shift_on_initial: bool
 
     @property
     def length(self) -> float:
@@ -85,54 +84,50 @@ def attach_strips(
 
     For the point x_j (j steps after the initial point of its orbit, which
     lives on the edge of Q_i0), the base of the strip is glued onto
-    f^(2p+j) of the full edge of Q_i0.
+    f^(2p+j) of the full edge of Q_i0. ``points`` lists each orbit from its
+    initial point, so one walk per orbit serves all of its points: 2p steps
+    from i0, then one step per point. Each step is the step of
+    ``composed_branch``, so the offsets are those of ``composed_branch(E,
+    i0, 2p + j)`` to the bit.
     """
     D = system.decomposition
+    lam = D.eigen.lam
     strips = {}
     for kind in KINDS:
         E = system.maps[kind]
-        for pts_in_orbit in _orbits(points[kind]).values():
-            initial = next(pt for pt in pts_in_orbit if pt.is_initial)
-            p = initial.period
-            i0 = initial.location.rect
-            edge_len = E.edge_length(i0, D)
-            for pt in pts_in_orbit:
-                j = (pt.orbit_position - initial.orbit_position) % p
-                rect, b = composed_branch(E, i0, 2 * p + j)
-                if rect != pt.location.rect:
-                    raise InternalConsistencyError(
-                        "attachment landed on the wrong rectangle edge"
-                    )
-                lam = D.eigen.lam
-                lo = b
-                hi = b + edge_len * lam ** -(2 * p + j)
-                host_len = E.edge_length(rect, D)
-                if lo < -_TRANSFER_TOL or hi > host_len + _TRANSFER_TOL:
-                    raise InternalConsistencyError("attachment leaves its host edge")
-                if not (lo - _TRANSFER_TOL <= pt.location.offset <= hi + _TRANSFER_TOL):
-                    raise InternalConsistencyError(
-                        "attachment misses its periodic point"
-                    )
-                strips[pt.key] = InfiniteStrip(
-                    key=pt.key,
-                    kind=kind,
-                    orbit_id=pt.orbit_id,
-                    period=p,
-                    j=j,
-                    rect=rect,
-                    lo=lo,
-                    hi=hi,
-                    shift_on_initial=pt.is_initial,
+        for pt in points[kind]:
+            p, j = pt.period, pt.orbit_position
+            if pt.is_initial:
+                edge_len = E.edge_length(pt.location.rect, D)
+                rect, b = composed_branch(E, pt.location.rect, 2 * p)
+            else:
+                br = E.branches[rect]
+                rect, b = br.target_rect, br.apply(b)
+            if rect != pt.location.rect:
+                raise InternalConsistencyError(
+                    "attachment landed on the wrong rectangle edge"
                 )
+            lo = b
+            hi = b + edge_len * lam ** -(2 * p + j)
+            host_len = E.edge_length(rect, D)
+            if lo < -_TRANSFER_TOL or hi > host_len + _TRANSFER_TOL:
+                raise InternalConsistencyError("attachment leaves its host edge")
+            if not (lo - _TRANSFER_TOL <= pt.location.offset <= hi + _TRANSFER_TOL):
+                raise InternalConsistencyError(
+                    "attachment misses its periodic point"
+                )
+            strips[pt.key] = InfiniteStrip(
+                key=pt.key,
+                kind=kind,
+                orbit_id=pt.orbit_id,
+                period=p,
+                j=j,
+                rect=rect,
+                lo=lo,
+                hi=hi,
+            )
     _check_attachments_disjoint(strips)
     return strips
-
-
-def _orbits(points: list[PeriodicPoint]) -> dict[str, list[PeriodicPoint]]:
-    out: dict[str, list[PeriodicPoint]] = {}
-    for pt in points:
-        out.setdefault(pt.orbit_id, []).append(pt)
-    return out
 
 
 def _check_attachments_disjoint(strips) -> None:
@@ -155,10 +150,10 @@ class ExtendedPieceMap:
     ``key[0]`` on the boundary of strip ``key``: it sends a strip state
     ``("S", key, za, zb, w)`` to ``("S", next_key, za, zb, w + rise)``.
     ``next_key`` is ``(kind, digraph[rect])`` from the edge digraph of that
-    kind, and ``rise`` is 1 where the orbit passes its initial point, at
-    ``next_key`` for L and R and at ``key`` for T and B, else 0. So after p
-    steps, p the orbit period, a strip state is back on its strip one unit
-    higher.
+    kind, and ``rise`` is 1 where the orbit passes its initial point (the
+    strip with ``j == 0``, on the orbit's least rectangle), at ``next_key``
+    for L and R and at ``key`` for T and B, else 0. So after p steps, p the
+    orbit period, a strip state is back on its strip one unit higher.
     """
 
     system: EdgeMapSystem
@@ -178,7 +173,7 @@ def build_extended_map(
         kind, rect = key
         next_key = (kind, system.maps[kind].digraph[rect])
         rise_at = next_key if kind in ("L", "R") else key
-        step[key] = (next_key, int(strips[rise_at].shift_on_initial))
+        step[key] = (next_key, int(strips[rise_at].j == 0))
     return ExtendedPieceMap(system=system, strips=strips, points=points, step=step)
 
 

@@ -67,13 +67,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.n
-        a, b = self.entries, other.entries
-        return IntMatrix.from_rows(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        )
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -87,13 +80,6 @@ class Digraph:
 
     def predecessors(self, i: int) -> list[int]:
         return [j for j in range(self.vertex_count) if self.multiplicity[i][j] > 0]
-
-    def arcs(self):
-        """Yields (source, target, multiplicity) triples."""
-        for i in range(self.vertex_count):
-            for j in range(self.vertex_count):
-                if self.multiplicity[i][j] > 0:
-                    yield j, i, self.multiplicity[i][j]
 
 
 @dataclass(frozen=True)
@@ -115,12 +101,6 @@ class IntPolynomial:
         """The integer Sturm chain, built on first read and then kept, so
         every bisection on one polynomial object shares it."""
         return _integer_sturm_chain(self.coefficients)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def pretty(self) -> str:
         terms = []
@@ -175,10 +155,23 @@ class PerronData:
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
-    """Whitespace-separated rows, one per line; JSON array-of-arrays also accepted."""
+    """Whitespace-separated rows, one per line; JSON array-of-arrays also
+    accepted, whose entries must be JSON integers (not floats, booleans,
+    strings or null)."""
     stripped = text.strip()
     if stripped.startswith("["):
         data = json.loads(stripped)
+        for i, row in enumerate(data):
+            if not isinstance(row, list):
+                raise InvalidInputError(
+                    f"JSON matrix row [{i}] is {json.dumps(row)}, not a list"
+                )
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InvalidInputError(
+                        f"JSON matrix entry [{i}][{j}] is {json.dumps(v)}, "
+                        "not an integer"
+                    )
         return IntMatrix.from_rows(data)
     rows = []
     for line in stripped.splitlines():

@@ -71,6 +71,22 @@ class TestConstruct:
         assert [p.name for p in rend.iterdir()] == [name]
         assert (rend / name).read_bytes() == (construct / name).read_bytes()
 
+    def test_integer_lift_builds_the_lift(self, tmp_path):
+        code = main(["construct", "--integer", "2", "--lift", "3", "--verify",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "integer-2-lift3.record.json").read_text())
+        assert data["config"]["matrix"] == [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
+        assert data["config"]["weak_perron_k"] == 3
+
+    def test_without_corner_selection(self, matrix_file, tmp_path, capsys):
+        code = main(["construct", "--matrix", str(matrix_file),
+                     "--no-corner-selection", "--verify", "--out", str(tmp_path)])
+        assert code == 0
+        assert "FAIL" not in capsys.readouterr().out
+        data = json.loads((tmp_path / "running.record.json").read_text())
+        assert data["config"]["corner_selection"] is False
+
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENDPERIODIC_OUT", str(tmp_path))
         assert main(["construct", "--integer", "2"]) == 0
@@ -163,6 +179,10 @@ class TestSpectral:
         out = capsys.readouterr().out
         assert "x^4" in out and "1.785" in out
 
+    def test_integer_lift(self, capsys):
+        assert main(["spectral", "--integer", "2", "--lift", "3"]) == 0
+        assert "char_poly: x^3-2\n" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -181,6 +201,21 @@ class TestUsageErrors:
                      "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not list(tmp_path.glob("*.record.json"))
+
+    @pytest.mark.parametrize("command", ["spectral", "construct"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[[2.7]]", "[[true, 1], [1, 1]]", '[["3"]]', "[1, 2]", "[[null]]",
+         "[[1e400]]"],
+    )
+    def test_json_entry_not_an_integer(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main([command, "--matrix", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: JSON matrix ") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.record.json"))
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])

@@ -1,5 +1,6 @@
 """Edge maps, their functional digraphs, and closed-form periodic points."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from endperiodic import (
     EdgeCoordinate,
     IntMatrix,
+    InternalConsistencyError,
     PreconditionError,
     all_periodic_points,
+    block_lift,
     build_decomposition,
     build_edge_maps,
     choose_initial_points,
@@ -19,9 +22,9 @@ from endperiodic import (
     perron_eigendata,
     piece_map,
 )
-from endperiodic.edgemaps import KINDS, composed_branch
+from endperiodic.edgemaps import _PARTNER_KIND, KINDS, composed_branch
 
-from conftest import random_irreducible_matrices
+from conftest import RUNNING_ROWS, random_irreducible_matrices
 
 
 def _system(M, corners=False):
@@ -162,6 +165,92 @@ class TestCorners:
                     orbits.setdefault(pt.orbit_id, []).append(pt)
                 for pts in orbits.values():
                     assert sum(pt.is_initial for pt in pts) == 1
+
+
+def _x_n_minus_x_minus_1(n):
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 2))
+    return IntMatrix.from_rows(rows)
+
+
+INITIAL_FAMILIES = {
+    "corpus": lambda: random_irreducible_matrices(200),
+    "lifts": lambda: [block_lift(IntMatrix.from_rows([[2]]), k)
+                      for k in range(2, 65)],
+    "x^n-x-1": lambda: [_x_n_minus_x_minus_1(n) for n in range(2, 33)],
+}
+
+
+def _reference_initial_keys(points):
+    """The keys of the initial points by the rule that the ``is_initial``
+    property replaced: orbits in (kind, orbit id) order, each takes its
+    least (rect, offset), and a corner orbit's choice also fixes its
+    partner orbit's, on the partner of the chosen point."""
+    orbits = {}
+    for kind in KINDS:
+        for pt in points[kind]:
+            orbits.setdefault((kind, pt.orbit_id), []).append(pt)
+    index = {pt.key: pt for pts in points.values() for pt in pts}
+    initial, handled = set(), set()
+    for okey in sorted(orbits, key=lambda kv: (KINDS.index(kv[0]), kv[1])):
+        if okey in handled:
+            continue
+        chosen = min(
+            orbits[okey], key=lambda pt: (pt.location.rect, pt.location.offset)
+        )
+        initial.add(chosen.key)
+        handled.add(okey)
+        if chosen.is_corner:
+            kind = _PARTNER_KIND[chosen.corner_type][chosen.map_kind]
+            partner = index[(kind, chosen.location.rect)]
+            initial.add(partner.key)
+            handled.add((partner.map_kind, partner.orbit_id))
+    return initial
+
+
+class TestInitialPoints:
+    @pytest.mark.parametrize("corners", [True, False], ids=["corners", "plain"])
+    @pytest.mark.parametrize("family", sorted(INITIAL_FAMILIES))
+    def test_initial_flag_equals_the_reference_rule(self, family, corners):
+        for M in INITIAL_FAMILIES[family]():
+            points = all_periodic_points(_system(M, corners=corners))
+            link_corner_partners(points)
+            choose_initial_points(points)
+            flagged = {pt.key for pts in points.values() for pt in pts
+                       if pt.is_initial}
+            assert flagged == _reference_initial_keys(points), M.entries
+
+    def test_partner_key_on_a_non_corner_point_is_refused(self):
+        for M in random_irreducible_matrices(200):
+            points = all_periodic_points(_system(M, corners=True))
+            flat = [pt for pts in points.values() for pt in pts]
+            corner = next((pt for pt in flat if pt.is_corner), None)
+            plain = next((pt for pt in flat if not pt.is_corner), None)
+            if corner and plain:
+                break
+        mutated = {
+            kind: [dataclasses.replace(pt, partner_key=plain.key)
+                   if pt is corner else pt for pt in pts]
+            for kind, pts in points.items()
+        }
+        with pytest.raises(InternalConsistencyError, match="matching partner"):
+            link_corner_partners(mutated)
+
+    def test_renumbered_partner_orbit_is_refused(self):
+        M = IntMatrix.from_rows(RUNNING_ROWS)
+        points = all_periodic_points(_system(M, corners=True))
+        # the T orbit partners the L orbit at the TL corners; shifting its
+        # positions by one moves its initial point off the partner of L's
+        renumbered = [
+            dataclasses.replace(
+                pt, orbit_position=(pt.orbit_position + 1) % pt.period
+            )
+            for pt in points["T"]
+        ]
+        mutated = dict(points, T=renumbered)
+        link_corner_partners(mutated)
+        with pytest.raises(InternalConsistencyError, match="non-initial partner"):
+            choose_initial_points(mutated)
 
 
 class TestDepthConstants:

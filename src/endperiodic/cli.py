@@ -19,7 +19,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -235,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (InvalidInputError, PreconditionError, ConvergenceError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -126,19 +126,7 @@ def attach_strips(
                 lo=lo,
                 hi=hi,
             )
-    _check_attachments_disjoint(strips)
     return strips
-
-
-def _check_attachments_disjoint(strips) -> None:
-    by_edge: dict[tuple[int, str], list[InfiniteStrip]] = {}
-    for s in strips.values():
-        by_edge.setdefault((s.rect, s.kind), []).append(s)
-    for edge_strips in by_edge.values():
-        spans = sorted((s.lo, s.hi) for s in edge_strips)
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            if c < b - _TRANSFER_TOL:
-                raise InternalConsistencyError("overlapping strip attachments")
 
 
 @dataclass(frozen=True)
@@ -186,31 +174,42 @@ def build_extended_map(
 #   ("S", key, za, zb, w)      segment on a strip boundary at height w
 
 
-def _transfer(state, strips):
-    if state[0] != "E":
-        return state
-    _, rect, side, a, b = state
-    strip = strips.get((side, rect))
-    if strip is None:
-        return state
-    lo, hi = min(a, b), max(a, b)
-    if lo >= strip.lo - _TRANSFER_TOL and hi <= strip.hi + _TRANSFER_TOL:
-        return ("S", strip.key, strip.offset_to_z(a), strip.offset_to_z(b), 0)
-    return state
+def _strip_entry(
+    kind: str, rect: int, ext: ExtendedPieceMap
+) -> tuple[InfiniteStrip, int]:
+    """The strip that a generator side of ``kind`` enters, and the depth t
+    at which it enters it, for a side whose depth-1 image lies on the edge
+    of ``rect``.
 
+    The side follows the edge digraph of ``kind`` and reaches its cycle at
+    depth e = 1 + ``tails[rect]``, at orbit position j(e); p is the cycle's
+    period. Then t = e + 2p + (-j(e) mod p), the first depth at least 2p
+    past e at which the side is on the orbit's initial rectangle i0, and
+    the strip is that of i0.
 
-def _advance(state, kind, ext: ExtendedPieceMap):
-    """One application of the extended edge map to a boundary segment that
-    ``_transfer`` leaves as it is; the image is one too."""
-    if state[0] == "S":
-        _, key, za, zb, w = state
-        next_key, rise = ext.step[key]
-        return ("S", next_key, za, zb, w + rise)
-    _, rect, side, a, b = state
-    br = ext.system.maps[kind].branches[rect]
-    return _transfer(
-        ("E", br.target_rect, side, br.apply(a), br.apply(b)), ext.strips
-    )
+    Why: the edge-map branches and the first piece-map branch send full
+    edges to intervals that are nested or have disjoint interiors, each
+    branch is injective, and distinct strips of a rectangle map into
+    distinct strips of its target. So the depth-d side, at orbit position
+    j, lies in the attachment f^(2p+j)(E_i0) exactly when its last 2p + j
+    steps are that attachment's own word, that is when the side is on i0
+    at depth d - 2p - j. The side is on the cycle only from depth e on, so
+    this holds iff d - 2p - j >= e, and t is the least such d; a side in
+    its attachment at depth t is in the next one at every later depth.
+
+    Since t <= 1 + tail + 3p - 1, t is at most the longest tail plus three
+    periods, which is at most N + m (N = longest tail + 2 max p, and m is a
+    multiple of every p): see ``enumerate_identifications``.
+    """
+    E = ext.system.maps[kind]
+    e = 1 + E.tails[rect]
+    for _ in range(e - 1):
+        rect = E.digraph[rect]
+    strip = ext.strips[(kind, rect)]
+    lead = -strip.j % strip.period
+    for _ in range(lead):
+        rect = E.digraph[rect]
+    return ext.strips[(kind, rect)], e + 2 * strip.period + lead
 
 
 @dataclass(frozen=True)
@@ -275,21 +274,6 @@ class IdentificationSchema:
         }
 
 
-def _tail_record(kind: str, state, ext: ExtendedPieceMap) -> dict:
-    """Orbit and period of the strip that ``state`` sits on, or that its
-    rectangle reaches along the edge digraph of ``kind``: every cycle
-    vertex carries a strip."""
-    rect = state[1][1] if state[0] == "S" else state[1]
-    digraph = ext.system.maps[kind].digraph
-    for _ in range(len(digraph)):
-        strip = ext.strips.get((kind, rect))
-        if strip is not None:
-            return {"kind": kind, "orbit": strip.orbit_id,
-                    "period": strip.period, "shift_per_period": 1}
-        rect = digraph[rect]
-    raise InternalConsistencyError("functional digraph without a reachable cycle")
-
-
 def enumerate_identifications(
     ext: ExtendedPieceMap, depth_cap: int | None = None
 ) -> IdentificationSchema:
@@ -316,17 +300,17 @@ def enumerate_identifications(
       the pairs at depths d + m are the translates of those at depth d,
       for every d from s on and every generator at once. The lcm is the
       least such common multiple.
-    * N does not bound s. A segment reaches a cycle of the edge digraph
-      within the longest tail, but it lies inside a strip attachment, the
-      image of an edge under 2p + j steps, only up to about one period
-      after N: the lifts of ``[[2]]`` stabilize at N + m, and most inputs
-      have some generator with s > N. What the window gives is at least
-      two whole periods past the last stabilization, ``max(s) <= N + m``.
-      Over the 200 corpus matrices, the lifts k = 2..64, the sparse 7x7
-      and seeded n = 12 and 16 the least margin is exactly 2m
-      (``corpus:1``: N 4, m 1, cap 7, max s 5). This margin is measured,
-      not derived, so with the default window every generator is checked
-      against it: one with s unset or above N + m raises
+    * N does not bound s, but N + m does. A side enters its strip at the
+      depth t of ``_strip_entry``, read off the edge digraph: with e the
+      depth at which it reaches its cycle (at most the longest tail plus
+      one) and p the cycle's period, t = e + 2p + (-j(e) mod p), at most
+      the longest tail plus 3p. N is the longest tail plus twice the
+      longest period and m is a multiple of every period, so
+      ``s = max(t) <= N + m`` and the window holds at least two whole
+      periods past the last stabilization. The bound is tight: the lifts
+      of ``[[2]]`` stabilize at N + m, and so does ``corpus:1`` (N 4, m 1,
+      cap 7, max s 5). With the default window every generator is still
+      checked against it: one with s unset or above N + m raises
       ``InternalConsistencyError``, naming the generator and both depths.
     * The test in ``classify_classes`` for a class that acquired a node
       after ``cap - m`` (one whole period at the end of the window) is a
@@ -411,31 +395,50 @@ def enumerate_identifications(
     )
 
 
+def _side_states(ext, kind, first, depth_cap):
+    """One side's states at depths 1..depth_cap from its depth-1 edge state
+    ``first``, its entry depth t and its entry strip (``_strip_entry``):
+    edge states stepped by the branches of ``kind`` up to t, where the
+    segment is converted to the strip's z, then strip states stepped by the
+    tail rule ``ExtendedPieceMap.step``."""
+    _, rect, side, a, b = first
+    strip, t = _strip_entry(kind, rect, ext)
+    branches = ext.system.maps[kind].branches
+    states = [first]
+    for _ in range(min(t, depth_cap) - 1):
+        br = branches[rect]
+        rect, a, b = br.target_rect, br.apply(a), br.apply(b)
+        states.append(("E", rect, side, a, b))
+    if t <= depth_cap:
+        key, w = strip.key, 0
+        za, zb = strip.offset_to_z(a), strip.offset_to_z(b)
+        states[-1] = ("S", key, za, zb, w)
+        for _ in range(depth_cap - t):
+            key, rise = ext.step[key]
+            w += rise
+            states.append(("S", key, za, zb, w))
+    return states, t, strip
+
+
 def _trace(ext, gen_id, family, rect, pos, kinds, first, depth_cap):
-    a, b = (_transfer(s, ext.strips) for s in first)
-    pairs = [(a, b)]
-    for _ in range(depth_cap - 1):
-        a = _advance(a, kinds[0], ext)
-        b = _advance(b, kinds[1], ext)
-        pairs.append((a, b))
-    stabilization = None
-    for d, (x, y) in enumerate(pairs, start=1):
-        if x[0] == "S" and y[0] == "S":
-            stabilization = d
-            break
-    tails = (
-        _tail_record(kinds[0], pairs[-1][0], ext),
-        _tail_record(kinds[1], pairs[-1][1], ext),
+    (a, ta, sa), (b, tb, sb) = (
+        _side_states(ext, kind, state, depth_cap)
+        for kind, state in zip(kinds, first)
     )
+    s = max(ta, tb)
     return GeneratorTrace(
         gen_id=gen_id,
         family=family,
         rect=rect,
         position=pos,
         kinds=kinds,
-        pair_states=tuple(pairs),
-        stabilization_depth=stabilization,
-        periodic_tail=tails,
+        pair_states=tuple(zip(a, b)),
+        stabilization_depth=s if s <= depth_cap else None,
+        periodic_tail=tuple(
+            {"kind": strip.kind, "orbit": strip.orbit_id,
+             "period": strip.period, "shift_per_period": 1}
+            for strip in (sa, sb)
+        ),
     )
 
 

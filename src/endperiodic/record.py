@@ -289,7 +289,10 @@ def load_record(text: str) -> dict:
     ``_config_dict`` writes, and whose ``sections`` is an object; anything
     else raises :class:`InvalidInputError`.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"record is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("record is not a JSON object")
     version = data.get("schema_version")

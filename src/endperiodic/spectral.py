@@ -160,7 +160,12 @@ def parse_matrix_text(text: str) -> IntMatrix:
     strings or null)."""
     stripped = text.strip()
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(
+                f"matrix input is not valid JSON: {exc}"
+            ) from exc
         for i, row in enumerate(data):
             if not isinstance(row, list):
                 raise InvalidInputError(

@@ -20,6 +20,28 @@ SPARSE7 = [
     [0, 0, 0, 1, 1, 0, 0],
 ]
 
+#: a sparse irreducible 9 x 9 input (escape depth 14, lcm of its cycle
+#: periods 5) whose segments shrink below 1e-9 before they enter their strips
+SPARSE9 = [
+    [2, 0, 1, 0, 0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 0, 2, 0, 0, 0],
+    [2, 0, 2, 1, 0, 1, 2, 0, 1],
+    [0, 0, 1, 1, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 2, 1],
+    [0, 0, 2, 0, 1, 0, 1, 0, 0],
+    [0, 0, 0, 2, 1, 0, 0, 0, 0],
+    [0, 0, 2, 0, 0, 0, 0, 0, 0],
+    [1, 2, 0, 1, 0, 0, 0, 0, 2],
+]
+
+
+def x_n_minus_x_minus_1(n: int) -> IntMatrix:
+    """Companion matrix of x^n - x - 1: ones on the superdiagonal, last
+    row [1, 1, 0, ..., 0]."""
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([1, 1] + [0] * (n - 2))
+    return IntMatrix.from_rows(rows)
+
 
 @pytest.fixture(scope="session")
 def running_matrix() -> IntMatrix:

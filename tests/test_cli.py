@@ -121,6 +121,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: record ") and err.count("\n") == 1
 
+    def test_truncated_record_is_input_error(self, tmp_path, capsys):
+        record = tmp_path / "bad.record.json"
+        record.write_text('{"config": ')
+        assert main(["verify", str(record)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: record is not valid JSON: ")
+        assert err.count("\n") == 1
+
     def _assert_version_refused(self, tmp_path, capsys, version):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"
@@ -216,6 +224,17 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: JSON matrix ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.record.json"))
+
+    @pytest.mark.parametrize("command", ["spectral", "construct"])
+    def test_json_matrix_not_valid_json(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_text("[[1,2")
+        code = main([command, "--matrix", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix input is not valid JSON: ")
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.record.json"))
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])

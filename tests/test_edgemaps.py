@@ -24,7 +24,11 @@ from endperiodic import (
 )
 from endperiodic.edgemaps import _PARTNER_KIND, KINDS, composed_branch
 
-from conftest import RUNNING_ROWS, random_irreducible_matrices
+from conftest import (
+    RUNNING_ROWS,
+    random_irreducible_matrices,
+    x_n_minus_x_minus_1,
+)
 
 
 def _system(M, corners=False):
@@ -167,17 +171,11 @@ class TestCorners:
                     assert sum(pt.is_initial for pt in pts) == 1
 
 
-def _x_n_minus_x_minus_1(n):
-    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-    rows.append([1, 1] + [0] * (n - 2))
-    return IntMatrix.from_rows(rows)
-
-
 INITIAL_FAMILIES = {
     "corpus": lambda: random_irreducible_matrices(200),
     "lifts": lambda: [block_lift(IntMatrix.from_rows([[2]]), k)
                       for k in range(2, 65)],
-    "x^n-x-1": lambda: [_x_n_minus_x_minus_1(n) for n in range(2, 33)],
+    "x^n-x-1": lambda: [x_n_minus_x_minus_1(n) for n in range(2, 33)],
 }
 
 

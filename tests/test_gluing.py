@@ -28,7 +28,7 @@ from endperiodic.gluing import (
     _find,
     _NodeRegistry,
     _node_str,
-    _transfer,
+    _strip_entry,
     _union,
 )
 from endperiodic.spectral import COORD_TOL
@@ -36,8 +36,10 @@ from endperiodic.spectral import COORD_TOL
 from conftest import (
     RUNNING_ROWS,
     SPARSE7,
+    SPARSE9,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
+    x_n_minus_x_minus_1,
 )
 
 
@@ -137,6 +139,27 @@ class TestAttachments:
             assert strip.lo - 1e-9 <= pt.location.offset <= strip.hi + 1e-9
 
 
+ENTRY_CASES = ["corpus", "lifts", "x^n-x-1", "seeded", "sparse"]
+
+
+@pytest.fixture(scope="module")
+def entry_results(request):
+    """Default pipeline results of one input family, shared by the
+    strip-entry tests."""
+    case = request.param
+    if case == "corpus":
+        return [run_pipeline(M) for M in random_irreducible_matrices(200)]
+    if case == "lifts":
+        return [_lift_result(k) for k in range(2, 65)]
+    if case == "x^n-x-1":
+        return [run_pipeline(x_n_minus_x_minus_1(n)) for n in range(2, 33)]
+    if case == "seeded":
+        return [run_pipeline(seeded_irreducible_matrix(n))
+                for n in (12, 16, 20)]
+    return [run_pipeline(IntMatrix.from_rows(rows))
+            for rows in (SPARSE7, SPARSE9)]
+
+
 class TestIdentifications:
     def test_depth_cap_below_escape_depth_rejected(self, running_result):
         with pytest.raises(InvalidInputError):
@@ -159,8 +182,8 @@ class TestIdentifications:
 
     def test_tails_of_unstabilized_generators(self):
         # At depth_cap = N some lift generators still have an image on a
-        # rectangle edge, so their tails come from the digraph walk, not
-        # from the strip under the image; they must be the same tails.
+        # rectangle edge; their tails come from the strip they would enter
+        # past the window, the same tails as at the default window.
         for k in (2, 4, 64):
             res = _lift_result(k)
             short = enumerate_identifications(
@@ -188,19 +211,71 @@ class TestIdentifications:
         # an explicit depth_cap is the caller's window and is not checked
         assert enumerate_identifications(ext, depth_cap=19).depth_cap == 19
 
-    @pytest.mark.parametrize("case", ["corpus", "lifts"])
-    def test_every_state_is_transferred(self, case):
-        # _advance relies on this: it never transfers the state it is given
-        if case == "corpus":
-            results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
-        else:
-            results = [_lift_result(k) for k in range(2, 13)]
-        for res in results:
-            strips = res.extended.strips
+    @pytest.mark.parametrize(
+        "entry_results", ["corpus", "lifts", "x^n-x-1", "seeded"], indirect=True
+    )
+    def test_entry_depth_equals_the_float_rule(self, entry_results):
+        # Where no segment shrinks below the tolerance before it enters its
+        # strip, the digraph rule and the float containment test it
+        # replaced agree on every side of every generator.
+        for res in entry_results:
+            ext, cap = res.extended, res.schema.depth_cap
+            for gen in res.schema.generators:
+                for kind, first in zip(gen.kinds, gen.pair_states[0]):
+                    _, t = _strip_entry(kind, first[1], ext)
+                    assert t == _float_rule_entry(ext, kind, first, cap)
+
+    @pytest.mark.parametrize("entry_results", ENTRY_CASES, indirect=True)
+    def test_each_side_enters_its_strip_at_the_rule_depth(self, entry_results):
+        # t <= longest tail + 3p <= N + m, so every side is a strip state
+        # from depth t on, inside the default window, and an edge state
+        # before it.
+        for res in entry_results:
+            ext, schema = res.extended, res.schema
+            bound = schema.escape_depth + schema.nesting_period
+            for gen in schema.generators:
+                depths = []
+                for side, kind in enumerate(gen.kinds):
+                    rect = gen.pair_states[0][side][1]
+                    strip, t = _strip_entry(kind, rect, ext)
+                    tags = [pair[side][0] for pair in gen.pair_states]
+                    after = schema.depth_cap - t + 1
+                    assert tags == ["E"] * (t - 1) + ["S"] * after
+                    assert gen.pair_states[t - 1][side][1] == strip.key
+                    assert strip.j == 0
+                    assert t <= bound
+                    depths.append(t)
+                assert gen.stabilization_depth == max(depths)
+
+    @pytest.mark.parametrize("entry_results", ENTRY_CASES, indirect=True)
+    def test_strip_states_lie_on_their_strips(self, entry_results):
+        # z runs over [0, 1] across a strip's base; a state outside it is a
+        # segment that was put on a strip it does not lie on
+        for res in entry_results:
             for gen in res.schema.generators:
                 for pair in gen.pair_states:
                     for state in pair:
-                        assert _transfer(state, strips) == state
+                        if state[0] == "S":
+                            for z in state[2:4]:
+                                assert -COORD_TOL <= z <= 1 + COORD_TOL
+
+
+def _float_rule_entry(ext, kind, first, depth_cap):
+    """The first depth at which a side lies inside the strip attachment on
+    its edge by the float containment test, padded by 1e-9, that decided
+    strip entry before the digraph rule; the side is stepped by the edge
+    branches of ``kind`` from its depth-1 edge state ``first``."""
+    _, rect, side, a, b = first
+    branches = ext.system.maps[kind].branches
+    for depth in range(1, depth_cap + 1):
+        strip = ext.strips.get((side, rect))
+        if strip is not None and (
+            min(a, b) >= strip.lo - 1e-9 and max(a, b) <= strip.hi + 1e-9
+        ):
+            return depth
+        br = branches[rect]
+        rect, a, b = br.target_rect, br.apply(a), br.apply(b)
+    return None
 
 
 class TestRunningExample:

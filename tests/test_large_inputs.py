@@ -1,6 +1,6 @@
 """Inputs well beyond the n <= 4 corpus: long block lifts, a lift of the
-running example, a sparse 7x7, seeded random n = 12, 16 and 20, and the
-companion matrices of x^n - x - 1 for n = 16 and 32.
+running example, a sparse 7x7 and a sparse 9x9, seeded random n = 12, 16
+and 20, and the companion matrices of x^n - x - 1 for n = 16 and 32.
 
 Each one certifies and verifies at the default window N + 3m, m the lcm
 of the cycle periods. On a 2-core machine (Python 3.11) certify plus
@@ -36,19 +36,17 @@ from endperiodic import (
     verify_record,
 )
 
-from conftest import RUNNING_ROWS, SPARSE7, seeded_irreducible_matrix
+from conftest import (
+    RUNNING_ROWS,
+    SPARSE7,
+    SPARSE9,
+    seeded_irreducible_matrix,
+    x_n_minus_x_minus_1,
+)
 
 
 def _lift(rows, k):
     return block_lift(IntMatrix.from_rows(rows), k), k
-
-
-def _x_n_minus_x_minus_1(n):
-    """Companion matrix of x^n - x - 1: ones on the superdiagonal, last
-    row [1, 1, 0, ..., 0]."""
-    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-    rows.append([1, 1] + [0] * (n - 2))
-    return IntMatrix.from_rows(rows), None
 
 
 # name -> (matrix and weak_perron_k, escape depth N, lcm m of the periods)
@@ -59,11 +57,12 @@ CASES = {
     "lift64": (lambda: _lift([[2]], 64), 128, 64),
     "running-lift4": (lambda: _lift(RUNNING_ROWS, 4), 40, 16),
     "sparse7": (lambda: (IntMatrix.from_rows(SPARSE7), None), 15, 28),
+    "sparse9": (lambda: (IntMatrix.from_rows(SPARSE9), None), 14, 5),
     "n12": (lambda: (seeded_irreducible_matrix(12), None), 4, 1),
     "n16": (lambda: (seeded_irreducible_matrix(16), None), 6, 2),
     "n20": (lambda: (seeded_irreducible_matrix(20), None), 4, 1),
-    "xn16": (lambda: _x_n_minus_x_minus_1(16), 33, 240),
-    "xn32": (lambda: _x_n_minus_x_minus_1(32), 65, 992),
+    "xn16": (lambda: (x_n_minus_x_minus_1(16), None), 33, 240),
+    "xn32": (lambda: (x_n_minus_x_minus_1(32), None), 65, 992),
 }
 
 

@@ -26,8 +26,10 @@ from endperiodic.record import SCHEMA_VERSION
 from conftest import (
     RUNNING_ROWS,
     SPARSE7,
+    SPARSE9,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
+    x_n_minus_x_minus_1,
 )
 
 
@@ -36,17 +38,27 @@ from conftest import (
 RUNNING_HASH = "04920eecaf11df1c6bd61f68c78995782618ae47d37412f46106890bdca17935"
 
 
-# Digests of whole input lists: the 200-matrix corpus and the lifts
-# k = 4, 8, 10 of [[2]], each built with weak_perron_k = k.
+# Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
+# 10 of [[2]], each built with weak_perron_k = k; and the large inputs: the
+# sparse 7x7 and 9x9, seeded n = 12, 16 and 20, x^16 - x - 1 and the running
+# example lifted k = 4 (built with weak_perron_k = 4).
 DIGESTS = {
     "corpus200": "58549934ef9fbabca95ab99b4bc60281e9594228f97d7f42f36afdd30222c99d",
     "lifts": "36afd01734fa51d8fae117fd6cc6f9ce2e80753a2dd0c655a54a1d41ff75d08f",
+    "large": "cdc99f4992e6e0c9c9809bb391996bd58ce8564d95ef8558f7ce7876a53e3b01",
 }
 
 
 def _digest_inputs(case: str) -> list:
     if case == "corpus200":
         return [(M, None) for M in random_irreducible_matrices(200)]
+    if case == "large":
+        return (
+            [(IntMatrix.from_rows(rows), None) for rows in (SPARSE7, SPARSE9)]
+            + [(seeded_irreducible_matrix(n), None) for n in (12, 16, 20)]
+            + [(x_n_minus_x_minus_1(16), None),
+               (block_lift(IntMatrix.from_rows(RUNNING_ROWS), 4), 4)]
+        )
     two = IntMatrix.from_rows([[2]])
     return [(block_lift(two, k), k) for k in (4, 8, 10)]
 
@@ -182,6 +194,7 @@ class TestLoadRecord:
         [
             (f'{{"schema_version":"{SCHEMA_VERSION}"}}', "config"),
             ("[1]", "not a JSON object"),
+            ('{"config": ', "record is not valid JSON"),
         ],
     )
     def test_malformed_record_is_input_error(self, text, message):

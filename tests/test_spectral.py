@@ -120,6 +120,10 @@ class TestIntMatrix:
         M = parse_matrix_text("[[0, 1], [2, 0]]")
         assert M.to_lists() == [[0, 1], [2, 0]]
 
+    def test_parse_text_malformed_json_is_input_error(self):
+        with pytest.raises(InvalidInputError, match="not valid JSON"):
+            parse_matrix_text("[[1,2")
+
     def test_digraph_arcs(self):
         M = IntMatrix.from_rows([[0, 2], [1, 0]])
         g = M.digraph()

@@ -83,7 +83,41 @@ from .record import (
     run_pipeline,
     verify_record,
 )
-from .render import DIAGRAM_KINDS, DiagramSpec, render, strip_color
-from .warmup import IntegerCase, build_integer_case, cross_validate, f0_integer
 
 __version__ = "0.1.0"
+
+#: names bound on first use, by the submodule that defines them: certify
+#: and verify read neither module, and ``warmup`` pulls in ``fractions``
+_LAZY = {
+    "render": ("DIAGRAM_KINDS", "DiagramSpec", "render", "strip_color"),
+    "warmup": ("IntegerCase", "build_integer_case", "cross_validate",
+               "f0_integer"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and bind all of its lazy
+    names here (PEP 562).
+
+    Binding them all at once matters for ``render``: importing the
+    submodule ``endperiodic.render`` sets the package attribute ``render``
+    to the module, and rebinding it restores the function. A program that
+    imports the submodule itself before reading any lazy name sees the
+    module under ``endperiodic.render`` until it reads one.
+    """
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    namespace = import_module(f".{module}", __name__)
+    for lazy in _LAZY[module]:
+        globals()[lazy] = getattr(namespace, lazy)
+    return globals()[name]
+
+
+#: what ``from endperiodic import *`` binds: the public names above and the
+#: lazy ones, which it loads
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += _LAZY_MODULE

@@ -31,7 +31,6 @@ from .errors import (
     VerificationError,
 )
 from .record import build_record, load_record, verify_record
-from .render import DIAGRAM_KINDS, DiagramSpec, render
 from .spectral import (
     DEFAULT_TOL,
     IntMatrix,
@@ -57,6 +56,8 @@ _FIG_ALIASES = {
 
 
 def _fig_kind(name: str) -> str:
+    from .render import DIAGRAM_KINDS
+
     if name in DIAGRAM_KINDS:
         return name
     key = name.lower()
@@ -126,6 +127,10 @@ def _build(args):
 
 
 def _write_figures(figs, result, out: Path, stem: str) -> None:
+    """Render each figure kind; ``render`` is imported here and in
+    ``_fig_kind``, so commands that draw nothing never load it."""
+    from .render import DiagramSpec, render
+
     for fig in figs:
         kind = _fig_kind(fig)
         fig_path = out / f"{stem}.{kind}.svg"
@@ -148,7 +153,8 @@ def _cmd_construct(args) -> int:
     print(f"ends: {[(e.sign, len(e.strip_orbits)) for e in surface.ends]}")
     print(f"connected: {surface.connected}  infinite type: {surface.infinite_type}")
     print(f"record: {record_path}")
-    _write_figures(args.fig or [], result, out, stem)
+    if args.fig:
+        _write_figures(args.fig, result, out, stem)
     if args.verify:
         results = verify_record(load_record(record_path.read_text("utf-8")))
         for name, ok, detail in results:

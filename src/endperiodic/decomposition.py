@@ -15,7 +15,7 @@ lambda^-1 * eta_i) so coincidences can be decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidInputError, PreconditionError
 from .spectral import IntMatrix, PerronData, is_irreducible
@@ -24,8 +24,7 @@ VERTICAL = "V"
 HORIZONTAL = "H"
 
 
-@dataclass(frozen=True, order=True)
-class StripLabel:
+class StripLabel(NamedTuple):
     """Strip V^(k)_{i,j} (orientation V) or H^(k)_{i,j} (orientation H).
 
     ``rect`` is the host rectangle k, ``source`` the index i, ``copy`` the
@@ -53,8 +52,7 @@ def _validate_label(label: StripLabel, M: IntMatrix) -> None:
         raise InvalidInputError(f"label {label} exceeds multiplicity {bound}")
 
 
-@dataclass(frozen=True)
-class SymbolicLength:
+class SymbolicLength(NamedTuple):
     """Length of the form lambda^-1 * sum_i c_i * basis_i with integer c_i.
 
     ``scale_kind`` selects the basis: "W" for the width entries omega_i,
@@ -93,8 +91,7 @@ def evaluate_length(length: SymbolicLength, eigen: PerronData) -> float:
     return sum(c * b for c, b in zip(length.coefficients, basis)) / eigen.lam
 
 
-@dataclass(frozen=True)
-class StripDecomposition:
+class StripDecomposition(NamedTuple):
     """Strip partition of every rectangle, with the bijections sigma and tau.
 
     ``vertical_order[k]`` lists Q_k's vertical strips left to right,
@@ -112,8 +109,8 @@ class StripDecomposition:
     horizontal_order: dict[int, tuple[StripLabel, ...]]
     sigma: dict[int, dict[StripLabel, StripLabel]]
     tau: dict[int, dict[StripLabel, StripLabel]]
-    vertical_boundaries: dict[int, tuple[SymbolicLength, ...]] = field(repr=False)
-    horizontal_boundaries: dict[int, tuple[SymbolicLength, ...]] = field(repr=False)
+    vertical_boundaries: dict[int, tuple[SymbolicLength, ...]]
+    horizontal_boundaries: dict[int, tuple[SymbolicLength, ...]]
 
     @property
     def n(self) -> int:
@@ -246,8 +243,7 @@ def build_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class PieceMapBranch:
+class PieceMapBranch(NamedTuple):
     """One affine branch of the piece map.
 
     Maps the vertical strip ``source_label`` (in rectangle source_rect,
@@ -274,8 +270,7 @@ class PieceMapBranch:
         return self.x0 + x / self.lam, self.lam * (y - self.y0)
 
 
-@dataclass(frozen=True)
-class PieceMap:
+class PieceMap(NamedTuple):
     """All branches of the piece map, indexed by source and target strip."""
 
     decomposition: StripDecomposition

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomposition import PieceMap, StripLabel
 from .errors import InternalConsistencyError, PreconditionError
@@ -29,8 +30,7 @@ _PARTNER_KIND = {"TL": {"L": "T", "T": "L"}, "BL": {"L": "B", "B": "L"},
                  "TR": {"R": "T", "T": "R"}, "BR": {"R": "B", "B": "R"}}
 
 
-@dataclass(frozen=True)
-class EdgeCoordinate:
+class EdgeCoordinate(NamedTuple):
     """Point on a rectangle edge.
 
     Offsets run downward from the top corner on vertical sides (L, R) and
@@ -42,8 +42,7 @@ class EdgeCoordinate:
     offset: float
 
 
-@dataclass(frozen=True)
-class EdgeBranch:
+class EdgeBranch(NamedTuple):
     """Affine action x -> offset0 + x/lam on the full edge of one rectangle."""
 
     source_rect: int
@@ -58,8 +57,7 @@ class EdgeBranch:
         return self.offset0 + x / self.lam
 
 
-@dataclass(frozen=True)
-class EdgeMap:
+class EdgeMap(NamedTuple):
     """One of the four edge maps, as a branch per rectangle.
 
     ``kind`` is L or R (forward maps on vertical edges) or T or B (inverse
@@ -72,8 +70,8 @@ class EdgeMap:
     kind: str
     branches: dict[int, EdgeBranch]
     digraph: dict[int, int]
-    cycles: tuple[tuple[int, ...], ...] = field(repr=False)
-    tails: dict[int, int] = field(repr=False)
+    cycles: tuple[tuple[int, ...], ...]
+    tails: dict[int, int]
 
     def apply(self, point: EdgeCoordinate) -> EdgeCoordinate:
         br = self.branches[point.rect]
@@ -129,8 +127,7 @@ class PeriodicPoint:
         return self.orbit_position == 0
 
 
-@dataclass(frozen=True)
-class EdgeMapSystem:
+class EdgeMapSystem(NamedTuple):
     piece_map: PieceMap
     maps: dict[str, EdgeMap]
 

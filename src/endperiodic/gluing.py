@@ -44,8 +44,7 @@ from .spectral import COORD_TOL, wielandt_bound, is_block_lift_of, IntMatrix
 _TRANSFER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class InfiniteStrip:
+class InfiniteStrip(NamedTuple):
     """One infinite strip [0,1] x [0,oo) attached at a periodic point.
 
     The base [0,1] x {0} is glued onto ``(lo, hi)`` of the ``kind`` edge of
@@ -129,8 +128,7 @@ def attach_strips(
     return strips
 
 
-@dataclass(frozen=True)
-class ExtendedPieceMap:
+class ExtendedPieceMap(NamedTuple):
     """The extended map: base piece map, strips, periodic points, and the
     tail rule.
 
@@ -212,8 +210,7 @@ def _strip_entry(
     return ext.strips[(kind, rect)], e + 2 * strip.period + lead
 
 
-@dataclass(frozen=True)
-class GeneratorTrace:
+class GeneratorTrace(NamedTuple):
     """Dynamics of one interior-boundary generator.
 
     ``pair_states[d]`` holds the two identified image segments at depth
@@ -233,8 +230,7 @@ class GeneratorTrace:
     periodic_tail: tuple[dict, dict]
 
 
-@dataclass(frozen=True)
-class IdentificationSchema:
+class IdentificationSchema(NamedTuple):
     generators: tuple[GeneratorTrace, ...]
     depth_cap: int
     escape_depth: int
@@ -587,8 +583,7 @@ def _union(parent, a, b) -> None:
         parent[ra] = rb
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     nodes: tuple
     infinite: bool
     link_type: str | None
@@ -906,14 +901,12 @@ def _link_label(node_count: int, edges, shards: int) -> str:
 # surface assembly
 
 
-@dataclass(frozen=True)
-class End:
+class End(NamedTuple):
     sign: str
     strip_orbits: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     ends: tuple[End, ...]
     infinite_type: bool
     genus_insertion_applied: bool

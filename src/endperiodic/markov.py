@@ -18,7 +18,7 @@ degree-kn polynomial of the whole matrix gives (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import VerificationError
 from .spectral import IntMatrix, IntPolynomial, block_diagonal_radius, char_poly
@@ -42,8 +42,7 @@ def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     """Certificate comparing the incidence spectral radius to a target."""
 
     incidence: IntMatrix

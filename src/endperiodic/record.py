@@ -21,6 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .decomposition import (
     StripDecomposition,
@@ -66,8 +67,7 @@ from .spectral import (
 SCHEMA_VERSION = "4"
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """All intermediate and final objects of one construction run."""
 
     matrix: IntMatrix

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum, gcd, inf
 from sys import float_info
+from typing import NamedTuple
 
 from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
@@ -68,8 +69,7 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(NamedTuple):
     """Directed multigraph of a matrix: ``multiplicity[i][j]`` arcs v_j -> v_i."""
 
     vertex_count: int
@@ -122,8 +122,7 @@ class IntPolynomial:
         return s.lstrip("+")
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Spectral radius with positive right/left eigenvectors (last entry 1)."""
 
     lam: float

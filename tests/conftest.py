@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,33 @@ def seeded_irreducible_matrix(n: int, seed: int = LARGE_INPUT_SEED) -> IntMatrix
         M = IntMatrix.from_rows(rng.integers(0, 3, size=(n, n)).tolist())
         if is_irreducible(M):
             return M
+
+
+def sparse_irreducible_matrices(count: int, seed: int = LARGE_INPUT_SEED):
+    """Seeded sparse irreducible matrices with spectral radius >= 3.8.
+
+    Pure Python (``random.Random``), so the inputs do not depend on the
+    numpy version: n uniform in 8..10, each entry drawn from
+    [0] * 7 + [1, 1, 2].
+    """
+    from endperiodic import is_irreducible, spectral_radius_exact
+
+    rng = random.Random(seed)
+    pool = [0] * 7 + [1, 1, 2]
+    out = []
+    while len(out) < count:
+        n = rng.randint(8, 10)
+        M = IntMatrix.from_rows(
+            [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        )
+        if is_irreducible(M) and spectral_radius_exact(M) >= 3.8:
+            out.append(M)
+    return out
+
+
+def hash_digest(hashes: list[str]) -> str:
+    """SHA-256 over newline-joined content hashes, in input order."""
+    return hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
 
 
 # --- acceptance criterion reporting ---------------------------------------

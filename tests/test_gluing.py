@@ -119,18 +119,15 @@ class TestLinkLabels:
 
 class TestAttachments:
     def test_disjoint_and_on_host_edges(self, running_result):
-        by_edge = {}
-        for strip in running_result.extended.strips.values():
-            by_edge.setdefault((strip.rect, strip.kind), []).append(strip)
-        for (rect, side), strips in by_edge.items():
-            edge_len = running_result.system.maps[side].edge_length(
-                rect, running_result.decomposition
+        """Strips are keyed by their edge ``(kind, rect)``, so each edge
+        hosts one strip and attachments on one edge cannot overlap; each
+        attachment lies on its host edge."""
+        for key, strip in running_result.extended.strips.items():
+            assert key == (strip.kind, strip.rect)
+            edge_len = running_result.system.maps[strip.kind].edge_length(
+                strip.rect, running_result.decomposition
             )
-            spans = sorted((s.lo, s.hi) for s in strips)
-            for (a, b), (c, e) in zip(spans, spans[1:]):
-                assert b <= c + 1e-9
-            for a, b in spans:
-                assert a >= -1e-9 and b <= edge_len + 1e-9
+            assert strip.lo >= -1e-9 and strip.hi <= edge_len + 1e-9
 
     def test_attachment_contains_its_point(self, running_result):
         index = {pt.key: pt for pts in running_result.points.values() for pt in pts}

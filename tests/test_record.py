@@ -1,6 +1,5 @@
 """Tests for construction record serialization, hashing, and re-verification."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -27,6 +26,7 @@ from conftest import (
     RUNNING_ROWS,
     SPARSE7,
     SPARSE9,
+    hash_digest,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
     x_n_minus_x_minus_1,
@@ -39,14 +39,25 @@ RUNNING_HASH = "04920eecaf11df1c6bd61f68c78995782618ae47d37412f46106890bdca17935
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
-# 10 of [[2]], each built with weak_perron_k = k; and the large inputs: the
+# 10 of [[2]], each built with weak_perron_k = k; the large inputs: the
 # sparse 7x7 and 9x9, seeded n = 12, 16 and 20, x^16 - x - 1 and the running
-# example lifted k = 4 (built with weak_perron_k = 4).
+# example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
+# ``sparse_irreducible_matrices(120)``, whose digest was computed while the
+# value types were still frozen dataclasses.
 DIGESTS = {
     "corpus200": "58549934ef9fbabca95ab99b4bc60281e9594228f97d7f42f36afdd30222c99d",
     "lifts": "36afd01734fa51d8fae117fd6cc6f9ce2e80753a2dd0c655a54a1d41ff75d08f",
     "large": "cdc99f4992e6e0c9c9809bb391996bd58ce8564d95ef8558f7ce7876a53e3b01",
+    "sparse120": "4ebf6a474bb0dd4f4ac79dd0a1a94402f35d6a0042e72792c0c8303b937be493",
 }
+
+#: prints the sparse120 digest; run with ``tests`` on the path
+SPARSE120_DIGEST_CODE = (
+    "from conftest import hash_digest, sparse_irreducible_matrices; "
+    "from endperiodic import build_record; "
+    "print(hash_digest([build_record(M)[0].content_hash() "
+    "for M in sparse_irreducible_matrices(120)]))"
+)
 
 
 def _digest_inputs(case: str) -> list:
@@ -105,13 +116,36 @@ class TestDeterminism:
     def test_running_example_hash_is_pinned(self, running_record):
         assert running_record.content_hash() == RUNNING_HASH
 
-    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    @pytest.mark.parametrize("case", sorted(DIGESTS.keys() - {"sparse120"}))
     def test_workload_digest_is_pinned(self, case):
-        # SHA-256 over the newline-joined content hashes, in input order
         hashes = [build_record(M, weak_perron_k=k)[0].content_hash()
                   for M, k in _digest_inputs(case)]
-        digest = hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
-        assert digest == DIGESTS[case]
+        assert hash_digest(hashes) == DIGESTS[case]
+
+    def test_sparse120_digest_is_pinned_under_hash_seeds(self):
+        # one interpreter per PYTHONHASHSEED, 0 and 3, run side by side
+        paths = [Path(endperiodic.__file__).resolve().parents[1],
+                 Path(__file__).resolve().parent]
+        procs = {
+            seed: subprocess.Popen(
+                [sys.executable, "-c", SPARSE120_DIGEST_CODE],
+                env=dict(os.environ, PYTHONHASHSEED=seed,
+                         PYTHONPATH=os.pathsep.join(map(str, paths))),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "3")
+        }
+        try:
+            for seed, proc in procs.items():
+                out, err = proc.communicate(timeout=300)
+                assert proc.returncode == 0, err
+                assert out.strip() == DIGESTS["sparse120"], f"PYTHONHASHSEED={seed}"
+        finally:
+            for proc in procs.values():
+                proc.kill()
+                proc.wait()
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     def test_hash_independent_of_hash_seed(self, seed):

@@ -1,8 +1,13 @@
-"""Static checks of the package source: it parses as the Python version
-that pyproject.toml declares (``requires-python >= 3.10``), and every
-dataclass is frozen, so a value is complete when it is built."""
+"""Checks of the package source: it parses as the Python version that
+pyproject.toml declares (``requires-python >= 3.10``), every dataclass is
+frozen, so a value is complete when it is built, and ``import endperiodic``
+loads neither the figure nor the warm-up code until a name of theirs is
+read."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +49,58 @@ def test_every_dataclass_is_frozen(path):
         if _frozen_flag(dec) is False
     ]
     assert mutable == []
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = Path(endperiodic.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+#: the names that ``endperiodic`` binds on first use, by defining submodule
+LAZY_NAMES = {
+    "render": ["DIAGRAM_KINDS", "DiagramSpec", "render", "strip_color"],
+    "warmup": ["IntegerCase", "build_integer_case", "cross_validate",
+               "f0_integer"],
+}
+
+
+def test_import_loads_neither_render_nor_warmup():
+    out = _run_fresh(
+        "import sys, endperiodic; "
+        "print(sorted(m for m in ('endperiodic.render', 'endperiodic.warmup', "
+        "'endperiodic.cli', 'fractions') if m in sys.modules)); "
+        f"lazy = {LAZY_NAMES!r}; "
+        "import importlib; "
+        "print(all(getattr(endperiodic, name) is getattr(importlib.import_module("
+        "'endperiodic.' + module), name) for module, names in lazy.items() "
+        "for name in names))"
+    )
+    assert out.split() == ["[]", "True"]
+
+
+def test_lazy_names_are_listed_and_unknown_names_raise():
+    lazy = {name for names in LAZY_NAMES.values() for name in names}
+    assert lazy <= set(endperiodic.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        endperiodic.no_such_name
+
+
+def test_render_stays_the_function_after_a_lazy_import():
+    out = _run_fresh(
+        "import endperiodic; from endperiodic import DiagramSpec; "
+        "print(callable(endperiodic.render), "
+        "endperiodic.render.__module__)"
+    )
+    assert out.split() == ["True", "endperiodic.render"]
+
+
+def test_construct_without_fig_does_not_load_render(tmp_path):
+    out = _run_fresh(
+        "import sys; from endperiodic.cli import main; "
+        f"code = main(['construct', '--integer', '2', '--out', {str(tmp_path)!r}]); "
+        "print(code, 'endperiodic.render' in sys.modules)"
+    )
+    assert out.splitlines()[-1] == "0 False"

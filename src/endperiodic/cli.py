@@ -32,7 +32,6 @@ from .errors import (
 )
 from .record import build_record, load_record, verify_record
 from .spectral import (
-    DEFAULT_TOL,
     IntMatrix,
     block_lift,
     char_poly,
@@ -97,13 +96,9 @@ def _add_input_options(sub, with_flags=True):
     sub.add_argument("--lift", type=int, default=None, metavar="K",
                      help="replace the matrix by its k-th block lift")
     if with_flags:
-        sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
         sub.add_argument("--depth", type=int, default=None,
                          help="identification depth cap (default: N + 3m, N the "
                               "escape depth, m the lcm of the cycle periods)")
-        sub.add_argument("--corner-selection",
-                         action=argparse.BooleanOptionalAction, default=True,
-                         help="choose the permutations that make a corner periodic")
         sub.add_argument("--insert-genus", action="store_true")
         sub.add_argument("--weak-perron-k", type=int, default=None,
                          help="record the boundary-ray regluing for a k-lift input")
@@ -117,9 +112,7 @@ def _build(args):
         weak_k = args.lift
     record, result = build_record(
         M,
-        tol=args.tol,
         depth_cap=args.depth,
-        use_corner_selection=args.corner_selection,
         insert_genus=args.insert_genus,
         weak_perron_k=weak_k,
     )
@@ -187,7 +180,7 @@ def _cmd_spectral(args) -> int:
     if irr:
         print(f"graph period: {graph_period(M)}")
         print(f"primitive: {is_primitive(M)}")
-        eigen = perron_eigendata(M, tol=args.tol)
+        eigen = perron_eigendata(M)
         print(f"lambda: {eigen.lam:.15g} (residual {eigen.residual:.3g})")
         print(f"eta: {[float('%.10g' % v) for v in eigen.eta]}")
         print(f"omega: {[float('%.10g' % v) for v in eigen.omega]}")
@@ -222,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectral = subs.add_parser("spectral", help="print exact spectral data")
     _add_input_options(spectral, with_flags=False)
-    spectral.add_argument("--tol", type=float, default=DEFAULT_TOL)
     spectral.set_defaults(func=_cmd_spectral)
 
     return parser

@@ -183,9 +183,12 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
     strip. All slopes are exactly 1/lambda.
     """
     D = P.decomposition
-    lam = D.eigen.lam
-    if lam <= 1.0 + 1e-9:
+    # An irreducible non-negative integer M has its spectral radius between
+    # its least and greatest row sums, equal to the least only when all row
+    # sums are equal; so it is 1 exactly when every row sums to 1.
+    if all(sum(row) == 1 for row in D.matrix.entries):
         raise PreconditionError("edge dynamics require spectral radius > 1")
+    lam = D.eigen.lam
     by_source = P.by_source()
     by_target = P.by_target()
     n = D.n

@@ -944,7 +944,6 @@ def assemble_surface(
     census: ClassCensus,
     insert_genus: bool = False,
     weak_perron_k: int | None = None,
-    doubled: bool = True,
 ) -> SurfaceReport:
     """Group strip orbits into signed ends and decide connectedness.
 
@@ -953,7 +952,8 @@ def assemble_surface(
     strips give attracting ends, horizontal-side strips repelling ones.
     Connectedness is certified for primitive matrices by a positive first
     column of a power of M, and for block-lift inputs by the boundary-ray
-    regluing record; otherwise it is reported as undecided.
+    regluing record; otherwise it is reported as undecided. The surface
+    is always the double, so ``doubled`` is True.
     """
     system = ext.system
     D = system.decomposition
@@ -997,7 +997,7 @@ def assemble_surface(
         genus_insertion_applied=insert_genus,
         genus_insertion_site=site,
         connected=connected,
-        doubled=doubled,
+        doubled=True,
         weak_perron_gluing=weak_record,
         nesting_period=schema.nesting_period,
         escape_depth=schema.escape_depth,

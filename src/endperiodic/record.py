@@ -84,33 +84,22 @@ class PipelineResult(NamedTuple):
 
 def run_pipeline(
     M: IntMatrix,
-    tol: float = DEFAULT_TOL,
     depth_cap: int | None = None,
-    use_corner_selection: bool = True,
     insert_genus: bool = False,
     weak_perron_k: int | None = None,
-    doubled: bool = True,
 ) -> PipelineResult:
     """Run the full construction on one irreducible matrix.
 
-    ``tol`` may not exceed ``DEFAULT_TOL``: eigenvectors with a looser
-    residual can misplace the strip attachments downstream, which would
-    then fail as internal consistency errors.
+    The eigendata residual is bounded by ``DEFAULT_TOL``, the strip
+    decomposition takes its permutations from ``corner_selection(M)`` and
+    the surface is the double: the construction has no other settings.
     """
-    if tol > DEFAULT_TOL:
-        raise InvalidInputError(
-            f"tol {tol!r} is looser than {DEFAULT_TOL!r}, the loosest residual "
-            "the construction accepts"
-        )
     # char_poly(M) and its Sturm chain serve both the eigen stage and
     # verify_stretch
     poly = char_poly(M)
-    eigen = perron_eigendata(M, tol=tol, poly=poly)
-    if use_corner_selection:
-        sigma, tau = corner_selection(M)
-        D = build_decomposition(M, eigen, sigma=sigma, tau=tau)
-    else:
-        D = build_decomposition(M, eigen)
+    eigen = perron_eigendata(M, poly=poly)
+    sigma, tau = corner_selection(M)
+    D = build_decomposition(M, eigen, sigma=sigma, tau=tau)
     P = piece_map(D)
     system = build_edge_maps(P)
     points = all_periodic_points(system)
@@ -126,7 +115,6 @@ def run_pipeline(
         census,
         insert_genus=insert_genus,
         weak_perron_k=weak_perron_k,
-        doubled=doubled,
     )
     incidence = verify_stretch(M, surface, poly=poly)
     return PipelineResult(
@@ -219,6 +207,10 @@ _CONFIG_KEYS = (
     "weak_perron_k", "doubled",
 )
 
+#: the config values of settings the construction no longer has: every
+#: record holds exactly these, and their keys stay until a schema bump
+_FIXED_CONFIG = {"tol": DEFAULT_TOL, "corner_selection": True, "doubled": True}
+
 
 def _config_dict(
     M: IntMatrix,
@@ -242,22 +234,16 @@ def _config_dict(
 
 def build_record(
     M: IntMatrix,
-    tol: float = DEFAULT_TOL,
     depth_cap: int | None = None,
-    use_corner_selection: bool = True,
     insert_genus: bool = False,
     weak_perron_k: int | None = None,
-    doubled: bool = True,
 ) -> tuple[ConstructionRecord, PipelineResult]:
     """Run the pipeline and freeze the result into a record."""
     result = run_pipeline(
         M,
-        tol=tol,
         depth_cap=depth_cap,
-        use_corner_selection=use_corner_selection,
         insert_genus=insert_genus,
         weak_perron_k=weak_perron_k,
-        doubled=doubled,
     )
     sections = {
         "eigendata": result.eigen.to_json_dict(),
@@ -273,7 +259,7 @@ def build_record(
         "incidence": result.incidence.to_json_dict(),
     }
     config = _config_dict(
-        M, tol, depth_cap, use_corner_selection, insert_genus, weak_perron_k, doubled
+        M, DEFAULT_TOL, depth_cap, True, insert_genus, weak_perron_k, True
     )
     record = ConstructionRecord(
         schema_version=SCHEMA_VERSION, config=config, sections=sections
@@ -285,8 +271,8 @@ def load_record(text: str) -> dict:
     """Parse a stored record, checking its schema version and shape.
 
     The record must be a JSON object whose ``config`` is an object with
-    exactly the keys of ``_config_dict``, each holding a value of the type
-    ``_config_dict`` writes, and whose ``sections`` is an object; anything
+    exactly the keys of ``_config_dict``, each holding a value that
+    ``build_record`` may write, and whose ``sections`` is an object; anything
     else raises :class:`InvalidInputError`.
     """
     try:
@@ -320,11 +306,11 @@ def _is_int(value) -> bool:
 
 
 def _check_config_values(config: dict) -> None:
-    """Raise :class:`InvalidInputError` unless each config value has the
-    type ``_config_dict`` writes: ``matrix`` a non-empty square list of
-    lists of non-negative ints, ``tol`` a finite positive number,
-    ``depth_cap`` and ``weak_perron_k`` ``None`` or an int, and the three
-    flags bools."""
+    """Raise :class:`InvalidInputError` unless each config value is one
+    ``build_record`` writes: ``matrix`` a non-empty square list of lists
+    of non-negative ints, ``depth_cap`` and ``weak_perron_k`` ``None`` or
+    an int, ``insert_genus`` a bool, and ``tol``, ``corner_selection`` and
+    ``doubled`` their fixed values."""
     rows = config["matrix"]
     if not (
         isinstance(rows, list)
@@ -340,22 +326,21 @@ def _check_config_values(config: dict) -> None:
             "record config.matrix is not a non-empty square list of lists "
             "of non-negative integers"
         )
-    tol = config["tol"]
-    if not (
-        (_is_int(tol) or isinstance(tol, float)) and 0 < tol < float("inf")
-    ):
-        raise InvalidInputError(
-            f"record config.tol {tol!r} is not a finite positive number"
-        )
     for key in ("depth_cap", "weak_perron_k"):
         if not (config[key] is None or _is_int(config[key])):
             raise InvalidInputError(
                 f"record config.{key} {config[key]!r} is neither null nor an integer"
             )
-    for key in ("corner_selection", "insert_genus", "doubled"):
-        if not isinstance(config[key], bool):
+    if not isinstance(config["insert_genus"], bool):
+        raise InvalidInputError(
+            f"record config.insert_genus {config['insert_genus']!r} is not a boolean"
+        )
+    for key, fixed in _FIXED_CONFIG.items():
+        value = config[key]
+        if not (type(value) is type(fixed) and value == fixed):
             raise InvalidInputError(
-                f"record config.{key} {config[key]!r} is not a boolean"
+                f"record config.{key} {value!r} is not {fixed!r}, the value "
+                "every record holds"
             )
 
 
@@ -372,12 +357,9 @@ def verify_record(data: dict) -> list[tuple[str, bool, str]]:
     M = IntMatrix.from_rows(cfg["matrix"])
     fresh, _ = build_record(
         M,
-        tol=cfg["tol"],
         depth_cap=cfg["depth_cap"],
-        use_corner_selection=cfg["corner_selection"],
         insert_genus=cfg["insert_genus"],
         weak_perron_k=cfg["weak_perron_k"],
-        doubled=cfg["doubled"],
     )
     stored = {name: _canonical(section) for name, section in data["sections"].items()}
     results = []

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per acceptance criterion.
+"""Acceptance gate: one test per acceptance criterion, and criterion 5's
+property suite also on a second, sparse corpus.
 
 Each test exercises its criterion at the stated tolerance and registers a
 PASS/FAIL line that is printed in the terminal summary.
@@ -16,6 +17,7 @@ from endperiodic import (
     VerificationError,
     block_lift,
     build_integer_case,
+    build_record,
     char_poly,
     cross_validate,
     determinant,
@@ -23,12 +25,19 @@ from endperiodic import (
     is_irreducible,
     is_primitive,
     largest_real_root,
+    load_record,
     run_pipeline,
     spectral_radius_exact,
+    verify_record,
     verify_stretch,
 )
 
-from conftest import RUNNING_ROWS, random_irreducible_matrices, record_criterion
+from conftest import (
+    RUNNING_ROWS,
+    random_irreducible_matrices,
+    record_criterion,
+    sparse_irreducible_matrices,
+)
 
 _corpus_cache = {}
 
@@ -116,17 +125,13 @@ def test_criterion_4_weak_perron_lift():
     assert ok
 
 
-def test_criterion_5_random_property_suite():
-    start = time.perf_counter()
-    rng = np.random.default_rng(11)
+def _property_suite(results, rng) -> bool:
+    """Criterion 5's properties of each (M, result) pair: functional edge
+    digraphs inside the support of M, periodic points that return to
+    themselves and agree with a 200-step iteration, same-period corner
+    partners, sampled boundary orbits that reach their strips within the
+    escape depth, and no finite class of more than two nodes."""
     ok = True
-    internal_errors = 0
-    try:
-        results = _corpus()
-    except InternalConsistencyError:
-        record_criterion("5 property suite on 200 random matrices", False,
-                         "internal consistency error during construction")
-        raise
     for M, res in results:
         for kind, E in res.system.maps.items():
             # functional digraph inside the matrix support
@@ -175,6 +180,19 @@ def test_criterion_5_random_property_suite():
                 if strip is not None:
                     ok &= strip.lo - COORD_TOL <= pos <= strip.hi + COORD_TOL
         ok &= res.census.oversized_finite == 0  # finite classes have size <= 2
+    return ok
+
+
+def test_criterion_5_random_property_suite():
+    start = time.perf_counter()
+    internal_errors = 0
+    try:
+        results = _corpus()
+    except InternalConsistencyError:
+        record_criterion("5 property suite on 200 random matrices", False,
+                         "internal consistency error during construction")
+        raise
+    ok = _property_suite(results, np.random.default_rng(11))
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     record_criterion(
@@ -182,6 +200,44 @@ def test_criterion_5_random_property_suite():
         ok,
         f"{elapsed:.1f}s, internal errors={internal_errors}",
     )
+    assert ok
+
+
+def _strip_states_on_their_strips(res) -> bool:
+    """z runs over [0, 1] across a strip's base; a strip state outside it
+    is a segment put on a strip it does not lie on."""
+    return all(
+        -COORD_TOL <= z <= 1 + COORD_TOL
+        for gen in res.schema.generators
+        for pair in gen.pair_states
+        for state in pair
+        if state[0] == "S"
+        for z in state[2:4]
+    )
+
+
+def test_criterion_5_sparse_property_suite():
+    # The seeded sparse n = 8..10 corpus, where strip entry once failed on
+    # 18 of its 120 inputs while the n <= 4 corpus showed nothing. One
+    # build per input serves every check, and verify re-runs it from the
+    # record.
+    name = "5 property suite on 120 sparse matrices"
+    start = time.perf_counter()
+    try:
+        built = [build_record(M) for M in sparse_irreducible_matrices(120)]
+    except InternalConsistencyError:
+        record_criterion(name, False,
+                         "internal consistency error during construction")
+        raise
+    results = [(res.matrix, res) for _, res in built]
+    ok = _property_suite(results, np.random.default_rng(11))
+    ok &= all(_strip_states_on_their_strips(res) for _, res in results)
+    ok &= all(res.surface.connected is True for _, res in results)
+    for record, _ in built:
+        checks = verify_record(load_record(record.to_json()))
+        ok &= all(passed for _, passed, _ in checks)
+    elapsed = time.perf_counter() - start
+    record_criterion(name, ok, f"{elapsed:.1f}s")
     assert ok
 
 

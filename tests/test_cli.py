@@ -79,14 +79,6 @@ class TestConstruct:
         assert data["config"]["matrix"] == [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
         assert data["config"]["weak_perron_k"] == 3
 
-    def test_without_corner_selection(self, matrix_file, tmp_path, capsys):
-        code = main(["construct", "--matrix", str(matrix_file),
-                     "--no-corner-selection", "--verify", "--out", str(tmp_path)])
-        assert code == 0
-        assert "FAIL" not in capsys.readouterr().out
-        data = json.loads((tmp_path / "running.record.json").read_text())
-        assert data["config"]["corner_selection"] is False
-
     def test_output_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENDPERIODIC_OUT", str(tmp_path))
         assert main(["construct", "--integer", "2"]) == 0
@@ -237,28 +229,43 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.record.json"))
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
-    def test_tol_outside_the_open_half_line(self, tmp_path, capsys, tol):
-        code = main(["construct", "--integer", "2", f"--tol={tol}",
+    def test_depth_below_escape_depth(self, tmp_path, capsys):
+        code = main(["construct", "--integer", "2", "--depth", "1",
                      "--out", str(tmp_path)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: tol ") and err.count("\n") == 1
-
-
-    @pytest.mark.parametrize("tol", ["1e-3", "1e-9"])
-    def test_tol_looser_than_the_default(self, matrix_file, tmp_path, capsys, tol):
-        code = main(["construct", "--matrix", str(matrix_file), f"--tol={tol}",
-                     "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: tol ") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: depth_cap 1 below escape depth 2\n"
+        )
         assert not list(tmp_path.glob("*.record.json"))
 
-    def test_tol_tighter_than_the_default(self, matrix_file, tmp_path):
-        code = main(["construct", "--matrix", str(matrix_file), "--tol=1e-11",
-                     "--out", str(tmp_path)])
-        assert code == 0
+    def test_weak_perron_k_of_a_matrix_that_is_no_such_lift(
+        self, matrix_file, tmp_path, capsys
+    ):
+        code = main(["construct", "--matrix", str(matrix_file),
+                     "--weak-perron-k", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: matrix is not a block lift with k=2\n"
+        )
+        assert not list(tmp_path.glob("*.record.json"))
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("construct", "--tol=1e-11"), ("render", "--tol=1e-11"),
+         ("spectral", "--tol=1e-11"), ("construct", "--no-corner-selection"),
+         ("render", "--corner-selection")],
+    )
+    def test_deleted_settings_are_unknown_flags(self, tmp_path, capsys,
+                                                command, flag):
+        # the eigendata residual, the corner selection and the double are
+        # fixed; a record states them in its config
+        figs = ["--fig", "complex"] if command == "render" else []
+        code = main([command, "--integer", "2", flag, "--out", str(tmp_path)]
+                    + figs)
+        assert code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestInternalErrors:
     def test_internal_consistency_error_has_own_exit_code(

@@ -65,18 +65,18 @@ class TestDigraphs:
                     assert E.tails[v] == 0
 
     def test_permutation_matrix_rejected(self):
+        # decided from the row sums of M, whatever eigenvalue it is given
         M = IntMatrix.from_rows([[0, 1], [1, 0]])
-        D = build_decomposition(
-            M,
-            type(
+        for lam in (1.0, 1.5):
+            eigen = type(
                 "E",
                 (),
-                {"lam": 1.0, "eta": (1.0, 1.0), "omega": (1.0, 1.0),
+                {"lam": lam, "eta": (1.0, 1.0), "omega": (1.0, 1.0),
                  "residual": 0.0},
-            )(),
-        )
-        with pytest.raises(PreconditionError):
-            build_edge_maps(piece_map(D))
+            )()
+            D = build_decomposition(M, eigen)
+            with pytest.raises(PreconditionError):
+                build_edge_maps(piece_map(D))
 
 
 class TestPeriodicPoints:

@@ -1,6 +1,6 @@
 """Inputs well beyond the n <= 4 corpus: long block lifts, a lift of the
 running example, a sparse 7x7 and a sparse 9x9, seeded random n = 12, 16
-and 20, and the companion matrices of x^n - x - 1 for n = 16 and 32.
+and 20, and the companion matrices of x^n - x - 1 for n = 16, 32 and 64.
 
 Each one certifies and verifies at the default window N + 3m, m the lcm
 of the cycle periods. On a 2-core machine (Python 3.11) certify plus
@@ -17,7 +17,9 @@ companion matrix is Wielandt's extremal primitive matrix: the first
 column of M^t turns positive only at t = n^2 - 2n + 2. Its edge-map
 cycles have periods n and n - 1, so m = n(n - 1). The budget is 1 s for
 certify plus verify at n = 32 (about 0.2 s on the machine above; 9 s
-while connectedness multiplied dense integer matrices).
+while connectedness multiplied dense integer matrices) and 2 s at n = 64,
+whose window is 129 + 3 * 4032 = 12,225 depths (certify 0.6 s and verify
+0.6 s on the machine above).
 """
 
 import os
@@ -63,6 +65,7 @@ CASES = {
     "n20": (lambda: (seeded_irreducible_matrix(20), None), 4, 1),
     "xn16": (lambda: (x_n_minus_x_minus_1(16), None), 33, 240),
     "xn32": (lambda: (x_n_minus_x_minus_1(32), None), 65, 992),
+    "xn64": (lambda: (x_n_minus_x_minus_1(64), None), 129, 4032),
 }
 
 

@@ -262,13 +262,16 @@ class TestLoadRecord:
             ("tol", float("inf")),
             ("tol", float("nan")),
             ("tol", True),
+            ("tol", 1e-11),
             ("depth_cap", "q"),
             ("depth_cap", 2.5),
             ("depth_cap", False),
             ("weak_perron_k", "2"),
             ("corner_selection", 1),
+            ("corner_selection", False),
             ("insert_genus", None),
             ("doubled", "yes"),
+            ("doubled", False),
         ],
     )
     def test_bad_config_value_is_input_error(self, running_record, key, value):
@@ -279,7 +282,7 @@ class TestLoadRecord:
 
     def test_good_config_values_load(self, running_record):
         data = json.loads(running_record.to_json())
-        data["config"].update(tol=1, depth_cap=250, weak_perron_k=None)
+        data["config"].update(depth_cap=250, weak_perron_k=None)
         assert load_record(json.dumps(data))["config"]["depth_cap"] == 250
 
 

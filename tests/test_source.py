@@ -1,10 +1,11 @@
 """Checks of the package source: it parses as the Python version that
 pyproject.toml declares (``requires-python >= 3.10``), every dataclass is
-frozen, so a value is complete when it is built, and ``import endperiodic``
+frozen, so a value is complete when it is built, ``import endperiodic``
 loads neither the figure nor the warm-up code until a name of theirs is
-read."""
+read, and the construction takes no settings beyond the four it has."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +14,16 @@ from pathlib import Path
 import pytest
 
 import endperiodic
+from endperiodic import (
+    DEFAULT_TOL,
+    IntMatrix,
+    block_lift,
+    build_record,
+    run_pipeline,
+)
+from endperiodic.record import _config_dict
+
+from conftest import RUNNING_ROWS
 
 SOURCES = sorted(Path(endperiodic.__file__).parent.glob("*.py"))
 
@@ -104,3 +115,25 @@ def test_construct_without_fig_does_not_load_render(tmp_path):
         "print(code, 'endperiodic.render' in sys.modules)"
     )
     assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("function", [run_pipeline, build_record],
+                         ids=lambda f: f.__name__)
+def test_construction_takes_only_its_four_parameters(function):
+    # the eigendata residual, the corner selection and the double are fixed
+    assert list(inspect.signature(function).parameters) == [
+        "M", "depth_cap", "insert_genus", "weak_perron_k"
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, k", [(RUNNING_ROWS, None), ([[2]], 4)], ids=["running", "lift4"]
+)
+def test_config_of_the_fixed_settings(rows, k):
+    # bench/run.py writes the config of its stage-by-stage record by this
+    # positional call, and its traced record must equal build_record's
+    M = IntMatrix.from_rows(rows)
+    if k is not None:
+        M = block_lift(M, k)
+    expected = build_record(M, weak_perron_k=k)[0].config
+    assert _config_dict(M, DEFAULT_TOL, None, True, False, k, True) == expected

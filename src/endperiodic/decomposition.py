@@ -147,12 +147,14 @@ class StripDecomposition(NamedTuple):
         return a.evaluate(self.eigen), b.evaluate(self.eigen)
 
     def to_json_dict(self) -> dict:
+        """The ``decomposition`` section. It leaves out ``matrix`` and
+        ``eigen``: the record holds them once, as ``config.matrix`` and the
+        ``eigendata`` section."""
+
         def perm(d):
             return [[str(a), str(b)] for a, b in sorted(d.items())]
 
         return {
-            "matrix": self.matrix.to_lists(),
-            "eigen": self.eigen.to_json_dict(),
             "vertical_order": {
                 str(k): [str(s) for s in v] for k, v in self.vertical_order.items()
             },

@@ -17,7 +17,7 @@ form equivalence classes whose census drives the surface report.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -210,24 +210,35 @@ def _strip_entry(
     return ext.strips[(kind, rect)], e + 2 * strip.period + lead
 
 
+#: the edge-map kinds of a generator's two sides, by family: the (left,
+#: right) images of an X generator (interior vertical edge), the (top,
+#: bottom) images of a Y generator (interior horizontal edge)
+SIDE_KINDS = {"X": ("L", "R"), "Y": ("T", "B")}
+
+
 class GeneratorTrace(NamedTuple):
     """Dynamics of one interior-boundary generator.
 
+    ``gen_id`` is ``"X:k:t"`` for the t-th interior vertical boundary of
+    rectangle k, ``"Y:k:t"`` for its t-th interior horizontal one; the
+    family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
+    and the position (``vertical_boundaries[k][t]`` or
+    ``horizontal_boundaries[k][t]`` of the decomposition) follow from it.
     ``pair_states[d]`` holds the two identified image segments at depth
-    d+1: the (left, right) images for an X generator (interior vertical
-    edge), or the (top, bottom) images for a Y generator (interior
-    horizontal edge). ``stabilization_depth`` is the first depth at which
-    both images live on strip boundaries, if reached within the cap.
+    d+1, side a's then side b's. ``sides`` holds each side's states at
+    depths 1..min(t, depth_cap), t the depth at which that side enters its
+    strip (``_strip_entry``), so a side ends at its first strip state
+    unless it has not entered by ``depth_cap``; ``tail_orbits`` holds the
+    orbit ids of the two strips. ``stabilization_depth`` is the larger t,
+    the first depth at which both images live on strip boundaries, if
+    reached within the cap.
     """
 
     gen_id: str
-    family: str
-    rect: int
-    position: float
-    kinds: tuple[str, str]
     pair_states: tuple[tuple[tuple, tuple], ...]
     stabilization_depth: int | None
-    periodic_tail: tuple[dict, dict]
+    sides: tuple[tuple, tuple]
+    tail_orbits: tuple[str, str]
 
 
 class IdentificationSchema(NamedTuple):
@@ -239,16 +250,19 @@ class IdentificationSchema(NamedTuple):
     def to_json_dict(self) -> dict:
         """The ``identifications`` section.
 
-        ``pairs`` holds a generator's pairs at depths 1..s only, s its
-        ``stabilization_depth`` (all ``depth_cap`` pairs when s is
-        ``None``): a slice of ``pair_states``, a tuple of state tuples,
-        which JSON writes as nested arrays. The deeper pairs follow by
-        the tail rule ``ExtendedPieceMap.step``, which reads only the
-        edge digraph and the initial flag of each periodic point, both
-        in the record (``edge_digraphs``, ``periodic_points``): from
-        depth s on both images are strip states, and pair d + 1 is pair
-        d with each image stepped by the rule of its own strip key, for
-        every d from s to ``depth_cap - 1``.
+        Each generator stores its id, its ``stabilization_depth``, its
+        ``tail_orbits`` and its ``sides``: side a's states at depths
+        1..min(t_a, ``depth_cap``) and side b's at 1..min(t_b,
+        ``depth_cap``), t the side's strip-entry depth. Each is a tuple of
+        state tuples, which JSON writes as nested arrays. The deeper states
+        follow by the tail rule ``ExtendedPieceMap.step``, which reads only
+        the edge digraph and the initial flag of each periodic point, both
+        in the record (``edge_digraphs``, ``periodic_points``): from depth
+        t on a side is a strip state, and its state at depth d + 1 is its
+        state at d stepped by the rule of its own strip key, for every d
+        from t to ``depth_cap - 1``. The kind of that rule is the key's
+        first entry, and the generator's id gives everything else it once
+        stored (see ``GeneratorTrace``).
         """
         return {
             "depth_cap": self.depth_cap,
@@ -257,13 +271,9 @@ class IdentificationSchema(NamedTuple):
             "generators": [
                 {
                     "id": g.gen_id,
-                    "family": g.family,
-                    "rect": g.rect,
-                    "position": g.position,
-                    "kinds": list(g.kinds),
                     "stabilization_depth": g.stabilization_depth,
-                    "periodic_tail": list(g.periodic_tail),
-                    "pairs": g.pair_states[:g.stabilization_depth],
+                    "tail_orbits": g.tail_orbits,
+                    "sides": g.sides,
                 }
                 for g in self.generators
             ],
@@ -319,12 +329,13 @@ def enumerate_identifications(
       keeps the side of the strip that the squared step follows: the
       stitch needs no even m.
 
-    The record stores each generator's pairs only up to s (see
-    ``IdentificationSchema.to_json_dict``). That is sound from depth s
-    itself: s is the first depth at which both images are strip states,
-    and ``ExtendedPieceMap.step`` sends a strip state to the strip state
-    named by its key, the edge digraph and the initial flags alone. So
-    pair s and the rule fix every pair up to ``depth_cap``, while
+    The record stores each side of a generator only up to its own entry
+    depth t (see ``IdentificationSchema.to_json_dict``). That is sound
+    from depth t itself: t is the first depth at which that side is a
+    strip state, and ``ExtendedPieceMap.step`` sends a strip state to the
+    strip state named by its key, the edge digraph and the initial flags
+    alone. So the side's state at depth t and the rule fix all of its
+    states up to ``depth_cap``, whatever the other side does, while
     ``pair_states`` keeps all of them for the census.
     """
     system = ext.system
@@ -344,7 +355,6 @@ def enumerate_identifications(
     for k in range(1, D.n + 1):
         vorder = D.vertical_order[k]
         for t in range(1, len(vorder)):
-            pos = D.vertical_boundaries[k][t].evaluate(D.eigen)
             height = D.rect_height(k)
             br_right = by_source[vorder[t]]
             br_left = by_source[vorder[t - 1]]
@@ -354,13 +364,9 @@ def enumerate_identifications(
                 ("E", br_left.target_rect, "R", br_left.y0,
                  br_left.y0 + height / lam),
             )
-            traces.append(
-                _trace(ext, f"X:{k}:{t}", "X", k, pos, ("L", "R"),
-                       first, depth_cap)
-            )
+            traces.append(_trace(ext, f"X:{k}:{t}", first, depth_cap))
         horder = D.horizontal_order[k]
         for t in range(1, len(horder)):
-            pos = D.horizontal_boundaries[k][t].evaluate(D.eigen)
             width = D.rect_width(k)
             br_below = by_target[horder[t]]
             br_above = by_target[horder[t - 1]]
@@ -370,10 +376,7 @@ def enumerate_identifications(
                 ("E", br_above.source_rect, "B", br_above.x0,
                  br_above.x0 + width / lam),
             )
-            traces.append(
-                _trace(ext, f"Y:{k}:{t}", "Y", k, pos, ("T", "B"),
-                       first, depth_cap)
-            )
+            traces.append(_trace(ext, f"Y:{k}:{t}", first, depth_cap))
     if default_window:
         for trace in traces:
             s = trace.stabilization_depth
@@ -416,25 +419,18 @@ def _side_states(ext, kind, first, depth_cap):
     return states, t, strip
 
 
-def _trace(ext, gen_id, family, rect, pos, kinds, first, depth_cap):
+def _trace(ext, gen_id, first, depth_cap):
     (a, ta, sa), (b, tb, sb) = (
         _side_states(ext, kind, state, depth_cap)
-        for kind, state in zip(kinds, first)
+        for kind, state in zip(SIDE_KINDS[gen_id[0]], first)
     )
     s = max(ta, tb)
     return GeneratorTrace(
         gen_id=gen_id,
-        family=family,
-        rect=rect,
-        position=pos,
-        kinds=kinds,
         pair_states=tuple(zip(a, b)),
         stabilization_depth=s if s <= depth_cap else None,
-        periodic_tail=tuple(
-            {"kind": strip.kind, "orbit": strip.orbit_id,
-             "period": strip.period, "shift_per_period": 1}
-            for strip in (sa, sb)
-        ),
+        sides=(tuple(a[:ta]), tuple(b[:tb])),
+        tail_orbits=(sa.orbit_id, sb.orbit_id),
     )
 
 
@@ -966,8 +962,7 @@ def assemble_surface(
         )
     parent = {orbit: orbit for orbit in orbit_sign}
     for gen in schema.generators:
-        a = gen.periodic_tail[0]["orbit"]
-        b = gen.periodic_tail[1]["orbit"]
+        a, b = gen.tail_orbits
         parent.setdefault(a, a)
         parent.setdefault(b, b)
         _union(parent, a, b)

@@ -58,13 +58,16 @@ from .spectral import (
     perron_eigendata,
 )
 
+#: "5": ``identifications`` stores each side of a generator up to its own
+#: strip-entry depth, with the orbit ids of its tail and no field that its
+#: id gives, and ``decomposition`` no copy of the matrix or the eigendata;
 #: "4": ``identifications`` stores each generator's pairs up to its
 #: stabilization depth, not to ``depth_cap``; "3": eigendata come from the
 #: Sturm root and inverse iteration, so every stored float moves in its
 #: last digits against version "2"; "2": a null ``depth_cap`` means
 #: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
 #: product of the periods.
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 
 class PipelineResult(NamedTuple):

@@ -185,7 +185,6 @@ def _property_suite(results, rng) -> bool:
 
 def test_criterion_5_random_property_suite():
     start = time.perf_counter()
-    internal_errors = 0
     try:
         results = _corpus()
     except InternalConsistencyError:
@@ -196,9 +195,7 @@ def test_criterion_5_random_property_suite():
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     record_criterion(
-        "5 property suite on 200 random matrices",
-        ok,
-        f"{elapsed:.1f}s, internal errors={internal_errors}",
+        "5 property suite on 200 random matrices", ok, f"{elapsed:.1f}s"
     )
     assert ok
 

@@ -144,9 +144,15 @@ class TestVerify:
         self._assert_version_refused(tmp_path, capsys, "2")
 
     def test_version_3_record_is_input_error(self, tmp_path, capsys):
-        # version "3" stored every depth up to depth_cap; version "4" stores
+        # version "3" stored every depth up to depth_cap; version "4" stored
         # each generator's pairs up to its stabilization depth
         self._assert_version_refused(tmp_path, capsys, "3")
+
+    def test_version_4_record_is_input_error(self, tmp_path, capsys):
+        # version "4" stored both sides up to the later strip entry, with
+        # fields the generator id gives; version "5" stores each side up to
+        # its own entry
+        self._assert_version_refused(tmp_path, capsys, "4")
 
     def test_config_key_missing_is_input_error(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0

@@ -153,5 +153,10 @@ class TestSymbolicLength:
             a + SymbolicLength.unit(4, 1, "H")
 
     def test_json_dict_shape(self, running_result):
+        # the matrix and the eigendata are config.matrix and the eigendata
+        # section of the record, not copied here
         data = running_result.decomposition.to_json_dict()
-        assert set(data) >= {"matrix", "eigen", "vertical_order", "sigma", "tau"}
+        assert set(data) == {
+            "vertical_order", "horizontal_order", "sigma", "tau",
+            "vertical_boundaries", "horizontal_boundaries",
+        }

@@ -17,13 +17,24 @@ from endperiodic import (
     InternalConsistencyError,
     InvalidInputError,
     PreconditionError,
+    all_periodic_points,
+    assemble_surface,
+    attach_strips,
     block_lift,
+    build_decomposition,
+    build_edge_maps,
+    build_extended_map,
+    choose_initial_points,
     classify_classes,
     enumerate_identifications,
+    link_corner_partners,
+    perron_eigendata,
+    piece_map,
     run_pipeline,
 )
 from endperiodic.edgemaps import _CORNER_AT_END, _CORNER_AT_START
 from endperiodic.gluing import (
+    SIDE_KINDS,
     EquivalenceClass,
     _find,
     _NodeRegistry,
@@ -163,18 +174,21 @@ class TestIdentifications:
             enumerate_identifications(running_result.extended, depth_cap=3)
 
     def test_generator_tails_reach_cycles(self, running_result):
+        strips = running_result.extended.strips
         for gen in running_result.schema.generators:
-            for side in (0, 1):
-                tail = gen.periodic_tail[side]
-                assert tail["orbit"]
-                assert tail["period"] >= 1
+            for side, kind in enumerate(SIDE_KINDS[gen.gen_id[0]]):
+                entered = gen.sides[side][-1]
+                assert entered[0] == "S"
+                assert strips[entered[1]].orbit_id == gen.tail_orbits[side]
+                assert gen.tail_orbits[side].startswith(f"{kind}:")
 
     def test_generator_counts(self, d_results):
         # d interior boundaries minus one per family: d-1 vertical cuts
         for d, res in d_results.items():
             fams = {}
             for gen in res.schema.generators:
-                fams[gen.family] = fams.get(gen.family, 0) + 1
+                family = gen.gen_id.split(":")[0]
+                fams[family] = fams.get(family, 0) + 1
             assert fams == {"X": d - 1, "Y": d - 1}
 
     def test_tails_of_unstabilized_generators(self):
@@ -190,7 +204,7 @@ class TestIdentifications:
             for gen, full in zip(short.generators, res.schema.generators):
                 if gen.stabilization_depth is None:
                     unstabilized += 1
-                    assert gen.periodic_tail == full.periodic_tail
+                    assert gen.tail_orbits == full.tail_orbits
             assert unstabilized == 2
 
     def test_default_window_checks_the_two_period_margin(
@@ -218,7 +232,8 @@ class TestIdentifications:
         for res in entry_results:
             ext, cap = res.extended, res.schema.depth_cap
             for gen in res.schema.generators:
-                for kind, first in zip(gen.kinds, gen.pair_states[0]):
+                kinds = SIDE_KINDS[gen.gen_id[0]]
+                for kind, first in zip(kinds, gen.pair_states[0]):
                     _, t = _strip_entry(kind, first[1], ext)
                     assert t == _float_rule_entry(ext, kind, first, cap)
 
@@ -232,7 +247,7 @@ class TestIdentifications:
             bound = schema.escape_depth + schema.nesting_period
             for gen in schema.generators:
                 depths = []
-                for side, kind in enumerate(gen.kinds):
+                for side, kind in enumerate(SIDE_KINDS[gen.gen_id[0]]):
                     rect = gen.pair_states[0][side][1]
                     strip, t = _strip_entry(kind, rect, ext)
                     tags = [pair[side][0] for pair in gen.pair_states]
@@ -326,6 +341,23 @@ class TestWeakPerronGluing:
     def test_non_lift_rejected(self, running_matrix):
         with pytest.raises(PreconditionError):
             run_pipeline(running_matrix, weak_perron_k=2)
+
+    def test_regluing_needs_the_corner_point(self):
+        # With the identity permutations of build_decomposition, the first
+        # rectangle's top-left corner of the running example's 2-lift is
+        # not periodic, so the regluing has no boundary ray to cut along.
+        M = block_lift(IntMatrix.from_rows(RUNNING_ROWS), 2)
+        system = build_edge_maps(piece_map(
+            build_decomposition(M, perron_eigendata(M))
+        ))
+        points = all_periodic_points(system)
+        link_corner_partners(points)
+        choose_initial_points(points)
+        ext = build_extended_map(system, attach_strips(system, points), points)
+        schema = enumerate_identifications(ext)
+        census = classify_classes(schema, ext)
+        with pytest.raises(PreconditionError, match="corner_selection"):
+            assemble_surface(ext, schema, census, weak_perron_k=2)
 
 
 class TestGenusInsertion:
@@ -631,20 +663,20 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _list_copy_prefix(pair_states) -> list:
-    """The pairs up to the first depth at which both images are strip
-    states (all of them if there is none), copied into lists."""
+def _list_copy_side(pair_states, side: int) -> list:
+    """One side's states up to its first strip state (all of them if there
+    is none), copied into lists."""
     out = []
-    for a, b in pair_states:
-        out.append([list(a), list(b)])
-        if a[0] == "S" and b[0] == "S":
+    for pair in pair_states:
+        out.append(list(pair[side]))
+        if pair[side][0] == "S":
             break
     return out
 
 
 def _list_copy_identifications(schema) -> dict:
-    """The ``identifications`` section with every stored pair copied into
-    lists, as it was built before ``pair_states`` was emitted as it is."""
+    """The ``identifications`` section with every stored state copied into
+    lists, each side cut at its first strip state from ``pair_states``."""
     return {
         "depth_cap": schema.depth_cap,
         "escape_depth": schema.escape_depth,
@@ -652,13 +684,10 @@ def _list_copy_identifications(schema) -> dict:
         "generators": [
             {
                 "id": g.gen_id,
-                "family": g.family,
-                "rect": g.rect,
-                "position": g.position,
-                "kinds": list(g.kinds),
                 "stabilization_depth": g.stabilization_depth,
-                "periodic_tail": list(g.periodic_tail),
-                "pairs": _list_copy_prefix(g.pair_states),
+                "tail_orbits": list(g.tail_orbits),
+                "sides": [_list_copy_side(g.pair_states, side)
+                          for side in (0, 1)],
             }
             for g in schema.generators
         ],

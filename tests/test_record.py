@@ -33,22 +33,21 @@ from conftest import (
 )
 
 
-# schema version "4": default window N + 3m with m the lcm of the periods,
-# identifications stored up to each generator's stabilization depth
-RUNNING_HASH = "04920eecaf11df1c6bd61f68c78995782618ae47d37412f46106890bdca17935"
+# schema version "5": default window N + 3m with m the lcm of the periods,
+# each side of a generator stored up to its own strip-entry depth
+RUNNING_HASH = "58455c1a5b2725562a3c5237fdd0cfb231a6b9ded400ab3b99716e5c9190f5a2"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
 # 10 of [[2]], each built with weak_perron_k = k; the large inputs: the
 # sparse 7x7 and 9x9, seeded n = 12, 16 and 20, x^16 - x - 1 and the running
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
-# ``sparse_irreducible_matrices(120)``, whose digest was computed while the
-# value types were still frozen dataclasses.
+# ``sparse_irreducible_matrices(120)``.
 DIGESTS = {
-    "corpus200": "58549934ef9fbabca95ab99b4bc60281e9594228f97d7f42f36afdd30222c99d",
-    "lifts": "36afd01734fa51d8fae117fd6cc6f9ce2e80753a2dd0c655a54a1d41ff75d08f",
-    "large": "cdc99f4992e6e0c9c9809bb391996bd58ce8564d95ef8558f7ce7876a53e3b01",
-    "sparse120": "4ebf6a474bb0dd4f4ac79dd0a1a94402f35d6a0042e72792c0c8303b937be493",
+    "corpus200": "0dd12f1aef29e08047c975a3888f1c0bb4094a4793672ba5e0f76fa95f48dcb6",
+    "lifts": "c4928b940485867f47f438d0715bf36b5f7380261bad18866902ea93e30349c9",
+    "large": "b0c0348683a96c35b8ff0438cbe1c2dbdbef9da50136fefbbee767dae7ef1ea7",
+    "sparse120": "e0a4df6df75c225ff24350d9dc73728f8923b9c149191b0e6454648e7a38bb76",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -295,8 +294,8 @@ def _state(stored: list) -> tuple:
 def _tail_pairs(sections: dict) -> list[tuple]:
     """Every generator's pairs at depths 1..depth_cap, read from the
     ``identifications``, ``edge_digraphs`` and ``periodic_points``
-    sections alone: the stored prefix, then the tail rule. Side kind
-    ``kind`` steps a strip state on rect r to ``digraph[r]``, one unit
+    sections alone: each side's stored prefix, then the tail rule. A strip
+    state with key [kind, r] steps to ``digraph[kind][r]``, one unit
     higher when the periodic point of map ``kind`` on the new rect (on r
     for T and B) is initial."""
     digraph = {
@@ -308,23 +307,48 @@ def _tail_pairs(sections: dict) -> list[tuple]:
         for row in sections["periodic_points"]
     }
 
-    def step(state, kind):
-        tag, (_, rect), za, zb, w = state
+    def step(state):
+        tag, (kind, rect), za, zb, w = state
         assert tag == "S"
         target = digraph[kind][rect]
         shift = initial[(kind, target if kind in ("L", "R") else rect)]
         return ("S", (kind, target), za, zb, w + int(shift))
 
     identifications = sections["identifications"]
+    cap = identifications["depth_cap"]
     out = []
     for gen in identifications["generators"]:
-        pairs = [tuple(_state(s) for s in pair) for pair in gen["pairs"]]
-        while len(pairs) < identifications["depth_cap"]:
-            pairs.append(tuple(
-                step(state, kind) for state, kind in zip(pairs[-1], gen["kinds"])
-            ))
-        out.append(tuple(pairs))
+        sides = []
+        for stored in gen["sides"]:
+            states = [_state(s) for s in stored]
+            while len(states) < cap:
+                states.append(step(states[-1]))
+            sides.append(states)
+        out.append(tuple(zip(*sides)))
     return out
+
+
+def _check_stored_sides(sections: dict) -> int:
+    """Assert that each stored side ends at its first strip state, or
+    holds ``depth_cap`` edge states when it does not enter its strip in
+    the window, and that ``stabilization_depth`` is the later entry;
+    return the number of sides of the second kind."""
+    cap = sections["identifications"]["depth_cap"]
+    unstabilized = 0
+    for gen in sections["identifications"]["generators"]:
+        tags = [[state[0] for state in side] for side in gen["sides"]]
+        for side in tags:
+            if side[-1] == "S":
+                assert side == ["E"] * (len(side) - 1) + ["S"]
+            else:
+                assert side == ["E"] * cap
+                unstabilized += 1
+        if all(side[-1] == "S" for side in tags):
+            depth = max(len(side) for side in tags)
+            assert gen["stabilization_depth"] == depth
+        else:
+            assert gen["stabilization_depth"] is None
+    return unstabilized
 
 
 def _tail_inputs(case: str) -> list:
@@ -344,11 +368,29 @@ class TestTailFromRecord:
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
             sections = json.loads(record.to_json())["sections"]
-            for gen in sections["identifications"]["generators"]:
-                assert len(gen["pairs"]) == gen["stabilization_depth"]
+            assert _check_stored_sides(sections) == 0
             assert _tail_pairs(sections) == [
                 g.pair_states for g in result.schema.generators
             ]
+
+    def test_window_at_the_escape_depth(self):
+        # At depth_cap = N some sides have not entered their strips: they
+        # store all N edge states, and their tail orbits are those of the
+        # strips they enter past the window, as at the default window.
+        unstabilized = 0
+        for M, _ in _tail_inputs("corpus"):
+            full = run_pipeline(M).schema
+            record, result = build_record(M, depth_cap=full.escape_depth)
+            sections = json.loads(record.to_json())["sections"]
+            unstabilized += _check_stored_sides(sections)
+            assert _tail_pairs(sections) == [
+                g.pair_states for g in result.schema.generators
+            ]
+            stored = [tuple(g["tail_orbits"])
+                      for g in sections["identifications"]["generators"]]
+            assert stored == [g.tail_orbits for g in result.schema.generators]
+            assert stored == [g.tail_orbits for g in full.generators]
+        assert unstabilized > 0
 
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
     def test_window_holds_two_periods_past_the_last_stabilization(self, case):

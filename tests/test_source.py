@@ -1,6 +1,7 @@
 """Checks of the package source: it parses as the Python version that
-pyproject.toml declares (``requires-python >= 3.10``), every dataclass is
-frozen, so a value is complete when it is built, ``import endperiodic``
+pyproject.toml declares (``requires-python >= 3.10``), every imported name
+is read, every dataclass is frozen, so a value is complete when it is
+built, ``import endperiodic``
 loads neither the figure nor the warm-up code until a name of theirs is
 read, and the construction takes no settings beyond the four it has."""
 
@@ -32,6 +33,32 @@ SOURCES = sorted(Path(endperiodic.__file__).parent.glob("*.py"))
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
               feature_version=(3, 10))
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """The names that the imports of ``tree`` bind and that no expression
+    of the module reads; ``from __future__`` imports bind nothing."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_every_imported_name_is_read(path):
+    # __init__.py imports names to re-export them, which is their use
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unread_imports(tree) == []
 
 
 def _frozen_flag(decorator) -> bool | None:

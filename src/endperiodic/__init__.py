@@ -78,7 +78,9 @@ from .markov import IncidenceReport, incidence_matrix, verify_stretch
 from .record import (
     ConstructionRecord,
     PipelineResult,
+    SectionCheck,
     build_record,
+    check_record,
     load_record,
     run_pipeline,
     verify_record,

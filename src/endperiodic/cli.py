@@ -5,7 +5,8 @@ Subcommands:
 * ``construct`` -- run the whole pipeline on a matrix (from a file, an
   inline integer, or a block lift of a file matrix), write the JSON
   record, optionally render figures and re-verify the fresh record.
-* ``verify`` -- re-run every section of a stored record and diff.
+* ``verify`` -- re-run every section of a stored record and diff,
+  printing one line per section, also when one fails.
 * ``render`` -- produce one or more SVG figures for an input.
 * ``spectral`` -- print exact characteristic data and Perron eigendata.
 
@@ -30,7 +31,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .record import build_record, load_record, verify_record
+from .record import build_record, check_record, load_record, require_passed
 from .spectral import (
     IntMatrix,
     block_lift,
@@ -149,16 +150,25 @@ def _cmd_construct(args) -> int:
     if args.fig:
         _write_figures(args.fig, result, out, stem)
     if args.verify:
-        results = verify_record(load_record(record_path.read_text("utf-8")))
-        for name, ok, detail in results:
-            print(f"verify {name}: {'pass' if ok else 'FAIL (' + detail + ')'}")
+        _verify(load_record(record_path.read_text("utf-8")))
     return 0
 
 
+def _verify(data: dict) -> None:
+    """Print one line per check of a loaded record, with the stored
+    section's canonical byte count ("-" for the content hash and for a
+    missing section), then raise ``VerificationError`` if a
+    check failed: the table is printed on failure too."""
+    results = check_record(data)
+    for check in results:
+        size = "-" if check.stored_bytes is None else f"{check.stored_bytes} bytes"
+        status = "pass" if check.passed else f"FAIL ({check.detail})"
+        print(f"verify {check.name}: {size}, {status}")
+    require_passed(results)
+
+
 def _cmd_verify(args) -> int:
-    data = load_record(Path(args.record).read_text(encoding="utf-8"))
-    for name, ok, detail in verify_record(data):
-        print(f"{name}: {'pass' if ok else 'FAIL (' + detail + ')'}")
+    _verify(load_record(Path(args.record).read_text(encoding="utf-8")))
     print("record verified")
     return 0
 

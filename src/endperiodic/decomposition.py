@@ -149,10 +149,15 @@ class StripDecomposition(NamedTuple):
     def to_json_dict(self) -> dict:
         """The ``decomposition`` section. It leaves out ``matrix`` and
         ``eigen``: the record holds them once, as ``config.matrix`` and the
-        ``eigendata`` section."""
+        ``eigendata`` section. ``sigma[k]`` and ``tau[k]`` are written as
+        their images alone, in the order of their domains
+        ``horizontal_order[k]`` and ``vertical_order[k]``."""
 
-        def perm(d):
-            return [[str(a), str(b)] for a, b in sorted(d.items())]
+        def images(perm, orders):
+            return {
+                str(k): [str(perm[k][s]) for s in order]
+                for k, order in orders.items()
+            }
 
         return {
             "vertical_order": {
@@ -161,8 +166,8 @@ class StripDecomposition(NamedTuple):
             "horizontal_order": {
                 str(k): [str(s) for s in v] for k, v in self.horizontal_order.items()
             },
-            "sigma": {str(k): perm(d) for k, d in self.sigma.items()},
-            "tau": {str(k): perm(d) for k, d in self.tau.items()},
+            "sigma": images(self.sigma, self.horizontal_order),
+            "tau": images(self.tau, self.vertical_order),
             "vertical_boundaries": {
                 str(k): [b.evaluate(self.eigen) for b in v]
                 for k, v in self.vertical_boundaries.items()

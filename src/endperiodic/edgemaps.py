@@ -387,7 +387,11 @@ def nesting_period(system: EdgeMapSystem) -> int:
 
 
 def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:
-    """One JSON-ready row per periodic point, map by map in ``KINDS`` order."""
+    """One JSON-ready row per periodic point, map by map in ``KINDS`` order.
+
+    A row does not write ``is_initial``: the initial point of an orbit is
+    its row with ``position`` 0.
+    """
     return [
         {
             "map": pt.map_kind,
@@ -397,7 +401,6 @@ def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:
             "orbit": pt.orbit_id,
             "position": pt.orbit_position,
             "corner": pt.corner_type,
-            "initial": pt.is_initial,
         }
         for kind in KINDS
         for pt in points[kind]

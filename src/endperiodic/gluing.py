@@ -39,7 +39,13 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
-from .spectral import COORD_TOL, wielandt_bound, is_block_lift_of, IntMatrix
+from .spectral import (
+    COORD_TOL,
+    IntMatrix,
+    is_primitive,
+    lift_base,
+    wielandt_bound,
+)
 
 _TRANSFER_TOL = 1e-9
 
@@ -250,19 +256,21 @@ class IdentificationSchema(NamedTuple):
     def to_json_dict(self) -> dict:
         """The ``identifications`` section.
 
-        Each generator stores its id, its ``stabilization_depth``, its
-        ``tail_orbits`` and its ``sides``: side a's states at depths
-        1..min(t_a, ``depth_cap``) and side b's at 1..min(t_b,
-        ``depth_cap``), t the side's strip-entry depth. Each is a tuple of
-        state tuples, which JSON writes as nested arrays. The deeper states
-        follow by the tail rule ``ExtendedPieceMap.step``, which reads only
-        the edge digraph and the initial flag of each periodic point, both
-        in the record (``edge_digraphs``, ``periodic_points``): from depth
-        t on a side is a strip state, and its state at depth d + 1 is its
-        state at d stepped by the rule of its own strip key, for every d
-        from t to ``depth_cap - 1``. The kind of that rule is the key's
-        first entry, and the generator's id gives everything else it once
-        stored (see ``GeneratorTrace``).
+        Each generator stores its id, its ``tail_orbits`` and its
+        ``sides``: side a's states at depths 1..min(t_a, ``depth_cap``) and
+        side b's at 1..min(t_b, ``depth_cap``), t the side's strip-entry
+        depth, each state written without what its side gives (see
+        ``_stored_state``). The side's kind is ``SIDE_KINDS`` of the id's
+        family, and its last state is a strip state exactly when it entered
+        its strip in the window; ``stabilization_depth`` is then the longer
+        side's length when both did, else null. The deeper states follow
+        by the tail rule ``ExtendedPieceMap.step``, which reads only the
+        edge digraph and which periodic point of each orbit has position 0,
+        both in the record (``edge_digraphs``, ``periodic_points``): from
+        depth t on a side is a strip state, and its state at depth d + 1 is
+        its state at d stepped by the rule of its own strip key, for every
+        d from t to ``depth_cap - 1``. The generator's id gives everything
+        else it once stored (see ``GeneratorTrace``).
         """
         return {
             "depth_cap": self.depth_cap,
@@ -271,13 +279,23 @@ class IdentificationSchema(NamedTuple):
             "generators": [
                 {
                     "id": g.gen_id,
-                    "stabilization_depth": g.stabilization_depth,
                     "tail_orbits": g.tail_orbits,
-                    "sides": g.sides,
+                    "sides": [[_stored_state(s) for s in side] for side in g.sides],
                 }
                 for g in self.generators
             ],
         }
+
+
+def _stored_state(state) -> tuple:
+    """A side's state as the record writes it: an edge state
+    ``("E", rect, side, a, b)`` as ``(rect, a, b)``, its ``side`` being the
+    kind of the generator side that holds it, and a strip-entry state
+    ``("S", (kind, rect), za, zb, 0)`` as ``("S", rect, za, zb)``, its kind
+    the same and its height 0 at entry."""
+    if state[0] == "E":
+        return state[1], state[3], state[4]
+    return "S", state[1][1], state[2], state[3]
 
 
 def enumerate_identifications(
@@ -910,8 +928,6 @@ class SurfaceReport(NamedTuple):
     connected: bool | None
     doubled: bool
     weak_perron_gluing: dict | None
-    nesting_period: int
-    escape_depth: int
     stretch_factor: float
 
     def to_json_dict(self) -> dict:
@@ -928,8 +944,6 @@ class SurfaceReport(NamedTuple):
             "connected": self.connected,
             "doubled": self.doubled,
             "weak_perron_gluing": self.weak_perron_gluing,
-            "nesting_period": self.nesting_period,
-            "escape_depth": self.escape_depth,
             "stretch_factor": self.stretch_factor,
         }
 
@@ -994,22 +1008,29 @@ def assemble_surface(
         connected=connected,
         doubled=True,
         weak_perron_gluing=weak_record,
-        nesting_period=schema.nesting_period,
-        escape_depth=schema.escape_depth,
         stretch_factor=D.eigen.lam,
     )
 
 
 def _connectedness(M: IntMatrix, ext: ExtendedPieceMap, weak_perron_k):
-    from .spectral import is_primitive
+    """Whether the surface is connected, and the regluing record if it was
+    decided by the boundary-ray regluing of a k-lift.
 
+    The regluing needs M to be the k-th block lift of a primitive matrix
+    and the first rectangle's top-left corner periodic; either failing
+    raises ``PreconditionError``.
+    """
     if weak_perron_k is not None:
-        if not is_block_lift_of(M, weak_perron_k):
+        k = weak_perron_k
+        base = lift_base(M, k)
+        if base is None:
+            raise PreconditionError(f"matrix is not a block lift with k={k}")
+        if not is_primitive(base):
             raise PreconditionError(
-                f"matrix is not a block lift with k={weak_perron_k}"
+                f"weak_perron_k={k} needs a primitive base block; "
+                f"{base.to_lists()} is not primitive"
             )
         _require_corner_point(ext)
-        k = weak_perron_k
         record = {
             "k": k,
             "A_gluing": [[i, i] for i in range(1, k + 1)],

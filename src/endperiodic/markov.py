@@ -43,18 +43,21 @@ def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
 
 
 class IncidenceReport(NamedTuple):
-    """Certificate comparing the incidence spectral radius to a target."""
+    """Certificate comparing the incidence spectral radius to a target.
+
+    The target is the surface's stretch factor; the ``incidence`` section
+    does not repeat it, since the record holds it as ``eigendata.lambda``
+    (the same ``"%.15g"`` string) and ``surface.stretch_factor``.
+    """
 
     incidence: IntMatrix
     spectral_radius: float
-    target_lambda: float
     relative_error: float
 
     def to_json_dict(self) -> dict:
         return {
             "incidence": self.incidence.to_lists(),
             "spectral_radius": "%.15g" % self.spectral_radius,
-            "target_lambda": "%.15g" % self.target_lambda,
             "relative_error": "%.6g" % self.relative_error,
         }
 
@@ -131,6 +134,5 @@ def verify_stretch(
     return IncidenceReport(
         incidence=inc,
         spectral_radius=rho,
-        target_lambda=target_lambda,
         relative_error=rel,
     )

@@ -2,8 +2,9 @@
 
 ``run_pipeline`` chains every stage of the construction for one input
 matrix.  ``build_record`` freezes the result into a versioned,
-deterministic record, and ``verify_record`` re-runs the construction from
-the embedded configuration and checks the stored sections against it.
+deterministic record, and ``check_record`` re-runs the construction from
+the embedded configuration and checks the stored sections against it;
+``verify_record`` does the same and raises if a check fails.
 
 A record is written as canonical compact JSON: sorted keys and no
 whitespace (``sort_keys=True, separators=(",", ":")``), which CPython
@@ -58,16 +59,24 @@ from .spectral import (
     perron_eigendata,
 )
 
-#: "5": ``identifications`` stores each side of a generator up to its own
-#: strip-entry depth, with the orbit ids of its tail and no field that its
-#: id gives, and ``decomposition`` no copy of the matrix or the eigendata;
+#: "6": each fact is written once: an edge state is ``[rect, a, b]`` and a
+#: strip-entry state ``["S", rect, za, zb]`` (the side gives the kind, and
+#: the height at entry is 0), with no ``stabilization_depth``, which the
+#: stored sides give; ``sigma``/``tau`` list their images in the order of
+#: their domains; ``periodic_points`` has no ``initial`` (``position`` 0),
+#: ``surface`` no copy of the identifications' ``nesting_period`` and
+#: ``escape_depth``, and ``incidence`` no ``target_lambda``
+#: (``eigendata.lambda``); "5": ``identifications`` stores each side of a
+#: generator up to its own strip-entry depth, with the orbit ids of its
+#: tail and no field that its id gives, and ``decomposition`` no copy of
+#: the matrix or the eigendata;
 #: "4": ``identifications`` stores each generator's pairs up to its
 #: stabilization depth, not to ``depth_cap``; "3": eigendata come from the
 #: Sturm root and inverse iteration, so every stored float moves in its
 #: last digits against version "2"; "2": a null ``depth_cap`` means
 #: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
 #: product of the periods.
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 
 class PipelineResult(NamedTuple):
@@ -142,7 +151,9 @@ class ConstructionRecord:
     config: dict
     sections: dict
     created_at: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
+        default_factory=lambda: datetime.now(timezone.utc).isoformat(
+            timespec="microseconds"
+        )
     )
 
     def to_json_dict(self) -> dict:
@@ -347,14 +358,27 @@ def _check_config_values(config: dict) -> None:
             )
 
 
-def verify_record(data: dict) -> list[tuple[str, bool, str]]:
+class SectionCheck(NamedTuple):
+    """One check of ``check_record``: a section, or the content hash.
+
+    ``stored_bytes`` is the length of the stored section's canonical text
+    (ASCII, so also its byte count); None for a section missing from the
+    record and for the content hash.
+    """
+
+    name: str
+    passed: bool
+    detail: str
+    stored_bytes: int | None
+
+
+def check_record(data: dict) -> list[SectionCheck]:
     """Re-run the construction from the embedded config and diff sections.
 
-    Returns one (section, passed, detail) triple per section, stored or
-    recomputed, then one for the content hash.  The detail of a section
-    that differs names the first JSON path at which it does, such as
-    ``eigendata.lambda``.  Raises :class:`VerificationError` if any check
-    fails.
+    Returns one check per section, stored or recomputed, in name order,
+    then one for the content hash.  The detail of a section that differs
+    names the first JSON path at which it does, such as
+    ``eigendata.lambda``.
     """
     cfg = data["config"]
     M = IntMatrix.from_rows(cfg["matrix"])
@@ -380,25 +404,38 @@ def verify_record(data: dict) -> list[tuple[str, bool, str]]:
                     json.loads(stored[name]), json.loads(expected), name
                 )
                 detail = f"stored section differs from recomputation at {path}"
-        results.append((name, ok, detail))
+        size = len(stored[name]) if name in stored else None
+        results.append(SectionCheck(name, ok, detail, size))
     sections = "{" + ",".join(
         f"{_canonical(name)}:{stored[name]}" for name in sorted(stored)
     ) + "}"
     hash_ok = data.get("content_hash") == _hash_hex(
         _canonical(cfg), _canonical(data["schema_version"]), sections
     )
-    results.append(
-        ("content_hash", hash_ok, "match" if hash_ok else "hash mismatch")
-    )
-    failures = [(name, detail) for name, ok, detail in results if not ok]
+    results.append(SectionCheck(
+        "content_hash", hash_ok, "match" if hash_ok else "hash mismatch", None
+    ))
+    return results
+
+
+def require_passed(results: list[SectionCheck]) -> list[SectionCheck]:
+    """``results``, unless a check failed: then raise
+    :class:`VerificationError` naming each failed check and its detail."""
+    failures = [check for check in results if not check.passed]
     if failures:
         raise VerificationError(
             "record verification failed: "
-            + ", ".join(f"{name} ({detail})" for name, detail in failures),
+            + ", ".join(f"{c.name} ({c.detail})" for c in failures),
             expected="stored sections equal to recomputation",
-            actual=[name for name, _ in failures],
+            actual=[c.name for c in failures],
         )
     return results
+
+
+def verify_record(data: dict) -> list[SectionCheck]:
+    """``check_record``, raising :class:`VerificationError` if any check
+    fails."""
+    return require_passed(check_record(data))
 
 
 def _first_difference(stored, fresh, path: str) -> str:

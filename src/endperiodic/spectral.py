@@ -607,10 +607,11 @@ def block_lift(M: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix.from_rows(out)
 
 
-def is_block_lift_of(M: IntMatrix, k: int) -> bool:
-    """Check that M has the block-permutation shape produced by block_lift."""
+def lift_base(M: IntMatrix, k: int) -> IntMatrix | None:
+    """The matrix B with ``block_lift(B, k) == M``, or None if there is none."""
     if k < 1 or M.n % k:
-        return False
+        return None
     m = M.n // k
     inner = [[M.entries[i][(k - 1) * m + j] for j in range(m)] for i in range(m)]
-    return M == block_lift(IntMatrix.from_rows(inner), k)
+    base = IntMatrix.from_rows(inner)
+    return base if M == block_lift(base, k) else None

@@ -232,7 +232,7 @@ def test_criterion_5_sparse_property_suite():
     ok &= all(res.surface.connected is True for _, res in results)
     for record, _ in built:
         checks = verify_record(load_record(record.to_json()))
-        ok &= all(passed for _, passed, _ in checks)
+        ok &= all(check.passed for check in checks)
     elapsed = time.perf_counter() - start
     record_criterion(name, ok, f"{elapsed:.1f}s")
     assert ok

@@ -100,6 +100,36 @@ class TestVerify:
         assert main(["verify", str(record)]) == 1
         assert "at incidence.incidence[0][0]" in capsys.readouterr().err
 
+    def test_table_is_printed_on_failure(self, tmp_path, capsys):
+        # one line per section with its stored byte count, the failed one
+        # naming its JSON path, and the one-line error after the table
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        side = data["sections"]["identifications"]["generators"][0]["sides"][1]
+        side[0][1] += 0.5
+        record.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(record)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        sections = sorted(data["sections"])
+        assert [line.split(":")[0] for line in lines] == (
+            [f"verify {name}" for name in sections] + ["verify content_hash"]
+        )
+        for name, line in zip(sections, lines):
+            size = len(json.dumps(data["sections"][name], sort_keys=True,
+                                  separators=(",", ":")))
+            assert line.startswith(f"verify {name}: {size} bytes, ")
+        path = "identifications.generators[0].sides[1][0][1]"
+        assert lines[sections.index("identifications")].endswith(
+            f"FAIL (stored section differs from recomputation at {path})"
+        )
+        assert lines[-1] == "verify content_hash: -, FAIL (hash mismatch)"
+        assert sum("FAIL" in line for line in lines) == 2
+        assert captured.err.startswith("verification failure: ")
+        assert captured.err.count("\n") == 1
+
     def test_missing_record_is_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
 
@@ -153,6 +183,12 @@ class TestVerify:
         # fields the generator id gives; version "5" stores each side up to
         # its own entry
         self._assert_version_refused(tmp_path, capsys, "4")
+
+    def test_version_5_record_is_input_error(self, tmp_path, capsys):
+        # version "5" wrote the kind, the side, the "E" tag, the entry
+        # height and the stabilization depth with every stored side, and
+        # copies of facts other sections hold
+        self._assert_version_refused(tmp_path, capsys, "5")
 
     def test_config_key_missing_is_input_error(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
@@ -252,6 +288,24 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: matrix is not a block lift with k=2\n"
+        )
+        assert not list(tmp_path.glob("*.record.json"))
+
+    @pytest.mark.parametrize(
+        "options", [["--weak-perron-k", "1"], ["--lift", "2"]]
+    )
+    def test_weak_perron_k_of_an_imprimitive_base(self, tmp_path, capsys,
+                                                  options):
+        # [[0, 2], [1, 0]] has period 2; --lift K implies --weak-perron-k K
+        matrix = tmp_path / "swap.txt"
+        matrix.write_text("0 2\n1 0\n")
+        code = main(["construct", "--matrix", str(matrix), "--out",
+                     str(tmp_path)] + options)
+        assert code == 2
+        k = options[1]
+        assert capsys.readouterr().err == (
+            f"error: weak_perron_k={k} needs a primitive base block; "
+            "[[0, 2], [1, 0]] is not primitive\n"
         )
         assert not list(tmp_path.glob("*.record.json"))
 

@@ -342,6 +342,22 @@ class TestWeakPerronGluing:
         with pytest.raises(PreconditionError):
             run_pipeline(running_matrix, weak_perron_k=2)
 
+    @pytest.mark.parametrize(
+        "base, k", [([[0, 2], [1, 0]], 1), ([[0, 2], [1, 0]], 2)]
+    )
+    def test_regluing_needs_a_primitive_base(self, base, k):
+        # [[0, 2], [1, 0]] is irreducible of period 2: its k-lift is no
+        # lift of a primitive matrix, so the regluing does not certify it,
+        # and without weak_perron_k its connectedness is undecided.
+        M = block_lift(IntMatrix.from_rows(base), k)
+        with pytest.raises(PreconditionError) as info:
+            run_pipeline(M, weak_perron_k=k)
+        assert str(info.value) == (
+            f"weak_perron_k={k} needs a primitive base block; "
+            f"{base} is not primitive"
+        )
+        assert run_pipeline(M).surface.connected is None
+
     def test_regluing_needs_the_corner_point(self):
         # With the identity permutations of build_decomposition, the first
         # rectangle's top-left corner of the running example's 2-lift is
@@ -665,12 +681,15 @@ def _canonical(obj) -> str:
 
 def _list_copy_side(pair_states, side: int) -> list:
     """One side's states up to its first strip state (all of them if there
-    is none), copied into lists."""
+    is none), copied into lists: an edge state as [rect, a, b], a strip
+    state as ["S", rect, za, zb]."""
     out = []
     for pair in pair_states:
-        out.append(list(pair[side]))
-        if pair[side][0] == "S":
+        state = pair[side]
+        if state[0] == "S":
+            out.append(["S", state[1][1], state[2], state[3]])
             break
+        out.append([state[1], state[3], state[4]])
     return out
 
 
@@ -684,7 +703,6 @@ def _list_copy_identifications(schema) -> dict:
         "generators": [
             {
                 "id": g.gen_id,
-                "stabilization_depth": g.stabilization_depth,
                 "tail_orbits": list(g.tail_orbits),
                 "sides": [_list_copy_side(g.pair_states, side)
                           for side in (0, 1)],

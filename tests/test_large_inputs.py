@@ -79,7 +79,7 @@ def test_certifies_and_verifies(name):
     assert schema.depth_cap == N + 3 * m
     assert result.surface.connected is True
     results = verify_record(load_record(record.to_json()))
-    assert all(ok for _, ok, _ in results)
+    assert all(check.passed for check in results)
 
 
 @pytest.mark.parametrize("name", ["sparse7", "lift16", "lift64"])

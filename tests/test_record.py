@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,12 @@ from endperiodic import (
     block_lift,
     build_record,
     load_record,
+    max_escape_depth,
+    nesting_period,
     run_pipeline,
     verify_record,
 )
+from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
 
 from conftest import (
@@ -29,13 +33,15 @@ from conftest import (
     hash_digest,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
+    sparse_irreducible_matrices,
     x_n_minus_x_minus_1,
 )
 
 
-# schema version "5": default window N + 3m with m the lcm of the periods,
-# each side of a generator stored up to its own strip-entry depth
-RUNNING_HASH = "58455c1a5b2725562a3c5237fdd0cfb231a6b9ded400ab3b99716e5c9190f5a2"
+# schema version "6": default window N + 3m with m the lcm of the periods,
+# each side of a generator stored up to its own strip-entry depth, each
+# fact written once
+RUNNING_HASH = "fa72159cf552aac52806cb8ebaef8b2b0f43dc5ca0b63aeeb8160b9c57ad49ac"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -44,10 +50,10 @@ RUNNING_HASH = "58455c1a5b2725562a3c5237fdd0cfb231a6b9ded400ab3b99716e5c9190f5a2
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
 # ``sparse_irreducible_matrices(120)``.
 DIGESTS = {
-    "corpus200": "0dd12f1aef29e08047c975a3888f1c0bb4094a4793672ba5e0f76fa95f48dcb6",
-    "lifts": "c4928b940485867f47f438d0715bf36b5f7380261bad18866902ea93e30349c9",
-    "large": "b0c0348683a96c35b8ff0438cbe1c2dbdbef9da50136fefbbee767dae7ef1ea7",
-    "sparse120": "e0a4df6df75c225ff24350d9dc73728f8923b9c149191b0e6454648e7a38bb76",
+    "corpus200": "c7409b60ad7dfa375b0630ced99e9626fc81778ab3814e731c35570b02d98792",
+    "lifts": "d507e946b6bf98c53269f3c966566ffb9ec08b57e038c2276df289efc56afa48",
+    "large": "e8268db994fadf768e437954a4b4d7e61841fa392f4306653d912f5c3646e891",
+    "sparse120": "2efccfce9f30a4d6d819ca5fc40e2fe0e4be35528bbe57de8f0b56dd0ed716f0",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -100,6 +106,21 @@ class TestDeterminism:
         reloaded = load_record(json.dumps(mutated))
         assert reloaded["content_hash"] == data["content_hash"]
         assert data["created_at"] != mutated["created_at"]
+
+    @pytest.mark.parametrize(
+        "microsecond, stamp",
+        [(0, "2026-01-02T01:02:03.000000+00:00"),
+         (5, "2026-01-02T01:02:03.000005+00:00")],
+    )
+    def test_created_at_always_has_microseconds(self, monkeypatch,
+                                                microsecond, stamp):
+        class Clock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 2, 1, 2, 3, microsecond, tzinfo=tz)
+
+        monkeypatch.setattr(endperiodic.record, "datetime", Clock)
+        assert ConstructionRecord(SCHEMA_VERSION, {}, {}).created_at == stamp
 
     def test_json_is_sorted_and_stable(self, running_record):
         text = running_record.to_json()
@@ -169,17 +190,23 @@ class TestVerifyRecord:
     def test_fresh_record_verifies(self, running_record):
         data = load_record(running_record.to_json())
         results = verify_record(data)
-        assert results and all(ok for _, ok, _ in results)
-        names = [name for name, _, _ in results]
+        assert results and all(check.passed for check in results)
+        names = [check.name for check in results]
         assert "eigendata" in names
         assert "incidence" in names
+        sizes = {check.name: check.stored_bytes for check in results}
+        assert sizes.pop("content_hash") is None
+        assert sizes == {
+            name: len(json.dumps(section, sort_keys=True, separators=(",", ":")))
+            for name, section in data["sections"].items()
+        }
 
     def test_indented_record_verifies(self, running_record):
         text = json.dumps(running_record.to_json_dict(), indent=2, sort_keys=True)
         assert text != running_record.to_json()
         data = load_record(text)
         assert data["content_hash"] == RUNNING_HASH
-        assert all(ok for _, ok, _ in verify_record(data))
+        assert all(check.passed for check in verify_record(data))
 
     def test_mutated_section_fails_with_name(self, running_record):
         data = load_record(running_record.to_json())
@@ -188,6 +215,34 @@ class TestVerifyRecord:
             verify_record(data)
         assert "eigendata" in str(exc.value)
         assert "at eigendata.lambda" in str(exc.value)
+
+    @pytest.mark.parametrize("last, entry", [(False, 0), (True, 1)])
+    def test_state_with_another_rect_fails_at_its_path(
+        self, running_record, last, entry
+    ):
+        # the depth-1 edge state [rect, a, b] or the strip-entry state
+        # ["S", rect, za, zb] of the first generator's side a
+        data = load_record(running_record.to_json())
+        side = data["sections"]["identifications"]["generators"][0]["sides"][0]
+        d = len(side) - 1 if last else 0
+        assert (side[d][0] == "S") == last
+        side[d][entry] = side[d][entry] % len(RUNNING_ROWS) + 1
+        with pytest.raises(VerificationError) as exc:
+            verify_record(_rehashed(data))
+        assert exc.value.actual == ["identifications"]
+        path = f"identifications.generators[0].sides[0][{d}][{entry}]"
+        assert f"at {path})" in str(exc.value)
+
+    def test_swapped_tau_images_fail_at_their_path(self, running_record):
+        data = load_record(running_record.to_json())
+        tau = data["sections"]["decomposition"]["tau"]
+        key = min(k for k in tau if len(tau[k]) >= 2)
+        images = tau[key]
+        images[0], images[1] = images[1], images[0]
+        with pytest.raises(VerificationError) as exc:
+            verify_record(_rehashed(data))
+        assert exc.value.actual == ["decomposition"]
+        assert f"at decomposition.tau.{key}[0])" in str(exc.value)
 
     def test_missing_section_fails(self, running_record):
         data = load_record(running_record.to_json())
@@ -285,27 +340,45 @@ class TestLoadRecord:
         assert load_record(json.dumps(data))["config"]["depth_cap"] == 250
 
 
-def _state(stored: list) -> tuple:
-    """A stored state as the tuple ``pair_states`` holds: the key of a
-    strip state is a (kind, rect) tuple."""
-    return tuple(tuple(x) if isinstance(x, list) else x for x in stored)
+#: the edge-map kinds of a generator's sides a and b, by the family that
+#: its id starts with
+FAMILY_KINDS = {"X": ("L", "R"), "Y": ("T", "B")}
+
+
+def _state(kind: str, stored: list) -> tuple:
+    """A stored state of a side of ``kind`` as the tuple ``pair_states``
+    holds: an edge state [rect, a, b] lies on the ``kind`` edge of rect,
+    and a strip-entry state ["S", rect, za, zb] on strip (kind, rect) at
+    height 0."""
+    if stored[0] == "S":
+        _, rect, za, zb = stored
+        return ("S", (kind, rect), za, zb, 0)
+    rect, a, b = stored
+    return ("E", rect, kind, a, b)
+
+
+def _initial_points(sections: dict) -> dict:
+    """(map, rect) -> whether that periodic point is its orbit's initial
+    one, the row with ``position`` 0."""
+    return {
+        (row["map"], row["rect"]): row["position"] == 0
+        for row in sections["periodic_points"]
+    }
 
 
 def _tail_pairs(sections: dict) -> list[tuple]:
     """Every generator's pairs at depths 1..depth_cap, read from the
     ``identifications``, ``edge_digraphs`` and ``periodic_points``
-    sections alone: each side's stored prefix, then the tail rule. A strip
-    state with key [kind, r] steps to ``digraph[kind][r]``, one unit
-    higher when the periodic point of map ``kind`` on the new rect (on r
-    for T and B) is initial."""
+    sections alone: each side's stored prefix, with its kind from the
+    generator's family, then the tail rule. A strip state with key
+    [kind, r] steps to ``digraph[kind][r]``, one unit higher when the
+    periodic point of map ``kind`` on the new rect (on r for T and B) has
+    position 0."""
     digraph = {
         kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
         for kind, text in sections["edge_digraphs"].items()
     }
-    initial = {
-        (row["map"], row["rect"]): row["initial"]
-        for row in sections["periodic_points"]
-    }
+    initial = _initial_points(sections)
 
     def step(state):
         tag, (kind, rect), za, zb, w = state
@@ -319,8 +392,8 @@ def _tail_pairs(sections: dict) -> list[tuple]:
     out = []
     for gen in identifications["generators"]:
         sides = []
-        for stored in gen["sides"]:
-            states = [_state(s) for s in stored]
+        for kind, stored in zip(FAMILY_KINDS[gen["id"][0]], gen["sides"]):
+            states = [_state(kind, s) for s in stored]
             while len(states) < cap:
                 states.append(step(states[-1]))
             sides.append(states)
@@ -328,32 +401,34 @@ def _tail_pairs(sections: dict) -> list[tuple]:
     return out
 
 
-def _check_stored_sides(sections: dict) -> int:
+def _check_stored_sides(sections: dict) -> tuple[list, int]:
     """Assert that each stored side ends at its first strip state, or
     holds ``depth_cap`` edge states when it does not enter its strip in
-    the window, and that ``stabilization_depth`` is the later entry;
-    return the number of sides of the second kind."""
+    the window. Return each generator's stabilization depth as the sides
+    give it, the longer side's length when both end at a strip state, else
+    None, and the number of sides that hold ``depth_cap`` edge states."""
     cap = sections["identifications"]["depth_cap"]
+    depths = []
     unstabilized = 0
     for gen in sections["identifications"]["generators"]:
-        tags = [[state[0] for state in side] for side in gen["sides"]]
+        tags = [["S" if state[0] == "S" else "E" for state in side]
+                for side in gen["sides"]]
         for side in tags:
             if side[-1] == "S":
                 assert side == ["E"] * (len(side) - 1) + ["S"]
             else:
                 assert side == ["E"] * cap
                 unstabilized += 1
-        if all(side[-1] == "S" for side in tags):
-            depth = max(len(side) for side in tags)
-            assert gen["stabilization_depth"] == depth
-        else:
-            assert gen["stabilization_depth"] is None
-    return unstabilized
+        entered = all(side[-1] == "S" for side in tags)
+        depths.append(max(len(side) for side in tags) if entered else None)
+    return depths, unstabilized
 
 
 def _tail_inputs(case: str) -> list:
     if case == "corpus":
         return [(M, None) for M in random_irreducible_matrices(200)]
+    if case == "sparse120":
+        return [(M, None) for M in sparse_irreducible_matrices(120)]
     if case == "lifts":
         two = IntMatrix.from_rows([[2]])
         return [(block_lift(two, k), k) for k in range(2, 65)]
@@ -362,16 +437,58 @@ def _tail_inputs(case: str) -> list:
     return [(seeded_irreducible_matrix(int(case[1:])), None)]
 
 
+def _check_other_removed_facts(sections: dict, result) -> None:
+    """Rebuild from the record the facts that schema "6" no longer writes
+    outside ``identifications`` and match them with the builder's."""
+    # sigma and tau: each image list on the order list of its rect
+    stored = sections["decomposition"]
+    D = result.decomposition
+    for name, order, perm in (("sigma", "horizontal_order", D.sigma),
+                              ("tau", "vertical_order", D.tau)):
+        rebuilt = {
+            int(key): dict(zip(stored[order][key], images))
+            for key, images in stored[name].items()
+        }
+        assert rebuilt == {
+            rect: {str(a): str(b) for a, b in labels.items()}
+            for rect, labels in perm.items()
+        }
+    # initial: the row with position 0
+    assert list(_initial_points(sections).values()) == [
+        pt.is_initial for kind in KINDS for pt in result.points[kind]
+    ]
+    # the surface's nesting period and escape depth: the keys of the
+    # identifications section
+    identifications = sections["identifications"]
+    assert identifications["nesting_period"] == nesting_period(result.system)
+    assert identifications["escape_depth"] == max_escape_depth(result.system)
+    # the incidence's target lambda: the eigendata's lambda
+    assert sections["eigendata"]["lambda"] == (
+        "%.15g" % result.surface.stretch_factor
+    )
+
+
 class TestTailFromRecord:
-    @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
+    @pytest.mark.parametrize(
+        "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16"]
+    )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
+        # Every fact that schema "6" no longer writes, rebuilt from the
+        # record alone: the kind of each stored state from its family and
+        # side and height 0 at strip entry (the rebuilt window is the
+        # builder's), the stabilization depths, and the facts of
+        # ``_check_other_removed_facts``.
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
             sections = json.loads(record.to_json())["sections"]
-            assert _check_stored_sides(sections) == 0
+            depths, unstabilized = _check_stored_sides(sections)
+            assert unstabilized == 0
+            assert depths == [g.stabilization_depth
+                              for g in result.schema.generators]
             assert _tail_pairs(sections) == [
                 g.pair_states for g in result.schema.generators
             ]
+            _check_other_removed_facts(sections, result)
 
     def test_window_at_the_escape_depth(self):
         # At depth_cap = N some sides have not entered their strips: they
@@ -382,7 +499,10 @@ class TestTailFromRecord:
             full = run_pipeline(M).schema
             record, result = build_record(M, depth_cap=full.escape_depth)
             sections = json.loads(record.to_json())["sections"]
-            unstabilized += _check_stored_sides(sections)
+            depths, short = _check_stored_sides(sections)
+            unstabilized += short
+            assert depths == [g.stabilization_depth
+                              for g in result.schema.generators]
             assert _tail_pairs(sections) == [
                 g.pair_states for g in result.schema.generators
             ]
@@ -403,3 +523,4 @@ class TestTailFromRecord:
             depths = [g.stabilization_depth for g in schema.generators]
             assert None not in depths
             assert max(depths) <= schema.depth_cap - 2 * schema.nesting_period
+

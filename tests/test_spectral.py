@@ -29,7 +29,7 @@ from endperiodic import (
     perron_eigendata,
     spectral_radius_exact,
 )
-from endperiodic.spectral import is_block_lift_of, wielandt_bound
+from endperiodic.spectral import lift_base, wielandt_bound
 
 from conftest import (
     RUNNING_ROWS,
@@ -552,7 +552,8 @@ class TestBlockLift:
         M = IntMatrix.from_rows([[2]])
         L = block_lift(M, 3)
         assert L.to_lists() == [[0, 0, 2], [1, 0, 0], [0, 1, 0]]
-        assert is_block_lift_of(L, 3)
+        assert lift_base(L, 3) == M
+        assert lift_base(L, 2) is None
 
     def test_root_relation(self):
         for k in (2, 3, 4):

@@ -149,25 +149,22 @@ class StripDecomposition(NamedTuple):
     def to_json_dict(self) -> dict:
         """The ``decomposition`` section. It leaves out ``matrix`` and
         ``eigen``: the record holds them once, as ``config.matrix`` and the
-        ``eigendata`` section. ``sigma[k]`` and ``tau[k]`` are written as
-        their images alone, in the order of their domains
-        ``horizontal_order[k]`` and ``vertical_order[k]``."""
+        ``eigendata`` section. It leaves out ``vertical_order`` and
+        ``horizontal_order`` too, the canonical labels
+        ``_canonical_labels(config.matrix, k, "V"/"H")``: ``sigma[k]`` and
+        ``tau[k]`` are written as the 0-based positions of their images
+        in that order, one per domain label in the same order."""
 
-        def images(perm, orders):
-            return {
-                str(k): [str(perm[k][s]) for s in order]
-                for k, order in orders.items()
-            }
+        def positions(perm, orders):
+            out = {}
+            for k, order in orders.items():
+                index = {label: i for i, label in enumerate(order)}
+                out[str(k)] = [index[perm[k][label]] for label in order]
+            return out
 
         return {
-            "vertical_order": {
-                str(k): [str(s) for s in v] for k, v in self.vertical_order.items()
-            },
-            "horizontal_order": {
-                str(k): [str(s) for s in v] for k, v in self.horizontal_order.items()
-            },
-            "sigma": images(self.sigma, self.horizontal_order),
-            "tau": images(self.tau, self.vertical_order),
+            "sigma": positions(self.sigma, self.horizontal_order),
+            "tau": positions(self.tau, self.vertical_order),
             "vertical_boundaries": {
                 str(k): [b.evaluate(self.eigen) for b in v]
                 for k, v in self.vertical_boundaries.items()

@@ -387,19 +387,20 @@ def nesting_period(system: EdgeMapSystem) -> int:
 
 
 def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:
-    """One JSON-ready row per periodic point, map by map in ``KINDS`` order.
+    """One JSON-ready row per periodic point, map by map in ``KINDS`` order:
+    its map, rect, offset and corner.
 
-    A row does not write ``is_initial``: the initial point of an orbit is
-    its row with ``position`` 0.
+    A row writes nothing that the ``edge_digraphs`` section gives: the
+    point's period is the length of the cycle of ``digraph[map]`` through
+    its rect, its orbit id ``"<map>:<i0>"`` with i0 that cycle's least
+    rect, and its orbit position the number of steps from i0 to its rect;
+    the initial point of an orbit is its row on i0.
     """
     return [
         {
             "map": pt.map_kind,
             "rect": pt.location.rect,
             "offset": pt.location.offset,
-            "period": pt.period,
-            "orbit": pt.orbit_id,
-            "position": pt.orbit_position,
             "corner": pt.corner_type,
         }
         for kind in KINDS

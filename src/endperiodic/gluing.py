@@ -49,6 +49,11 @@ from .spectral import (
 
 _TRANSFER_TOL = 1e-9
 
+#: the most pair states (generators times ``depth_cap``) that
+#: ``enumerate_identifications`` builds: a window costs about 2 KiB per
+#: pair state through the census, so this is about 1 GiB
+MAX_PAIR_STATES = 500_000
+
 
 class InfiniteStrip(NamedTuple):
     """One infinite strip [0,1] x [0,oo) attached at a periodic point.
@@ -256,46 +261,52 @@ class IdentificationSchema(NamedTuple):
     def to_json_dict(self) -> dict:
         """The ``identifications`` section.
 
-        Each generator stores its id, its ``tail_orbits`` and its
-        ``sides``: side a's states at depths 1..min(t_a, ``depth_cap``) and
-        side b's at 1..min(t_b, ``depth_cap``), t the side's strip-entry
-        depth, each state written without what its side gives (see
-        ``_stored_state``). The side's kind is ``SIDE_KINDS`` of the id's
+        Each generator stores its id and its ``sides``: side a's states at
+        depths 1..min(t_a, ``depth_cap``) and side b's at 1..min(t_b,
+        ``depth_cap``), t the side's strip-entry depth, each written
+        without what the side and the ``edge_digraphs`` section give (see
+        ``_stored_side``). The side's kind is ``SIDE_KINDS`` of the id's
         family, and its last state is a strip state exactly when it entered
-        its strip in the window; ``stabilization_depth`` is then the longer
-        side's length when both did, else null. The deeper states follow
-        by the tail rule ``ExtendedPieceMap.step``, which reads only the
-        edge digraph and which periodic point of each orbit has position 0,
-        both in the record (``edge_digraphs``, ``periodic_points``): from
-        depth t on a side is a strip state, and its state at depth d + 1 is
-        its state at d stepped by the rule of its own strip key, for every
-        d from t to ``depth_cap - 1``. The generator's id gives everything
-        else it once stored (see ``GeneratorTrace``).
+        its strip in the window; the stabilization depth is then the
+        longer side's length when both did. The side's tail orbit is
+        ``"<kind>:<i0>"``, i0 the least rect of the cycle that its first
+        rect reaches in ``edge_digraphs[kind]``. The deeper states follow
+        by the tail rule ``ExtendedPieceMap.step``, which reads only that
+        digraph: from depth t on a side is a strip state, and its state at
+        depth d + 1 is its state at d stepped by the rule of its own strip
+        key, for every d from t to ``depth_cap - 1``. The generator's id
+        gives everything else it once stored (see ``GeneratorTrace``).
         """
         return {
             "depth_cap": self.depth_cap,
             "escape_depth": self.escape_depth,
             "nesting_period": self.nesting_period,
             "generators": [
-                {
-                    "id": g.gen_id,
-                    "tail_orbits": g.tail_orbits,
-                    "sides": [[_stored_state(s) for s in side] for side in g.sides],
-                }
+                {"id": g.gen_id, "sides": [_stored_side(s) for s in g.sides]}
                 for g in self.generators
             ],
         }
 
 
+def _stored_side(side) -> list:
+    """A side's states as the record writes them: the depth-1 edge state
+    ``("E", rect, kind, a, b)`` as ``(rect, a, b)`` and each later state by
+    ``_stored_state``, without its rect. Each edge state's rect is
+    ``digraph[kind]`` of the one before, and the strip-entry state's is
+    i0, the least rect of the cycle that the side reaches, on which
+    ``_strip_entry`` enters it."""
+    first = side[0]
+    return [(first[1], first[3], first[4]), *map(_stored_state, side[1:])]
+
+
 def _stored_state(state) -> tuple:
-    """A side's state as the record writes it: an edge state
-    ``("E", rect, side, a, b)`` as ``(rect, a, b)``, its ``side`` being the
-    kind of the generator side that holds it, and a strip-entry state
-    ``("S", (kind, rect), za, zb, 0)`` as ``("S", rect, za, zb)``, its kind
-    the same and its height 0 at entry."""
+    """A state past a side's first as the record writes it: an edge state
+    ``("E", rect, kind, a, b)`` as ``(a, b)`` and the strip-entry state
+    ``("S", (kind, i0), za, zb, 0)`` as ``("S", za, zb)``; the side gives
+    the kind, the digraph the rect, and the height is 0 at entry."""
     if state[0] == "E":
-        return state[1], state[3], state[4]
-    return "S", state[1][1], state[2], state[3]
+        return state[3], state[4]
+    return "S", state[2], state[3]
 
 
 def enumerate_identifications(
@@ -355,6 +366,10 @@ def enumerate_identifications(
     alone. So the side's state at depth t and the rule fix all of its
     states up to ``depth_cap``, whatever the other side does, while
     ``pair_states`` keeps all of them for the census.
+
+    A window of more than ``MAX_PAIR_STATES`` pair states (generators
+    times ``depth_cap``) raises ``InvalidInputError`` before any state is
+    built, as does a ``depth_cap`` below N.
     """
     system = ext.system
     D = system.decomposition
@@ -365,6 +380,16 @@ def enumerate_identifications(
         depth_cap = N + 3 * m
     if depth_cap < N:
         raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
+    generators = sum(
+        len(D.vertical_order[k]) + len(D.horizontal_order[k]) - 2
+        for k in range(1, D.n + 1)
+    )
+    if generators * depth_cap > MAX_PAIR_STATES:
+        raise InvalidInputError(
+            f"depth_cap {depth_cap} with {generators} generators is "
+            f"{generators * depth_cap} pair states, above the limit "
+            f"{MAX_PAIR_STATES}"
+        )
 
     by_source = system.piece_map.by_source()
     by_target = system.piece_map.by_target()

@@ -59,6 +59,15 @@ from .spectral import (
     perron_eigendata,
 )
 
+#: "7": no field that the edge digraphs or the matrix give: a stored side
+#: writes its depth-1 edge state as ``[rect, a, b]``, each later edge state
+#: as ``[a, b]`` and its strip-entry state as ``["S", za, zb]`` (the rects
+#: follow the edge digraph), with no ``tail_orbits``; ``periodic_points``
+#: rows have no ``period``, ``orbit`` or ``position`` (the digraph cycle
+#: through the rect gives them); ``decomposition`` has no
+#: ``vertical_order``/``horizontal_order`` (the canonical labels of
+#: ``config.matrix``), and ``sigma``/``tau`` list the positions of their
+#: images in that order;
 #: "6": each fact is written once: an edge state is ``[rect, a, b]`` and a
 #: strip-entry state ``["S", rect, za, zb]`` (the side gives the kind, and
 #: the height at entry is 0), with no ``stabilization_depth``, which the
@@ -76,7 +85,7 @@ from .spectral import (
 #: last digits against version "2"; "2": a null ``depth_cap`` means
 #: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
 #: product of the periods.
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 
 class PipelineResult(NamedTuple):

@@ -1,12 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import time
 
 import pytest
 
 import endperiodic.record
 from endperiodic import InternalConsistencyError
 from endperiodic.cli import main
+from endperiodic.gluing import MAX_PAIR_STATES
 from endperiodic.record import SCHEMA_VERSION
 
 from conftest import RUNNING_ROWS
@@ -189,6 +191,34 @@ class TestVerify:
         # height and the stabilization depth with every stored side, and
         # copies of facts other sections hold
         self._assert_version_refused(tmp_path, capsys, "5")
+
+    def test_version_6_record_is_input_error(self, tmp_path, capsys):
+        # version "6" wrote tail orbit ids, the rect of every stored state,
+        # each periodic point's period, orbit and position, and the label
+        # orders of the decomposition, which the edge digraphs and the
+        # matrix give
+        self._assert_version_refused(tmp_path, capsys, "6")
+
+    def test_oversized_window_is_input_error(self, tmp_path, capsys):
+        # a window past MAX_PAIR_STATES is refused before any state is
+        # built, from a stored record and from construct alike
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        data["config"]["depth_cap"] = 10**9
+        record.write_text(json.dumps(data))
+        capsys.readouterr()
+        for argv in (["verify", str(record)],
+                     ["construct", "--integer", "2", "--depth", str(10**9),
+                      "--out", str(tmp_path)]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: depth_cap {10**9} with 2 generators is "
+                f"{2 * 10**9} pair states, above the limit {MAX_PAIR_STATES}\n"
+            )
 
     def test_config_key_missing_is_input_error(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0

@@ -154,9 +154,17 @@ class TestSymbolicLength:
 
     def test_json_dict_shape(self, running_result):
         # the matrix and the eigendata are config.matrix and the eigendata
-        # section of the record, not copied here
-        data = running_result.decomposition.to_json_dict()
+        # section of the record, and the label orders the canonical labels
+        # of config.matrix, none of them copied here; sigma and tau are
+        # positions in those orders
+        D = running_result.decomposition
+        data = D.to_json_dict()
         assert set(data) == {
-            "vertical_order", "horizontal_order", "sigma", "tau",
-            "vertical_boundaries", "horizontal_boundaries",
+            "sigma", "tau", "vertical_boundaries", "horizontal_boundaries",
         }
+        for name, orders, perm in (("sigma", D.horizontal_order, D.sigma),
+                                   ("tau", D.vertical_order, D.tau)):
+            assert data[name] == {
+                str(k): [order.index(perm[k][label]) for label in order]
+                for k, order in orders.items()
+            }

@@ -1,6 +1,7 @@
 """Edge maps, their functional digraphs, and closed-form periodic points."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -22,7 +23,13 @@ from endperiodic import (
     perron_eigendata,
     piece_map,
 )
-from endperiodic.edgemaps import _PARTNER_KIND, KINDS, composed_branch
+from endperiodic.edgemaps import (
+    _PARTNER_KIND,
+    KINDS,
+    census_json,
+    census_rows,
+    composed_branch,
+)
 
 from conftest import (
     RUNNING_ROWS,
@@ -279,3 +286,19 @@ class TestDepthConstants:
                 all(d % p == 0 for p in periods) for d in range(1, m)
             )
             assert math.prod(periods) % m == 0
+
+
+class TestCensusJson:
+    @pytest.mark.parametrize("case", ["corpus", "lifts"])
+    def test_census_json_parses_to_census_rows(self, case):
+        # The traced benchmark builds ``periodic_points`` from
+        # ``census_json`` and requires its record to equal build_record's,
+        # which writes ``census_rows``.
+        if case == "corpus":
+            inputs = random_irreducible_matrices(200)
+        else:
+            two = IntMatrix.from_rows([[2]])
+            inputs = [block_lift(two, k) for k in range(2, 65)]
+        for M in inputs:
+            points = all_periodic_points(_system(M, corners=True))
+            assert json.loads(census_json(points)) == census_rows(points)

@@ -173,6 +173,22 @@ class TestIdentifications:
         with pytest.raises(InvalidInputError):
             enumerate_identifications(running_result.extended, depth_cap=3)
 
+    def test_window_above_the_pair_state_limit_rejected(
+        self, running_result, monkeypatch
+    ):
+        # The running example has 6 generators and N 10: with the limit at
+        # 6 * 20 pair states the window 20 is built and 21 is refused,
+        # naming depth_cap, the generator count and the limit.
+        monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 120)
+        ext = running_result.extended
+        assert len(enumerate_identifications(ext, depth_cap=20).generators) == 6
+        with pytest.raises(InvalidInputError) as exc:
+            enumerate_identifications(ext, depth_cap=21)
+        assert str(exc.value) == (
+            "depth_cap 21 with 6 generators is 126 pair states, above the "
+            "limit 120"
+        )
+
     def test_generator_tails_reach_cycles(self, running_result):
         strips = running_result.extended.strips
         for gen in running_result.schema.generators:
@@ -681,15 +697,16 @@ def _canonical(obj) -> str:
 
 def _list_copy_side(pair_states, side: int) -> list:
     """One side's states up to its first strip state (all of them if there
-    is none), copied into lists: an edge state as [rect, a, b], a strip
-    state as ["S", rect, za, zb]."""
-    out = []
-    for pair in pair_states:
+    is none), copied into lists: the depth-1 edge state as [rect, a, b],
+    each later edge state as [a, b] and the strip state as ["S", za, zb]."""
+    first = pair_states[0][side]
+    out = [[first[1], first[3], first[4]]]
+    for pair in pair_states[1:]:
         state = pair[side]
         if state[0] == "S":
-            out.append(["S", state[1][1], state[2], state[3]])
+            out.append(["S", state[2], state[3]])
             break
-        out.append([state[1], state[3], state[4]])
+        out.append([state[3], state[4]])
     return out
 
 
@@ -703,7 +720,6 @@ def _list_copy_identifications(schema) -> dict:
         "generators": [
             {
                 "id": g.gen_id,
-                "tail_orbits": list(g.tail_orbits),
                 "sides": [_list_copy_side(g.pair_states, side)
                           for side in (0, 1)],
             }

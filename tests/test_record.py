@@ -38,10 +38,11 @@ from conftest import (
 )
 
 
-# schema version "6": default window N + 3m with m the lcm of the periods,
+# schema version "7": default window N + 3m with m the lcm of the periods,
 # each side of a generator stored up to its own strip-entry depth, each
-# fact written once
-RUNNING_HASH = "fa72159cf552aac52806cb8ebaef8b2b0f43dc5ca0b63aeeb8160b9c57ad49ac"
+# fact written once, and no field that the edge digraphs or the matrix
+# give
+RUNNING_HASH = "3c233b916b90dd8345044c13e4ba3c2a33b63a580a32e747ca8438e2d33b206c"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -50,10 +51,10 @@ RUNNING_HASH = "fa72159cf552aac52806cb8ebaef8b2b0f43dc5ca0b63aeeb8160b9c57ad49ac
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
 # ``sparse_irreducible_matrices(120)``.
 DIGESTS = {
-    "corpus200": "c7409b60ad7dfa375b0630ced99e9626fc81778ab3814e731c35570b02d98792",
-    "lifts": "d507e946b6bf98c53269f3c966566ffb9ec08b57e038c2276df289efc56afa48",
-    "large": "e8268db994fadf768e437954a4b4d7e61841fa392f4306653d912f5c3646e891",
-    "sparse120": "2efccfce9f30a4d6d819ca5fc40e2fe0e4be35528bbe57de8f0b56dd0ed716f0",
+    "corpus200": "e7304b5f0f24b51c0b4088cbc247b0b9b20270826f90d236dcb32244351ac9b0",
+    "lifts": "efbfed53fb8e9be5a741bd3f5ece9d37b645e485c56a48d1acb955bc1b8b56ab",
+    "large": "a84ec9335ab6d6dfeb1f0687e7a0142a9dfe154e7fb6f3526ad403716c1dff65",
+    "sparse120": "3b72e79227f93ebc4d78eee2ad04a3e758e08b96710d0d358dca4133bb66ccf7",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -220,8 +221,9 @@ class TestVerifyRecord:
     def test_state_with_another_rect_fails_at_its_path(
         self, running_record, last, entry
     ):
-        # the depth-1 edge state [rect, a, b] or the strip-entry state
-        # ["S", rect, za, zb] of the first generator's side a
+        # the rect of the depth-1 edge state [rect, a, b] of the first
+        # generator's side a, or the za of its strip-entry state
+        # ["S", za, zb], which holds no rect: the edge digraph gives it
         data = load_record(running_record.to_json())
         side = data["sections"]["identifications"]["generators"][0]["sides"][0]
         d = len(side) - 1 if last else 0
@@ -233,11 +235,27 @@ class TestVerifyRecord:
         path = f"identifications.generators[0].sides[0][{d}][{entry}]"
         assert f"at {path})" in str(exc.value)
 
+    def test_changed_b_of_a_second_edge_state_fails_at_its_path(
+        self, running_record
+    ):
+        # a side's depth-2 edge state is [a, b], its rect the digraph's
+        data = load_record(running_record.to_json())
+        side = data["sections"]["identifications"]["generators"][0]["sides"][1]
+        assert len(side[1]) == 2 and side[1][0] != "S"
+        side[1][1] += 0.25
+        with pytest.raises(VerificationError) as exc:
+            verify_record(_rehashed(data))
+        assert exc.value.actual == ["identifications"]
+        path = "identifications.generators[0].sides[1][1][1]"
+        assert f"at {path})" in str(exc.value)
+
     def test_swapped_tau_images_fail_at_their_path(self, running_record):
+        # tau[k] lists the positions of its images in the canonical order
         data = load_record(running_record.to_json())
         tau = data["sections"]["decomposition"]["tau"]
         key = min(k for k in tau if len(tau[k]) >= 2)
         images = tau[key]
+        assert sorted(images) == list(range(len(images)))
         images[0], images[1] = images[1], images[0]
         with pytest.raises(VerificationError) as exc:
             verify_record(_rehashed(data))
@@ -345,79 +363,121 @@ class TestLoadRecord:
 FAMILY_KINDS = {"X": ("L", "R"), "Y": ("T", "B")}
 
 
-def _state(kind: str, stored: list) -> tuple:
-    """A stored state of a side of ``kind`` as the tuple ``pair_states``
-    holds: an edge state [rect, a, b] lies on the ``kind`` edge of rect,
-    and a strip-entry state ["S", rect, za, zb] on strip (kind, rect) at
-    height 0."""
-    if stored[0] == "S":
-        _, rect, za, zb = stored
-        return ("S", (kind, rect), za, zb, 0)
-    rect, a, b = stored
-    return ("E", rect, kind, a, b)
-
-
-def _initial_points(sections: dict) -> dict:
-    """(map, rect) -> whether that periodic point is its orbit's initial
-    one, the row with ``position`` 0."""
+def _digraphs(sections: dict) -> dict:
+    """``edge_digraphs`` as one dict rect -> successor per kind."""
     return {
-        (row["map"], row["rect"]): row["position"] == 0
-        for row in sections["periodic_points"]
-    }
-
-
-def _tail_pairs(sections: dict) -> list[tuple]:
-    """Every generator's pairs at depths 1..depth_cap, read from the
-    ``identifications``, ``edge_digraphs`` and ``periodic_points``
-    sections alone: each side's stored prefix, with its kind from the
-    generator's family, then the tail rule. A strip state with key
-    [kind, r] steps to ``digraph[kind][r]``, one unit higher when the
-    periodic point of map ``kind`` on the new rect (on r for T and B) has
-    position 0."""
-    digraph = {
         kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
         for kind, text in sections["edge_digraphs"].items()
     }
-    initial = _initial_points(sections)
+
+
+def _cycle(digraph: dict, rect: int) -> list:
+    """The cycle of a functional digraph that ``rect`` reaches, listed
+    from its least rect."""
+    path, index = [], {}
+    while rect not in index:
+        index[rect] = len(path)
+        path.append(rect)
+        rect = digraph[rect]
+    cycle = path[index[rect]:]
+    start = cycle.index(min(cycle))
+    return cycle[start:] + cycle[:start]
+
+
+def _side_states(kind: str, stored: list, digraph: dict) -> tuple[list, str]:
+    """A stored side of ``kind`` as the states ``pair_states`` holds, and
+    its tail orbit id, from the side and ``digraph`` (that kind's) alone.
+    The first state [rect, a, b] lies on the ``kind`` edge of rect, each
+    later edge state [a, b] on the successor of the rect before, and the
+    strip-entry state ["S", za, zb] on strip (kind, i0) at height 0, i0
+    the least rect of the cycle that the side reaches; the tail orbit is
+    "<kind>:<i0>"."""
+    rect, a, b = stored[0]
+    i0 = _cycle(digraph, rect)[0]
+    states = [("E", rect, kind, a, b)]
+    for state in stored[1:]:
+        rect = digraph[rect]
+        if state[0] == "S":
+            # the walk reaches i0 at the entry depth, as the rule says
+            assert rect == i0
+            states.append(("S", (kind, i0), state[1], state[2], 0))
+        else:
+            states.append(("E", rect, kind, *state))
+    return states, f"{kind}:{i0}"
+
+
+def _orbit_rows(sections: dict) -> list[tuple]:
+    """(period, orbit id, position) of each ``periodic_points`` row, from
+    the cycle of ``edge_digraphs[map]`` through its rect: the cycle's
+    length, "<map>:<its least rect>" and the row's steps from that rect.
+    Position 0 marks the orbit's initial point."""
+    digraph = _digraphs(sections)
+    out = []
+    for row in sections["periodic_points"]:
+        kind, rect = row["map"], row["rect"]
+        cycle = _cycle(digraph[kind], rect)
+        out.append((len(cycle), f"{kind}:{cycle[0]}", cycle.index(rect)))
+    return out
+
+
+def _rebuilt_window(sections: dict) -> tuple[list, list]:
+    """Every generator's pairs at depths 1..depth_cap and its two tail
+    orbit ids, read from the ``identifications`` and ``edge_digraphs``
+    sections alone: each side's stored prefix (``_side_states``), with
+    its kind from the generator's family, then the tail rule. A strip
+    state with key [kind, r] steps to ``digraph[kind][r]``, one unit
+    higher when the new rect (r for T and B) is the least rect of its
+    cycle, the rect of the orbit's initial point."""
+    digraph = _digraphs(sections)
+    initial = {
+        (kind, rect)
+        for kind, succ in digraph.items()
+        for rect in succ
+        if _cycle(succ, rect)[0] == rect
+    }
 
     def step(state):
         tag, (kind, rect), za, zb, w = state
         assert tag == "S"
         target = digraph[kind][rect]
-        shift = initial[(kind, target if kind in ("L", "R") else rect)]
-        return ("S", (kind, target), za, zb, w + int(shift))
+        rise = (kind, target if kind in ("L", "R") else rect) in initial
+        return ("S", (kind, target), za, zb, w + int(rise))
 
     identifications = sections["identifications"]
     cap = identifications["depth_cap"]
-    out = []
+    pairs, tails = [], []
     for gen in identifications["generators"]:
-        sides = []
+        sides, orbits = [], []
         for kind, stored in zip(FAMILY_KINDS[gen["id"][0]], gen["sides"]):
-            states = [_state(kind, s) for s in stored]
+            states, orbit = _side_states(kind, stored, digraph[kind])
             while len(states) < cap:
                 states.append(step(states[-1]))
             sides.append(states)
-        out.append(tuple(zip(*sides)))
-    return out
+            orbits.append(orbit)
+        pairs.append(tuple(zip(*sides)))
+        tails.append(tuple(orbits))
+    return pairs, tails
 
 
 def _check_stored_sides(sections: dict) -> tuple[list, int]:
-    """Assert that each stored side ends at its first strip state, or
-    holds ``depth_cap`` edge states when it does not enter its strip in
-    the window. Return each generator's stabilization depth as the sides
-    give it, the longer side's length when both end at a strip state, else
-    None, and the number of sides that hold ``depth_cap`` edge states."""
+    """Assert that each stored side is a depth-1 edge state [rect, a, b],
+    then edge states [a, b], and ends at its first strip state
+    ["S", za, zb], or holds ``depth_cap`` edge states when it does not
+    enter its strip in the window. Return each generator's stabilization
+    depth as the sides give it, the longer side's length when both end at
+    a strip state, else None, and the number of sides that hold
+    ``depth_cap`` edge states."""
     cap = sections["identifications"]["depth_cap"]
     depths = []
     unstabilized = 0
     for gen in sections["identifications"]["generators"]:
-        tags = [["S" if state[0] == "S" else "E" for state in side]
+        tags = [["S" if state[0] == "S" else len(state) for state in side]
                 for side in gen["sides"]]
         for side in tags:
             if side[-1] == "S":
-                assert side == ["E"] * (len(side) - 1) + ["S"]
+                assert side == [3] + [2] * (len(side) - 2) + ["S"]
             else:
-                assert side == ["E"] * cap
+                assert side == [3] + [2] * (cap - 1)
                 unstabilized += 1
         entered = all(side[-1] == "S" for side in tags)
         depths.append(max(len(side) for side in tags) if entered else None)
@@ -434,28 +494,66 @@ def _tail_inputs(case: str) -> list:
         return [(block_lift(two, k), k) for k in range(2, 65)]
     if case == "sparse7":
         return [(IntMatrix.from_rows(SPARSE7), None)]
+    if case == "large":
+        return [
+            (IntMatrix.from_rows(SPARSE9), None),
+            (seeded_irreducible_matrix(20), None),
+            (x_n_minus_x_minus_1(16), None),
+            (block_lift(IntMatrix.from_rows(RUNNING_ROWS), 4), 4),
+        ]
     return [(seeded_irreducible_matrix(int(case[1:])), None)]
 
 
-def _check_other_removed_facts(sections: dict, result) -> None:
-    """Rebuild from the record the facts that schema "6" no longer writes
-    outside ``identifications`` and match them with the builder's."""
-    # sigma and tau: each image list on the order list of its rect
-    stored = sections["decomposition"]
+def _labels(rows: list, k: int, orientation: str) -> list[str]:
+    """The strip labels of rect k in ascending order, as the record's
+    matrix gives them: one per unit of column k (vertical) or row k
+    (horizontal), by source, then copy."""
+    if orientation == "V":
+        mults = [row[k - 1] for row in rows]
+    else:
+        mults = rows[k - 1]
+    return [
+        f"{orientation}({k};{i},{j})"
+        for i, mult in enumerate(mults, start=1)
+        for j in range(1, mult + 1)
+    ]
+
+
+def _check_other_removed_facts(data: dict, result) -> None:
+    """Rebuild from the record the facts that schemas "6" and "7" no
+    longer write outside ``identifications`` and match them with the
+    builder's."""
+    sections = data["sections"]
+    rows = data["config"]["matrix"]
+    # the label orders, from config.matrix, and sigma and tau: each
+    # position list on the order of its rect
     D = result.decomposition
-    for name, order, perm in (("sigma", "horizontal_order", D.sigma),
-                              ("tau", "vertical_order", D.tau)):
+    for name, orientation, orders, perm in (
+        ("sigma", "H", D.horizontal_order, D.sigma),
+        ("tau", "V", D.vertical_order, D.tau),
+    ):
+        labels = {rect: _labels(rows, rect, orientation) for rect in orders}
+        assert labels == {
+            rect: [str(s) for s in order] for rect, order in orders.items()
+        }
         rebuilt = {
-            int(key): dict(zip(stored[order][key], images))
-            for key, images in stored[name].items()
+            int(key): {
+                labels[int(key)][i]: labels[int(key)][image]
+                for i, image in enumerate(positions)
+            }
+            for key, positions in sections["decomposition"][name].items()
         }
         assert rebuilt == {
-            rect: {str(a): str(b) for a, b in labels.items()}
-            for rect, labels in perm.items()
+            rect: {str(a): str(b) for a, b in images.items()}
+            for rect, images in perm.items()
         }
-    # initial: the row with position 0
-    assert list(_initial_points(sections).values()) == [
-        pt.is_initial for kind in KINDS for pt in result.points[kind]
+    # each periodic point's period, orbit and position (position 0: the
+    # initial point), from the edge digraphs
+    points = [pt for kind in KINDS for pt in result.points[kind]]
+    rows = _orbit_rows(sections)
+    assert rows == [(pt.period, pt.orbit_id, pt.orbit_position) for pt in points]
+    assert [position == 0 for _, _, position in rows] == [
+        pt.is_initial for pt in points
     ]
     # the surface's nesting period and escape depth: the keys of the
     # identifications section
@@ -470,30 +568,33 @@ def _check_other_removed_facts(sections: dict, result) -> None:
 
 class TestTailFromRecord:
     @pytest.mark.parametrize(
-        "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16"]
+        "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16", "large"]
     )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
-        # Every fact that schema "6" no longer writes, rebuilt from the
-        # record alone: the kind of each stored state from its family and
-        # side and height 0 at strip entry (the rebuilt window is the
-        # builder's), the stabilization depths, and the facts of
+        # Every fact that schemas "6" and "7" no longer write, rebuilt from
+        # the record alone: each stored state's kind from its family and
+        # side, its rect from the edge digraph, height 0 at strip entry
+        # (the rebuilt window is the builder's), the tail orbits, the
+        # stabilization depths, and the facts of
         # ``_check_other_removed_facts``.
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
-            sections = json.loads(record.to_json())["sections"]
+            data = json.loads(record.to_json())
+            sections = data["sections"]
             depths, unstabilized = _check_stored_sides(sections)
             assert unstabilized == 0
-            assert depths == [g.stabilization_depth
-                              for g in result.schema.generators]
-            assert _tail_pairs(sections) == [
-                g.pair_states for g in result.schema.generators
-            ]
-            _check_other_removed_facts(sections, result)
+            generators = result.schema.generators
+            assert depths == [g.stabilization_depth for g in generators]
+            pairs, tails = _rebuilt_window(sections)
+            assert pairs == [g.pair_states for g in generators]
+            assert tails == [g.tail_orbits for g in generators]
+            _check_other_removed_facts(data, result)
 
     def test_window_at_the_escape_depth(self):
         # At depth_cap = N some sides have not entered their strips: they
-        # store all N edge states, and their tail orbits are those of the
-        # strips they enter past the window, as at the default window.
+        # store all N edge states, and their tail orbits, rebuilt from the
+        # digraph, are those of the strips they enter past the window, as
+        # at the default window.
         unstabilized = 0
         for M, _ in _tail_inputs("corpus"):
             full = run_pipeline(M).schema
@@ -501,15 +602,12 @@ class TestTailFromRecord:
             sections = json.loads(record.to_json())["sections"]
             depths, short = _check_stored_sides(sections)
             unstabilized += short
-            assert depths == [g.stabilization_depth
-                              for g in result.schema.generators]
-            assert _tail_pairs(sections) == [
-                g.pair_states for g in result.schema.generators
-            ]
-            stored = [tuple(g["tail_orbits"])
-                      for g in sections["identifications"]["generators"]]
-            assert stored == [g.tail_orbits for g in result.schema.generators]
-            assert stored == [g.tail_orbits for g in full.generators]
+            generators = result.schema.generators
+            assert depths == [g.stabilization_depth for g in generators]
+            pairs, tails = _rebuilt_window(sections)
+            assert pairs == [g.pair_states for g in generators]
+            assert tails == [g.tail_orbits for g in generators]
+            assert tails == [g.tail_orbits for g in full.generators]
         assert unstabilized > 0
 
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])

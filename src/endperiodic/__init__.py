@@ -11,6 +11,7 @@ from .errors import (
     EndPeriodicError,
     InternalConsistencyError,
     InvalidInputError,
+    PrecisionError,
     PreconditionError,
     VerificationError,
 )
@@ -22,6 +23,7 @@ from .spectral import (
     IntPolynomial,
     PerronData,
     block_lift,
+    bracket_sign_changes,
     char_poly,
     determinant,
     graph_period,

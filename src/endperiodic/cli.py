@@ -10,9 +10,10 @@ Subcommands:
 * ``render`` -- produce one or more SVG figures for an input.
 * ``spectral`` -- print exact characteristic data and Perron eigendata.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal consistency error (a structural guarantee of the construction
-failed; this is a bug, not bad input).
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(also ``ConvergenceError`` and ``PrecisionError``, a strip of float
+length 0 from too wide Perron vectors), 3 internal consistency error (a
+structural guarantee of the construction failed; a bug, not bad input).
 The ``ENDPERIODIC_OUT`` environment variable sets the default output
 directory.
 """
@@ -28,6 +29,7 @@ from .errors import (
     ConvergenceError,
     InternalConsistencyError,
     InvalidInputError,
+    PrecisionError,
     PreconditionError,
     VerificationError,
 )
@@ -142,8 +144,9 @@ def _cmd_construct(args) -> int:
     print(f"matrix: {M.to_lists()}")
     print(f"lambda: {result.eigen.lam:.12g} (residual {result.eigen.residual:.3g})")
     print(f"stretch factor: {surface.stretch_factor:.12g}")
-    print(f"incidence spectral radius: {result.incidence.spectral_radius:.12g} "
-          f"(relative error {result.incidence.relative_error:.3g})")
+    lo, hi = result.incidence.bracket
+    print(f"spectral radius certified in [{lo!r}, {hi!r}] "
+          f"(Sturm sign changes {result.incidence.sign_changes})")
     print(f"ends: {[(e.sign, len(e.strip_orbits)) for e in surface.ends]}")
     print(f"connected: {surface.connected}  infinite type: {surface.infinite_type}")
     print(f"record: {record_path}")
@@ -242,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (InvalidInputError, PreconditionError, ConvergenceError,
-            OSError) as exc:
+            PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

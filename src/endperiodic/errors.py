@@ -21,6 +21,11 @@ class ConvergenceError(EndPeriodicError, RuntimeError):
         self.residual = residual
 
 
+class PrecisionError(EndPeriodicError, ArithmeticError):
+    """A float coordinate of the construction lost all resolution: the
+    input's Perron vectors span too wide a range for double precision."""
+
+
 class VerificationError(EndPeriodicError, RuntimeError):
     """A certificate check failed; carries the offending values."""
 

@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
+from math import inf
 from typing import NamedTuple
 
 from .edgemaps import (
@@ -38,6 +39,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     PreconditionError,
+    PrecisionError,
 )
 from .spectral import (
     COORD_TOL,
@@ -119,6 +121,14 @@ def attach_strips(
                 )
             lo = b
             hi = b + edge_len * lam ** -(2 * p + j)
+            if not 0 < hi - lo < inf:
+                eta, omega = D.eigen.eta, D.eigen.omega
+                raise PrecisionError(
+                    f"strip {pt.key} has float length {hi - lo!r} at offset "
+                    f"{lo!r}: eta spans {max(eta) / min(eta):.3g} and omega "
+                    f"{max(omega) / min(omega):.3g}, too wide for float "
+                    "coordinates"
+                )
             host_len = E.edge_length(rect, D)
             if lo < -_TRANSFER_TOL or hi > host_len + _TRANSFER_TOL:
                 raise InternalConsistencyError("attachment leaves its host edge")
@@ -276,11 +286,13 @@ class IdentificationSchema(NamedTuple):
         depth d + 1 is its state at d stepped by the rule of its own strip
         key, for every d from t to ``depth_cap - 1``. The generator's id
         gives everything else it once stored (see ``GeneratorTrace``).
+        The window is not restated: ``nesting_period`` is the lcm of the
+        digraph cycle lengths, ``escape_depth`` the longest tail to a
+        cycle plus twice the longest cycle, and ``depth_cap`` is
+        ``config.depth_cap``, or, when that is null, ``escape_depth`` plus
+        three nesting periods.
         """
         return {
-            "depth_cap": self.depth_cap,
-            "escape_depth": self.escape_depth,
-            "nesting_period": self.nesting_period,
             "generators": [
                 {"id": g.gen_id, "sides": [_stored_side(s) for s in g.sides]}
                 for g in self.generators
@@ -951,7 +963,6 @@ class SurfaceReport(NamedTuple):
     genus_insertion_applied: bool
     genus_insertion_site: tuple | None
     connected: bool | None
-    doubled: bool
     weak_perron_gluing: dict | None
     stretch_factor: float
 
@@ -967,7 +978,6 @@ class SurfaceReport(NamedTuple):
                 list(self.genus_insertion_site) if self.genus_insertion_site else None
             ),
             "connected": self.connected,
-            "doubled": self.doubled,
             "weak_perron_gluing": self.weak_perron_gluing,
             "stretch_factor": self.stretch_factor,
         }
@@ -987,8 +997,7 @@ def assemble_surface(
     strips give attracting ends, horizontal-side strips repelling ones.
     Connectedness is certified for primitive matrices by a positive first
     column of a power of M, and for block-lift inputs by the boundary-ray
-    regluing record; otherwise it is reported as undecided. The surface
-    is always the double, so ``doubled`` is True.
+    regluing record; otherwise it is reported as undecided.
     """
     system = ext.system
     D = system.decomposition
@@ -1031,7 +1040,6 @@ def assemble_surface(
         genus_insertion_applied=insert_genus,
         genus_insertion_site=site,
         connected=connected,
-        doubled=True,
         weak_perron_gluing=weak_record,
         stretch_factor=D.eigen.lam,
     )

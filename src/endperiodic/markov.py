@@ -1,19 +1,12 @@
-"""Markov incidence matrix and stretch-factor verification.
+"""Markov incidence matrix and stretch-factor certificate.
 
-The constructed homeomorphism carries a Markov decomposition whose
-incidence matrix is block diagonal with two copies of the input matrix
-(one copy per side of the doubled surface).  The stretch factor of the
-map equals the spectral radius of that incidence matrix, which by block
-structure equals the spectral radius of the input matrix itself.  This
-module builds the incidence matrix and certifies the spectral claim.
-
-The certificate uses the block identity
-char_poly(diag(B, ..., B)) = char_poly(B)**k for k copies of B: it checks
-that the incidence matrix is block diagonal with equal diagonal blocks,
-then computes the characteristic polynomial of one n x n block only.  The
-radius it reports is, bit for bit, the one a Sturm bisection on the
-degree-kn polynomial of the whole matrix gives (see
-:func:`~endperiodic.spectral.block_diagonal_radius`).
+The constructed surface is a double, so the incidence matrix of its
+Markov decomposition is diag(M, M), whose characteristic polynomial is
+p**2 with p = char_poly(M).  p**2 has the distinct roots of p, so the
+stretch factor is the spectral radius of M, the largest real root of p.
+``verify_stretch`` certifies it from p by one exact Sturm count (Basu,
+Pollack & Roy, *Algorithms in Real Algebraic Geometry*, 2006, ch. 2),
+without building the doubled matrix or bisecting λ again.
 """
 
 from __future__ import annotations
@@ -21,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .spectral import IntMatrix, IntPolynomial, block_diagonal_radius, char_poly
+from .spectral import IntMatrix, IntPolynomial, bracket_sign_changes, char_poly
 
 
 def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
@@ -29,7 +22,8 @@ def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
 
     With ``doubled=True`` (the constructed surface is a double) the
     result is the block-diagonal matrix ``[[M, 0], [0, M]]``; otherwise
-    it is ``M`` itself.
+    it is ``M`` itself.  The certificate does not build it; it is the
+    tests' oracle.
     """
     if not doubled:
         return M
@@ -43,96 +37,49 @@ def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
 
 
 class IncidenceReport(NamedTuple):
-    """Certificate comparing the incidence spectral radius to a target.
+    """Certificate that the spectral radius lies in ``bracket``.
 
-    The target is the surface's stretch factor; the ``incidence`` section
-    does not repeat it, since the record holds it as ``eigendata.lambda``
-    (the same ``"%.15g"`` string) and ``surface.stretch_factor``.
+    ``sign_changes`` counts the Sturm chain's sign changes just below the
+    low end and just above the high end.  ``relative_error`` is the
+    certified bound ``tol``, up to the rounding of the float bracket ends.
     """
 
-    incidence: IntMatrix
-    spectral_radius: float
+    bracket: tuple[float, float]
+    sign_changes: tuple[int, int]
     relative_error: float
 
     def to_json_dict(self) -> dict:
         return {
-            "incidence": self.incidence.to_lists(),
-            "spectral_radius": "%.15g" % self.spectral_radius,
-            "relative_error": "%.6g" % self.relative_error,
+            "bracket": list(self.bracket),
+            "sign_changes": list(self.sign_changes),
         }
-
-
-def _diagonal_block(inc: IntMatrix, n: int) -> tuple[IntMatrix, int]:
-    """The n x n block repeated down the diagonal of ``inc``, and the
-    number of blocks.
-
-    Raises :class:`VerificationError` naming the block, as (row, column)
-    in units of n, unless ``inc`` is block diagonal with every diagonal
-    block equal to the first.
-    """
-    if inc.n % n:
-        raise VerificationError(
-            f"incidence matrix of size {inc.n} is not made of {n} x {n} blocks",
-            expected=n,
-            actual=inc.n,
-        )
-    k = inc.n // n
-    block = tuple(row[:n] for row in inc.entries[:n])
-    for i, row in enumerate(inc.entries):
-        b = i // n
-        for c in range(k):
-            part = row[c * n:(c + 1) * n]
-            if c == b and part != block[i % n]:
-                raise VerificationError(
-                    f"incidence diagonal block ({b}, {b}) differs from block (0, 0)",
-                    expected=list(block[i % n]),
-                    actual=list(part),
-                )
-            if c != b and any(part):
-                raise VerificationError(
-                    f"incidence off-diagonal block ({b}, {c}) is not zero",
-                    expected=[0] * n,
-                    actual=list(part),
-                )
-    return IntMatrix(block), k
 
 
 def verify_stretch(
     M: IntMatrix, report, tol: float = 1e-9, poly: IntPolynomial | None = None
 ) -> IncidenceReport:
-    """Check that the incidence matrix realizes the reported stretch factor.
+    """Certify that the spectral radius of M is ``report.stretch_factor``.
 
-    ``report`` is a surface report exposing ``stretch_factor`` and
-    ``doubled``.  The (possibly doubled) incidence matrix must be block
-    diagonal with k equal n x n diagonal blocks B, n = ``M.n``; otherwise
-    :class:`VerificationError` names the offending block.  Its
-    characteristic polynomial is then char_poly(B)**k, and its spectral
-    radius is found by exact Sturm bisection on p = char_poly(B) alone,
-    started from the Cauchy bound of p**k.  p**k has the roots of p, and
-    at a probe that is not a root both Sturm chains count the same
-    distinct roots above it, so every bisection step is the one on p**k
-    and the radius is the same float as ``spectral_radius_exact`` of the
-    whole matrix.  ``poly``, if given, is ``char_poly(M)`` (with its
-    Sturm chain) from the eigen stage; it stands for p only once B has
-    been checked equal to M entry for entry, else p is computed from B.
-    A relative mismatch with the reported stretch factor beyond ``tol``
-    raises :class:`VerificationError` carrying both values.
+    With x the stretch factor, the bracket is [x*(1 - tol), x*(1 + tol)],
+    each end the float product, read exactly as a dyadic rational.  The
+    Sturm chain of p = char_poly(M) (``poly``, if given, which must be
+    it) gives V(lo-), V(hi+) and V(+oo), and the radius lies in the
+    bracket exactly when V(lo-) > V(hi+) = V(+oo).  Otherwise
+    :class:`VerificationError` carries the bracket as ``expected`` and
+    the two counts as ``actual``.
     """
-    target_lambda = float(report.stretch_factor)
-    inc = incidence_matrix(M, doubled=bool(report.doubled))
-    block, k = _diagonal_block(inc, M.n)
-    if poly is None or block != M:
-        poly = char_poly(block)
-    rho = block_diagonal_radius(poly, k)
-    rel = abs(rho - target_lambda) / target_lambda
-    if rel > tol:
+    x = float(report.stretch_factor)
+    bracket = (x * (1 - tol), x * (1 + tol))
+    if poly is None:
+        poly = char_poly(M)
+    at_lo, at_hi, at_infinity = bracket_sign_changes(poly, *bracket)
+    if not at_lo > at_hi == at_infinity:
         raise VerificationError(
-            "incidence spectral radius does not match the target stretch factor",
-            expected=target_lambda,
-            actual=rho,
+            f"spectral radius is not in the bracket [{bracket[0]!r}, "
+            f"{bracket[1]!r}] around the stretch factor {x!r}: Sturm sign "
+            f"changes {at_lo} just below it, {at_hi} just above it and "
+            f"{at_infinity} at +oo",
+            expected=list(bracket),
+            actual=[at_lo, at_hi],
         )
-    return IncidenceReport(
-        incidence=inc,
-        spectral_radius=rho,
-        relative_error=rel,
-    )
+    return IncidenceReport(bracket, (at_lo, at_hi), relative_error=tol)

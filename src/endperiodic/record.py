@@ -59,6 +59,11 @@ from .spectral import (
     perron_eigendata,
 )
 
+#: "8": ``incidence`` holds the Sturm bracket of the stretch factor and
+#: its two sign-change counts, with no copy of the doubled matrix and no
+#: second radius; ``surface`` has no ``doubled`` (``config.doubled``), and
+#: ``identifications`` no ``depth_cap``, ``escape_depth`` or
+#: ``nesting_period`` (``config.depth_cap`` and the edge digraphs);
 #: "7": no field that the edge digraphs or the matrix give: a stored side
 #: writes its depth-1 edge state as ``[rect, a, b]``, each later edge state
 #: as ``[a, b]`` and its strip-entry state as ``["S", za, zb]`` (the rects
@@ -85,7 +90,7 @@ from .spectral import (
 #: last digits against version "2"; "2": a null ``depth_cap`` means
 #: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
 #: product of the periods.
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 
 class PipelineResult(NamedTuple):

@@ -442,17 +442,6 @@ def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     return _bisect_top_root(chain, _cauchy_bound(coefficients), precision)
 
 
-def _poly_power(coefficients: tuple[int, ...], k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        prod = [0] * (len(out) + len(coefficients) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(coefficients):
-                prod[i + j] += a * b
-        out = prod
-    return out
-
-
 def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:
     """Spectral radius of a non-negative integer matrix.
 
@@ -462,21 +451,38 @@ def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:
     return max(0.0, largest_real_root(char_poly(M), precision))
 
 
-def block_diagonal_radius(
-    p: IntPolynomial, k: int, precision: float = 1e-12
-) -> float:
-    """``spectral_radius_exact`` of diag(B, ..., B), k copies, bit for bit,
-    for a block B with ``p = char_poly(B)``.
+def _value_beside(q: tuple[int, ...], num: int, exp: int, side: int) -> int:
+    """A value with the sign of q just left (``side`` -1) or right (1) of
+    ``num / 2**exp``: its first derivative not zero there, times ``side``
+    to the derivative's order (Taylor)."""
+    value, sign = _dyadic_value(q, num, exp), 1
+    while not value and len(q) > 1:
+        q = tuple(i * c for i, c in enumerate(q))[1:]
+        value, sign = _dyadic_value(q, num, exp), sign * side
+    return sign * value
 
-    That matrix has the characteristic polynomial p**k, so only p is
-    needed. The bisection starts from the Cauchy bound of p**k, as
-    ``spectral_radius_exact`` does, but runs on p's own Sturm chain. p**k
-    has the roots of p, and at a probe that is not a root both chains
-    count the same distinct roots above it; the bisection therefore takes
-    every step the one on p**k takes and returns the same float.
+
+def bracket_sign_changes(
+    poly: IntPolynomial, lo: float, hi: float
+) -> tuple[int, int, int]:
+    """(V(lo-), V(hi+), V(+oo)): sign changes of the cached Sturm chain of
+    ``poly`` just left of ``lo``, just right of ``hi`` and at +oo, each
+    end read exactly as the dyadic rational its float is.
+
+    By Sturm's theorem V(lo-) - V(hi+) counts the distinct real roots in
+    the closed [lo, hi] and V(hi+) - V(+oo) those above hi. Signs beside
+    a point are read off derivatives (``_value_beside``), so an end that
+    is a root, even a repeated one where the whole chain vanishes, counts.
     """
-    bound = _cauchy_bound(_poly_power(p.coefficients, k))
-    return max(0.0, _bisect_top_root(p.sturm_chain, bound, precision))
+    chain = poly.sturm_chain
+    counts = []
+    for x, side in ((lo, -1), (hi, 1)):
+        num, den = x.as_integer_ratio()
+        exp = den.bit_length() - 1
+        counts.append(_count_sign_changes(
+            [_value_beside(q, num, exp, side) for q in chain]
+        ))
+    return counts[0], counts[1], _count_sign_changes([q[-1] for q in chain])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .decomposition import evaluate_length
 from .errors import InvalidInputError, VerificationError
+from .markov import incidence_matrix
 from .record import PipelineResult, run_pipeline
 from .spectral import IntMatrix
 
@@ -127,7 +128,7 @@ def _pipeline_facts(result: PipelineResult) -> dict:
         "width_ratios": width_ratios,
         "infinite_strip_count": len(result.extended.strips),
         "attachment_ratios": att_ratios,
-        "incidence": tuple(tuple(r) for r in result.incidence.incidence.entries),
+        "incidence": incidence_matrix(result.matrix).entries,
         "end_census": ends,
         "stretch_factor": result.surface.stretch_factor,
     }

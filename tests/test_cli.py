@@ -97,10 +97,10 @@ class TestVerify:
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"
         data = json.loads(record.read_text())
-        data["sections"]["incidence"]["incidence"][0][0] = 9
+        data["sections"]["incidence"]["bracket"][0] = 9.0
         record.write_text(json.dumps(data))
         assert main(["verify", str(record)]) == 1
-        assert "at incidence.incidence[0][0]" in capsys.readouterr().err
+        assert "at incidence.bracket[0]" in capsys.readouterr().err
 
     def test_table_is_printed_on_failure(self, tmp_path, capsys):
         # one line per section with its stored byte count, the failed one

@@ -714,9 +714,6 @@ def _list_copy_identifications(schema) -> dict:
     """The ``identifications`` section with every stored state copied into
     lists, each side cut at its first strip state from ``pair_states``."""
     return {
-        "depth_cap": schema.depth_cap,
-        "escape_depth": schema.escape_depth,
-        "nesting_period": schema.nesting_period,
         "generators": [
             {
                 "id": g.gen_id,

@@ -20,8 +20,13 @@ certify plus verify at n = 32 (about 0.2 s on the machine above; 9 s
 while connectedness multiplied dense integer matrices) and 2 s at n = 64,
 whose window is 129 + 3 * 4032 = 12,225 depths (certify 0.6 s and verify
 0.6 s on the machine above).
+
+The companion matrices of x^n - a*x^(n-1) - 1 for a = 2, 3, 4 and
+n = 8..24 have Perron vectors spanning about λ^(n-1). Each one certifies
+and verifies, or fails with a typed error and exit 2.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -31,12 +36,15 @@ import pytest
 
 import endperiodic
 from endperiodic import (
+    ConvergenceError,
     IntMatrix,
+    PrecisionError,
     block_lift,
     build_record,
     load_record,
     verify_record,
 )
+from endperiodic.cli import main
 
 from conftest import (
     RUNNING_ROWS,
@@ -103,3 +111,57 @@ def test_content_hash_independent_of_hash_seed(name):
             timeout=300,
         )
         assert out.stdout.strip() == expected
+
+
+def _wide_companion(n: int, a: int) -> IntMatrix:
+    """Companion matrix of x^n - a*x^(n-1) - 1: first row (a, 0, ..., 0,
+    1), ones below the diagonal. Primitive; scaled to last entry 1, its
+    Perron vector spans about λ^(n-1)."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0], rows[0][n - 1] = a, 1
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    return IntMatrix.from_rows(rows)
+
+
+#: n in 8..24 whose wide companion fails, by a: float eigendata and
+#: coordinates cannot resolve the small entries (ROADMAP item 10), and
+#: each failure is an exit-2 error; every other n certifies
+WIDE_FAILURES = {
+    2: {21: "ConvergenceError", 23: "ConvergenceError", 24: "ConvergenceError"},
+    3: {15: "ConvergenceError", **dict.fromkeys(range(17, 25), "ConvergenceError")},
+    4: {
+        11: "ConvergenceError",
+        **dict.fromkeys((14, 15, 16, 17, 18, 19, 21, 22, 23, 24),
+                        "ConvergenceError"),
+        20: "PrecisionError",
+    },
+}
+
+
+@pytest.mark.parametrize("a", sorted(WIDE_FAILURES))
+def test_wide_perron_vectors_certify_or_fail_typed(a, tmp_path, capsys):
+    # in-process and through ``construct --verify``: certified and
+    # verified with exit 0, or a typed error with exit 2; never a
+    # traceback, exit 1 or exit 3
+    failures = {}
+    for n in range(8, 25):
+        M = _wide_companion(n, a)
+        try:
+            record, _ = build_record(M)
+        except (ConvergenceError, PrecisionError) as exc:
+            failures[n] = type(exc).__name__
+        else:
+            results = verify_record(load_record(record.to_json()))
+            assert all(check.passed for check in results)
+        path = tmp_path / f"wide{n}.json"
+        path.write_text(json.dumps(M.to_lists()), encoding="utf-8")
+        code = main(["construct", "--matrix", str(path), "--verify",
+                     "--out", str(tmp_path)])
+        assert code == (2 if n in failures else 0), n
+    assert failures == WIDE_FAILURES[a]
+    # the zero-length strip names the dynamic range of both vectors
+    if a == 4:
+        err = capsys.readouterr().err
+        assert "error: strip ('R', 1) has float length 0.0" in err
+        assert "eta spans 2.75e+11 and omega 2.75e+11" in err

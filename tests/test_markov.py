@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import endperiodic.markov
 import endperiodic.spectral
 from endperiodic import (
     IntMatrix,
@@ -71,13 +70,17 @@ class TestIncidenceMatrix:
         assert np.array_equal(np.array(inc.to_lists()), expected)
 
 
+def _surface(x):
+    return SimpleNamespace(stretch_factor=x)
+
+
 class TestVerifyStretch:
     def test_pipeline_report_verifies(self, running_matrix, running_result):
         report = verify_stretch(running_matrix, running_result.surface)
         assert report.relative_error <= 1e-9
-        assert report.spectral_radius == pytest.approx(
-            running_result.eigen.lam, abs=1e-9
-        )
+        lo, hi = report.bracket
+        assert lo < running_result.eigen.lam < hi
+        assert lo < spectral_radius_exact(running_matrix) < hi
 
     def test_mutated_matrix_fails(self, running_matrix, running_result):
         rows = [list(r) for r in running_matrix.to_lists()]
@@ -104,86 +107,108 @@ class TestVerifyStretch:
     def test_report_serializes(self, running_matrix, running_result):
         report = verify_stretch(running_matrix, running_result.surface)
         data = report.to_json_dict()
-        assert float(data["relative_error"]) <= 1e-9
-        assert len(data["incidence"]) == 2 * running_matrix.n
+        assert data == {
+            "bracket": list(report.bracket),
+            "sign_changes": list(report.sign_changes),
+        }
+        at_lo, at_hi = data["sign_changes"]
+        assert at_lo == at_hi + 1
 
     @pytest.mark.parametrize("doubled", [True, False])
     def test_radius_equals_the_whole_matrix_oracle(self, doubled):
         # the whole (2n x 2n when doubled) characteristic polynomial survives
-        # only here, as the oracle of the block route
+        # only here, as the oracle that the bracket of p = char_poly(M)
+        # holds the radius of diag(M, M), whose polynomial is p**2
         for M in _oracle_inputs():
+            rho = spectral_radius_exact(incidence_matrix(M, doubled))
+            report = verify_stretch(M, _surface(rho))
+            lo, hi = report.bracket
+            assert lo <= rho <= hi
+            # bench/run.py's traced pass passes no poly, and its record
+            # must equal build_record's, which passes it
+            assert report == verify_stretch(M, _surface(rho), poly=char_poly(M))
+
+
+class TestBracketMutations:
+    """Each way the certificate can be wrong fails it, and every failure
+    carries the bracket and both sign-change counts."""
+
+    def _failure(self, M, x) -> VerificationError:
+        with pytest.raises(VerificationError) as exc:
+            verify_stretch(M, _surface(x))
+        lo, hi = x * (1 - 1e-9), x * (1 + 1e-9)
+        assert exc.value.expected == [lo, hi]
+        assert f"[{lo!r}, {hi!r}]" in str(exc.value)
+        at_lo, at_hi = exc.value.actual
+        assert f"{at_lo} just below it, {at_hi} just above it" in str(exc.value)
+        return exc.value
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_stretch_factor_moved_by_twice_tol_fails(self, sign):
+        lift = block_lift(IntMatrix.from_rows([[2]]), 8)
+        for M in random_irreducible_matrices(40) + [lift]:
             rho = spectral_radius_exact(M)
-            surface = SimpleNamespace(stretch_factor=rho, doubled=doubled)
-            expected = spectral_radius_exact(incidence_matrix(M, doubled))
-            assert verify_stretch(M, surface).spectral_radius == expected
-            shared = verify_stretch(M, surface, poly=char_poly(M))
-            assert shared.spectral_radius == expected
+            self._failure(M, rho * (1 + sign * 2e-9))
 
-    def test_shared_polynomial_unused_when_the_block_is_not_the_input(
-        self, running_matrix, monkeypatch
-    ):
-        # an incidence matrix diag(B, B) with B != M: the radius must be
-        # that of B, whatever polynomial of M the caller passes
-        other = [list(r) for r in running_matrix.entries]
-        other[2][3] += 1
-        B = IntMatrix.from_rows(other)
+    def test_matrix_with_one_entry_raised_fails(self):
+        for M in random_irreducible_matrices(40):
+            rho = spectral_radius_exact(M)
+            for i in range(M.n):
+                rows = [list(r) for r in M.entries]
+                rows[i][(i + 1) % M.n] += 1
+                error = self._failure(IntMatrix.from_rows(rows), rho)
+                # no root of the raised matrix lies in the bracket
+                at_lo, at_hi = error.actual
+                assert at_lo == at_hi
 
-        def of_other(M, doubled=True):
-            return incidence_matrix(B, doubled)
+    @pytest.mark.parametrize(
+        "x, end", [(2.9999999969999998, 1), (3.000000003, 0)], ids=["hi", "lo"]
+    )
+    def test_bracket_end_on_the_root_passes(self, x, end):
+        report = verify_stretch(IntMatrix.from_rows([[3]]), _surface(x))
+        assert report.bracket[end] == 3.0
+        assert report.sign_changes == (1, 0)
 
-        monkeypatch.setattr(endperiodic.markov, "incidence_matrix", of_other)
-        rho = spectral_radius_exact(B)
-        surface = SimpleNamespace(stretch_factor=rho, doubled=True)
-        report = verify_stretch(
-            running_matrix, surface, poly=char_poly(running_matrix)
-        )
-        assert report.spectral_radius == spectral_radius_exact(
-            incidence_matrix(B, True)
-        )
-
-    def test_nonzero_off_diagonal_block_fails(self, running_matrix, running_result,
-                                              monkeypatch):
-        def leaky(M, doubled=True):
-            rows = incidence_matrix(M, doubled).to_lists()
-            rows[1][M.n + 2] = 1
-            return IntMatrix.from_rows(rows)
-
-        monkeypatch.setattr(endperiodic.markov, "incidence_matrix", leaky)
-        with pytest.raises(VerificationError, match=r"off-diagonal block \(0, 1\)"):
-            verify_stretch(running_matrix, running_result.surface)
-
-    def test_unequal_diagonal_blocks_fail(self, running_matrix, running_result,
-                                          monkeypatch):
-        n = running_matrix.n
-        other = [list(r) for r in running_matrix.entries]
-        other[2][3] += 1
-
-        def mismatched(M, doubled=True):
-            rows = [list(r) + [0] * n for r in M.entries]
-            rows += [[0] * n + r for r in other]
-            return IntMatrix.from_rows(rows)
-
-        monkeypatch.setattr(endperiodic.markov, "incidence_matrix", mismatched)
-        with pytest.raises(VerificationError, match=r"diagonal block \(1, 1\)"):
-            verify_stretch(running_matrix, running_result.surface)
+    def test_repeated_root_on_the_high_end(self):
+        # diag-like [[2, 1], [0, 2]] has the double root 2: the whole Sturm
+        # chain vanishes there, and the counts beside it still decide
+        x = 1.999999998
+        assert x * (1 + 1e-9) == 2.0
+        report = verify_stretch(IntMatrix.from_rows([[2, 1], [0, 2]]), _surface(x))
+        assert report.sign_changes == (1, 0)
+        # with a larger eigenvalue 5 the same bracket fails
+        M = IntMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+        assert self._failure(M, x).actual == [2, 1]
 
 
 @pytest.mark.parametrize(
     "rows, k",
-    [(RUNNING_ROWS, None), ([[2]], 4)],
-    ids=["running", "lift4"],
+    [(RUNNING_ROWS, None), ([[2]], 4), (None, None)],
+    ids=["running", "lift4", "corpus137"],
 )
 def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch):
     """Tooling guard: the pipeline computes no characteristic polynomial of
     a matrix larger than its input, such as the doubled incidence matrix,
-    and computes char_poly(M) and its Sturm chain once: the eigen stage
-    and verify_stretch share them."""
-    M = IntMatrix.from_rows(rows)
+    computes char_poly(M) and its Sturm chain once, and bisects λ once:
+    the eigen stage and verify_stretch share them, and verify_stretch
+    runs no second bisection."""
+    if rows is None:
+        M = random_irreducible_matrices(200)[137]
+    else:
+        M = IntMatrix.from_rows(rows)
     if k is not None:
         M = block_lift(M, k)
     original = endperiodic.spectral.char_poly
     sizes = []
     chains = []
+    bisections = []
+    original_bisect = endperiodic.spectral._bisect_top_root
+
+    def recording_bisect(*args):
+        bisections.append(args)
+        return original_bisect(*args)
+
+    monkeypatch.setattr(endperiodic.spectral, "_bisect_top_root", recording_bisect)
 
     def recording(A):
         sizes.append(A.n)
@@ -210,3 +235,4 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
     run_pipeline(M, weak_perron_k=k)
     assert sizes == [M.n]
     assert chains == [original(M).coefficients]
+    assert len(bisections) == 1

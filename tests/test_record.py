@@ -1,6 +1,7 @@
 """Tests for construction record serialization, hashing, and re-verification."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,11 +39,11 @@ from conftest import (
 )
 
 
-# schema version "7": default window N + 3m with m the lcm of the periods,
+# schema version "8": default window N + 3m with m the lcm of the periods,
 # each side of a generator stored up to its own strip-entry depth, each
-# fact written once, and no field that the edge digraphs or the matrix
-# give
-RUNNING_HASH = "3c233b916b90dd8345044c13e4ba3c2a33b63a580a32e747ca8438e2d33b206c"
+# fact written once, no field that the edge digraphs, the matrix or the
+# config give, and the stretch factor's Sturm bracket in ``incidence``
+RUNNING_HASH = "e373e8290b928e6a10187a009e86e839b745e95ee9e8ddba7916d599e310fa2c"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -51,10 +52,10 @@ RUNNING_HASH = "3c233b916b90dd8345044c13e4ba3c2a33b63a580a32e747ca8438e2d33b206c
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
 # ``sparse_irreducible_matrices(120)``.
 DIGESTS = {
-    "corpus200": "e7304b5f0f24b51c0b4088cbc247b0b9b20270826f90d236dcb32244351ac9b0",
-    "lifts": "efbfed53fb8e9be5a741bd3f5ece9d37b645e485c56a48d1acb955bc1b8b56ab",
-    "large": "a84ec9335ab6d6dfeb1f0687e7a0142a9dfe154e7fb6f3526ad403716c1dff65",
-    "sparse120": "3b72e79227f93ebc4d78eee2ad04a3e758e08b96710d0d358dca4133bb66ccf7",
+    "corpus200": "ea22e1bfa4ca00096ad8869a8ecdb54f3f30440ee5f481b1757a67e590d9d741",
+    "lifts": "6973883dce763048c690672feb9e4e4dae869d7fe0b9a32b7b141164fe25f0f9",
+    "large": "0a45ef8977b7ba7d348a085b8ca5b83df063bf28f8cc9c290199e5315bb7dfc1",
+    "sparse120": "eb3eeade924e3c2fe551a75643e96bb733eda8765e1fbcb82b2d609b510a71a1",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -406,6 +407,26 @@ def _side_states(kind: str, stored: list, digraph: dict) -> tuple[list, str]:
     return states, f"{kind}:{i0}"
 
 
+def _window(data: dict) -> tuple[int, int, int]:
+    """The escape depth N, the nesting period m and ``depth_cap``, from
+    the record alone: N is the longest tail to a cycle plus twice the
+    longest cycle over the edge digraphs, m the lcm of their cycle
+    lengths, and ``depth_cap`` is ``config.depth_cap``, or N + 3m when
+    that is null."""
+    tail, longest, lengths = 0, 1, set()
+    for digraph in _digraphs(data["sections"]).values():
+        for rect in digraph:
+            cycle = _cycle(digraph, rect)
+            steps = 0
+            while rect not in cycle:
+                rect, steps = digraph[rect], steps + 1
+            tail, longest = max(tail, steps), max(longest, len(cycle))
+            lengths.add(len(cycle))
+    N, m = tail + 2 * longest, math.lcm(*lengths)
+    cap = data["config"]["depth_cap"]
+    return N, m, N + 3 * m if cap is None else cap
+
+
 def _orbit_rows(sections: dict) -> list[tuple]:
     """(period, orbit id, position) of each ``periodic_points`` row, from
     the cycle of ``edge_digraphs[map]`` through its rect: the cycle's
@@ -420,14 +441,15 @@ def _orbit_rows(sections: dict) -> list[tuple]:
     return out
 
 
-def _rebuilt_window(sections: dict) -> tuple[list, list]:
+def _rebuilt_window(data: dict) -> tuple[list, list]:
     """Every generator's pairs at depths 1..depth_cap and its two tail
-    orbit ids, read from the ``identifications`` and ``edge_digraphs``
-    sections alone: each side's stored prefix (``_side_states``), with
+    orbit ids, read from the record alone (``_window`` gives
+    ``depth_cap``): each side's stored prefix (``_side_states``), with
     its kind from the generator's family, then the tail rule. A strip
     state with key [kind, r] steps to ``digraph[kind][r]``, one unit
     higher when the new rect (r for T and B) is the least rect of its
     cycle, the rect of the orbit's initial point."""
+    sections = data["sections"]
     digraph = _digraphs(sections)
     initial = {
         (kind, rect)
@@ -443,10 +465,9 @@ def _rebuilt_window(sections: dict) -> tuple[list, list]:
         rise = (kind, target if kind in ("L", "R") else rect) in initial
         return ("S", (kind, target), za, zb, w + int(rise))
 
-    identifications = sections["identifications"]
-    cap = identifications["depth_cap"]
+    cap = _window(data)[2]
     pairs, tails = [], []
-    for gen in identifications["generators"]:
+    for gen in sections["identifications"]["generators"]:
         sides, orbits = [], []
         for kind, stored in zip(FAMILY_KINDS[gen["id"][0]], gen["sides"]):
             states, orbit = _side_states(kind, stored, digraph[kind])
@@ -459,7 +480,7 @@ def _rebuilt_window(sections: dict) -> tuple[list, list]:
     return pairs, tails
 
 
-def _check_stored_sides(sections: dict) -> tuple[list, int]:
+def _check_stored_sides(data: dict) -> tuple[list, int]:
     """Assert that each stored side is a depth-1 edge state [rect, a, b],
     then edge states [a, b], and ends at its first strip state
     ["S", za, zb], or holds ``depth_cap`` edge states when it does not
@@ -467,10 +488,10 @@ def _check_stored_sides(sections: dict) -> tuple[list, int]:
     depth as the sides give it, the longer side's length when both end at
     a strip state, else None, and the number of sides that hold
     ``depth_cap`` edge states."""
-    cap = sections["identifications"]["depth_cap"]
+    cap = _window(data)[2]
     depths = []
     unstabilized = 0
-    for gen in sections["identifications"]["generators"]:
+    for gen in data["sections"]["identifications"]["generators"]:
         tags = [["S" if state[0] == "S" else len(state) for state in side]
                 for side in gen["sides"]]
         for side in tags:
@@ -520,8 +541,8 @@ def _labels(rows: list, k: int, orientation: str) -> list[str]:
 
 
 def _check_other_removed_facts(data: dict, result) -> None:
-    """Rebuild from the record the facts that schemas "6" and "7" no
-    longer write outside ``identifications`` and match them with the
+    """Rebuild from the record the facts that schemas "6" to "8" no
+    longer write, other than the stored sides, and match them with the
     builder's."""
     sections = data["sections"]
     rows = data["config"]["matrix"]
@@ -555,11 +576,12 @@ def _check_other_removed_facts(data: dict, result) -> None:
     assert [position == 0 for _, _, position in rows] == [
         pt.is_initial for pt in points
     ]
-    # the surface's nesting period and escape depth: the keys of the
-    # identifications section
-    identifications = sections["identifications"]
-    assert identifications["nesting_period"] == nesting_period(result.system)
-    assert identifications["escape_depth"] == max_escape_depth(result.system)
+    # the window: escape depth, nesting period and depth cap
+    assert _window(data) == (
+        max_escape_depth(result.system),
+        nesting_period(result.system),
+        result.schema.depth_cap,
+    )
     # the incidence's target lambda: the eigendata's lambda
     assert sections["eigendata"]["lambda"] == (
         "%.15g" % result.surface.stretch_factor
@@ -571,7 +593,7 @@ class TestTailFromRecord:
         "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16", "large"]
     )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
-        # Every fact that schemas "6" and "7" no longer write, rebuilt from
+        # Every fact that schemas "6" to "8" no longer write, rebuilt from
         # the record alone: each stored state's kind from its family and
         # side, its rect from the edge digraph, height 0 at strip entry
         # (the rebuilt window is the builder's), the tail orbits, the
@@ -580,12 +602,11 @@ class TestTailFromRecord:
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
             data = json.loads(record.to_json())
-            sections = data["sections"]
-            depths, unstabilized = _check_stored_sides(sections)
+            depths, unstabilized = _check_stored_sides(data)
             assert unstabilized == 0
             generators = result.schema.generators
             assert depths == [g.stabilization_depth for g in generators]
-            pairs, tails = _rebuilt_window(sections)
+            pairs, tails = _rebuilt_window(data)
             assert pairs == [g.pair_states for g in generators]
             assert tails == [g.tail_orbits for g in generators]
             _check_other_removed_facts(data, result)
@@ -599,12 +620,12 @@ class TestTailFromRecord:
         for M, _ in _tail_inputs("corpus"):
             full = run_pipeline(M).schema
             record, result = build_record(M, depth_cap=full.escape_depth)
-            sections = json.loads(record.to_json())["sections"]
-            depths, short = _check_stored_sides(sections)
+            data = json.loads(record.to_json())
+            depths, short = _check_stored_sides(data)
             unstabilized += short
             generators = result.schema.generators
             assert depths == [g.stabilization_depth for g in generators]
-            pairs, tails = _rebuilt_window(sections)
+            pairs, tails = _rebuilt_window(data)
             assert pairs == [g.pair_states for g in generators]
             assert tails == [g.tail_orbits for g in generators]
             assert tails == [g.tail_orbits for g in full.generators]

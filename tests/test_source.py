@@ -3,9 +3,11 @@ pyproject.toml declares (``requires-python >= 3.10``), every imported name
 is read, every dataclass is frozen, so a value is complete when it is
 built, ``import endperiodic``
 loads neither the figure nor the warm-up code until a name of theirs is
-read, and the construction takes no settings beyond the four it has."""
+read, the construction takes no settings beyond the four it has, and
+every package call of the benchmark's traced pass still binds."""
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -164,3 +166,60 @@ def test_config_of_the_fixed_settings(rows, k):
         M = block_lift(M, k)
     expected = build_record(M, weak_perron_k=k)[0].config
     assert _config_dict(M, DEFAULT_TOL, None, True, False, k, True) == expected
+
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _traced_calls() -> list[tuple[str, str, int, tuple[str, ...]]]:
+    """(module, name, positional argument count, keyword names) of each
+    call of a package name in ``traced_certify`` of ``bench/run.py``:
+    direct calls, and the function of each ``tr.span(name, case, fn,
+    *args, **kwargs)`` with the arguments after it."""
+    tree = ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+    traced = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "traced_certify"
+    )
+    imported = {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(traced) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    calls = []
+    for node in ast.walk(traced):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "span":
+            target, args = node.args[2], node.args[3:]
+        else:
+            target, args = node.func, node.args
+        if isinstance(target, ast.Name) and target.id in imported:
+            keywords = tuple(k.arg for k in node.keywords)
+            calls.append((imported[target.id], target.id, len(args), keywords))
+    return calls
+
+
+TRACED_CALLS = _traced_calls()
+
+
+@pytest.mark.parametrize(
+    "module, name, positional, keywords", TRACED_CALLS,
+    ids=[f"{name}-{n}-{'-'.join(kw)}" for _, name, n, kw in TRACED_CALLS],
+)
+def test_benchmark_traced_call_binds(module, name, positional, keywords):
+    # bench/run.py calls the stage functions one by one; a signature change
+    # that breaks it fails here, with the call named
+    function = getattr(importlib.import_module(module), name)
+    inspect.signature(function).bind(
+        *[None] * positional, **dict.fromkeys(keywords)
+    )
+
+
+def test_benchmark_traced_calls_are_pinned():
+    assert {
+        ("endperiodic", "perron_eigendata", 1, ("tol",)),
+        ("endperiodic", "verify_stretch", 2, ("tol",)),
+        ("endperiodic", "assemble_surface", 3, ("weak_perron_k",)),
+        ("endperiodic.record", "_config_dict", 7, ()),
+    } <= set(TRACED_CALLS)

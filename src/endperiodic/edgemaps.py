@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .decomposition import PieceMap, StripLabel
@@ -86,8 +85,7 @@ class EdgeMap(NamedTuple):
         return "\n".join(f"{k} {v}" for k, v in sorted(self.digraph.items())) + "\n"
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(NamedTuple):
     """Periodic point of one edge map with its orbit bookkeeping.
 
     ``orbit_position`` counts the steps from the orbit's point on its least

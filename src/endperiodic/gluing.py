@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from math import inf
@@ -44,6 +43,7 @@ from .errors import (
 from .spectral import (
     COORD_TOL,
     IntMatrix,
+    _Value,
     is_primitive,
     lift_base,
     wielandt_bound,
@@ -653,8 +653,7 @@ class InfiniteClassSummary(NamedTuple):
     ids: list[int]
 
 
-@dataclass(frozen=True)
-class ClassCensus:
+class ClassCensus(_Value):
     """Finite-class counts and the infinite classes of one classify pass.
 
     ``infinite_summaries`` holds, per infinite class in record order, its
@@ -672,13 +671,29 @@ class ClassCensus:
     order, then ``infinite_classes``.
     """
 
-    finite_singletons: int
-    finite_pairs: int
-    oversized_finite: int
-    infinite_summaries: tuple[InfiniteClassSummary, ...]
-    nodes: list[tuple] = field(repr=False, compare=False)
-    parent: list[int] = field(repr=False, compare=False)
-    infinite_roots: set[int] = field(repr=False, compare=False)
+    #: compared and shown; the registry, forest and roots are neither
+    _fields = ("finite_singletons", "finite_pairs", "oversized_finite",
+               "infinite_summaries")
+
+    def __init__(
+        self,
+        finite_singletons: int,
+        finite_pairs: int,
+        oversized_finite: int,
+        infinite_summaries: tuple[InfiniteClassSummary, ...],
+        nodes: list[tuple],
+        parent: list[int],
+        infinite_roots: set[int],
+    ):
+        vars(self).update(
+            finite_singletons=finite_singletons,
+            finite_pairs=finite_pairs,
+            oversized_finite=oversized_finite,
+            infinite_summaries=infinite_summaries,
+            nodes=nodes,
+            parent=parent,
+            infinite_roots=infinite_roots,
+        )
 
     @cached_property
     def infinite_classes(self) -> tuple[EquivalenceClass, ...]:

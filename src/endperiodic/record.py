@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -55,6 +54,8 @@ from .spectral import (
     DEFAULT_TOL,
     IntMatrix,
     PerronData,
+    _is_int,
+    _Value,
     char_poly,
     perron_eigendata,
 )
@@ -157,18 +158,29 @@ def run_pipeline(
     )
 
 
-@dataclass(frozen=True)
-class ConstructionRecord:
-    """Versioned JSON certificate for one construction run."""
+class ConstructionRecord(_Value):
+    """Versioned JSON certificate for one construction run; ``created_at``
+    defaults to the current UTC time."""
 
-    schema_version: str
-    config: dict
-    sections: dict
-    created_at: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(
-            timespec="microseconds"
+    _fields = ("schema_version", "config", "sections", "created_at")
+
+    def __init__(
+        self,
+        schema_version: str,
+        config: dict,
+        sections: dict,
+        created_at: str | None = None,
+    ):
+        if created_at is None:
+            created_at = datetime.now(timezone.utc).isoformat(
+                timespec="microseconds"
+            )
+        vars(self).update(
+            schema_version=schema_version,
+            config=config,
+            sections=sections,
+            created_at=created_at,
         )
-    )
 
     def to_json_dict(self) -> dict:
         return {
@@ -327,10 +339,6 @@ def load_record(text: str) -> dict:
     if not isinstance(data.get("sections"), dict):
         raise InvalidInputError("record sections are missing or not an object")
     return data
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_config_values(config: dict) -> None:

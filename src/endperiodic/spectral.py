@@ -16,9 +16,9 @@ Python: no numpy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from math import fsum, gcd, inf
+from operator import index
 from sys import float_info
 from typing import NamedTuple
 
@@ -30,22 +30,64 @@ DEFAULT_TOL = 1e-10
 COORD_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Square matrix of non-negative integers."""
+class _Value:
+    """Base of the immutable value types that keep a ``__dict__``.
 
+    A subclass's ``__init__`` stores its fields with ``vars(self).update``;
+    after that, setting or deleting an attribute raises ``AttributeError``.
+    Equality (same class only), hash and repr run over ``_fields``, the
+    compared fields; ``functools.cached_property`` writes the instance dict
+    directly and is unaffected.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+def _is_int(v) -> bool:
+    """A Python ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+class IntMatrix(_Value):
+    """Square matrix of non-negative integers, stored as a tuple of row
+    tuples; ``entries`` may be given as any iterable of rows."""
+
+    _fields = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries):
+        entries = tuple(map(tuple, entries))
+        n = len(entries)
         if n == 0:
             raise InvalidInputError("matrix dimension must be positive")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise InvalidInputError("matrix must be square")
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                if not _is_int(v) or v < 0:
                     raise InvalidInputError("entries must be non-negative integers")
+        vars(self).update(entries=entries)
 
     @property
     def n(self) -> int:
@@ -57,7 +99,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        """The matrix of ``rows``, whose entries may be Python or numpy
+        integers (``operator.index``); a ``bool``, ``float``, ``str`` or
+        other value raises :class:`InvalidInputError`."""
+        return cls([[_index(v, i, j) for j, v in enumerate(row)]
+                    for i, row in enumerate(rows)])
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -66,7 +112,17 @@ class IntMatrix:
         return Digraph(self.n, self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
+        return IntMatrix(zip(*self.entries))
+
+
+def _index(v, i: int, j: int) -> int:
+    """Entry ``[i][j]`` as a Python int, or :class:`InvalidInputError`."""
+    if not isinstance(v, bool):
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"matrix entry [{i}][{j}] is {v!r}, not an integer")
 
 
 class Digraph(NamedTuple):
@@ -82,15 +138,16 @@ class Digraph(NamedTuple):
         return [j for j in range(self.vertex_count) if self.multiplicity[i][j] > 0]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Monic integer polynomial; coefficients ascending, coeff[-1] == 1."""
 
+    _fields = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[-1] != 1:
+    def __init__(self, coefficients: tuple[int, ...]):
+        if not coefficients or coefficients[-1] != 1:
             raise InvalidInputError("polynomial must be monic")
+        vars(self).update(coefficients=coefficients)
 
     @property
     def degree(self) -> int:
@@ -171,7 +228,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
                     f"JSON matrix row [{i}] is {json.dumps(row)}, not a list"
                 )
             for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool):
+                if not _is_int(v):
                     raise InvalidInputError(
                         f"JSON matrix entry [{i}][{j}] is {json.dumps(v)}, "
                         "not an integer"

@@ -1,6 +1,5 @@
 """Edge maps, their functional digraphs, and closed-form periodic points."""
 
-import dataclasses
 import json
 import math
 
@@ -234,7 +233,7 @@ class TestInitialPoints:
             if corner and plain:
                 break
         mutated = {
-            kind: [dataclasses.replace(pt, partner_key=plain.key)
+            kind: [pt._replace(partner_key=plain.key)
                    if pt is corner else pt for pt in pts]
             for kind, pts in points.items()
         }
@@ -247,9 +246,7 @@ class TestInitialPoints:
         # the T orbit partners the L orbit at the TL corners; shifting its
         # positions by one moves its initial point off the partner of L's
         renumbered = [
-            dataclasses.replace(
-                pt, orbit_position=(pt.orbit_position + 1) % pt.period
-            )
+            pt._replace(orbit_position=(pt.orbit_position + 1) % pt.period)
             for pt in points["T"]
         ]
         mutated = dict(points, T=renumbered)

@@ -285,6 +285,14 @@ class TestVerifyRecord:
 
 
 class TestLoadRecord:
+    def test_bool_matrix_is_refused_before_certifying(self):
+        # a bool matrix once certified and wrote [[true, true], ...] into
+        # config.matrix, a record that load_record then refused
+        with pytest.raises(InvalidInputError, match="non-negative integers"):
+            build_record(IntMatrix(((True, True), (True, False))))
+        record, _ = build_record(IntMatrix(((1, 1), (1, 0))))
+        verify_record(load_record(record.to_json()))
+
     def test_version_gate(self, running_record):
         data = json.loads(running_record.to_json())
         data["schema_version"] = "0"

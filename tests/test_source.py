@@ -1,10 +1,11 @@
 """Checks of the package source: it parses as the Python version that
 pyproject.toml declares (``requires-python >= 3.10``), every imported name
-is read, every dataclass is frozen, so a value is complete when it is
-built, ``import endperiodic``
-loads neither the figure nor the warm-up code until a name of theirs is
-read, the construction takes no settings beyond the four it has, and
-every package call of the benchmark's traced pass still binds."""
+is read, every dataclass is frozen and every value type of the pipeline
+refuses a field assignment, so a value is complete when it is built,
+``import endperiodic`` loads neither the figure nor the warm-up code until
+a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
+construction takes no settings beyond the four it has, and every package
+call of the benchmark's traced pass still binds."""
 
 import ast
 import importlib
@@ -19,9 +20,11 @@ import pytest
 import endperiodic
 from endperiodic import (
     DEFAULT_TOL,
+    ClassCensus,
     IntMatrix,
     block_lift,
     build_record,
+    char_poly,
     run_pipeline,
 )
 from endperiodic.record import _config_dict
@@ -91,6 +94,48 @@ def test_every_dataclass_is_frozen(path):
     assert mutable == []
 
 
+@pytest.fixture(scope="module")
+def running_values():
+    """One value of each type that is built once and never changed, with
+    one of its fields."""
+    M = IntMatrix.from_rows(RUNNING_ROWS)
+    record, result = build_record(M)
+    return [
+        (M, "entries"),
+        (char_poly(M), "coefficients"),
+        (result.points["L"][0], "period"),
+        (result.census, "finite_pairs"),
+        (record, "created_at"),
+    ]
+
+
+def test_values_refuse_field_assignment(running_values):
+    for value, name in running_values:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is not None
+
+
+def test_census_equality_ignores_the_registry(running_values):
+    census = running_values[3][0]
+    other = ClassCensus(
+        census.finite_singletons, census.finite_pairs,
+        census.oversized_finite, census.infinite_summaries,
+        nodes=[], parent=[], infinite_roots=set(),
+    )
+    assert other == census
+    assert repr(other) == repr(census)
+    assert "nodes" not in repr(census)
+    changed = ClassCensus(
+        census.finite_singletons + 1, census.finite_pairs,
+        census.oversized_finite, census.infinite_summaries,
+        census.nodes, census.parent, census.infinite_roots,
+    )
+    assert changed != census
+
+
 def _run_fresh(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this package."""
     src = Path(endperiodic.__file__).resolve().parents[1]
@@ -111,7 +156,8 @@ def test_import_loads_neither_render_nor_warmup():
     out = _run_fresh(
         "import sys, endperiodic; "
         "print(sorted(m for m in ('endperiodic.render', 'endperiodic.warmup', "
-        "'endperiodic.cli', 'fractions') if m in sys.modules)); "
+        "'endperiodic.cli', 'fractions', 'dataclasses', 'inspect') "
+        "if m in sys.modules)); "
         f"lazy = {LAZY_NAMES!r}; "
         "import importlib; "
         "print(all(getattr(endperiodic, name) is getattr(importlib.import_module("

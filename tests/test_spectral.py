@@ -113,6 +113,32 @@ class TestIntMatrix:
         with pytest.raises(InvalidInputError):
             IntMatrix.from_rows([])
 
+    def test_list_rows_are_stored_as_tuples(self):
+        # the constructor takes rows as lists; the matrix equals and hashes
+        # as the one from_rows builds, and its entries cannot be mutated
+        M = IntMatrix([list(row) for row in RUNNING_ROWS])
+        built = IntMatrix.from_rows(RUNNING_ROWS)
+        assert M == built and hash(M) == hash(built)
+        assert M.entries == tuple(map(tuple, RUNNING_ROWS))
+        with pytest.raises(TypeError):
+            M.entries[0][0] = 5
+        with pytest.raises(AttributeError):
+            M.entries = built.entries
+        assert {M, built} == {built}
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 2.9, 2.0, "1", None, np.float64(2), np.bool_(1)],
+        ids=repr,
+    )
+    def test_from_rows_refuses_a_non_integer(self, value):
+        with pytest.raises(InvalidInputError, match=r"entry \[1\]\[0\]"):
+            IntMatrix.from_rows([[1, 1], [value, 1]])
+
+    def test_from_rows_takes_numpy_integers(self):
+        M = IntMatrix.from_rows(np.array(RUNNING_ROWS, dtype=np.int64))
+        assert M == IntMatrix.from_rows(RUNNING_ROWS)
+        assert all(type(v) is int for row in M.entries for v in row)
+
     def test_parse_text_rows(self):
         M = parse_matrix_text("0 1\n2 0\n")
         assert M.to_lists() == [[0, 1], [2, 0]]

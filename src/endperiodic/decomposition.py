@@ -81,10 +81,6 @@ class SymbolicLength(NamedTuple):
         """lambda^-1 * basis_i (1-based i)."""
         return cls(tuple(1 if t == i - 1 else 0 for t in range(n)), scale_kind)
 
-    @classmethod
-    def zero(cls, n: int, scale_kind: str) -> "SymbolicLength":
-        return cls((0,) * n, scale_kind)
-
 
 def evaluate_length(length: SymbolicLength, eigen: PerronData) -> float:
     basis = eigen.omega if length.scale_kind == "W" else eigen.eta
@@ -198,6 +194,20 @@ def _check_permutation(perm: dict, labels: tuple[StripLabel, ...], M: IntMatrix)
         _validate_label(lab, M)
 
 
+def _boundaries(
+    n: int, scale_kind: str, sources: list[int]
+) -> tuple[SymbolicLength, ...]:
+    """Strip boundary offsets from the start of a rectangle: the t-th one
+    counts, per index i, the strips before position t whose size is
+    lambda^-1 * basis_i, ``sources`` giving each strip's i (1-based)."""
+    counts = [0] * n
+    out = [SymbolicLength(tuple(counts), scale_kind)]
+    for i in sources:
+        counts[i - 1] += 1
+        out.append(SymbolicLength(tuple(counts), scale_kind))
+    return tuple(out)
+
+
 def build_decomposition(
     M: IntMatrix,
     eigen: PerronData,
@@ -220,20 +230,13 @@ def build_decomposition(
     vertical_boundaries = {}
     horizontal_boundaries = {}
     for k in range(1, n + 1):
-        acc = SymbolicLength.zero(n, "W")
-        vb = [acc]
-        for lab in vertical_order[k]:
-            acc = acc + SymbolicLength.unit(n, tau[k][lab].source, "W")
-            vb.append(acc)
-        vertical_boundaries[k] = tuple(vb)
-
+        vertical_boundaries[k] = _boundaries(
+            n, "W", [tau[k][lab].source for lab in vertical_order[k]]
+        )
         sigma_inv = {v: u for u, v in sigma[k].items()}
-        acc = SymbolicLength.zero(n, "H")
-        hb = [acc]
-        for lab in horizontal_order[k]:
-            acc = acc + SymbolicLength.unit(n, sigma_inv[lab].source, "H")
-            hb.append(acc)
-        horizontal_boundaries[k] = tuple(hb)
+        horizontal_boundaries[k] = _boundaries(
+            n, "H", [sigma_inv[lab].source for lab in horizontal_order[k]]
+        )
 
     return StripDecomposition(
         matrix=M,
@@ -287,6 +290,17 @@ class PieceMap(NamedTuple):
         return {b.target_label: b for b in self.branches}
 
 
+def _intervals(orders, boundaries, eigen: PerronData) -> dict:
+    """label -> (start, end) float offsets of every strip, the same as
+    ``strip_interval``, with each boundary evaluated once."""
+    out = {}
+    for k, order in orders.items():
+        ends = [evaluate_length(b, eigen) for b in boundaries[k]]
+        for t, label in enumerate(order):
+            out[label] = (ends[t], ends[t + 1])
+    return out
+
+
 def piece_map(D: StripDecomposition) -> PieceMap:
     """Piece map of a decomposition: one branch per (k, i, j) arc unit.
 
@@ -295,6 +309,8 @@ def piece_map(D: StripDecomposition) -> PieceMap:
     """
     M, eigen = D.matrix, D.eigen
     n = M.n
+    columns = _intervals(D.vertical_order, D.vertical_boundaries, eigen)
+    rows = _intervals(D.horizontal_order, D.horizontal_boundaries, eigen)
     branches = []
     for k in range(1, n + 1):
         tau_inv = D.tau_inv(k)
@@ -302,8 +318,8 @@ def piece_map(D: StripDecomposition) -> PieceMap:
             for j in range(1, M[i - 1, k - 1] + 1):
                 src = tau_inv[StripLabel(VERTICAL, k, i, j)]
                 tgt = D.sigma[i][StripLabel(HORIZONTAL, i, k, j)]
-                x0, x1 = D.strip_interval(src)
-                y0, y1 = D.strip_interval(tgt)
+                x0, x1 = columns[src]
+                y0, y1 = rows[tgt]
                 branches.append(
                     PieceMapBranch(
                         index=(k, i, j),

@@ -276,7 +276,6 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
                 f"cycle {cyc} in {E.kind} is simultaneously first and last"
             )
         for pos, v in enumerate(cyc):
-            _, b = composed_branch(E, v, p)
             if all_first:
                 x = 0.0
                 corner = _CORNER_AT_START[E.kind]
@@ -284,6 +283,7 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
                 x = E.edge_length(v, decomposition)
                 corner = _CORNER_AT_END[E.kind]
             else:
+                _, b = composed_branch(E, v, p)
                 x = b / (1.0 - lam ** (-p))
                 corner = None
             points.append(

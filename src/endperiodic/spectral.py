@@ -139,12 +139,14 @@ class Digraph(NamedTuple):
 
 
 class IntPolynomial(_Value):
-    """Monic integer polynomial; coefficients ascending, coeff[-1] == 1."""
+    """Monic integer polynomial; coefficients ascending, coeff[-1] == 1,
+    given as any iterable and stored as a tuple."""
 
     _fields = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __init__(self, coefficients: tuple[int, ...]):
+    def __init__(self, coefficients):
+        coefficients = tuple(coefficients)
         if not coefficients or coefficients[-1] != 1:
             raise InvalidInputError("polynomial must be monic")
         vars(self).update(coefficients=coefficients)
@@ -278,22 +280,45 @@ def is_irreducible(M: IntMatrix) -> bool:
 
 
 def graph_period(M: IntMatrix) -> int:
-    """gcd of all cycle lengths of an irreducible matrix's digraph."""
+    """gcd of all cycle lengths of an irreducible matrix's digraph: the
+    number d of its cyclic classes (``_cyclic_classes``).
+
+    Ordered class by class, M is a cyclic block matrix, and for d >= 2
+    ``char_poly`` reads det(xI - M) = x**(n - d*n_1) * det(x**d I - B) off
+    the d x d block form, B being the product of the blocks around a
+    smallest class, of size n_1. For d = 1 (M primitive) the identity is
+    det(xI - M) itself and says nothing new.
+    """
     if not is_irreducible(M):
         raise PreconditionError("graph period requires an irreducible matrix")
+    return len(_cyclic_classes(M))
+
+
+def _cyclic_classes(M: IntMatrix) -> list[list[int]]:
+    """The cyclic classes of an irreducible M, in the order its arcs visit
+    them; vertex 0 is in the first class.
+
+    One depth-first walk from vertex 0 (a stack) gives each vertex a level,
+    the length of its tree path; the period d is the gcd of
+    level(v) + 1 - level(u) over all arcs v -> u, and class c holds the
+    vertices of level c mod d. Every arc leads from a class to the next.
+    """
     g = M.digraph()
     level = {0: 0}
-    queue = [0]
+    stack = [0]
     period = 0
-    while queue:
-        v = queue.pop()
+    while stack:
+        v = stack.pop()
         for u in g.successors(v):
             if u not in level:
                 level[u] = level[v] + 1
-                queue.append(u)
+                stack.append(u)
             else:
                 period = gcd(period, level[v] + 1 - level[u])
-    return abs(period)
+    classes = [[] for _ in range(period)]
+    for v in range(M.n):
+        classes[level[v] % period].append(v)
+    return classes
 
 
 def is_primitive(M: IntMatrix) -> bool:
@@ -312,19 +337,53 @@ def wielandt_bound(n: int) -> int:
 def char_poly(M: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - M), exact over the integers.
 
-    Faddeev-LeVerrier recurrence; the division by k is exact at every step.
-    Each product M @ (aux + c*I) is formed row by row as a combination of
-    the rows of aux + c*I, one per nonzero entry of M, so a sparse M (a
-    block lift has one nonzero per row) costs n**2 per step, not n**3.
+    An irreducible M of period d >= 2 is, up to a permutation of its
+    vertices, a cyclic block matrix over its d cyclic classes. Then
+    det(xI - M) = x**(n - d*n_1) * det(x**d I - B), where B is the product
+    of the d blocks around a smallest class, of size n_1 (Minc,
+    *Nonnegative Matrices*, 1988, ch. 3), so Faddeev-LeVerrier runs on the
+    n_1 x n_1 matrix B: on the k-th block lift of an m x m matrix A, B is
+    A itself and the polynomial is char_poly(A)(x**k). A primitive or
+    reducible M goes through Faddeev-LeVerrier as it is.
     """
     n = M.n
-    nonzero = [[(t, v) for t, v in enumerate(row) if v] for row in M.entries]
+    classes = _cyclic_classes(M) if is_irreducible(M) else ()
+    d = len(classes)
+    if d < 2:
+        return IntPolynomial(_faddeev_leverrier(M.entries))
+    c = min(range(d), key=lambda t: len(classes[t]))
+    start = classes[c]
+    n_1 = len(start)
+    # rows[i] is row i of the product of the blocks walked so far, from
+    # the start class into the class that holds i
+    rows = {v: [int(u == v) for u in start] for v in start}
+    for t in range(1, d + 1):
+        rows = {
+            i: [sum(M.entries[i][j] * rows[j][s] for j in rows) for s in range(n_1)]
+            for i in classes[(c + t) % d]
+        }
+    q = _faddeev_leverrier([rows[v] for v in start])
+    coeffs = [0] * (n + 1)
+    for i, a in enumerate(q):
+        coeffs[n - d * n_1 + d * i] = a
+    return IntPolynomial(coeffs)
+
+
+def _faddeev_leverrier(rows) -> list[int]:
+    """Ascending coefficients of det(xI - A) for the integer matrix with
+    ``rows``, by the Faddeev-LeVerrier recurrence; the division by k is
+    exact at every step. Each product A @ (aux + c*I) is formed row by
+    row as a combination of the rows of aux + c*I, one per nonzero entry
+    of A, so a sparse A costs n**2 per step, not n**3.
+    """
+    n = len(rows)
+    nonzero = [[(t, v) for t, v in enumerate(row) if v] for row in rows]
     aux = [[0] * n for _ in range(n)]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     c = 1
     for k in range(1, n + 1):
-        # aux <- M @ (aux + c*I)
+        # aux <- A @ (aux + c*I)
         for i in range(n):
             aux[i][i] += c
         product = []
@@ -338,7 +397,7 @@ def char_poly(M: IntMatrix) -> IntPolynomial:
         assert trace % k == 0
         c = -trace // k
         coeffs[n - k] = c
-    return IntPolynomial(tuple(coeffs))
+    return coeffs
 
 
 def determinant(M: IntMatrix) -> int:
@@ -671,10 +730,20 @@ def block_lift(M: IntMatrix, k: int) -> IntMatrix:
 
 
 def lift_base(M: IntMatrix, k: int) -> IntMatrix | None:
-    """The matrix B with ``block_lift(B, k) == M``, or None if there is none."""
+    """The matrix B with ``block_lift(B, k) == M``, or None if there is none.
+
+    M is read in place: its first m rows must be zero outside the last m
+    columns, which hold B, and row r >= m must be the unit row with its 1
+    in column r - m.
+    """
     if k < 1 or M.n % k:
         return None
     m = M.n // k
-    inner = [[M.entries[i][(k - 1) * m + j] for j in range(m)] for i in range(m)]
-    base = IntMatrix.from_rows(inner)
-    return base if M == block_lift(base, k) else None
+    corner = (k - 1) * m
+    rows = M.entries
+    if any(any(row[:corner]) for row in rows[:m]):
+        return None
+    for r in range(m, M.n):
+        if rows[r][r - m] != 1 or sum(rows[r]) != 1:
+            return None
+    return IntMatrix(row[corner:] for row in rows[:m])

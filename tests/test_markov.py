@@ -191,7 +191,8 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
     a matrix larger than its input, such as the doubled incidence matrix,
     computes char_poly(M) and its Sturm chain once, and bisects λ once:
     the eigen stage and verify_stretch share them, and verify_stretch
-    runs no second bisection."""
+    runs no second bisection. Faddeev-LeVerrier runs once, on the whole
+    of a primitive M and on the 1 x 1 cycle product of the lift."""
     if rows is None:
         M = random_irreducible_matrices(200)[137]
     else:
@@ -209,6 +210,17 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
         return original_bisect(*args)
 
     monkeypatch.setattr(endperiodic.spectral, "_bisect_top_root", recording_bisect)
+
+    recurrences = []
+    original_recurrence = endperiodic.spectral._faddeev_leverrier
+
+    def recording_recurrence(rows):
+        recurrences.append(len(rows))
+        return original_recurrence(rows)
+
+    monkeypatch.setattr(
+        endperiodic.spectral, "_faddeev_leverrier", recording_recurrence
+    )
 
     def recording(A):
         sizes.append(A.n)
@@ -234,5 +246,6 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
     assert patched >= 1
     run_pipeline(M, weak_perron_k=k)
     assert sizes == [M.n]
+    assert recurrences == ([1] if k is not None else [M.n])
     assert chains == [original(M).coefficients]
     assert len(bisections) == 1

@@ -61,8 +61,9 @@ def _sympy_charpoly_coeffs(M: IntMatrix) -> list[int]:
 
 
 def _dense_char_poly(M: IntMatrix) -> list[int]:
-    """Faddeev-LeVerrier with dense n**3 products, the reference of the
-    row-by-row products in ``char_poly``; ascending coefficients."""
+    """Faddeev-LeVerrier with dense n**3 products on the whole of M, the
+    reference of the row-by-row products and of the cyclic normal form in
+    ``char_poly``; ascending coefficients."""
     n = M.n
     rows = [list(r) for r in M.entries]
     aux = [[0] * n for _ in range(n)]
@@ -80,6 +81,29 @@ def _dense_char_poly(M: IntMatrix) -> list[int]:
         c = -sum(aux[i][i] for i in range(n)) // k
         coeffs[n - k] = c
     return coeffs
+
+
+def _cyclic_block_matrix(rng) -> tuple[IntMatrix, int]:
+    """A seeded irreducible matrix with d = 2..5 cyclic classes of sizes
+    1..3, not all equal, entries 0..2 in the blocks from each class to the
+    next, and its vertices shuffled; returns it with d."""
+    while True:
+        d = int(rng.integers(2, 6))
+        sizes = [int(s) for s in rng.integers(1, 4, size=d)]
+        if len(set(sizes)) == 1:
+            continue
+        starts = np.cumsum([0] + sizes)
+        n = int(starts[-1])
+        rows = np.zeros((n, n), dtype=int)
+        for c in range(d):
+            to = (c + 1) % d
+            rows[starts[to]:starts[to + 1], starts[c]:starts[c + 1]] = (
+                rng.integers(0, 3, size=(sizes[to], sizes[c]))
+            )
+        perm = rng.permutation(n)
+        M = IntMatrix.from_rows(rows[np.ix_(perm, perm)].tolist())
+        if is_irreducible(M):
+            return M, d
 
 
 def _fraction_determinant(M: IntMatrix) -> int:
@@ -219,14 +243,69 @@ class TestCharPoly:
     def test_sparse_products_match_dense_reference(self):
         # the dense reference costs k**4: 25 s for the lifts k = 33..63, so
         # those are checked against the closed form x**k - 2 alone
+        running = IntMatrix.from_rows(RUNNING_ROWS)
         inputs = random_irreducible_matrices(200) + [
             M for M in _large_inputs() if M.n <= 32 or M.n == 64
-        ]
+        ] + [block_lift(running, k) for k in range(2, 6)]
         for M in inputs:
             assert list(char_poly(M).coefficients) == _dense_char_poly(M)
         for k in range(2, 65):
             expected = (-2,) + (0,) * (k - 1) + (1,)
             assert char_poly(_lift_of_two(k)).coefficients == expected
+
+    @pytest.fixture
+    def recurrence_sizes(self, monkeypatch) -> list[int]:
+        """The row counts of the matrices ``_faddeev_leverrier`` receives."""
+        sizes = []
+        recurrence = spectral._faddeev_leverrier
+        monkeypatch.setattr(
+            spectral, "_faddeev_leverrier",
+            lambda rows: sizes.append(len(rows)) or recurrence(rows),
+        )
+        return sizes
+
+    def test_cyclic_normal_form_matches_dense_reference(self, recurrence_sizes):
+        # Faddeev-LeVerrier runs once, on the cycle product of a class no
+        # larger than n / period; the period is a multiple of d
+        sizes = recurrence_sizes
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            M, d = _cyclic_block_matrix(rng)
+            period = graph_period(M)
+            assert period % d == 0
+            sizes.clear()
+            assert list(char_poly(M).coefficients) == _dense_char_poly(M)
+            assert len(sizes) == 1 and sizes[0] * period <= M.n
+
+    def test_reducible_inputs_take_the_whole_matrix(self, recurrence_sizes):
+        # block upper-triangular [[A, C], [0, B]] with A and B imprimitive
+        # cyclic blocks: reducible, so the recurrence sees all of it
+        sizes = recurrence_sizes
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            (A, _), (B, _) = _cyclic_block_matrix(rng), _cyclic_block_matrix(rng)
+            a, b = A.n, B.n
+            C = rng.integers(0, 3, size=(a, b)).tolist()
+            rows = [list(A.entries[i]) + C[i] for i in range(a)]
+            rows += [[0] * a + list(B.entries[i]) for i in range(b)]
+            M = IntMatrix.from_rows(rows)
+            assert not is_irreducible(M)
+            sizes.clear()
+            assert list(char_poly(M).coefficients) == _dense_char_poly(M)
+            assert sizes == [M.n]
+
+    def test_list_coefficients_are_stored_as_a_tuple(self):
+        # a polynomial built from a list equals and hashes as the one built
+        # from a tuple, and its coefficients cannot be mutated
+        p = spectral.IntPolynomial([-1, 0, 1])
+        built = spectral.IntPolynomial((-1, 0, 1))
+        assert p == built and hash(p) == hash(built)
+        assert p.coefficients == (-1, 0, 1)
+        with pytest.raises(TypeError):
+            p.coefficients[-1] = 5
+        with pytest.raises(AttributeError):
+            p.coefficients = built.coefficients
+        assert {p, built} == {built}
 
     def test_determinant_against_fraction_elimination(self):
         rng = np.random.default_rng(12)
@@ -618,6 +697,28 @@ class TestBlockLift:
             assert rho**k == pytest.approx(2.0, abs=1e-9)
             assert is_irreducible(L)
             assert not is_primitive(L)
+
+    def test_lift_base_reads_the_blocks(self):
+        # lift_base inverts block_lift; a changed entry in the top-right
+        # block gives the lift of the changed base, anywhere else no lift
+        rng = np.random.default_rng(26)
+        for k in range(1, 7):
+            for _ in range(3):
+                m = int(rng.integers(1, 4))
+                base = IntMatrix.from_rows(rng.integers(0, 3, size=(m, m)).tolist())
+                L = block_lift(base, k)
+                assert lift_base(L, k) == base
+                for i in range(L.n):
+                    for j in range(L.n):
+                        for v in {L[i, j] + 1, L[i, j] - 1} - {-1}:
+                            rows = L.to_lists()
+                            rows[i][j] = v
+                            changed = IntMatrix.from_rows(rows)
+                            got = lift_base(changed, k)
+                            if i < m and j >= (k - 1) * m:
+                                assert block_lift(got, k) == changed
+                            else:
+                                assert got is None
 
     def test_invalid_k(self):
         with pytest.raises(InvalidInputError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidInputError, PreconditionError
-from .spectral import IntMatrix, PerronData, is_irreducible
+from .spectral import IntMatrix, PerronData, _analyse, _GraphAnalysis
 
 VERTICAL = "V"
 HORIZONTAL = "H"
@@ -83,8 +83,10 @@ class SymbolicLength(NamedTuple):
 
 
 def evaluate_length(length: SymbolicLength, eigen: PerronData) -> float:
+    """The float value of ``length``: its terms summed in index order, then
+    divided by lambda. Zero terms are skipped; adding 0.0 changes no sum."""
     basis = eigen.omega if length.scale_kind == "W" else eigen.eta
-    return sum(c * b for c, b in zip(length.coefficients, basis)) / eigen.lam
+    return sum([c * b for c, b in zip(length.coefficients, basis) if c]) / eigen.lam
 
 
 class StripDecomposition(NamedTuple):
@@ -96,7 +98,10 @@ class StripDecomposition(NamedTuple):
     permutes vertical labels of Q_k and ``sigma[k]`` horizontal labels;
     widths and heights follow the resizing rule: the strip at label B has
     width lambda^-1 * omega_{source(tau_k(B))}, the strip at label C has
-    height lambda^-1 * eta_{source(sigma_k^-1(C))}.
+    height lambda^-1 * eta_{source(sigma_k^-1(C))}. ``vertical_offsets[k]``
+    and ``horizontal_offsets[k]`` hold those boundaries as floats, each
+    evaluated once by ``build_decomposition``; ``piece_map`` and the
+    record section read them.
     """
 
     matrix: IntMatrix
@@ -107,6 +112,8 @@ class StripDecomposition(NamedTuple):
     tau: dict[int, dict[StripLabel, StripLabel]]
     vertical_boundaries: dict[int, tuple[SymbolicLength, ...]]
     horizontal_boundaries: dict[int, tuple[SymbolicLength, ...]]
+    vertical_offsets: dict[int, tuple[float, ...]]
+    horizontal_offsets: dict[int, tuple[float, ...]]
 
     @property
     def n(self) -> int:
@@ -162,12 +169,10 @@ class StripDecomposition(NamedTuple):
             "sigma": positions(self.sigma, self.horizontal_order),
             "tau": positions(self.tau, self.vertical_order),
             "vertical_boundaries": {
-                str(k): [b.evaluate(self.eigen) for b in v]
-                for k, v in self.vertical_boundaries.items()
+                str(k): list(v) for k, v in self.vertical_offsets.items()
             },
             "horizontal_boundaries": {
-                str(k): [b.evaluate(self.eigen) for b in v]
-                for k, v in self.horizontal_boundaries.items()
+                str(k): list(v) for k, v in self.horizontal_offsets.items()
             },
         }
 
@@ -183,6 +188,17 @@ def _canonical_labels(M: IntMatrix, k: int, orientation: str) -> tuple[StripLabe
         StripLabel(orientation, k, i, j)
         for i, mult in enumerate(mults, start=1)
         for j in range(1, mult + 1)
+    )
+
+
+def _label_tables(M: IntMatrix) -> tuple[dict, dict]:
+    """The canonical labels of every rectangle, k -> tuple: the vertical
+    table and the horizontal one. ``run_pipeline`` builds them once for
+    ``corner_selection`` and ``build_decomposition``."""
+    ks = range(1, M.n + 1)
+    return (
+        {k: _canonical_labels(M, k, VERTICAL) for k in ks},
+        {k: _canonical_labels(M, k, HORIZONTAL) for k in ks},
     )
 
 
@@ -215,10 +231,13 @@ def build_decomposition(
     tau: dict[int, dict[StripLabel, StripLabel]] | None = None,
 ) -> StripDecomposition:
     """Strip decomposition for M; sigma/tau default to the identity."""
-    n = M.n
-    vertical_order = {k: _canonical_labels(M, k, VERTICAL) for k in range(1, n + 1)}
-    horizontal_order = {k: _canonical_labels(M, k, HORIZONTAL) for k in range(1, n + 1)}
+    return _build_decomposition(M, eigen, sigma, tau, _label_tables(M))
 
+
+def _build_decomposition(M, eigen, sigma, tau, labels) -> StripDecomposition:
+    """``build_decomposition``, with ``labels`` the ``_label_tables(M)``."""
+    n = M.n
+    vertical_order, horizontal_order = labels
     if sigma is None:
         sigma = {k: {s: s for s in horizontal_order[k]} for k in range(1, n + 1)}
     if tau is None:
@@ -238,6 +257,12 @@ def build_decomposition(
             n, "H", [sigma_inv[lab].source for lab in horizontal_order[k]]
         )
 
+    def offsets(boundaries):
+        return {
+            k: tuple([evaluate_length(b, eigen) for b in bounds])
+            for k, bounds in boundaries.items()
+        }
+
     return StripDecomposition(
         matrix=M,
         eigen=eigen,
@@ -247,6 +272,8 @@ def build_decomposition(
         tau=tau,
         vertical_boundaries=vertical_boundaries,
         horizontal_boundaries=horizontal_boundaries,
+        vertical_offsets=offsets(vertical_boundaries),
+        horizontal_offsets=offsets(horizontal_boundaries),
     )
 
 
@@ -278,24 +305,30 @@ class PieceMapBranch(NamedTuple):
 
 
 class PieceMap(NamedTuple):
-    """All branches of the piece map, indexed by source and target strip."""
+    """All branches of the piece map, indexed by source and target strip.
+
+    ``piece_map`` builds each index once; ``by_source`` and ``by_target``
+    return it, shared by every reader, which must not change it.
+    """
 
     decomposition: StripDecomposition
     branches: tuple[PieceMapBranch, ...]
+    source_index: dict[StripLabel, PieceMapBranch]
+    target_index: dict[StripLabel, PieceMapBranch]
 
     def by_source(self) -> dict[StripLabel, PieceMapBranch]:
-        return {b.source_label: b for b in self.branches}
+        return self.source_index
 
     def by_target(self) -> dict[StripLabel, PieceMapBranch]:
-        return {b.target_label: b for b in self.branches}
+        return self.target_index
 
 
-def _intervals(orders, boundaries, eigen: PerronData) -> dict:
+def _intervals(orders, offsets) -> dict:
     """label -> (start, end) float offsets of every strip, the same as
-    ``strip_interval``, with each boundary evaluated once."""
+    ``strip_interval``."""
     out = {}
     for k, order in orders.items():
-        ends = [evaluate_length(b, eigen) for b in boundaries[k]]
+        ends = offsets[k]
         for t, label in enumerate(order):
             out[label] = (ends[t], ends[t + 1])
     return out
@@ -305,66 +338,66 @@ def piece_map(D: StripDecomposition) -> PieceMap:
     """Piece map of a decomposition: one branch per (k, i, j) arc unit.
 
     The branch for (k, i, j) carries the vertical strip tau_k^-1(V^(k)_{i,j})
-    onto the horizontal strip sigma_i(H^(i)_{k,j}).
+    onto the horizontal strip sigma_i(H^(i)_{k,j}); the labels V^(k)_{i,j}
+    are read off the canonical order of Q_k, not off M.
     """
-    M, eigen = D.matrix, D.eigen
-    n = M.n
-    columns = _intervals(D.vertical_order, D.vertical_boundaries, eigen)
-    rows = _intervals(D.horizontal_order, D.horizontal_boundaries, eigen)
+    eigen = D.eigen
+    columns = _intervals(D.vertical_order, D.vertical_offsets)
+    rows = _intervals(D.horizontal_order, D.horizontal_offsets)
     branches = []
-    for k in range(1, n + 1):
+    for k, order in D.vertical_order.items():
         tau_inv = D.tau_inv(k)
-        for i in range(1, n + 1):
-            for j in range(1, M[i - 1, k - 1] + 1):
-                src = tau_inv[StripLabel(VERTICAL, k, i, j)]
-                tgt = D.sigma[i][StripLabel(HORIZONTAL, i, k, j)]
-                x0, x1 = columns[src]
-                y0, y1 = rows[tgt]
-                branches.append(
-                    PieceMapBranch(
-                        index=(k, i, j),
-                        source_label=src,
-                        target_label=tgt,
-                        source_rect=k,
-                        target_rect=i,
-                        x0=x0,
-                        width=x1 - x0,
-                        y0=y0,
-                        height=y1 - y0,
-                        lam=eigen.lam,
-                    )
+        for label in order:
+            i, j = label.source, label.copy
+            src = tau_inv[label]
+            tgt = D.sigma[i][StripLabel(HORIZONTAL, i, k, j)]
+            x0, x1 = columns[src]
+            y0, y1 = rows[tgt]
+            branches.append(
+                PieceMapBranch(
+                    index=(k, i, j),
+                    source_label=src,
+                    target_label=tgt,
+                    source_rect=k,
+                    target_rect=i,
+                    x0=x0,
+                    width=x1 - x0,
+                    y0=y0,
+                    height=y1 - y0,
+                    lam=eigen.lam,
                 )
-    src_seen = {b.source_label for b in branches}
-    tgt_seen = {b.target_label for b in branches}
-    if len(src_seen) != len(branches) or len(tgt_seen) != len(branches):
+            )
+    by_source = {b.source_label: b for b in branches}
+    by_target = {b.target_label: b for b in branches}
+    if len(by_source) != len(branches) or len(by_target) != len(branches):
         raise InvalidInputError("sigma/tau do not induce a strip bijection")
-    return PieceMap(decomposition=D, branches=tuple(branches))
+    return PieceMap(D, tuple(branches), by_source, by_target)
 
 
-def _embedded_cycle_through_first_vertex(M: IntMatrix) -> list[int]:
+def _embedded_cycle_through_first_vertex(successors: list[list[int]]) -> list[int]:
     """Simple directed cycle through vertex 1 (DFS, ascending successors).
 
-    Vertices are 1-based; an arc k -> i exists when M[i-1][k-1] > 0.
+    Vertices are 1-based in the result; ``successors[j]`` lists the 0-based
+    i with an arc j -> i, i.e. M[i][j] > 0 (``_GraphAnalysis``). The walk
+    keeps one successor iterator per vertex on the path, not one Python
+    frame, so a cycle longer than the recursion limit is found too.
     """
-    g = M.digraph()
     path = [0]
     on_path = {0}
-
-    def dfs(v: int) -> bool:
-        for u in g.successors(v):
-            if u == 0 and len(path) >= 1:
-                return True
+    pending = [iter(successors[0])]
+    while pending:
+        for u in pending[-1]:
+            if u == 0:
+                return [v + 1 for v in path]
             if u not in on_path:
                 path.append(u)
                 on_path.add(u)
-                if dfs(u):
-                    return True
-                on_path.remove(path.pop())
-        return False
-
-    if not dfs(0):
-        raise PreconditionError("no cycle through the first vertex")
-    return [v + 1 for v in path]
+                pending.append(iter(successors[u]))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
+    raise PreconditionError("no cycle through the first vertex")
 
 
 def _constrained_completion(
@@ -387,14 +420,18 @@ def corner_selection(M: IntMatrix) -> tuple[dict, dict]:
     topmost horizontal strip; off the constraints, labels are matched in
     ascending order.
     """
-    if not is_irreducible(M):
-        raise PreconditionError("corner_selection requires an irreducible matrix")
-    n = M.n
-    cycle = _embedded_cycle_through_first_vertex(M)
-    klen = len(cycle)
+    return _corner_selection(_analyse(M), _label_tables(M))
 
-    vertical = {k: _canonical_labels(M, k, VERTICAL) for k in range(1, n + 1)}
-    horizontal = {k: _canonical_labels(M, k, HORIZONTAL) for k in range(1, n + 1)}
+
+def _corner_selection(graph: _GraphAnalysis, labels) -> tuple[dict, dict]:
+    """``corner_selection(M)`` from ``graph``, the ``_analyse`` of M, and
+    ``labels``, its ``_label_tables``."""
+    if not graph.irreducible:
+        raise PreconditionError("corner_selection requires an irreducible matrix")
+    vertical, horizontal = labels
+    n = len(vertical)
+    cycle = _embedded_cycle_through_first_vertex(graph.successors)
+    klen = len(cycle)
 
     tau_pairs: dict[int, dict] = {k: {} for k in range(1, n + 1)}
     sigma_pairs: dict[int, dict] = {k: {} for k in range(1, n + 1)}

@@ -43,6 +43,8 @@ from .errors import (
 from .spectral import (
     COORD_TOL,
     IntMatrix,
+    _analyse,
+    _GraphAnalysis,
     _Value,
     is_primitive,
     lift_base,
@@ -55,6 +57,9 @@ _TRANSFER_TOL = 1e-9
 #: ``enumerate_identifications`` builds: a window costs about 2 KiB per
 #: pair state through the census, so this is about 1 GiB
 MAX_PAIR_STATES = 500_000
+
+#: the least default window N + 3m: N is at least 2 and m at least 1
+_LEAST_DEFAULT_WINDOW = 5
 
 
 class InfiniteStrip(NamedTuple):
@@ -392,16 +397,7 @@ def enumerate_identifications(
         depth_cap = N + 3 * m
     if depth_cap < N:
         raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
-    generators = sum(
-        len(D.vertical_order[k]) + len(D.horizontal_order[k]) - 2
-        for k in range(1, D.n + 1)
-    )
-    if generators * depth_cap > MAX_PAIR_STATES:
-        raise InvalidInputError(
-            f"depth_cap {depth_cap} with {generators} generators is "
-            f"{generators * depth_cap} pair states, above the limit "
-            f"{MAX_PAIR_STATES}"
-        )
+    _refuse_oversized_window(D.matrix, depth_cap)
 
     by_source = system.piece_map.by_source()
     by_target = system.piece_map.by_target()
@@ -447,6 +443,29 @@ def enumerate_identifications(
         escape_depth=N,
         nesting_period=m,
     )
+
+
+def _refuse_oversized_window(M: IntMatrix, depth_cap: int | None) -> None:
+    """Raise ``InvalidInputError`` if the window of M holds more than
+    ``MAX_PAIR_STATES`` pair states (generators times ``depth_cap``).
+
+    M alone gives the generator count: rectangle k holds column sum k
+    vertical and row sum k horizontal strips, and each boundary between
+    two of them is a generator, so there are 2 * (sum of the entries) -
+    2n. ``run_pipeline`` calls this before any stage runs, with
+    ``depth_cap`` None standing for the default window N + 3m, which is
+    at least 5; ``enumerate_identifications`` calls it with the window
+    it is about to build.
+    """
+    generators = 2 * sum(map(sum, M.entries)) - 2 * M.n
+    least = "at least " if depth_cap is None else ""
+    cap = _LEAST_DEFAULT_WINDOW if depth_cap is None else depth_cap
+    if generators * cap > MAX_PAIR_STATES:
+        raise InvalidInputError(
+            f"depth_cap {least}{cap} with {generators} generators is "
+            f"{least}{generators * cap} pair states, above the limit "
+            f"{MAX_PAIR_STATES}"
+        )
 
 
 def _side_states(ext, kind, first, depth_cap):
@@ -669,6 +688,11 @@ class ClassCensus(_Value):
     nodes in ``_node_str`` order, and ``classes``, the finite classes
     first, in order of their smallest id, each listing its nodes in tuple
     order, then ``infinite_classes``.
+
+    ``oversized_finite`` is 0 by construction: ``classify_classes`` counts
+    every class of three or more nodes as infinite, so no finite class
+    has more than two. A check that it is 0 tests nothing; the field
+    stays in the record until the next schema bump drops it.
     """
 
     #: compared and shown; the registry, forest and roots are neither
@@ -782,7 +806,8 @@ def classify_classes(
     bi-infinite chains in their own right; saturated corner classes are
     per-depth shards of one family and are stitched together along the
     generator-endpoint orbits that produced them. The remaining classes
-    are the finite ones and have size one or two.
+    are the finite ones and have size one or two, so the census's
+    ``oversized_finite`` is always 0.
 
     Links of infinite chains are labeled conservatively from the pairing
     graph: a path is a Line, two or more disjoint cycles are
@@ -1014,9 +1039,24 @@ def assemble_surface(
     column of a power of M, and for block-lift inputs by the boundary-ray
     regluing record; otherwise it is reported as undecided.
     """
+    M = ext.system.decomposition.matrix
+    return _assemble_surface(
+        ext, schema, census, insert_genus, weak_perron_k, _analyse(M)
+    )
+
+
+def _assemble_surface(
+    ext: ExtendedPieceMap,
+    schema: IdentificationSchema,
+    census: ClassCensus,
+    insert_genus: bool,
+    weak_perron_k: int | None,
+    graph: _GraphAnalysis,
+) -> SurfaceReport:
+    """``assemble_surface``, reading M's period and arcs off ``graph``,
+    the ``_analyse`` of M."""
     system = ext.system
     D = system.decomposition
-    M = D.matrix
 
     orbit_sign = {}
     for strip in ext.strips.values():
@@ -1040,7 +1080,7 @@ def assemble_surface(
         ends.append(End(sign=signs.pop(), strip_orbits=tuple(sorted(orbits))))
     ends.sort(key=lambda e: (e.sign, e.strip_orbits))
 
-    connected, weak_record = _connectedness(M, ext, weak_perron_k)
+    connected, weak_record = _connectedness(D.matrix, graph, ext, weak_perron_k)
 
     site = None
     if insert_genus:
@@ -1060,9 +1100,12 @@ def assemble_surface(
     )
 
 
-def _connectedness(M: IntMatrix, ext: ExtendedPieceMap, weak_perron_k):
+def _connectedness(
+    M: IntMatrix, graph: _GraphAnalysis, ext: ExtendedPieceMap, weak_perron_k
+):
     """Whether the surface is connected, and the regluing record if it was
-    decided by the boundary-ray regluing of a k-lift.
+    decided by the boundary-ray regluing of a k-lift; ``graph`` is the
+    ``_analyse`` of M.
 
     The regluing needs M to be the k-th block lift of a primitive matrix
     and the first rectangle's top-left corner periodic; either failing
@@ -1085,14 +1128,14 @@ def _connectedness(M: IntMatrix, ext: ExtendedPieceMap, weak_perron_k):
             "B_gluing": [[i, i % k + 1] for i in range(1, k + 1)],
         }
         return True, record
-    if is_primitive(M):
-        # reach = {i : (M^t)[i][0] > 0} for t = 1, 2, ...: row i of M^(t+1)
-        # has a positive first entry iff M[i][j] > 0 for some j in reach
+    if len(graph.classes) == 1:
+        # M is primitive. reach = {i : (M^t)[i][0] > 0} for t = 1, 2, ...:
+        # row i of M^(t+1) has a positive first entry iff M[i][j] > 0 for
+        # some j in reach, i.e. i is a successor of some j in reach
         n = M.n
-        into = [[i for i in range(n) if M.entries[i][j] > 0] for j in range(n)]
         reach = {0}
         for _ in range(wielandt_bound(n)):
-            reach = {i for j in reach for i in into[j]}
+            reach = {i for j in reach for i in graph.successors[j]}
             if len(reach) == n:
                 return True, None
         raise InternalConsistencyError("primitive matrix without positive column")

@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 from .decomposition import (
     StripDecomposition,
-    build_decomposition,
-    corner_selection,
+    _build_decomposition,
+    _corner_selection,
+    _label_tables,
     piece_map,
 )
 from .edgemaps import (
@@ -43,7 +44,8 @@ from .gluing import (
     ExtendedPieceMap,
     IdentificationSchema,
     SurfaceReport,
-    assemble_surface,
+    _assemble_surface,
+    _refuse_oversized_window,
     attach_strips,
     build_extended_map,
     classify_classes,
@@ -54,10 +56,11 @@ from .spectral import (
     DEFAULT_TOL,
     IntMatrix,
     PerronData,
+    _analyse,
+    _char_poly,
     _is_int,
+    _perron_eigendata,
     _Value,
-    char_poly,
-    perron_eigendata,
 )
 
 #: "8": ``incidence`` holds the Sturm bracket of the stretch factor and
@@ -120,13 +123,20 @@ def run_pipeline(
     The eigendata residual is bounded by ``DEFAULT_TOL``, the strip
     decomposition takes its permutations from ``corner_selection(M)`` and
     the surface is the double: the construction has no other settings.
+
+    A window that M alone shows to be too large is refused before any
+    stage runs. Then each fact of M is computed once and handed to the
+    stages that read it: the analysis of its digraph, its canonical strip
+    labels, and char_poly(M) with its Sturm chain. Nothing outlives the
+    call, and nothing is cached on M.
     """
-    # char_poly(M) and its Sturm chain serve both the eigen stage and
-    # verify_stretch
-    poly = char_poly(M)
-    eigen = perron_eigendata(M, poly=poly)
-    sigma, tau = corner_selection(M)
-    D = build_decomposition(M, eigen, sigma=sigma, tau=tau)
+    _refuse_oversized_window(M, depth_cap)
+    graph = _analyse(M)
+    poly = _char_poly(M, graph)
+    eigen = _perron_eigendata(M, graph, DEFAULT_TOL, poly)
+    labels = _label_tables(M)
+    sigma, tau = _corner_selection(graph, labels)
+    D = _build_decomposition(M, eigen, sigma, tau, labels)
     P = piece_map(D)
     system = build_edge_maps(P)
     points = all_periodic_points(system)
@@ -136,12 +146,8 @@ def run_pipeline(
     ext = build_extended_map(system, strips, points)
     schema = enumerate_identifications(ext, depth_cap=depth_cap)
     census = classify_classes(schema, ext)
-    surface = assemble_surface(
-        ext,
-        schema,
-        census,
-        insert_genus=insert_genus,
-        weak_perron_k=weak_perron_k,
+    surface = _assemble_surface(
+        ext, schema, census, insert_genus, weak_perron_k, graph
     )
     incidence = verify_stretch(M, surface, poly=poly)
     return PipelineResult(

@@ -254,34 +254,87 @@ def parse_matrix_text(text: str) -> IntMatrix:
 # graph predicates
 
 
+class _GraphAnalysis(NamedTuple):
+    """The facts of M's digraph that the stages of a run read, from one
+    ``_analyse`` of M: ``run_pipeline`` makes one and hands it to every
+    stage that needs it, and keeps none after the call.
+
+    ``successors[j]`` lists, ascending, the i with ``M[i][j] > 0`` (the
+    arcs v_j -> v_i). ``classes`` holds the cyclic classes of an
+    irreducible M in the order its arcs visit them, vertex 0 in the first,
+    and is empty for a reducible M.
+    """
+
+    successors: list[list[int]]
+    classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def irreducible(self) -> bool:
+        return bool(self.classes)
+
+
+def _analyse(M: IntMatrix) -> _GraphAnalysis:
+    """Adjacency lists of M's digraph from one scan of its entries, then
+    its cyclic classes and irreducibility from two walks of O(n + arcs).
+
+    A depth-first walk from vertex 0 along the successors (a stack) gives
+    each vertex it reaches a level, the length of its tree path; the
+    period d is the gcd of level(v) + 1 - level(u) over all arcs v -> u,
+    and class c holds the vertices of level c mod d. Every arc leads from
+    a class to the next. M is irreducible iff that walk and a second one
+    along the predecessors reach every vertex and d > 0, some arc closing
+    a cycle: the 1 x 1 zero matrix has none and is reducible.
+    """
+    n = M.n
+    predecessors = [[j for j, v in enumerate(row) if v] for row in M.entries]
+    successors = [[] for _ in range(n)]
+    for i, sources in enumerate(predecessors):
+        for j in sources:
+            successors[j].append(i)
+    level = [-1] * n
+    level[0] = 0
+    stack = [0]
+    period = 0
+    while stack:
+        v = stack.pop()
+        for u in successors[v]:
+            if level[u] < 0:
+                level[u] = level[v] + 1
+                stack.append(u)
+            else:
+                period = gcd(period, level[v] + 1 - level[u])
+    if not period or -1 in level or not _reaches_all(predecessors):
+        return _GraphAnalysis(successors, ())
+    classes = [[] for _ in range(period)]
+    for v in range(n):
+        classes[level[v] % period].append(v)
+    return _GraphAnalysis(successors, tuple(map(tuple, classes)))
+
+
+def _reaches_all(neighbors: list[list[int]]) -> bool:
+    """Whether a walk from vertex 0 along ``neighbors`` meets every vertex."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for u in neighbors[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(neighbors)
+
+
 def is_irreducible(M: IntMatrix) -> bool:
     """True iff some power of M has a positive (i, j) entry for every i, j.
 
     Equivalently, the digraph of M is strongly connected; for n = 1 this
     requires a self-loop (the 1x1 zero matrix is reducible).
     """
-    if M.n == 1:
-        return M[0, 0] > 0
-    g = M.digraph()
-    n = g.vertex_count
-
-    def reaches_all(neighbors) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == n
-
-    return reaches_all(g.successors) and reaches_all(g.predecessors)
+    return _analyse(M).irreducible
 
 
 def graph_period(M: IntMatrix) -> int:
     """gcd of all cycle lengths of an irreducible matrix's digraph: the
-    number d of its cyclic classes (``_cyclic_classes``).
+    number d of its cyclic classes (``_analyse``).
 
     Ordered class by class, M is a cyclic block matrix, and for d >= 2
     ``char_poly`` reads det(xI - M) = x**(n - d*n_1) * det(x**d I - B) off
@@ -289,36 +342,10 @@ def graph_period(M: IntMatrix) -> int:
     smallest class, of size n_1. For d = 1 (M primitive) the identity is
     det(xI - M) itself and says nothing new.
     """
-    if not is_irreducible(M):
+    classes = _analyse(M).classes
+    if not classes:
         raise PreconditionError("graph period requires an irreducible matrix")
-    return len(_cyclic_classes(M))
-
-
-def _cyclic_classes(M: IntMatrix) -> list[list[int]]:
-    """The cyclic classes of an irreducible M, in the order its arcs visit
-    them; vertex 0 is in the first class.
-
-    One depth-first walk from vertex 0 (a stack) gives each vertex a level,
-    the length of its tree path; the period d is the gcd of
-    level(v) + 1 - level(u) over all arcs v -> u, and class c holds the
-    vertices of level c mod d. Every arc leads from a class to the next.
-    """
-    g = M.digraph()
-    level = {0: 0}
-    stack = [0]
-    period = 0
-    while stack:
-        v = stack.pop()
-        for u in g.successors(v):
-            if u not in level:
-                level[u] = level[v] + 1
-                stack.append(u)
-            else:
-                period = gcd(period, level[v] + 1 - level[u])
-    classes = [[] for _ in range(period)]
-    for v in range(M.n):
-        classes[level[v] % period].append(v)
-    return classes
+    return len(classes)
 
 
 def is_primitive(M: IntMatrix) -> bool:
@@ -346,8 +373,14 @@ def char_poly(M: IntMatrix) -> IntPolynomial:
     A itself and the polynomial is char_poly(A)(x**k). A primitive or
     reducible M goes through Faddeev-LeVerrier as it is.
     """
+    return _char_poly(M, _analyse(M))
+
+
+def _char_poly(M: IntMatrix, graph: _GraphAnalysis) -> IntPolynomial:
+    """``char_poly(M)``, reading the cyclic classes off ``graph``, the
+    ``_analyse`` of M."""
     n = M.n
-    classes = _cyclic_classes(M) if is_irreducible(M) else ()
+    classes = graph.classes
     d = len(classes)
     if d < 2:
         return IntPolynomial(_faddeev_leverrier(M.entries))
@@ -678,12 +711,21 @@ def perron_eigendata(
     Raises ``ConvergenceError`` if a vector is not positive or the
     residual exceeds ``tol * max(1, lambda)``.
     """
+    return _perron_eigendata(M, _analyse(M), tol, poly)
+
+
+def _perron_eigendata(
+    M: IntMatrix, graph: _GraphAnalysis, tol: float, poly: IntPolynomial | None
+) -> PerronData:
+    """``perron_eigendata(M, tol, poly)``, reading irreducibility and, when
+    it builds the polynomial, the cyclic classes off ``graph``, the
+    ``_analyse`` of M."""
     if not 0 < tol < inf:
         raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
-    if not is_irreducible(M):
+    if not graph.irreducible:
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
     if poly is None:
-        poly = char_poly(M)
+        poly = _char_poly(M, graph)
     lam = largest_real_root(poly, precision=0.0)
     rows = M.entries
     columns = tuple(zip(*rows))

@@ -1,10 +1,15 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import endperiodic
 import endperiodic.record
 from endperiodic import InternalConsistencyError
 from endperiodic.cli import main
@@ -219,6 +224,28 @@ class TestVerify:
                 f"error: depth_cap {10**9} with 2 generators is "
                 f"{2 * 10**9} pair states, above the limit {MAX_PAIR_STATES}\n"
             )
+
+    def test_large_integer_is_refused_from_the_matrix(self, tmp_path):
+        # [[10**6]] has 1,999,998 generators, so even the least default
+        # window (5) is too large: construct exits 2 before building any
+        # of them
+        src = Path(endperiodic.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from endperiodic.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "construct", "--integer", str(10**6), "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr == (
+            "error: depth_cap at least 5 with 1999998 generators is at least "
+            f"9999990 pair states, above the limit {MAX_PAIR_STATES}\n"
+        )
+        assert not list(tmp_path.iterdir())
 
     def test_config_key_missing_is_input_error(self, tmp_path, capsys):
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0

@@ -1,5 +1,7 @@
 """Strip decompositions, symbolic lengths, the piece map, corner selection."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from endperiodic import (
     IntMatrix,
     InvalidInputError,
     StripLabel,
+    block_lift,
     build_decomposition,
     corner_selection,
     evaluate_length,
     perron_eigendata,
     piece_map,
 )
+from endperiodic.decomposition import _embedded_cycle_through_first_vertex
+from endperiodic.spectral import _analyse
 
 from conftest import random_irreducible_matrices
 
@@ -129,6 +134,17 @@ class TestCornerSelection:
         sigma, tau = corner_selection(running_matrix)
         D_id = _decomp(running_matrix)
         assert sigma != D_id.sigma or tau != D_id.tau
+
+    def test_cycle_longer_than_the_recursion_limit(self):
+        # the cycle through vertex 1 of the k-lift of [[2]] is 1, 2, ..., k,
+        # longer than the recursion limit: the walk keeps no frame per
+        # vertex, so it finds the cycle
+        k = sys.getrecursionlimit() + 100
+        M = block_lift(IntMatrix.from_rows([[2]]), k)
+        cycle = _embedded_cycle_through_first_vertex(_analyse(M).successors)
+        assert cycle == list(range(1, k + 1))
+        sigma, tau = corner_selection(M)
+        assert len(sigma) == len(tau) == k
 
     def test_random_inputs_give_valid_permutations(self):
         for M in random_irreducible_matrices(25, seed=25):

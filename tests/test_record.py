@@ -651,3 +651,123 @@ class TestTailFromRecord:
             assert None not in depths
             assert max(depths) <= schema.depth_cap - 2 * schema.nesting_period
 
+
+class TestOncePerRun:
+    @pytest.mark.parametrize(
+        "rows, k",
+        [(RUNNING_ROWS, None), ([[2]], 4), (None, None)],
+        ids=["running", "lift4", "corpus137"],
+    )
+    def test_each_fact_of_the_matrix_is_computed_once(
+        self, rows, k, monkeypatch
+    ):
+        """Tooling guard: one build_record (run_pipeline and the record
+        sections) analyses M's digraph once, builds one canonical label
+        table per rectangle and orientation, evaluates each strip boundary
+        once and builds one piece-map index of each kind, and leaves
+        nothing cached on M."""
+        if rows is None:
+            M = random_irreducible_matrices(200)[137]
+        else:
+            M = IntMatrix.from_rows(rows)
+        if k is not None:
+            M = block_lift(M, k)
+        spectral, decomposition = endperiodic.spectral, endperiodic.decomposition
+
+        analysed = []
+        analyse = spectral._analyse
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "endperiodic" and (
+                getattr(module, "_analyse", None) is analyse
+            ):
+                monkeypatch.setattr(
+                    module, "_analyse",
+                    lambda A: analysed.append(A) or analyse(A),
+                )
+        tables = []
+        canonical_labels = decomposition._canonical_labels
+        monkeypatch.setattr(
+            decomposition, "_canonical_labels",
+            lambda A, rect, o: tables.append((rect, o))
+            or canonical_labels(A, rect, o),
+        )
+        evaluated = []
+        evaluate_length = decomposition.evaluate_length
+        monkeypatch.setattr(
+            decomposition, "evaluate_length",
+            lambda length, eigen: evaluated.append(length)
+            or evaluate_length(length, eigen),
+        )
+        indexes = {"by_source": [], "by_target": []}
+        for name, calls in indexes.items():
+            method = getattr(decomposition.PieceMap, name)
+            monkeypatch.setattr(
+                decomposition.PieceMap, name,
+                lambda P, method=method, calls=calls: calls.append(method(P))
+                or calls[-1],
+            )
+
+        _, result = build_record(M, weak_perron_k=k)
+
+        # M itself once; a lift's primitive base is checked on its own
+        assert [A for A in analysed if A is M] == [M]
+        assert len(analysed) == (1 if k is None else 2)
+        n = M.n
+        assert sorted(tables) == sorted(
+            (rect, o) for rect in range(1, n + 1) for o in ("V", "H")
+        )
+        D = result.decomposition
+        boundaries = [
+            b
+            for table in (D.vertical_boundaries, D.horizontal_boundaries)
+            for bounds in table.values()
+            for b in bounds
+        ]
+        assert sorted(map(id, evaluated)) == sorted(map(id, boundaries))
+        P = result.system.piece_map
+        for calls, index in ((indexes["by_source"], P.source_index),
+                             (indexes["by_target"], P.target_index)):
+            # read by build_edge_maps and enumerate_identifications
+            assert len(calls) == 2
+            assert all(c is index for c in calls)
+        assert vars(M) == {"entries": M.entries}
+
+
+class TestEarlyWindowRefusal:
+    def test_default_window_is_refused_before_any_stage(
+        self, running_matrix, monkeypatch
+    ):
+        # The running example has 6 generators and the default window is at
+        # least 5: with the limit at 29 pair states M alone is refused, and
+        # no stage runs; at 30 the stages run and the real window N + 3m is
+        # refused by enumerate_identifications.
+        stages = []
+        for name in ("_analyse", "_corner_selection"):
+            original = getattr(endperiodic.record, name)
+            monkeypatch.setattr(
+                endperiodic.record, name,
+                lambda *a, name=name, original=original:
+                stages.append(name) or original(*a),
+            )
+        monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 29)
+        with pytest.raises(InvalidInputError) as exc:
+            run_pipeline(running_matrix)
+        assert str(exc.value) == (
+            "depth_cap at least 5 with 6 generators is at least 30 pair "
+            "states, above the limit 29"
+        )
+        assert stages == []
+        monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 30)
+        with pytest.raises(InvalidInputError, match=r"^depth_cap \d+ with 6 "):
+            run_pipeline(running_matrix)
+        assert stages == ["_analyse", "_corner_selection"]
+
+    def test_large_entry_is_refused_at_once(self):
+        # [[100000]] has 199,998 generators: M alone refuses it, before
+        # any of them is built
+        with pytest.raises(InvalidInputError) as exc:
+            build_record(IntMatrix.from_rows([[100000]]))
+        assert str(exc.value) == (
+            "depth_cap at least 5 with 199998 generators is at least 999990 "
+            "pair states, above the limit 500000"
+        )

@@ -18,7 +18,6 @@ from .errors import (
 from .spectral import (
     COORD_TOL,
     DEFAULT_TOL,
-    Digraph,
     IntMatrix,
     IntPolynomial,
     PerronData,

@@ -11,8 +11,8 @@ Subcommands:
 * ``spectral`` -- print exact characteristic data and Perron eigendata.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(also ``ConvergenceError`` and ``PrecisionError``, a strip of float
-length 0 from too wide Perron vectors), 3 internal consistency error (a
+(also ``ConvergenceError`` and ``PrecisionError``, a strip narrower than
+the float spacing at its offset), 3 internal consistency error (a
 structural guarantee of the construction failed; a bug, not bad input).
 The ``ENDPERIODIC_OUT`` environment variable sets the default output
 directory.

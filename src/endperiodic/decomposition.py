@@ -73,9 +73,6 @@ class SymbolicLength(NamedTuple):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def evaluate(self, eigen: PerronData) -> float:
-        return evaluate_length(self, eigen)
-
     @classmethod
     def unit(cls, n: int, i: int, scale_kind: str) -> "SymbolicLength":
         """lambda^-1 * basis_i (1-based i)."""
@@ -100,8 +97,8 @@ class StripDecomposition(NamedTuple):
     width lambda^-1 * omega_{source(tau_k(B))}, the strip at label C has
     height lambda^-1 * eta_{source(sigma_k^-1(C))}. ``vertical_offsets[k]``
     and ``horizontal_offsets[k]`` hold those boundaries as floats, each
-    evaluated once by ``build_decomposition``; ``piece_map`` and the
-    record section read them.
+    evaluated once by ``build_decomposition``; ``piece_map``, the record
+    section and the figures read them.
     """
 
     matrix: IntMatrix
@@ -134,27 +131,12 @@ class StripDecomposition(NamedTuple):
         image = self.tau[label.rect][label]
         return SymbolicLength.unit(self.n, image.source, "W")
 
-    def strip_span(self, label: StripLabel) -> tuple[SymbolicLength, SymbolicLength]:
-        """Symbolic (start, end) offsets of the strip inside its rectangle."""
-        if label.orientation == VERTICAL:
-            order = self.vertical_order[label.rect]
-            bounds = self.vertical_boundaries[label.rect]
-        else:
-            order = self.horizontal_order[label.rect]
-            bounds = self.horizontal_boundaries[label.rect]
-        t = order.index(label)
-        return bounds[t], bounds[t + 1]
-
-    def strip_interval(self, label: StripLabel) -> tuple[float, float]:
-        a, b = self.strip_span(label)
-        return a.evaluate(self.eigen), b.evaluate(self.eigen)
-
     def to_json_dict(self) -> dict:
         """The ``decomposition`` section. It leaves out ``matrix`` and
         ``eigen``: the record holds them once, as ``config.matrix`` and the
         ``eigendata`` section. It leaves out ``vertical_order`` and
-        ``horizontal_order`` too, the canonical labels
-        ``_canonical_labels(config.matrix, k, "V"/"H")``: ``sigma[k]`` and
+        ``horizontal_order`` too, the canonical labels of
+        ``config.matrix`` (``_label_tables``): ``sigma[k]`` and
         ``tau[k]`` are written as the 0-based positions of their images
         in that order, one per domain label in the same order."""
 
@@ -177,28 +159,36 @@ class StripDecomposition(NamedTuple):
         }
 
 
-def _canonical_labels(M: IntMatrix, k: int, orientation: str) -> tuple[StripLabel, ...]:
+def _canonical_labels(
+    M: IntMatrix, graph: _GraphAnalysis, k: int, orientation: str
+) -> tuple[StripLabel, ...]:
     """The labels of rectangle k in ascending order: column k of M gives
-    the vertical ones, row k the horizontal ones."""
+    the vertical ones, row k the horizontal ones. ``graph``, the
+    ``_analyse`` of M, lists the nonzero entries of that column
+    (``successors[k - 1]``) or row (``predecessors[k - 1]``), and only
+    those entries of M are read."""
+    entries = M.entries
     if orientation == VERTICAL:
-        mults = [row[k - 1] for row in M.entries]
+        mults = [(i, entries[i][k - 1]) for i in graph.successors[k - 1]]
     else:
-        mults = M.entries[k - 1]
+        row = entries[k - 1]
+        mults = [(j, row[j]) for j in graph.predecessors[k - 1]]
     return tuple(
-        StripLabel(orientation, k, i, j)
-        for i, mult in enumerate(mults, start=1)
-        for j in range(1, mult + 1)
+        StripLabel(orientation, k, i + 1, c)
+        for i, mult in mults
+        for c in range(1, mult + 1)
     )
 
 
-def _label_tables(M: IntMatrix) -> tuple[dict, dict]:
+def _label_tables(M: IntMatrix, graph: _GraphAnalysis) -> tuple[dict, dict]:
     """The canonical labels of every rectangle, k -> tuple: the vertical
-    table and the horizontal one. ``run_pipeline`` builds them once for
-    ``corner_selection`` and ``build_decomposition``."""
+    table and the horizontal one, read off ``graph``, the ``_analyse`` of
+    M. ``run_pipeline`` builds them once for ``corner_selection`` and
+    ``build_decomposition``."""
     ks = range(1, M.n + 1)
     return (
-        {k: _canonical_labels(M, k, VERTICAL) for k in ks},
-        {k: _canonical_labels(M, k, HORIZONTAL) for k in ks},
+        {k: _canonical_labels(M, graph, k, VERTICAL) for k in ks},
+        {k: _canonical_labels(M, graph, k, HORIZONTAL) for k in ks},
     )
 
 
@@ -231,7 +221,8 @@ def build_decomposition(
     tau: dict[int, dict[StripLabel, StripLabel]] | None = None,
 ) -> StripDecomposition:
     """Strip decomposition for M; sigma/tau default to the identity."""
-    return _build_decomposition(M, eigen, sigma, tau, _label_tables(M))
+    labels = _label_tables(M, _analyse(M))
+    return _build_decomposition(M, eigen, sigma, tau, labels)
 
 
 def _build_decomposition(M, eigen, sigma, tau, labels) -> StripDecomposition:
@@ -324,8 +315,8 @@ class PieceMap(NamedTuple):
 
 
 def _intervals(orders, offsets) -> dict:
-    """label -> (start, end) float offsets of every strip, the same as
-    ``strip_interval``."""
+    """label -> (start, end) float offsets of every strip, read off the
+    stored ``offsets``."""
     out = {}
     for k, order in orders.items():
         ends = offsets[k]
@@ -420,7 +411,8 @@ def corner_selection(M: IntMatrix) -> tuple[dict, dict]:
     topmost horizontal strip; off the constraints, labels are matched in
     ascending order.
     """
-    return _corner_selection(_analyse(M), _label_tables(M))
+    graph = _analyse(M)
+    return _corner_selection(graph, _label_tables(M, graph))
 
 
 def _corner_selection(graph: _GraphAnalysis, labels) -> tuple[dict, dict]:

@@ -22,8 +22,9 @@ class ConvergenceError(EndPeriodicError, RuntimeError):
 
 
 class PrecisionError(EndPeriodicError, ArithmeticError):
-    """A float coordinate of the construction lost all resolution: the
-    input's Perron vectors span too wide a range for double precision."""
+    """A float coordinate of the construction lost all resolution: a
+    strip, edge length times lambda^-(2p+j) wide, is narrower than half
+    the float spacing at its offset, so both its ends round to one float."""
 
 
 class VerificationError(EndPeriodicError, RuntimeError):

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import chain, islice
-from math import inf
+from math import inf, ulp
 from typing import NamedTuple
 
 from .edgemaps import (
@@ -125,14 +125,17 @@ def attach_strips(
                     "attachment landed on the wrong rectangle edge"
                 )
             lo = b
-            hi = b + edge_len * lam ** -(2 * p + j)
+            width = edge_len * lam ** -(2 * p + j)
+            hi = b + width
             if not 0 < hi - lo < inf:
                 eta, omega = D.eigen.eta, D.eigen.omega
                 raise PrecisionError(
                     f"strip {pt.key} has float length {hi - lo!r} at offset "
-                    f"{lo!r}: eta spans {max(eta) / min(eta):.3g} and omega "
-                    f"{max(omega) / min(omega):.3g}, too wide for float "
-                    "coordinates"
+                    f"{lo!r}: its width, edge length {edge_len:.4g} times "
+                    f"lambda^-{2 * p + j}, is {width:.3g}, and the float "
+                    f"spacing at its offset is {ulp(lo):.3g}; eta spans "
+                    f"{max(eta) / min(eta):.3g} and omega "
+                    f"{max(omega) / min(omega):.3g}"
                 )
             host_len = E.edge_length(rect, D)
             if lo < -_TRANSFER_TOL or hi > host_len + _TRANSFER_TOL:
@@ -828,13 +831,15 @@ def classify_classes(
     union-find is a ``parent`` list (``parent[ra] = rb`` on each union of
     two different nodes, so the roots, and with them the order of the
     infinite classes, depend only on the order of the identifications).
-    Finite classes are counted from a flat list of class sizes, not built:
-    member lists, pairing edges and the orbit stitch exist only for the
-    roots of infinite classes, those of size at least three or holding a
-    corner node. Each infinite class keeps its member ids, link label,
-    size and representative, the least ``_node_str`` of its nodes, found
-    by ``_least_node_str`` from the registry's heads without stringifying
-    every node. ``ClassCensus.infinite_classes`` and
+    After the unions, one pass over ``parent`` lists every id under its
+    root. Finite classes are only counted from those lists, not built;
+    pairing edges and the orbit stitch, gathered in one pass over the id
+    columns, exist only for the roots of infinite classes, those of size
+    at least three or holding a corner node. Each infinite class keeps
+    its member ids, link label, size and representative, the least
+    ``_node_str`` of its nodes, found by ``_least_node_str`` from the
+    registry's heads without stringifying every node.
+    ``ClassCensus.infinite_classes`` and
     ``ClassCensus.classes`` build the class objects on first read.
     """
     registry = _NodeRegistry(ext.system.decomposition, ext.strips)
@@ -870,34 +875,31 @@ def classify_classes(
             a1s.append(a1)
             b1s.append(b1)
 
-    # one find per id; afterwards parent[i] is the root of i
-    size = [0] * len(nodes)
+    # one find per id, listing it under its root; afterwards parent[i] is
+    # the root of i, and the member lists come in order of smallest id
+    members: dict[int, list[int]] = {}
     for i, root in enumerate(parent):
         if parent[root] != root:
             root = parent[i] = _find(parent, root)
-        size[root] += 1
+        group = members.get(root)
+        if group is None:
+            members[root] = [i]
+        else:
+            group.append(i)
+
     # a class of three or more nodes, or with a corner node, is infinite
-    infinite_roots = {root for root, n in enumerate(size) if n >= 3}
-    infinite_roots.update(parent[i] for i in registry._corner_ids.values())
-    finite_sizes = Counter(
-        n for root, n in enumerate(size) if n and root not in infinite_roots
-    )
-
-    # member lists of the infinite roots, keyed in order of smallest id
-    members: dict[int, list[int]] = {}
-    for i, root in enumerate(parent):
-        if root in infinite_roots:
-            group = members.get(root)
-            if group is None:
-                members[root] = [i]
-            else:
-                group.append(i)
-
+    corner_roots = {parent[i] for i in registry._corner_ids.values()}
     cap = schema.depth_cap
     m = schema.nesting_period
+    finite_sizes = [0, 0, 0]  # finite classes by size, 1 or 2
+    infinite_roots = set()
     growing_roots = []
     shard_roots = []
     for root, ids in members.items():
+        if len(ids) < 3 and root not in corner_roots:
+            finite_sizes[len(ids)] += 1
+            continue
+        infinite_roots.add(root)
         if len(ids) >= 4 and max(first_depth[i] for i in ids) > cap - m:
             growing_roots.append(root)
         else:
@@ -909,28 +911,26 @@ def classify_classes(
     # The vertical factor reverses orientation each step, so only every
     # second image returns to the same side of its strip: the stitch runs
     # along the square of the edge maps, from depth d-2 to depth d.
+    # Both ends of a pairing edge share a union-find root, so the edges of
+    # a class are exactly the set of its root.
     family = {root: root for root in shard_roots}
-    for a0s, _, a1s, _ in columns:
+    root_edges: dict[int, set] = {root: set() for root in infinite_roots}
+    for a0s, b0s, a1s, b1s in columns:
         steps = zip(a0s, islice(a0s, 2, None), a1s, islice(a1s, 2, None))
         for x, y, u, v in steps:
             for a, b in ((x, y), (u, v)):
                 ra, rb = parent[a], parent[b]
                 if ra != rb and ra in family and rb in family:
                     _union(family, ra, rb)
-
-    families: dict[int, list[int]] = {}
-    for root in shard_roots:
-        families.setdefault(_find(family, root), []).append(root)
-
-    # both ends of a pairing edge share a union-find root, so the edges of a
-    # class are exactly the set of its root
-    root_edges: dict[int, set] = {root: set() for root in members}
-    for a0s, b0s, a1s, b1s in columns:
         for na, nb in chain(zip(a0s, b0s), zip(a1s, b1s)):
             if na != nb:
                 edges = root_edges.get(parent[na])
                 if edges is not None:
                     edges.add((na, nb) if na < nb else (nb, na))
+
+    families: dict[int, list[int]] = {}
+    for root in shard_roots:
+        families.setdefault(_find(family, root), []).append(root)
 
     heads = registry.heads
 
@@ -960,7 +960,7 @@ def classify_classes(
     return ClassCensus(
         finite_singletons=finite_sizes[1],
         finite_pairs=finite_sizes[2],
-        oversized_finite=sum(n for k, n in finite_sizes.items() if k > 2),
+        oversized_finite=0,
         infinite_summaries=tuple(summaries),
         nodes=nodes,
         parent=parent,

@@ -134,7 +134,7 @@ def run_pipeline(
     graph = _analyse(M)
     poly = _char_poly(M, graph)
     eigen = _perron_eigendata(M, graph, DEFAULT_TOL, poly)
-    labels = _label_tables(M)
+    labels = _label_tables(M, graph)
     sigma, tau = _corner_selection(graph, labels)
     D = _build_decomposition(M, eigen, sigma, tau, labels)
     P = piece_map(D)

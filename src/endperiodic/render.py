@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
+from .spectral import _analyse
 
 DIAGRAM_KINDS = ("PieceMap", "Digraphs", "Orbits", "ExpandedRectangles", "Complex2D")
 
@@ -166,10 +167,12 @@ def _rect_geometry(D):
 def _render_piece_map(result) -> str:
     _require(result, ("decomposition",), "PieceMap")
     D = result.decomposition
-    from .decomposition import piece_map as build_pm
+    from .decomposition import _intervals, piece_map as build_pm
 
     P = build_pm(D)
     by_source = P.by_source()
+    columns = _intervals(D.vertical_order, D.vertical_offsets)
+    rows = _intervals(D.horizontal_order, D.horizontal_offsets)
     geo, total_w = _rect_geometry(D)
     row_h = max(D.rect_height(k) for k in range(1, D.n + 1)) * _SCALE
     y_top, y_bot = _MARGIN + 14, _MARGIN + 14 + row_h + 48
@@ -179,13 +182,13 @@ def _render_piece_map(result) -> str:
         svg.text(x0 + w / 2, y_top - 6, f"Q{k} (domain)", size=10)
         svg.text(x0 + w / 2, y_bot - 6, f"Q{k} (image)", size=10)
         for label in D.vertical_order[k]:
-            a, b = D.strip_interval(label)
+            a, b = columns[label]
             branch = by_source[label]
             tgt = branch.target_label
             color = strip_color(tgt.source, tgt.copy, tgt.rect)
             svg.rect(x0 + a * _SCALE, y_top, (b - a) * _SCALE, h, fill=color)
         for label in D.horizontal_order[k]:
-            a, b = D.strip_interval(label)
+            a, b = rows[label]
             color = strip_color(label.source, label.copy, label.rect)
             svg.rect(x0, y_bot + a * _SCALE, w, (b - a) * _SCALE, fill=color)
         svg.rect(x0, y_top, w, h, sw=1.4)
@@ -238,20 +241,20 @@ def _render_digraphs(result) -> str:
     n = M.n
     panel = 190.0
     svg = _Svg(4 * panel, panel + 30)
-    graph_m = M.digraph()
-    graph_t = M.transpose().digraph()
+    graph = _analyse(M)
     for idx, kind in enumerate(("L", "R", "T", "B")):
         E = system.maps[kind]
         cx, cy = idx * panel + panel / 2, 24 + (panel - 30) / 2
         pos = _vertex_ring(n, cx, cy, (panel - 70) / 2)
         name = {"L": "f_L", "R": "f_R", "T": "f_T^-1", "B": "f_B^-1"}[kind]
         svg.text(cx, 16, name, size=12)
-        base = graph_m if kind in ("L", "R") else graph_t
+        # the arcs of M, or of its transpose, leaving each vertex in turn
+        arcs = graph.successors if kind in ("L", "R") else graph.predecessors
         black = {(k, E.digraph[k]) for k in E.digraph}
         for j in range(1, n + 1):
-            for i in range(1, n + 1):
-                if base.multiplicity[i - 1][j - 1] > 0 and (j, i) not in black:
-                    _arc(svg, pos[j], pos[i], "#bbbbbb", 1.0)
+            for i in arcs[j - 1]:
+                if (j, i + 1) not in black:
+                    _arc(svg, pos[j], pos[i + 1], "#bbbbbb", 1.0)
         for j, i in sorted(black):
             _arc(svg, pos[j], pos[i], "black", 1.6)
         for i in range(1, n + 1):
@@ -359,12 +362,12 @@ def _render_expanded(result) -> str:
         x0 += pad
         svg.rect(x0, y_top, w, h, fill="#f4eefb", sw=1.4)
         svg.text(x0 + w / 2, y_top + h / 2 + 4, f"Q{k}", size=12)
-        for bounds, vertical in (
-            (D.vertical_boundaries[k], True),
-            (D.horizontal_boundaries[k], False),
+        for offsets, vertical in (
+            (D.vertical_offsets[k], True),
+            (D.horizontal_offsets[k], False),
         ):
-            for sym in bounds[1:-1]:
-                t = sym.evaluate(D.eigen) * _SCALE
+            for offset in offsets[1:-1]:
+                t = offset * _SCALE
                 if vertical:
                     svg.line(x0 + t, y_top, x0 + t, y_top + h, stroke="#999999",
                              sw=0.7, dash="3,3")

@@ -108,9 +108,6 @@ class IntMatrix(_Value):
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def digraph(self) -> "Digraph":
-        return Digraph(self.n, self.entries)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.entries))
 
@@ -123,19 +120,6 @@ def _index(v, i: int, j: int) -> int:
         except TypeError:
             pass
     raise InvalidInputError(f"matrix entry [{i}][{j}] is {v!r}, not an integer")
-
-
-class Digraph(NamedTuple):
-    """Directed multigraph of a matrix: ``multiplicity[i][j]`` arcs v_j -> v_i."""
-
-    vertex_count: int
-    multiplicity: tuple[tuple[int, ...], ...]
-
-    def successors(self, j: int) -> list[int]:
-        return [i for i in range(self.vertex_count) if self.multiplicity[i][j] > 0]
-
-    def predecessors(self, i: int) -> list[int]:
-        return [j for j in range(self.vertex_count) if self.multiplicity[i][j] > 0]
 
 
 class IntPolynomial(_Value):
@@ -260,12 +244,15 @@ class _GraphAnalysis(NamedTuple):
     stage that needs it, and keeps none after the call.
 
     ``successors[j]`` lists, ascending, the i with ``M[i][j] > 0`` (the
-    arcs v_j -> v_i). ``classes`` holds the cyclic classes of an
-    irreducible M in the order its arcs visit them, vertex 0 in the first,
-    and is empty for a reducible M.
+    arcs v_j -> v_i, the nonzero entries of column j), and
+    ``predecessors[i]`` the j with ``M[i][j] > 0`` (the nonzero entries of
+    row i): the one copy of M's arcs that every stage reads. ``classes``
+    holds the cyclic classes of an irreducible M in the order its arcs
+    visit them, vertex 0 in the first, and is empty for a reducible M.
     """
 
     successors: list[list[int]]
+    predecessors: list[list[int]]
     classes: tuple[tuple[int, ...], ...]
 
     @property
@@ -304,11 +291,11 @@ def _analyse(M: IntMatrix) -> _GraphAnalysis:
             else:
                 period = gcd(period, level[v] + 1 - level[u])
     if not period or -1 in level or not _reaches_all(predecessors):
-        return _GraphAnalysis(successors, ())
+        return _GraphAnalysis(successors, predecessors, ())
     classes = [[] for _ in range(period)]
     for v in range(n):
         classes[level[v] % period].append(v)
-    return _GraphAnalysis(successors, tuple(map(tuple, classes)))
+    return _GraphAnalysis(successors, predecessors, tuple(map(tuple, classes)))
 
 
 def _reaches_all(neighbors: list[list[int]]) -> bool:
@@ -680,11 +667,13 @@ def _inverse_iteration_step(rows, lam: float, tiny: float) -> list[float]:
     return x
 
 
-def _max_residual(rows, lam: float, v: list[float]) -> float:
-    """max_i |(A v)_i - lam v_i|, each entry summed exactly by ``fsum``."""
+def _max_residual(rows, arcs, lam: float, v: list[float]) -> float:
+    """max_i |(A v)_i - lam v_i| for the matrix with ``rows``, whose row i
+    is nonzero at the columns ``arcs[i]`` only; each entry summed exactly
+    by ``fsum``."""
     return max(
-        abs(fsum([m * v[j] for j, m in enumerate(row) if m] + [-lam * v[i]]))
-        for i, row in enumerate(rows)
+        abs(fsum([row[j] * v[j] for j in js] + [-lam * v[i]]))
+        for i, (row, js) in enumerate(zip(rows, arcs))
     )
 
 
@@ -717,9 +706,9 @@ def perron_eigendata(
 def _perron_eigendata(
     M: IntMatrix, graph: _GraphAnalysis, tol: float, poly: IntPolynomial | None
 ) -> PerronData:
-    """``perron_eigendata(M, tol, poly)``, reading irreducibility and, when
-    it builds the polynomial, the cyclic classes off ``graph``, the
-    ``_analyse`` of M."""
+    """``perron_eigendata(M, tol, poly)``, reading irreducibility, the arcs
+    that the residual sums over and, when it builds the polynomial, the
+    cyclic classes off ``graph``, the ``_analyse`` of M."""
     if not 0 < tol < inf:
         raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
     if not graph.irreducible:
@@ -739,7 +728,10 @@ def _perron_eigendata(
             raise ConvergenceError(f"{name} is not a positive vector", inf)
         vectors.append(v)
     eta, omega = vectors
-    residual = max(_max_residual(rows, lam, eta), _max_residual(columns, lam, omega))
+    residual = max(
+        _max_residual(rows, graph.predecessors, lam, eta),
+        _max_residual(columns, graph.successors, lam, omega),
+    )
     if residual > tol * max(1.0, lam):
         raise ConvergenceError(f"residual {residual} above tol {tol}", residual)
     return PerronData(lam=lam, eta=tuple(eta), omega=tuple(omega), residual=residual)

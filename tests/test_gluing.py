@@ -914,14 +914,18 @@ def _eager_classes(schema, ext):
 
 
 class TestLazyClasses:
-    @pytest.mark.parametrize("case", ["running", "corpus", "lift"])
+    @pytest.mark.parametrize("case", ["running", "corpus", "lift", "sparse7", "n12"])
     def test_classes_equal_the_eager_census(self, case, running_result):
         if case == "running":
             results = [running_result]
         elif case == "corpus":
-            results = [run_pipeline(M) for M in random_irreducible_matrices(10)]
+            results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
+        elif case == "lift":
+            results = [_lift_result(k) for k in range(2, 65)]
+        elif case == "sparse7":
+            results = [run_pipeline(IntMatrix.from_rows(SPARSE7))]
         else:
-            results = [_lift_result(3)]
+            results = [run_pipeline(seeded_irreducible_matrix(12))]
         for res in results:
             census = classify_classes(res.schema, res.extended)
             assert "classes" not in vars(census)

@@ -143,18 +143,29 @@ WIDE_FAILURES = {
 }
 
 
+#: x^20 - 4x^19 - 1: strip ('R', 1) is 2.27e-13 wide at an offset where
+#: floats lie 6.1e-05 apart, so both its ends round to one float
+WIDE_PRECISION_MESSAGE = (
+    "strip ('R', 1) has float length 0.0 at offset 274877906947.5625: its "
+    "width, edge length 2.749e+11 times lambda^-40, is 2.27e-13, and the "
+    "float spacing at its offset is 6.1e-05; eta spans 2.75e+11 and omega "
+    "2.75e+11"
+)
+
+
 @pytest.mark.parametrize("a", sorted(WIDE_FAILURES))
 def test_wide_perron_vectors_certify_or_fail_typed(a, tmp_path, capsys):
     # in-process and through ``construct --verify``: certified and
     # verified with exit 0, or a typed error with exit 2; never a
     # traceback, exit 1 or exit 3
-    failures = {}
+    failures, messages = {}, {}
     for n in range(8, 25):
         M = _wide_companion(n, a)
         try:
             record, _ = build_record(M)
         except (ConvergenceError, PrecisionError) as exc:
             failures[n] = type(exc).__name__
+            messages[n] = str(exc)
         else:
             results = verify_record(load_record(record.to_json()))
             assert all(check.passed for check in results)
@@ -164,8 +175,10 @@ def test_wide_perron_vectors_certify_or_fail_typed(a, tmp_path, capsys):
                      "--out", str(tmp_path)])
         assert code == (2 if n in failures else 0), n
     assert failures == WIDE_FAILURES[a]
-    # the zero-length strip names the dynamic range of both vectors
+    # the zero-length strip names its width, the float spacing at its
+    # offset and the dynamic range of both vectors
     if a == 4:
+        assert messages[20] == WIDE_PRECISION_MESSAGE
         err = capsys.readouterr().err
         assert "error: strip ('R', 1) has float length 0.0" in err
         assert "eta spans 2.75e+11 and omega 2.75e+11" in err

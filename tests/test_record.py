@@ -7,6 +7,7 @@ import subprocess
 import sys
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,11 +22,14 @@ from endperiodic import (
     load_record,
     max_escape_depth,
     nesting_period,
+    perron_eigendata,
     run_pipeline,
     verify_record,
 )
+from endperiodic.decomposition import _label_tables
 from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
+from endperiodic.spectral import _analyse, _max_residual
 
 from conftest import (
     RUNNING_ROWS,
@@ -688,8 +692,8 @@ class TestOncePerRun:
         canonical_labels = decomposition._canonical_labels
         monkeypatch.setattr(
             decomposition, "_canonical_labels",
-            lambda A, rect, o: tables.append((rect, o))
-            or canonical_labels(A, rect, o),
+            lambda A, graph, rect, o: tables.append((rect, o))
+            or canonical_labels(A, graph, rect, o),
         )
         evaluated = []
         evaluate_length = decomposition.evaluate_length
@@ -731,6 +735,45 @@ class TestOncePerRun:
             assert len(calls) == 2
             assert all(c is index for c in calls)
         assert vars(M) == {"entries": M.entries}
+
+
+def _counting_rows(rows, reads: list[int]) -> tuple:
+    """``rows`` as tuples that add one to ``reads[0]`` for each entry read
+    from them, by index or by iteration."""
+
+    class Row(tuple):
+        def __getitem__(self, j):
+            reads[0] += 1
+            return tuple.__getitem__(self, j)
+
+        def __iter__(self):
+            return (self[j] for j in range(len(self)))
+
+    return tuple(Row(row) for row in rows)
+
+
+class TestArcReads:
+    def test_label_tables_and_residual_read_the_arcs_only(self):
+        """Tooling guard: the label tables and the residual check read M at
+        its arcs only, the nonzero entries that ``_analyse`` lists. The lift
+        k of [[2]] has n = k and k arcs, so from k = 64 to 128 their reads
+        double, where a scan of whole rows and columns would quadruple."""
+        counts = []
+        for k in (64, 128):
+            M = block_lift(IntMatrix.from_rows([[2]]), k)
+            graph = _analyse(M)
+            eigen = perron_eigendata(M)
+            reads = [0]
+            rows = _counting_rows(M.entries, reads)
+            columns = _counting_rows(zip(*M.entries), reads)
+            reads[0] = 0
+            _label_tables(SimpleNamespace(entries=rows, n=M.n), graph)
+            _max_residual(rows, graph.predecessors, eigen.lam, eigen.eta)
+            _max_residual(columns, graph.successors, eigen.lam, eigen.omega)
+            counts.append(reads[0])
+        # each arc is read once per label table and once per residual
+        assert counts == [4 * 64, 4 * 128]
+        assert counts[1] == 2 * counts[0]
 
 
 class TestEarlyWindowRefusal:

@@ -1,5 +1,6 @@
 """Tests for SVG diagram rendering."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -21,7 +22,23 @@ def _parse(document: str) -> ET.Element:
     return root
 
 
+#: SHA-256 of each figure of the running example
+FIGURE_SHA = {
+    "PieceMap": "fa0bfe30c435e28315b73b2ff4a274c8359dce684a3ca95f7d2ae8451718ce11",
+    "Digraphs": "2ddca867a0ba8739cce7f4fd2b6538ffb783c6f298fb3790219ce87e11f9cf04",
+    "Orbits": "cb17eeb5a26fa90ba526dda41d3e8ed39f722379c3238dd6cc5a944a147bf1df",
+    "ExpandedRectangles":
+        "2eaabea6bc1996f9dad7b092faef0bf173fc8fbcb5a4ad6027050a326f1660d4",
+    "Complex2D": "da0b2fc6620ee11647a38a51864bafbdab65348b541ffb4b0c3e7da2ce1086d3",
+}
+
+
 class TestDocuments:
+    @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
+    def test_pinned_bytes(self, kind, running_result):
+        document = render(DiagramSpec(kind, running_result))
+        assert hashlib.sha256(document.encode("utf-8")).hexdigest() == FIGURE_SHA[kind]
+
     @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
     def test_well_formed_xml(self, kind, running_result):
         _parse(render(DiagramSpec(kind, running_result)))

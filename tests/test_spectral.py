@@ -175,13 +175,6 @@ class TestIntMatrix:
         with pytest.raises(InvalidInputError, match="not valid JSON"):
             parse_matrix_text("[[1,2")
 
-    def test_digraph_arcs(self):
-        M = IntMatrix.from_rows([[0, 2], [1, 0]])
-        g = M.digraph()
-        # arc v_j -> v_i with multiplicity m_ij
-        assert g.multiplicity[0][1] == 2
-        assert g.multiplicity[1][0] == 1
-
 
 class TestIrreducibility:
     def _oracle_irreducible(self, M: IntMatrix) -> bool:

@@ -41,10 +41,8 @@ from .decomposition import (
     PieceMapBranch,
     StripDecomposition,
     StripLabel,
-    SymbolicLength,
     build_decomposition,
     corner_selection,
-    evaluate_length,
     piece_map,
 )
 from .edgemaps import (

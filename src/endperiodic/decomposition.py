@@ -9,12 +9,14 @@ vertically by 1/lambda.
 
 Charts are per rectangle: origin at the top-left corner, x rightward in
 [0, omega_k], y downward in [0, eta_k]. Strip boundary offsets are stored
-symbolically (integer combinations of lambda^-1 * omega_i or
-lambda^-1 * eta_i) so coincidences can be decided exactly.
+as floats, each computed once from the running count of each source index
+among the strips before it: lambda^-1 * sum_i count_i * omega_i, or eta_i
+for horizontal strips.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import NamedTuple
 
 from .errors import InvalidInputError, PreconditionError
@@ -40,52 +42,6 @@ class StripLabel(NamedTuple):
         return f"{self.orientation}({self.rect};{self.source},{self.copy})"
 
 
-def _validate_label(label: StripLabel, M: IntMatrix) -> None:
-    n = M.n
-    k, i, j = label.rect, label.source, label.copy
-    if label.orientation not in (VERTICAL, HORIZONTAL):
-        raise InvalidInputError(f"bad orientation {label.orientation!r}")
-    if not (1 <= k <= n and 1 <= i <= n and j >= 1):
-        raise InvalidInputError(f"label {label} out of range")
-    bound = M[i - 1, k - 1] if label.orientation == VERTICAL else M[k - 1, i - 1]
-    if j > bound:
-        raise InvalidInputError(f"label {label} exceeds multiplicity {bound}")
-
-
-class SymbolicLength(NamedTuple):
-    """Length of the form lambda^-1 * sum_i c_i * basis_i with integer c_i.
-
-    ``scale_kind`` selects the basis: "W" for the width entries omega_i,
-    "H" for the height entries eta_i.
-    """
-
-    coefficients: tuple[int, ...]
-    scale_kind: str
-
-    def __add__(self, other: "SymbolicLength") -> "SymbolicLength":
-        if self.scale_kind != other.scale_kind:
-            raise InvalidInputError("cannot add lengths over different bases")
-        return SymbolicLength(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-            self.scale_kind,
-        )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    @classmethod
-    def unit(cls, n: int, i: int, scale_kind: str) -> "SymbolicLength":
-        """lambda^-1 * basis_i (1-based i)."""
-        return cls(tuple(1 if t == i - 1 else 0 for t in range(n)), scale_kind)
-
-
-def evaluate_length(length: SymbolicLength, eigen: PerronData) -> float:
-    """The float value of ``length``: its terms summed in index order, then
-    divided by lambda. Zero terms are skipped; adding 0.0 changes no sum."""
-    basis = eigen.omega if length.scale_kind == "W" else eigen.eta
-    return sum([c * b for c, b in zip(length.coefficients, basis) if c]) / eigen.lam
-
-
 class StripDecomposition(NamedTuple):
     """Strip partition of every rectangle, with the bijections sigma and tau.
 
@@ -96,9 +52,10 @@ class StripDecomposition(NamedTuple):
     widths and heights follow the resizing rule: the strip at label B has
     width lambda^-1 * omega_{source(tau_k(B))}, the strip at label C has
     height lambda^-1 * eta_{source(sigma_k^-1(C))}. ``vertical_offsets[k]``
-    and ``horizontal_offsets[k]`` hold those boundaries as floats, each
-    evaluated once by ``build_decomposition``; ``piece_map``, the record
-    section and the figures read them.
+    and ``horizontal_offsets[k]`` hold the strip boundaries as floats, the
+    one copy of them: ``build_decomposition`` computes each once from the
+    running counts of the sources (``_offsets``), and ``piece_map``, the
+    record section and the figures read them.
     """
 
     matrix: IntMatrix
@@ -107,8 +64,6 @@ class StripDecomposition(NamedTuple):
     horizontal_order: dict[int, tuple[StripLabel, ...]]
     sigma: dict[int, dict[StripLabel, StripLabel]]
     tau: dict[int, dict[StripLabel, StripLabel]]
-    vertical_boundaries: dict[int, tuple[SymbolicLength, ...]]
-    horizontal_boundaries: dict[int, tuple[SymbolicLength, ...]]
     vertical_offsets: dict[int, tuple[float, ...]]
     horizontal_offsets: dict[int, tuple[float, ...]]
 
@@ -125,11 +80,13 @@ class StripDecomposition(NamedTuple):
     def tau_inv(self, k: int) -> dict[StripLabel, StripLabel]:
         return {v: u for u, v in self.tau[k].items()}
 
-    def strip_width(self, label: StripLabel) -> SymbolicLength:
+    def strip_width(self, label: StripLabel) -> float:
+        """lambda^-1 * omega_i of the vertical strip at ``label``, i the
+        source of tau_k(label)."""
         if label.orientation != VERTICAL:
             raise InvalidInputError("strip_width expects a vertical label")
         image = self.tau[label.rect][label]
-        return SymbolicLength.unit(self.n, image.source, "W")
+        return self.eigen.omega[image.source - 1] / self.eigen.lam
 
     def to_json_dict(self) -> dict:
         """The ``decomposition`` section. It leaves out ``matrix`` and
@@ -192,25 +149,27 @@ def _label_tables(M: IntMatrix, graph: _GraphAnalysis) -> tuple[dict, dict]:
     )
 
 
-def _check_permutation(perm: dict, labels: tuple[StripLabel, ...], M: IntMatrix):
+def _check_permutation(perm: dict, labels: tuple[StripLabel, ...]):
     label_set = set(labels)
     if set(perm.keys()) != label_set or set(perm.values()) != label_set:
         raise InvalidInputError("permutation does not act on the rectangle's labels")
-    for lab in perm:
-        _validate_label(lab, M)
 
 
-def _boundaries(
-    n: int, scale_kind: str, sources: list[int]
-) -> tuple[SymbolicLength, ...]:
-    """Strip boundary offsets from the start of a rectangle: the t-th one
-    counts, per index i, the strips before position t whose size is
-    lambda^-1 * basis_i, ``sources`` giving each strip's i (1-based)."""
-    counts = [0] * n
-    out = [SymbolicLength(tuple(counts), scale_kind)]
+def _offsets(sources, basis, lam: float) -> tuple[float, ...]:
+    """Strip boundary offsets from the start of a rectangle, ``sources``
+    giving each strip's index i (1-based), a strip of size
+    lambda^-1 * basis_i. The t-th offset is lambda^-1 times the sum of
+    count_i * basis_i over the strips before position t, its terms added
+    in ascending i, so it costs one term per distinct index so far."""
+    counts = {}
+    present = []
+    out = [0.0]
     for i in sources:
-        counts[i - 1] += 1
-        out.append(SymbolicLength(tuple(counts), scale_kind))
+        if i not in counts:
+            counts[i] = 0
+            insort(present, i)
+        counts[i] += 1
+        out.append(sum([counts[j] * basis[j - 1] for j in present]) / lam)
     return tuple(out)
 
 
@@ -233,26 +192,19 @@ def _build_decomposition(M, eigen, sigma, tau, labels) -> StripDecomposition:
         sigma = {k: {s: s for s in horizontal_order[k]} for k in range(1, n + 1)}
     if tau is None:
         tau = {k: {s: s for s in vertical_order[k]} for k in range(1, n + 1)}
+    lam, eta, omega = eigen.lam, eigen.eta, eigen.omega
+    vertical_offsets = {}
+    horizontal_offsets = {}
     for k in range(1, n + 1):
-        _check_permutation(sigma.get(k, {}), horizontal_order[k], M)
-        _check_permutation(tau.get(k, {}), vertical_order[k], M)
-
-    vertical_boundaries = {}
-    horizontal_boundaries = {}
-    for k in range(1, n + 1):
-        vertical_boundaries[k] = _boundaries(
-            n, "W", [tau[k][lab].source for lab in vertical_order[k]]
+        _check_permutation(sigma.get(k, {}), horizontal_order[k])
+        _check_permutation(tau.get(k, {}), vertical_order[k])
+        vertical_offsets[k] = _offsets(
+            [tau[k][lab].source for lab in vertical_order[k]], omega, lam
         )
         sigma_inv = {v: u for u, v in sigma[k].items()}
-        horizontal_boundaries[k] = _boundaries(
-            n, "H", [sigma_inv[lab].source for lab in horizontal_order[k]]
+        horizontal_offsets[k] = _offsets(
+            [sigma_inv[lab].source for lab in horizontal_order[k]], eta, lam
         )
-
-    def offsets(boundaries):
-        return {
-            k: tuple([evaluate_length(b, eigen) for b in bounds])
-            for k, bounds in boundaries.items()
-        }
 
     return StripDecomposition(
         matrix=M,
@@ -261,10 +213,8 @@ def _build_decomposition(M, eigen, sigma, tau, labels) -> StripDecomposition:
         horizontal_order=horizontal_order,
         sigma=sigma,
         tau=tau,
-        vertical_boundaries=vertical_boundaries,
-        horizontal_boundaries=horizontal_boundaries,
-        vertical_offsets=offsets(vertical_boundaries),
-        horizontal_offsets=offsets(horizontal_boundaries),
+        vertical_offsets=vertical_offsets,
+        horizontal_offsets=horizontal_offsets,
     )
 
 

@@ -48,7 +48,6 @@ from .spectral import (
     _Value,
     is_primitive,
     lift_base,
-    wielandt_bound,
 )
 
 _TRANSFER_TOL = 1e-9
@@ -251,8 +250,8 @@ class GeneratorTrace(NamedTuple):
     ``gen_id`` is ``"X:k:t"`` for the t-th interior vertical boundary of
     rectangle k, ``"Y:k:t"`` for its t-th interior horizontal one; the
     family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
-    and the position (``vertical_boundaries[k][t]`` or
-    ``horizontal_boundaries[k][t]`` of the decomposition) follow from it.
+    and the position (``vertical_offsets[k][t]`` or
+    ``horizontal_offsets[k][t]`` of the decomposition) follow from it.
     ``pair_states[d]`` holds the two identified image segments at depth
     d+1, side a's then side b's. ``sides`` holds each side's states at
     depths 1..min(t, depth_cap), t the depth at which that side enters its
@@ -812,6 +811,36 @@ def classify_classes(
     are the finite ones and have size one or two, so the census's
     ``oversized_finite`` is always 0.
 
+    A class that holds a rectangle corner has at least three nodes, so
+    size alone decides which classes are infinite. Take the corner TL(r)
+    of Q_r; BL, TR and BR follow with the sides and endpoints swapped.
+    Each edge map sends a full edge increasingly and affinely onto a
+    subinterval, so an edge end is the image only of an edge end of the
+    same type. Write phi(k) = r when the leftmost vertical strip of Q_k
+    maps onto the top horizontal strip of Q_r: phi is injective, f_L sends
+    TL(k) to TL(phi(k)) and f_T sends TL(phi(k)) to TL(k). The depth-1
+    L-side states (side a of the X generators) are the left ends of the
+    horizontal strips whose preimage strip is not leftmost, so TL(r) is
+    the first endpoint of one iff phi^-1(r) is undefined; the depth-1
+    T-side states (side a of the Y generators) are the top ends of the
+    vertical strips whose image strip is not top, so TL(k) is the first
+    endpoint of one iff phi(k) is undefined. Hence TL(r) is the first
+    endpoint of an L-side state iff the chain r, phi^-1(r), ... ends, and
+    of a T-side state iff the chain r, phi(r), ... ends. Since phi is
+    injective on finitely many rectangles, both chains end unless r lies
+    on a phi-cycle, and then TL(r) is the endpoint of no state and no
+    node. Each chain is a walk of distinct rectangles in the L digraph, so
+    both depths are at most the longest tail plus the period, within N
+    and so within ``depth_cap``. Neither side has entered its strip there:
+    an attachment f^(2p+j)(E_i0) that held TL(r) would put r on the
+    phi-cycle through i0. A strip state at height 0 names the point that
+    the edge maps give, and one above 0 is no corner. So TL(r) is paired
+    with the first endpoint of an R-side state, which is TR or no corner,
+    and with that of a B-side state, which is BL or no corner: three
+    different nodes. The argument is about exact points, so it holds where
+    the registry merges exactly the coincident ones, as ``COORD_TOL``
+    assumes.
+
     Links of infinite chains are labeled conservatively from the pairing
     graph: a path is a Line, two or more disjoint cycles are
     CountableCircles, anything else is Undetermined. No graph search is
@@ -835,7 +864,7 @@ def classify_classes(
     root. Finite classes are only counted from those lists, not built;
     pairing edges and the orbit stitch, gathered in one pass over the id
     columns, exist only for the roots of infinite classes, those of size
-    at least three or holding a corner node. Each infinite class keeps
+    at least three. Each infinite class keeps
     its member ids, link label, size and representative, the least
     ``_node_str`` of its nodes, found by ``_least_node_str`` from the
     registry's heads without stringifying every node.
@@ -887,8 +916,8 @@ def classify_classes(
         else:
             group.append(i)
 
-    # a class of three or more nodes, or with a corner node, is infinite
-    corner_roots = {parent[i] for i in registry._corner_ids.values()}
+    # a class of three or more nodes is infinite; one that holds a corner
+    # node has three or more (see above)
     cap = schema.depth_cap
     m = schema.nesting_period
     finite_sizes = [0, 0, 0]  # finite classes by size, 1 or 2
@@ -896,7 +925,7 @@ def classify_classes(
     growing_roots = []
     shard_roots = []
     for root, ids in members.items():
-        if len(ids) < 3 and root not in corner_roots:
+        if len(ids) < 3:
             finite_sizes[len(ids)] += 1
             continue
         infinite_roots.add(root)
@@ -1035,9 +1064,10 @@ def assemble_surface(
     Ends are components of the graph on strip orbits linked by the
     identification tails (left with right, top with bottom). Vertical-side
     strips give attracting ends, horizontal-side strips repelling ones.
-    Connectedness is certified for primitive matrices by a positive first
-    column of a power of M, and for block-lift inputs by the boundary-ray
-    regluing record; otherwise it is reported as undecided.
+    Connectedness is certified for primitive matrices, read off the cyclic
+    classes of M (one class: some power of M is positive), and for
+    block-lift inputs by the boundary-ray regluing record; otherwise it is
+    reported as undecided.
     """
     M = ext.system.decomposition.matrix
     return _assemble_surface(
@@ -1129,16 +1159,9 @@ def _connectedness(
         }
         return True, record
     if len(graph.classes) == 1:
-        # M is primitive. reach = {i : (M^t)[i][0] > 0} for t = 1, 2, ...:
-        # row i of M^(t+1) has a positive first entry iff M[i][j] > 0 for
-        # some j in reach, i.e. i is a successor of some j in reach
-        n = M.n
-        reach = {0}
-        for _ in range(wielandt_bound(n)):
-            reach = {i for j in reach for i in graph.successors[j]}
-            if len(reach) == n:
-                return True, None
-        raise InternalConsistencyError("primitive matrix without positive column")
+        # one cyclic class of an irreducible M: M is primitive, so some
+        # power of M is positive (at the latest M^(n^2 - 2n + 2), Wielandt)
+        return True, None
     return None, None
 
 

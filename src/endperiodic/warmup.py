@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import evaluate_length
 from .errors import InvalidInputError, VerificationError
 from .markov import incidence_matrix
 from .record import PipelineResult, run_pipeline
@@ -113,7 +112,7 @@ def _pipeline_facts(result: PipelineResult) -> dict:
     """Chart-independent summary of a pipeline run on a 1x1 matrix."""
     D = result.decomposition
     width_ratios = sorted(
-        evaluate_length(D.strip_width(label), D.eigen) / D.rect_width(1)
+        D.strip_width(label) / D.rect_width(1)
         for label in D.vertical_order[1]
     )
     att_ratios = sorted(

@@ -1,4 +1,4 @@
-"""Strip decompositions, symbolic lengths, the piece map, corner selection."""
+"""Strip decompositions, strip boundary offsets, the piece map, corner selection."""
 
 import sys
 
@@ -14,7 +14,6 @@ from endperiodic import (
     block_lift,
     build_decomposition,
     corner_selection,
-    evaluate_length,
     perron_eigendata,
     piece_map,
 )
@@ -49,13 +48,12 @@ class TestResizingRule:
         for M in random_irreducible_matrices(25, seed=22):
             D = _decomp(M)
             for k in range(1, M.n + 1):
-                assert D.vertical_boundaries[k][0].is_zero()
-                total = D.vertical_boundaries[k][-1]
-                assert evaluate_length(total, D.eigen) == pytest.approx(
+                assert D.vertical_offsets[k][0] == 0.0
+                assert D.horizontal_offsets[k][0] == 0.0
+                assert D.vertical_offsets[k][-1] == pytest.approx(
                     D.rect_width(k), abs=1e-9
                 )
-                total_h = D.horizontal_boundaries[k][-1]
-                assert evaluate_length(total_h, D.eigen) == pytest.approx(
+                assert D.horizontal_offsets[k][-1] == pytest.approx(
                     D.rect_height(k), abs=1e-9
                 )
 
@@ -67,8 +65,7 @@ class TestResizingRule:
             lam = D.eigen.lam
             for k in range(1, M.n + 1):
                 widths = sorted(
-                    evaluate_length(D.strip_width(lbl), D.eigen)
-                    for lbl in D.vertical_order[k]
+                    D.strip_width(lbl) for lbl in D.vertical_order[k]
                 )
                 expected = sorted(
                     D.eigen.omega[i - 1] / lam
@@ -155,19 +152,6 @@ class TestCornerSelection:
 
 
 class TestSymbolicLength:
-    def test_addition_and_scale_kinds(self, running_matrix):
-        from endperiodic import SymbolicLength
-
-        a = SymbolicLength.unit(4, 1, "W")
-        b = SymbolicLength.unit(4, 2, "W")
-        s = a + b
-        eigen = perron_eigendata(running_matrix)
-        assert evaluate_length(s, eigen) == pytest.approx(
-            (eigen.omega[0] + eigen.omega[1]) / eigen.lam, abs=1e-12
-        )
-        with pytest.raises(InvalidInputError):
-            a + SymbolicLength.unit(4, 1, "H")
-
     def test_json_dict_shape(self, running_result):
         # the matrix and the eigendata are config.matrix and the eigendata
         # section of the record, and the label orders the canonical labels

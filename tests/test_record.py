@@ -26,7 +26,7 @@ from endperiodic import (
     run_pipeline,
     verify_record,
 )
-from endperiodic.decomposition import _label_tables
+from endperiodic.decomposition import _build_decomposition, _label_tables
 from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
 from endperiodic.spectral import _analyse, _max_residual
@@ -667,9 +667,9 @@ class TestOncePerRun:
     ):
         """Tooling guard: one build_record (run_pipeline and the record
         sections) analyses M's digraph once, builds one canonical label
-        table per rectangle and orientation, evaluates each strip boundary
-        once and builds one piece-map index of each kind, and leaves
-        nothing cached on M."""
+        table per rectangle and orientation and one piece-map index of
+        each kind, and leaves nothing cached on M. The strip boundaries
+        have one float each, whose reads ``TestArcReads`` counts."""
         if rows is None:
             M = random_irreducible_matrices(200)[137]
         else:
@@ -695,13 +695,6 @@ class TestOncePerRun:
             lambda A, graph, rect, o: tables.append((rect, o))
             or canonical_labels(A, graph, rect, o),
         )
-        evaluated = []
-        evaluate_length = decomposition.evaluate_length
-        monkeypatch.setattr(
-            decomposition, "evaluate_length",
-            lambda length, eigen: evaluated.append(length)
-            or evaluate_length(length, eigen),
-        )
         indexes = {"by_source": [], "by_target": []}
         for name, calls in indexes.items():
             method = getattr(decomposition.PieceMap, name)
@@ -720,14 +713,6 @@ class TestOncePerRun:
         assert sorted(tables) == sorted(
             (rect, o) for rect in range(1, n + 1) for o in ("V", "H")
         )
-        D = result.decomposition
-        boundaries = [
-            b
-            for table in (D.vertical_boundaries, D.horizontal_boundaries)
-            for bounds in table.values()
-            for b in bounds
-        ]
-        assert sorted(map(id, evaluated)) == sorted(map(id, boundaries))
         P = result.system.piece_map
         for calls, index in ((indexes["by_source"], P.source_index),
                              (indexes["by_target"], P.target_index)):
@@ -774,6 +759,31 @@ class TestArcReads:
         # each arc is read once per label table and once per residual
         assert counts == [4 * 64, 4 * 128]
         assert counts[1] == 2 * counts[0]
+
+    def test_boundary_offsets_read_one_term_per_distinct_source(self):
+        """Tooling guard: each strip boundary offset reads eta or omega
+        once per distinct source among the strips before it, not all n
+        entries. The lift k of [[2]] has n = k and one source per strip
+        boundary, so from k = 64 to 128 the reads double, where dense
+        boundaries of n terms each would quadruple them."""
+        counts = []
+        for k in (64, 128):
+            M = block_lift(IntMatrix.from_rows([[2]]), k)
+            eigen = perron_eigendata(M)
+            labels = _label_tables(M, _analyse(M))
+            reads = [0]
+            eta, omega = _counting_rows((eigen.eta, eigen.omega), reads)
+            counting = eigen._replace(eta=eta, omega=omega)
+            D = _build_decomposition(M, counting, None, None, labels)
+            counts.append(reads[0])
+            plain = _build_decomposition(M, eigen, None, None, labels)
+            assert D.vertical_offsets == plain.vertical_offsets
+            assert D.horizontal_offsets == plain.horizontal_offsets
+        # per rectangle and orientation one term per strip, nothing for
+        # the first boundary: one strip each way, but two vertical ones in
+        # rectangle k and two horizontal ones in rectangle 1 (M[0][k-1] = 2)
+        assert counts == [2 * 64 + 2, 2 * 128 + 2]
+        assert counts[1] < 3 * counts[0]
 
 
 class TestEarlyWindowRefusal:

@@ -1,6 +1,7 @@
 """Checks of the package source: it parses as the Python version that
 pyproject.toml declares (``requires-python >= 3.10``), every imported name
-is read, every dataclass is frozen and every value type of the pipeline
+is read, every private module-level name is read by package code, every
+dataclass is frozen and every value type of the pipeline
 refuses a field assignment, so a value is complete when it is built,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
 a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
@@ -64,6 +65,48 @@ def test_every_imported_name_is_read(path):
     # __init__.py imports names to re-export them, which is their use
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unread_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private names that ``tree`` binds at module level: functions,
+    classes and assigned constants whose names start with one underscore
+    (dunder names such as ``__all__`` are the interpreter's)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _package_reads() -> set[str]:
+    """Every name that package code reads: a ``Name`` load, an attribute,
+    or a name imported from a module."""
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_name_is_read():
+    # a private helper, type or constant that no package code reads is
+    # left over from a refactor; tests may not be its only reader
+    read = _package_reads()
+    defined = [
+        (path.name, name)
+        for path in SOURCES
+        for name in _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(defined) > 80
+    assert [d for d in defined if d[1] not in read] == []
 
 
 def _frozen_flag(decorator) -> bool | None:

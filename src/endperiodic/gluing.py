@@ -18,9 +18,8 @@ form equivalence classes whose census drives the surface report.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 from math import inf, ulp
 from typing import NamedTuple
 
@@ -558,6 +557,12 @@ class _NodeRegistry:
     Nodes of one bin are more than ``COORD_TOL`` apart, so the window holds
     a few of them. The least id is the first node a scan in insertion order
     would meet, since a bin's ids grow in the order its nodes were made.
+
+    The registry resolves any edge or strip state. ``classify_classes``
+    sends it edge states, strip states at height 0 and the strip levels
+    of orbits whose entry coordinates may merge within tolerance; the
+    levels above height 0 of the other orbits are ``_TailLevel`` dicts,
+    which append to the same ``nodes`` and ``heads``.
     """
 
     def __init__(self, decomposition, strips):
@@ -790,8 +795,93 @@ def _least_node_str(nodes, heads, ids) -> str:
     thus decide every comparison except between nodes that tie on the
     least one.
     """
-    least = min([heads[i] for i in ids])
+    least = min(map(heads.__getitem__, ids))
     return min(_node_str(nodes[i]) for i in ids if heads[i] == least)
+
+
+def _snapped(z: float) -> float:
+    """A strip coordinate as ``_NodeRegistry.node_id`` snaps it: to 0 or 1
+    within ``COORD_TOL``, else unchanged."""
+    if abs(z) <= COORD_TOL:
+        return 0.0
+    if abs(z - 1.0) <= COORD_TOL:
+        return 1.0
+    return z
+
+
+class _TailLevel(dict):
+    """z -> id on one strip level ``(key, w)`` above height 0 of an orbit
+    whose entry coordinates cannot merge (see ``_tail_levels``): a z that
+    the level has not seen becomes the registry's next node."""
+
+    __slots__ = ("nodes", "heads", "prefix", "head")
+
+    def __init__(self, registry: _NodeRegistry, key, w: int):
+        self.nodes = registry.nodes
+        self.heads = registry.heads
+        self.prefix = ("S", key, w)
+        self.head = f"S:{key}:{w}:"
+
+    def __missing__(self, z: float) -> int:
+        i = self[z] = len(self.nodes)
+        self.nodes.append(self.prefix + (z,))
+        self.heads.append(self.head)
+        return i
+
+
+def _tail_levels(schema: IdentificationSchema, ext: ExtendedPieceMap,
+                 registry: _NodeRegistry) -> dict[tuple[str, int], list]:
+    """For each orbit whose snapped entry coordinates are pairwise more
+    than ``COORD_TOL`` apart, by the registry's float difference: its
+    entry strip key -> one entry per step s after entry, the
+    ``_TailLevel`` that a side is on s steps after it entered, or None
+    while it is at height 0.
+
+    Every side enters its orbit at the orbit's initial strip, at height 0
+    (``_strip_entry``), so the key of its entry state names the orbit,
+    and s steps later every side of the orbit is on the same level. The
+    lists run to the last step in the window of the orbit's earliest
+    side. Float subtraction is monotone, so comparing neighbours of the
+    sorted distinct values decides the check.
+    """
+    entries: dict[tuple[str, int], set[float]] = {}
+    earliest: dict[tuple[str, int], int] = {}
+    for gen in schema.generators:
+        for side in gen.sides:
+            state = side[-1]
+            if state[0] == "S":
+                key = state[1]
+                zs = entries.setdefault(key, set())
+                zs.add(_snapped(state[2]))
+                zs.add(_snapped(state[3]))
+                earliest[key] = min(earliest.get(key, len(side)), len(side))
+    levels = {}
+    for entry_key, zs in entries.items():
+        zs = sorted(zs)
+        if any(b - a <= COORD_TOL for a, b in zip(zs, islice(zs, 1, None))):
+            continue
+        key, w = entry_key, 0
+        steps = levels[entry_key] = [None]
+        for _ in range(schema.depth_cap - earliest[entry_key]):
+            key, rise = ext.step[key]
+            w += rise
+            steps.append(_TailLevel(registry, key, w) if w else None)
+    return levels
+
+
+def _side_levels(side, tails) -> tuple:
+    """``(levels, z0, z1)`` for one side: its ``_TailLevel`` at each depth
+    from 1 on, None where it is not on one, and its two snapped entry
+    coordinates, which stepping keeps (None if it has no tail levels)."""
+    entry = side[-1]
+    levels = tails.get(entry[1]) if entry[0] == "S" else None
+    if levels is None:
+        return repeat(None), None, None
+    return (
+        chain(repeat(None, len(side) - 1), levels),
+        _snapped(entry[2]),
+        _snapped(entry[3]),
+    )
 
 
 def classify_classes(
@@ -846,63 +936,110 @@ def classify_classes(
     CountableCircles, anything else is Undetermined. No graph search is
     needed: the unions are exactly the pairing edges, so each union-find
     shard is one component of its class's graph, and ``_link_label``
-    decides from the degrees, the edge count and the number of shards (one
-    for a growing chain, the stitched shards for a family).
+    decides from the members' degrees over the distinct pairing edges and
+    the number of shards (one for a growing chain, the stitched shards
+    for a family).
 
-    The pass runs over the registry's dense integer node ids and builds
-    only what the census reads. Each identified pair of segments takes four
-    ``_NodeRegistry.node_id`` calls, the first endpoints of sides a and b,
-    then the second ones. Each call bisects the sorted bin of its edge or
-    strip level, and the id it returns is the first one within tolerance
-    that a scan of the bin in insertion order would meet (see
-    ``_NodeRegistry``). Each generator keeps four id columns (the first
-    and second endpoints of sides a and b, one entry per depth); the
-    union-find is a ``parent`` list (``parent[ra] = rb`` on each union of
-    two different nodes, so the roots, and with them the order of the
-    infinite classes, depend only on the order of the identifications).
-    After the unions, one pass over ``parent`` lists every id under its
-    root. Finite classes are only counted from those lists, not built;
-    pairing edges and the orbit stitch, gathered in one pass over the id
-    columns, exist only for the roots of infinite classes, those of size
-    at least three. Each infinite class keeps
-    its member ids, link label, size and representative, the least
-    ``_node_str`` of its nodes, found by ``_least_node_str`` from the
-    registry's heads without stringifying every node.
-    ``ClassCensus.infinite_classes`` and
+    The pass runs over dense integer node ids and builds only what the
+    census reads. Each identified pair of segments takes four lookups, the
+    first endpoints of sides a and b, then the second ones, and a node's
+    id is the number of nodes seen before it. A strip state above height 0
+    of an orbit that ``_tail_levels`` admits reads its level's dict, z ->
+    id. Every other lookup is a ``_NodeRegistry.node_id`` call, which
+    bisects the sorted bin of its edge or strip level for the first id
+    within tolerance that a scan of the bin in insertion order would meet:
+    edge states, strip states at height 0, whose corners alias edge
+    nodes, and the levels of the orbits that fail the check. The dicts
+    give the ids that the registry would give:
+
+    * a level (key, w) with w >= 1 is reached only by the tail states of
+      sides that entered at the initial strip of key's orbit: every side
+      enters there at height 0 (``_strip_entry``), and only the tail rule
+      raises w;
+    * stepping keeps each side's (za, zb), so the positions on the level
+      are among the orbit's snapped entry coordinates;
+    * ``_tail_levels`` admits the orbit only when those are pairwise more
+      than ``COORD_TOL`` apart by the registry's own float difference, so
+      the registry's tolerance test on the level can only match an equal
+      float, whose id the dict holds.
+
+    The same pass counts each distinct pairing edge once into the degrees
+    of its ends: an edge whose ends have different roots is new, since the
+    ends of a seen edge share a root, so only an edge within one class is
+    looked up in the set of seen edges. The union-find is a ``parent``
+    list (``parent[ra] = rb`` on each union of two different roots, so the
+    roots, and with them the order of the infinite classes, depend only on
+    the order of the identifications). Each generator keeps two id
+    columns, the first and second endpoints of side a, one entry per
+    depth. After the unions, one pass over ``parent`` lists every id under
+    its root. Finite classes are only counted from those lists, not
+    built. The family stitch is the one walk of the id columns: it joins
+    the roots of saturated shards. Each infinite class keeps its member
+    ids, link label, size and representative, the least ``_node_str`` of
+    its nodes, found by ``_least_node_str`` from the registry's heads
+    without stringifying every node. ``ClassCensus.infinite_classes`` and
     ``ClassCensus.classes`` build the class objects on first read.
     """
     registry = _NodeRegistry(ext.system.decomposition, ext.strips)
     node_id = registry.node_id
-    nodes = registry.nodes
+    nodes, heads = registry.nodes, registry.heads
+    cap = schema.depth_cap
+    tails = _tail_levels(schema, ext, registry)
+
     parent: list[int] = []
     first_depth: list[int] = []
-    # per generator: the ids of a0, b0, a1, b1, one entry per depth
-    columns: list[tuple[list[int], list[int], list[int], list[int]]] = []
+    degree: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    # per generator: the ids of a0 and a1, one entry per depth
+    columns: list[tuple[list[int], list[int]]] = []
     for gen in schema.generators:
-        a0s, b0s, a1s, b1s = cols = ([], [], [], [])
+        a0s, a1s = cols = ([], [])
         columns.append(cols)
-        for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
-            a0, b0 = node_id(sa, 0), node_id(sb, 0)
-            a1, b1 = node_id(sa, 1), node_id(sb, 1)
+        (la_s, za0, za1), (lb_s, zb0, zb1) = (
+            _side_levels(side, tails) for side in gen.sides
+        )
+        steps = zip(count(1), gen.pair_states, la_s, lb_s)
+        for depth, (sa, sb), la, lb in steps:
+            a0 = node_id(sa, 0) if la is None else la[za0]
+            b0 = node_id(sb, 0) if lb is None else lb[zb0]
+            a1 = node_id(sa, 1) if la is None else la[za1]
+            b1 = node_id(sb, 1) if lb is None else lb[zb1]
             known = len(parent)
             if len(nodes) > known:
+                new = len(nodes) - known
                 parent.extend(range(known, len(nodes)))
-                first_depth.extend([depth] * (len(nodes) - known))
+                first_depth.extend([depth] * new)
+                degree.extend([0] * new)
             # union, with the find inlined: the root of x is the root of
-            # parent[x], and the path to it is compressed
-            for x, y in ((a0, b0), (a1, b1)):
-                if x != y:
-                    rx, ry = parent[x], parent[y]
-                    if parent[rx] != rx:
-                        rx = parent[x] = _find(parent, rx)
-                    if parent[ry] != ry:
-                        ry = parent[y] = _find(parent, ry)
-                    if rx != ry:
-                        parent[rx] = ry
+            # parent[x], and the path to it is compressed. An edge between
+            # two roots is new; a new edge raises the degrees of its ends,
+            # and within one root parent[rx] = ry changes nothing
+            if a0 != b0:
+                rx, ry = parent[a0], parent[b0]
+                if parent[rx] != rx:
+                    rx = parent[a0] = _find(parent, rx)
+                if parent[ry] != ry:
+                    ry = parent[b0] = _find(parent, ry)
+                edge = (a0, b0) if a0 < b0 else (b0, a0)
+                if rx != ry or edge not in edges:
+                    parent[rx] = ry
+                    edges.add(edge)
+                    degree[a0] += 1
+                    degree[b0] += 1
+            if a1 != b1:
+                rx, ry = parent[a1], parent[b1]
+                if parent[rx] != rx:
+                    rx = parent[a1] = _find(parent, rx)
+                if parent[ry] != ry:
+                    ry = parent[b1] = _find(parent, ry)
+                edge = (a1, b1) if a1 < b1 else (b1, a1)
+                if rx != ry or edge not in edges:
+                    parent[rx] = ry
+                    edges.add(edge)
+                    degree[a1] += 1
+                    degree[b1] += 1
             a0s.append(a0)
-            b0s.append(b0)
             a1s.append(a1)
-            b1s.append(b1)
 
     # one find per id, listing it under its root; afterwards parent[i] is
     # the root of i, and the member lists come in order of smallest id
@@ -918,7 +1055,6 @@ def classify_classes(
 
     # a class of three or more nodes is infinite; one that holds a corner
     # node has three or more (see above)
-    cap = schema.depth_cap
     m = schema.nesting_period
     finite_sizes = [0, 0, 0]  # finite classes by size, 1 or 2
     infinite_roots = set()
@@ -929,7 +1065,7 @@ def classify_classes(
             finite_sizes[len(ids)] += 1
             continue
         infinite_roots.add(root)
-        if len(ids) >= 4 and max(first_depth[i] for i in ids) > cap - m:
+        if len(ids) >= 4 and max(map(first_depth.__getitem__, ids)) > cap - m:
             growing_roots.append(root)
         else:
             shard_roots.append(root)
@@ -940,32 +1076,22 @@ def classify_classes(
     # The vertical factor reverses orientation each step, so only every
     # second image returns to the same side of its strip: the stitch runs
     # along the square of the edge maps, from depth d-2 to depth d.
-    # Both ends of a pairing edge share a union-find root, so the edges of
-    # a class are exactly the set of its root.
     family = {root: root for root in shard_roots}
-    root_edges: dict[int, set] = {root: set() for root in infinite_roots}
-    for a0s, b0s, a1s, b1s in columns:
+    for a0s, a1s in columns:
         steps = zip(a0s, islice(a0s, 2, None), a1s, islice(a1s, 2, None))
         for x, y, u, v in steps:
             for a, b in ((x, y), (u, v)):
                 ra, rb = parent[a], parent[b]
                 if ra != rb and ra in family and rb in family:
                     _union(family, ra, rb)
-        for na, nb in chain(zip(a0s, b0s), zip(a1s, b1s)):
-            if na != nb:
-                edges = root_edges.get(parent[na])
-                if edges is not None:
-                    edges.add((na, nb) if na < nb else (nb, na))
 
     families: dict[int, list[int]] = {}
     for root in shard_roots:
         families.setdefault(_find(family, root), []).append(root)
 
-    heads = registry.heads
-
-    def summary(ids, edges, shards) -> InfiniteClassSummary:
+    def summary(ids, shards) -> InfiniteClassSummary:
         return InfiniteClassSummary(
-            link_type=_link_label(len(ids), edges, shards),
+            link_type=_link_label(list(map(degree.__getitem__, ids)), shards),
             size=len(ids),
             representative=_least_node_str(nodes, heads, ids),
             ids=ids,
@@ -975,13 +1101,11 @@ def classify_classes(
         return _node_str(nodes[root])
 
     summaries = [
-        summary(members[root], root_edges[root], 1)
+        summary(members[root], 1)
         for root in sorted(growing_roots, key=by_node_str)
     ] + [
         summary(
-            [i for r in families[key] for i in members[r]],
-            [e for r in families[key] for e in root_edges[r]],
-            len(families[key]),
+            [i for r in families[key] for i in members[r]], len(families[key])
         )
         for key in sorted(families, key=by_node_str)
     ]
@@ -997,22 +1121,24 @@ def classify_classes(
     )
 
 
-def _link_label(node_count: int, edges, shards: int) -> str:
-    """Link label of one class from its pairing edges and its shard count.
+def _link_label(degrees: list[int], shards: int) -> str:
+    """Link label of one class from its nodes' degrees in the pairing
+    graph and its shard count.
 
     Each shard is connected by its own pairing edges, and no pairing edge
     joins two shards, so the shards are the components of the pairing
-    graph. It is a path, a ``Line``, iff it has one component, no node of
-    degree above 2 and one edge fewer than nodes. It is two or more
-    disjoint cycles, ``CountableCircles``, iff it has at least two
-    components, no node of degree above 2 and as many edges as nodes: the
-    degrees then sum to twice the node count, so every node has degree 2.
+    graph, and its edge count is half the degree sum. It is a path, a
+    ``Line``, iff it has one component, no node of degree above 2 and one
+    edge fewer than nodes. It is two or more disjoint cycles,
+    ``CountableCircles``, iff it has at least two components, no node of
+    degree above 2 and as many edges as nodes: the degrees then sum to
+    twice the node count, so every node has degree 2.
     """
-    degree = Counter(chain.from_iterable(edges))
-    if max(degree.values(), default=0) <= 2:
-        if shards == 1 and len(edges) == node_count - 1:
+    if max(degrees) <= 2:
+        edges = sum(degrees) // 2
+        if shards == 1 and edges == len(degrees) - 1:
             return "Line"
-        if shards >= 2 and len(edges) == node_count:
+        if shards >= 2 and edges == len(degrees):
             return "CountableCircles"
     return "Undetermined"
 

@@ -340,10 +340,6 @@ def is_primitive(M: IntMatrix) -> bool:
     return graph_period(M) == 1
 
 
-def wielandt_bound(n: int) -> int:
-    return n * n - 2 * n + 2
-
-
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial
 

@@ -50,6 +50,7 @@ from conftest import (
     SPARSE9,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
+    sparse_irreducible_matrices,
     x_n_minus_x_minus_1,
 )
 
@@ -616,14 +617,18 @@ class TestBisectedRegistry:
         states = _synthetic_states(running_result)
         _assert_same_ids(running_result, [(s, e) for s in states for e in (0, 1)])
 
-    @pytest.mark.parametrize("case", ["running", "corpus", "n16"])
+    @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
     def test_every_pair_in_classify_order(self, case, running_result):
         if case == "running":
             results = [running_result]
         elif case == "corpus":
             results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
-        else:
+        elif case == "n16":
             results = [run_pipeline(seeded_irreducible_matrix(16))]
+        else:
+            # the first 30 of sparse_irreducible_matrices(120): deep windows
+            # where 63 of 178 orbits resolve their tail levels by bisection
+            results = [run_pipeline(M) for M in sparse_irreducible_matrices(30)]
         for res in results:
             # classify_classes asks for a0, b0, a1, b1
             calls = [
@@ -634,6 +639,37 @@ class TestBisectedRegistry:
                 for state in (sa, sb)
             ]
             assert _assert_same_ids(res, calls) == res.census.nodes
+
+
+def _bisected_tail_lookups(results, monkeypatch) -> int:
+    """The ``_NodeRegistry`` bin lookups at strip levels above height 0
+    that ``classify_classes`` makes on ``results``."""
+    count = [0]
+    bin_id = _NodeRegistry._bin_id
+
+    def counting_bin_id(self, bin, z):
+        count[0] += bin.prefix[0] == "S" and bin.prefix[2] > 0
+        return bin_id(self, bin, z)
+
+    monkeypatch.setattr(_NodeRegistry, "_bin_id", counting_bin_id)
+    for res in results:
+        classify_classes(res.schema, res.extended)
+    monkeypatch.undo()
+    return count[0]
+
+
+class TestTailLookups:
+    def test_tail_levels_bisect_only_where_entries_may_merge(self, monkeypatch):
+        """Tooling guard: ``classify_classes`` bisects a strip level above
+        height 0 only for an orbit whose snapped entry coordinates come
+        within ``COORD_TOL`` of each other. The lifts k = 2..12 of [[2]]
+        have no such orbit, so they make no such lookup (the registry alone
+        makes 1,232); corpus200 has 164 of 877, which make 18,038 of its
+        65,954 lookups above height 0, so both branches run."""
+        lifts = [_lift_result(k) for k in range(2, 13)]
+        assert _bisected_tail_lookups(lifts, monkeypatch) == 0
+        corpus = [run_pipeline(M) for M in random_irreducible_matrices(200)]
+        assert _bisected_tail_lookups(corpus, monkeypatch) == 18_038
 
 
 class TestClassPartition:

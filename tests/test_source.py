@@ -1,6 +1,7 @@
 """Checks of the package source: it parses as the Python version that
 pyproject.toml declares (``requires-python >= 3.10``), every imported name
-is read, every private module-level name is read by package code, every
+is read, every private module-level name is read by package code and
+every public one by package code or ``__all__``, every
 dataclass is frozen and every value type of the pipeline
 refuses a field assignment, so a value is complete when it is built,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
@@ -67,10 +68,10 @@ def test_every_imported_name_is_read(path):
     assert _unread_imports(tree) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """The private names that ``tree`` binds at module level: functions,
-    classes and assigned constants whose names start with one underscore
-    (dunder names such as ``__all__`` are the interpreter's)."""
+def _definitions(tree: ast.Module) -> list[str]:
+    """The names that ``tree`` binds at module level: functions, classes
+    and assigned constants (dunder names such as ``__all__`` are the
+    interpreter's)."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -78,7 +79,7 @@ def _private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
 def _package_reads() -> set[str]:
@@ -96,17 +97,40 @@ def _package_reads() -> set[str]:
     return read
 
 
+def _module_definitions(private: bool) -> list[tuple[str, str]]:
+    """(file name, name) of each private or each public module-level name
+    of the package."""
+    return [
+        (path.name, name)
+        for path in SOURCES
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name.startswith("_") == private
+    ]
+
+
 def test_every_private_name_is_read():
     # a private helper, type or constant that no package code reads is
     # left over from a refactor; tests may not be its only reader
-    read = _package_reads()
-    defined = [
-        (path.name, name)
-        for path in SOURCES
-        for name in _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
-    ]
+    defined = _module_definitions(private=True)
     assert len(defined) > 80
+    read = _package_reads()
     assert [d for d in defined if d[1] not in read] == []
+
+
+#: public names that only the benchmark reads: ``bench/run.py`` writes its
+#: traced record's periodic points with ``census_json``; only a change to
+#: the benchmark edits ``bench/``, and the next one (ROADMAP item 5) drops it
+BENCHMARK_ONLY = {("edgemaps.py", "census_json")}
+
+
+def test_every_public_name_is_read_or_exported():
+    # a public function, type or constant is part of the package's API
+    # (``__all__``) or read by package code; one that tests alone read is
+    # test code kept in the package
+    defined = _module_definitions(private=False)
+    assert len(defined) > 80
+    used = _package_reads() | set(endperiodic.__all__)
+    assert [d for d in defined if d[1] not in used] == sorted(BENCHMARK_ONLY)
 
 
 def _frozen_flag(decorator) -> bool | None:

@@ -30,7 +30,7 @@ from endperiodic import (
     perron_eigendata,
     spectral_radius_exact,
 )
-from endperiodic.spectral import lift_base, wielandt_bound
+from endperiodic.spectral import lift_base
 
 from conftest import (
     RUNNING_ROWS,
@@ -199,12 +199,17 @@ class TestIrreducibility:
             seen_reducible += not is_irreducible(M)
         assert seen_reducible > 0
 
+    def _wielandt_bound(self, n: int) -> int:
+        # Wielandt: a primitive n x n matrix M has M^k > 0 for every
+        # k >= n^2 - 2n + 2
+        return n * n - 2 * n + 2
+
     def test_primitivity_wielandt_oracle(self):
         rng = np.random.default_rng(9)
         checked = 0
         for M in random_irreducible_matrices(60, seed=9):
             a = np.array(M.to_lists(), dtype=object)
-            power = np.linalg.matrix_power(a, wielandt_bound(M.n))
+            power = np.linalg.matrix_power(a, self._wielandt_bound(M.n))
             assert is_primitive(M) == bool((power > 0).all())
             checked += 1
         assert checked == 60

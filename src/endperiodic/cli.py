@@ -36,12 +36,10 @@ from .errors import (
 from .record import build_record, check_record, load_record, require_passed
 from .spectral import (
     IntMatrix,
+    _analyse,
     block_lift,
     char_poly,
     determinant,
-    graph_period,
-    is_irreducible,
-    is_primitive,
     parse_matrix_text,
     perron_eigendata,
     spectral_radius_exact,
@@ -183,22 +181,26 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    """Print M's spectral data, read off one ``_analyse`` of M (the period
+    is the number of cyclic classes) and one char_poly."""
     M, _ = _load_matrix(args)
-    poly = char_poly(M)
+    graph = _analyse(M)
+    poly = char_poly(M, graph=graph)
     print(f"matrix: {M.to_lists()}")
     print(f"char_poly: {poly.pretty()}")
-    print(f"determinant: {determinant(M)}")
-    irr = is_irreducible(M)
+    print(f"determinant: {determinant(M, poly)}")
+    irr = graph.irreducible
     print(f"irreducible: {irr}")
     if irr:
-        print(f"graph period: {graph_period(M)}")
-        print(f"primitive: {is_primitive(M)}")
-        eigen = perron_eigendata(M)
+        period = len(graph.classes)
+        print(f"graph period: {period}")
+        print(f"primitive: {period == 1}")
+        eigen = perron_eigendata(M, poly=poly, graph=graph)
         print(f"lambda: {eigen.lam:.15g} (residual {eigen.residual:.3g})")
         print(f"eta: {[float('%.10g' % v) for v in eigen.eta]}")
         print(f"omega: {[float('%.10g' % v) for v in eigen.omega]}")
     else:
-        print(f"spectral radius: {spectral_radius_exact(M):.15g}")
+        print(f"spectral radius: {spectral_radius_exact(M, poly=poly):.15g}")
     return 0
 
 

@@ -140,8 +140,8 @@ def _canonical_labels(
 def _label_tables(M: IntMatrix, graph: _GraphAnalysis) -> tuple[dict, dict]:
     """The canonical labels of every rectangle, k -> tuple: the vertical
     table and the horizontal one, read off ``graph``, the ``_analyse`` of
-    M. ``run_pipeline`` builds them once for ``corner_selection`` and
-    ``build_decomposition``."""
+    M. ``run_pipeline`` builds them once and hands them to
+    ``corner_selection`` and ``build_decomposition``."""
     ks = range(1, M.n + 1)
     return (
         {k: _canonical_labels(M, graph, k, VERTICAL) for k in ks},
@@ -178,15 +178,13 @@ def build_decomposition(
     eigen: PerronData,
     sigma: dict[int, dict[StripLabel, StripLabel]] | None = None,
     tau: dict[int, dict[StripLabel, StripLabel]] | None = None,
+    labels: tuple[dict, dict] | None = None,
 ) -> StripDecomposition:
-    """Strip decomposition for M; sigma/tau default to the identity."""
-    labels = _label_tables(M, _analyse(M))
-    return _build_decomposition(M, eigen, sigma, tau, labels)
-
-
-def _build_decomposition(M, eigen, sigma, tau, labels) -> StripDecomposition:
-    """``build_decomposition``, with ``labels`` the ``_label_tables(M)``."""
+    """Strip decomposition for M; sigma/tau default to the identity.
+    ``labels``, if given, must be ``_label_tables(M, _analyse(M))``."""
     n = M.n
+    if labels is None:
+        labels = _label_tables(M, _analyse(M))
     vertical_order, horizontal_order = labels
     if sigma is None:
         sigma = {k: {s: s for s in horizontal_order[k]} for k in range(1, n + 1)}
@@ -248,20 +246,14 @@ class PieceMapBranch(NamedTuple):
 class PieceMap(NamedTuple):
     """All branches of the piece map, indexed by source and target strip.
 
-    ``piece_map`` builds each index once; ``by_source`` and ``by_target``
-    return it, shared by every reader, which must not change it.
+    ``piece_map`` builds each index once; ``source_index`` and
+    ``target_index`` are shared by every reader, which must not change them.
     """
 
     decomposition: StripDecomposition
     branches: tuple[PieceMapBranch, ...]
     source_index: dict[StripLabel, PieceMapBranch]
     target_index: dict[StripLabel, PieceMapBranch]
-
-    def by_source(self) -> dict[StripLabel, PieceMapBranch]:
-        return self.source_index
-
-    def by_target(self) -> dict[StripLabel, PieceMapBranch]:
-        return self.target_index
 
 
 def _intervals(orders, offsets) -> dict:
@@ -352,24 +344,26 @@ def _constrained_completion(
     return out
 
 
-def corner_selection(M: IntMatrix) -> tuple[dict, dict]:
+def corner_selection(
+    M: IntMatrix,
+    graph: _GraphAnalysis | None = None,
+    labels: tuple[dict, dict] | None = None,
+) -> tuple[dict, dict]:
     """sigma/tau making the top-left corner of Q_1 periodic under f_L.
 
     Along an embedded cycle s_1 = 1, s_2, ..., s_k through the first vertex,
     tau_{s_j} sends the leftmost vertical strip of Q_{s_j} to
     V^(s_j)_{s_{j+1},1} and sigma_{s_{j+1}} sends H^(s_{j+1})_{s_j,1} to the
     topmost horizontal strip; off the constraints, labels are matched in
-    ascending order.
+    ascending order. ``graph``, if given, must be ``_analyse(M)``, and
+    ``labels``, if given, ``_label_tables(M, _analyse(M))``.
     """
-    graph = _analyse(M)
-    return _corner_selection(graph, _label_tables(M, graph))
-
-
-def _corner_selection(graph: _GraphAnalysis, labels) -> tuple[dict, dict]:
-    """``corner_selection(M)`` from ``graph``, the ``_analyse`` of M, and
-    ``labels``, its ``_label_tables``."""
+    if graph is None:
+        graph = _analyse(M)
     if not graph.irreducible:
         raise PreconditionError("corner_selection requires an irreducible matrix")
+    if labels is None:
+        labels = _label_tables(M, graph)
     vertical, horizontal = labels
     n = len(vertical)
     cycle = _embedded_cycle_through_first_vertex(graph.successors)

@@ -135,41 +135,35 @@ class EdgeMapSystem(NamedTuple):
 
 
 def _functional_analysis(digraph: dict[int, int]):
-    """Cycles (as vertex tuples, smallest vertex first) and tail lengths."""
-    on_cycle = set()
-    color = {}
+    """Cycles (as vertex tuples, smallest vertex first) and tail lengths.
+
+    One walk from each vertex, iterative since a tail may be longer than
+    the recursion limit, stops at a vertex whose tail is known or closes a
+    new cycle; the vertices walked then get their tails, counted back.
+    """
+    tails = {}
+    cycles = []
     for start in digraph:
         path = []
+        at = {}
         v = start
-        while color.get(v) is None:
-            color[v] = start
+        while v not in tails:
+            if v in at:
+                cyc = path[at[v]:]
+                del path[at[v]:]
+                tails.update(dict.fromkeys(cyc, 0))
+                i = cyc.index(min(cyc))
+                cycles.append(tuple(cyc[i:] + cyc[:i]))
+                break
+            at[v] = len(path)
             path.append(v)
             v = digraph[v]
-        if color[v] == start and v in path:
-            cyc = path[path.index(v):]
-            on_cycle.update(cyc)
-    cycles = []
-    seen = set()
-    for v in sorted(on_cycle):
-        if v in seen:
-            continue
-        cyc = [v]
-        u = digraph[v]
-        while u != v:
-            cyc.append(u)
-            u = digraph[u]
-        seen.update(cyc)
-        cycles.append(tuple(cyc))
-    tails = {}
-
-    def tail(v: int) -> int:
-        if v in on_cycle:
-            return 0
-        if v not in tails:
-            tails[v] = 1 + tail(digraph[v])
-        return tails[v]
-
-    return tuple(cycles), {v: tail(v) for v in digraph}
+        depth = tails[v]
+        for u in reversed(path):
+            depth += 1
+            tails[u] = depth
+    cycles.sort()
+    return tuple(cycles), {v: tails[v] for v in digraph}
 
 
 def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
@@ -187,8 +181,8 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
     if all(sum(row) == 1 for row in D.matrix.entries):
         raise PreconditionError("edge dynamics require spectral radius > 1")
     lam = D.eigen.lam
-    by_source = P.by_source()
-    by_target = P.by_target()
+    by_source = P.source_index
+    by_target = P.target_index
     n = D.n
     maps = {}
 

@@ -400,8 +400,8 @@ def enumerate_identifications(
         raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
     _refuse_oversized_window(D.matrix, depth_cap)
 
-    by_source = system.piece_map.by_source()
-    by_target = system.piece_map.by_target()
+    by_source = system.piece_map.source_index
+    by_target = system.piece_map.target_index
     lam = D.eigen.lam
     traces = []
     for k in range(1, D.n + 1):
@@ -1184,6 +1184,7 @@ def assemble_surface(
     census: ClassCensus,
     insert_genus: bool = False,
     weak_perron_k: int | None = None,
+    graph: _GraphAnalysis | None = None,
 ) -> SurfaceReport:
     """Group strip orbits into signed ends and decide connectedness.
 
@@ -1193,26 +1194,12 @@ def assemble_surface(
     Connectedness is certified for primitive matrices, read off the cyclic
     classes of M (one class: some power of M is positive), and for
     block-lift inputs by the boundary-ray regluing record; otherwise it is
-    reported as undecided.
+    reported as undecided. ``graph``, if given, must be ``_analyse(M)``,
+    which gives the cyclic classes.
     """
-    M = ext.system.decomposition.matrix
-    return _assemble_surface(
-        ext, schema, census, insert_genus, weak_perron_k, _analyse(M)
-    )
-
-
-def _assemble_surface(
-    ext: ExtendedPieceMap,
-    schema: IdentificationSchema,
-    census: ClassCensus,
-    insert_genus: bool,
-    weak_perron_k: int | None,
-    graph: _GraphAnalysis,
-) -> SurfaceReport:
-    """``assemble_surface``, reading M's period and arcs off ``graph``,
-    the ``_analyse`` of M."""
-    system = ext.system
-    D = system.decomposition
+    D = ext.system.decomposition
+    if graph is None:
+        graph = _analyse(D.matrix)
 
     orbit_sign = {}
     for strip in ext.strips.values():

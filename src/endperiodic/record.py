@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 from .decomposition import (
     StripDecomposition,
-    _build_decomposition,
-    _corner_selection,
     _label_tables,
+    build_decomposition,
+    corner_selection,
     piece_map,
 )
 from .edgemaps import (
@@ -44,8 +44,8 @@ from .gluing import (
     ExtendedPieceMap,
     IdentificationSchema,
     SurfaceReport,
-    _assemble_surface,
     _refuse_oversized_window,
+    assemble_surface,
     attach_strips,
     build_extended_map,
     classify_classes,
@@ -57,10 +57,10 @@ from .spectral import (
     IntMatrix,
     PerronData,
     _analyse,
-    _char_poly,
     _is_int,
-    _perron_eigendata,
     _Value,
+    char_poly,
+    perron_eigendata,
 )
 
 #: "8": ``incidence`` holds the Sturm bracket of the stretch factor and
@@ -132,11 +132,11 @@ def run_pipeline(
     """
     _refuse_oversized_window(M, depth_cap)
     graph = _analyse(M)
-    poly = _char_poly(M, graph)
-    eigen = _perron_eigendata(M, graph, DEFAULT_TOL, poly)
+    poly = char_poly(M, graph=graph)
+    eigen = perron_eigendata(M, DEFAULT_TOL, poly, graph=graph)
     labels = _label_tables(M, graph)
-    sigma, tau = _corner_selection(graph, labels)
-    D = _build_decomposition(M, eigen, sigma, tau, labels)
+    sigma, tau = corner_selection(M, graph=graph, labels=labels)
+    D = build_decomposition(M, eigen, sigma, tau, labels=labels)
     P = piece_map(D)
     system = build_edge_maps(P)
     points = all_periodic_points(system)
@@ -146,8 +146,8 @@ def run_pipeline(
     ext = build_extended_map(system, strips, points)
     schema = enumerate_identifications(ext, depth_cap=depth_cap)
     census = classify_classes(schema, ext)
-    surface = _assemble_surface(
-        ext, schema, census, insert_genus, weak_perron_k, graph
+    surface = assemble_surface(
+        ext, schema, census, insert_genus, weak_perron_k, graph=graph
     )
     incidence = verify_stretch(M, surface, poly=poly)
     return PipelineResult(
@@ -323,7 +323,8 @@ def load_record(text: str) -> dict:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer past the digit limit, or too deep nesting
         raise InvalidInputError(f"record is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("record is not a JSON object")

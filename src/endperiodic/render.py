@@ -165,12 +165,11 @@ def _rect_geometry(D):
 
 
 def _render_piece_map(result) -> str:
-    _require(result, ("decomposition",), "PieceMap")
+    _require(result, ("decomposition", "system"), "PieceMap")
     D = result.decomposition
-    from .decomposition import _intervals, piece_map as build_pm
+    from .decomposition import _intervals
 
-    P = build_pm(D)
-    by_source = P.by_source()
+    by_source = result.system.piece_map.source_index
     columns = _intervals(D.vertical_order, D.vertical_offsets)
     rows = _intervals(D.horizontal_order, D.horizontal_offsets)
     geo, total_w = _rect_geometry(D)

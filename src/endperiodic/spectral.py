@@ -204,7 +204,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
     if stripped.startswith("["):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in load_record
             raise InvalidInputError(
                 f"matrix input is not valid JSON: {exc}"
             ) from exc
@@ -344,7 +344,7 @@ def is_primitive(M: IntMatrix) -> bool:
 # exact characteristic polynomial
 
 
-def char_poly(M: IntMatrix) -> IntPolynomial:
+def char_poly(M: IntMatrix, graph: _GraphAnalysis | None = None) -> IntPolynomial:
     """Characteristic polynomial det(xI - M), exact over the integers.
 
     An irreducible M of period d >= 2 is, up to a permutation of its
@@ -354,14 +354,11 @@ def char_poly(M: IntMatrix) -> IntPolynomial:
     *Nonnegative Matrices*, 1988, ch. 3), so Faddeev-LeVerrier runs on the
     n_1 x n_1 matrix B: on the k-th block lift of an m x m matrix A, B is
     A itself and the polynomial is char_poly(A)(x**k). A primitive or
-    reducible M goes through Faddeev-LeVerrier as it is.
+    reducible M goes through Faddeev-LeVerrier as it is. ``graph``, if
+    given, must be ``_analyse(M)``, which gives the cyclic classes.
     """
-    return _char_poly(M, _analyse(M))
-
-
-def _char_poly(M: IntMatrix, graph: _GraphAnalysis) -> IntPolynomial:
-    """``char_poly(M)``, reading the cyclic classes off ``graph``, the
-    ``_analyse`` of M."""
+    if graph is None:
+        graph = _analyse(M)
     n = M.n
     classes = graph.classes
     d = len(classes)
@@ -416,9 +413,11 @@ def _faddeev_leverrier(rows) -> list[int]:
     return coeffs
 
 
-def determinant(M: IntMatrix) -> int:
-    p = char_poly(M)
-    return (-1) ** M.n * p.coefficients[0]
+def determinant(M: IntMatrix, poly: IntPolynomial | None = None) -> int:
+    """det(M); ``poly``, if given, must be ``char_poly(M)``."""
+    if poly is None:
+        poly = char_poly(M)
+    return (-1) ** M.n * poly.coefficients[0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +573,18 @@ def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     return _bisect_top_root(chain, _cauchy_bound(coefficients), precision)
 
 
-def spectral_radius_exact(M: IntMatrix, precision: float = 1e-12) -> float:
+def spectral_radius_exact(
+    M: IntMatrix, precision: float = 1e-12, poly: IntPolynomial | None = None
+) -> float:
     """Spectral radius of a non-negative integer matrix.
 
     For non-negative matrices the spectral radius is itself an eigenvalue,
-    hence the largest real root of the characteristic polynomial.
+    hence the largest real root of the characteristic polynomial;
+    ``poly``, if given, must be ``char_poly(M)``.
     """
-    return max(0.0, largest_real_root(char_poly(M), precision))
+    if poly is None:
+        poly = char_poly(M)
+    return max(0.0, largest_real_root(poly, precision))
 
 
 def _value_beside(q: tuple[int, ...], num: int, exp: int, side: int) -> int:
@@ -674,7 +678,10 @@ def _max_residual(rows, arcs, lam: float, v: list[float]) -> float:
 
 
 def perron_eigendata(
-    M: IntMatrix, tol: float = DEFAULT_TOL, poly: IntPolynomial | None = None
+    M: IntMatrix,
+    tol: float = DEFAULT_TOL,
+    poly: IntPolynomial | None = None,
+    graph: _GraphAnalysis | None = None,
 ) -> PerronData:
     """Spectral radius and positive right/left eigenvectors of an irreducible M.
 
@@ -682,6 +689,8 @@ def perron_eigendata(
     polynomial, bisected on its integer Sturm chain to float resolution.
     ``poly``, if given, must be ``char_poly(M)``; a caller that needs the
     polynomial again passes it here, so it and its chain are built once.
+    ``graph``, if given, must be ``_analyse(M)``: irreducibility, the arcs
+    that the residual sums over and the cyclic classes are read off it.
     eta and omega come from one step of inverse iteration at that lambda:
     one solve each with M - lambda*I and its transpose, from the all-ones
     vector, scaled to last entry 1. Inverse iteration at an approximation
@@ -696,21 +705,14 @@ def perron_eigendata(
     Raises ``ConvergenceError`` if a vector is not positive or the
     residual exceeds ``tol * max(1, lambda)``.
     """
-    return _perron_eigendata(M, _analyse(M), tol, poly)
-
-
-def _perron_eigendata(
-    M: IntMatrix, graph: _GraphAnalysis, tol: float, poly: IntPolynomial | None
-) -> PerronData:
-    """``perron_eigendata(M, tol, poly)``, reading irreducibility, the arcs
-    that the residual sums over and, when it builds the polynomial, the
-    cyclic classes off ``graph``, the ``_analyse`` of M."""
     if not 0 < tol < inf:
         raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
+    if graph is None:
+        graph = _analyse(M)
     if not graph.irreducible:
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
     if poly is None:
-        poly = _char_poly(M, graph)
+        poly = char_poly(M, graph=graph)
     lam = largest_real_root(poly, precision=0.0)
     rows = M.entries
     columns = tuple(zip(*rows))

@@ -282,6 +282,44 @@ class TestSpectral:
         assert main(["spectral", "--integer", "2", "--lift", "3"]) == 0
         assert "char_poly: x^3-2\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[3]], "matrix: [[3]]\nchar_poly: x-3\ndeterminant: 3\n"
+             "irreducible: True\ngraph period: 1\nprimitive: True\n"
+             "lambda: 3 (residual 0)\neta: [1.0]\nomega: [1.0]\n"),
+            ([[1, 1], [0, 1]], "matrix: [[1, 1], [0, 1]]\n"
+             "char_poly: x^2-2x+1\ndeterminant: 1\nirreducible: False\n"
+             "spectral radius: 1.00000000000011\n"),
+        ],
+        ids=["integer3", "reducible"],
+    )
+    def test_one_analysis_and_one_char_poly(
+        self, tmp_path, capsys, monkeypatch, rows, expected
+    ):
+        # every line reads one analysis of M's digraph and one char_poly
+        spectral = endperiodic.spectral
+        analysed, recurrences = [], []
+        analyse = spectral._analyse
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "endperiodic" and (
+                getattr(module, "_analyse", None) is analyse
+            ):
+                monkeypatch.setattr(
+                    module, "_analyse", lambda A: analysed.append(A) or analyse(A)
+                )
+        recurrence = spectral._faddeev_leverrier
+        monkeypatch.setattr(
+            spectral, "_faddeev_leverrier",
+            lambda A: recurrences.append(A) or recurrence(A),
+        )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(rows))
+        assert main(["spectral", "--matrix", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(analysed) == 1
+        assert len(recurrences) == 1
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -316,6 +354,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: JSON matrix ") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.record.json"))
+
+    @pytest.mark.parametrize("command", ["verify", "spectral"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, "[[" + "7" * 5000 + "]]"],
+        ids=["nested", "long-integer"],
+    )
+    def test_json_the_parser_refuses(self, tmp_path, capsys, command, text):
+        # nesting deeper than the parser recurses and an integer literal
+        # past CPython's digit limit are input errors, as bad syntax is
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        if command == "verify":
+            argv, prefix = ["verify", str(path)], "record"
+        else:
+            argv, prefix = ["spectral", "--matrix", str(path)], "matrix input"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["spectral", "construct"])
     def test_json_matrix_not_valid_json(self, tmp_path, capsys, command):

@@ -119,7 +119,7 @@ class TestCornerSelection:
         eigen = perron_eigendata(running_matrix)
         D = build_decomposition(running_matrix, eigen, sigma=sigma, tau=tau)
         P = piece_map(D)
-        by_source = P.by_source()
+        by_source = P.source_index
         cycle = [1, 2, 4, 3]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             leftmost = D.vertical_order[a][0]

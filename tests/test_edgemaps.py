@@ -25,6 +25,7 @@ from endperiodic import (
 from endperiodic.edgemaps import (
     _PARTNER_KIND,
     KINDS,
+    _functional_analysis,
     census_json,
     census_rows,
     composed_branch,
@@ -69,6 +70,17 @@ class TestDigraphs:
                 assert len(cycle_vertices) == len(set(cycle_vertices))
                 for v in cycle_vertices:
                     assert E.tails[v] == 0
+
+    def test_tail_longer_than_the_recursion_limit(self):
+        # the path 1 -> 2 -> ... -> 3000 into a fixed point: its tails are
+        # walked without one Python frame per step
+        n = 3000
+        cycles, tails = _functional_analysis(
+            {v: min(v + 1, n) for v in range(1, n + 1)}
+        )
+        assert cycles == ((n,),)
+        assert tails == {v: n - v for v in range(1, n + 1)}
+        assert list(tails) == list(range(1, n + 1))
 
     def test_permutation_matrix_rejected(self):
         # decided from the row sums of M, whatever eigenvalue it is given

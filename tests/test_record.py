@@ -18,6 +18,7 @@ from endperiodic import (
     InvalidInputError,
     VerificationError,
     block_lift,
+    build_decomposition,
     build_record,
     load_record,
     max_escape_depth,
@@ -26,7 +27,7 @@ from endperiodic import (
     run_pipeline,
     verify_record,
 )
-from endperiodic.decomposition import _build_decomposition, _label_tables
+from endperiodic.decomposition import _label_tables
 from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
 from endperiodic.spectral import _analyse, _max_residual
@@ -667,8 +668,8 @@ class TestOncePerRun:
     ):
         """Tooling guard: one build_record (run_pipeline and the record
         sections) analyses M's digraph once, builds one canonical label
-        table per rectangle and orientation and one piece-map index of
-        each kind, and leaves nothing cached on M. The strip boundaries
+        table per rectangle and orientation and one piece map, whose
+        indexes every reader shares, and leaves nothing cached on M. The strip boundaries
         have one float each, whose reads ``TestArcReads`` counts."""
         if rows is None:
             M = random_irreducible_matrices(200)[137]
@@ -695,14 +696,17 @@ class TestOncePerRun:
             lambda A, graph, rect, o: tables.append((rect, o))
             or canonical_labels(A, graph, rect, o),
         )
-        indexes = {"by_source": [], "by_target": []}
-        for name, calls in indexes.items():
-            method = getattr(decomposition.PieceMap, name)
-            monkeypatch.setattr(
-                decomposition.PieceMap, name,
-                lambda P, method=method, calls=calls: calls.append(method(P))
-                or calls[-1],
-            )
+        piece_maps = []
+        build_piece_map = decomposition.piece_map
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "endperiodic" and (
+                getattr(module, "piece_map", None) is build_piece_map
+            ):
+                monkeypatch.setattr(
+                    module, "piece_map",
+                    lambda D: piece_maps.append(build_piece_map(D))
+                    or piece_maps[-1],
+                )
 
         _, result = build_record(M, weak_perron_k=k)
 
@@ -713,12 +717,9 @@ class TestOncePerRun:
         assert sorted(tables) == sorted(
             (rect, o) for rect in range(1, n + 1) for o in ("V", "H")
         )
-        P = result.system.piece_map
-        for calls, index in ((indexes["by_source"], P.source_index),
-                             (indexes["by_target"], P.target_index)):
-            # read by build_edge_maps and enumerate_identifications
-            assert len(calls) == 2
-            assert all(c is index for c in calls)
+        # read by build_edge_maps and enumerate_identifications
+        assert len(piece_maps) == 1
+        assert piece_maps[0] is result.system.piece_map
         assert vars(M) == {"entries": M.entries}
 
 
@@ -774,9 +775,9 @@ class TestArcReads:
             reads = [0]
             eta, omega = _counting_rows((eigen.eta, eigen.omega), reads)
             counting = eigen._replace(eta=eta, omega=omega)
-            D = _build_decomposition(M, counting, None, None, labels)
+            D = build_decomposition(M, counting, labels=labels)
             counts.append(reads[0])
-            plain = _build_decomposition(M, eigen, None, None, labels)
+            plain = build_decomposition(M, eigen, labels=labels)
             assert D.vertical_offsets == plain.vertical_offsets
             assert D.horizontal_offsets == plain.horizontal_offsets
         # per rectangle and orientation one term per strip, nothing for
@@ -795,12 +796,12 @@ class TestEarlyWindowRefusal:
         # no stage runs; at 30 the stages run and the real window N + 3m is
         # refused by enumerate_identifications.
         stages = []
-        for name in ("_analyse", "_corner_selection"):
+        for name in ("_analyse", "corner_selection"):
             original = getattr(endperiodic.record, name)
             monkeypatch.setattr(
                 endperiodic.record, name,
-                lambda *a, name=name, original=original:
-                stages.append(name) or original(*a),
+                lambda *a, name=name, original=original, **kw:
+                stages.append(name) or original(*a, **kw),
             )
         monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 29)
         with pytest.raises(InvalidInputError) as exc:
@@ -813,7 +814,7 @@ class TestEarlyWindowRefusal:
         monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 30)
         with pytest.raises(InvalidInputError, match=r"^depth_cap \d+ with 6 "):
             run_pipeline(running_matrix)
-        assert stages == ["_analyse", "_corner_selection"]
+        assert stages == ["_analyse", "corner_selection"]
 
     def test_large_entry_is_refused_at_once(self):
         # [[100000]] has 199,998 generators: M alone refuses it, before

@@ -1,7 +1,8 @@
 """Checks of the package source: it parses as the Python version that
 pyproject.toml declares (``requires-python >= 3.10``), every imported name
 is read, every private module-level name is read by package code and
-every public one by package code or ``__all__``, every
+every public one by package code or ``__all__``, no module defines a
+private ``_x`` beside a public ``x``, every
 dataclass is frozen and every value type of the pipeline
 refuses a field assignment, so a value is complete when it is built,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
@@ -115,6 +116,15 @@ def test_every_private_name_is_read():
     assert len(defined) > 80
     read = _package_reads()
     assert [d for d in defined if d[1] not in read] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_twin_of_a_public_name(path):
+    # a stage takes the facts of M that a caller already holds as optional
+    # arguments; a private ``_x`` beside a public ``x`` is a second copy
+    # of one function
+    names = set(_definitions(ast.parse(path.read_text(encoding="utf-8"))))
+    assert sorted(n for n in names if n.startswith("_") and n[1:] in names) == []
 
 
 #: public names that only the benchmark reads: ``bench/run.py`` writes its

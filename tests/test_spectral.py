@@ -205,7 +205,6 @@ class TestIrreducibility:
         return n * n - 2 * n + 2
 
     def test_primitivity_wielandt_oracle(self):
-        rng = np.random.default_rng(9)
         checked = 0
         for M in random_irreducible_matrices(60, seed=9):
             a = np.array(M.to_lists(), dtype=object)

@@ -46,7 +46,6 @@ from .decomposition import (
     piece_map,
 )
 from .edgemaps import (
-    EdgeCoordinate,
     EdgeMap,
     EdgeMapSystem,
     PeriodicPoint,

@@ -120,13 +120,13 @@ def _build(args):
     return M, stem, record, result
 
 
-def _write_figures(figs, result, out: Path, stem: str) -> None:
-    """Render each figure kind; ``render`` is imported here and in
-    ``_fig_kind``, so commands that draw nothing never load it."""
+def _write_figures(kinds, result, out: Path, stem: str) -> None:
+    """Render each figure kind, resolved by ``_fig_kind`` before the
+    pipeline runs; ``render`` is imported here and in ``_fig_kind``, so
+    commands that draw nothing never load it."""
     from .render import DiagramSpec, render
 
-    for fig in figs:
-        kind = _fig_kind(fig)
+    for kind in kinds:
         fig_path = out / f"{stem}.{kind}.svg"
         fig_path.write_text(render(DiagramSpec(kind=kind, result=result)),
                             encoding="utf-8")
@@ -134,6 +134,7 @@ def _write_figures(figs, result, out: Path, stem: str) -> None:
 
 
 def _cmd_construct(args) -> int:
+    kinds = [_fig_kind(fig) for fig in args.fig or ()]
     M, stem, record, result = _build(args)
     out = _out_dir(args)
     record_path = out / f"{stem}.record.json"
@@ -148,8 +149,8 @@ def _cmd_construct(args) -> int:
     print(f"ends: {[(e.sign, len(e.strip_orbits)) for e in surface.ends]}")
     print(f"connected: {surface.connected}  infinite type: {surface.infinite_type}")
     print(f"record: {record_path}")
-    if args.fig:
-        _write_figures(args.fig, result, out, stem)
+    if kinds:
+        _write_figures(kinds, result, out, stem)
     if args.verify:
         _verify(load_record(record_path.read_text("utf-8")))
     return 0
@@ -175,8 +176,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    kinds = [_fig_kind(fig) for fig in args.fig]
     _, stem, _, result = _build(args)
-    _write_figures(args.fig, result, _out_dir(args), stem)
+    _write_figures(kinds, result, _out_dir(args), stem)
     return 0
 
 

@@ -219,28 +219,18 @@ def build_decomposition(
 class PieceMapBranch(NamedTuple):
     """One affine branch of the piece map.
 
-    Maps the vertical strip ``source_label`` (in rectangle source_rect,
-    x in [x0, x0 + width], full height) onto the horizontal strip
-    ``target_label`` (in rectangle target_rect, full width, y in
-    [y0, y0 + height]) via (x, y) -> (lam*(x - x0), y0 + y/lam).
+    Maps the vertical strip ``source_label`` (in rectangle source_rect k,
+    x in [x0, x0 + omega_i/lambda], full height) onto the horizontal strip
+    ``target_label`` (in rectangle target_rect i, full width, y in
+    [y0, y0 + eta_k/lambda]) via (x, y) -> (lambda*(x - x0), y0 + y/lambda).
     """
 
-    index: tuple[int, int, int]
     source_label: StripLabel
     target_label: StripLabel
     source_rect: int
     target_rect: int
     x0: float
-    width: float
     y0: float
-    height: float
-    lam: float
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return self.lam * (x - self.x0), self.y0 + y / self.lam
-
-    def apply_inverse(self, x: float, y: float) -> tuple[float, float]:
-        return self.x0 + x / self.lam, self.lam * (y - self.y0)
 
 
 class PieceMap(NamedTuple):
@@ -251,7 +241,6 @@ class PieceMap(NamedTuple):
     """
 
     decomposition: StripDecomposition
-    branches: tuple[PieceMapBranch, ...]
     source_index: dict[StripLabel, PieceMapBranch]
     target_index: dict[StripLabel, PieceMapBranch]
 
@@ -274,7 +263,6 @@ def piece_map(D: StripDecomposition) -> PieceMap:
     onto the horizontal strip sigma_i(H^(i)_{k,j}); the labels V^(k)_{i,j}
     are read off the canonical order of Q_k, not off M.
     """
-    eigen = D.eigen
     columns = _intervals(D.vertical_order, D.vertical_offsets)
     rows = _intervals(D.horizontal_order, D.horizontal_offsets)
     branches = []
@@ -284,27 +272,21 @@ def piece_map(D: StripDecomposition) -> PieceMap:
             i, j = label.source, label.copy
             src = tau_inv[label]
             tgt = D.sigma[i][StripLabel(HORIZONTAL, i, k, j)]
-            x0, x1 = columns[src]
-            y0, y1 = rows[tgt]
             branches.append(
                 PieceMapBranch(
-                    index=(k, i, j),
                     source_label=src,
                     target_label=tgt,
                     source_rect=k,
                     target_rect=i,
-                    x0=x0,
-                    width=x1 - x0,
-                    y0=y0,
-                    height=y1 - y0,
-                    lam=eigen.lam,
+                    x0=columns[src][0],
+                    y0=rows[tgt][0],
                 )
             )
     by_source = {b.source_label: b for b in branches}
     by_target = {b.target_label: b for b in branches}
     if len(by_source) != len(branches) or len(by_target) != len(branches):
         raise InvalidInputError("sigma/tau do not induce a strip bijection")
-    return PieceMap(D, tuple(branches), by_source, by_target)
+    return PieceMap(D, by_source, by_target)
 
 
 def _embedded_cycle_through_first_vertex(successors: list[list[int]]) -> list[int]:

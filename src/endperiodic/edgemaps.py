@@ -15,7 +15,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .decomposition import PieceMap, StripLabel
+from .decomposition import PieceMap
 from .errors import InternalConsistencyError, PreconditionError
 
 KINDS = ("L", "R", "T", "B")
@@ -29,26 +29,13 @@ _PARTNER_KIND = {"TL": {"L": "T", "T": "L"}, "BL": {"L": "B", "B": "L"},
                  "TR": {"R": "T", "T": "R"}, "BR": {"R": "B", "B": "R"}}
 
 
-class EdgeCoordinate(NamedTuple):
-    """Point on a rectangle edge.
-
-    Offsets run downward from the top corner on vertical sides (L, R) and
-    rightward from the left corner on horizontal sides (T, B).
-    """
-
-    rect: int
-    side: str
-    offset: float
-
-
 class EdgeBranch(NamedTuple):
-    """Affine action x -> offset0 + x/lam on the full edge of one rectangle."""
+    """Affine action x -> offset0 + x/lam on the full edge of one rectangle,
+    the rectangle being its key in ``EdgeMap.branches``."""
 
-    source_rect: int
     target_rect: int
     offset0: float
     lam: float
-    strip: StripLabel
     targets_first: bool
     targets_last: bool
 
@@ -72,10 +59,6 @@ class EdgeMap(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
     tails: dict[int, int]
 
-    def apply(self, point: EdgeCoordinate) -> EdgeCoordinate:
-        br = self.branches[point.rect]
-        return EdgeCoordinate(br.target_rect, self.kind, br.apply(point.offset))
-
     def edge_length(self, rect: int, decomposition) -> float:
         if self.kind in ("L", "R"):
             return decomposition.rect_height(rect)
@@ -87,6 +70,11 @@ class EdgeMap(NamedTuple):
 
 class PeriodicPoint(NamedTuple):
     """Periodic point of one edge map with its orbit bookkeeping.
+
+    The point lies on the edge of rectangle ``rect`` that its map acts on,
+    at ``offset`` from the edge's start: downward from the top corner on
+    vertical edges (L, R), rightward from the left corner on horizontal
+    edges (T, B).
 
     ``orbit_position`` counts the steps from the orbit's point on its least
     rectangle, and that point is the orbit's initial point (``is_initial``).
@@ -107,7 +95,8 @@ class PeriodicPoint(NamedTuple):
     """
 
     map_kind: str
-    location: EdgeCoordinate
+    rect: int
+    offset: float
     period: int
     orbit_id: str
     orbit_position: int
@@ -118,7 +107,7 @@ class PeriodicPoint(NamedTuple):
     @property
     def key(self) -> tuple[str, int]:
         """(map kind, rectangle) identifies a point: one per edge per map."""
-        return (self.map_kind, self.location.rect)
+        return (self.map_kind, self.rect)
 
     @property
     def is_initial(self) -> bool:
@@ -195,11 +184,9 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
             i = br.target_rect
             tgt_order = D.horizontal_order[i]
             branches[k] = EdgeBranch(
-                source_rect=k,
                 target_rect=i,
                 offset0=br.y0,
                 lam=lam,
-                strip=strip,
                 targets_first=br.target_label == tgt_order[0],
                 targets_last=br.target_label == tgt_order[-1],
             )
@@ -216,11 +203,9 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
             k = br.source_rect
             src_order = D.vertical_order[k]
             branches[i] = EdgeBranch(
-                source_rect=i,
                 target_rect=k,
                 offset0=br.x0,
                 lam=lam,
-                strip=strip,
                 targets_first=br.source_label == src_order[0],
                 targets_last=br.source_label == src_order[-1],
             )
@@ -283,7 +268,8 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
             points.append(
                 PeriodicPoint(
                     map_kind=E.kind,
-                    location=EdgeCoordinate(v, E.kind, x),
+                    rect=v,
+                    offset=x,
                     period=p,
                     orbit_id=orbit_id,
                     orbit_position=pos,
@@ -391,8 +377,8 @@ def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:
     return [
         {
             "map": pt.map_kind,
-            "rect": pt.location.rect,
-            "offset": pt.location.offset,
+            "rect": pt.rect,
+            "offset": pt.offset,
             "corner": pt.corner_type,
         }
         for kind in KINDS

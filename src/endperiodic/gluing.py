@@ -113,12 +113,12 @@ def attach_strips(
         for pt in points[kind]:
             p, j = pt.period, pt.orbit_position
             if pt.is_initial:
-                edge_len = E.edge_length(pt.location.rect, D)
-                rect, b = composed_branch(E, pt.location.rect, 2 * p)
+                edge_len = E.edge_length(pt.rect, D)
+                rect, b = composed_branch(E, pt.rect, 2 * p)
             else:
                 br = E.branches[rect]
                 rect, b = br.target_rect, br.apply(b)
-            if rect != pt.location.rect:
+            if rect != pt.rect:
                 raise InternalConsistencyError(
                     "attachment landed on the wrong rectangle edge"
                 )
@@ -138,7 +138,7 @@ def attach_strips(
             host_len = E.edge_length(rect, D)
             if lo < -_TRANSFER_TOL or hi > host_len + _TRANSFER_TOL:
                 raise InternalConsistencyError("attachment leaves its host edge")
-            if not (lo - _TRANSFER_TOL <= pt.location.offset <= hi + _TRANSFER_TOL):
+            if not (lo - _TRANSFER_TOL <= pt.offset <= hi + _TRANSFER_TOL):
                 raise InternalConsistencyError(
                     "attachment misses its periodic point"
                 )
@@ -271,7 +271,6 @@ class GeneratorTrace(NamedTuple):
 class IdentificationSchema(NamedTuple):
     generators: tuple[GeneratorTrace, ...]
     depth_cap: int
-    escape_depth: int
     nesting_period: int
 
     def to_json_dict(self) -> dict:
@@ -441,7 +440,6 @@ def enumerate_identifications(
     return IdentificationSchema(
         generators=tuple(traces),
         depth_cap=depth_cap,
-        escape_depth=N,
         nesting_period=m,
     )
 
@@ -608,11 +606,7 @@ class _NodeRegistry:
         if state[0] == "E":
             return self.edge_id(state[1], state[2], state[3 + endpoint])
         _, key, _, _, w = state
-        z = state[2 + endpoint]
-        if abs(z) <= COORD_TOL:
-            z = 0.0
-        elif abs(z - 1.0) <= COORD_TOL:
-            z = 1.0
+        z = _snapped(state[2 + endpoint])
         if w == 0 and (z == 0.0 or z == 1.0):
             strip = self.strips[key]
             return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
@@ -662,7 +656,6 @@ def _union(parent, a, b) -> None:
 
 class EquivalenceClass(NamedTuple):
     nodes: tuple
-    infinite: bool
     link_type: str | None
 
     @property
@@ -732,7 +725,6 @@ class ClassCensus(_Value):
         return tuple(
             EquivalenceClass(
                 nodes=tuple(sorted((nodes[i] for i in s.ids), key=_node_str)),
-                infinite=True,
                 link_type=s.link_type,
             )
             for s in self.infinite_summaries
@@ -754,7 +746,6 @@ class ClassCensus(_Value):
         finite = tuple(
             EquivalenceClass(
                 nodes=tuple(sorted(group)),
-                infinite=False,
                 link_type=None,
             )
             for group in groups.values()
@@ -800,8 +791,8 @@ def _least_node_str(nodes, heads, ids) -> str:
 
 
 def _snapped(z: float) -> float:
-    """A strip coordinate as ``_NodeRegistry.node_id`` snaps it: to 0 or 1
-    within ``COORD_TOL``, else unchanged."""
+    """A strip coordinate snapped to 0 or 1 within ``COORD_TOL``, else
+    unchanged: the position that ``_NodeRegistry.node_id`` looks up."""
     if abs(z) <= COORD_TOL:
         return 0.0
     if abs(z - 1.0) <= COORD_TOL:
@@ -1280,7 +1271,7 @@ def _connectedness(
 
 def _require_corner_point(ext: ExtendedPieceMap) -> None:
     for pt in ext.points["L"]:
-        if pt.is_corner and pt.corner_type == "TL" and pt.location.rect == 1:
+        if pt.is_corner and pt.corner_type == "TL" and pt.rect == 1:
             return
     raise PreconditionError(
         "boundary-ray regluing needs the first rectangle's top-left corner "
@@ -1292,5 +1283,5 @@ def _genus_site(ext: ExtendedPieceMap) -> tuple:
     for kind in KINDS:
         for pt in ext.points[kind]:
             if pt.is_corner:
-                return (pt.map_kind, pt.location.rect, pt.corner_type)
+                return (pt.map_kind, pt.rect, pt.corner_type)
     raise InternalConsistencyError("no corner periodic point for genus insertion")

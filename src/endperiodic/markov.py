@@ -40,13 +40,11 @@ class IncidenceReport(NamedTuple):
     """Certificate that the spectral radius lies in ``bracket``.
 
     ``sign_changes`` counts the Sturm chain's sign changes just below the
-    low end and just above the high end.  ``relative_error`` is the
-    certified bound ``tol``, up to the rounding of the float bracket ends.
+    low end and just above the high end.
     """
 
     bracket: tuple[float, float]
     sign_changes: tuple[int, int]
-    relative_error: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,4 +80,4 @@ def verify_stretch(
             expected=list(bracket),
             actual=[at_lo, at_hi],
         )
-    return IncidenceReport(bracket, (at_lo, at_hi), relative_error=tol)
+    return IncidenceReport(bracket, (at_lo, at_hi))

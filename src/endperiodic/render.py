@@ -302,8 +302,8 @@ def _render_orbits(result) -> str:
                     marker=True,
                 )
         for pt in result.points.get(kind, []):
-            x0, ybox = centers[pt.location.rect]
-            frac = pt.location.offset / E.edge_length(pt.location.rect, D)
+            x0, ybox = centers[pt.rect]
+            frac = pt.offset / E.edge_length(pt.rect, D)
             cx = x0 + frac * box_w
             color = "#c02020" if pt.is_corner else "#2040c0"
             svg.circle(cx, ybox + 18, 3.0, fill=color)

@@ -108,9 +108,6 @@ class IntMatrix(_Value):
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.entries))
-
 
 def _index(v, i: int, j: int) -> int:
     """Entry ``[i][j]`` as a Python int, or :class:`InvalidInputError`."""
@@ -181,15 +178,6 @@ class PerronData(NamedTuple):
             "omega": [fmt(v) for v in self.omega],
             "residual": fmt(self.residual),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PerronData":
-        return cls(
-            lam=float(d["lambda"]),
-            eta=tuple(float(v) for v in d["eta"]),
-            omega=tuple(float(v) for v in d["omega"]),
-            residual=float(d["residual"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +355,20 @@ def char_poly(M: IntMatrix, graph: _GraphAnalysis | None = None) -> IntPolynomia
     c = min(range(d), key=lambda t: len(classes[t]))
     start = classes[c]
     n_1 = len(start)
+    entries, predecessors = M.entries, graph.predecessors
     # rows[i] is row i of the product of the blocks walked so far, from
-    # the start class into the class that holds i
+    # the start class into the class that holds i: the combination of the
+    # rows of i's predecessors, one per arc j -> i, all in the class before
     rows = {v: [int(u == v) for u in start] for v in start}
     for t in range(1, d + 1):
-        rows = {
-            i: [sum(M.entries[i][j] * rows[j][s] for j in rows) for s in range(n_1)]
-            for i in classes[(c + t) % d]
-        }
+        block = {}
+        for i in classes[(c + t) % d]:
+            row, acc = entries[i], [0] * n_1
+            for j in predecessors[i]:
+                m = row[j]
+                acc = [a + m * b for a, b in zip(acc, rows[j])]
+            block[i] = acc
+        rows = block
     q = _faddeev_leverrier([rows[v] for v in start])
     coeffs = [0] * (n + 1)
     for i, a in enumerate(q):

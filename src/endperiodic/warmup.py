@@ -52,12 +52,9 @@ def f0_integer(
 class DirectIntegerRecord:
     """Exact closed-form data for one integer case (chart: y up)."""
 
-    d: int
     vertical_strips: tuple  # ((k-1)/d, k/d) open intervals
     horizontal_strips: tuple
     infinite_strips: dict  # label -> ((x-interval), (y-interval)), None = open ray
-    switch_paths: dict  # label -> exact endpoint pair
-    translations: dict  # label -> displacement vector
     attachment_width: Fraction
     incidence: tuple
     ends: dict  # sign -> strip labels
@@ -68,7 +65,6 @@ class DirectIntegerRecord:
 class IntegerCase:
     """The direct record together with the general-pipeline run on [[d]]."""
 
-    d: int
     direct: DirectIntegerRecord
     pipeline: PipelineResult
 
@@ -80,7 +76,6 @@ def build_integer_case(d: int) -> IntegerCase:
     q = Fraction(1, d)
     qq = Fraction(1, d * d)
     direct = DirectIntegerRecord(
-        d=d,
         vertical_strips=tuple((k * q, (k + 1) * q) for k in range(d)),
         horizontal_strips=tuple((k * q, (k + 1) * q) for k in range(d)),
         infinite_strips={
@@ -89,23 +84,13 @@ def build_integer_case(d: int) -> IntegerCase:
             "E_R": ((Fraction(1), None), (Fraction(0), qq)),
             "E_B": ((1 - qq, Fraction(1)), (None, Fraction(0))),
         },
-        switch_paths={
-            "W_1": ((Fraction(0), 1 - q), (qq, Fraction(1))),
-            "W_2": ((1 - qq, Fraction(0)), (Fraction(1), q)),
-        },
-        translations={
-            "E_L": (-1, 0),
-            "E_T": (0, -1),
-            "E_R": (1, 0),
-            "E_B": (0, 1),
-        },
         attachment_width=qq,
         incidence=((d, 0), (0, d)),
         ends={"Attracting": ("E_L", "E_R"), "Repelling": ("E_B", "E_T")},
         stretch_factor=d,
     )
     pipeline = run_pipeline(IntMatrix.from_rows([[d]]))
-    return IntegerCase(d=d, direct=direct, pipeline=pipeline)
+    return IntegerCase(direct=direct, pipeline=pipeline)
 
 
 def _pipeline_facts(result: PipelineResult) -> dict:
@@ -142,21 +127,24 @@ def _edge_len(result: PipelineResult, strip) -> float:
 def cross_validate(d: int, tol: float = 1e-9) -> bool:
     """Check that the direct and pipeline routes agree on shared facts.
 
-    Raises :class:`VerificationError` with a diff report on any
+    Every expected value is read off the direct record that
+    ``build_integer_case`` builds; the unit square has width 1, so a
+    vertical strip's length is its width ratio. Raises :class:`VerificationError` with a diff report on any
     disagreement; returns ``True`` otherwise.
     """
     case = build_integer_case(d)
     direct = case.direct
     facts = _pipeline_facts(case.pipeline)
+    strips = len(direct.infinite_strips)
     expected = {
-        "vertical_strip_count": d,
-        "horizontal_strip_count": d,
-        "width_ratios": [1.0 / d] * d,
-        "infinite_strip_count": 4,
-        "attachment_ratios": [float(direct.attachment_width)] * 4,
+        "vertical_strip_count": len(direct.vertical_strips),
+        "horizontal_strip_count": len(direct.horizontal_strips),
+        "width_ratios": sorted(float(b - a) for a, b in direct.vertical_strips),
+        "infinite_strip_count": strips,
+        "attachment_ratios": [float(direct.attachment_width)] * strips,
         "incidence": direct.incidence,
-        "end_census": {"Attracting": 1, "Repelling": 1},
-        "stretch_factor": float(d),
+        "end_census": dict.fromkeys(direct.ends, 1),
+        "stretch_factor": float(direct.stretch_factor),
     }
     diffs = []
     for key, want in expected.items():

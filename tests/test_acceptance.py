@@ -26,6 +26,7 @@ from endperiodic import (
     is_primitive,
     largest_real_root,
     load_record,
+    max_escape_depth,
     run_pipeline,
     spectral_radius_exact,
     verify_record,
@@ -80,9 +81,9 @@ def test_criterion_2_corner_periodicity(running_result):
     tl = [
         pt
         for pt in running_result.points["L"]
-        if pt.location.rect == 1 and pt.is_corner and pt.corner_type == "TL"
+        if pt.rect == 1 and pt.is_corner and pt.corner_type == "TL"
     ]
-    ok = len(tl) == 1 and tl[0].period == 4 and tl[0].location.offset == 0.0
+    ok = len(tl) == 1 and tl[0].period == 4 and tl[0].offset == 0.0
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     record_criterion(
@@ -143,30 +144,30 @@ def _property_suite(results, rng) -> bool:
         D = res.decomposition
         for kind, pts in res.points.items():
             E = res.system.maps[kind]
-            rects = [pt.location.rect for pt in pts]
+            rects = [pt.rect for pt in pts]
             ok &= len(rects) == len(set(rects))  # at most one point per edge
             for pt in pts:
-                pos, rect = pt.location.offset, pt.location.rect
+                pos, rect = pt.offset, pt.rect
                 for _ in range(pt.period):
                     pos = E.branches[rect].apply(pos)
                     rect = E.digraph[rect]
-                ok &= rect == pt.location.rect
-                ok &= abs(pos - pt.location.offset) <= 1e-9  # residual
+                ok &= rect == pt.rect
+                ok &= abs(pos - pt.offset) <= 1e-9  # residual
                 # 200-iteration brute force from a generic start
-                pos2, cur = 0.31 * E.edge_length(pt.location.rect, D), pt.location.rect
+                pos2, cur = 0.31 * E.edge_length(pt.rect, D), pt.rect
                 for _ in range(200):
                     pos2 = E.branches[cur].apply(pos2)
                     cur = E.digraph[cur]
-                if cur == pt.location.rect:
-                    ok &= abs(pos2 - pt.location.offset) <= 1e-9
+                if cur == pt.rect:
+                    ok &= abs(pos2 - pt.offset) <= 1e-9
                 if pt.is_corner:
                     pkind, prect = pt.partner_key
                     partner = next(
-                        p for p in res.points[pkind] if p.location.rect == prect
+                        p for p in res.points[pkind] if p.rect == prect
                     )
                     ok &= partner.period == pt.period
         # escape bound on 100 sampled boundary points per map
-        N = res.schema.escape_depth
+        N = max_escape_depth(res.system)
         for kind, E in res.system.maps.items():
             max_period = max(len(c) for c in E.cycles)
             for _ in range(100):
@@ -271,7 +272,8 @@ def test_criterion_7_constructive_coverage():
     ok = len(results) >= 200
     for M, res in results:
         ok &= res.surface.stretch_factor == pytest.approx(res.eigen.lam, rel=1e-9)
-        ok &= res.incidence.relative_error <= 1e-9
+        x = res.surface.stretch_factor
+        ok &= res.incidence.bracket == (x * (1 - 1e-9), x * (1 + 1e-9))
     record_criterion(
         "7 pipeline succeeds with certificates on the whole corpus",
         ok,

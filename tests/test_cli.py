@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import endperiodic
+import endperiodic.cli
 import endperiodic.record
 from endperiodic import InternalConsistencyError
 from endperiodic.cli import main
@@ -77,6 +78,11 @@ class TestConstruct:
         name = "integer-2.Complex2D.svg"
         assert [p.name for p in rend.iterdir()] == [name]
         assert (rend / name).read_bytes() == (construct / name).read_bytes()
+
+    def test_figure_kind_by_its_exact_name(self, tmp_path):
+        assert main(["render", "--integer", "2", "--fig", "Digraphs",
+                     "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["integer-2.Digraphs.svg"]
 
     def test_integer_lift_builds_the_lift(self, tmp_path):
         code = main(["construct", "--integer", "2", "--lift", "3", "--verify",
@@ -374,6 +380,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix} is not valid JSON: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [("1 2\n3 x\n", "error: bad matrix row '3 x'\n"),
+         ("\n  \n", "error: empty matrix input\n")],
+        ids=["bad-row", "empty"],
+    )
+    def test_text_matrix_the_parser_refuses(self, tmp_path, capsys, text, err):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["spectral", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", ["construct", "render"])
+    def test_unknown_figure_kind_is_refused_before_the_pipeline(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(endperiodic.cli, "build_record", no_pipeline)
+        code = main([command, "--integer", "2", "--fig", "nosuch",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown figure kind 'nosuch'; choose from ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["spectral", "construct"])
     def test_json_matrix_not_valid_json(self, tmp_path, capsys, command):

@@ -10,6 +10,7 @@ from endperiodic import (
     VERTICAL,
     IntMatrix,
     InvalidInputError,
+    PreconditionError,
     StripLabel,
     block_lift,
     build_decomposition,
@@ -74,30 +75,34 @@ class TestResizingRule:
                 )
                 assert widths == pytest.approx(expected, abs=1e-9)
 
+    def test_strip_width_of_a_horizontal_label_is_refused(self, running_matrix):
+        D = _decomp(running_matrix)
+        with pytest.raises(InvalidInputError, match="vertical label"):
+            D.strip_width(D.horizontal_order[1][0])
+
 
 class TestPieceMap:
     def test_branch_count(self, running_matrix):
         D = _decomp(running_matrix)
         P = piece_map(D)
         total = sum(sum(row) for row in running_matrix.entries)
-        assert len(P.branches) == total
+        assert len(P.source_index) == len(P.target_index) == total
 
     def test_branches_are_affine_with_slope_lambda(self):
         for M in random_irreducible_matrices(15, seed=24):
             D = _decomp(M)
-            for br in piece_map(D).branches:
-                lam = D.eigen.lam
-                # strip width times lambda equals the target rect width
-                assert br.width * lam == pytest.approx(
-                    D.rect_width(br.target_rect), abs=1e-9
-                )
-                assert br.height * lam == pytest.approx(
-                    D.rect_height(br.source_rect), abs=1e-9
-                )
-                x, y = br.apply(br.x0, 0.0)
-                assert (x, y) == pytest.approx((0.0, br.y0), abs=1e-12)
-                rx, ry = br.apply_inverse(x, y)
-                assert (rx, ry) == pytest.approx((br.x0, 0.0), abs=1e-12)
+            lam = D.eigen.lam
+            for br in piece_map(D).source_index.values():
+                k, i = br.source_rect, br.target_rect
+                t = D.vertical_order[k].index(br.source_label)
+                x0, x1 = D.vertical_offsets[k][t : t + 2]
+                u = D.horizontal_order[i].index(br.target_label)
+                y0, y1 = D.horizontal_offsets[i][u : u + 2]
+                assert (br.x0, br.y0) == (x0, y0)
+                # lambda stretches the strip's width onto the target rect's
+                # and the source rect's height onto the image strip's
+                assert (x1 - x0) * lam == pytest.approx(D.rect_width(i), abs=1e-9)
+                assert (y1 - y0) * lam == pytest.approx(D.rect_height(k), abs=1e-9)
 
     def test_bad_permutation_rejected(self, running_matrix):
         M = running_matrix
@@ -149,6 +154,11 @@ class TestCornerSelection:
             eigen = perron_eigendata(M)
             D = build_decomposition(M, eigen, sigma=sigma, tau=tau)
             piece_map(D)  # validates the bijection
+
+    def test_reducible_matrix_is_refused(self):
+        M = IntMatrix.from_rows([[1, 1], [0, 2]])
+        with pytest.raises(PreconditionError, match="irreducible"):
+            corner_selection(M)
 
 
 class TestSymbolicLength:

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from endperiodic import (
-    EdgeCoordinate,
     IntMatrix,
     InternalConsistencyError,
     PreconditionError,
@@ -97,6 +96,12 @@ class TestDigraphs:
                 build_edge_maps(piece_map(D))
 
 
+def _step(E, rect, x):
+    """One step of edge map E from offset x on the edge of ``rect``."""
+    br = E.branches[rect]
+    return br.target_rect, br.apply(x)
+
+
 class TestPeriodicPoints:
     def test_one_point_per_cycle_rect(self):
         for M in random_irreducible_matrices(30, seed=33):
@@ -105,7 +110,7 @@ class TestPeriodicPoints:
             for kind in KINDS:
                 E = system.maps[kind]
                 cycle_rects = {v for cyc in E.cycles for v in cyc}
-                assert {pt.location.rect for pt in points[kind]} == cycle_rects
+                assert {pt.rect for pt in points[kind]} == cycle_rects
                 assert len(points[kind]) == len(cycle_rects)
 
     def test_fixed_point_residual_closed_form(self):
@@ -116,11 +121,11 @@ class TestPeriodicPoints:
             for kind in KINDS:
                 E = system.maps[kind]
                 for pt in points[kind]:
-                    x = pt.location
+                    rect, x = pt.rect, pt.offset
                     for _ in range(pt.period):
-                        x = E.apply(x)
-                    assert x.rect == pt.location.rect
-                    assert abs(x.offset - pt.location.offset) <= 1e-9
+                        rect, x = _step(E, rect, x)
+                    assert rect == pt.rect
+                    assert abs(x - pt.offset) <= 1e-9
 
     def test_brute_force_oracle(self):
         # iterate any edge point 200 times: the slope-1/lambda contraction
@@ -131,12 +136,11 @@ class TestPeriodicPoints:
             points = all_periodic_points(system)
             for kind in KINDS:
                 E = system.maps[kind]
-                by_rect = {pt.location.rect: pt for pt in points[kind]}
-                x = EdgeCoordinate(1, kind, 0.31 * E.edge_length(1, D))
+                by_rect = {pt.rect: pt for pt in points[kind]}
+                rect, x = 1, 0.31 * E.edge_length(1, D)
                 for _ in range(200):
-                    x = E.apply(x)
-                pt = by_rect[x.rect]
-                assert abs(x.offset - pt.location.offset) <= 1e-9
+                    rect, x = _step(E, rect, x)
+                assert abs(x - by_rect[rect].offset) <= 1e-9
 
     def test_composed_branch_matches_iteration(self):
         for M in random_irreducible_matrices(10, seed=36):
@@ -144,11 +148,11 @@ class TestPeriodicPoints:
             for kind in KINDS:
                 E = system.maps[kind]
                 rect, b = composed_branch(E, 1, 7)
-                x = EdgeCoordinate(1, kind, 0.0)
+                at, x = 1, 0.0
                 for _ in range(7):
-                    x = E.apply(x)
-                assert x.rect == rect
-                assert abs(x.offset - b) <= 1e-9
+                    at, x = _step(E, at, x)
+                assert at == rect
+                assert abs(x - b) <= 1e-9
 
 
 class TestCorners:
@@ -158,8 +162,8 @@ class TestCorners:
         tl = [pt for pt in points["L"] if pt.corner_type == "TL"]
         assert len(tl) == 4
         assert {pt.period for pt in tl} == {4}
-        assert {pt.location.rect for pt in tl} == {1, 2, 3, 4}
-        assert all(pt.location.offset == 0.0 for pt in tl)
+        assert {pt.rect for pt in tl} == {1, 2, 3, 4}
+        assert all(pt.offset == 0.0 for pt in tl)
 
     def test_partners_have_same_type_and_period(self):
         for M in random_irreducible_matrices(30, seed=37):
@@ -211,14 +215,12 @@ def _reference_initial_keys(points):
     for okey in sorted(orbits, key=lambda kv: (KINDS.index(kv[0]), kv[1])):
         if okey in handled:
             continue
-        chosen = min(
-            orbits[okey], key=lambda pt: (pt.location.rect, pt.location.offset)
-        )
+        chosen = min(orbits[okey], key=lambda pt: (pt.rect, pt.offset))
         initial.add(chosen.key)
         handled.add(okey)
         if chosen.is_corner:
             kind = _PARTNER_KIND[chosen.corner_type][chosen.map_kind]
-            partner = index[(kind, chosen.location.rect)]
+            partner = index[(kind, chosen.rect)]
             initial.add(partner.key)
             handled.add((partner.map_kind, partner.orbit_id))
     return initial

@@ -28,6 +28,7 @@ from endperiodic import (
     classify_classes,
     enumerate_identifications,
     link_corner_partners,
+    max_escape_depth,
     perron_eigendata,
     piece_map,
     run_pipeline,
@@ -103,7 +104,6 @@ class TestIntegerCaseGeometry:
             )
             assert kinds == ["BL", "TR"]  # the corners not blown into strips
             for c in corner_classes:
-                assert c.infinite
                 assert c.link_type == "Line"
 
     def test_finite_classes_are_pairs(self, d_results):
@@ -145,7 +145,7 @@ class TestAttachments:
         index = {pt.key: pt for pts in running_result.points.values() for pt in pts}
         for key, strip in running_result.extended.strips.items():
             pt = index[key]
-            assert strip.lo - 1e-9 <= pt.location.offset <= strip.hi + 1e-9
+            assert strip.lo - 1e-9 <= pt.offset <= strip.hi + 1e-9
 
 
 ENTRY_CASES = ["corpus", "lifts", "x^n-x-1", "seeded", "sparse"]
@@ -215,7 +215,7 @@ class TestIdentifications:
         for k in (2, 4, 64):
             res = _lift_result(k)
             short = enumerate_identifications(
-                res.extended, depth_cap=res.schema.escape_depth
+                res.extended, depth_cap=max_escape_depth(res.system)
             )
             unstabilized = 0
             for gen, full in zip(short.generators, res.schema.generators):
@@ -261,7 +261,7 @@ class TestIdentifications:
         # before it.
         for res in entry_results:
             ext, schema = res.extended, res.schema
-            bound = schema.escape_depth + schema.nesting_period
+            bound = max_escape_depth(res.system) + schema.nesting_period
             for gen in schema.generators:
                 depths = []
                 for side, kind in enumerate(SIDE_KINDS[gen.gen_id[0]]):
@@ -309,7 +309,7 @@ def _float_rule_entry(ext, kind, first, depth_cap):
 
 class TestRunningExample:
     def test_depth_constants(self, running_result):
-        assert running_result.schema.escape_depth == 10
+        assert max_escape_depth(running_result.system) == 10
         # the lcm of the cycle periods 4, 2, 4, 2
         assert running_result.schema.nesting_period == 4
         assert running_result.schema.depth_cap == 10 + 3 * 4
@@ -692,7 +692,7 @@ class TestClassPartition:
 
     def test_node_order_within_classes(self, running_result):
         for c in running_result.census.classes:
-            if c.infinite:
+            if c.link_type is not None:
                 assert list(c.nodes) == sorted(c.nodes, key=_node_str)
             else:
                 assert list(c.nodes) == sorted(c.nodes)
@@ -926,7 +926,7 @@ def _eager_classes(schema, ext):
 
     def infinite_class(ids, edges):
         class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
-        return EquivalenceClass(class_nodes, True, _classify_link(ids, edges))
+        return EquivalenceClass(class_nodes, _classify_link(ids, edges))
 
     def by_node_str(root):
         return _node_str(nodes[root])
@@ -943,7 +943,7 @@ def _eager_classes(schema, ext):
     ]
     sizes = Counter(len(c) for c in finite)
     counts = (sizes[1], sizes[2], sum(n for k, n in sizes.items() if k > 2))
-    classes = tuple(EquivalenceClass(c, False, None) for c in finite) + tuple(
+    classes = tuple(EquivalenceClass(c, None) for c in finite) + tuple(
         infinite
     )
     return counts, tuple(infinite), classes

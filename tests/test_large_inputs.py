@@ -45,6 +45,7 @@ from endperiodic import (
     block_lift,
     build_record,
     load_record,
+    max_escape_depth,
     verify_record,
 )
 from endperiodic.cli import main
@@ -87,7 +88,7 @@ def test_certifies_and_verifies(name):
     M, k = case()
     record, result = build_record(M, weak_perron_k=k)
     schema = result.schema
-    assert (schema.escape_depth, schema.nesting_period) == (N, m)
+    assert (max_escape_depth(result.system), schema.nesting_period) == (N, m)
     assert schema.depth_cap == N + 3 * m
     assert result.surface.connected is True
     results = verify_record(load_record(record.to_json()))

@@ -77,7 +77,8 @@ def _surface(x):
 class TestVerifyStretch:
     def test_pipeline_report_verifies(self, running_matrix, running_result):
         report = verify_stretch(running_matrix, running_result.surface)
-        assert report.relative_error <= 1e-9
+        x = running_result.surface.stretch_factor
+        assert report.bracket == (x * (1 - 1e-9), x * (1 + 1e-9))
         lo, hi = report.bracket
         assert lo < running_result.eigen.lam < hi
         assert lo < spectral_radius_exact(running_matrix) < hi

@@ -12,6 +12,7 @@ from endperiodic import (
     block_lift,
     classify_classes,
     enumerate_identifications,
+    max_escape_depth,
     run_pipeline,
 )
 
@@ -55,15 +56,15 @@ class TestPeriodicPoints:
         for _, res in corpus_results:
             for kind, pts in res.points.items():
                 E = res.system.maps[kind]
-                rects = [pt.location.rect for pt in pts]
+                rects = [pt.rect for pt in pts]
                 assert len(rects) == len(set(rects))
                 for pt in pts:
-                    pos, rect = pt.location.offset, pt.location.rect
+                    pos, rect = pt.offset, pt.rect
                     for _ in range(pt.period):
                         pos = E.branches[rect].apply(pos)
                         rect = E.digraph[rect]
-                    assert rect == pt.location.rect
-                    assert abs(pos - pt.location.offset) <= 1e-9
+                    assert rect == pt.rect
+                    assert abs(pos - pt.offset) <= 1e-9
 
     def test_agrees_with_iteration_oracle(self, corpus_results):
         for _, res in corpus_results:
@@ -71,14 +72,14 @@ class TestPeriodicPoints:
             for kind, pts in res.points.items():
                 E = res.system.maps[kind]
                 for pt in pts:
-                    rect = pt.location.rect
+                    rect = pt.rect
                     pos = 0.31 * E.edge_length(rect, D)
                     cur = rect
                     for _ in range(200):
                         pos = E.branches[cur].apply(pos)
                         cur = E.digraph[cur]
                     if cur == rect:
-                        assert abs(pos - pt.location.offset) <= 1e-9
+                        assert abs(pos - pt.offset) <= 1e-9
 
     def test_corner_points_have_same_period_partners(self, corpus_results):
         for _, res in corpus_results:
@@ -90,7 +91,7 @@ class TestPeriodicPoints:
                     partner = next(
                         p
                         for p in res.points[pkind]
-                        if p.location.rect == prect
+                        if p.rect == prect
                     )
                     assert partner.period == pt.period
                     assert partner.is_corner
@@ -101,7 +102,7 @@ class TestEscape:
         rng = np.random.default_rng(11)
         for _, res in corpus_results[:40]:
             D = res.decomposition
-            N = res.schema.escape_depth
+            N = max_escape_depth(res.system)
             strips = res.extended.strips
             for kind, E in res.system.maps.items():
                 lengths = {k: E.edge_length(k, D) for k in E.digraph}
@@ -139,7 +140,8 @@ class TestSurface:
             assert res.surface.stretch_factor == pytest.approx(
                 res.eigen.lam, rel=1e-12
             )
-            assert res.incidence.relative_error <= 1e-9
+            x = res.surface.stretch_factor
+            assert res.incidence.bracket == (x * (1 - 1e-9), x * (1 + 1e-9))
 
     def test_every_end_has_consistent_sign(self, corpus_results):
         for _, res in corpus_results:
@@ -179,7 +181,7 @@ def _window_caps(res):
         len(c) for E in res.system.maps.values() for c in E.cycles
     )
     if product <= 1000:
-        caps.append(schema.escape_depth + 3 * product)
+        caps.append(max_escape_depth(res.system) + 3 * product)
     return caps
 
 

@@ -20,6 +20,7 @@ from endperiodic import (
     block_lift,
     build_decomposition,
     build_record,
+    char_poly,
     load_record,
     max_escape_depth,
     nesting_period,
@@ -631,8 +632,10 @@ class TestTailFromRecord:
         # at the default window.
         unstabilized = 0
         for M, _ in _tail_inputs("corpus"):
-            full = run_pipeline(M).schema
-            record, result = build_record(M, depth_cap=full.escape_depth)
+            full = run_pipeline(M)
+            record, result = build_record(
+                M, depth_cap=max_escape_depth(full.system)
+            )
             data = json.loads(record.to_json())
             depths, short = _check_stored_sides(data)
             unstabilized += short
@@ -641,7 +644,7 @@ class TestTailFromRecord:
             pairs, tails = _rebuilt_window(data)
             assert pairs == [g.pair_states for g in generators]
             assert tails == [g.tail_orbits for g in generators]
-            assert tails == [g.tail_orbits for g in full.generators]
+            assert tails == [g.tail_orbits for g in full.schema.generators]
         assert unstabilized > 0
 
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
@@ -760,6 +763,28 @@ class TestArcReads:
         # each arc is read once per label table and once per residual
         assert counts == [4 * 64, 4 * 128]
         assert counts[1] == 2 * counts[0]
+
+    def test_char_poly_reads_the_arcs_only(self):
+        """Tooling guard: the cyclic block product of ``char_poly`` reads
+        each arc of M once, as the coefficient of a row combination. The
+        long-tail matrix of n = 200 (the n-cycle and one arc back, period
+        2) has 201 arcs and two classes of n_1 = 100, where a sum over all
+        n_1 vertices of the class before, for each of n_1 columns, reads
+        2,000,000 entries."""
+        n = 200
+        rows = [[0] * n for _ in range(n)]
+        for j in range(n):
+            rows[(j + 1) % n][j] = 1
+        rows[n - 2][n - 1] = 1
+        M = IntMatrix.from_rows(rows)
+        graph = _analyse(M)
+        assert len(graph.classes) == 2
+        reads = [0]
+        counting = SimpleNamespace(entries=_counting_rows(M.entries, reads), n=n)
+        poly = char_poly(counting, graph)
+        arcs = sum(map(len, graph.predecessors))
+        assert reads[0] == arcs == n + 1
+        assert poly == char_poly(M)
 
     def test_boundary_offsets_read_one_term_per_distinct_source(self):
         """Tooling guard: each strip boundary offset reads eta or omega

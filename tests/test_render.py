@@ -9,6 +9,7 @@ import pytest
 from endperiodic import (
     DIAGRAM_KINDS,
     DiagramSpec,
+    IntMatrix,
     InvalidInputError,
     render,
     run_pipeline,
@@ -32,12 +33,27 @@ FIGURE_SHA = {
     "Complex2D": "da0b2fc6620ee11647a38a51864bafbdab65348b541ffb4b0c3e7da2ce1086d3",
 }
 
+#: SHA-256 of two figures of [[2]]: every edge digraph is a self-loop at
+#: rectangle 1, so these draw the loop arcs and the one-rectangle orbits
+TWO_FIGURE_SHA = {
+    "Digraphs": "09975c6788bb6456092704e32ee3d659e4c105fd3619f93955d17c2a9f5ba850",
+    "Orbits": "5a62f6f2ae6aa9a119837934f5579ec0977cb12958806796a8bbd4fcb029bbb1",
+}
+
 
 class TestDocuments:
-    @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
-    def test_pinned_bytes(self, kind, running_result):
-        document = render(DiagramSpec(kind, running_result))
-        assert hashlib.sha256(document.encode("utf-8")).hexdigest() == FIGURE_SHA[kind]
+    @pytest.mark.parametrize(
+        "rows, kind",
+        [pytest.param(None, kind, id=kind) for kind in DIAGRAM_KINDS]
+        + [pytest.param([[2]], kind, id=f"two-{kind}") for kind in TWO_FIGURE_SHA],
+    )
+    def test_pinned_bytes(self, rows, kind, running_result):
+        if rows is None:
+            result, pins = running_result, FIGURE_SHA
+        else:
+            result, pins = run_pipeline(IntMatrix.from_rows(rows)), TWO_FIGURE_SHA
+        document = render(DiagramSpec(kind, result))
+        assert hashlib.sha256(document.encode("utf-8")).hexdigest() == pins[kind]
 
     @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
     def test_well_formed_xml(self, kind, running_result):

@@ -2,7 +2,8 @@
 pyproject.toml declares (``requires-python >= 3.10``), every imported name
 is read, every private module-level name is read by package code and
 every public one by package code or ``__all__``, no module defines a
-private ``_x`` beside a public ``x``, every
+private ``_x`` beside a public ``x``, every field and method of a package
+class is read by package or benchmark code, every
 dataclass is frozen and every value type of the pipeline
 refuses a field assignment, so a value is complete when it is built,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
@@ -141,6 +142,48 @@ def test_every_public_name_is_read_or_exported():
     assert len(defined) > 80
     used = _package_reads() | set(endperiodic.__all__)
     assert [d for d in defined if d[1] not in used] == sorted(BENCHMARK_ONLY)
+
+
+BENCH_SOURCES = sorted(
+    (Path(__file__).resolve().parents[1] / "bench").glob("*.py")
+)
+
+
+def _class_members() -> list[tuple[str, str]]:
+    """(class, member) of each annotated field and each non-dunder method
+    of every class defined in a package module."""
+    members = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    members.append((node.name, item.target.id))
+                elif isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    members.append((node.name, item.name))
+    return members
+
+
+def test_every_class_member_is_read():
+    # a field that is built and never read, or a method that nothing
+    # calls, is a data structure that nothing reads. The check matches
+    # names only: a member whose name is read on another type (``apply``,
+    # ``index``, ``lam``) passes it unread, so it catches fewer than it
+    # could, never a member that is read
+    members = _class_members()
+    assert len(members) > 150
+    read = {
+        node.attr
+        for path in SOURCES + BENCH_SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [m for m in members if m[1] not in read] == []
 
 
 def _frozen_flag(decorator) -> bool | None:

@@ -1,11 +1,13 @@
 """Tests for the direct integer construction and its pipeline cross-check."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from endperiodic import (
     InvalidInputError,
+    VerificationError,
     build_integer_case,
     cross_validate,
     f0_integer,
@@ -81,6 +83,26 @@ class TestCrossValidate:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_pipeline_agrees_with_direct_route(self, d):
         assert cross_validate(d) is True
+
+    def test_expected_values_come_from_the_direct_record(self, monkeypatch):
+        # a direct record with d + 1 vertical strips disagrees with the
+        # pipeline's d: the check reads its counts off the record
+        import endperiodic.warmup as warmup
+
+        build = warmup.build_integer_case
+
+        def tampered(d):
+            case = build(d)
+            q = Fraction(1, d + 1)
+            strips = tuple((k * q, (k + 1) * q) for k in range(d + 1))
+            return replace(case, direct=replace(case.direct, vertical_strips=strips))
+
+        monkeypatch.setattr(warmup, "build_integer_case", tampered)
+        with pytest.raises(VerificationError) as info:
+            cross_validate(3)
+        assert info.value.actual.startswith(
+            "vertical_strip_count: direct=4 pipeline=3; "
+        )
 
     def test_pipeline_facts(self):
         from endperiodic.warmup import _pipeline_facts

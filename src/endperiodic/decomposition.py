@@ -219,16 +219,15 @@ def build_decomposition(
 class PieceMapBranch(NamedTuple):
     """One affine branch of the piece map.
 
-    Maps the vertical strip ``source_label`` (in rectangle source_rect k,
-    x in [x0, x0 + omega_i/lambda], full height) onto the horizontal strip
-    ``target_label`` (in rectangle target_rect i, full width, y in
-    [y0, y0 + eta_k/lambda]) via (x, y) -> (lambda*(x - x0), y0 + y/lambda).
+    Maps the vertical strip ``source_label`` (in rectangle k =
+    ``source_label.rect``, x in [x0, x0 + omega_i/lambda], full height)
+    onto the horizontal strip ``target_label`` (in rectangle i =
+    ``target_label.rect``, full width, y in [y0, y0 + eta_k/lambda]) via
+    (x, y) -> (lambda*(x - x0), y0 + y/lambda).
     """
 
     source_label: StripLabel
     target_label: StripLabel
-    source_rect: int
-    target_rect: int
     x0: float
     y0: float
 
@@ -245,15 +244,14 @@ class PieceMap(NamedTuple):
     target_index: dict[StripLabel, PieceMapBranch]
 
 
-def _intervals(orders, offsets) -> dict:
-    """label -> (start, end) float offsets of every strip, read off the
-    stored ``offsets``."""
-    out = {}
-    for k, order in orders.items():
-        ends = offsets[k]
-        for t, label in enumerate(order):
-            out[label] = (ends[t], ends[t + 1])
-    return out
+def _starts(orders, offsets) -> dict:
+    """label -> start offset of every strip, read off the stored
+    ``offsets``."""
+    return {
+        label: offsets[k][t]
+        for k, order in orders.items()
+        for t, label in enumerate(order)
+    }
 
 
 def piece_map(D: StripDecomposition) -> PieceMap:
@@ -263,8 +261,8 @@ def piece_map(D: StripDecomposition) -> PieceMap:
     onto the horizontal strip sigma_i(H^(i)_{k,j}); the labels V^(k)_{i,j}
     are read off the canonical order of Q_k, not off M.
     """
-    columns = _intervals(D.vertical_order, D.vertical_offsets)
-    rows = _intervals(D.horizontal_order, D.horizontal_offsets)
+    columns = _starts(D.vertical_order, D.vertical_offsets)
+    rows = _starts(D.horizontal_order, D.horizontal_offsets)
     branches = []
     for k, order in D.vertical_order.items():
         tau_inv = D.tau_inv(k)
@@ -276,10 +274,8 @@ def piece_map(D: StripDecomposition) -> PieceMap:
                 PieceMapBranch(
                     source_label=src,
                     target_label=tgt,
-                    source_rect=k,
-                    target_rect=i,
-                    x0=columns[src][0],
-                    y0=rows[tgt][0],
+                    x0=columns[src],
+                    y0=rows[tgt],
                 )
             )
     by_source = {b.source_label: b for b in branches}

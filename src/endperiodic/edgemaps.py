@@ -181,7 +181,7 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
             order = D.vertical_order[k]
             strip = order[0] if kind == "L" else order[-1]
             br = by_source[strip]
-            i = br.target_rect
+            i = br.target_label.rect
             tgt_order = D.horizontal_order[i]
             branches[k] = EdgeBranch(
                 target_rect=i,
@@ -200,7 +200,7 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
             order = D.horizontal_order[i]
             strip = order[0] if kind == "T" else order[-1]
             br = by_target[strip]
-            k = br.source_rect
+            k = br.source_label.rect
             src_order = D.vertical_order[k]
             branches[i] = EdgeBranch(
                 target_rect=k,

@@ -410,9 +410,9 @@ def enumerate_identifications(
             br_right = by_source[vorder[t]]
             br_left = by_source[vorder[t - 1]]
             first = (
-                ("E", br_right.target_rect, "L", br_right.y0,
+                ("E", br_right.target_label.rect, "L", br_right.y0,
                  br_right.y0 + height / lam),
-                ("E", br_left.target_rect, "R", br_left.y0,
+                ("E", br_left.target_label.rect, "R", br_left.y0,
                  br_left.y0 + height / lam),
             )
             traces.append(_trace(ext, f"X:{k}:{t}", first, depth_cap))
@@ -422,9 +422,9 @@ def enumerate_identifications(
             br_below = by_target[horder[t]]
             br_above = by_target[horder[t - 1]]
             first = (
-                ("E", br_below.source_rect, "T", br_below.x0,
+                ("E", br_below.source_label.rect, "T", br_below.x0,
                  br_below.x0 + width / lam),
-                ("E", br_above.source_rect, "B", br_above.x0,
+                ("E", br_above.source_label.rect, "B", br_above.x0,
                  br_above.x0 + width / lam),
             )
             traces.append(_trace(ext, f"Y:{k}:{t}", first, depth_cap))
@@ -514,12 +514,46 @@ def _trace(ext, gen_id, first, depth_cap):
 _WINDOW = 2 * COORD_TOL
 
 
+def _least_within(positions: list[float], ids: list[int], z: float,
+                  new: int) -> int:
+    """The least of ``ids`` whose position is within ``COORD_TOL`` of z;
+    if there is none, ``new``, inserted with z at its sorted place.
+
+    ``positions`` is sorted and ``ids[t]`` belongs to ``positions[t]``. The
+    search bisects to the window ``[z - 2 COORD_TOL, z + 2 COORD_TOL]`` and
+    tests each position p in it with ``abs(p - z) <= COORD_TOL``. The
+    window is wider than that test reaches by ``COORD_TOL`` on each side,
+    and computing ``z - p`` or a window end rounds by at most a unit in the
+    last place of coordinates of size about 1, some 1e-16: every position
+    that passes the test lies in the window, so the test alone decides.
+    Positions that were inserted here are more than ``COORD_TOL`` apart,
+    so the window holds a few of them. Where ids grow in insertion order,
+    the least id is the first position that a scan in insertion order
+    would meet.
+    """
+    lo = t = bisect_left(positions, z - _WINDOW)
+    top = z + _WINDOW
+    end = len(positions)
+    least = None
+    while t < end and positions[t] <= top:
+        if abs(positions[t] - z) <= COORD_TOL:
+            if least is None or ids[t] < least:
+                least = ids[t]
+        t += 1
+    if least is not None:
+        return least
+    while lo < t and positions[lo] < z:
+        lo += 1
+    positions.insert(lo, z)
+    ids.insert(lo, new)
+    return new
+
+
 class _Bin:
-    """One edge ``(rect, side)`` or strip level ``(key, w)`` of the
-    registry: ``prefix``, the node tuple without its position; ``head``,
-    the string ``_node_str(prefix) + ":"``, which the caller formats; the
-    positions of its nodes in ascending order and their ids in the same
-    order."""
+    """One edge ``(rect, side)`` of the registry: ``prefix``, the node
+    tuple without its position; ``head``, the string ``_node_str(prefix) +
+    ":"``; the positions of its nodes in ascending order and their ids in
+    the same order."""
 
     __slots__ = ("prefix", "head", "positions", "ids")
 
@@ -533,45 +567,29 @@ class _Bin:
 class _NodeRegistry:
     """Dense integer ids for quantized points on edges and strip boundaries.
 
-    ``node_id`` gives each geometric point an ``int`` id the first time it
-    sees it; ``nodes[i]`` is the node tuple of id ``i``, so ids run
-    0, 1, 2, ... in order of first sight, and ``heads[i]`` is the head of
-    its ``_node_str``: the node string up to its position for an edge or
-    strip node, the whole string for a corner. Positions within coordinate
-    tolerance of 0 or of the edge length (of 0 or 1 on strips) snap there;
-    rectangle corners and strip base corners are aliased to a single
-    canonical corner node, since the same geometric point appears under
-    several coordinate descriptions. Any other position gets the least id
-    of its edge (or strip level) within tolerance, or a new one.
+    ``nodes[i]`` is the node tuple of id ``i``; ids run 0, 1, 2, ... in
+    order of first sight, and ``heads[i]`` is the head of its
+    ``_node_str``: the node string up to its position for an edge or strip
+    node, the whole string for a corner. ``edge_id`` resolves points on
+    rectangle edges. Positions within coordinate tolerance of 0 or of the
+    edge length snap there, and each rectangle corner is one node, since
+    the same geometric point appears under several coordinate
+    descriptions. Any other position gets the least id of its edge within
+    tolerance (``_least_within`` on the edge's ``_Bin``), or a new one.
 
-    Each edge keeps its length, its two corner nodes and a ``_Bin``; each
-    strip level keeps a ``_Bin``. A lookup bisects the bin's sorted
-    positions to the window ``[z - 2 COORD_TOL, z + 2 COORD_TOL]`` and
-    tests each position p in it with ``abs(p - z) <= COORD_TOL``. The
-    window is wider than that test reaches by ``COORD_TOL`` on each side,
-    and computing ``z - p`` or a window end rounds by at most a unit in the
-    last place of coordinates of size about 1, some 1e-16: every position
-    that passes the test lies in the window, so the test alone decides.
-    Nodes of one bin are more than ``COORD_TOL`` apart, so the window holds
-    a few of them. The least id is the first node a scan in insertion order
-    would meet, since a bin's ids grow in the order its nodes were made.
-
-    The registry resolves any edge or strip state. ``classify_classes``
-    sends it edge states, strip states at height 0 and the strip levels
-    of orbits whose entry coordinates may merge within tolerance; the
-    levels above height 0 of the other orbits are ``_TailLevel`` dicts,
-    which append to the same ``nodes`` and ``heads``.
+    Strip nodes are made by the ``_StripLevel`` tables of
+    ``classify_classes``, which append to the same ``nodes`` and
+    ``heads``; a strip base corner at height 0 is the edge point that its
+    table looks up here.
     """
 
-    def __init__(self, decomposition, strips):
+    def __init__(self, decomposition):
         self.D = decomposition
-        self.strips = strips
         self.nodes: list[tuple] = []
         self.heads: list[str] = []
         self._corner_ids: dict[tuple, int] = {}
         # (rect, side) -> (length, start corner, end corner, bin)
         self._edges: dict[tuple[int, str], tuple] = {}
-        self._levels: dict[tuple, _Bin] = {}
 
     def _edge(self, rect, side) -> tuple:
         vertical = side in ("L", "R")
@@ -601,39 +619,12 @@ class _NodeRegistry:
             return i
         return self._bin_id(bin, pos)
 
-    def node_id(self, state, endpoint: int) -> int:
-        """The id of endpoint 0 or 1 of an edge or strip state."""
-        if state[0] == "E":
-            return self.edge_id(state[1], state[2], state[3 + endpoint])
-        _, key, _, _, w = state
-        z = _snapped(state[2 + endpoint])
-        if w == 0 and (z == 0.0 or z == 1.0):
-            strip = self.strips[key]
-            return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
-        bin = self._levels.get((key, w))
-        if bin is None:
-            bin = self._levels[(key, w)] = _Bin(("S", key, w), f"S:{key}:{w}:")
-        return self._bin_id(bin, z)
-
-    def _bin_id(self, bin: _Bin, z: float) -> int:
-        positions, ids = bin.positions, bin.ids
-        lo = t = bisect_left(positions, z - _WINDOW)
-        top = z + _WINDOW
-        end = len(positions)
-        least = None
-        while t < end and positions[t] <= top:
-            if abs(positions[t] - z) <= COORD_TOL:
-                if least is None or ids[t] < least:
-                    least = ids[t]
-            t += 1
-        if least is not None:
-            return least
-        i = len(self.nodes)
-        t = bisect_left(positions, z, lo, t)
-        positions.insert(t, z)
-        ids.insert(t, i)
-        self.nodes.append(bin.prefix + (z,))
-        self.heads.append(bin.head)
+    def _bin_id(self, bin: _Bin, pos: float) -> int:
+        new = len(self.nodes)
+        i = _least_within(bin.positions, bin.ids, pos, new)
+        if i == new:
+            self.nodes.append(bin.prefix + (pos,))
+            self.heads.append(bin.head)
         return i
 
 
@@ -784,15 +775,17 @@ def _least_node_str(nodes, heads, ids) -> str:
     whole string, and it differs from every edge or strip string at the
     first character, the type letter (``C`` < ``E`` < ``S``). The heads
     thus decide every comparison except between nodes that tie on the
-    least one.
+    least one, and their strings are that head followed by the position.
     """
     least = min(map(heads.__getitem__, ids))
-    return min(_node_str(nodes[i]) for i in ids if heads[i] == least)
+    if least[0] == "C":
+        return least
+    return least + min(repr(nodes[i][3]) for i in ids if heads[i] == least)
 
 
 def _snapped(z: float) -> float:
     """A strip coordinate snapped to 0 or 1 within ``COORD_TOL``, else
-    unchanged: the position that ``_NodeRegistry.node_id`` looks up."""
+    unchanged: the position that a ``_StripLevel`` looks up."""
     if abs(z) <= COORD_TOL:
         return 0.0
     if abs(z - 1.0) <= COORD_TOL:
@@ -800,76 +793,120 @@ def _snapped(z: float) -> float:
     return z
 
 
-class _TailLevel(dict):
-    """z -> id on one strip level ``(key, w)`` above height 0 of an orbit
-    whose entry coordinates cannot merge (see ``_tail_levels``): a z that
-    the level has not seen becomes the registry's next node."""
+def _moves(zs) -> dict[float, float]:
+    """The positions that a level fed the sequence ``zs`` gives, as z ->
+    the position of the least id within ``COORD_TOL`` (``_least_within``,
+    ids in order of first sight) for each z that this does not keep."""
+    positions: list[float] = []
+    ids: list[int] = []
+    firsts: list[float] = []
+    moves = {}
+    for z in zs:
+        i = _least_within(positions, ids, z, len(firsts))
+        if i == len(firsts):
+            firsts.append(z)
+        elif firsts[i] != z:
+            moves[z] = firsts[i]
+    return moves
 
-    __slots__ = ("nodes", "heads", "prefix", "head")
 
-    def __init__(self, registry: _NodeRegistry, key, w: int):
-        self.nodes = registry.nodes
-        self.heads = registry.heads
-        self.prefix = ("S", key, w)
-        self.head = f"S:{key}:{w}:"
+class _StripLevel(dict):
+    """z -> id on one strip level ``(key, w)``: a z that the level has not
+    seen becomes the registry's next node, unless ``moves`` sends it to an
+    earlier position of the level, whose id it takes. At height 0,
+    ``strip`` is the level's strip, and z = 0 or 1, a base corner, is the
+    edge point that ``_NodeRegistry.edge_id`` resolves."""
+
+    __slots__ = ("registry", "prefix", "head", "moves", "strip")
+
+    def __init__(self, registry: _NodeRegistry, prefix: tuple, head: str,
+                 moves: dict[float, float], strip: InfiniteStrip | None):
+        self.registry = registry
+        self.prefix = prefix
+        self.head = head
+        self.moves = moves
+        self.strip = strip
 
     def __missing__(self, z: float) -> int:
-        i = self[z] = len(self.nodes)
-        self.nodes.append(self.prefix + (z,))
-        self.heads.append(self.head)
+        strip = self.strip
+        if strip is not None and (z == 0.0 or z == 1.0):
+            i = self.registry.edge_id(strip.rect, strip.kind,
+                                      strip.z_to_offset(z))
+        elif z in self.moves:
+            i = self[self.moves[z]]
+        else:
+            nodes = self.registry.nodes
+            i = len(nodes)
+            nodes.append(self.prefix + (z,))
+            self.registry.heads.append(self.head)
+        self[z] = i
         return i
 
 
-def _tail_levels(schema: IdentificationSchema, ext: ExtendedPieceMap,
-                 registry: _NodeRegistry) -> dict[tuple[str, int], list]:
-    """For each orbit whose snapped entry coordinates are pairwise more
-    than ``COORD_TOL`` apart, by the registry's float difference: its
-    entry strip key -> one entry per step s after entry, the
-    ``_TailLevel`` that a side is on s steps after it entered, or None
-    while it is at height 0.
+def _strip_levels(schema: IdentificationSchema, ext: ExtendedPieceMap,
+                  registry: _NodeRegistry) -> dict[tuple[str, int], list]:
+    """Each strip orbit's entry strip key -> its ``_StripLevel`` at each
+    step s after entry, to the last step in the window of its earliest
+    side.
 
     Every side enters its orbit at the orbit's initial strip, at height 0
     (``_strip_entry``), so the key of its entry state names the orbit,
     and s steps later every side of the orbit is on the same level. The
-    lists run to the last step in the window of the orbit's earliest
-    side. Float subtraction is monotone, so comparing neighbours of the
-    sorted distinct values decides the check.
+    level's lookups are the snapped entry coordinates of the sides with
+    entry depth t <= ``depth_cap`` - s, in generator order, without 0 and
+    1 at height 0. An orbit whose snapped entry coordinates are pairwise
+    more than ``COORD_TOL`` apart, by the registry's float difference,
+    moves none of them; float subtraction is monotone, so comparing
+    neighbours of the sorted distinct values decides this. Any other
+    orbit has one ``_moves`` map per distinct set of sides, made at the
+    first step that has it: the set shrinks as s grows. Whether 0 and 1
+    are left out does not change a map: every other snapped value is more
+    than ``COORD_TOL`` from both, and their float difference is exact,
+    so 0 and 1 neither move nor are moved to.
     """
-    entries: dict[tuple[str, int], set[float]] = {}
-    earliest: dict[tuple[str, int], int] = {}
+    cap = schema.depth_cap
+    entries: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
     for gen in schema.generators:
         for side in gen.sides:
             state = side[-1]
             if state[0] == "S":
-                key = state[1]
-                zs = entries.setdefault(key, set())
-                zs.add(_snapped(state[2]))
-                zs.add(_snapped(state[3]))
-                earliest[key] = min(earliest.get(key, len(side)), len(side))
+                entries.setdefault(state[1], []).append(
+                    (len(side), _snapped(state[2]), _snapped(state[3]))
+                )
+    names = {key: str(key) for key in ext.strips}
     levels = {}
-    for entry_key, zs in entries.items():
-        zs = sorted(zs)
-        if any(b - a <= COORD_TOL for a, b in zip(zs, islice(zs, 1, None))):
-            continue
+    for entry_key, sides in entries.items():
+        zs = sorted({z for _, z0, z1 in sides for z in (z0, z1)})
+        merge = any(b - a <= COORD_TOL for a, b in zip(zs, islice(zs, 1, None)))
+        depths = sorted({t for t, _, _ in sides})
+        moves: dict[float, float] = {}
         key, w = entry_key, 0
-        steps = levels[entry_key] = [None]
-        for _ in range(schema.depth_cap - earliest[entry_key]):
+        steps = levels[entry_key] = []
+        for s in range(cap - depths[0] + 1):
+            if merge and (s == 0 or depths[-1] > cap - s):
+                while depths[-1] > cap - s:
+                    depths.pop()
+                moves = _moves(
+                    z for t, z0, z1 in sides if t <= cap - s for z in (z0, z1)
+                )
+            steps.append(_StripLevel(
+                registry, ("S", key, w), f"S:{names[key]}:{w}:", moves,
+                None if w else ext.strips[key],
+            ))
             key, rise = ext.step[key]
             w += rise
-            steps.append(_TailLevel(registry, key, w) if w else None)
     return levels
 
 
-def _side_levels(side, tails) -> tuple:
-    """``(levels, z0, z1)`` for one side: its ``_TailLevel`` at each depth
-    from 1 on, None where it is not on one, and its two snapped entry
-    coordinates, which stepping keeps (None if it has no tail levels)."""
+def _side_levels(side, levels) -> tuple:
+    """``(levels, z0, z1)`` for one side: its ``_StripLevel`` at each depth
+    from 1 on, None while it is on an edge, and its two snapped entry
+    coordinates, which stepping keeps (None if it has not entered)."""
     entry = side[-1]
-    levels = tails.get(entry[1]) if entry[0] == "S" else None
-    if levels is None:
+    if entry[0] == "E":
         return repeat(None), None, None
     return (
-        chain(repeat(None, len(side) - 1), levels),
+        chain(repeat(None, len(side) - 1), levels[entry[1]]),
         _snapped(entry[2]),
         _snapped(entry[3]),
     )
@@ -934,25 +971,33 @@ def classify_classes(
     The pass runs over dense integer node ids and builds only what the
     census reads. Each identified pair of segments takes four lookups, the
     first endpoints of sides a and b, then the second ones, and a node's
-    id is the number of nodes seen before it. A strip state above height 0
-    of an orbit that ``_tail_levels`` admits reads its level's dict, z ->
-    id. Every other lookup is a ``_NodeRegistry.node_id`` call, which
-    bisects the sorted bin of its edge or strip level for the first id
-    within tolerance that a scan of the bin in insertion order would meet:
-    edge states, strip states at height 0, whose corners alias edge
-    nodes, and the levels of the orbits that fail the check. The dicts
-    give the ids that the registry would give:
+    id is the number of nodes seen before it. The rule is that of one
+    scan per edge or strip level in order of first sight: a position
+    within ``COORD_TOL`` of 0 or of the edge length (of 0 or 1 on strips)
+    snaps there, a strip base corner at height 0 is its edge point, and
+    any other position takes the least id of its edge or level within
+    ``COORD_TOL``, or a new one. An edge state is a
+    ``_NodeRegistry.edge_id`` call, which bisects its edge's sorted bin.
+    A strip state reads the ``_StripLevel`` table of its level, z -> id,
+    which gives the same ids:
 
-    * a level (key, w) with w >= 1 is reached only by the tail states of
-      sides that entered at the initial strip of key's orbit: every side
-      enters there at height 0 (``_strip_entry``), and only the tail rule
-      raises w;
-    * stepping keeps each side's (za, zb), so the positions on the level
-      are among the orbit's snapped entry coordinates;
-    * ``_tail_levels`` admits the orbit only when those are pairwise more
-      than ``COORD_TOL`` apart by the registry's own float difference, so
-      the registry's tolerance test on the level can only match an equal
-      float, whose id the dict holds.
+    * a level (key, w) is reached only at one step s of one orbit: every
+      side enters at the initial strip of key's orbit at height 0
+      (``_strip_entry``), and the tail rule moves it one strip per step,
+      one unit up per period;
+    * stepping keeps each side's (za, zb), and the two sides of a
+      generator lie in orbits of different kinds, so the level's lookups
+      are, in classify's order, the snapped entry coordinates of the
+      orbit's sides with entry depth t <= ``depth_cap`` - s in generator
+      order, z0 before z1, without 0 and 1 at height 0, which go to
+      ``edge_id``;
+    * the table sends each z to the position that the rule gives on that
+      sequence: itself where the orbit's entry coordinates are pairwise
+      more than ``COORD_TOL`` apart by the registry's own float
+      difference, else by the ``_moves`` map of that sequence, which
+      runs the edges' search, ``_least_within``;
+    * a position is first looked up before any z that it takes, so the
+      table makes each node at the lookup where the scan makes it.
 
     The same pass counts each distinct pairing edge once into the degrees
     of its ends: an edge whose ends have different roots is new, since the
@@ -971,11 +1016,11 @@ def classify_classes(
     without stringifying every node. ``ClassCensus.infinite_classes`` and
     ``ClassCensus.classes`` build the class objects on first read.
     """
-    registry = _NodeRegistry(ext.system.decomposition, ext.strips)
-    node_id = registry.node_id
+    registry = _NodeRegistry(ext.system.decomposition)
+    edge_id = registry.edge_id
     nodes, heads = registry.nodes, registry.heads
     cap = schema.depth_cap
-    tails = _tail_levels(schema, ext, registry)
+    levels = _strip_levels(schema, ext, registry)
 
     parent: list[int] = []
     first_depth: list[int] = []
@@ -987,14 +1032,14 @@ def classify_classes(
         a0s, a1s = cols = ([], [])
         columns.append(cols)
         (la_s, za0, za1), (lb_s, zb0, zb1) = (
-            _side_levels(side, tails) for side in gen.sides
+            _side_levels(side, levels) for side in gen.sides
         )
         steps = zip(count(1), gen.pair_states, la_s, lb_s)
         for depth, (sa, sb), la, lb in steps:
-            a0 = node_id(sa, 0) if la is None else la[za0]
-            b0 = node_id(sb, 0) if lb is None else lb[zb0]
-            a1 = node_id(sa, 1) if la is None else la[za1]
-            b1 = node_id(sb, 1) if lb is None else lb[zb1]
+            a0 = edge_id(sa[1], sa[2], sa[3]) if la is None else la[za0]
+            b0 = edge_id(sb[1], sb[2], sb[3]) if lb is None else lb[zb0]
+            a1 = edge_id(sa[1], sa[2], sa[4]) if la is None else la[za1]
+            b1 = edge_id(sb[1], sb[2], sb[4]) if lb is None else lb[zb1]
             known = len(parent)
             if len(nodes) > known:
                 new = len(nodes) - known
@@ -1071,10 +1116,12 @@ def classify_classes(
     for a0s, a1s in columns:
         steps = zip(a0s, islice(a0s, 2, None), a1s, islice(a1s, 2, None))
         for x, y, u, v in steps:
-            for a, b in ((x, y), (u, v)):
-                ra, rb = parent[a], parent[b]
-                if ra != rb and ra in family and rb in family:
-                    _union(family, ra, rb)
+            rx, ry = parent[x], parent[y]
+            if rx != ry and rx in family and ry in family:
+                _union(family, rx, ry)
+            ru, rv = parent[u], parent[v]
+            if ru != rv and ru in family and rv in family:
+                _union(family, ru, rv)
 
     families: dict[int, list[int]] = {}
     for root in shard_roots:
@@ -1089,7 +1136,7 @@ def classify_classes(
         )
 
     def by_node_str(root):
-        return _node_str(nodes[root])
+        return _least_node_str(nodes, heads, (root,))
 
     summaries = [
         summary(members[root], 1)

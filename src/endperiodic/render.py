@@ -164,11 +164,20 @@ def _rect_geometry(D):
     return geo, x - _GAP + _MARGIN
 
 
+def _intervals(orders, offsets) -> dict:
+    """label -> (start, end) float offsets of every strip, read off the
+    stored ``offsets``."""
+    out = {}
+    for k, order in orders.items():
+        ends = offsets[k]
+        for t, label in enumerate(order):
+            out[label] = (ends[t], ends[t + 1])
+    return out
+
+
 def _render_piece_map(result) -> str:
     _require(result, ("decomposition", "system"), "PieceMap")
     D = result.decomposition
-    from .decomposition import _intervals
-
     by_source = result.system.piece_map.source_index
     columns = _intervals(D.vertical_order, D.vertical_offsets)
     rows = _intervals(D.horizontal_order, D.horizontal_offsets)

@@ -93,7 +93,7 @@ class TestPieceMap:
             D = _decomp(M)
             lam = D.eigen.lam
             for br in piece_map(D).source_index.values():
-                k, i = br.source_rect, br.target_rect
+                k, i = br.source_label.rect, br.target_label.rect
                 t = D.vertical_order[k].index(br.source_label)
                 x0, x1 = D.vertical_offsets[k][t : t + 2]
                 u = D.horizontal_order[i].index(br.target_label)
@@ -129,7 +129,7 @@ class TestCornerSelection:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             leftmost = D.vertical_order[a][0]
             br = by_source[leftmost]
-            assert br.target_rect == b
+            assert br.target_label.rect == b
             assert br.y0 == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_default_differs(self, running_matrix):

@@ -7,9 +7,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import endperiodic
 from endperiodic import (
@@ -33,14 +37,18 @@ from endperiodic import (
     piece_map,
     run_pipeline,
 )
+from endperiodic import gluing
 from endperiodic.edgemaps import _CORNER_AT_END, _CORNER_AT_START
 from endperiodic.gluing import (
     SIDE_KINDS,
     EquivalenceClass,
+    InfiniteStrip,
     _find,
     _NodeRegistry,
     _node_str,
+    _side_levels,
     _strip_entry,
+    _strip_levels,
     _union,
 )
 from endperiodic.spectral import COORD_TOL
@@ -480,17 +488,6 @@ class TestPinnedCensus:
         assert _census_sha(_lift_result(k).census) == LIFT_CENSUS_SHA[k]
 
 
-def _registry_nodes(res) -> list:
-    """Every distinct node of the schema's segment endpoints, by id."""
-    registry = _NodeRegistry(res.decomposition, res.extended.strips)
-    for gen in res.schema.generators:
-        for pair in gen.pair_states:
-            for state in pair:
-                for endpoint in (0, 1):
-                    registry.node_id(state, endpoint)
-    return registry.nodes
-
-
 class _ScanRegistry:
     """The reference registry: every lookup scans its whole bin in
     insertion order and takes the first node within ``COORD_TOL``."""
@@ -547,6 +544,22 @@ class _ScanRegistry:
         return self._scan(("S", key, w), z)
 
 
+def _scan_ids(schema, ext):
+    """A ``_ScanRegistry`` fed the lookups of ``classify_classes`` in its
+    order, and per generator the ids ``(a0, b0, a1, b1)`` of each depth's
+    pair: the first endpoints of sides a and b, then the second ones."""
+    registry = _ScanRegistry(ext.system.decomposition, ext.strips)
+    node_id = registry.node_id
+    ids = [
+        [
+            (node_id(sa, 0), node_id(sb, 0), node_id(sa, 1), node_id(sb, 1))
+            for sa, sb in gen.pair_states
+        ]
+        for gen in schema.generators
+    ]
+    return registry, ids
+
+
 def _tolerance_points(a):
     """``a``, a point exactly ``COORD_TOL`` above it (the float difference
     equals ``COORD_TOL``, so the two are within tolerance), and the next
@@ -557,28 +570,13 @@ def _tolerance_points(a):
 
 
 def _synthetic_states(res):
-    """Strip and edge states that exercise each rule of the lookup: new
-    nodes, hits on earlier ones, hits within tolerance but not equal, a
-    point within tolerance of two nodes of which the later one is closer
-    (the earlier one wins), points exactly ``COORD_TOL`` apart, snaps to
-    0, 1 and the edge length, and corners."""
+    """Edge states that exercise each rule of the lookup: new nodes, hits
+    on earlier ones, hits within tolerance but not equal, a point within
+    tolerance of two nodes of which the later one is closer (the earlier
+    one wins), points exactly ``COORD_TOL`` apart, snaps to 0 and the edge
+    length, and corners."""
     a, b, c = _tolerance_points(5e-7)
-    spans = [
-        (0.3, 0.3 + 5e-8), (0.3, 0.6), (0.6 + 5e-8, 0.9),
-        (0.3 + 1.5e-7, 0.9), (0.3 + 7.5e-8, 0.7), (0.8, 0.3 + 7.5e-8),
-        (0.9, 0.3), (0.45, 0.45),
-        # 0.5 + 0.7e-7 is within tolerance of 0.5 and, closer, of the
-        # later node 0.5 + 1.2e-7
-        (0.5, 0.5 + 1.2e-7), (0.5 + 0.7e-7, 0.5 + 0.5e-7),
-        (a, b), (c, b),
-        (1e-9, 1 - 1e-9), (-5e-8, 1 + 5e-8), (0.0, 1.0),
-    ]
-    states = [
-        ("S", key, za, zb, w)
-        for w in (0, 1, 2)
-        for key in (("L", 2), ("R", 4))
-        for za, zb in spans
-    ]
+    states = []
     D = res.decomposition
     for rect in range(1, D.n + 1):
         for side in ("L", "R", "T", "B"):
@@ -596,26 +594,26 @@ def _synthetic_states(res):
     return states
 
 
-def _assert_same_ids(res, calls):
-    """The bisected registry and the scan give the same id on every
-    ``(state, endpoint)`` call, and end with the same nodes."""
-    fast = _NodeRegistry(res.decomposition, res.extended.strips)
-    reference = _ScanRegistry(res.decomposition, res.extended.strips)
-    for state, endpoint in calls:
-        expected = reference.node_id(state, endpoint)
-        assert fast.node_id(state, endpoint) == expected, (state, endpoint)
-    assert fast.nodes == reference.nodes
-    assert fast.heads == [
+def _heads(nodes) -> list[str]:
+    return [
         _node_str(node) if node[0] == "C" else _node_str(node[:3]) + ":"
-        for node in fast.nodes
+        for node in nodes
     ]
-    return fast.nodes
 
 
 class TestBisectedRegistry:
     def test_synthetic_points(self, running_result):
-        states = _synthetic_states(running_result)
-        _assert_same_ids(running_result, [(s, e) for s in states for e in (0, 1)])
+        """The bisected edge registry and the scan give the same id on
+        every edge state's endpoints, and end with the same nodes."""
+        res = running_result
+        fast = _NodeRegistry(res.decomposition)
+        reference = _ScanRegistry(res.decomposition, res.extended.strips)
+        for _, rect, side, *ends in _synthetic_states(res):
+            for pos in ends:
+                expected = reference.edge_id(rect, side, pos)
+                assert fast.edge_id(rect, side, pos) == expected, (rect, pos)
+        assert fast.nodes == reference.nodes
+        assert fast.heads == _heads(fast.nodes)
 
     @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
     def test_every_pair_in_classify_order(self, case, running_result):
@@ -627,49 +625,125 @@ class TestBisectedRegistry:
             results = [run_pipeline(seeded_irreducible_matrix(16))]
         else:
             # the first 30 of sparse_irreducible_matrices(120): deep windows
-            # where 63 of 178 orbits resolve their tail levels by bisection
+            # where 63 of 178 orbits have entries that may merge, so their
+            # levels take ``_moves`` maps
             results = [run_pipeline(M) for M in sparse_irreducible_matrices(30)]
         for res in results:
-            # classify_classes asks for a0, b0, a1, b1
-            calls = [
-                (state, endpoint)
-                for gen in res.schema.generators
-                for sa, sb in gen.pair_states
-                for endpoint in (0, 1)
-                for state in (sa, sb)
-            ]
-            assert _assert_same_ids(res, calls) == res.census.nodes
+            # the census's registry and forest are those of a scan fed
+            # classify's lookups in its order, with its unions
+            registry, ids = _scan_ids(res.schema, res.extended)
+            assert registry.nodes == res.census.nodes
+            parent = list(range(len(registry.nodes)))
+            for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
+                _union(parent, a0, b0)
+                _union(parent, a1, b1)
+            assert [_find(parent, i) for i in parent] == res.census.parent
 
 
-def _bisected_tail_lookups(results, monkeypatch) -> int:
-    """The ``_NodeRegistry`` bin lookups at strip levels above height 0
-    that ``classify_classes`` makes on ``results``."""
-    count = [0]
-    bin_id = _NodeRegistry._bin_id
+# offsets up to 1.5 COORD_TOL: multiples of COORD_TOL / 8, which repeat
+# values and shrink fast, or any float in range
+_NEAR = st.one_of(
+    st.integers(-12, 12).map(lambda k: k * COORD_TOL / 8),
+    st.floats(-1.5 * COORD_TOL, 1.5 * COORD_TOL),
+)
+_CLUSTERED = st.builds(float.__add__, st.sampled_from([0.0, 0.5, 1.0]), _NEAR)
 
-    def counting_bin_id(self, bin, z):
-        count[0] += bin.prefix[0] == "S" and bin.prefix[2] > 0
-        return bin_id(self, bin, z)
+
+@st.composite
+def _orbit_entries(draw):
+    """A depth cap and, per side in generator order, its entry depth and
+    two entry coordinates, drawn from clusters at 0, 0.5 and 1 whose
+    values lie within 1.5 ``COORD_TOL`` of each other."""
+    cap = draw(st.integers(1, 7))
+    sides = draw(st.lists(
+        st.tuples(st.integers(1, cap), _CLUSTERED, _CLUSTERED),
+        min_size=1, max_size=8,
+    ))
+    return cap, sides
+
+
+class TestStripLevels:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(_orbit_entries())
+    def test_levels_equal_a_scan_of_their_lookups(self, entries):
+        """The ``_StripLevel`` tables give the ids of a scan that takes the
+        least id within ``COORD_TOL`` of each lookup, in classify's order.
+
+        One L orbit of period 2 on rectangles 1 and 2, so two levels sit at
+        height 0, where a base corner z = 0 or 1 is an edge point. Each side
+        enters at its drawn depth t, and the level s steps past entry sees
+        the sides with t <= cap - s, so the sets of lookups shrink as s
+        grows, and the values within 1.5 ``COORD_TOL`` merge differently
+        in each."""
+        cap, sides = entries
+        D = SimpleNamespace(rect_height=lambda rect: 1.0)
+        strips = {
+            ("L", r): InfiniteStrip(("L", r), "L", "L:1", 2, r - 1, r,
+                                    0.25, 0.5)
+            for r in (1, 2)
+        }
+        system = SimpleNamespace(maps={"L": SimpleNamespace(digraph={1: 2, 2: 1})})
+        ext = build_extended_map(system, strips, {})
+        entry_states = [
+            ("S", ("L", 1), z0, z1, 0) for _, z0, z1 in sides
+        ]
+        schema = SimpleNamespace(depth_cap=cap, generators=[
+            SimpleNamespace(sides=((None,) * (t - 1) + (state,),))
+            for (t, _, _), state in zip(sides, entry_states)
+        ])
+        registry = _NodeRegistry(D)
+        levels = _strip_levels(schema, ext, registry)
+        reference = _ScanRegistry(D, strips)
+        for gen, state in zip(schema.generators, entry_states):
+            tables, z0, z1 = _side_levels(gen.sides[0], levels)
+            _, key, za, zb, w = state
+            for table in islice(tables, len(gen.sides[0]) - 1, cap):
+                at = ("S", key, za, zb, w)
+                assert table[z0] == reference.node_id(at, 0)
+                assert table[z1] == reference.node_id(at, 1)
+                key, rise = ext.step[key]
+                w += rise
+        assert registry.nodes == reference.nodes
+        assert registry.heads == _heads(reference.nodes)
+
+
+def _strip_bin_lookups_and_maps(results, monkeypatch) -> tuple[int, int]:
+    """The ``_NodeRegistry._bin_id`` lookups of a strip node and the
+    ``_moves`` maps that ``classify_classes`` makes on ``results``."""
+    counts = [0, 0]
+    bin_id, moves = _NodeRegistry._bin_id, gluing._moves
+
+    def counting_bin_id(self, bin, pos):
+        counts[0] += bin.prefix[0] != "E"
+        return bin_id(self, bin, pos)
+
+    def counting_moves(zs):
+        counts[1] += 1
+        return moves(zs)
 
     monkeypatch.setattr(_NodeRegistry, "_bin_id", counting_bin_id)
+    monkeypatch.setattr(gluing, "_moves", counting_moves)
     for res in results:
         classify_classes(res.schema, res.extended)
     monkeypatch.undo()
-    return count[0]
+    return counts[0], counts[1]
 
 
 class TestTailLookups:
     def test_tail_levels_bisect_only_where_entries_may_merge(self, monkeypatch):
-        """Tooling guard: ``classify_classes`` bisects a strip level above
-        height 0 only for an orbit whose snapped entry coordinates come
-        within ``COORD_TOL`` of each other. The lifts k = 2..12 of [[2]]
-        have no such orbit, so they make no such lookup (the registry alone
-        makes 1,232); corpus200 has 164 of 877, which make 18,038 of its
-        65,954 lookups above height 0, so both branches run."""
+        """Tooling guard: ``classify_classes`` looks every strip state up
+        in its orbit's ``_StripLevel`` table, at height 0 and above, so no
+        strip node reaches the edge registry's bins. A table bisects only
+        to build the ``_moves`` map of an orbit whose snapped entry
+        coordinates come within ``COORD_TOL`` of each other, once per
+        distinct set of sides. The lifts k = 2..12 of [[2]] have no such
+        orbit and build no map; corpus200 has 164 of 877 and builds 364,
+        so both branches of a table run."""
         lifts = [_lift_result(k) for k in range(2, 13)]
-        assert _bisected_tail_lookups(lifts, monkeypatch) == 0
+        assert _strip_bin_lookups_and_maps(lifts, monkeypatch) == (0, 0)
         corpus = [run_pipeline(M) for M in random_irreducible_matrices(200)]
-        assert _bisected_tail_lookups(corpus, monkeypatch) == 18_038
+        assert _strip_bin_lookups_and_maps(corpus, monkeypatch) == (0, 364)
 
 
 class TestClassPartition:
@@ -685,7 +759,7 @@ class TestClassPartition:
             classes = res.census.classes
             seen = Counter(node for c in classes for node in c.nodes)
             assert all(n == 1 for n in seen.values())
-            registry_nodes = _registry_nodes(res)
+            registry_nodes = _scan_ids(res.schema, res.extended)[0].nodes
             assert len(set(registry_nodes)) == len(registry_nodes)
             assert sum(c.size for c in classes) == len(registry_nodes)
             assert set(seen) == set(registry_nodes)
@@ -835,18 +909,15 @@ def _reference_labels(res) -> list[str]:
     """The link label of each infinite class by ``_classify_link``, from
     the class's nodes and the pairing edges among them."""
     census = res.census
-    registry = _NodeRegistry(res.decomposition, res.extended.strips)
+    registry, ids = _scan_ids(res.schema, res.extended)
     edges_by_root = {}
-    for gen in res.schema.generators:
-        for sa, sb in gen.pair_states:
-            for endpoint in (0, 1):
-                na = registry.node_id(sa, endpoint)
-                nb = registry.node_id(sb, endpoint)
-                if na != nb:
-                    edges_by_root.setdefault(census.parent[na], set()).add(
-                        (min(na, nb), max(na, nb))
-                    )
-    # the same node_id calls in the same order as classify_classes
+    for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
+        for na, nb in ((a0, b0), (a1, b1)):
+            if na != nb:
+                edges_by_root.setdefault(census.parent[na], set()).add(
+                    (min(na, nb), max(na, nb))
+                )
+    # the same lookups in the same order as classify_classes
     assert registry.nodes == census.nodes
     ids = {node: i for i, node in enumerate(registry.nodes)}
     labels = []
@@ -881,16 +952,15 @@ def _eager_classes(schema, ext):
     """The census as one eager pass builds it: every class grouped into
     member lists, pairing edges as one set, orbit steps as a list of id
     pairs. Returns (finite counts, infinite classes, all classes)."""
-    registry = _NodeRegistry(ext.system.decomposition, ext.strips)
+    registry, ids = _scan_ids(schema, ext)
     nodes = registry.nodes
     parent, first_depth = [], []
     pair_edges, orbit_steps = set(), []
-    for gen in schema.generators:
+    for gen_ids in ids:
         older = previous = None
-        for depth, (sa, sb) in enumerate(gen.pair_states, start=1):
-            a0, b0 = registry.node_id(sa, 0), registry.node_id(sb, 0)
-            a1, b1 = registry.node_id(sa, 1), registry.node_id(sb, 1)
-            while len(parent) < len(nodes):
+        for depth, (a0, b0, a1, b1) in enumerate(gen_ids, start=1):
+            # ids are numbered in order of first sight
+            while len(parent) <= max(a0, b0, a1, b1):
                 parent.append(len(parent))
                 first_depth.append(depth)
             for na, nb in ((a0, b0), (a1, b1)):

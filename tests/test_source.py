@@ -128,6 +128,20 @@ def test_no_private_twin_of_a_public_name(path):
     assert sorted(n for n in names if n.startswith("_") and n[1:] in names) == []
 
 
+def test_one_tolerance_search_in_gluing():
+    # the registry's edges and the strip levels' merge maps take the least
+    # id within COORD_TOL by one windowed search, ``_least_within``; a
+    # second bisection would be a second copy of that rule
+    tree = ast.parse((SOURCES[0].parent / "gluing.py").read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "bisect_left" in {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        }
+    ]
+    assert len(calls) == 1
+
+
 #: public names that only the benchmark reads: ``bench/run.py`` writes its
 #: traced record's periodic points with ``census_json``; only a change to
 #: the benchmark edits ``bench/``, and the next one (ROADMAP item 5) drops it

@@ -31,16 +31,16 @@ _PARTNER_KIND = {"TL": {"L": "T", "T": "L"}, "BL": {"L": "B", "B": "L"},
 
 class EdgeBranch(NamedTuple):
     """Affine action x -> offset0 + x/lam on the full edge of one rectangle,
-    the rectangle being its key in ``EdgeMap.branches``."""
+    the rectangle being its key in ``EdgeMap.branches``; lam is the map's
+    ``EdgeMap.lam``."""
 
     target_rect: int
     offset0: float
-    lam: float
     targets_first: bool
     targets_last: bool
 
-    def apply(self, x: float) -> float:
-        return self.offset0 + x / self.lam
+    def apply(self, x: float, lam: float) -> float:
+        return self.offset0 + x / lam
 
 
 class EdgeMap(NamedTuple):
@@ -50,7 +50,8 @@ class EdgeMap(NamedTuple):
     maps on horizontal edges). ``digraph`` records the functional graph
     rect -> target rect; ``cycles`` its cycles; ``tails[k]`` the number of
     steps from k to the nearest cycle vertex (eventual-period data for
-    non-periodic vertices).
+    non-periodic vertices). ``lam`` is the stretch factor, the inverse
+    slope of every branch.
     """
 
     kind: str
@@ -58,6 +59,7 @@ class EdgeMap(NamedTuple):
     digraph: dict[int, int]
     cycles: tuple[tuple[int, ...], ...]
     tails: dict[int, int]
+    lam: float
 
     def edge_length(self, rect: int, decomposition) -> float:
         if self.kind in ("L", "R"):
@@ -186,13 +188,12 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
             branches[k] = EdgeBranch(
                 target_rect=i,
                 offset0=br.y0,
-                lam=lam,
                 targets_first=br.target_label == tgt_order[0],
                 targets_last=br.target_label == tgt_order[-1],
             )
         digraph = {k: b.target_rect for k, b in branches.items()}
         cycles, tails = _functional_analysis(digraph)
-        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails)
+        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails, lam)
 
     for kind in ("T", "B"):
         branches = {}
@@ -205,13 +206,12 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
             branches[i] = EdgeBranch(
                 target_rect=k,
                 offset0=br.x0,
-                lam=lam,
                 targets_first=br.source_label == src_order[0],
                 targets_last=br.source_label == src_order[-1],
             )
         digraph = {i: b.target_rect for i, b in branches.items()}
         cycles, tails = _functional_analysis(digraph)
-        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails)
+        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails, lam)
 
     return EdgeMapSystem(piece_map=P, maps=maps)
 
@@ -222,7 +222,7 @@ def composed_branch(E: EdgeMap, start: int, steps: int) -> tuple[int, float]:
     Returns (final rectangle, offset b) with the composition acting as
     x -> lam^-steps * x + b.
     """
-    lam = next(iter(E.branches.values())).lam
+    lam = E.lam
     b = 0.0
     v = start
     for _ in range(steps):
@@ -243,7 +243,7 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
     its initial point; a corner point names its partner on the same
     rectangle.
     """
-    lam = next(iter(E.branches.values())).lam
+    lam = E.lam
     points = []
     for cyc in E.cycles:
         p = len(cyc)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import islice
 from math import inf, ulp
 from typing import NamedTuple
 
@@ -51,9 +51,9 @@ from .spectral import (
 
 _TRANSFER_TOL = 1e-9
 
-#: the most pair states (generators times ``depth_cap``) that
-#: ``enumerate_identifications`` builds: a window costs about 2 KiB per
-#: pair state through the census, so this is about 1 GiB
+#: the most pair states (generators times ``depth_cap``) in a window that
+#: ``enumerate_identifications`` accepts: the census costs about 2.1 KiB
+#: per pair state, so this is about 1 GiB
 MAX_PAIR_STATES = 500_000
 
 #: the least default window N + 3m: N is at least 2 and m at least 1
@@ -117,7 +117,7 @@ def attach_strips(
                 rect, b = composed_branch(E, pt.rect, 2 * p)
             else:
                 br = E.branches[rect]
-                rect, b = br.target_rect, br.apply(b)
+                rect, b = br.target_rect, br.apply(b, lam)
             if rect != pt.rect:
                 raise InternalConsistencyError(
                     "attachment landed on the wrong rectangle edge"
@@ -251,21 +251,31 @@ class GeneratorTrace(NamedTuple):
     family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
     and the position (``vertical_offsets[k][t]`` or
     ``horizontal_offsets[k][t]`` of the decomposition) follow from it.
-    ``pair_states[d]`` holds the two identified image segments at depth
-    d+1, side a's then side b's. ``sides`` holds each side's states at
-    depths 1..min(t, depth_cap), t the depth at which that side enters its
-    strip (``_strip_entry``), so a side ends at its first strip state
-    unless it has not entered by ``depth_cap``; ``tail_orbits`` holds the
-    orbit ids of the two strips. ``stabilization_depth`` is the larger t,
-    the first depth at which both images live on strip boundaries, if
-    reached within the cap.
+    ``sides`` holds each side's states at depths 1..min(t, depth_cap), t
+    the depth at which that side enters its strip (``_strip_entry``), so a
+    side ends at its first strip state unless it has not entered by
+    ``depth_cap``; ``tail_orbits`` holds the orbit ids of the two strips.
+    ``stabilization_depth`` is the larger t, the first depth at which both
+    images live on strip boundaries, if reached within the cap. ``step``
+    is the tail rule ``ExtendedPieceMap.step``.
+
+    ``pair_states[d]``, the two identified image segments at depth d+1,
+    side a's then side b's, is derived on each read (``_window``); only
+    the figure reads it.
     """
 
     gen_id: str
-    pair_states: tuple[tuple[tuple, tuple], ...]
     stabilization_depth: int | None
     sides: tuple[tuple, tuple]
     tail_orbits: tuple[str, str]
+    step: dict[tuple[str, int], tuple[tuple[str, int], int]]
+    depth_cap: int
+
+    @property
+    def pair_states(self) -> tuple[tuple[tuple, tuple], ...]:
+        step, cap = self.step, self.depth_cap
+        a, b = (_window(side, step, cap) for side in self.sides)
+        return tuple(zip(a, b))
 
 
 class IdentificationSchema(NamedTuple):
@@ -381,8 +391,8 @@ def enumerate_identifications(
     strip state, and ``ExtendedPieceMap.step`` sends a strip state to the
     strip state named by its key, the edge digraph and the initial flags
     alone. So the side's state at depth t and the rule fix all of its
-    states up to ``depth_cap``, whatever the other side does, while
-    ``pair_states`` keeps all of them for the census.
+    states up to ``depth_cap``, whatever the other side does, so no state
+    past t is built unless ``GeneratorTrace.pair_states`` is read.
 
     A window of more than ``MAX_PAIR_STATES`` pair states (generators
     times ``depth_cap``) raises ``InvalidInputError`` before any state is
@@ -468,28 +478,23 @@ def _refuse_oversized_window(M: IntMatrix, depth_cap: int | None) -> None:
 
 
 def _side_states(ext, kind, first, depth_cap):
-    """One side's states at depths 1..depth_cap from its depth-1 edge state
-    ``first``, its entry depth t and its entry strip (``_strip_entry``):
-    edge states stepped by the branches of ``kind`` up to t, where the
-    segment is converted to the strip's z, then strip states stepped by the
-    tail rule ``ExtendedPieceMap.step``."""
+    """One side's states at depths 1..min(t, depth_cap) from its depth-1
+    edge state ``first``, its entry depth t and its entry strip
+    (``_strip_entry``): edge states stepped by the branches of ``kind``,
+    the state at depth t, if within the cap, converted to the strip's z."""
     _, rect, side, a, b = first
     strip, t = _strip_entry(kind, rect, ext)
-    branches = ext.system.maps[kind].branches
+    E = ext.system.maps[kind]
+    branches, lam = E.branches, E.lam
     states = [first]
     for _ in range(min(t, depth_cap) - 1):
         br = branches[rect]
-        rect, a, b = br.target_rect, br.apply(a), br.apply(b)
+        rect, a, b = br.target_rect, br.apply(a, lam), br.apply(b, lam)
         states.append(("E", rect, side, a, b))
     if t <= depth_cap:
-        key, w = strip.key, 0
-        za, zb = strip.offset_to_z(a), strip.offset_to_z(b)
-        states[-1] = ("S", key, za, zb, w)
-        for _ in range(depth_cap - t):
-            key, rise = ext.step[key]
-            w += rise
-            states.append(("S", key, za, zb, w))
-    return states, t, strip
+        states[-1] = ("S", strip.key, strip.offset_to_z(a),
+                      strip.offset_to_z(b), 0)
+    return tuple(states), t, strip
 
 
 def _trace(ext, gen_id, first, depth_cap):
@@ -500,11 +505,26 @@ def _trace(ext, gen_id, first, depth_cap):
     s = max(ta, tb)
     return GeneratorTrace(
         gen_id=gen_id,
-        pair_states=tuple(zip(a, b)),
         stabilization_depth=s if s <= depth_cap else None,
-        sides=(tuple(a[:ta]), tuple(b[:tb])),
+        sides=(a, b),
         tail_orbits=(sa.orbit_id, sb.orbit_id),
+        step=ext.step,
+        depth_cap=depth_cap,
     )
+
+
+def _window(side, step, depth_cap) -> list:
+    """A side's states at depths 1..depth_cap: its stored states, and, if
+    the last of them is a strip state, that state stepped by the tail rule
+    ``step`` to ``depth_cap``."""
+    states = list(side)
+    if side[-1][0] == "S":
+        _, key, za, zb, w = side[-1]
+        for _ in range(depth_cap - len(side)):
+            key, rise = step[key]
+            w += rise
+            states.append(("S", key, za, zb, w))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -898,18 +918,22 @@ def _strip_levels(schema: IdentificationSchema, ext: ExtendedPieceMap,
     return levels
 
 
-def _side_levels(side, levels) -> tuple:
-    """``(levels, z0, z1)`` for one side: its ``_StripLevel`` at each depth
-    from 1 on, None while it is on an edge, and its two snapped entry
-    coordinates, which stepping keeps (None if it has not entered)."""
+def _side_ids(side, levels, edge_id, cap) -> list[int]:
+    """One side's id column: the ids of its first and second endpoints at
+    depth 1, then at depth 2, and so on to ``cap`` (``classify_classes``)."""
     entry = side[-1]
     if entry[0] == "E":
-        return repeat(None), None, None
-    return (
-        chain(repeat(None, len(side) - 1), levels[entry[1]]),
-        _snapped(entry[2]),
-        _snapped(entry[3]),
-    )
+        states, tables, zs = side, (), ()
+    else:
+        states = side[:-1]
+        tables = levels[entry[1]][:cap - len(states)]
+        zs = (_snapped(entry[2]), _snapped(entry[3]))
+    ids = []
+    for _, rect, kind, a, b in states:
+        ids.append(edge_id(rect, kind, a))
+        ids.append(edge_id(rect, kind, b))
+    ids += [table[z] for table in tables for z in zs]
+    return ids
 
 
 def classify_classes(
@@ -968,18 +992,21 @@ def classify_classes(
     the number of shards (one for a growing chain, the stitched shards
     for a family).
 
-    The pass runs over dense integer node ids and builds only what the
-    census reads. Each identified pair of segments takes four lookups, the
-    first endpoints of sides a and b, then the second ones, and a node's
-    id is the number of nodes seen before it. The rule is that of one
-    scan per edge or strip level in order of first sight: a position
-    within ``COORD_TOL`` of 0 or of the edge length (of 0 or 1 on strips)
-    snaps there, a strip base corner at height 0 is its edge point, and
-    any other position takes the least id of its edge or level within
-    ``COORD_TOL``, or a new one. An edge state is a
+    The pass runs over dense integer node ids, builds only what the census
+    reads and steps no side past its entry depth. Each side of a
+    generator is one id column (``_side_ids``): the ids of its first and
+    second endpoints at depth 1, then at depth 2, and so on to
+    ``depth_cap``. Side a's column is made before side b's, generator by
+    generator, and a node's id is the number of nodes seen before it. The
+    rule is that of one scan per edge or strip level in order of first
+    sight: a position within ``COORD_TOL`` of 0 or of the edge length (of
+    0 or 1 on strips) snaps there, a strip base corner at height 0 is its
+    edge point, and any other position takes the least id of its edge or
+    level within ``COORD_TOL``, or a new one. An edge state is a
     ``_NodeRegistry.edge_id`` call, which bisects its edge's sorted bin.
-    A strip state reads the ``_StripLevel`` table of its level, z -> id,
-    which gives the same ids:
+    From its entry depth t on, a side reads the ``_StripLevel`` table of
+    its level, z -> id, at its snapped entry coordinates, which gives the
+    same ids:
 
     * a level (key, w) is reached only at one step s of one orbit: every
       side enters at the initial strip of key's orbit at height 0
@@ -999,83 +1026,74 @@ def classify_classes(
     * a position is first looked up before any z that it takes, so the
       table makes each node at the lookup where the scan makes it.
 
+    The columns make the nodes that each depth's pair in turn (a0, b0, a1,
+    b1) would make, numbered in another order: the two sides of a
+    generator touch disjoint tables, side a only L or T edges, strips and
+    corners (TL, BL or TR), side b only R or B ones (TR, BR or BL; one
+    family's two kinds share no corner). So each table sees its lookups
+    in the same order either way, and a node's depth of first sight is
+    the same too.
+
     The same pass counts each distinct pairing edge once into the degrees
     of its ends: an edge whose ends have different roots is new, since the
     ends of a seen edge share a root, so only an edge within one class is
     looked up in the set of seen edges. The union-find is a ``parent``
     list (``parent[ra] = rb`` on each union of two different roots, so the
     roots, and with them the order of the infinite classes, depend only on
-    the order of the identifications). Each generator keeps two id
-    columns, the first and second endpoints of side a, one entry per
-    depth. After the unions, one pass over ``parent`` lists every id under
-    its root. Finite classes are only counted from those lists, not
-    built. The family stitch is the one walk of the id columns: it joins
-    the roots of saturated shards. Each infinite class keeps its member
-    ids, link label, size and representative, the least ``_node_str`` of
-    its nodes, found by ``_least_node_str`` from the registry's heads
-    without stringifying every node. ``ClassCensus.infinite_classes`` and
-    ``ClassCensus.classes`` build the class objects on first read.
+    the order of the identifications): the unions run over the two
+    columns of a generator side by side, each depth's first endpoints,
+    then its second ones. After the unions, one pass over ``parent``
+    lists every id under its root. Finite classes are only counted from
+    those lists, not built. The family stitch is the one walk of side a's
+    columns: it joins the roots of saturated shards. Each infinite class
+    keeps its member ids, link label, size and representative, the least
+    ``_node_str`` of its nodes, found by ``_least_node_str`` from the
+    registry's heads without stringifying every node.
+    ``ClassCensus.infinite_classes`` and ``ClassCensus.classes`` build the
+    class objects on first read.
     """
     registry = _NodeRegistry(ext.system.decomposition)
-    edge_id = registry.edge_id
     nodes, heads = registry.nodes, registry.heads
-    cap = schema.depth_cap
+    cap, m = schema.depth_cap, schema.nesting_period
     levels = _strip_levels(schema, ext, registry)
 
-    parent: list[int] = []
-    first_depth: list[int] = []
-    degree: list[int] = []
-    edges: set[tuple[int, int]] = set()
-    # per generator: the ids of a0 and a1, one entry per depth
+    # late[i] is 1 iff node i was first seen past depth cap - m: a side
+    # makes its new ids in column order, so those are the ones above
+    # every id in the column's first 2 (cap - m) entries
+    early = 2 * max(cap - m, 0)
+    late = bytearray()
     columns: list[tuple[list[int], list[int]]] = []
     for gen in schema.generators:
-        a0s, a1s = cols = ([], [])
-        columns.append(cols)
-        (la_s, za0, za1), (lb_s, zb0, zb1) = (
-            _side_levels(side, levels) for side in gen.sides
-        )
-        steps = zip(count(1), gen.pair_states, la_s, lb_s)
-        for depth, (sa, sb), la, lb in steps:
-            a0 = edge_id(sa[1], sa[2], sa[3]) if la is None else la[za0]
-            b0 = edge_id(sb[1], sb[2], sb[3]) if lb is None else lb[zb0]
-            a1 = edge_id(sa[1], sa[2], sa[4]) if la is None else la[za1]
-            b1 = edge_id(sb[1], sb[2], sb[4]) if lb is None else lb[zb1]
-            known = len(parent)
-            if len(nodes) > known:
-                new = len(nodes) - known
-                parent.extend(range(known, len(nodes)))
-                first_depth.extend([depth] * new)
-                degree.extend([0] * new)
-            # union, with the find inlined: the root of x is the root of
-            # parent[x], and the path to it is compressed. An edge between
-            # two roots is new; a new edge raises the degrees of its ends,
-            # and within one root parent[rx] = ry changes nothing
-            if a0 != b0:
-                rx, ry = parent[a0], parent[b0]
+        sides = []
+        for side in gen.sides:
+            known = len(nodes)
+            ids = _side_ids(side, levels, registry.edge_id, cap)
+            mark = max(known, max(ids[:early], default=-1) + 1)
+            late += bytes(mark - known) + b"\x01" * (len(nodes) - mark)
+            sides.append(ids)
+        columns.append(tuple(sides))
+
+    parent = list(range(len(nodes)))
+    degree = [0] * len(nodes)
+    edges: set[tuple[int, int]] = set()
+    for a, b in columns:
+        # union, with the find inlined: the root of x is the root of
+        # parent[x], and the path to it is compressed. An edge between
+        # two roots is new; a new edge raises the degrees of its ends,
+        # and within one root parent[rx] = ry changes nothing
+        for x, y in zip(a, b):
+            if x != y:
+                rx, ry = parent[x], parent[y]
                 if parent[rx] != rx:
-                    rx = parent[a0] = _find(parent, rx)
+                    rx = parent[x] = _find(parent, rx)
                 if parent[ry] != ry:
-                    ry = parent[b0] = _find(parent, ry)
-                edge = (a0, b0) if a0 < b0 else (b0, a0)
+                    ry = parent[y] = _find(parent, ry)
+                edge = (x, y) if x < y else (y, x)
                 if rx != ry or edge not in edges:
                     parent[rx] = ry
                     edges.add(edge)
-                    degree[a0] += 1
-                    degree[b0] += 1
-            if a1 != b1:
-                rx, ry = parent[a1], parent[b1]
-                if parent[rx] != rx:
-                    rx = parent[a1] = _find(parent, rx)
-                if parent[ry] != ry:
-                    ry = parent[b1] = _find(parent, ry)
-                edge = (a1, b1) if a1 < b1 else (b1, a1)
-                if rx != ry or edge not in edges:
-                    parent[rx] = ry
-                    edges.add(edge)
-                    degree[a1] += 1
-                    degree[b1] += 1
-            a0s.append(a0)
-            a1s.append(a1)
+                    degree[x] += 1
+                    degree[y] += 1
 
     # one find per id, listing it under its root; afterwards parent[i] is
     # the root of i, and the member lists come in order of smallest id
@@ -1091,7 +1109,6 @@ def classify_classes(
 
     # a class of three or more nodes is infinite; one that holds a corner
     # node has three or more (see above)
-    m = schema.nesting_period
     finite_sizes = [0, 0, 0]  # finite classes by size, 1 or 2
     infinite_roots = set()
     growing_roots = []
@@ -1101,7 +1118,7 @@ def classify_classes(
             finite_sizes[len(ids)] += 1
             continue
         infinite_roots.add(root)
-        if len(ids) >= 4 and max(map(first_depth.__getitem__, ids)) > cap - m:
+        if len(ids) >= 4 and any(map(late.__getitem__, ids)):
             growing_roots.append(root)
         else:
             shard_roots.append(root)
@@ -1111,17 +1128,14 @@ def classify_classes(
     # are still growing already hold their whole family and stay separate.
     # The vertical factor reverses orientation each step, so only every
     # second image returns to the same side of its strip: the stitch runs
-    # along the square of the edge maps, from depth d-2 to depth d.
+    # along the square of the edge maps, from depth d-2 to depth d: four
+    # entries on in side a's column, first endpoints then second ones.
     family = {root: root for root in shard_roots}
-    for a0s, a1s in columns:
-        steps = zip(a0s, islice(a0s, 2, None), a1s, islice(a1s, 2, None))
-        for x, y, u, v in steps:
+    for a, _ in columns:
+        for x, y in zip(a, islice(a, 4, None)):
             rx, ry = parent[x], parent[y]
             if rx != ry and rx in family and ry in family:
                 _union(family, rx, ry)
-            ru, rv = parent[u], parent[v]
-            if ru != rv and ru in family and rv in family:
-                _union(family, ru, rv)
 
     families: dict[int, list[int]] = {}
     for root in shard_roots:

@@ -149,14 +149,14 @@ def _property_suite(results, rng) -> bool:
             for pt in pts:
                 pos, rect = pt.offset, pt.rect
                 for _ in range(pt.period):
-                    pos = E.branches[rect].apply(pos)
+                    pos = E.branches[rect].apply(pos, E.lam)
                     rect = E.digraph[rect]
                 ok &= rect == pt.rect
                 ok &= abs(pos - pt.offset) <= 1e-9  # residual
                 # 200-iteration brute force from a generic start
                 pos2, cur = 0.31 * E.edge_length(pt.rect, D), pt.rect
                 for _ in range(200):
-                    pos2 = E.branches[cur].apply(pos2)
+                    pos2 = E.branches[cur].apply(pos2, E.lam)
                     cur = E.digraph[cur]
                 if cur == pt.rect:
                     ok &= abs(pos2 - pt.offset) <= 1e-9
@@ -174,7 +174,7 @@ def _property_suite(results, rng) -> bool:
                 rect = int(rng.integers(1, D.n + 1))
                 pos = float(rng.uniform(0, E.edge_length(rect, D)))
                 for _ in range(N + max_period + 1):
-                    pos = E.branches[rect].apply(pos)
+                    pos = E.branches[rect].apply(pos, E.lam)
                     rect = E.digraph[rect]
                 strip = res.extended.strips.get((kind, rect))
                 ok &= strip is not None

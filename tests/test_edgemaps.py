@@ -99,7 +99,7 @@ class TestDigraphs:
 def _step(E, rect, x):
     """One step of edge map E from offset x on the edge of ``rect``."""
     br = E.branches[rect]
-    return br.target_rect, br.apply(x)
+    return br.target_rect, br.apply(x, E.lam)
 
 
 class TestPeriodicPoints:

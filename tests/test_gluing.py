@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +27,7 @@ from endperiodic import (
     build_decomposition,
     build_edge_maps,
     build_extended_map,
+    build_record,
     choose_initial_points,
     classify_classes,
     enumerate_identifications,
@@ -46,7 +46,6 @@ from endperiodic.gluing import (
     _find,
     _NodeRegistry,
     _node_str,
-    _side_levels,
     _strip_entry,
     _strip_levels,
     _union,
@@ -297,13 +296,61 @@ class TestIdentifications:
                                 assert -COORD_TOL <= z <= 1 + COORD_TOL
 
 
+class TestDerivedWindow:
+    @pytest.mark.parametrize(
+        "rows, k", [(RUNNING_ROWS, None), ([[2]], 4)], ids=["running", "lift4"]
+    )
+    def test_certifying_derives_no_window(self, rows, k, monkeypatch):
+        # the record and the census read each side up to its entry depth
+        # and its orbit's strip levels; only a reader of pair_states steps
+        # the tail rule to depth_cap
+        calls = []
+        window = gluing._window
+
+        def spy(*args):
+            calls.append(args)
+            return window(*args)
+
+        monkeypatch.setattr(gluing, "_window", spy)
+        M = IntMatrix.from_rows(rows)
+        if k is not None:
+            M = block_lift(M, k)
+        record, result = build_record(M, weak_perron_k=k)
+        record.to_json()
+        assert calls == []
+        schema = result.schema
+        assert len(schema.generators[0].pair_states) == schema.depth_cap
+        assert len(calls) == 2
+
+    def test_window_is_the_sides_stepped_by_the_tail_rule(self):
+        # the rule the record states: from its entry depth on a side is a
+        # strip state, and its state at depth d + 1 is its state at d
+        # stepped by ``ext.step`` of its own strip key
+        for M in random_irreducible_matrices(20):
+            res = run_pipeline(M)
+            step, cap = res.extended.step, res.schema.depth_cap
+            for gen in res.schema.generators:
+                sides = []
+                for side in gen.sides:
+                    states = list(side)
+                    while len(states) < cap:
+                        tag, key, za, zb, w = states[-1]
+                        assert tag == "S"
+                        key, rise = step[key]
+                        states.append(("S", key, za, zb, w + rise))
+                    sides.append(states)
+                assert len(gen.pair_states) == cap
+                assert gen.pair_states == tuple(zip(*sides))
+
+
 def _float_rule_entry(ext, kind, first, depth_cap):
     """The first depth at which a side lies inside the strip attachment on
     its edge by the float containment test, padded by 1e-9, that decided
     strip entry before the digraph rule; the side is stepped by the edge
     branches of ``kind`` from its depth-1 edge state ``first``."""
     _, rect, side, a, b = first
-    branches = ext.system.maps[kind].branches
+    E = ext.system.maps[kind]
+    branches, lam = E.branches, E.lam
     for depth in range(1, depth_cap + 1):
         strip = ext.strips.get((side, rect))
         if strip is not None and (
@@ -311,7 +358,7 @@ def _float_rule_entry(ext, kind, first, depth_cap):
         ):
             return depth
         br = branches[rect]
-        rect, a, b = br.target_rect, br.apply(a), br.apply(b)
+        rect, a, b = br.target_rect, br.apply(a, lam), br.apply(b, lam)
     return None
 
 
@@ -490,12 +537,16 @@ class TestPinnedCensus:
 
 class _ScanRegistry:
     """The reference registry: every lookup scans its whole bin in
-    insertion order and takes the first node within ``COORD_TOL``."""
+    insertion order and takes the first node within ``COORD_TOL``.
+    ``lookups`` lists, per edge ``("E", rect, side)`` or strip level
+    ``("S", key, w)``, the snapped positions looked up there, in order;
+    a corner is looked up on neither."""
 
     def __init__(self, decomposition, strips):
         self.D = decomposition
         self.strips = strips
         self.nodes = []
+        self.lookups = {}
         self._corner_ids = {}
         self._bins = {}
 
@@ -506,6 +557,7 @@ class _ScanRegistry:
         return len(self.nodes) - 1
 
     def _scan(self, prefix, pos):
+        self.lookups.setdefault(prefix, []).append(pos)
         bin = self._bins.setdefault(prefix, [])
         for i in bin:
             if abs(self.nodes[i][3] - pos) <= COORD_TOL:
@@ -544,19 +596,32 @@ class _ScanRegistry:
         return self._scan(("S", key, w), z)
 
 
-def _scan_ids(schema, ext):
+def _scan_ids(schema, ext, by_side=True):
     """A ``_ScanRegistry`` fed the lookups of ``classify_classes`` in its
     order, and per generator the ids ``(a0, b0, a1, b1)`` of each depth's
-    pair: the first endpoints of sides a and b, then the second ones."""
+    pair: the first endpoints of sides a and b, then the second ones.
+
+    classify looks up, per generator, side a's first and second endpoint
+    at each depth from 1 to ``depth_cap``, then side b's (``by_side``).
+    With ``by_side`` False the scan is fed each depth's pair in turn, a0,
+    b0, a1, b1, the order of classify before its id columns: the same
+    nodes, numbered in another order."""
     registry = _ScanRegistry(ext.system.decomposition, ext.strips)
     node_id = registry.node_id
-    ids = [
-        [
-            (node_id(sa, 0), node_id(sb, 0), node_id(sa, 1), node_id(sb, 1))
-            for sa, sb in gen.pair_states
-        ]
-        for gen in schema.generators
-    ]
+    ids = []
+    for gen in schema.generators:
+        pairs = gen.pair_states
+        if by_side:
+            a, b = (
+                [(node_id(state, 0), node_id(state, 1)) for state in side]
+                for side in zip(*pairs)
+            )
+            ids.append([(a0, b0, a1, b1) for (a0, a1), (b0, b1) in zip(a, b)])
+        else:
+            ids.append([
+                (node_id(sa, 0), node_id(sb, 0), node_id(sa, 1), node_id(sb, 1))
+                for sa, sb in pairs
+            ])
     return registry, ids
 
 
@@ -617,18 +682,7 @@ class TestBisectedRegistry:
 
     @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
     def test_every_pair_in_classify_order(self, case, running_result):
-        if case == "running":
-            results = [running_result]
-        elif case == "corpus":
-            results = [run_pipeline(M) for M in random_irreducible_matrices(200)]
-        elif case == "n16":
-            results = [run_pipeline(seeded_irreducible_matrix(16))]
-        else:
-            # the first 30 of sparse_irreducible_matrices(120): deep windows
-            # where 63 of 178 orbits have entries that may merge, so their
-            # levels take ``_moves`` maps
-            results = [run_pipeline(M) for M in sparse_irreducible_matrices(30)]
-        for res in results:
+        for res in _registry_results(case, running_result):
             # the census's registry and forest are those of a scan fed
             # classify's lookups in its order, with its unions
             registry, ids = _scan_ids(res.schema, res.extended)
@@ -638,6 +692,42 @@ class TestBisectedRegistry:
                 _union(parent, a0, b0)
                 _union(parent, a1, b1)
             assert [_find(parent, i) for i in parent] == res.census.parent
+
+    @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
+    def test_side_order_keeps_each_table_and_class(self, case, running_result):
+        """Side a of a generator touches only L or T edges, strips and
+        corners, side b only R or B ones, so looking up side a's whole
+        column before side b's, not each depth's pair in turn, feeds every
+        edge and strip level the same positions in the same order. It
+        makes the same nodes, and each node's class has the same root
+        node: only the numbering differs."""
+        for res in _registry_results(case, running_result):
+            by_side, _ = _scan_ids(res.schema, res.extended)
+            by_pair, ids = _scan_ids(res.schema, res.extended, by_side=False)
+            assert by_side.lookups == by_pair.lookups
+            nodes = by_pair.nodes
+            parent = list(range(len(nodes)))
+            for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
+                _union(parent, a0, b0)
+                _union(parent, a1, b1)
+            census = res.census
+            assert {
+                node: census.nodes[root]
+                for node, root in zip(census.nodes, census.parent)
+            } == {node: nodes[_find(parent, i)] for i, node in enumerate(nodes)}
+
+
+def _registry_results(case, running_result):
+    if case == "running":
+        return [running_result]
+    if case == "corpus":
+        return [run_pipeline(M) for M in random_irreducible_matrices(200)]
+    if case == "n16":
+        return [run_pipeline(seeded_irreducible_matrix(16))]
+    # the first 30 of sparse_irreducible_matrices(120): deep windows where
+    # 63 of 178 orbits have entries that may merge, so their levels take
+    # ``_moves`` maps
+    return [run_pipeline(M) for M in sparse_irreducible_matrices(30)]
 
 
 # offsets up to 1.5 COORD_TOL: multiples of COORD_TOL / 8, which repeat
@@ -695,10 +785,12 @@ class TestStripLevels:
         registry = _NodeRegistry(D)
         levels = _strip_levels(schema, ext, registry)
         reference = _ScanRegistry(D, strips)
-        for gen, state in zip(schema.generators, entry_states):
-            tables, z0, z1 = _side_levels(gen.sides[0], levels)
+        for (t, _, _), state in zip(sides, entry_states):
+            # the side reads its orbit's table s steps past entry at depth
+            # t + s, at its snapped entry coordinates
             _, key, za, zb, w = state
-            for table in islice(tables, len(gen.sides[0]) - 1, cap):
+            z0, z1 = gluing._snapped(za), gluing._snapped(zb)
+            for table in levels[key][:cap - t + 1]:
                 at = ("S", key, za, zb, w)
                 assert table[z0] == reference.node_id(at, 0)
                 assert table[z1] == reference.node_id(at, 1)
@@ -954,15 +1046,14 @@ def _eager_classes(schema, ext):
     pairs. Returns (finite counts, infinite classes, all classes)."""
     registry, ids = _scan_ids(schema, ext)
     nodes = registry.nodes
-    parent, first_depth = [], []
+    parent, first_depth = list(range(len(nodes))), {}
     pair_edges, orbit_steps = set(), []
     for gen_ids in ids:
         older = previous = None
         for depth, (a0, b0, a1, b1) in enumerate(gen_ids, start=1):
-            # ids are numbered in order of first sight
-            while len(parent) <= max(a0, b0, a1, b1):
-                parent.append(len(parent))
-                first_depth.append(depth)
+            # the depth of first sight, generator by generator
+            for i in (a0, b0, a1, b1):
+                first_depth.setdefault(i, depth)
             for na, nb in ((a0, b0), (a1, b1)):
                 _union(parent, na, nb)
                 if na != nb:

@@ -61,7 +61,7 @@ class TestPeriodicPoints:
                 for pt in pts:
                     pos, rect = pt.offset, pt.rect
                     for _ in range(pt.period):
-                        pos = E.branches[rect].apply(pos)
+                        pos = E.branches[rect].apply(pos, E.lam)
                         rect = E.digraph[rect]
                     assert rect == pt.rect
                     assert abs(pos - pt.offset) <= 1e-9
@@ -76,7 +76,7 @@ class TestPeriodicPoints:
                     pos = 0.31 * E.edge_length(rect, D)
                     cur = rect
                     for _ in range(200):
-                        pos = E.branches[cur].apply(pos)
+                        pos = E.branches[cur].apply(pos, E.lam)
                         cur = E.digraph[cur]
                     if cur == rect:
                         assert abs(pos - pt.offset) <= 1e-9
@@ -111,7 +111,7 @@ class TestEscape:
                     rect = int(rng.integers(1, D.n + 1))
                     pos = float(rng.uniform(0, lengths[rect]))
                     for _ in range(N + max_period + 1):
-                        pos = E.branches[rect].apply(pos)
+                        pos = E.branches[rect].apply(pos, E.lam)
                         rect = E.digraph[rect]
                     strip = strips.get((kind, rect))
                     assert strip is not None

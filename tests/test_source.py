@@ -142,6 +142,25 @@ def test_one_tolerance_search_in_gluing():
     assert len(calls) == 1
 
 
+def _window_readers(sources) -> list[str]:
+    """The file names among ``sources`` that load the attribute
+    ``pair_states``."""
+    return sorted({
+        path.name
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "pair_states"
+        and isinstance(node.ctx, ast.Load)
+    })
+
+
+def test_only_render_reads_the_window():
+    # ``GeneratorTrace.pair_states`` steps every side to depth_cap on each
+    # read; the record and the census read the sides and the strip
+    # levels, so only the figure, which draws every depth, may ask for it
+    assert _window_readers(SOURCES) == ["render.py"]
+
+
 #: public names that only the benchmark reads: ``bench/run.py`` writes its
 #: traced record's periodic points with ``census_json``; only a change to
 #: the benchmark edits ``bench/``, and the next one (ROADMAP item 5) drops it

@@ -18,13 +18,18 @@ from .errors import (
 from .spectral import (
     COORD_TOL,
     DEFAULT_TOL,
+    HORIZONTAL,
+    VERTICAL,
     IntMatrix,
     IntPolynomial,
+    MatrixFacts,
     PerronData,
+    StripLabel,
     block_lift,
     bracket_sign_changes,
     char_poly,
     determinant,
+    facts,
     graph_period,
     is_irreducible,
     is_primitive,
@@ -35,12 +40,9 @@ from .spectral import (
 )
 
 from .decomposition import (
-    HORIZONTAL,
-    VERTICAL,
     PieceMap,
     PieceMapBranch,
     StripDecomposition,
-    StripLabel,
     build_decomposition,
     corner_selection,
     piece_map,

@@ -36,10 +36,9 @@ from .errors import (
 from .record import build_record, check_record, load_record, require_passed
 from .spectral import (
     IntMatrix,
-    _analyse,
     block_lift,
-    char_poly,
     determinant,
+    facts,
     parse_matrix_text,
     perron_eigendata,
     spectral_radius_exact,
@@ -183,26 +182,25 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    """Print M's spectral data, read off one ``_analyse`` of M (the period
-    is the number of cyclic classes) and one char_poly."""
+    """Print M's spectral data, read off one ``facts(M)``: one analysis of
+    its digraph (the period is its class count) and one char_poly."""
     M, _ = _load_matrix(args)
-    graph = _analyse(M)
-    poly = char_poly(M, graph=graph)
+    F = facts(M)
     print(f"matrix: {M.to_lists()}")
-    print(f"char_poly: {poly.pretty()}")
-    print(f"determinant: {determinant(M, poly)}")
-    irr = graph.irreducible
+    print(f"char_poly: {F.poly.pretty()}")
+    print(f"determinant: {determinant(F)}")
+    irr = F.graph.irreducible
     print(f"irreducible: {irr}")
     if irr:
-        period = len(graph.classes)
+        period = len(F.graph.classes)
         print(f"graph period: {period}")
         print(f"primitive: {period == 1}")
-        eigen = perron_eigendata(M, poly=poly, graph=graph)
+        eigen = perron_eigendata(F)
         print(f"lambda: {eigen.lam:.15g} (residual {eigen.residual:.3g})")
         print(f"eta: {[float('%.10g' % v) for v in eigen.eta]}")
         print(f"omega: {[float('%.10g' % v) for v in eigen.omega]}")
     else:
-        print(f"spectral radius: {spectral_radius_exact(M, poly=poly):.15g}")
+        print(f"spectral radius: {spectral_radius_exact(F):.15g}")
     return 0
 
 

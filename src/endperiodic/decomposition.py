@@ -20,26 +20,15 @@ from bisect import insort
 from typing import NamedTuple
 
 from .errors import InvalidInputError, PreconditionError
-from .spectral import IntMatrix, PerronData, _analyse, _GraphAnalysis
-
-VERTICAL = "V"
-HORIZONTAL = "H"
-
-
-class StripLabel(NamedTuple):
-    """Strip V^(k)_{i,j} (orientation V) or H^(k)_{i,j} (orientation H).
-
-    ``rect`` is the host rectangle k, ``source`` the index i, ``copy`` the
-    duplicate number j. All indices are 1-based.
-    """
-
-    orientation: str
-    rect: int
-    source: int
-    copy: int
-
-    def __str__(self):
-        return f"{self.orientation}({self.rect};{self.source},{self.copy})"
+from .spectral import (
+    HORIZONTAL,
+    VERTICAL,
+    IntMatrix,
+    MatrixFacts,
+    PerronData,
+    StripLabel,
+    facts,
+)
 
 
 class StripDecomposition(NamedTuple):
@@ -55,10 +44,11 @@ class StripDecomposition(NamedTuple):
     and ``horizontal_offsets[k]`` hold the strip boundaries as floats, the
     one copy of them: ``build_decomposition`` computes each once from the
     running counts of the sources (``_offsets``), and ``piece_map``, the
-    record section and the figures read them.
+    record section and the figures read them. ``facts`` holds M and the
+    facts of M that the stages read.
     """
 
-    matrix: IntMatrix
+    facts: MatrixFacts
     eigen: PerronData
     vertical_order: dict[int, tuple[StripLabel, ...]]
     horizontal_order: dict[int, tuple[StripLabel, ...]]
@@ -69,7 +59,7 @@ class StripDecomposition(NamedTuple):
 
     @property
     def n(self) -> int:
-        return self.matrix.n
+        return self.facts.matrix.n
 
     def rect_width(self, k: int) -> float:
         return self.eigen.omega[k - 1]
@@ -93,7 +83,7 @@ class StripDecomposition(NamedTuple):
         ``eigen``: the record holds them once, as ``config.matrix`` and the
         ``eigendata`` section. It leaves out ``vertical_order`` and
         ``horizontal_order`` too, the canonical labels of
-        ``config.matrix`` (``_label_tables``): ``sigma[k]`` and
+        ``config.matrix`` (``MatrixFacts.labels``): ``sigma[k]`` and
         ``tau[k]`` are written as the 0-based positions of their images
         in that order, one per domain label in the same order."""
 
@@ -114,39 +104,6 @@ class StripDecomposition(NamedTuple):
                 str(k): list(v) for k, v in self.horizontal_offsets.items()
             },
         }
-
-
-def _canonical_labels(
-    M: IntMatrix, graph: _GraphAnalysis, k: int, orientation: str
-) -> tuple[StripLabel, ...]:
-    """The labels of rectangle k in ascending order: column k of M gives
-    the vertical ones, row k the horizontal ones. ``graph``, the
-    ``_analyse`` of M, lists the nonzero entries of that column
-    (``successors[k - 1]``) or row (``predecessors[k - 1]``), and only
-    those entries of M are read."""
-    entries = M.entries
-    if orientation == VERTICAL:
-        mults = [(i, entries[i][k - 1]) for i in graph.successors[k - 1]]
-    else:
-        row = entries[k - 1]
-        mults = [(j, row[j]) for j in graph.predecessors[k - 1]]
-    return tuple(
-        StripLabel(orientation, k, i + 1, c)
-        for i, mult in mults
-        for c in range(1, mult + 1)
-    )
-
-
-def _label_tables(M: IntMatrix, graph: _GraphAnalysis) -> tuple[dict, dict]:
-    """The canonical labels of every rectangle, k -> tuple: the vertical
-    table and the horizontal one, read off ``graph``, the ``_analyse`` of
-    M. ``run_pipeline`` builds them once and hands them to
-    ``corner_selection`` and ``build_decomposition``."""
-    ks = range(1, M.n + 1)
-    return (
-        {k: _canonical_labels(M, graph, k, VERTICAL) for k in ks},
-        {k: _canonical_labels(M, graph, k, HORIZONTAL) for k in ks},
-    )
 
 
 def _check_permutation(perm: dict, labels: tuple[StripLabel, ...]):
@@ -174,18 +131,15 @@ def _offsets(sources, basis, lam: float) -> tuple[float, ...]:
 
 
 def build_decomposition(
-    M: IntMatrix,
+    M: IntMatrix | MatrixFacts,
     eigen: PerronData,
     sigma: dict[int, dict[StripLabel, StripLabel]] | None = None,
     tau: dict[int, dict[StripLabel, StripLabel]] | None = None,
-    labels: tuple[dict, dict] | None = None,
 ) -> StripDecomposition:
-    """Strip decomposition for M; sigma/tau default to the identity.
-    ``labels``, if given, must be ``_label_tables(M, _analyse(M))``."""
-    n = M.n
-    if labels is None:
-        labels = _label_tables(M, _analyse(M))
-    vertical_order, horizontal_order = labels
+    """Strip decomposition for M; sigma/tau default to the identity."""
+    F = facts(M)
+    n = F.matrix.n
+    vertical_order, horizontal_order = F.labels
     if sigma is None:
         sigma = {k: {s: s for s in horizontal_order[k]} for k in range(1, n + 1)}
     if tau is None:
@@ -205,7 +159,7 @@ def build_decomposition(
         )
 
     return StripDecomposition(
-        matrix=M,
+        facts=F,
         eigen=eigen,
         vertical_order=vertical_order,
         horizontal_order=horizontal_order,
@@ -322,29 +276,21 @@ def _constrained_completion(
     return out
 
 
-def corner_selection(
-    M: IntMatrix,
-    graph: _GraphAnalysis | None = None,
-    labels: tuple[dict, dict] | None = None,
-) -> tuple[dict, dict]:
+def corner_selection(M: IntMatrix | MatrixFacts) -> tuple[dict, dict]:
     """sigma/tau making the top-left corner of Q_1 periodic under f_L.
 
     Along an embedded cycle s_1 = 1, s_2, ..., s_k through the first vertex,
     tau_{s_j} sends the leftmost vertical strip of Q_{s_j} to
     V^(s_j)_{s_{j+1},1} and sigma_{s_{j+1}} sends H^(s_{j+1})_{s_j,1} to the
     topmost horizontal strip; off the constraints, labels are matched in
-    ascending order. ``graph``, if given, must be ``_analyse(M)``, and
-    ``labels``, if given, ``_label_tables(M, _analyse(M))``.
+    ascending order.
     """
-    if graph is None:
-        graph = _analyse(M)
-    if not graph.irreducible:
+    F = facts(M)
+    if not F.graph.irreducible:
         raise PreconditionError("corner_selection requires an irreducible matrix")
-    if labels is None:
-        labels = _label_tables(M, graph)
-    vertical, horizontal = labels
+    vertical, horizontal = F.labels
     n = len(vertical)
-    cycle = _embedded_cycle_through_first_vertex(graph.successors)
+    cycle = _embedded_cycle_through_first_vertex(F.graph.successors)
     klen = len(cycle)
 
     tau_pairs: dict[int, dict] = {k: {} for k in range(1, n + 1)}

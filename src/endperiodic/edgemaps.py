@@ -169,7 +169,7 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
     # An irreducible non-negative integer M has its spectral radius between
     # its least and greatest row sums, equal to the least only when all row
     # sums are equal; so it is 1 exactly when every row sums to 1.
-    if all(sum(row) == 1 for row in D.matrix.entries):
+    if all(sum(row) == 1 for row in D.facts.matrix.entries):
         raise PreconditionError("edge dynamics require spectral radius > 1")
     lam = D.eigen.lam
     by_source = P.source_index

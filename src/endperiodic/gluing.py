@@ -42,8 +42,7 @@ from .errors import (
 from .spectral import (
     COORD_TOL,
     IntMatrix,
-    _analyse,
-    _GraphAnalysis,
+    MatrixFacts,
     _Value,
     is_primitive,
     lift_base,
@@ -407,7 +406,7 @@ def enumerate_identifications(
         depth_cap = N + 3 * m
     if depth_cap < N:
         raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
-    _refuse_oversized_window(D.matrix, depth_cap)
+    _refuse_oversized_window(D.facts.matrix, depth_cap)
 
     by_source = system.piece_map.source_index
     by_target = system.piece_map.target_index
@@ -1236,7 +1235,6 @@ def assemble_surface(
     census: ClassCensus,
     insert_genus: bool = False,
     weak_perron_k: int | None = None,
-    graph: _GraphAnalysis | None = None,
 ) -> SurfaceReport:
     """Group strip orbits into signed ends and decide connectedness.
 
@@ -1244,14 +1242,11 @@ def assemble_surface(
     identification tails (left with right, top with bottom). Vertical-side
     strips give attracting ends, horizontal-side strips repelling ones.
     Connectedness is certified for primitive matrices, read off the cyclic
-    classes of M (one class: some power of M is positive), and for
-    block-lift inputs by the boundary-ray regluing record; otherwise it is
-    reported as undecided. ``graph``, if given, must be ``_analyse(M)``,
-    which gives the cyclic classes.
+    classes of M, which the decomposition's facts hold (one class: some
+    power of M is positive), and for block-lift inputs by the boundary-ray
+    regluing record; otherwise it is reported as undecided.
     """
     D = ext.system.decomposition
-    if graph is None:
-        graph = _analyse(D.matrix)
 
     orbit_sign = {}
     for strip in ext.strips.values():
@@ -1275,7 +1270,7 @@ def assemble_surface(
         ends.append(End(sign=signs.pop(), strip_orbits=tuple(sorted(orbits))))
     ends.sort(key=lambda e: (e.sign, e.strip_orbits))
 
-    connected, weak_record = _connectedness(D.matrix, graph, ext, weak_perron_k)
+    connected, weak_record = _connectedness(D.facts, ext, weak_perron_k)
 
     site = None
     if insert_genus:
@@ -1295,12 +1290,10 @@ def assemble_surface(
     )
 
 
-def _connectedness(
-    M: IntMatrix, graph: _GraphAnalysis, ext: ExtendedPieceMap, weak_perron_k
-):
+def _connectedness(F: MatrixFacts, ext: ExtendedPieceMap, weak_perron_k):
     """Whether the surface is connected, and the regluing record if it was
-    decided by the boundary-ray regluing of a k-lift; ``graph`` is the
-    ``_analyse`` of M.
+    decided by the boundary-ray regluing of a k-lift, for the matrix whose
+    facts are ``F``.
 
     The regluing needs M to be the k-th block lift of a primitive matrix
     and the first rectangle's top-left corner periodic; either failing
@@ -1308,7 +1301,7 @@ def _connectedness(
     """
     if weak_perron_k is not None:
         k = weak_perron_k
-        base = lift_base(M, k)
+        base = lift_base(F.matrix, k)
         if base is None:
             raise PreconditionError(f"matrix is not a block lift with k={k}")
         if not is_primitive(base):
@@ -1323,7 +1316,7 @@ def _connectedness(
             "B_gluing": [[i, i % k + 1] for i in range(1, k + 1)],
         }
         return True, record
-    if len(graph.classes) == 1:
+    if len(F.graph.classes) == 1:
         # one cyclic class of an irreducible M: M is primitive, so some
         # power of M is positive (at the latest M^(n^2 - 2n + 2), Wielandt)
         return True, None

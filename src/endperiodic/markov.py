@@ -11,10 +11,11 @@ without building the doubled matrix or bisecting λ again.
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
-from .errors import VerificationError
-from .spectral import IntMatrix, IntPolynomial, bracket_sign_changes, char_poly
+from .errors import InvalidInputError, VerificationError
+from .spectral import IntMatrix, MatrixFacts, bracket_sign_changes, facts
 
 
 def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
@@ -54,23 +55,23 @@ class IncidenceReport(NamedTuple):
 
 
 def verify_stretch(
-    M: IntMatrix, report, tol: float = 1e-9, poly: IntPolynomial | None = None
+    M: IntMatrix | MatrixFacts, report, tol: float = 1e-9
 ) -> IncidenceReport:
     """Certify that the spectral radius of M is ``report.stretch_factor``.
 
     With x the stretch factor, the bracket is [x*(1 - tol), x*(1 + tol)],
-    each end the float product, read exactly as a dyadic rational.  The
-    Sturm chain of p = char_poly(M) (``poly``, if given, which must be
-    it) gives V(lo-), V(hi+) and V(+oo), and the radius lies in the
-    bracket exactly when V(lo-) > V(hi+) = V(+oo).  Otherwise
+    each end the float product, read exactly as a dyadic rational, for a
+    finite positive ``tol``.  The Sturm chain of p = char_poly(M) gives
+    V(lo-), V(hi+) and V(+oo), and the radius lies in the bracket
+    exactly when V(lo-) > V(hi+) = V(+oo).  Otherwise
     :class:`VerificationError` carries the bracket as ``expected`` and
     the two counts as ``actual``.
     """
+    if not 0 < tol < inf:
+        raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
     x = float(report.stretch_factor)
     bracket = (x * (1 - tol), x * (1 + tol))
-    if poly is None:
-        poly = char_poly(M)
-    at_lo, at_hi, at_infinity = bracket_sign_changes(poly, *bracket)
+    at_lo, at_hi, at_infinity = bracket_sign_changes(facts(M).poly, *bracket)
     if not at_lo > at_hi == at_infinity:
         raise VerificationError(
             f"spectral radius is not in the bracket [{bracket[0]!r}, "

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .decomposition import (
     StripDecomposition,
-    _label_tables,
     build_decomposition,
     corner_selection,
     piece_map,
@@ -56,10 +55,9 @@ from .spectral import (
     DEFAULT_TOL,
     IntMatrix,
     PerronData,
-    _analyse,
     _is_int,
     _Value,
-    char_poly,
+    facts,
     perron_eigendata,
 )
 
@@ -124,19 +122,17 @@ def run_pipeline(
     decomposition takes its permutations from ``corner_selection(M)`` and
     the surface is the double: the construction has no other settings.
 
-    A window that M alone shows to be too large is refused before any
-    stage runs. Then each fact of M is computed once and handed to the
-    stages that read it: the analysis of its digraph, its canonical strip
-    labels, and char_poly(M) with its Sturm chain. Nothing outlives the
-    call, and nothing is cached on M.
+    Ill-typed settings, and a window that M alone shows to be too large,
+    are refused before any stage runs. Then every stage reads the facts
+    of M off one ``facts(M)``, so each is computed once; the
+    decomposition keeps them, and nothing is cached on M.
     """
+    _check_settings(depth_cap, insert_genus, weak_perron_k)
     _refuse_oversized_window(M, depth_cap)
-    graph = _analyse(M)
-    poly = char_poly(M, graph=graph)
-    eigen = perron_eigendata(M, DEFAULT_TOL, poly, graph=graph)
-    labels = _label_tables(M, graph)
-    sigma, tau = corner_selection(M, graph=graph, labels=labels)
-    D = build_decomposition(M, eigen, sigma, tau, labels=labels)
+    F = facts(M)
+    eigen = perron_eigendata(F, DEFAULT_TOL)
+    sigma, tau = corner_selection(F)
+    D = build_decomposition(F, eigen, sigma, tau)
     P = piece_map(D)
     system = build_edge_maps(P)
     points = all_periodic_points(system)
@@ -146,10 +142,8 @@ def run_pipeline(
     ext = build_extended_map(system, strips, points)
     schema = enumerate_identifications(ext, depth_cap=depth_cap)
     census = classify_classes(schema, ext)
-    surface = assemble_surface(
-        ext, schema, census, insert_genus, weak_perron_k, graph=graph
-    )
-    incidence = verify_stretch(M, surface, poly=poly)
+    surface = assemble_surface(ext, schema, census, insert_genus, weak_perron_k)
+    incidence = verify_stretch(F, surface)
     return PipelineResult(
         matrix=M,
         eigen=eigen,
@@ -348,12 +342,27 @@ def load_record(text: str) -> dict:
     return data
 
 
+def _check_settings(depth_cap, insert_genus, weak_perron_k, where="") -> None:
+    """Raise :class:`InvalidInputError` unless ``depth_cap`` and
+    ``weak_perron_k`` are ``None`` or an int and ``insert_genus`` a bool;
+    ``where`` prefixes each name in the message."""
+    for key, value in (("depth_cap", depth_cap), ("weak_perron_k", weak_perron_k)):
+        if not (value is None or _is_int(value)):
+            raise InvalidInputError(
+                f"{where}{key} {value!r} is neither null nor an integer"
+            )
+    if not isinstance(insert_genus, bool):
+        raise InvalidInputError(
+            f"{where}insert_genus {insert_genus!r} is not a boolean"
+        )
+
+
 def _check_config_values(config: dict) -> None:
     """Raise :class:`InvalidInputError` unless each config value is one
     ``build_record`` writes: ``matrix`` a non-empty square list of lists
-    of non-negative ints, ``depth_cap`` and ``weak_perron_k`` ``None`` or
-    an int, ``insert_genus`` a bool, and ``tol``, ``corner_selection`` and
-    ``doubled`` their fixed values."""
+    of non-negative ints, the three settings as ``_check_settings`` takes
+    them, and ``tol``, ``corner_selection`` and ``doubled`` their fixed
+    values."""
     rows = config["matrix"]
     if not (
         isinstance(rows, list)
@@ -369,15 +378,8 @@ def _check_config_values(config: dict) -> None:
             "record config.matrix is not a non-empty square list of lists "
             "of non-negative integers"
         )
-    for key in ("depth_cap", "weak_perron_k"):
-        if not (config[key] is None or _is_int(config[key])):
-            raise InvalidInputError(
-                f"record config.{key} {config[key]!r} is neither null nor an integer"
-            )
-    if not isinstance(config["insert_genus"], bool):
-        raise InvalidInputError(
-            f"record config.insert_genus {config['insert_genus']!r} is not a boolean"
-        )
+    _check_settings(config["depth_cap"], config["insert_genus"],
+                    config["weak_perron_k"], "record config.")
     for key, fixed in _FIXED_CONFIG.items():
         value = config[key]
         if not (type(value) is type(fixed) and value == fixed):

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .spectral import _analyse
 
 DIAGRAM_KINDS = ("PieceMap", "Digraphs", "Orbits", "ExpandedRectangles", "Complex2D")
 
@@ -243,13 +242,13 @@ def _arc(svg, p, q, stroke, sw, bend=0.25):
 
 
 def _render_digraphs(result) -> str:
-    _require(result, ("system", "matrix"), "Digraphs")
+    _require(result, ("system",), "Digraphs")
     system = result.system
-    M = result.matrix
-    n = M.n
+    D = system.decomposition
+    n = D.n
     panel = 190.0
     svg = _Svg(4 * panel, panel + 30)
-    graph = _analyse(M)
+    graph = D.facts.graph
     for idx, kind in enumerate(("L", "R", "T", "B")):
         E = system.maps[kind]
         cx, cy = idx * panel + panel / 2, 24 + (panel - 30) / 2

@@ -228,8 +228,8 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
 class _GraphAnalysis(NamedTuple):
     """The facts of M's digraph that the stages of a run read, from one
-    ``_analyse`` of M: ``run_pipeline`` makes one and hands it to every
-    stage that needs it, and keeps none after the call.
+    ``_analyse`` of M, which ``MatrixFacts.graph`` makes once and keeps
+    as long as the facts value that holds it.
 
     ``successors[j]`` lists, ascending, the i with ``M[i][j] > 0`` (the
     arcs v_j -> v_i, the nonzero entries of column j), and
@@ -298,6 +298,122 @@ def _reaches_all(neighbors: list[list[int]]) -> bool:
     return len(seen) == len(neighbors)
 
 
+VERTICAL = "V"
+HORIZONTAL = "H"
+
+
+class StripLabel(NamedTuple):
+    """Strip V^(k)_{i,j} (orientation V) or H^(k)_{i,j} (orientation H).
+
+    ``rect`` is the host rectangle k, ``source`` the index i, ``copy`` the
+    duplicate number j. All indices are 1-based.
+    """
+
+    orientation: str
+    rect: int
+    source: int
+    copy: int
+
+    def __str__(self):
+        return f"{self.orientation}({self.rect};{self.source},{self.copy})"
+
+
+def _canonical_labels(
+    M: IntMatrix, graph: _GraphAnalysis, k: int, orientation: str
+) -> tuple[StripLabel, ...]:
+    """The labels of rectangle k in ascending order: column k of M gives
+    the vertical ones, row k the horizontal ones. ``graph``, the
+    ``_analyse`` of M, lists the nonzero entries of that column
+    (``successors[k - 1]``) or row (``predecessors[k - 1]``), and only
+    those entries of M are read."""
+    entries = M.entries
+    if orientation == VERTICAL:
+        mults = [(i, entries[i][k - 1]) for i in graph.successors[k - 1]]
+    else:
+        row = entries[k - 1]
+        mults = [(j, row[j]) for j in graph.predecessors[k - 1]]
+    return tuple(
+        StripLabel(orientation, k, i + 1, c)
+        for i, mult in mults
+        for c in range(1, mult + 1)
+    )
+
+
+class MatrixFacts(_Value):
+    """The facts of M that the stages read, each computed on first read
+    and then kept: ``graph``, the ``_analyse`` of M, ``labels``, its
+    canonical strip labels, and ``poly``, char_poly(M). A stage given a
+    bare M makes its own with ``facts(M)``."""
+
+    _fields = ("matrix",)
+    matrix: IntMatrix
+
+    def __init__(self, matrix: IntMatrix):
+        vars(self).update(matrix=matrix)
+
+    @cached_property
+    def graph(self) -> _GraphAnalysis:
+        return _analyse(self.matrix)
+
+    @cached_property
+    def labels(self) -> tuple[dict, dict]:
+        """The canonical labels of every rectangle, k -> tuple: the
+        vertical table and the horizontal one."""
+        M, graph = self.matrix, self.graph
+        ks = range(1, M.n + 1)
+        return (
+            {k: _canonical_labels(M, graph, k, VERTICAL) for k in ks},
+            {k: _canonical_labels(M, graph, k, HORIZONTAL) for k in ks},
+        )
+
+    @cached_property
+    def poly(self) -> IntPolynomial:
+        """Characteristic polynomial det(xI - M), exact over the integers.
+
+        An irreducible M of period d >= 2 is, up to a permutation of its
+        vertices, a cyclic block matrix over its d cyclic classes. Then
+        det(xI - M) = x**(n - d*n_1) * det(x**d I - B), where B is the
+        product of the d blocks around a smallest class, of size n_1 (Minc,
+        *Nonnegative Matrices*, 1988, ch. 3), so Faddeev-LeVerrier runs on
+        the n_1 x n_1 matrix B: on the k-th block lift of an m x m matrix
+        A, B is A itself and the polynomial is char_poly(A)(x**k). A
+        primitive or reducible M goes through Faddeev-LeVerrier as it is.
+        """
+        M, graph = self.matrix, self.graph
+        n = M.n
+        classes = graph.classes
+        d = len(classes)
+        if d < 2:
+            return IntPolynomial(_faddeev_leverrier(M.entries))
+        c = min(range(d), key=lambda t: len(classes[t]))
+        start = classes[c]
+        n_1 = len(start)
+        entries, predecessors = M.entries, graph.predecessors
+        # rows[i] is row i of the product of the blocks walked so far into
+        # i's class: the combination of the rows of i's predecessors, one
+        # per arc j -> i, all in the class before
+        rows = {v: [int(u == v) for u in start] for v in start}
+        for t in range(1, d + 1):
+            block = {}
+            for i in classes[(c + t) % d]:
+                row, acc = entries[i], [0] * n_1
+                for j in predecessors[i]:
+                    m = row[j]
+                    acc = [a + m * b for a, b in zip(acc, rows[j])]
+                block[i] = acc
+            rows = block
+        q = _faddeev_leverrier([rows[v] for v in start])
+        coeffs = [0] * (n + 1)
+        for i, a in enumerate(q):
+            coeffs[n - d * n_1 + d * i] = a
+        return IntPolynomial(coeffs)
+
+
+def facts(M: IntMatrix | MatrixFacts) -> MatrixFacts:
+    """The facts value of M, or M itself if it already is one."""
+    return M if isinstance(M, MatrixFacts) else MatrixFacts(M)
+
+
 def is_irreducible(M: IntMatrix) -> bool:
     """True iff some power of M has a positive (i, j) entry for every i, j.
 
@@ -309,14 +425,8 @@ def is_irreducible(M: IntMatrix) -> bool:
 
 def graph_period(M: IntMatrix) -> int:
     """gcd of all cycle lengths of an irreducible matrix's digraph: the
-    number d of its cyclic classes (``_analyse``).
-
-    Ordered class by class, M is a cyclic block matrix, and for d >= 2
-    ``char_poly`` reads det(xI - M) = x**(n - d*n_1) * det(x**d I - B) off
-    the d x d block form, B being the product of the blocks around a
-    smallest class, of size n_1. For d = 1 (M primitive) the identity is
-    det(xI - M) itself and says nothing new.
-    """
+    number d of its cyclic classes (``_analyse``), over which
+    ``MatrixFacts.poly`` reads M as a cyclic block matrix when d >= 2."""
     classes = _analyse(M).classes
     if not classes:
         raise PreconditionError("graph period requires an irreducible matrix")
@@ -332,48 +442,10 @@ def is_primitive(M: IntMatrix) -> bool:
 # exact characteristic polynomial
 
 
-def char_poly(M: IntMatrix, graph: _GraphAnalysis | None = None) -> IntPolynomial:
-    """Characteristic polynomial det(xI - M), exact over the integers.
-
-    An irreducible M of period d >= 2 is, up to a permutation of its
-    vertices, a cyclic block matrix over its d cyclic classes. Then
-    det(xI - M) = x**(n - d*n_1) * det(x**d I - B), where B is the product
-    of the d blocks around a smallest class, of size n_1 (Minc,
-    *Nonnegative Matrices*, 1988, ch. 3), so Faddeev-LeVerrier runs on the
-    n_1 x n_1 matrix B: on the k-th block lift of an m x m matrix A, B is
-    A itself and the polynomial is char_poly(A)(x**k). A primitive or
-    reducible M goes through Faddeev-LeVerrier as it is. ``graph``, if
-    given, must be ``_analyse(M)``, which gives the cyclic classes.
-    """
-    if graph is None:
-        graph = _analyse(M)
-    n = M.n
-    classes = graph.classes
-    d = len(classes)
-    if d < 2:
-        return IntPolynomial(_faddeev_leverrier(M.entries))
-    c = min(range(d), key=lambda t: len(classes[t]))
-    start = classes[c]
-    n_1 = len(start)
-    entries, predecessors = M.entries, graph.predecessors
-    # rows[i] is row i of the product of the blocks walked so far, from
-    # the start class into the class that holds i: the combination of the
-    # rows of i's predecessors, one per arc j -> i, all in the class before
-    rows = {v: [int(u == v) for u in start] for v in start}
-    for t in range(1, d + 1):
-        block = {}
-        for i in classes[(c + t) % d]:
-            row, acc = entries[i], [0] * n_1
-            for j in predecessors[i]:
-                m = row[j]
-                acc = [a + m * b for a, b in zip(acc, rows[j])]
-            block[i] = acc
-        rows = block
-    q = _faddeev_leverrier([rows[v] for v in start])
-    coeffs = [0] * (n + 1)
-    for i, a in enumerate(q):
-        coeffs[n - d * n_1 + d * i] = a
-    return IntPolynomial(coeffs)
+def char_poly(M: IntMatrix | MatrixFacts) -> IntPolynomial:
+    """Characteristic polynomial det(xI - M), exact over the integers:
+    ``facts(M).poly``."""
+    return facts(M).poly
 
 
 def _faddeev_leverrier(rows) -> list[int]:
@@ -407,11 +479,10 @@ def _faddeev_leverrier(rows) -> list[int]:
     return coeffs
 
 
-def determinant(M: IntMatrix, poly: IntPolynomial | None = None) -> int:
-    """det(M); ``poly``, if given, must be ``char_poly(M)``."""
-    if poly is None:
-        poly = char_poly(M)
-    return (-1) ** M.n * poly.coefficients[0]
+def determinant(M: IntMatrix | MatrixFacts) -> int:
+    """det(M), read off char_poly(M)."""
+    F = facts(M)
+    return (-1) ** F.matrix.n * F.poly.coefficients[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,18 +638,14 @@ def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
     return _bisect_top_root(chain, _cauchy_bound(coefficients), precision)
 
 
-def spectral_radius_exact(
-    M: IntMatrix, precision: float = 1e-12, poly: IntPolynomial | None = None
-) -> float:
+def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
     """Spectral radius of a non-negative integer matrix.
 
     For non-negative matrices the spectral radius is itself an eigenvalue,
-    hence the largest real root of the characteristic polynomial;
-    ``poly``, if given, must be ``char_poly(M)``.
+    hence the largest real root of char_poly(M), bisected to float
+    resolution.
     """
-    if poly is None:
-        poly = char_poly(M)
-    return max(0.0, largest_real_root(poly, precision))
+    return max(0.0, largest_real_root(facts(M).poly, precision=0.0))
 
 
 def _value_beside(q: tuple[int, ...], num: int, exp: int, side: int) -> int:
@@ -672,19 +739,13 @@ def _max_residual(rows, arcs, lam: float, v: list[float]) -> float:
 
 
 def perron_eigendata(
-    M: IntMatrix,
-    tol: float = DEFAULT_TOL,
-    poly: IntPolynomial | None = None,
-    graph: _GraphAnalysis | None = None,
+    M: IntMatrix | MatrixFacts, tol: float = DEFAULT_TOL
 ) -> PerronData:
     """Spectral radius and positive right/left eigenvectors of an irreducible M.
 
-    lambda is the largest real root of the exact characteristic
-    polynomial, bisected on its integer Sturm chain to float resolution.
-    ``poly``, if given, must be ``char_poly(M)``; a caller that needs the
-    polynomial again passes it here, so it and its chain are built once.
-    ``graph``, if given, must be ``_analyse(M)``: irreducibility, the arcs
-    that the residual sums over and the cyclic classes are read off it.
+    lambda is the largest real root of char_poly(M), bisected on its
+    integer Sturm chain to float resolution. Irreducibility and the arcs
+    that the residual sums over are read off M's digraph analysis.
     eta and omega come from one step of inverse iteration at that lambda:
     one solve each with M - lambda*I and its transpose, from the all-ones
     vector, scaled to last entry 1. Inverse iteration at an approximation
@@ -701,14 +762,12 @@ def perron_eigendata(
     """
     if not 0 < tol < inf:
         raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
-    if graph is None:
-        graph = _analyse(M)
+    F = facts(M)
+    graph = F.graph
     if not graph.irreducible:
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
-    if poly is None:
-        poly = char_poly(M, graph=graph)
-    lam = largest_real_root(poly, precision=0.0)
-    rows = M.entries
+    lam = largest_real_root(F.poly, precision=0.0)
+    rows = F.matrix.entries
     columns = tuple(zip(*rows))
     tiny = float_info.epsilon * max(sum(row) for row in rows)
 

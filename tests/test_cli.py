@@ -296,9 +296,12 @@ class TestSpectral:
              "lambda: 3 (residual 0)\neta: [1.0]\nomega: [1.0]\n"),
             ([[1, 1], [0, 1]], "matrix: [[1, 1], [0, 1]]\n"
              "char_poly: x^2-2x+1\ndeterminant: 1\nirreducible: False\n"
-             "spectral radius: 1.00000000000011\n"),
+             "spectral radius: 1\n"),
+            ([[2, 0], [0, 3]], "matrix: [[2, 0], [0, 3]]\n"
+             "char_poly: x^2-5x+6\ndeterminant: 6\nirreducible: False\n"
+             "spectral radius: 3\n"),
         ],
-        ids=["integer3", "reducible"],
+        ids=["integer3", "reducible", "diagonal"],
     )
     def test_one_analysis_and_one_char_poly(
         self, tmp_path, capsys, monkeypatch, rows, expected

@@ -1,6 +1,5 @@
 """Tests for the incidence matrix block structure and stretch verification."""
 
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +8,11 @@ import pytest
 import endperiodic.spectral
 from endperiodic import (
     IntMatrix,
+    InvalidInputError,
     VerificationError,
     block_lift,
     char_poly,
+    facts,
     incidence_matrix,
     is_primitive,
     run_pipeline,
@@ -105,6 +106,15 @@ class TestVerifyStretch:
             count += 1
         assert count >= 10
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1e-9])
+    def test_tol_not_finite_and_positive_is_input_error(
+        self, running_matrix, running_result, tol
+    ):
+        # nan and inf once raised from float.as_integer_ratio, and 0 and
+        # -1e-9 a VerificationError that blamed the spectral radius
+        with pytest.raises(InvalidInputError, match="is not a finite positive"):
+            verify_stretch(running_matrix, running_result.surface, tol=tol)
+
     def test_report_serializes(self, running_matrix, running_result):
         report = verify_stretch(running_matrix, running_result.surface)
         data = report.to_json_dict()
@@ -125,9 +135,9 @@ class TestVerifyStretch:
             report = verify_stretch(M, _surface(rho))
             lo, hi = report.bracket
             assert lo <= rho <= hi
-            # bench/run.py's traced pass passes no poly, and its record
-            # must equal build_record's, which passes it
-            assert report == verify_stretch(M, _surface(rho), poly=char_poly(M))
+            # bench/run.py's traced pass passes a bare M, and its record
+            # must equal build_record's, which passes the facts of M
+            assert report == verify_stretch(facts(M), _surface(rho))
 
 
 class TestBracketMutations:
@@ -200,9 +210,9 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
         M = IntMatrix.from_rows(rows)
     if k is not None:
         M = block_lift(M, k)
-    # run_pipeline computes char_poly(M) with the one analysis of M's
-    # digraph and hands it on
-    original = endperiodic.spectral.char_poly
+    # run_pipeline makes one facts value, of M itself, and every stage
+    # reads char_poly(M) off it
+    original = endperiodic.spectral.MatrixFacts.__init__
     sizes = []
     chains = []
     bisections = []
@@ -225,9 +235,9 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
         endperiodic.spectral, "_faddeev_leverrier", recording_recurrence
     )
 
-    def recording(A, **kwargs):
+    def recording(F, A):
         sizes.append(A.n)
-        return original(A, **kwargs)
+        original(F, A)
 
     original_chain = endperiodic.spectral._integer_sturm_chain
 
@@ -239,14 +249,7 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
         endperiodic.spectral, "_integer_sturm_chain", recording_chain
     )
 
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "endperiodic" and (
-            getattr(module, "char_poly", None) is original
-        ):
-            monkeypatch.setattr(module, "char_poly", recording)
-            patched += 1
-    assert patched >= 1
+    monkeypatch.setattr(endperiodic.spectral.MatrixFacts, "__init__", recording)
     run_pipeline(M, weak_perron_k=k)
     assert sizes == [M.n]
     assert recurrences == ([1] if k is not None else [M.n])

@@ -21,6 +21,7 @@ from endperiodic import (
     build_decomposition,
     build_record,
     char_poly,
+    facts,
     load_record,
     max_escape_depth,
     nesting_period,
@@ -28,10 +29,9 @@ from endperiodic import (
     run_pipeline,
     verify_record,
 )
-from endperiodic.decomposition import _label_tables
 from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
-from endperiodic.spectral import _analyse, _max_residual
+from endperiodic.spectral import MatrixFacts, _analyse, _max_residual
 
 from conftest import (
     RUNNING_ROWS,
@@ -298,6 +298,32 @@ class TestLoadRecord:
             build_record(IntMatrix(((True, True), (True, False))))
         record, _ = build_record(IntMatrix(((1, 1), (1, 0))))
         verify_record(load_record(record.to_json()))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("insert_genus", 1),
+            ("insert_genus", "yes"),
+            ("depth_cap", 40.0),
+            ("weak_perron_k", 2.0),
+            ("weak_perron_k", True),
+        ],
+    )
+    def test_ill_typed_setting_is_refused_before_any_stage(
+        self, running_matrix, monkeypatch, key, value
+    ):
+        # the first two once wrote a record that load_record then refused,
+        # the float ones died in a stage with a bare TypeError; the rule
+        # that load_record applies refuses each before any stage runs
+        stages = []
+        original = endperiodic.record.perron_eigendata
+        monkeypatch.setattr(
+            endperiodic.record, "perron_eigendata",
+            lambda *a, **kw: stages.append(a) or original(*a, **kw),
+        )
+        with pytest.raises(InvalidInputError, match=f"^{key} {value!r} is "):
+            build_record(running_matrix, **{key: value})
+        assert stages == []
 
     def test_version_gate(self, running_record):
         data = json.loads(running_record.to_json())
@@ -693,9 +719,9 @@ class TestOncePerRun:
                     lambda A: analysed.append(A) or analyse(A),
                 )
         tables = []
-        canonical_labels = decomposition._canonical_labels
+        canonical_labels = spectral._canonical_labels
         monkeypatch.setattr(
-            decomposition, "_canonical_labels",
+            spectral, "_canonical_labels",
             lambda A, graph, rect, o: tables.append((rect, o))
             or canonical_labels(A, graph, rect, o),
         )
@@ -755,8 +781,10 @@ class TestArcReads:
             reads = [0]
             rows = _counting_rows(M.entries, reads)
             columns = _counting_rows(zip(*M.entries), reads)
+            counting = MatrixFacts(SimpleNamespace(entries=rows, n=M.n))
+            assert counting.graph == graph
             reads[0] = 0
-            _label_tables(SimpleNamespace(entries=rows, n=M.n), graph)
+            counting.labels
             _max_residual(rows, graph.predecessors, eigen.lam, eigen.eta)
             _max_residual(columns, graph.successors, eigen.lam, eigen.omega)
             counts.append(reads[0])
@@ -777,11 +805,14 @@ class TestArcReads:
             rows[(j + 1) % n][j] = 1
         rows[n - 2][n - 1] = 1
         M = IntMatrix.from_rows(rows)
-        graph = _analyse(M)
-        assert len(graph.classes) == 2
         reads = [0]
-        counting = SimpleNamespace(entries=_counting_rows(M.entries, reads), n=n)
-        poly = char_poly(counting, graph)
+        counting = MatrixFacts(
+            SimpleNamespace(entries=_counting_rows(M.entries, reads), n=n)
+        )
+        graph = counting.graph
+        assert len(graph.classes) == 2
+        reads[0] = 0
+        poly = char_poly(counting)
         arcs = sum(map(len, graph.predecessors))
         assert reads[0] == arcs == n + 1
         assert poly == char_poly(M)
@@ -795,14 +826,14 @@ class TestArcReads:
         counts = []
         for k in (64, 128):
             M = block_lift(IntMatrix.from_rows([[2]]), k)
-            eigen = perron_eigendata(M)
-            labels = _label_tables(M, _analyse(M))
+            F = facts(M)
+            eigen = perron_eigendata(F)
             reads = [0]
             eta, omega = _counting_rows((eigen.eta, eigen.omega), reads)
             counting = eigen._replace(eta=eta, omega=omega)
-            D = build_decomposition(M, counting, labels=labels)
+            D = build_decomposition(F, counting)
             counts.append(reads[0])
-            plain = build_decomposition(M, eigen, labels=labels)
+            plain = build_decomposition(F, eigen)
             assert D.vertical_offsets == plain.vertical_offsets
             assert D.horizontal_offsets == plain.horizontal_offsets
         # per rectangle and orientation one term per strip, nothing for
@@ -821,10 +852,13 @@ class TestEarlyWindowRefusal:
         # no stage runs; at 30 the stages run and the real window N + 3m is
         # refused by enumerate_identifications.
         stages = []
-        for name in ("_analyse", "corner_selection"):
-            original = getattr(endperiodic.record, name)
+        for module, name in (
+            (endperiodic.spectral, "_analyse"),
+            (endperiodic.record, "corner_selection"),
+        ):
+            original = getattr(module, name)
             monkeypatch.setattr(
-                endperiodic.record, name,
+                module, name,
                 lambda *a, name=name, original=original, **kw:
                 stages.append(name) or original(*a, **kw),
             )

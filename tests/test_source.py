@@ -5,7 +5,9 @@ every public one by package code or ``__all__``, no module defines a
 private ``_x`` beside a public ``x``, every field and method of a package
 class is read by package or benchmark code, every
 dataclass is frozen and every value type of the pipeline
-refuses a field assignment, so a value is complete when it is built,
+refuses a field assignment, so a value is complete when it is built, no
+function takes a fact of M (``graph``, ``labels``, ``poly``) as an
+optional argument,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
 a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
 construction takes no settings beyond the four it has, and every package
@@ -29,9 +31,14 @@ from endperiodic import (
     block_lift,
     build_record,
     char_poly,
+    corner_selection,
+    determinant,
+    facts,
+    perron_eigendata,
     run_pipeline,
 )
 from endperiodic.record import _config_dict
+from endperiodic.spectral import _analyse
 
 from conftest import RUNNING_ROWS
 
@@ -121,11 +128,60 @@ def test_every_private_name_is_read():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_twin_of_a_public_name(path):
-    # a stage takes the facts of M that a caller already holds as optional
-    # arguments; a private ``_x`` beside a public ``x`` is a second copy
-    # of one function
+    # a stage reads the facts of M off the one value ``facts(M)`` that a
+    # caller may already hold; a private ``_x`` beside a public ``x`` is a
+    # second copy of one function
     names = set(_definitions(ast.parse(path.read_text(encoding="utf-8"))))
     assert sorted(n for n in names if n.startswith("_") and n[1:] in names) == []
+
+
+#: the facts of M that ``MatrixFacts`` holds, by attribute name
+FACTS = ("graph", "labels", "poly")
+
+
+def _optional_facts(sources) -> list[tuple[str, str, str]]:
+    """(file name, function, parameter) of each parameter of a function in
+    ``sources`` that is named after a fact of M and has a default."""
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+            found += [
+                (path.name, node.name, a.arg)
+                for a in defaulted if a.arg in FACTS
+            ]
+    return found
+
+
+def test_no_stage_takes_an_optional_fact():
+    # a stage reads the facts of M off ``facts(M)``; an optional ``graph``,
+    # ``labels`` or ``poly`` is a claim about M that nothing checks
+    assert _optional_facts(SOURCES) == []
+
+
+def test_a_fact_of_another_matrix_cannot_be_passed(running_matrix):
+    # the first three once took a fact of B for A without a typed error:
+    # a wrong determinant (-1, not -2), a bare IndexError, permutations
+    # built on B's labels
+    B = IntMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    A = running_matrix
+    with pytest.raises(TypeError):
+        determinant(A, char_poly(B))
+    with pytest.raises(TypeError):
+        corner_selection(A, graph=_analyse(B))
+    with pytest.raises(TypeError):
+        corner_selection(A, labels=facts(B).labels)
+    with pytest.raises(TypeError):
+        perron_eigendata(A, poly=char_poly(B))
+    assert determinant(A) == -2
 
 
 def test_one_tolerance_search_in_gluing():
@@ -259,6 +315,7 @@ def running_values():
         (result.points["L"][0], "period"),
         (result.census, "finite_pairs"),
         (record, "created_at"),
+        (result.decomposition.facts, "matrix"),
     ]
 
 

@@ -527,7 +527,7 @@ def _window(side, step, depth_cap) -> list:
 
 
 # ---------------------------------------------------------------------------
-# node registry and class census
+# node tables and class census
 
 
 _WINDOW = 2 * COORD_TOL
@@ -568,82 +568,51 @@ def _least_within(positions: list[float], ids: list[int], z: float,
     return new
 
 
-class _Bin:
-    """One edge ``(rect, side)`` of the registry: ``prefix``, the node
-    tuple without its position; ``head``, the string ``_node_str(prefix) +
-    ":"``; the positions of its nodes in ascending order and their ids in
-    the same order."""
+class _EdgeTable(dict):
+    """pos -> id on one rectangle edge ``(rect, side)``.
 
-    __slots__ = ("prefix", "head", "positions", "ids")
+    A position that the table has not answered snaps to 0 or to the edge
+    length within ``COORD_TOL``; there it is the edge's start or end
+    corner, one node per corner in ``corners``, which all edges share.
+    Any other position takes the least id of the edge within
+    ``COORD_TOL`` (``_least_within`` on the edge's sorted ``positions``)
+    or becomes the next node. New nodes are appended to ``nodes``, and
+    the heads of their ``_node_str`` to ``heads``."""
 
-    def __init__(self, prefix, head):
-        self.prefix = prefix
-        self.head = head
+    __slots__ = ("nodes", "heads", "corners", "length", "start", "end",
+                 "prefix", "head", "positions", "ids")
+
+    def __init__(self, nodes: list[tuple], heads: list[str],
+                 corners: dict[tuple, int], D, rect: int, side: str):
+        self.nodes, self.heads, self.corners = nodes, heads, corners
+        vertical = side in ("L", "R")
+        self.length = D.rect_height(rect) if vertical else D.rect_width(rect)
+        self.start = ("C", rect, _CORNER_AT_START[side])
+        self.end = ("C", rect, _CORNER_AT_END[side])
+        self.prefix = ("E", rect, side)
+        self.head = f"E:{rect}:{side}:"
         self.positions: list[float] = []
         self.ids: list[int] = []
 
-
-class _NodeRegistry:
-    """Dense integer ids for quantized points on edges and strip boundaries.
-
-    ``nodes[i]`` is the node tuple of id ``i``; ids run 0, 1, 2, ... in
-    order of first sight, and ``heads[i]`` is the head of its
-    ``_node_str``: the node string up to its position for an edge or strip
-    node, the whole string for a corner. ``edge_id`` resolves points on
-    rectangle edges. Positions within coordinate tolerance of 0 or of the
-    edge length snap there, and each rectangle corner is one node, since
-    the same geometric point appears under several coordinate
-    descriptions. Any other position gets the least id of its edge within
-    tolerance (``_least_within`` on the edge's ``_Bin``), or a new one.
-
-    Strip nodes are made by the ``_StripLevel`` tables of
-    ``classify_classes``, which append to the same ``nodes`` and
-    ``heads``; a strip base corner at height 0 is the edge point that its
-    table looks up here.
-    """
-
-    def __init__(self, decomposition):
-        self.D = decomposition
-        self.nodes: list[tuple] = []
-        self.heads: list[str] = []
-        self._corner_ids: dict[tuple, int] = {}
-        # (rect, side) -> (length, start corner, end corner, bin)
-        self._edges: dict[tuple[int, str], tuple] = {}
-
-    def _edge(self, rect, side) -> tuple:
-        vertical = side in ("L", "R")
-        length = self.D.rect_height(rect) if vertical else self.D.rect_width(rect)
-        edge = self._edges[(rect, side)] = (
-            length,
-            ("C", rect, _CORNER_AT_START[side]),
-            ("C", rect, _CORNER_AT_END[side]),
-            _Bin(("E", rect, side), f"E:{rect}:{side}:"),
-        )
-        return edge
-
-    def edge_id(self, rect, side, pos) -> int:
-        edge = self._edges.get((rect, side)) or self._edge(rect, side)
-        length, start, end, bin = edge
-        if abs(pos) <= COORD_TOL:
-            pos = 0.0
-        if abs(pos - length) <= COORD_TOL:
-            pos = length
-        if pos == 0.0 or pos == length:
-            corner = start if pos == 0.0 else end
-            i = self._corner_ids.get(corner)
+    def __missing__(self, pos: float) -> int:
+        nodes, length = self.nodes, self.length
+        at = 0.0 if abs(pos) <= COORD_TOL else pos
+        if abs(at - length) <= COORD_TOL:
+            at = length
+        if at == 0.0 or at == length:
+            corner = self.start if at == 0.0 else self.end
+            i = self.corners.get(corner)
             if i is None:
-                i = self._corner_ids[corner] = len(self.nodes)
-                self.nodes.append(corner)
+                i = self.corners[corner] = len(nodes)
+                nodes.append(corner)
                 self.heads.append(_node_str(corner))
-            return i
-        return self._bin_id(bin, pos)
-
-    def _bin_id(self, bin: _Bin, pos: float) -> int:
-        new = len(self.nodes)
-        i = _least_within(bin.positions, bin.ids, pos, new)
-        if i == new:
-            self.nodes.append(bin.prefix + (pos,))
-            self.heads.append(bin.head)
+        else:
+            new = len(nodes)
+            i = _least_within(self.positions, self.ids, pos, new)
+            if i == new:
+                nodes.append(self.prefix + (pos,))
+                self.heads.append(self.head)
+        self[pos] = i
         return i
 
 
@@ -688,10 +657,11 @@ class ClassCensus(_Value):
     ``infinite_summaries`` holds, per infinite class in record order, its
     link label, its size, its representative (the least ``_node_str`` of
     its nodes) and its member ids: all that ``to_json_dict`` and
-    ``assemble_surface`` read. ``nodes`` (id -> node tuple) and ``parent``
-    (id -> union-find root, fully compressed) are the registry and the
-    forest of the pass, and ``infinite_roots`` the roots of its infinite
-    classes; the record reads none of them.
+    ``assemble_surface`` read. ``nodes`` (id -> node tuple, in order of
+    first sight, as the pass's node tables made them) and ``parent`` (id
+    -> union-find root, fully compressed) are the nodes and the forest of
+    the pass, and ``infinite_roots`` the roots of its infinite classes;
+    the record reads none of them.
 
     Two views are built from these on first read and then cached:
     ``infinite_classes``, one ``EquivalenceClass`` per summary listing its
@@ -705,7 +675,7 @@ class ClassCensus(_Value):
     stays in the record until the next schema bump drops it.
     """
 
-    #: compared and shown; the registry, forest and roots are neither
+    #: compared and shown; the nodes, forest and roots are neither
     _fields = ("finite_singletons", "finite_pairs", "oversized_finite",
                "infinite_summaries")
 
@@ -812,112 +782,97 @@ def _snapped(z: float) -> float:
     return z
 
 
-def _moves(zs) -> dict[float, float]:
-    """The positions that a level fed the sequence ``zs`` gives, as z ->
-    the position of the least id within ``COORD_TOL`` (``_least_within``,
-    ids in order of first sight) for each z that this does not keep."""
-    positions: list[float] = []
-    ids: list[int] = []
-    firsts: list[float] = []
-    moves = {}
-    for z in zs:
-        i = _least_within(positions, ids, z, len(firsts))
-        if i == len(firsts):
-            firsts.append(z)
-        elif firsts[i] != z:
-            moves[z] = firsts[i]
-    return moves
-
-
 class _StripLevel(dict):
-    """z -> id on one strip level ``(key, w)``: a z that the level has not
-    seen becomes the registry's next node, unless ``moves`` sends it to an
-    earlier position of the level, whose id it takes. At height 0,
-    ``strip`` is the level's strip, and z = 0 or 1, a base corner, is the
-    edge point that ``_NodeRegistry.edge_id`` resolves."""
+    """z -> id on one strip level ``(key, w)``, for z snapped by
+    ``_snapped``. At height 0, ``edge`` is the table of the strip's host
+    edge, and z = 0 or 1, a base corner, is the edge point that it
+    answers. Any other z takes the least id of the level within
+    ``COORD_TOL`` (``_least_within``) where the level may merge
+    (``positions`` is a list), or else becomes the next node."""
 
-    __slots__ = ("registry", "prefix", "head", "moves", "strip")
+    __slots__ = ("nodes", "heads", "prefix", "head", "strip", "edge",
+                 "positions", "ids")
 
-    def __init__(self, registry: _NodeRegistry, prefix: tuple, head: str,
-                 moves: dict[float, float], strip: InfiniteStrip | None):
-        self.registry = registry
-        self.prefix = prefix
-        self.head = head
-        self.moves = moves
-        self.strip = strip
+    def __init__(self, nodes: list[tuple], heads: list[str], prefix: tuple,
+                 head: str, strip: InfiniteStrip, edge: _EdgeTable | None,
+                 merge: bool):
+        self.nodes, self.heads, self.prefix, self.head = nodes, heads, prefix, head
+        self.strip, self.edge = strip, edge
+        self.positions: list[float] | None = [] if merge else None
+        self.ids: list[int] | None = [] if merge else None
 
     def __missing__(self, z: float) -> int:
-        strip = self.strip
-        if strip is not None and (z == 0.0 or z == 1.0):
-            i = self.registry.edge_id(strip.rect, strip.kind,
-                                      strip.z_to_offset(z))
-        elif z in self.moves:
-            i = self[self.moves[z]]
+        if self.edge is not None and (z == 0.0 or z == 1.0):
+            i = self.edge[self.strip.z_to_offset(z)]
         else:
-            nodes = self.registry.nodes
-            i = len(nodes)
-            nodes.append(self.prefix + (z,))
-            self.registry.heads.append(self.head)
+            nodes = self.nodes
+            i = new = len(nodes)
+            if self.positions is not None:
+                i = _least_within(self.positions, self.ids, z, new)
+            if i == new:
+                nodes.append(self.prefix + (z,))
+                self.heads.append(self.head)
         self[z] = i
         return i
 
 
-def _strip_levels(schema: IdentificationSchema, ext: ExtendedPieceMap,
-                  registry: _NodeRegistry) -> dict[tuple[str, int], list]:
+def _strip_levels(
+    schema: IdentificationSchema, ext: ExtendedPieceMap,
+    edges: dict[tuple[int, str], _EdgeTable], nodes: list[tuple],
+    heads: list[str],
+) -> dict[tuple[str, int], list[_StripLevel]]:
     """Each strip orbit's entry strip key -> its ``_StripLevel`` at each
     step s after entry, to the last step in the window of its earliest
     side.
 
-    Every side enters its orbit at the orbit's initial strip, at height 0
-    (``_strip_entry``), so the key of its entry state names the orbit,
-    and s steps later every side of the orbit is on the same level. The
-    level's lookups are the snapped entry coordinates of the sides with
-    entry depth t <= ``depth_cap`` - s, in generator order, without 0 and
-    1 at height 0. An orbit whose snapped entry coordinates are pairwise
-    more than ``COORD_TOL`` apart, by the registry's float difference,
-    moves none of them; float subtraction is monotone, so comparing
-    neighbours of the sorted distinct values decides this. Any other
-    orbit has one ``_moves`` map per distinct set of sides, made at the
-    first step that has it: the set shrinks as s grows. Whether 0 and 1
-    are left out does not change a map: every other snapped value is more
-    than ``COORD_TOL`` from both, and their float difference is exact,
-    so 0 and 1 neither move nor are moved to.
+    A level (key, w) is one step of one orbit: every side enters its
+    orbit at the orbit's initial strip, at height 0 (``_strip_entry``),
+    so the key of its entry state names the orbit, and the tail rule
+    moves it one strip per step and one unit up per period, keeping its
+    (za, zb). So s steps past entry every side of the orbit is on the
+    same level, and the level's lookups are the snapped entry
+    coordinates of the orbit's sides, without 0 and 1 at height 0, which
+    its host edge answers.
+
+    A level searches only if its orbit's snapped entry coordinates come
+    within ``COORD_TOL`` of each other, by the float difference that
+    ``_least_within`` tests; float subtraction is monotone, so comparing
+    neighbours of the sorted distinct values decides this. Where none
+    do, each new z is more than ``COORD_TOL`` from every earlier one, so
+    it is a new node without a search.
     """
     cap = schema.depth_cap
-    entries: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
+    first: dict[tuple[str, int], int] = {}
+    entries: dict[tuple[str, int], set[float]] = {}
     for gen in schema.generators:
         for side in gen.sides:
             state = side[-1]
             if state[0] == "S":
-                entries.setdefault(state[1], []).append(
-                    (len(side), _snapped(state[2]), _snapped(state[3]))
+                key = state[1]
+                first[key] = min(first.get(key, cap), len(side))
+                entries.setdefault(key, set()).update(
+                    (_snapped(state[2]), _snapped(state[3]))
                 )
     names = {key: str(key) for key in ext.strips}
     levels = {}
-    for entry_key, sides in entries.items():
-        zs = sorted({z for _, z0, z1 in sides for z in (z0, z1)})
+    for entry_key, zs in entries.items():
+        zs = sorted(zs)
         merge = any(b - a <= COORD_TOL for a, b in zip(zs, islice(zs, 1, None)))
-        depths = sorted({t for t, _, _ in sides})
-        moves: dict[float, float] = {}
         key, w = entry_key, 0
         steps = levels[entry_key] = []
-        for s in range(cap - depths[0] + 1):
-            if merge and (s == 0 or depths[-1] > cap - s):
-                while depths[-1] > cap - s:
-                    depths.pop()
-                moves = _moves(
-                    z for t, z0, z1 in sides if t <= cap - s for z in (z0, z1)
-                )
+        for _ in range(cap - first[entry_key] + 1):
+            strip = ext.strips[key]
+            edge = None if w else edges[strip.rect, strip.kind]
             steps.append(_StripLevel(
-                registry, ("S", key, w), f"S:{names[key]}:{w}:", moves,
-                None if w else ext.strips[key],
+                nodes, heads, ("S", key, w), f"S:{names[key]}:{w}:", strip,
+                edge, merge,
             ))
             key, rise = ext.step[key]
             w += rise
     return levels
 
 
-def _side_ids(side, levels, edge_id, cap) -> list[int]:
+def _side_ids(side, levels, edges, cap) -> list[int]:
     """One side's id column: the ids of its first and second endpoints at
     depth 1, then at depth 2, and so on to ``cap`` (``classify_classes``)."""
     entry = side[-1]
@@ -929,8 +884,9 @@ def _side_ids(side, levels, edge_id, cap) -> list[int]:
         zs = (_snapped(entry[2]), _snapped(entry[3]))
     ids = []
     for _, rect, kind, a, b in states:
-        ids.append(edge_id(rect, kind, a))
-        ids.append(edge_id(rect, kind, b))
+        table = edges[rect, kind]
+        ids.append(table[a])
+        ids.append(table[b])
     ids += [table[z] for table in tables for z in zs]
     return ids
 
@@ -979,7 +935,7 @@ def classify_classes(
     with the first endpoint of an R-side state, which is TR or no corner,
     and with that of a B-side state, which is BL or no corner: three
     different nodes. The argument is about exact points, so it holds where
-    the registry merges exactly the coincident ones, as ``COORD_TOL``
+    the node tables merge exactly the coincident ones, as ``COORD_TOL``
     assumes.
 
     Links of infinite chains are labeled conservatively from the pairing
@@ -999,31 +955,30 @@ def classify_classes(
     generator, and a node's id is the number of nodes seen before it. The
     rule is that of one scan per edge or strip level in order of first
     sight: a position within ``COORD_TOL`` of 0 or of the edge length (of
-    0 or 1 on strips) snaps there, a strip base corner at height 0 is its
-    edge point, and any other position takes the least id of its edge or
-    level within ``COORD_TOL``, or a new one. An edge state is a
-    ``_NodeRegistry.edge_id`` call, which bisects its edge's sorted bin.
-    From its entry depth t on, a side reads the ``_StripLevel`` table of
-    its level, z -> id, at its snapped entry coordinates, which gives the
-    same ids:
+    0 or 1 on strips) snaps there, a rectangle corner is one node, a strip
+    base corner at height 0 is its edge point, and any other position
+    takes the least id of its edge or level within ``COORD_TOL``, or a new
+    one. Every node site has one lookup table, pos -> id, that applies
+    this rule at the lookup, in classify's order: an ``_EdgeTable`` per
+    rectangle edge, all made up front, and a ``_StripLevel`` per strip
+    level, made by ``_strip_levels``. An edge state reads its edge's table
+    at its two offsets; from its entry depth t on, a side reads its
+    level's table at its snapped entry coordinates. The tables give the
+    scan's ids:
 
-    * a level (key, w) is reached only at one step s of one orbit: every
-      side enters at the initial strip of key's orbit at height 0
-      (``_strip_entry``), and the tail rule moves it one strip per step,
-      one unit up per period;
-    * stepping keeps each side's (za, zb), and the two sides of a
-      generator lie in orbits of different kinds, so the level's lookups
-      are, in classify's order, the snapped entry coordinates of the
-      orbit's sides with entry depth t <= ``depth_cap`` - s in generator
-      order, z0 before z1, without 0 and 1 at height 0, which go to
-      ``edge_id``;
-    * the table sends each z to the position that the rule gives on that
-      sequence: itself where the orbit's entry coordinates are pairwise
-      more than ``COORD_TOL`` apart by the registry's own float
-      difference, else by the ``_moves`` map of that sequence, which
-      runs the edges' search, ``_least_within``;
-    * a position is first looked up before any z that it takes, so the
-      table makes each node at the lookup where the scan makes it.
+    * a level (key, w) is one step of one orbit (``_strip_levels``), so
+      its lookups are the snapped entry coordinates of that orbit's sides
+      in classify's order, and the scan of the level sees them in the
+      same order;
+    * a table keeps each float that it has answered, and that answer
+      stays the scan's: ids grow in order of first sight, so a node made
+      later is a greater id, and none within ``COORD_TOL`` of the float
+      can come before the answer;
+    * a level whose orbit's entry coordinates are pairwise more than
+      ``COORD_TOL`` apart makes each new z a new node without a search,
+      since the scan finds no earlier node within ``COORD_TOL`` of it;
+      every other miss runs ``_least_within``, the least id within
+      ``COORD_TOL``, which is the first node that the scan meets.
 
     The columns make the nodes that each depth's pair in turn (a0, b0, a1,
     b1) would make, numbered in another order: the two sides of a
@@ -1047,14 +1002,20 @@ def classify_classes(
     columns: it joins the roots of saturated shards. Each infinite class
     keeps its member ids, link label, size and representative, the least
     ``_node_str`` of its nodes, found by ``_least_node_str`` from the
-    registry's heads without stringifying every node.
+    node heads without stringifying every node.
     ``ClassCensus.infinite_classes`` and ``ClassCensus.classes`` build the
     class objects on first read.
     """
-    registry = _NodeRegistry(ext.system.decomposition)
-    nodes, heads = registry.nodes, registry.heads
+    D = ext.system.decomposition
+    nodes: list[tuple] = []
+    heads: list[str] = []
+    corners: dict[tuple, int] = {}
+    edges = {
+        (rect, side): _EdgeTable(nodes, heads, corners, D, rect, side)
+        for rect in range(1, D.n + 1) for side in KINDS
+    }
     cap, m = schema.depth_cap, schema.nesting_period
-    levels = _strip_levels(schema, ext, registry)
+    levels = _strip_levels(schema, ext, edges, nodes, heads)
 
     # late[i] is 1 iff node i was first seen past depth cap - m: a side
     # makes its new ids in column order, so those are the ones above
@@ -1066,7 +1027,7 @@ def classify_classes(
         sides = []
         for side in gen.sides:
             known = len(nodes)
-            ids = _side_ids(side, levels, registry.edge_id, cap)
+            ids = _side_ids(side, levels, edges, cap)
             mark = max(known, max(ids[:early], default=-1) + 1)
             late += bytes(mark - known) + b"\x01" * (len(nodes) - mark)
             sides.append(ids)

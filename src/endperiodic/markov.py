@@ -11,7 +11,6 @@ without building the doubled matrix or bisecting λ again.
 
 from __future__ import annotations
 
-from math import inf
 from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
@@ -61,14 +60,17 @@ def verify_stretch(
 
     With x the stretch factor, the bracket is [x*(1 - tol), x*(1 + tol)],
     each end the float product, read exactly as a dyadic rational, for a
-    finite positive ``tol``.  The Sturm chain of p = char_poly(M) gives
+    ``tol`` in (0, 1): at 1 or more the low end is at most 0 and the
+    bracket holds the radius of any M.  The Sturm chain of p = char_poly(M) gives
     V(lo-), V(hi+) and V(+oo), and the radius lies in the bracket
     exactly when V(lo-) > V(hi+) = V(+oo).  Otherwise
     :class:`VerificationError` carries the bracket as ``expected`` and
     the two counts as ``actual``.
     """
-    if not 0 < tol < inf:
-        raise InvalidInputError(f"tol {tol!r} is not a finite positive number")
+    if not 0 < tol < 1:
+        raise InvalidInputError(
+            f"tol {tol!r} is not a finite positive number below 1"
+        )
     x = float(report.stretch_factor)
     bracket = (x * (1 - tol), x * (1 + tol))
     at_lo, at_hi, at_infinity = bracket_sign_changes(facts(M).poly, *bracket)

@@ -96,9 +96,9 @@ SCHEMA_VERSION = "8"
 
 
 class PipelineResult(NamedTuple):
-    """All intermediate and final objects of one construction run."""
+    """All intermediate and final objects of one construction run; the
+    matrix is ``decomposition.facts.matrix``."""
 
-    matrix: IntMatrix
     eigen: PerronData
     decomposition: StripDecomposition
     system: EdgeMapSystem
@@ -145,7 +145,6 @@ def run_pipeline(
     surface = assemble_surface(ext, schema, census, insert_genus, weak_perron_k)
     incidence = verify_stretch(F, surface)
     return PipelineResult(
-        matrix=M,
         eigen=eigen,
         decomposition=D,
         system=system,

@@ -112,7 +112,7 @@ def _pipeline_facts(result: PipelineResult) -> dict:
         "width_ratios": width_ratios,
         "infinite_strip_count": len(result.extended.strips),
         "attachment_ratios": att_ratios,
-        "incidence": incidence_matrix(result.matrix).entries,
+        "incidence": incidence_matrix(D.facts.matrix).entries,
         "end_census": ends,
         "stretch_factor": result.surface.stretch_factor,
     }

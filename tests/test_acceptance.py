@@ -229,7 +229,7 @@ def test_criterion_5_sparse_property_suite():
         record_criterion(name, False,
                          "internal consistency error during construction")
         raise
-    results = [(res.matrix, res) for _, res in built]
+    results = [(res.decomposition.facts.matrix, res) for _, res in built]
     ok = _property_suite(results, np.random.default_rng(11))
     ok &= all(_strip_states_on_their_strips(res) for _, res in results)
     ok &= all(res.surface.connected is True for _, res in results)

@@ -43,8 +43,8 @@ from endperiodic.gluing import (
     SIDE_KINDS,
     EquivalenceClass,
     InfiniteStrip,
+    _EdgeTable,
     _find,
-    _NodeRegistry,
     _node_str,
     _strip_entry,
     _strip_levels,
@@ -666,19 +666,55 @@ def _heads(nodes) -> list[str]:
     ]
 
 
+def _edge_tables(D, nodes, heads):
+    """An ``_EdgeTable`` per edge of D, sharing one corner dict, as
+    ``classify_classes`` makes them."""
+    corners = {}
+    return {
+        (rect, side): _EdgeTable(nodes, heads, corners, D, rect, side)
+        for rect in range(1, D.n + 1) for side in ("L", "R", "T", "B")
+    }
+
+
 class TestBisectedRegistry:
     def test_synthetic_points(self, running_result):
-        """The bisected edge registry and the scan give the same id on
-        every edge state's endpoints, and end with the same nodes."""
+        """The edge tables and the scan give the same id on every edge
+        state's endpoints, and end with the same nodes and heads."""
         res = running_result
-        fast = _NodeRegistry(res.decomposition)
+        nodes, heads = [], []
+        edges = _edge_tables(res.decomposition, nodes, heads)
         reference = _ScanRegistry(res.decomposition, res.extended.strips)
         for _, rect, side, *ends in _synthetic_states(res):
             for pos in ends:
                 expected = reference.edge_id(rect, side, pos)
-                assert fast.edge_id(rect, side, pos) == expected, (rect, pos)
-        assert fast.nodes == reference.nodes
-        assert fast.heads == _heads(fast.nodes)
+                assert edges[rect, side][pos] == expected, (rect, pos)
+        assert nodes == reference.nodes
+        assert heads == _heads(reference.nodes)
+
+    def test_answered_float_is_not_searched_again(self, running_result,
+                                                  monkeypatch):
+        """A float looked up again on an edge gets the scan's id from the
+        table, without a second ``_least_within`` search: the first answer
+        is the least id within ``COORD_TOL``, and every later node is a
+        greater id."""
+        res = running_result
+        nodes, heads = [], []
+        edges = _edge_tables(res.decomposition, nodes, heads)
+        reference = _ScanRegistry(res.decomposition, res.extended.strips)
+        searches = []
+        least_within = gluing._least_within
+
+        def counting(positions, ids, z, new):
+            searches.append(z)
+            return least_within(positions, ids, z, new)
+
+        monkeypatch.setattr(gluing, "_least_within", counting)
+        third = res.decomposition.rect_height(1) / 3
+        near = third + COORD_TOL / 2
+        for pos in (third, near, third + 1e-3, near, third):
+            assert edges[1, "L"][pos] == reference.edge_id(1, "L", pos), pos
+        assert searches == [third, near, third + 1e-3]
+        assert nodes == reference.nodes
 
     @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
     def test_every_pair_in_classify_order(self, case, running_result):
@@ -725,8 +761,7 @@ def _registry_results(case, running_result):
     if case == "n16":
         return [run_pipeline(seeded_irreducible_matrix(16))]
     # the first 30 of sparse_irreducible_matrices(120): deep windows where
-    # 63 of 178 orbits have entries that may merge, so their levels take
-    # ``_moves`` maps
+    # 63 of 178 orbits have entries that may merge, so their levels search
     return [run_pipeline(M) for M in sparse_irreducible_matrices(30)]
 
 
@@ -757,17 +792,20 @@ class TestStripLevels:
               derandomize=True)
     @given(_orbit_entries())
     def test_levels_equal_a_scan_of_their_lookups(self, entries):
-        """The ``_StripLevel`` tables give the ids of a scan that takes the
-        least id within ``COORD_TOL`` of each lookup, in classify's order.
+        """The ``_StripLevel`` tables and the ``_EdgeTable`` of their host
+        edges give the ids of a scan that takes the least id within
+        ``COORD_TOL`` of each lookup, in classify's order.
 
         One L orbit of period 2 on rectangles 1 and 2, so two levels sit at
-        height 0, where a base corner z = 0 or 1 is an edge point. Each side
+        height 0, where a base corner z = 0 or 1 is the point that its host
+        edge's table answers. Each side
         enters at its drawn depth t, and the level s steps past entry sees
         the sides with t <= cap - s, so the sets of lookups shrink as s
         grows, and the values within 1.5 ``COORD_TOL`` merge differently
         in each."""
         cap, sides = entries
-        D = SimpleNamespace(rect_height=lambda rect: 1.0)
+        D = SimpleNamespace(n=2, rect_height=lambda rect: 1.0,
+                            rect_width=lambda rect: 1.0)
         strips = {
             ("L", r): InfiniteStrip(("L", r), "L", "L:1", 2, r - 1, r,
                                     0.25, 0.5)
@@ -782,8 +820,9 @@ class TestStripLevels:
             SimpleNamespace(sides=((None,) * (t - 1) + (state,),))
             for (t, _, _), state in zip(sides, entry_states)
         ])
-        registry = _NodeRegistry(D)
-        levels = _strip_levels(schema, ext, registry)
+        nodes, heads = [], []
+        levels = _strip_levels(schema, ext, _edge_tables(D, nodes, heads),
+                               nodes, heads)
         reference = _ScanRegistry(D, strips)
         for (t, _, _), state in zip(sides, entry_states):
             # the side reads its orbit's table s steps past entry at depth
@@ -796,46 +835,63 @@ class TestStripLevels:
                 assert table[z1] == reference.node_id(at, 1)
                 key, rise = ext.step[key]
                 w += rise
-        assert registry.nodes == reference.nodes
-        assert registry.heads == _heads(reference.nodes)
+        assert nodes == reference.nodes
+        assert heads == _heads(reference.nodes)
 
 
-def _strip_bin_lookups_and_maps(results, monkeypatch) -> tuple[int, int]:
-    """The ``_NodeRegistry._bin_id`` lookups of a strip node and the
-    ``_moves`` maps that ``classify_classes`` makes on ``results``."""
-    counts = [0, 0]
-    bin_id, moves = _NodeRegistry._bin_id, gluing._moves
+def _searches(results, monkeypatch) -> tuple[int, int, int, int]:
+    """What the ``classify_classes`` passes on ``results`` search: the
+    strip orbits, those whose levels may merge, those whose levels ran
+    ``_least_within``, and the searches on edges. A search is keyed by its
+    pass and its list of positions: a pass makes its levels before it
+    searches, and the lists of one pass are alive together."""
+    made, searched = [], []
+    strip_levels, least_within = gluing._strip_levels, gluing._least_within
 
-    def counting_bin_id(self, bin, pos):
-        counts[0] += bin.prefix[0] != "E"
-        return bin_id(self, bin, pos)
+    def recording_levels(*args):
+        made.append(strip_levels(*args))
+        return made[-1]
 
-    def counting_moves(zs):
-        counts[1] += 1
-        return moves(zs)
+    def recording_search(positions, ids, z, new):
+        searched.append((len(made), id(positions)))
+        return least_within(positions, ids, z, new)
 
-    monkeypatch.setattr(_NodeRegistry, "_bin_id", counting_bin_id)
-    monkeypatch.setattr(gluing, "_moves", counting_moves)
+    monkeypatch.setattr(gluing, "_strip_levels", recording_levels)
+    monkeypatch.setattr(gluing, "_least_within", recording_search)
     for res in results:
         classify_classes(res.schema, res.extended)
     monkeypatch.undo()
-    return counts[0], counts[1]
+    orbits = [
+        (run, steps) for run, levels in enumerate(made, 1)
+        for steps in levels.values()
+    ]
+    merging = [
+        (run, steps) for run, steps in orbits if steps[0].positions is not None
+    ]
+    level_of = {
+        (run, id(level.positions)): n
+        for n, (run, steps) in enumerate(merging) for level in steps
+    }
+    on_levels = {level_of[p] for p in searched if p in level_of}
+    on_edges = sum(p not in level_of for p in searched)
+    return len(orbits), len(merging), len(on_levels), on_edges
 
 
 class TestTailLookups:
     def test_tail_levels_bisect_only_where_entries_may_merge(self, monkeypatch):
-        """Tooling guard: ``classify_classes`` looks every strip state up
-        in its orbit's ``_StripLevel`` table, at height 0 and above, so no
-        strip node reaches the edge registry's bins. A table bisects only
-        to build the ``_moves`` map of an orbit whose snapped entry
-        coordinates come within ``COORD_TOL`` of each other, once per
-        distinct set of sides. The lifts k = 2..12 of [[2]] have no such
-        orbit and build no map; corpus200 has 164 of 877 and builds 364,
-        so both branches of a table run."""
+        """Tooling guard: a ``_StripLevel`` runs ``_least_within`` only
+        where its orbit's snapped entry coordinates come within
+        ``COORD_TOL`` of each other; every other level makes each new z a
+        node without a search. The lifts k = 2..12 of [[2]] have no such
+        orbit, so no level searches. corpus200 has 164 of 877, and only
+        their levels search, on each of the 164. An edge searches once per float it has not
+        answered: 22,538 times on corpus200, where a search per lookup
+        was 39,364."""
         lifts = [_lift_result(k) for k in range(2, 13)]
-        assert _strip_bin_lookups_and_maps(lifts, monkeypatch) == (0, 0)
+        orbits, merging, searched, _ = _searches(lifts, monkeypatch)
+        assert (merging, searched) == (0, 0) and orbits > 0
         corpus = [run_pipeline(M) for M in random_irreducible_matrices(200)]
-        assert _strip_bin_lookups_and_maps(corpus, monkeypatch) == (0, 364)
+        assert _searches(corpus, monkeypatch) == (877, 164, 164, 22_538)
 
 
 class TestClassPartition:

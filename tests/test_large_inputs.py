@@ -5,9 +5,9 @@ and 20, and the companion matrices of x^n - x - 1 for n = 16, 32 and 64.
 Each one certifies and verifies at the default window N + 3m, m the lcm
 of the cycle periods. On a 2-core machine (Python 3.11) certify plus
 verify took at most about 0.4 s each, about 0.3 s for n = 16 and for
-n = 20. Seeded n = 20 has the largest registry bins of the tier-1
-inputs: while the registry scanned each bin from its start, n = 20 took
-1.5 s and n = 16 1.2 s. Under the product of the periods the lifts
+n = 20. Seeded n = 20 has the most nodes per edge of the tier-1 inputs:
+while each edge lookup scanned the edge's nodes from the first, n = 20
+took 1.5 s and n = 16 1.2 s. Under the product of the periods the lifts
 k = 16 and k = 32 needed windows of 196,640 and 3,145,792 depths. The
 lifts k = 40 and k = 64 failed the eigensolve while it was a power
 iteration (residual above 1e-10). The lift k = 256 takes about 0.65 s

@@ -106,12 +106,16 @@ class TestVerifyStretch:
             count += 1
         assert count >= 10
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1e-9])
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), 0, -1e-9, 1.0, 2.0, 1e308]
+    )
     def test_tol_not_finite_and_positive_is_input_error(
         self, running_matrix, running_result, tol
     ):
         # nan and inf once raised from float.as_integer_ratio, and 0 and
-        # -1e-9 a VerificationError that blamed the spectral radius
+        # -1e-9 a VerificationError that blamed the spectral radius; 1.0
+        # and 2.0 passed with a bracket from at most 0, so vacuously, and
+        # 1e308 raised a bare OverflowError
         with pytest.raises(InvalidInputError, match="is not a finite positive"):
             verify_stretch(running_matrix, running_result.surface, tol=tol)
 

@@ -96,7 +96,7 @@ class TestDigraphsDiagram:
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         for name in ("f_L", "f_R", "f_T^-1", "f_B^-1"):
             assert name in texts
-        n = running_result.matrix.n
+        n = running_result.decomposition.facts.matrix.n
         assert sum(1 for t in texts if t == "1") == 4
         assert sum(1 for t in texts if t == str(n)) == 4
 

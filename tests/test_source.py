@@ -185,7 +185,7 @@ def test_a_fact_of_another_matrix_cannot_be_passed(running_matrix):
 
 
 def test_one_tolerance_search_in_gluing():
-    # the registry's edges and the strip levels' merge maps take the least
+    # the edge tables and the strip levels that may merge take the least
     # id within COORD_TOL by one windowed search, ``_least_within``; a
     # second bisection would be a second copy of that rule
     tree = ast.parse((SOURCES[0].parent / "gluing.py").read_text(encoding="utf-8"))

@@ -91,7 +91,7 @@ __version__ = "0.1.0"
 #: names bound on first use, by the submodule that defines them: certify
 #: and verify read neither module, and ``warmup`` pulls in ``fractions``
 _LAZY = {
-    "render": ("DIAGRAM_KINDS", "DiagramSpec", "render", "strip_color"),
+    "render": ("DIAGRAM_KINDS", "render", "strip_color"),
     "warmup": ("IntegerCase", "build_integer_case", "cross_validate",
                "f0_integer"),
 }

@@ -123,12 +123,11 @@ def _write_figures(kinds, result, out: Path, stem: str) -> None:
     """Render each figure kind, resolved by ``_fig_kind`` before the
     pipeline runs; ``render`` is imported here and in ``_fig_kind``, so
     commands that draw nothing never load it."""
-    from .render import DiagramSpec, render
+    from .render import render
 
     for kind in kinds:
         fig_path = out / f"{stem}.{kind}.svg"
-        fig_path.write_text(render(DiagramSpec(kind=kind, result=result)),
-                            encoding="utf-8")
+        fig_path.write_text(render(kind, result), encoding="utf-8")
         print(f"figure: {fig_path}")
 
 

@@ -133,17 +133,14 @@ def _offsets(sources, basis, lam: float) -> tuple[float, ...]:
 def build_decomposition(
     M: IntMatrix | MatrixFacts,
     eigen: PerronData,
-    sigma: dict[int, dict[StripLabel, StripLabel]] | None = None,
-    tau: dict[int, dict[StripLabel, StripLabel]] | None = None,
+    sigma: dict[int, dict[StripLabel, StripLabel]],
+    tau: dict[int, dict[StripLabel, StripLabel]],
 ) -> StripDecomposition:
-    """Strip decomposition for M; sigma/tau default to the identity."""
+    """Strip decomposition for M with the permutations sigma and tau,
+    which ``corner_selection`` chooses."""
     F = facts(M)
     n = F.matrix.n
     vertical_order, horizontal_order = F.labels
-    if sigma is None:
-        sigma = {k: {s: s for s in horizontal_order[k]} for k in range(1, n + 1)}
-    if tau is None:
-        tau = {k: {s: s for s in vertical_order[k]} for k in range(1, n + 1)}
     lam, eta, omega = eigen.lam, eigen.eta, eigen.omega
     vertical_offsets = {}
     horizontal_offsets = {}

@@ -11,6 +11,7 @@ without building the doubled matrix or bisecting λ again.
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
@@ -65,7 +66,9 @@ def verify_stretch(
     V(lo-), V(hi+) and V(+oo), and the radius lies in the bracket
     exactly when V(lo-) > V(hi+) = V(+oo).  Otherwise
     :class:`VerificationError` carries the bracket as ``expected`` and
-    the two counts as ``actual``.
+    the two counts as ``actual``; a bracket end that is not a finite
+    positive float (a NaN, infinite, non-positive or overflowing stretch
+    factor) raises it with the bracket alone.
     """
     if not 0 < tol < 1:
         raise InvalidInputError(
@@ -73,6 +76,12 @@ def verify_stretch(
         )
     x = float(report.stretch_factor)
     bracket = (x * (1 - tol), x * (1 + tol))
+    if not 0 < bracket[0] <= bracket[1] < inf:
+        raise VerificationError(
+            f"the bracket [{bracket[0]!r}, {bracket[1]!r}] around the "
+            f"stretch factor {x!r} is not finite and positive",
+            expected=list(bracket),
+        )
     at_lo, at_hi, at_infinity = bracket_sign_changes(facts(M).poly, *bracket)
     if not at_lo > at_hi == at_infinity:
         raise VerificationError(

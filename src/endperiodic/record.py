@@ -158,27 +158,19 @@ def run_pipeline(
 
 
 class ConstructionRecord(_Value):
-    """Versioned JSON certificate for one construction run; ``created_at``
-    defaults to the current UTC time."""
+    """Versioned JSON certificate for one construction run, stamped
+    ``created_at`` with the current UTC time."""
 
     _fields = ("schema_version", "config", "sections", "created_at")
 
-    def __init__(
-        self,
-        schema_version: str,
-        config: dict,
-        sections: dict,
-        created_at: str | None = None,
-    ):
-        if created_at is None:
-            created_at = datetime.now(timezone.utc).isoformat(
-                timespec="microseconds"
-            )
+    def __init__(self, schema_version: str, config: dict, sections: dict):
         vars(self).update(
             schema_version=schema_version,
             config=config,
             sections=sections,
-            created_at=created_at,
+            created_at=datetime.now(timezone.utc).isoformat(
+                timespec="microseconds"
+            ),
         )
 
     def to_json_dict(self) -> dict:

@@ -23,21 +23,12 @@ stable across runs for a fixed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
 DIAGRAM_KINDS = ("PieceMap", "Digraphs", "Orbits", "ExpandedRectangles", "Complex2D")
 
 _GOLDEN_ANGLE = 137.50776405003785
-
-
-@dataclass(frozen=True)
-class DiagramSpec:
-    """A diagram request: which kind, drawn from which pipeline result."""
-
-    kind: str
-    result: object  # PipelineResult (duck-typed so partial results fail loudly)
 
 
 def strip_color(source: int, copy: int, rect: int, light: bool = False) -> str:
@@ -134,13 +125,13 @@ def _require(result, fields: tuple[str, ...], kind: str):
             )
 
 
-def render(spec: DiagramSpec) -> str:
-    """Render one diagram to an SVG document string."""
-    if spec.kind not in DIAGRAM_KINDS:
+def render(kind: str, result) -> str:
+    """Render the diagram ``kind`` of a pipeline result to an SVG string."""
+    if kind not in DIAGRAM_KINDS:
         raise InvalidInputError(
-            f"unknown diagram kind {spec.kind!r}; expected one of {DIAGRAM_KINDS}"
+            f"unknown diagram kind {kind!r}; expected one of {DIAGRAM_KINDS}"
         )
-    return _RENDERERS[spec.kind](spec.result)
+    return _RENDERERS[kind](result)
 
 
 # ---------------------------------------------------------------------------

@@ -121,13 +121,15 @@ def _index(v, i: int, j: int) -> int:
 
 class IntPolynomial(_Value):
     """Monic integer polynomial; coefficients ascending, coeff[-1] == 1,
-    given as any iterable and stored as a tuple."""
+    given as any iterable of ints (not bools), stored as a tuple."""
 
     _fields = ("coefficients",)
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients):
         coefficients = tuple(coefficients)
+        if not all(map(_is_int, coefficients)):
+            raise InvalidInputError("coefficients must be integers")
         if not coefficients or coefficients[-1] != 1:
             raise InvalidInputError("polynomial must be monic")
         vars(self).update(coefficients=coefficients)
@@ -530,18 +532,14 @@ def _count_sign_changes(values) -> int:
     return changes
 
 
-def _bisect_top_root(
-    chain: list[tuple[int, ...]], bound: int, precision: float
-) -> float:
+def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
     """Bisect ``[-bound, bound]`` down to the topmost root of ``chain[0]``.
 
     ``chain`` is an integer Sturm chain and ``bound`` exceeds every real
     root of ``chain[0]``. Every bracket end and probe is ``num / 2**exp``,
     so a sign is one integer Horner pass. The returned float is the
-    midpoint of an isolating interval narrower than ``precision``, or, if
-    that comes first, the rounded midpoint once it no longer lies strictly
-    between the rounded bracket ends (float resolution, where
-    ``precision=0`` stops).
+    rounded midpoint once it no longer lies strictly between the rounded
+    bracket ends (float resolution).
     """
     p, rest = chain[0], chain[1:]
     # a constant last term means p has no repeated root; then, once the
@@ -568,7 +566,7 @@ def _bisect_top_root(
     while True:
         scale = 1 << exp
         mid = (lo + hi) / (scale << 1)
-        if (hi - lo) / scale <= precision or not lo / scale < mid < hi / scale:
+        if not lo / scale < mid < hi / scale:
             return mid
         num, probe_exp = lo + hi, exp + 1
         head = _dyadic_value(p, num, probe_exp)
@@ -614,28 +612,17 @@ def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
     return chain
 
 
-def _cauchy_bound(coefficients) -> int:
-    return 1 + max(abs(c) for c in coefficients)
-
-
-def largest_real_root(poly: IntPolynomial, precision: float = 1e-12) -> float:
+def largest_real_root(poly: IntPolynomial) -> float:
     """Largest real root of a monic integer polynomial, by Sturm bisection.
 
-    Exact integer arithmetic at dyadic probes: each Sturm polynomial is
-    scaled to integer coefficients and the bracket starts at the Cauchy
-    bound. The returned float is the midpoint of an isolating interval
-    narrower than ``precision``; ``precision=0`` bisects until the float
-    midpoint no longer lies strictly inside the rounded bracket, so the
-    result is within a few units in the last place of the root. ``poly``
-    is an ``IntPolynomial``, whose cached ``sturm_chain`` is used, or a
-    sequence of ascending coefficients, whose chain is built here.
+    Exact integer arithmetic at dyadic probes on the cached
+    ``sturm_chain`` of ``poly``, from a bracket at the Cauchy bound
+    1 + max |c|. The bisection stops once the float midpoint no longer
+    lies strictly inside the rounded bracket, so the result is within a
+    few units in the last place of the root.
     """
-    if isinstance(poly, IntPolynomial):
-        coefficients, chain = poly.coefficients, poly.sturm_chain
-    else:
-        coefficients = tuple(poly)
-        chain = _integer_sturm_chain(coefficients)
-    return _bisect_top_root(chain, _cauchy_bound(coefficients), precision)
+    bound = 1 + max(map(abs, poly.coefficients))
+    return _bisect_top_root(poly.sturm_chain, bound)
 
 
 def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
@@ -645,7 +632,7 @@ def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
     hence the largest real root of char_poly(M), bisected to float
     resolution.
     """
-    return max(0.0, largest_real_root(facts(M).poly, precision=0.0))
+    return max(0.0, largest_real_root(facts(M).poly))
 
 
 def _value_beside(q: tuple[int, ...], num: int, exp: int, side: int) -> int:
@@ -766,7 +753,7 @@ def perron_eigendata(
     graph = F.graph
     if not graph.irreducible:
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
-    lam = largest_real_root(F.poly, precision=0.0)
+    lam = largest_real_root(F.poly)
     rows = F.matrix.entries
     columns = tuple(zip(*rows))
     tiny = float_info.epsilon * max(sum(row) for row in rows)

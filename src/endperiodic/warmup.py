@@ -23,6 +23,10 @@ from .markov import incidence_matrix
 from .record import PipelineResult, run_pipeline
 from .spectral import IntMatrix
 
+#: how far a pipeline length ratio or stretch factor, a float, may lie
+#: from the direct record's exact value
+_FLOAT_TOL = 1e-9
+
 
 def f0_integer(
     d: int, x: Fraction, y: Fraction, k: int | None = None
@@ -124,13 +128,14 @@ def _edge_len(result: PipelineResult, strip) -> float:
     )
 
 
-def cross_validate(d: int, tol: float = 1e-9) -> bool:
+def cross_validate(d: int) -> bool:
     """Check that the direct and pipeline routes agree on shared facts.
 
     Every expected value is read off the direct record that
     ``build_integer_case`` builds; the unit square has width 1, so a
-    vertical strip's length is its width ratio. Raises :class:`VerificationError` with a diff report on any
-    disagreement; returns ``True`` otherwise.
+    vertical strip's length is its width ratio. Floats agree within
+    ``_FLOAT_TOL``. Raises :class:`VerificationError` with a diff report
+    on any disagreement; returns ``True`` otherwise.
     """
     case = build_integer_case(d)
     direct = case.direct
@@ -151,10 +156,10 @@ def cross_validate(d: int, tol: float = 1e-9) -> bool:
         got = facts[key]
         if key in ("width_ratios", "attachment_ratios"):
             ok = len(got) == len(want) and all(
-                abs(a - b) <= tol for a, b in zip(got, want)
+                abs(a - b) <= _FLOAT_TOL for a, b in zip(got, want)
             )
         elif key == "stretch_factor":
-            ok = abs(got - want) <= tol
+            ok = abs(got - want) <= _FLOAT_TOL
         else:
             ok = got == want
         if not ok:

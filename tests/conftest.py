@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from endperiodic import IntMatrix, run_pipeline
+from endperiodic import IntMatrix, facts, run_pipeline
 
 RUNNING_ROWS = [[0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [1, 2, 0, 0]]
 
@@ -44,6 +44,16 @@ def x_n_minus_x_minus_1(n: int) -> IntMatrix:
     rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
     rows.append([1, 1] + [0] * (n - 2))
     return IntMatrix.from_rows(rows)
+
+
+def identity_permutations(M):
+    """(sigma, tau) that fix every strip label of M, the permutations
+    that ``build_decomposition`` takes where a test needs no corner
+    selection."""
+    vertical_order, horizontal_order = facts(M).labels
+    sigma = {k: {s: s for s in labels} for k, labels in horizontal_order.items()}
+    tau = {k: {s: s for s in labels} for k, labels in vertical_order.items()}
+    return sigma, tau
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,7 @@ def test_criterion_1_running_example(running_matrix, running_result):
     ok &= poly.coefficients == (-2, -1, -2, 0, 1)  # x^4 - 2x^2 - x - 2
     ok &= determinant(running_matrix) == -2
     lam = running_result.eigen.lam
-    root = largest_real_root(poly, precision=1e-12)
+    root = largest_real_root(poly)
     ok &= abs(lam - 1.785) <= 1e-3
     ok &= abs(lam - root) <= 1e-9
     eta = running_result.eigen.eta

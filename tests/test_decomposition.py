@@ -21,11 +21,11 @@ from endperiodic import (
 from endperiodic.decomposition import _embedded_cycle_through_first_vertex
 from endperiodic.spectral import _analyse
 
-from conftest import random_irreducible_matrices
+from conftest import identity_permutations, random_irreducible_matrices
 
 
 def _decomp(M):
-    return build_decomposition(M, perron_eigendata(M))
+    return build_decomposition(M, perron_eigendata(M), *corner_selection(M))
 
 
 class TestStripCounts:
@@ -134,8 +134,7 @@ class TestCornerSelection:
 
     def test_identity_default_differs(self, running_matrix):
         sigma, tau = corner_selection(running_matrix)
-        D_id = _decomp(running_matrix)
-        assert sigma != D_id.sigma or tau != D_id.tau
+        assert (sigma, tau) != identity_permutations(running_matrix)
 
     def test_cycle_longer_than_the_recursion_limit(self):
         # the cycle through vertex 1 of the k-lift of [[2]] is 1, 2, ..., k,

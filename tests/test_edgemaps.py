@@ -32,18 +32,15 @@ from endperiodic.edgemaps import (
 
 from conftest import (
     RUNNING_ROWS,
+    identity_permutations,
     random_irreducible_matrices,
     x_n_minus_x_minus_1,
 )
 
 
 def _system(M, corners=False):
-    eigen = perron_eigendata(M)
-    if corners:
-        sigma, tau = corner_selection(M)
-        D = build_decomposition(M, eigen, sigma=sigma, tau=tau)
-    else:
-        D = build_decomposition(M, eigen)
+    sigma, tau = corner_selection(M) if corners else identity_permutations(M)
+    D = build_decomposition(M, perron_eigendata(M), sigma, tau)
     return build_edge_maps(piece_map(D))
 
 
@@ -91,7 +88,7 @@ class TestDigraphs:
                 {"lam": lam, "eta": (1.0, 1.0), "omega": (1.0, 1.0),
                  "residual": 0.0},
             )()
-            D = build_decomposition(M, eigen)
+            D = build_decomposition(M, eigen, *identity_permutations(M))
             with pytest.raises(PreconditionError):
                 build_edge_maps(piece_map(D))
 

@@ -56,6 +56,7 @@ from conftest import (
     RUNNING_ROWS,
     SPARSE7,
     SPARSE9,
+    identity_permutations,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
@@ -431,12 +432,12 @@ class TestWeakPerronGluing:
         assert run_pipeline(M).surface.connected is None
 
     def test_regluing_needs_the_corner_point(self):
-        # With the identity permutations of build_decomposition, the first
-        # rectangle's top-left corner of the running example's 2-lift is
-        # not periodic, so the regluing has no boundary ray to cut along.
+        # With the identity permutations, the first rectangle's top-left
+        # corner of the running example's 2-lift is not periodic, so the
+        # regluing has no boundary ray to cut along.
         M = block_lift(IntMatrix.from_rows(RUNNING_ROWS), 2)
         system = build_edge_maps(piece_map(
-            build_decomposition(M, perron_eigendata(M))
+            build_decomposition(M, perron_eigendata(M), *identity_permutations(M))
         ))
         points = all_periodic_points(system)
         link_corner_partners(points)
@@ -896,7 +897,7 @@ class TestTailLookups:
 
 class TestClassPartition:
     @pytest.mark.parametrize("case", ["running", "corpus", "lift"])
-    def test_classes_partition_the_registry_nodes(self, case, running_result):
+    def test_classes_partition_the_census_nodes(self, case, running_result):
         if case == "running":
             results = [running_result]
         elif case == "corpus":

@@ -119,6 +119,19 @@ class TestVerifyStretch:
         with pytest.raises(InvalidInputError, match="is not a finite positive"):
             verify_stretch(running_matrix, running_result.surface, tol=tol)
 
+    @pytest.mark.parametrize(
+        "x", [float("nan"), float("inf"), 1.7976931348623157e308]
+    )
+    def test_stretch_factor_not_finite_fails_verification(self, x):
+        # nan once raised a bare ValueError and inf a bare OverflowError,
+        # from float.as_integer_ratio; the largest float overflows
+        # x * (1 + tol) to inf
+        with pytest.raises(VerificationError) as exc:
+            verify_stretch(IntMatrix.from_rows([[2]]), _surface(x))
+        assert f"stretch factor {x!r}" in str(exc.value)
+        # compared as text, where nan equals nan
+        assert repr(exc.value.expected) == repr([x * (1 - 1e-9), x * (1 + 1e-9)])
+
     def test_report_serializes(self, running_matrix, running_result):
         report = verify_stretch(running_matrix, running_result.surface)
         data = report.to_json_dict()

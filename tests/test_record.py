@@ -38,6 +38,7 @@ from conftest import (
     SPARSE7,
     SPARSE9,
     hash_digest,
+    identity_permutations,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
@@ -831,9 +832,10 @@ class TestArcReads:
             reads = [0]
             eta, omega = _counting_rows((eigen.eta, eigen.omega), reads)
             counting = eigen._replace(eta=eta, omega=omega)
-            D = build_decomposition(F, counting)
+            sigma, tau = identity_permutations(M)
+            D = build_decomposition(F, counting, sigma, tau)
             counts.append(reads[0])
-            plain = build_decomposition(F, eigen)
+            plain = build_decomposition(F, eigen, sigma, tau)
             assert D.vertical_offsets == plain.vertical_offsets
             assert D.horizontal_offsets == plain.horizontal_offsets
         # per rectangle and orientation one term per strip, nothing for

@@ -8,7 +8,6 @@ import pytest
 
 from endperiodic import (
     DIAGRAM_KINDS,
-    DiagramSpec,
     IntMatrix,
     InvalidInputError,
     render,
@@ -52,23 +51,23 @@ class TestDocuments:
             result, pins = running_result, FIGURE_SHA
         else:
             result, pins = run_pipeline(IntMatrix.from_rows(rows)), TWO_FIGURE_SHA
-        document = render(DiagramSpec(kind, result))
+        document = render(kind, result)
         assert hashlib.sha256(document.encode("utf-8")).hexdigest() == pins[kind]
 
     @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
     def test_well_formed_xml(self, kind, running_result):
-        _parse(render(DiagramSpec(kind, running_result)))
+        _parse(render(kind, running_result))
 
     @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
     def test_byte_deterministic(self, kind, running_matrix, running_result):
         again = run_pipeline(running_matrix)
-        first = render(DiagramSpec(kind, running_result))
-        second = render(DiagramSpec(kind, again))
+        first = render(kind, running_result)
+        second = render(kind, again)
         assert first == second
 
     def test_unknown_kind_rejected(self, running_result):
         with pytest.raises(InvalidInputError):
-            render(DiagramSpec("Mystery", running_result))
+            render("Mystery", running_result)
 
 
 class TestPieceMapDiagram:
@@ -76,7 +75,7 @@ class TestPieceMapDiagram:
         D = running_result.decomposition
         vertical = sum(len(D.vertical_order[k]) for k in range(1, D.n + 1))
         horizontal = sum(len(D.horizontal_order[k]) for k in range(1, D.n + 1))
-        root = _parse(render(DiagramSpec("PieceMap", running_result)))
+        root = _parse(render("PieceMap", running_result))
         colored = [
             el
             for el in root.iter()
@@ -92,7 +91,7 @@ class TestPieceMapDiagram:
 
 class TestDigraphsDiagram:
     def test_four_panels_with_vertex_labels(self, running_result):
-        root = _parse(render(DiagramSpec("Digraphs", running_result)))
+        root = _parse(render("Digraphs", running_result))
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         for name in ("f_L", "f_R", "f_T^-1", "f_B^-1"):
             assert name in texts
@@ -103,7 +102,7 @@ class TestDigraphsDiagram:
 
 class TestOrbitsDiagram:
     def test_periodic_point_markers(self, running_result):
-        root = _parse(render(DiagramSpec("Orbits", running_result)))
+        root = _parse(render("Orbits", running_result))
         dots = [
             el
             for el in root.iter()
@@ -125,7 +124,7 @@ class TestOrbitsDiagram:
             points={},
             decomposition=running_result.decomposition,
         )
-        root = _parse(render(DiagramSpec("Orbits", stub)))
+        root = _parse(render("Orbits", stub))
         dots = [
             el
             for el in root.iter()
@@ -148,5 +147,5 @@ class TestMissingData:
     )
     def test_error_names_missing_field(self, kind, field):
         with pytest.raises(InvalidInputError) as exc:
-            render(DiagramSpec(kind, object()))
+            render(kind, object())
         assert kind in str(exc.value)

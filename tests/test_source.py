@@ -10,8 +10,9 @@ function takes a fact of M (``graph``, ``labels``, ``poly``) as an
 optional argument,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
 a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
-construction takes no settings beyond the four it has, and every package
-call of the benchmark's traced pass still binds."""
+construction takes no settings beyond the four it has, every default
+of an exported callable is set by some package or benchmark call, and
+every package call of the benchmark's traced pass still binds."""
 
 import ast
 import importlib
@@ -328,7 +329,7 @@ def test_values_refuse_field_assignment(running_values):
         assert getattr(value, name) is not None
 
 
-def test_census_equality_ignores_the_registry(running_values):
+def test_census_equality_ignores_the_node_tables(running_values):
     census = running_values[3][0]
     other = ClassCensus(
         census.finite_singletons, census.finite_pairs,
@@ -356,7 +357,7 @@ def _run_fresh(code: str) -> str:
 
 #: the names that ``endperiodic`` binds on first use, by defining submodule
 LAZY_NAMES = {
-    "render": ["DIAGRAM_KINDS", "DiagramSpec", "render", "strip_color"],
+    "render": ["DIAGRAM_KINDS", "render", "strip_color"],
     "warmup": ["IntegerCase", "build_integer_case", "cross_validate",
                "f0_integer"],
 }
@@ -386,7 +387,7 @@ def test_lazy_names_are_listed_and_unknown_names_raise():
 
 def test_render_stays_the_function_after_a_lazy_import():
     out = _run_fresh(
-        "import endperiodic; from endperiodic import DiagramSpec; "
+        "import endperiodic; from endperiodic import strip_color; "
         "print(callable(endperiodic.render), "
         "endperiodic.render.__module__)"
     )
@@ -479,3 +480,92 @@ def test_benchmark_traced_calls_are_pinned():
         ("endperiodic", "assemble_surface", 3, ("weak_perron_k",)),
         ("endperiodic.record", "_config_dict", 7, ()),
     } <= set(TRACED_CALLS)
+
+
+#: defaulted parameters of exported callables that no package or
+#: benchmark call sets, each with the reason it stays
+UNSET_DEFAULTS = {
+    ("incidence_matrix", "doubled"):
+        "the tests' oracle diag(M, M), which acceptance criterion 6 builds",
+    ("f0_integer", "k"):
+        "part of the input point (the strip a boundary point's limit is "
+        "taken from), not a setting",
+}
+
+
+def _exported_defaults() -> list[tuple[str, str, int | None]]:
+    """(name, parameter, position) of each defaulted parameter of a
+    callable that ``endperiodic`` exports, lazy names too; the position
+    is None for a keyword-only parameter."""
+    lazy = {name: module for module, names in LAZY_NAMES.items() for name in names}
+    out = []
+    for name in endperiodic.__all__:
+        module = "endperiodic." + lazy[name] if name in lazy else "endperiodic"
+        obj = getattr(importlib.import_module(module), name)
+        if not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters.values()
+        except ValueError:  # an exception class without an __init__ of its own
+            continue
+        for i, p in enumerate(parameters):
+            if p.default is not p.empty:
+                out.append(
+                    (name, p.name, i if p.kind is p.POSITIONAL_OR_KEYWORD else None)
+                )
+    return out
+
+
+def _package_calls() -> list[tuple[str, int, tuple[str, ...]]]:
+    """(name, positional argument count, keyword names) of every call in
+    the package and the benchmark (not its tests), by the name it calls,
+    and of each function that the benchmark's ``tr.span`` calls."""
+    calls = []
+    for path in SOURCES + BENCH_SOURCES:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None
+                )
+                keywords = tuple(k.arg for k in node.keywords)
+                calls.append((name, len(node.args), keywords))
+    calls += [(name, n, keywords) for _, name, n, keywords in TRACED_CALLS]
+    return calls
+
+
+def test_every_default_is_set_by_a_package_call():
+    # a default that only tests override is a configuration the
+    # certificate never runs; the check matches names, like the others
+    defaults = _exported_defaults()
+    assert len(defaults) > 10
+    calls = _package_calls()
+    unset = [
+        (name, parameter)
+        for name, parameter, position in defaults
+        if not any(
+            called == name and (
+                parameter in keywords
+                or position is not None and positional > position
+            )
+            for called, positional, keywords in calls
+        )
+    ]
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
+
+
+def test_signatures_of_the_one_configuration():
+    def parameters(function):
+        return inspect.signature(function).parameters
+
+    render = importlib.import_module("endperiodic.render").render
+    cross_validate = importlib.import_module("endperiodic.warmup").cross_validate
+    assert list(parameters(endperiodic.largest_real_root)) == ["poly"]
+    assert all(
+        p.default is p.empty
+        for p in parameters(endperiodic.build_decomposition).values()
+    )
+    assert list(parameters(cross_validate)) == ["d"]
+    assert list(parameters(render)) == ["kind", "result"]
+    assert len(parameters(endperiodic.ConstructionRecord)) == 3

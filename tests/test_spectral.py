@@ -16,6 +16,7 @@ from endperiodic import spectral
 from endperiodic import (
     ConvergenceError,
     IntMatrix,
+    IntPolynomial,
     InvalidInputError,
     PreconditionError,
     block_lift,
@@ -308,6 +309,13 @@ class TestCharPoly:
         with pytest.raises(InvalidInputError, match="monic"):
             spectral.IntPolynomial([1, 2])
 
+    @pytest.mark.parametrize("coeffs", [[0.5, 1], ["a", 1], [True, 1]])
+    def test_coefficients_that_are_not_ints_are_refused(self, coeffs):
+        # 0.5 and "a" once raised a bare TypeError in the Sturm chain, and
+        # True was read as 1, giving the root of x + 1
+        with pytest.raises(InvalidInputError, match="integers"):
+            spectral.IntPolynomial(coeffs)
+
     def test_determinant_against_fraction_elimination(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
@@ -344,12 +352,14 @@ def _fraction_sturm_chain(coeffs) -> list[list[Fraction]]:
     return chain
 
 
-def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
+def _fraction_sturm_root(coeffs) -> float:
     """Reference Sturm bisection over Fractions, probe for probe.
 
     Same Cauchy start bracket, midpoint probes nudged off exact roots by
-    half the distance to ``hi``, and the same stopping rule, so an exact
-    implementation must return the same float.
+    half the distance to ``hi``, and the same stopping rule, float
+    resolution: the rounded midpoint, once it no longer lies strictly
+    between the rounded bracket ends. An exact implementation must
+    return the same float.
     """
 
     def value(q, x):
@@ -368,8 +378,10 @@ def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
     lo = -hi
     if changes(lo) == changes(hi):
         raise InvalidInputError("polynomial has no real roots")
-    while float(hi - lo) > precision:
+    while True:
         probe = (lo + hi) / 2
+        if not float(lo) < float(probe) < float(hi):
+            return float(probe)
         shift = (hi - probe) / 2
         while value(p, probe) == 0:
             probe += shift
@@ -378,7 +390,6 @@ def _fraction_sturm_root(coeffs, precision=1e-12) -> float:
             lo = probe
         else:
             hi = probe
-    return float((lo + hi) / 2)
 
 
 def _poly_product(*factors):
@@ -467,16 +478,27 @@ class TestLargestRealRootIsBitExact:
 
     def test_corpus_and_squares(self):
         for M in random_irreducible_matrices(200):
-            coeffs = list(char_poly(M).coefficients)
-            assert largest_real_root(coeffs) == _fraction_sturm_root(coeffs)
+            poly = char_poly(M)
+            coeffs = list(poly.coefficients)
+            assert largest_real_root(poly) == _fraction_sturm_root(coeffs)
             # the doubled incidence matrix has the squared polynomial
             squared = _poly_product(coeffs, coeffs)
-            assert largest_real_root(squared) == _fraction_sturm_root(squared)
+            assert largest_real_root(IntPolynomial(squared)) == (
+                _fraction_sturm_root(squared)
+            )
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_lifts_of_two(self, k):
         poly = char_poly(block_lift(IntMatrix.from_rows([[2]]), k))
         assert largest_real_root(poly) == _fraction_sturm_root(poly.coefficients)
+
+    def test_x_n_minus_x_minus_1(self):
+        # lambda tends to 1 as n grows, where the float spacing is finest
+        for n in range(2, 33):
+            coeffs = [-1, -1] + [0] * (n - 2) + [1]
+            assert largest_real_root(IntPolynomial(coeffs)) == (
+                _fraction_sturm_root(coeffs)
+            )
 
     @pytest.mark.parametrize(
         "coeffs, root",
@@ -489,21 +511,14 @@ class TestLargestRealRootIsBitExact:
         ],
     )
     def test_roots_on_dyadic_probes(self, coeffs, root):
-        got = largest_real_root(coeffs)
+        got = largest_real_root(IntPolynomial(coeffs))
         assert got == _fraction_sturm_root(coeffs)
         assert got == pytest.approx(root, abs=1e-12)
 
-    def test_precision_argument(self):
-        coeffs = list(char_poly(IntMatrix.from_rows(RUNNING_ROWS)).coefficients)
-        for precision in (1e-3, 1e-9, 1e-14):
-            assert largest_real_root(coeffs, precision) == _fraction_sturm_root(
-                coeffs, precision
-            )
-
-    @pytest.mark.parametrize("coeffs", [[1, 0, 1], [5, 2, 1], [1, 0, 0, 0, 1], [3]])
+    @pytest.mark.parametrize("coeffs", [[1, 0, 1], [5, 2, 1], [1, 0, 0, 0, 1], [1]])
     def test_no_real_roots_raises(self, coeffs):
-        with pytest.raises(InvalidInputError):
-            largest_real_root(coeffs)
+        with pytest.raises(InvalidInputError, match="no real roots"):
+            largest_real_root(IntPolynomial(coeffs))
         with pytest.raises(InvalidInputError):
             _fraction_sturm_root(coeffs)
 
@@ -530,7 +545,7 @@ class TestBracketSignChanges:
     def test_matches_the_bisected_root(self):
         for M in random_irreducible_matrices(200)[::10]:
             poly = char_poly(M)
-            lam = largest_real_root(poly, precision=0.0)
+            lam = largest_real_root(poly)
             at_lo, at_hi, at_infinity = bracket_sign_changes(
                 poly, lam * (1 - 1e-12), lam * (1 + 1e-12)
             )
@@ -540,10 +555,10 @@ class TestBracketSignChanges:
 class TestLargestRealRoot:
     def test_against_numpy_roots(self):
         for M in random_irreducible_matrices(40, seed=13):
-            coeffs = list(char_poly(M).coefficients)
-            roots = np.roots(coeffs[::-1])
+            poly = char_poly(M)
+            roots = np.roots(poly.coefficients[::-1])
             real = [r.real for r in roots if abs(r.imag) < 1e-9]
-            assert largest_real_root(coeffs) == pytest.approx(max(real), abs=1e-8)
+            assert largest_real_root(poly) == pytest.approx(max(real), abs=1e-8)
 
     def test_non_squarefree(self, running_matrix):
         # blockdiag(M, M) squares the characteristic polynomial

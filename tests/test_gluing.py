@@ -536,6 +536,56 @@ class TestPinnedCensus:
         assert _census_sha(_lift_result(k).census) == LIFT_CENSUS_SHA[k]
 
 
+def _census_invariants(census) -> list:
+    """What names no node: the finite counts and the sorted (link,
+    size_at_cap) pairs of the ``class_census`` section."""
+    d = census.to_json_dict()
+    return [
+        d["finite_singletons"], d["finite_pairs"], d["oversized_finite"],
+        sorted([c["link"], c["size_at_cap"]] for c in d["infinite_classes"]),
+    ]
+
+
+# the census's counts and labels, pinned before its classes were renamed
+# and reordered; a change that only renames or reorders them keeps these
+RUNNING_CENSUS_INVARIANTS = [0, 16, 0, [
+    ["Line", 89], ["Undetermined", 3], ["Undetermined", 3],
+    ["Undetermined", 21], ["Undetermined", 24], ["Undetermined", 24],
+    ["Undetermined", 24], ["Undetermined", 104],
+]]
+#: SHA-256 of the canonical JSON list of ``_census_invariants`` over the
+#: first 40 corpus inputs (478 infinite classes)
+CORPUS40_INVARIANTS_SHA = (
+    "aee759b8d5c32c031771abe63dd978b8b227e474759955b80dd99c81eafac93a"
+)
+LIFT_CENSUS_INVARIANTS = {
+    k: [0, 8 * k, 0, [["Undetermined", 7 * k], ["Undetermined", 7 * k]]]
+    for k in (2, 3, 4)
+}
+
+
+class TestCensusInvariants:
+    def test_running_example(self, running_result):
+        assert _census_invariants(running_result.census) == RUNNING_CENSUS_INVARIANTS
+
+    def test_corpus(self):
+        invariants = [
+            _census_invariants(run_pipeline(M).census)
+            for M in random_irreducible_matrices(40)
+        ]
+        assert sum(len(i[3]) for i in invariants) == 478
+        text = json.dumps(invariants, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            CORPUS40_INVARIANTS_SHA
+        )
+
+    @pytest.mark.parametrize("k", sorted(LIFT_CENSUS_INVARIANTS))
+    def test_lifts(self, k):
+        assert _census_invariants(_lift_result(k).census) == (
+            LIFT_CENSUS_INVARIANTS[k]
+        )
+
+
 class _ScanRegistry:
     """The reference registry: every lookup scans its whole bin in
     insertion order and takes the first node within ``COORD_TOL``.

@@ -17,7 +17,7 @@ form equivalence classes whose census drives the surface report.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import islice
 from math import inf, ulp
@@ -250,13 +250,13 @@ class GeneratorTrace(NamedTuple):
     family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
     and the position (``vertical_offsets[k][t]`` or
     ``horizontal_offsets[k][t]`` of the decomposition) follow from it.
-    ``sides`` holds each side's states at depths 1..min(t, depth_cap), t
-    the depth at which that side enters its strip (``_strip_entry``), so a
-    side ends at its first strip state unless it has not entered by
-    ``depth_cap``; ``tail_orbits`` holds the orbit ids of the two strips.
-    ``stabilization_depth`` is the larger t, the first depth at which both
-    images live on strip boundaries, if reached within the cap. ``step``
-    is the tail rule ``ExtendedPieceMap.step``.
+    ``entry_depths`` holds each side's strip-entry depth t
+    (``_strip_entry``), and ``sides`` each side's states at depths
+    1..min(t, depth_cap), so a side ends at its first strip state unless
+    it has not entered by ``depth_cap``; ``tail_orbits`` holds the orbit
+    ids of the two strips. ``stabilization_depth`` is the larger t, the
+    first depth at which both images live on strip boundaries, if reached
+    within the cap. ``step`` is the tail rule ``ExtendedPieceMap.step``.
 
     ``pair_states[d]``, the two identified image segments at depth d+1,
     side a's then side b's, is derived on each read (``_window``); only
@@ -264,11 +264,16 @@ class GeneratorTrace(NamedTuple):
     """
 
     gen_id: str
-    stabilization_depth: int | None
+    entry_depths: tuple[int, int]
     sides: tuple[tuple, tuple]
     tail_orbits: tuple[str, str]
     step: dict[tuple[str, int], tuple[tuple[str, int], int]]
     depth_cap: int
+
+    @property
+    def stabilization_depth(self) -> int | None:
+        s = max(self.entry_depths)
+        return s if s <= self.depth_cap else None
 
     @property
     def pair_states(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -283,24 +288,26 @@ class IdentificationSchema(NamedTuple):
     nesting_period: int
 
     def to_json_dict(self) -> dict:
-        """The ``identifications`` section.
+        """The ``identifications`` section: each generator's id and its
+        two sides' strip-entry depths ``[t_a, t_b]``, ints whether or not
+        they lie within ``depth_cap``.
 
-        Each generator stores its id and its ``sides``: side a's states at
-        depths 1..min(t_a, ``depth_cap``) and side b's at 1..min(t_b,
-        ``depth_cap``), t the side's strip-entry depth, each written
-        without what the side and the ``edge_digraphs`` section give (see
-        ``_stored_side``). The side's kind is ``SIDE_KINDS`` of the id's
-        family, and its last state is a strip state exactly when it entered
-        its strip in the window; the stabilization depth is then the
-        longer side's length when both did. The side's tail orbit is
-        ``"<kind>:<i0>"``, i0 the least rect of the cycle that its first
-        rect reaches in ``edge_digraphs[kind]``. The deeper states follow
-        by the tail rule ``ExtendedPieceMap.step``, which reads only that
-        digraph: from depth t on a side is a strip state, and its state at
-        depth d + 1 is its state at d stepped by the rule of its own strip
-        key, for every d from t to ``depth_cap - 1``. The generator's id
-        gives everything else it once stored (see ``GeneratorTrace``).
-        The window is not restated: ``nesting_period`` is the lcm of the
+        The states follow from these and the sections the record already
+        has; the arithmetic is that of ``enumerate_identifications``, so
+        each float is the builder's to the bit. The id ``X:k:t`` (``Y:k:t``)
+        names the piece-map branch of the t-th and (t-1)-th vertical strip
+        of rect k (horizontal strip, by target), whose images (``y0``,
+        ``y0 + eta_k / lambda``), or (``x0``, ``x0 + omega_k / lambda``),
+        are the depth-1 segments of sides a and b on the edges of the
+        family's kinds (``SIDE_KINDS``). Depth d + 1 is the edge-map image
+        ``offset0 + x / lambda`` of depth d, its rect the successor in
+        ``edge_digraphs[kind]``. At depth t the side is on i0, the least
+        rect of the cycle that it reaches, and its state is the strip
+        state of (kind, i0) at height 0 with (za, zb) the strip
+        coordinates of that segment. The side's tail orbit is
+        ``"<kind>:<i0>"``, and past t it steps by the tail rule
+        ``ExtendedPieceMap.step``, which reads only the digraph. The
+        window is not restated: ``nesting_period`` is the lcm of the
         digraph cycle lengths, ``escape_depth`` the longest tail to a
         cycle plus twice the longest cycle, and ``depth_cap`` is
         ``config.depth_cap``, or, when that is null, ``escape_depth`` plus
@@ -308,31 +315,10 @@ class IdentificationSchema(NamedTuple):
         """
         return {
             "generators": [
-                {"id": g.gen_id, "sides": [_stored_side(s) for s in g.sides]}
+                {"id": g.gen_id, "entry_depths": list(g.entry_depths)}
                 for g in self.generators
             ],
         }
-
-
-def _stored_side(side) -> list:
-    """A side's states as the record writes them: the depth-1 edge state
-    ``("E", rect, kind, a, b)`` as ``(rect, a, b)`` and each later state by
-    ``_stored_state``, without its rect. Each edge state's rect is
-    ``digraph[kind]`` of the one before, and the strip-entry state's is
-    i0, the least rect of the cycle that the side reaches, on which
-    ``_strip_entry`` enters it."""
-    first = side[0]
-    return [(first[1], first[3], first[4]), *map(_stored_state, side[1:])]
-
-
-def _stored_state(state) -> tuple:
-    """A state past a side's first as the record writes it: an edge state
-    ``("E", rect, kind, a, b)`` as ``(a, b)`` and the strip-entry state
-    ``("S", (kind, i0), za, zb, 0)`` as ``("S", za, zb)``; the side gives
-    the kind, the digraph the rect, and the height is 0 at entry."""
-    if state[0] == "E":
-        return state[3], state[4]
-    return "S", state[2], state[3]
 
 
 def enumerate_identifications(
@@ -384,14 +370,15 @@ def enumerate_identifications(
       keeps the side of the strip that the squared step follows: the
       stitch needs no even m.
 
-    The record stores each side of a generator only up to its own entry
-    depth t (see ``IdentificationSchema.to_json_dict``). That is sound
-    from depth t itself: t is the first depth at which that side is a
-    strip state, and ``ExtendedPieceMap.step`` sends a strip state to the
-    strip state named by its key, the edge digraph and the initial flags
-    alone. So the side's state at depth t and the rule fix all of its
-    states up to ``depth_cap``, whatever the other side does, so no state
-    past t is built unless ``GeneratorTrace.pair_states`` is read.
+    Each side of a generator is built only up to its own entry depth t,
+    and the record stores t alone (``IdentificationSchema.to_json_dict``).
+    That is sound from depth t itself: t is the first depth at which that
+    side is a strip state, and ``ExtendedPieceMap.step`` sends a strip
+    state to the strip state named by its key, the edge digraph and the
+    initial flags alone. So the side's state at depth t and the rule fix
+    all of its states up to ``depth_cap``, whatever the other side does,
+    so no state past t is built unless ``GeneratorTrace.pair_states`` is
+    read.
 
     A window of more than ``MAX_PAIR_STATES`` pair states (generators
     times ``depth_cap``) raises ``InvalidInputError`` before any state is
@@ -501,10 +488,9 @@ def _trace(ext, gen_id, first, depth_cap):
         _side_states(ext, kind, state, depth_cap)
         for kind, state in zip(SIDE_KINDS[gen_id[0]], first)
     )
-    s = max(ta, tb)
     return GeneratorTrace(
         gen_id=gen_id,
-        stabilization_depth=s if s <= depth_cap else None,
+        entry_depths=(ta, tb),
         sides=(a, b),
         tail_orbits=(sa.orbit_id, sb.orbit_id),
         step=ext.step,
@@ -576,21 +562,19 @@ class _EdgeTable(dict):
     corner, one node per corner in ``corners``, which all edges share.
     Any other position takes the least id of the edge within
     ``COORD_TOL`` (``_least_within`` on the edge's sorted ``positions``)
-    or becomes the next node. New nodes are appended to ``nodes``, and
-    the heads of their ``_node_str`` to ``heads``."""
+    or becomes the next node. New nodes are appended to ``nodes``."""
 
-    __slots__ = ("nodes", "heads", "corners", "length", "start", "end",
-                 "prefix", "head", "positions", "ids")
+    __slots__ = ("nodes", "corners", "length", "start", "end", "prefix",
+                 "positions", "ids")
 
-    def __init__(self, nodes: list[tuple], heads: list[str],
-                 corners: dict[tuple, int], D, rect: int, side: str):
-        self.nodes, self.heads, self.corners = nodes, heads, corners
+    def __init__(self, nodes: list[tuple], corners: dict[tuple, int], D,
+                 rect: int, side: str):
+        self.nodes, self.corners = nodes, corners
         vertical = side in ("L", "R")
         self.length = D.rect_height(rect) if vertical else D.rect_width(rect)
         self.start = ("C", rect, _CORNER_AT_START[side])
         self.end = ("C", rect, _CORNER_AT_END[side])
         self.prefix = ("E", rect, side)
-        self.head = f"E:{rect}:{side}:"
         self.positions: list[float] = []
         self.ids: list[int] = []
 
@@ -605,13 +589,11 @@ class _EdgeTable(dict):
             if i is None:
                 i = self.corners[corner] = len(nodes)
                 nodes.append(corner)
-                self.heads.append(_node_str(corner))
         else:
             new = len(nodes)
             i = _least_within(self.positions, self.ids, pos, new)
             if i == new:
                 nodes.append(self.prefix + (pos,))
-                self.heads.append(self.head)
         self[pos] = i
         return i
 
@@ -654,9 +636,10 @@ class InfiniteClassSummary(NamedTuple):
 class ClassCensus(_Value):
     """Finite-class counts and the infinite classes of one classify pass.
 
-    ``infinite_summaries`` holds, per infinite class in record order, its
-    link label, its size, its representative (the least ``_node_str`` of
-    its nodes) and its member ids: all that ``to_json_dict`` and
+    ``infinite_summaries`` holds, per infinite class in record order (by
+    least id), its link label, its size, its representative (where
+    classify first saw its least id, ``generator:side:depth:endpoint``)
+    and its member ids: all that ``to_json_dict`` and
     ``assemble_surface`` read. ``nodes`` (id -> node tuple, in order of
     first sight, as the pass's node tables made them) and ``parent`` (id
     -> union-find root, fully compressed) are the nodes and the forest of
@@ -672,7 +655,7 @@ class ClassCensus(_Value):
     ``oversized_finite`` is 0 by construction: ``classify_classes`` counts
     every class of three or more nodes as infinite, so no finite class
     has more than two. A check that it is 0 tests nothing; the field
-    stays in the record until the next schema bump drops it.
+    stays in the record until it leaves with the fixed ``config`` keys.
     """
 
     #: compared and shown; the nodes, forest and roots are neither
@@ -752,26 +735,6 @@ def _node_str(node) -> str:
     return ":".join(map(str, node))
 
 
-def _least_node_str(nodes, heads, ids) -> str:
-    """``min(_node_str(nodes[i]) for i in ids)``, stringifying only the
-    nodes whose head ``heads[i]`` is the least.
-
-    An edge or strip node string is its head followed by its position, and
-    the head has exactly three ``":"``, the last at its end; no node
-    component holds a ``":"``. So two different such heads are not
-    prefixes of each other: they differ at some index inside both, and the
-    node strings differ first at that same index. A corner's head is its
-    whole string, and it differs from every edge or strip string at the
-    first character, the type letter (``C`` < ``E`` < ``S``). The heads
-    thus decide every comparison except between nodes that tie on the
-    least one, and their strings are that head followed by the position.
-    """
-    least = min(map(heads.__getitem__, ids))
-    if least[0] == "C":
-        return least
-    return least + min(repr(nodes[i][3]) for i in ids if heads[i] == least)
-
-
 def _snapped(z: float) -> float:
     """A strip coordinate snapped to 0 or 1 within ``COORD_TOL``, else
     unchanged: the position that a ``_StripLevel`` looks up."""
@@ -790,13 +753,11 @@ class _StripLevel(dict):
     ``COORD_TOL`` (``_least_within``) where the level may merge
     (``positions`` is a list), or else becomes the next node."""
 
-    __slots__ = ("nodes", "heads", "prefix", "head", "strip", "edge",
-                 "positions", "ids")
+    __slots__ = ("nodes", "prefix", "strip", "edge", "positions", "ids")
 
-    def __init__(self, nodes: list[tuple], heads: list[str], prefix: tuple,
-                 head: str, strip: InfiniteStrip, edge: _EdgeTable | None,
-                 merge: bool):
-        self.nodes, self.heads, self.prefix, self.head = nodes, heads, prefix, head
+    def __init__(self, nodes: list[tuple], prefix: tuple,
+                 strip: InfiniteStrip, edge: _EdgeTable | None, merge: bool):
+        self.nodes, self.prefix = nodes, prefix
         self.strip, self.edge = strip, edge
         self.positions: list[float] | None = [] if merge else None
         self.ids: list[int] | None = [] if merge else None
@@ -811,7 +772,6 @@ class _StripLevel(dict):
                 i = _least_within(self.positions, self.ids, z, new)
             if i == new:
                 nodes.append(self.prefix + (z,))
-                self.heads.append(self.head)
         self[z] = i
         return i
 
@@ -819,7 +779,6 @@ class _StripLevel(dict):
 def _strip_levels(
     schema: IdentificationSchema, ext: ExtendedPieceMap,
     edges: dict[tuple[int, str], _EdgeTable], nodes: list[tuple],
-    heads: list[str],
 ) -> dict[tuple[str, int], list[_StripLevel]]:
     """Each strip orbit's entry strip key -> its ``_StripLevel`` at each
     step s after entry, to the last step in the window of its earliest
@@ -853,7 +812,6 @@ def _strip_levels(
                 entries.setdefault(key, set()).update(
                     (_snapped(state[2]), _snapped(state[3]))
                 )
-    names = {key: str(key) for key in ext.strips}
     levels = {}
     for entry_key, zs in entries.items():
         zs = sorted(zs)
@@ -863,10 +821,7 @@ def _strip_levels(
         for _ in range(cap - first[entry_key] + 1):
             strip = ext.strips[key]
             edge = None if w else edges[strip.rect, strip.kind]
-            steps.append(_StripLevel(
-                nodes, heads, ("S", key, w), f"S:{names[key]}:{w}:", strip,
-                edge, merge,
-            ))
+            steps.append(_StripLevel(nodes, ("S", key, w), strip, edge, merge))
             key, rise = ext.step[key]
             w += rise
     return levels
@@ -1000,22 +955,24 @@ def classify_classes(
     lists every id under its root. Finite classes are only counted from
     those lists, not built. The family stitch is the one walk of side a's
     columns: it joins the roots of saturated shards. Each infinite class
-    keeps its member ids, link label, size and representative, the least
-    ``_node_str`` of its nodes, found by ``_least_node_str`` from the
-    node heads without stringifying every node.
+    keeps its member ids, link label and size, and is named by where the
+    pass first saw its least id i: i is new in the last column that
+    starts (by the node count before it) at or below i, and first stands
+    there at its first place in that column, which gives its generator,
+    side (a or b), depth and endpoint (0 or 1), as in ``X:3:1:a:5:0``.
+    The infinite classes are listed by least id.
     ``ClassCensus.infinite_classes`` and ``ClassCensus.classes`` build the
     class objects on first read.
     """
     D = ext.system.decomposition
     nodes: list[tuple] = []
-    heads: list[str] = []
     corners: dict[tuple, int] = {}
     edges = {
-        (rect, side): _EdgeTable(nodes, heads, corners, D, rect, side)
+        (rect, side): _EdgeTable(nodes, corners, D, rect, side)
         for rect in range(1, D.n + 1) for side in KINDS
     }
     cap, m = schema.depth_cap, schema.nesting_period
-    levels = _strip_levels(schema, ext, edges, nodes, heads)
+    levels = _strip_levels(schema, ext, edges, nodes)
 
     # late[i] is 1 iff node i was first seen past depth cap - m: a side
     # makes its new ids in column order, so those are the ones above
@@ -1023,10 +980,12 @@ def classify_classes(
     early = 2 * max(cap - m, 0)
     late = bytearray()
     columns: list[tuple[list[int], list[int]]] = []
+    starts: list[int] = []  # the node count before each side's column
     for gen in schema.generators:
         sides = []
         for side in gen.sides:
             known = len(nodes)
+            starts.append(known)
             ids = _side_ids(side, levels, edges, cap)
             mark = max(known, max(ids[:early], default=-1) + 1)
             late += bytes(mark - known) + b"\x01" * (len(nodes) - mark)
@@ -1101,25 +1060,27 @@ def classify_classes(
     for root in shard_roots:
         families.setdefault(_find(family, root), []).append(root)
 
-    def summary(ids, shards) -> InfiniteClassSummary:
-        return InfiniteClassSummary(
+    def name(i: int) -> str:
+        c = bisect_right(starts, i) - 1
+        g, side = divmod(c, 2)
+        place = columns[g][side].index(i)
+        return (f"{schema.generators[g].gen_id}:{'ab'[side]}:"
+                f"{place // 2 + 1}:{place % 2}")
+
+    infinite = [(members[root], 1) for root in growing_roots] + [
+        ([i for r in roots for i in members[r]], len(roots))
+        for roots in families.values()
+    ]
+    summaries = [
+        InfiniteClassSummary(
             link_type=_link_label(list(map(degree.__getitem__, ids)), shards),
             size=len(ids),
-            representative=_least_node_str(nodes, heads, ids),
+            representative=name(least),
             ids=ids,
         )
-
-    def by_node_str(root):
-        return _least_node_str(nodes, heads, (root,))
-
-    summaries = [
-        summary(members[root], 1)
-        for root in sorted(growing_roots, key=by_node_str)
-    ] + [
-        summary(
-            [i for r in families[key] for i in members[r]], len(families[key])
+        for least, ids, shards in sorted(
+            (min(ids), ids, shards) for ids, shards in infinite
         )
-        for key in sorted(families, key=by_node_str)
     ]
 
     return ClassCensus(
@@ -1165,10 +1126,12 @@ class End(NamedTuple):
 
 
 class SurfaceReport(NamedTuple):
+    """The surface's ends and flags. ``stretch_factor`` is lambda, which
+    the record writes once, as ``eigendata.lambda``."""
+
     ends: tuple[End, ...]
     infinite_type: bool
     genus_insertion_applied: bool
-    genus_insertion_site: tuple | None
     connected: bool | None
     weak_perron_gluing: dict | None
     stretch_factor: float
@@ -1181,12 +1144,8 @@ class SurfaceReport(NamedTuple):
             ],
             "infinite_type": self.infinite_type,
             "genus_insertion_applied": self.genus_insertion_applied,
-            "genus_insertion_site": (
-                list(self.genus_insertion_site) if self.genus_insertion_site else None
-            ),
             "connected": self.connected,
             "weak_perron_gluing": self.weak_perron_gluing,
-            "stretch_factor": self.stretch_factor,
         }
 
 
@@ -1233,9 +1192,6 @@ def assemble_surface(
 
     connected, weak_record = _connectedness(D.facts, ext, weak_perron_k)
 
-    site = None
-    if insert_genus:
-        site = _genus_site(ext)
     infinite_type = insert_genus or any(
         s.link_type == "Line" for s in census.infinite_summaries
     )
@@ -1244,7 +1200,6 @@ def assemble_surface(
         ends=tuple(ends),
         infinite_type=infinite_type,
         genus_insertion_applied=insert_genus,
-        genus_insertion_site=site,
         connected=connected,
         weak_perron_gluing=weak_record,
         stretch_factor=D.eigen.lam,
@@ -1292,11 +1247,3 @@ def _require_corner_point(ext: ExtendedPieceMap) -> None:
         "boundary-ray regluing needs the first rectangle's top-left corner "
         "periodic; build the decomposition with corner_selection"
     )
-
-
-def _genus_site(ext: ExtendedPieceMap) -> tuple:
-    for kind in KINDS:
-        for pt in ext.points[kind]:
-            if pt.is_corner:
-                return (pt.map_kind, pt.rect, pt.corner_type)
-    raise InternalConsistencyError("no corner periodic point for genus insertion")

@@ -61,6 +61,13 @@ from .spectral import (
     perron_eigendata,
 )
 
+#: "9": ``identifications`` stores each side's strip-entry depth, not
+#: its segments, which the other sections give; a ``class_census``
+#: representative names where classify first saw the class's least node
+#: (generator, side, depth, endpoint), and the classes are listed in that
+#: order; ``eigendata`` writes each float by ``repr``, exactly; ``surface``
+#: has no ``stretch_factor`` (``eigendata.lambda``) and no
+#: ``genus_insertion_site``;
 #: "8": ``incidence`` holds the Sturm bracket of the stretch factor and
 #: its two sign-change counts, with no copy of the doubled matrix and no
 #: second radius; ``surface`` has no ``doubled`` (``config.doubled``), and
@@ -92,7 +99,7 @@ from .spectral import (
 #: last digits against version "2"; "2": a null ``depth_cap`` means
 #: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
 #: product of the periods.
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 
 class PipelineResult(NamedTuple):

@@ -173,12 +173,12 @@ class PerronData(NamedTuple):
     residual: float
 
     def to_json_dict(self) -> dict:
-        fmt = lambda x: f"{x:.15g}"
+        """Each float as its ``repr``, which reads back to the same float."""
         return {
-            "lambda": fmt(self.lam),
-            "eta": [fmt(v) for v in self.eta],
-            "omega": [fmt(v) for v in self.omega],
-            "residual": fmt(self.residual),
+            "lambda": repr(self.lam),
+            "eta": list(map(repr, self.eta)),
+            "omega": list(map(repr, self.omega)),
+            "residual": repr(self.residual),
         }
 
 

@@ -119,8 +119,7 @@ class TestVerify:
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"
         data = json.loads(record.read_text())
-        side = data["sections"]["identifications"]["generators"][0]["sides"][1]
-        side[0][1] += 0.5
+        data["sections"]["identifications"]["generators"][0]["entry_depths"][1] += 1
         record.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", str(record)]) == 1
@@ -134,7 +133,7 @@ class TestVerify:
             size = len(json.dumps(data["sections"][name], sort_keys=True,
                                   separators=(",", ":")))
             assert line.startswith(f"verify {name}: {size} bytes, ")
-        path = "identifications.generators[0].sides[1][0][1]"
+        path = "identifications.generators[0].entry_depths[1]"
         assert lines[sections.index("identifications")].endswith(
             f"FAIL (stored section differs from recomputation at {path})"
         )

@@ -46,11 +46,12 @@ from conftest import (
 )
 
 
-# schema version "8": default window N + 3m with m the lcm of the periods,
-# each side of a generator stored up to its own strip-entry depth, each
-# fact written once, no field that the edge digraphs, the matrix or the
-# config give, and the stretch factor's Sturm bracket in ``incidence``
-RUNNING_HASH = "e373e8290b928e6a10187a009e86e839b745e95ee9e8ddba7916d599e310fa2c"
+# schema version "9": default window N + 3m with m the lcm of the periods,
+# each fact written once, no field that the edge digraphs, the matrix or
+# the config give, the stretch factor's Sturm bracket in ``incidence``,
+# each generator side as its strip-entry depth, census classes named by
+# their place of first sight, and the eigendata written by ``repr``
+RUNNING_HASH = "19ff4eb1ec261450da4ac373034711527e5b5ac4097b9d6fef71796e0fe5c5f1"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -59,10 +60,10 @@ RUNNING_HASH = "e373e8290b928e6a10187a009e86e839b745e95ee9e8ddba7916d599e310fa2c
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
 # ``sparse_irreducible_matrices(120)``.
 DIGESTS = {
-    "corpus200": "ea22e1bfa4ca00096ad8869a8ecdb54f3f30440ee5f481b1757a67e590d9d741",
-    "lifts": "6973883dce763048c690672feb9e4e4dae869d7fe0b9a32b7b141164fe25f0f9",
-    "large": "0a45ef8977b7ba7d348a085b8ca5b83df063bf28f8cc9c290199e5315bb7dfc1",
-    "sparse120": "eb3eeade924e3c2fe551a75643e96bb733eda8765e1fbcb82b2d609b510a71a1",
+    "corpus200": "eb4017ace1398d81acf14d48fd343ca392235f83af4dd9b1a9e431488e189265",
+    "lifts": "f534a43a9733f837ac1af6545cd47d8de13abff71429cf1b23dfd5867b87b669",
+    "large": "1b9314129172633532723d61baec670c44b506a1be72d729d75028df78bc49e1",
+    "sparse120": "689d26a10c0ee4028d290c41359f39c58650e62b21b4d7e0b3ade461477452b5",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -225,36 +226,29 @@ class TestVerifyRecord:
         assert "eigendata" in str(exc.value)
         assert "at eigendata.lambda" in str(exc.value)
 
-    @pytest.mark.parametrize("last, entry", [(False, 0), (True, 1)])
-    def test_state_with_another_rect_fails_at_its_path(
-        self, running_record, last, entry
-    ):
-        # the rect of the depth-1 edge state [rect, a, b] of the first
-        # generator's side a, or the za of its strip-entry state
-        # ["S", za, zb], which holds no rect: the edge digraph gives it
+    def test_changed_entry_depth_fails_at_its_path(self, running_record):
+        # one side's entry depth, one more: the depth is an int that the
+        # edge digraph's rule fixes, so the recomputation differs there
         data = load_record(running_record.to_json())
-        side = data["sections"]["identifications"]["generators"][0]["sides"][0]
-        d = len(side) - 1 if last else 0
-        assert (side[d][0] == "S") == last
-        side[d][entry] = side[d][entry] % len(RUNNING_ROWS) + 1
+        depths = data["sections"]["identifications"]["generators"][2]["entry_depths"]
+        depths[1] += 1
         with pytest.raises(VerificationError) as exc:
             verify_record(_rehashed(data))
         assert exc.value.actual == ["identifications"]
-        path = f"identifications.generators[0].sides[0][{d}][{entry}]"
+        path = "identifications.generators[2].entry_depths[1]"
         assert f"at {path})" in str(exc.value)
 
-    def test_changed_b_of_a_second_edge_state_fails_at_its_path(
-        self, running_record
-    ):
-        # a side's depth-2 edge state is [a, b], its rect the digraph's
+    def test_changed_representative_fails_at_its_path(self, running_record):
+        # a class named by another place of first sight: the depth of the
+        # fourth class's representative, one more
         data = load_record(running_record.to_json())
-        side = data["sections"]["identifications"]["generators"][0]["sides"][1]
-        assert len(side[1]) == 2 and side[1][0] != "S"
-        side[1][1] += 0.25
+        classes = data["sections"]["class_census"]["infinite_classes"]
+        head, depth, endpoint = classes[3]["representative"].rsplit(":", 2)
+        classes[3]["representative"] = f"{head}:{int(depth) + 1}:{endpoint}"
         with pytest.raises(VerificationError) as exc:
             verify_record(_rehashed(data))
-        assert exc.value.actual == ["identifications"]
-        path = "identifications.generators[0].sides[1][1][1]"
+        assert exc.value.actual == ["class_census"]
+        path = "class_census.infinite_classes[3].representative"
         assert f"at {path})" in str(exc.value)
 
     def test_swapped_tau_images_fail_at_their_path(self, running_record):
@@ -426,28 +420,6 @@ def _cycle(digraph: dict, rect: int) -> list:
     return cycle[start:] + cycle[:start]
 
 
-def _side_states(kind: str, stored: list, digraph: dict) -> tuple[list, str]:
-    """A stored side of ``kind`` as the states ``pair_states`` holds, and
-    its tail orbit id, from the side and ``digraph`` (that kind's) alone.
-    The first state [rect, a, b] lies on the ``kind`` edge of rect, each
-    later edge state [a, b] on the successor of the rect before, and the
-    strip-entry state ["S", za, zb] on strip (kind, i0) at height 0, i0
-    the least rect of the cycle that the side reaches; the tail orbit is
-    "<kind>:<i0>"."""
-    rect, a, b = stored[0]
-    i0 = _cycle(digraph, rect)[0]
-    states = [("E", rect, kind, a, b)]
-    for state in stored[1:]:
-        rect = digraph[rect]
-        if state[0] == "S":
-            # the walk reaches i0 at the entry depth, as the rule says
-            assert rect == i0
-            states.append(("S", (kind, i0), state[1], state[2], 0))
-        else:
-            states.append(("E", rect, kind, *state))
-    return states, f"{kind}:{i0}"
-
-
 def _window(data: dict) -> tuple[int, int, int]:
     """The escape depth N, the nesting period m and ``depth_cap``, from
     the record alone: N is the longest tail to a cycle plus twice the
@@ -482,16 +454,156 @@ def _orbit_rows(sections: dict) -> list[tuple]:
     return out
 
 
-def _rebuilt_window(data: dict) -> tuple[list, list]:
-    """Every generator's pairs at depths 1..depth_cap and its two tail
-    orbit ids, read from the record alone (``_window`` gives
-    ``depth_cap``): each side's stored prefix (``_side_states``), with
-    its kind from the generator's family, then the tail rule. A strip
-    state with key [kind, r] steps to ``digraph[kind][r]``, one unit
-    higher when the new rect (r for T and B) is the least rect of its
-    cycle, the rect of the orbit's initial point."""
+def _units(rows: list, k: int, orientation: str) -> list[tuple[int, int]]:
+    """(source, copy) of each strip label of rect k in ascending order, as
+    the record's matrix gives them: one per unit of column k (vertical) or
+    row k (horizontal), by source, then copy."""
+    mults = [row[k - 1] for row in rows] if orientation == "V" else rows[k - 1]
+    return [
+        (i, j) for i, mult in enumerate(mults, start=1)
+        for j in range(1, mult + 1)
+    ]
+
+
+def _boundaries(sources: list, basis: list, lam: float) -> list:
+    """Strip boundaries by the decomposition's rule: the t-th is lambda^-1
+    times the sum of count_i * basis_i over the strips before it, its
+    terms added in ascending i."""
+    counts, out = {}, [0.0]
+    for i in sources:
+        counts[i] = counts.get(i, 0) + 1
+        out.append(sum([counts[j] * basis[j - 1] for j in sorted(counts)]) / lam)
+    return out
+
+
+def _geometry(data: dict) -> SimpleNamespace:
+    """The floats that the segments are made of, from the record's exact
+    eigendata, sigma/tau and ``config.matrix``: lambda, eta, omega, the
+    strip boundaries (checked against the ``decomposition`` section), and
+    the piece map as ``source[(k, s)] = (i, q)``, the vertical strip at
+    position s of rect k onto the horizontal strip at position q of rect
+    i, with ``target`` its inverse."""
+    sections, rows = data["sections"], data["config"]["matrix"]
+    eigen, decomposition = sections["eigendata"], sections["decomposition"]
+    lam = float(eigen["lambda"])
+    eta, omega = ([float(v) for v in eigen[key]] for key in ("eta", "omega"))
+    n = len(rows)
+    tau = {k: decomposition["tau"][str(k)] for k in range(1, n + 1)}
+    sigma = {k: decomposition["sigma"][str(k)] for k in range(1, n + 1)}
+    v_units = {k: _units(rows, k, "V") for k in range(1, n + 1)}
+    h_units = {k: _units(rows, k, "H") for k in range(1, n + 1)}
+    vb, hb = {}, {}
+    for k in range(1, n + 1):
+        vb[k] = _boundaries([v_units[k][p][0] for p in tau[k]], omega, lam)
+        domain = {q: p for p, q in enumerate(sigma[k])}
+        hb[k] = _boundaries(
+            [h_units[k][domain[q]][0] for q in range(len(sigma[k]))], eta, lam
+        )
+        assert vb[k] == decomposition["vertical_boundaries"][str(k)]
+        assert hb[k] == decomposition["horizontal_boundaries"][str(k)]
+    source = {}
+    for k in range(1, n + 1):
+        domain = {p: s for s, p in enumerate(tau[k])}
+        for p, (i, j) in enumerate(v_units[k]):
+            source[k, domain[p]] = (i, sigma[i][h_units[i].index((k, j))])
+    target = {image: src for src, image in source.items()}
+    return SimpleNamespace(lam=lam, eta=eta, omega=omega, vb=vb, hb=hb,
+                           source=source, target=target)
+
+
+def _edge_branches(g: SimpleNamespace, kind: str, n: int) -> dict:
+    """rect -> (target rect, offset0) of the edge map of ``kind``: the
+    piece-map branch of the rect's first (L) or last (R) vertical strip,
+    or the inverse branch of its first (T) or last (B) horizontal one."""
+    out = {}
+    for r in range(1, n + 1):
+        if kind in ("L", "R"):
+            last = len(g.vb[r]) - 2
+            i, q = g.source[r, 0 if kind == "L" else last]
+            out[r] = (i, g.hb[i][q])
+        else:
+            last = len(g.hb[r]) - 2
+            k, s = g.target[r, 0 if kind == "T" else last]
+            out[r] = (k, g.vb[k][s])
+    return out
+
+
+def _first_segments(g: SimpleNamespace, gen_id: str) -> tuple:
+    """The depth-1 (rect, a, b) of each side of ``gen_id``: the images
+    (y0, y0 + eta_k / lambda) of the t-th and (t-1)-th vertical strips of
+    rect k for ``X:k:t``, the preimages (x0, x0 + omega_k / lambda) of
+    its horizontal strips for ``Y:k:t``."""
+    family, k, t = gen_id.split(":")
+    k, t = int(k), int(t)
+    out = []
+    for position in (t, t - 1):
+        if family == "X":
+            i, q = g.source[k, position]
+            a = g.hb[i][q]
+            out.append((i, a, a + g.eta[k - 1] / g.lam))
+        else:
+            r, s = g.target[k, position]
+            a = g.vb[r][s]
+            out.append((r, a, a + g.omega[k - 1] / g.lam))
+    return tuple(out)
+
+
+def _derived_side(kind, first, t, cap, branches, digraph, g) -> tuple:
+    """One side's states at depths 1..min(t, cap) and its tail orbit:
+    the depth-1 segment ``first``, its edge-map images, and at the entry
+    depth t, where the walk is on i0, the least rect of the cycle it
+    reaches, the strip state of (kind, i0) at height 0, whose (za, zb)
+    are the strip coordinates of the segment. The strip's base is the
+    2p-fold image of the edge of i0, p the cycle's length. t itself is
+    checked against the rule e + 2p + (-j mod p), e the depth at which
+    the side reaches its cycle and j its position there."""
+    rect, a, b = first
+    cycle = _cycle(digraph, rect)
+    i0, p = cycle[0], len(cycle)
+    walk = [rect]
+    while walk[-1] not in cycle:
+        walk.append(digraph[walk[-1]])
+    e = len(walk)
+    assert t == e + 2 * p + (-cycle.index(walk[-1]) % p)
+    states = [("E", rect, kind, a, b)]
+    lam = g.lam
+    for _ in range(min(t, cap) - 1):
+        r, offset0 = branches[rect]
+        assert r == digraph[rect]
+        rect, a, b = r, offset0 + a / lam, offset0 + b / lam
+        states.append(("E", rect, kind, a, b))
+    if t <= cap:
+        assert rect == i0
+        lo, v = 0.0, i0
+        for _ in range(2 * p):
+            v, offset0 = branches[v]
+            lo = offset0 + lo / lam
+        edge = g.eta[i0 - 1] if kind in ("L", "R") else g.omega[i0 - 1]
+        hi = lo + edge * lam ** -(2 * p)
+        length = hi - lo
+        if kind in ("L", "R"):
+            za, zb = (hi - a) / length, (hi - b) / length
+        else:
+            za, zb = (a - lo) / length, (b - lo) / length
+        states[-1] = ("S", (kind, i0), za, zb, 0)
+    return states, f"{kind}:{i0}"
+
+
+def _rebuilt_window(data: dict) -> tuple[list, list, list]:
+    """Every generator's pairs at depths 1..depth_cap, its two tail orbit
+    ids and its stabilization depth, read from the record alone
+    (``_window`` gives ``depth_cap``): each side's states to its stored
+    entry depth (``_derived_side``), with its kind from the generator's
+    family, then the tail rule. A strip state with key [kind, r] steps
+    to ``digraph[kind][r]``, one unit higher when the new rect (r for T
+    and B) is the least rect of its cycle, the rect of the orbit's
+    initial point. The stabilization depth is the larger entry depth,
+    if within ``depth_cap``."""
     sections = data["sections"]
     digraph = _digraphs(sections)
+    g = _geometry(data)
+    n = len(data["config"]["matrix"])
+    branches = {kind: _edge_branches(g, kind, n) for kind in KINDS}
     initial = {
         (kind, rect)
         for kind, succ in digraph.items()
@@ -507,43 +619,25 @@ def _rebuilt_window(data: dict) -> tuple[list, list]:
         return ("S", (kind, target), za, zb, w + int(rise))
 
     cap = _window(data)[2]
-    pairs, tails = [], []
+    pairs, tails, depths = [], [], []
     for gen in sections["identifications"]["generators"]:
+        assert set(gen) == {"id", "entry_depths"}
         sides, orbits = [], []
-        for kind, stored in zip(FAMILY_KINDS[gen["id"][0]], gen["sides"]):
-            states, orbit = _side_states(kind, stored, digraph[kind])
-            while len(states) < cap:
+        for kind, first, t in zip(FAMILY_KINDS[gen["id"][0]],
+                                  _first_segments(g, gen["id"]),
+                                  gen["entry_depths"]):
+            states, orbit = _derived_side(
+                kind, first, t, cap, branches[kind], digraph[kind], g
+            )
+            while states[-1][0] == "S" and len(states) < cap:
                 states.append(step(states[-1]))
             sides.append(states)
             orbits.append(orbit)
         pairs.append(tuple(zip(*sides)))
         tails.append(tuple(orbits))
-    return pairs, tails
-
-
-def _check_stored_sides(data: dict) -> tuple[list, int]:
-    """Assert that each stored side is a depth-1 edge state [rect, a, b],
-    then edge states [a, b], and ends at its first strip state
-    ["S", za, zb], or holds ``depth_cap`` edge states when it does not
-    enter its strip in the window. Return each generator's stabilization
-    depth as the sides give it, the longer side's length when both end at
-    a strip state, else None, and the number of sides that hold
-    ``depth_cap`` edge states."""
-    cap = _window(data)[2]
-    depths = []
-    unstabilized = 0
-    for gen in data["sections"]["identifications"]["generators"]:
-        tags = [["S" if state[0] == "S" else len(state) for state in side]
-                for side in gen["sides"]]
-        for side in tags:
-            if side[-1] == "S":
-                assert side == [3] + [2] * (len(side) - 2) + ["S"]
-            else:
-                assert side == [3] + [2] * (cap - 1)
-                unstabilized += 1
-        entered = all(side[-1] == "S" for side in tags)
-        depths.append(max(len(side) for side in tags) if entered else None)
-    return depths, unstabilized
+        s = max(gen["entry_depths"])
+        depths.append(s if s <= cap else None)
+    return pairs, tails, depths
 
 
 def _tail_inputs(case: str) -> list:
@@ -567,23 +661,13 @@ def _tail_inputs(case: str) -> list:
 
 
 def _labels(rows: list, k: int, orientation: str) -> list[str]:
-    """The strip labels of rect k in ascending order, as the record's
-    matrix gives them: one per unit of column k (vertical) or row k
-    (horizontal), by source, then copy."""
-    if orientation == "V":
-        mults = [row[k - 1] for row in rows]
-    else:
-        mults = rows[k - 1]
-    return [
-        f"{orientation}({k};{i},{j})"
-        for i, mult in enumerate(mults, start=1)
-        for j in range(1, mult + 1)
-    ]
+    """The strip labels of rect k in ascending order (``_units``)."""
+    return [f"{orientation}({k};{i},{j})" for i, j in _units(rows, k, orientation)]
 
 
 def _check_other_removed_facts(data: dict, result) -> None:
-    """Rebuild from the record the facts that schemas "6" to "8" no
-    longer write, other than the stored sides, and match them with the
+    """Rebuild from the record the facts that schemas "6" to "9" no
+    longer write, other than the sides' states, and match them with the
     builder's."""
     sections = data["sections"]
     rows = data["config"]["matrix"]
@@ -623,10 +707,9 @@ def _check_other_removed_facts(data: dict, result) -> None:
         nesting_period(result.system),
         result.schema.depth_cap,
     )
-    # the incidence's target lambda: the eigendata's lambda
-    assert sections["eigendata"]["lambda"] == (
-        "%.15g" % result.surface.stretch_factor
-    )
+    # the incidence's target lambda and the surface's stretch factor: the
+    # eigendata's lambda, written exactly
+    assert float(sections["eigendata"]["lambda"]) == result.surface.stretch_factor
 
 
 class TestTailFromRecord:
@@ -634,29 +717,30 @@ class TestTailFromRecord:
         "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16", "large"]
     )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
-        # Every fact that schemas "6" to "8" no longer write, rebuilt from
-        # the record alone: each stored state's kind from its family and
-        # side, its rect from the edge digraph, height 0 at strip entry
-        # (the rebuilt window is the builder's), the tail orbits, the
-        # stabilization depths, and the facts of
+        # Every fact that schemas "6" to "9" no longer write, rebuilt from
+        # the record alone: each side's segments from the exact eigendata,
+        # sigma/tau and the matrix to its stored entry depth (checked
+        # against the digraph rule), its kind from its family and side,
+        # its rects from the edge digraph, height 0 at strip entry (the
+        # rebuilt window is the builder's to the bit), the tail orbits,
+        # the stabilization depths, and the facts of
         # ``_check_other_removed_facts``.
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
             data = json.loads(record.to_json())
-            depths, unstabilized = _check_stored_sides(data)
-            assert unstabilized == 0
             generators = result.schema.generators
+            pairs, tails, depths = _rebuilt_window(data)
+            assert None not in depths
             assert depths == [g.stabilization_depth for g in generators]
-            pairs, tails = _rebuilt_window(data)
             assert pairs == [g.pair_states for g in generators]
             assert tails == [g.tail_orbits for g in generators]
             _check_other_removed_facts(data, result)
 
     def test_window_at_the_escape_depth(self):
-        # At depth_cap = N some sides have not entered their strips: they
-        # store all N edge states, and their tail orbits, rebuilt from the
-        # digraph, are those of the strips they enter past the window, as
-        # at the default window.
+        # At depth_cap = N some sides have not entered their strips: their
+        # entry depths lie past the window, they hold all N edge states,
+        # and their tail orbits, rebuilt from the digraph, are those of the
+        # strips they enter past the window, as at the default window.
         unstabilized = 0
         for M, _ in _tail_inputs("corpus"):
             full = run_pipeline(M)
@@ -664,11 +748,15 @@ class TestTailFromRecord:
                 M, depth_cap=max_escape_depth(full.system)
             )
             data = json.loads(record.to_json())
-            depths, short = _check_stored_sides(data)
-            unstabilized += short
+            cap = result.schema.depth_cap
+            unstabilized += sum(
+                t > cap
+                for gen in data["sections"]["identifications"]["generators"]
+                for t in gen["entry_depths"]
+            )
             generators = result.schema.generators
+            pairs, tails, depths = _rebuilt_window(data)
             assert depths == [g.stabilization_depth for g in generators]
-            pairs, tails = _rebuilt_window(data)
             assert pairs == [g.pair_states for g in generators]
             assert tails == [g.tail_orbits for g in generators]
             assert tails == [g.tail_orbits for g in full.schema.generators]
@@ -685,6 +773,44 @@ class TestTailFromRecord:
             depths = [g.stabilization_depth for g in schema.generators]
             assert None not in depths
             assert max(depths) <= schema.depth_cap - 2 * schema.nesting_period
+
+
+def _non_integers(obj, path: str) -> list[str]:
+    """The JSON paths in ``obj`` that hold a float, or text with a decimal
+    point (a key or a string value)."""
+    if isinstance(obj, float):
+        return [path]
+    if isinstance(obj, str):
+        return [path] if "." in obj else []
+    if isinstance(obj, dict):
+        return [f"{path}.{key}" for key in obj if "." in key] + [
+            p for key, value in obj.items()
+            for p in _non_integers(value, f"{path}.{key}")
+        ]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _non_integers(v, f"{path}[{i}]")]
+    return []
+
+
+class TestIntegerSections:
+    @pytest.mark.parametrize("case", ["running", "corpus200", "lifts"])
+    def test_identifications_and_census_hold_no_float(self, case):
+        # The two sections state the construction's choices: entry depths,
+        # and names of places of first sight; every float they once held
+        # follows from the eigendata, the decomposition and the digraphs.
+        if case == "running":
+            inputs = [(IntMatrix.from_rows(RUNNING_ROWS), None)]
+        elif case == "corpus200":
+            inputs = [(M, None) for M in random_irreducible_matrices(200)]
+        else:
+            two = IntMatrix.from_rows([[2]])
+            inputs = [(block_lift(two, k), k) for k in range(2, 9)]
+        for M, k in inputs:
+            record, _ = build_record(M, weak_perron_k=k)
+            sections = json.loads(record.to_json())["sections"]
+            for name in ("identifications", "class_census"):
+                assert _non_integers(sections[name], name) == []
+            assert sections["class_census"]["infinite_classes"]
 
 
 class TestOncePerRun:

@@ -26,7 +26,6 @@ from .spectral import (
     PerronData,
     StripLabel,
     block_lift,
-    bracket_sign_changes,
     char_poly,
     determinant,
     facts,

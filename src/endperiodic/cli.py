@@ -143,7 +143,7 @@ def _cmd_construct(args) -> int:
     print(f"stretch factor: {surface.stretch_factor:.12g}")
     lo, hi = result.incidence.bracket
     print(f"spectral radius certified in [{lo!r}, {hi!r}] "
-          f"(Sturm sign changes {result.incidence.sign_changes})")
+          "(Collatz-Wielandt on eta)")
     print(f"ends: {[(e.sign, len(e.strip_orbits)) for e in surface.ends]}")
     print(f"connected: {surface.connected}  infinite type: {surface.infinite_type}")
     print(f"record: {record_path}")

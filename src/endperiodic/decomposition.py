@@ -85,7 +85,10 @@ class StripDecomposition(NamedTuple):
         ``horizontal_order`` too, the canonical labels of
         ``config.matrix`` (``MatrixFacts.labels``): ``sigma[k]`` and
         ``tau[k]`` are written as the 0-based positions of their images
-        in that order, one per domain label in the same order."""
+        in that order, one per domain label in the same order. It leaves
+        out the strip boundaries, ``vertical_offsets`` and
+        ``horizontal_offsets``, which ``eigendata``, ``sigma``/``tau`` and
+        ``config.matrix`` give to the bit."""
 
         def positions(perm, orders):
             out = {}
@@ -97,12 +100,6 @@ class StripDecomposition(NamedTuple):
         return {
             "sigma": positions(self.sigma, self.horizontal_order),
             "tau": positions(self.tau, self.vertical_order),
-            "vertical_boundaries": {
-                str(k): list(v) for k, v in self.vertical_offsets.items()
-            },
-            "horizontal_boundaries": {
-                str(k): list(v) for k, v in self.horizontal_offsets.items()
-            },
         }
 
 

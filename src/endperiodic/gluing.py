@@ -1126,8 +1126,9 @@ class End(NamedTuple):
 
 
 class SurfaceReport(NamedTuple):
-    """The surface's ends and flags. ``stretch_factor`` is lambda, which
-    the record writes once, as ``eigendata.lambda``."""
+    """The surface's ends and flags. ``stretch_factor`` is lambda and
+    ``eta`` the Perron vector that ``verify_stretch`` certifies it with;
+    the record writes each once, in ``eigendata``."""
 
     ends: tuple[End, ...]
     infinite_type: bool
@@ -1135,6 +1136,7 @@ class SurfaceReport(NamedTuple):
     connected: bool | None
     weak_perron_gluing: dict | None
     stretch_factor: float
+    eta: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -1203,6 +1205,7 @@ def assemble_surface(
         connected=connected,
         weak_perron_gluing=weak_record,
         stretch_factor=D.eigen.lam,
+        eta=D.eigen.eta,
     )
 
 

@@ -1,12 +1,12 @@
 """Markov incidence matrix and stretch-factor certificate.
 
 The constructed surface is a double, so the incidence matrix of its
-Markov decomposition is diag(M, M), whose characteristic polynomial is
-p**2 with p = char_poly(M).  p**2 has the distinct roots of p, so the
-stretch factor is the spectral radius of M, the largest real root of p.
-``verify_stretch`` certifies it from p by one exact Sturm count (Basu,
-Pollack & Roy, *Algorithms in Real Algebraic Geometry*, 2006, ch. 2),
-without building the doubled matrix or bisecting λ again.
+Markov decomposition is diag(M, M), whose spectral radius is that of M.
+``verify_stretch`` certifies it by one exact product with the Perron
+vector eta: for a non-negative M and a positive v,
+min_i (Mv)_i / v_i <= rho(M) <= max_i (Mv)_i / v_i (L. Collatz, Math. Z.
+48, 1942; H. Wielandt, Math. Z. 52, 1950), so a poor eta can only fail
+it. It needs neither the doubled matrix nor char_poly(M).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import InvalidInputError, VerificationError
-from .spectral import IntMatrix, MatrixFacts, bracket_sign_changes, facts
+from .spectral import IntMatrix, MatrixFacts, facts
 
 
 def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
@@ -38,20 +38,13 @@ def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
 
 
 class IncidenceReport(NamedTuple):
-    """Certificate that the spectral radius lies in ``bracket``.
-
-    ``sign_changes`` counts the Sturm chain's sign changes just below the
-    low end and just above the high end.
-    """
+    """Certificate that the spectral radius lies in ``bracket``; its
+    evidence is the Perron vector, the record's ``eigendata.eta``."""
 
     bracket: tuple[float, float]
-    sign_changes: tuple[int, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "bracket": list(self.bracket),
-            "sign_changes": list(self.sign_changes),
-        }
+        return {"bracket": list(self.bracket)}
 
 
 def verify_stretch(
@@ -62,13 +55,15 @@ def verify_stretch(
     With x the stretch factor, the bracket is [x*(1 - tol), x*(1 + tol)],
     each end the float product, read exactly as a dyadic rational, for a
     ``tol`` in (0, 1): at 1 or more the low end is at most 0 and the
-    bracket holds the radius of any M.  The Sturm chain of p = char_poly(M) gives
-    V(lo-), V(hi+) and V(+oo), and the radius lies in the bracket
-    exactly when V(lo-) > V(hi+) = V(+oo).  Otherwise
-    :class:`VerificationError` carries the bracket as ``expected`` and
-    the two counts as ``actual``; a bracket end that is not a finite
-    positive float (a NaN, infinite, non-positive or overflowing stretch
-    factor) raises it with the bracket alone.
+    bracket holds the radius of any M. The entries of ``report.eta``,
+    read exactly and scaled by one power of two to integers v, certify it
+    if lo * v_i <= (Mv)_i <= hi * v_i on every row i, a sum over the arcs
+    into i. Otherwise :class:`VerificationError` carries the bracket as
+    ``expected`` and the first failing row with its ratio (Mv)_i / v_i as
+    ``actual``. It also names a bracket end that is not a finite positive
+    float (a NaN, infinite, non-positive or overflowing stretch factor),
+    an eta not of M's size, and the first entry of eta that is not a
+    finite positive number.
     """
     if not 0 < tol < 1:
         raise InvalidInputError(
@@ -82,14 +77,36 @@ def verify_stretch(
             f"stretch factor {x!r} is not finite and positive",
             expected=list(bracket),
         )
-    at_lo, at_hi, at_infinity = bracket_sign_changes(facts(M).poly, *bracket)
-    if not at_lo > at_hi == at_infinity:
+    F = facts(M)
+    arcs, eta = F.graph.predecessors, report.eta
+    if len(eta) != len(arcs):
         raise VerificationError(
-            f"spectral radius is not in the bracket [{bracket[0]!r}, "
-            f"{bracket[1]!r}] around the stretch factor {x!r}: Sturm sign "
-            f"changes {at_lo} just below it, {at_hi} just above it and "
-            f"{at_infinity} at +oo",
-            expected=list(bracket),
-            actual=[at_lo, at_hi],
+            f"eigendata.eta has {len(eta)} entries, not {len(arcs)}",
+            expected=len(arcs), actual=len(eta),
         )
-    return IncidenceReport(bracket, (at_lo, at_hi))
+    for i, e in enumerate(eta):
+        if not 0 < e < inf:
+            raise VerificationError(
+                f"eigendata.eta[{i}] = {e!r} is not a finite positive number",
+                actual=[i, e],
+            )
+    ratios = [e.as_integer_ratio() for e in eta]
+    scale = max(den for _, den in ratios)
+    v = [num * (scale // den) for num, den in ratios]
+    (lo_num, lo_den), (hi_num, hi_den) = (e.as_integer_ratio() for e in bracket)
+    for i, (row, js) in enumerate(zip(F.matrix.entries, arcs)):
+        mv = sum([row[j] * v[j] for j in js])
+        if not (lo_num * v[i] <= lo_den * mv and hi_den * mv <= hi_num * v[i]):
+            try:
+                ratio = mv / v[i]
+            except OverflowError:  # past the largest float
+                ratio = inf
+            raise VerificationError(
+                f"spectral radius is not certified in the bracket "
+                f"[{bracket[0]!r}, {bracket[1]!r}] around the stretch factor "
+                f"{x!r}: row {i} of M times eta has ratio {ratio!r} to "
+                f"eigendata.eta[{i}] (Collatz-Wielandt)",
+                expected=list(bracket),
+                actual=[i, ratio],
+            )
+    return IncidenceReport(bracket)

@@ -61,6 +61,11 @@ from .spectral import (
     perron_eigendata,
 )
 
+#: "10": ``incidence`` holds the bracket alone, certified by the
+#: Collatz-Wielandt product of M with ``eigendata.eta``, with no Sturm
+#: sign-change counts; ``decomposition`` has no ``vertical_boundaries`` or
+#: ``horizontal_boundaries`` (``eigendata``, ``sigma``/``tau`` and
+#: ``config.matrix`` give them);
 #: "9": ``identifications`` stores each side's strip-entry depth, not
 #: its segments, which the other sections give; a ``class_census``
 #: representative names where classify first saw the class's least node
@@ -99,7 +104,7 @@ from .spectral import (
 #: last digits against version "2"; "2": a null ``depth_cap`` means
 #: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
 #: product of the periods.
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 
 
 class PipelineResult(NamedTuple):

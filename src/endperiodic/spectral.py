@@ -635,40 +635,6 @@ def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
     return max(0.0, largest_real_root(facts(M).poly))
 
 
-def _value_beside(q: tuple[int, ...], num: int, exp: int, side: int) -> int:
-    """A value with the sign of q just left (``side`` -1) or right (1) of
-    ``num / 2**exp``: its first derivative not zero there, times ``side``
-    to the derivative's order (Taylor)."""
-    value, sign = _dyadic_value(q, num, exp), 1
-    while not value and len(q) > 1:
-        q = tuple(i * c for i, c in enumerate(q))[1:]
-        value, sign = _dyadic_value(q, num, exp), sign * side
-    return sign * value
-
-
-def bracket_sign_changes(
-    poly: IntPolynomial, lo: float, hi: float
-) -> tuple[int, int, int]:
-    """(V(lo-), V(hi+), V(+oo)): sign changes of the cached Sturm chain of
-    ``poly`` just left of ``lo``, just right of ``hi`` and at +oo, each
-    end read exactly as the dyadic rational its float is.
-
-    By Sturm's theorem V(lo-) - V(hi+) counts the distinct real roots in
-    the closed [lo, hi] and V(hi+) - V(+oo) those above hi. Signs beside
-    a point are read off derivatives (``_value_beside``), so an end that
-    is a root, even a repeated one where the whole chain vanishes, counts.
-    """
-    chain = poly.sturm_chain
-    counts = []
-    for x, side in ((lo, -1), (hi, 1)):
-        num, den = x.as_integer_ratio()
-        exp = den.bit_length() - 1
-        counts.append(_count_sign_changes(
-            [_value_beside(q, num, exp, side) for q in chain]
-        ))
-    return counts[0], counts[1], _count_sign_changes([q[-1] for q in chain])
-
-
 # ---------------------------------------------------------------------------
 # Perron eigendata
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -46,6 +47,11 @@ class TestConstruct:
         assert code == 0
         out = capsys.readouterr().out
         assert "1.785" in out
+        # the certified bracket and its rule
+        assert re.search(
+            r"^spectral radius certified in \[1\.785\d*, 1\.785\d*\] "
+            r"\(Collatz-Wielandt on eta\)$", out, re.M
+        )
         assert (tmp_path / "running.record.json").exists()
 
     def test_lift_reports_root(self, tmp_path, capsys):

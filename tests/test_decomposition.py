@@ -163,14 +163,13 @@ class TestCornerSelection:
 class TestSymbolicLength:
     def test_json_dict_shape(self, running_result):
         # the matrix and the eigendata are config.matrix and the eigendata
-        # section of the record, and the label orders the canonical labels
-        # of config.matrix, none of them copied here; sigma and tau are
-        # positions in those orders
+        # section of the record, the label orders the canonical labels of
+        # config.matrix and the strip boundaries follow from all three,
+        # none of them copied here; sigma and tau are positions in those
+        # orders
         D = running_result.decomposition
         data = D.to_json_dict()
-        assert set(data) == {
-            "sigma", "tau", "vertical_boundaries", "horizontal_boundaries",
-        }
+        assert set(data) == {"sigma", "tau"}
         for name, orders, perm in (("sigma", D.horizontal_order, D.sigma),
                                    ("tau", D.vertical_order, D.tau)):
             assert data[name] == {

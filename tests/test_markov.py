@@ -15,6 +15,7 @@ from endperiodic import (
     facts,
     incidence_matrix,
     is_primitive,
+    perron_eigendata,
     run_pipeline,
     spectral_radius_exact,
     verify_stretch,
@@ -71,8 +72,10 @@ class TestIncidenceMatrix:
         assert np.array_equal(np.array(inc.to_lists()), expected)
 
 
-def _surface(x):
-    return SimpleNamespace(stretch_factor=x)
+def _surface(x, M):
+    """A stand-in for the surface report: stretch factor x and the Perron
+    vector of M."""
+    return SimpleNamespace(stretch_factor=x, eta=perron_eigendata(M).eta)
 
 
 class TestVerifyStretch:
@@ -127,20 +130,16 @@ class TestVerifyStretch:
         # from float.as_integer_ratio; the largest float overflows
         # x * (1 + tol) to inf
         with pytest.raises(VerificationError) as exc:
-            verify_stretch(IntMatrix.from_rows([[2]]), _surface(x))
+            M = IntMatrix.from_rows([[2]])
+            verify_stretch(M, _surface(x, M))
         assert f"stretch factor {x!r}" in str(exc.value)
         # compared as text, where nan equals nan
         assert repr(exc.value.expected) == repr([x * (1 - 1e-9), x * (1 + 1e-9)])
 
     def test_report_serializes(self, running_matrix, running_result):
         report = verify_stretch(running_matrix, running_result.surface)
-        data = report.to_json_dict()
-        assert data == {
-            "bracket": list(report.bracket),
-            "sign_changes": list(report.sign_changes),
-        }
-        at_lo, at_hi = data["sign_changes"]
-        assert at_lo == at_hi + 1
+        assert report.to_json_dict() == {"bracket": list(report.bracket)}
+        assert running_result.surface.eta == running_result.eigen.eta
 
     @pytest.mark.parametrize("doubled", [True, False])
     def test_radius_equals_the_whole_matrix_oracle(self, doubled):
@@ -149,26 +148,34 @@ class TestVerifyStretch:
         # holds the radius of diag(M, M), whose polynomial is p**2
         for M in _oracle_inputs():
             rho = spectral_radius_exact(incidence_matrix(M, doubled))
-            report = verify_stretch(M, _surface(rho))
+            surface = _surface(rho, M)
+            report = verify_stretch(M, surface)
             lo, hi = report.bracket
             assert lo <= rho <= hi
             # bench/run.py's traced pass passes a bare M, and its record
             # must equal build_record's, which passes the facts of M
-            assert report == verify_stretch(facts(M), _surface(rho))
+            assert report == verify_stretch(facts(M), surface)
 
 
 class TestBracketMutations:
     """Each way the certificate can be wrong fails it, and every failure
-    carries the bracket and both sign-change counts."""
+    carries the bracket and the first row whose Collatz-Wielandt ratio
+    lies outside it."""
 
-    def _failure(self, M, x) -> VerificationError:
+    def _failure(self, M, x, eta=None) -> VerificationError:
+        """The error of ``verify_stretch`` on M, x and ``eta``, by default
+        the Perron vector of M."""
+        surface = (_surface(x, M) if eta is None
+                   else SimpleNamespace(stretch_factor=x, eta=eta))
         with pytest.raises(VerificationError) as exc:
-            verify_stretch(M, _surface(x))
+            verify_stretch(M, surface)
         lo, hi = x * (1 - 1e-9), x * (1 + 1e-9)
         assert exc.value.expected == [lo, hi]
         assert f"[{lo!r}, {hi!r}]" in str(exc.value)
-        at_lo, at_hi = exc.value.actual
-        assert f"{at_lo} just below it, {at_hi} just above it" in str(exc.value)
+        i, ratio = exc.value.actual
+        assert not lo <= ratio <= hi
+        assert f"row {i} of M times eta has ratio {ratio!r}" in str(exc.value)
+        assert f"eigendata.eta[{i}]" in str(exc.value)
         return exc.value
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -181,32 +188,67 @@ class TestBracketMutations:
     def test_matrix_with_one_entry_raised_fails(self):
         for M in random_irreducible_matrices(40):
             rho = spectral_radius_exact(M)
+            eta = perron_eigendata(M).eta
             for i in range(M.n):
                 rows = [list(r) for r in M.entries]
                 rows[i][(i + 1) % M.n] += 1
-                error = self._failure(IntMatrix.from_rows(rows), rho)
-                # no root of the raised matrix lies in the bracket
-                at_lo, at_hi = error.actual
-                assert at_lo == at_hi
+                error = self._failure(IntMatrix.from_rows(rows), rho, eta)
+                # only row i changed, and it is named
+                assert error.actual[0] == i
+
+    def test_eta_entry_scaled_fails(self):
+        count = 0
+        for M in random_irreducible_matrices(40):
+            if M.n == 1:
+                continue
+            rho = spectral_radius_exact(M)
+            eta = perron_eigendata(M).eta
+            for j in range(M.n):
+                scaled = list(eta)
+                scaled[j] *= 1 + 1e-6
+                self._failure(M, rho, tuple(scaled))
+                count += 1
+        assert count >= 40
+
+    @pytest.mark.parametrize(
+        "eta, index",
+        [
+            ((1.0,), None),
+            ((1.0, 1.0, 1.0), None),
+            ((1.0, 0.0), 1),
+            ((-1.0, 1.0), 0),
+            ((1.0, float("nan")), 1),
+            ((float("inf"), 1.0), 0),
+        ],
+        ids=["short", "long", "zero", "negative", "nan", "inf"],
+    )
+    def test_bad_eta_fails_typed_at_its_index(self, eta, index):
+        M = IntMatrix.from_rows([[1, 1], [1, 0]])
+        surface = SimpleNamespace(stretch_factor=spectral_radius_exact(M), eta=eta)
+        with pytest.raises(VerificationError) as exc:
+            verify_stretch(M, surface)
+        if index is None:
+            assert exc.value.actual == len(eta)
+            assert f"{len(eta)} entries" in str(exc.value)
+        else:
+            assert exc.value.actual[0] == index
+            assert f"eigendata.eta[{index}] = {eta[index]!r}" in str(exc.value)
+
+    def test_eta_whose_ratio_passes_the_largest_float_fails_typed(self):
+        # a positive eta that spans more than the float range: the ratio
+        # (M eta)_0 / eta_0 is past the largest float, where int division
+        # raises OverflowError
+        M = IntMatrix.from_rows([[0, 1], [1, 0]])
+        error = self._failure(M, 1.0, (5e-324, 1.7976931348623157e308))
+        assert error.actual == [0, float("inf")]
 
     @pytest.mark.parametrize(
         "x, end", [(2.9999999969999998, 1), (3.000000003, 0)], ids=["hi", "lo"]
     )
     def test_bracket_end_on_the_root_passes(self, x, end):
-        report = verify_stretch(IntMatrix.from_rows([[3]]), _surface(x))
+        M = IntMatrix.from_rows([[3]])
+        report = verify_stretch(M, _surface(x, M))
         assert report.bracket[end] == 3.0
-        assert report.sign_changes == (1, 0)
-
-    def test_repeated_root_on_the_high_end(self):
-        # diag-like [[2, 1], [0, 2]] has the double root 2: the whole Sturm
-        # chain vanishes there, and the counts beside it still decide
-        x = 1.999999998
-        assert x * (1 + 1e-9) == 2.0
-        report = verify_stretch(IntMatrix.from_rows([[2, 1], [0, 2]]), _surface(x))
-        assert report.sign_changes == (1, 0)
-        # with a larger eigenvalue 5 the same bracket fails
-        M = IntMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
-        assert self._failure(M, x).actual == [2, 1]
 
 
 @pytest.mark.parametrize(
@@ -217,10 +259,11 @@ class TestBracketMutations:
 def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch):
     """Tooling guard: the pipeline computes no characteristic polynomial of
     a matrix larger than its input, such as the doubled incidence matrix,
-    computes char_poly(M) and its Sturm chain once, and bisects λ once:
-    the eigen stage and verify_stretch share them, and verify_stretch
-    runs no second bisection. Faddeev-LeVerrier runs once, on the whole
-    of a primitive M and on the 1 x 1 cycle product of the lift."""
+    computes char_poly(M) and its Sturm chain once, and bisects λ once,
+    all in the eigen stage: verify_stretch reads neither (see
+    ``test_verify_stretch_reads_no_char_poly``). Faddeev-LeVerrier runs
+    once, on the whole of a primitive M and on the 1 x 1 cycle product of
+    the lift."""
     if rows is None:
         M = random_irreducible_matrices(200)[137]
     else:
@@ -272,3 +315,18 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
     assert recurrences == ([1] if k is not None else [M.n])
     assert chains == [char_poly(M).coefficients]
     assert len(bisections) == 1
+
+
+def test_verify_stretch_reads_no_char_poly(
+    running_matrix, running_result, monkeypatch
+):
+    """Tooling guard: ``verify_stretch`` on a bare M certifies from eta
+    alone; it runs neither Faddeev-LeVerrier nor a Sturm chain."""
+    calls = []
+    for name in ("_faddeev_leverrier", "_integer_sturm_chain"):
+        monkeypatch.setattr(
+            endperiodic.spectral, name,
+            lambda *args, name=name: calls.append(name),
+        )
+    verify_stretch(running_matrix, running_result.surface)
+    assert calls == []

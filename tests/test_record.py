@@ -28,6 +28,7 @@ from endperiodic import (
     perron_eigendata,
     run_pipeline,
     verify_record,
+    verify_stretch,
 )
 from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
@@ -46,12 +47,14 @@ from conftest import (
 )
 
 
-# schema version "9": default window N + 3m with m the lcm of the periods,
-# each fact written once, no field that the edge digraphs, the matrix or
-# the config give, the stretch factor's Sturm bracket in ``incidence``,
-# each generator side as its strip-entry depth, census classes named by
-# their place of first sight, and the eigendata written by ``repr``
-RUNNING_HASH = "19ff4eb1ec261450da4ac373034711527e5b5ac4097b9d6fef71796e0fe5c5f1"
+# schema version "10": default window N + 3m with m the lcm of the
+# periods, each fact written once, no field that the edge digraphs, the
+# matrix, the config or the eigendata give (the strip boundaries among
+# them), the stretch factor's bracket alone in ``incidence``, certified by
+# the Collatz-Wielandt product with ``eigendata.eta``, each generator side
+# as its strip-entry depth, census classes named by their place of first
+# sight, and the eigendata written by ``repr``
+RUNNING_HASH = "0bbd032f745ce0294b330c46047e031120e80c523fb16f00cdb0b8ff3f02ecac"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -60,10 +63,10 @@ RUNNING_HASH = "19ff4eb1ec261450da4ac373034711527e5b5ac4097b9d6fef71796e0fe5c5f1
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
 # ``sparse_irreducible_matrices(120)``.
 DIGESTS = {
-    "corpus200": "eb4017ace1398d81acf14d48fd343ca392235f83af4dd9b1a9e431488e189265",
-    "lifts": "f534a43a9733f837ac1af6545cd47d8de13abff71429cf1b23dfd5867b87b669",
-    "large": "1b9314129172633532723d61baec670c44b506a1be72d729d75028df78bc49e1",
-    "sparse120": "689d26a10c0ee4028d290c41359f39c58650e62b21b4d7e0b3ade461477452b5",
+    "corpus200": "0a82c8da5168437a32bba73c735fffa1964a97962c745b12291153294879c986",
+    "lifts": "f8d18ee8eb0aab5c46f3cc9b66d6a7da09d7dfeceb6f5837097788124c2b65fb",
+    "large": "6ca051ce066a553344755d56501645bd65da9701cfd2e9883cf58a794a6f3c24",
+    "sparse120": "9fd7df9de8acf35f62dad95837b2ece4d4c9eae447d726c0ce3906aa4483240c",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -476,10 +479,11 @@ def _boundaries(sources: list, basis: list, lam: float) -> list:
     return out
 
 
-def _geometry(data: dict) -> SimpleNamespace:
+def _geometry(data: dict, D) -> SimpleNamespace:
     """The floats that the segments are made of, from the record's exact
     eigendata, sigma/tau and ``config.matrix``: lambda, eta, omega, the
-    strip boundaries (checked against the ``decomposition`` section), and
+    strip boundaries (checked against the offsets of the builder's
+    decomposition ``D``, which the record does not write), and
     the piece map as ``source[(k, s)] = (i, q)``, the vertical strip at
     position s of rect k onto the horizontal strip at position q of rect
     i, with ``target`` its inverse."""
@@ -499,8 +503,8 @@ def _geometry(data: dict) -> SimpleNamespace:
         hb[k] = _boundaries(
             [h_units[k][domain[q]][0] for q in range(len(sigma[k]))], eta, lam
         )
-        assert vb[k] == decomposition["vertical_boundaries"][str(k)]
-        assert hb[k] == decomposition["horizontal_boundaries"][str(k)]
+        assert vb[k] == list(D.vertical_offsets[k])
+        assert hb[k] == list(D.horizontal_offsets[k])
     source = {}
     for k in range(1, n + 1):
         domain = {p: s for s, p in enumerate(tau[k])}
@@ -589,10 +593,11 @@ def _derived_side(kind, first, t, cap, branches, digraph, g) -> tuple:
     return states, f"{kind}:{i0}"
 
 
-def _rebuilt_window(data: dict) -> tuple[list, list, list]:
+def _rebuilt_window(data: dict, D) -> tuple[list, list, list]:
     """Every generator's pairs at depths 1..depth_cap, its two tail orbit
     ids and its stabilization depth, read from the record alone
-    (``_window`` gives ``depth_cap``): each side's states to its stored
+    (``_window`` gives ``depth_cap``; the builder's decomposition ``D``
+    only checks the rebuilt boundaries): each side's states to its stored
     entry depth (``_derived_side``), with its kind from the generator's
     family, then the tail rule. A strip state with key [kind, r] steps
     to ``digraph[kind][r]``, one unit higher when the new rect (r for T
@@ -601,7 +606,7 @@ def _rebuilt_window(data: dict) -> tuple[list, list, list]:
     if within ``depth_cap``."""
     sections = data["sections"]
     digraph = _digraphs(sections)
-    g = _geometry(data)
+    g = _geometry(data, D)
     n = len(data["config"]["matrix"])
     branches = {kind: _edge_branches(g, kind, n) for kind in KINDS}
     initial = {
@@ -666,7 +671,7 @@ def _labels(rows: list, k: int, orientation: str) -> list[str]:
 
 
 def _check_other_removed_facts(data: dict, result) -> None:
-    """Rebuild from the record the facts that schemas "6" to "9" no
+    """Rebuild from the record the facts that schemas "6" to "10" no
     longer write, other than the sides' states, and match them with the
     builder's."""
     sections = data["sections"]
@@ -717,19 +722,19 @@ class TestTailFromRecord:
         "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16", "large"]
     )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
-        # Every fact that schemas "6" to "9" no longer write, rebuilt from
-        # the record alone: each side's segments from the exact eigendata,
-        # sigma/tau and the matrix to its stored entry depth (checked
-        # against the digraph rule), its kind from its family and side,
-        # its rects from the edge digraph, height 0 at strip entry (the
-        # rebuilt window is the builder's to the bit), the tail orbits,
-        # the stabilization depths, and the facts of
+        # Every fact that schemas "6" to "10" no longer write, rebuilt from
+        # the record alone: the strip boundaries, and each side's segments
+        # from the exact eigendata, sigma/tau and the matrix to its stored
+        # entry depth (checked against the digraph rule), its kind from its
+        # family and side, its rects from the edge digraph, height 0 at
+        # strip entry (the rebuilt window is the builder's to the bit), the
+        # tail orbits, the stabilization depths, and the facts of
         # ``_check_other_removed_facts``.
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
             data = json.loads(record.to_json())
             generators = result.schema.generators
-            pairs, tails, depths = _rebuilt_window(data)
+            pairs, tails, depths = _rebuilt_window(data, result.decomposition)
             assert None not in depths
             assert depths == [g.stabilization_depth for g in generators]
             assert pairs == [g.pair_states for g in generators]
@@ -755,7 +760,7 @@ class TestTailFromRecord:
                 for t in gen["entry_depths"]
             )
             generators = result.schema.generators
-            pairs, tails, depths = _rebuilt_window(data)
+            pairs, tails, depths = _rebuilt_window(data, result.decomposition)
             assert depths == [g.stabilization_depth for g in generators]
             assert pairs == [g.pair_states for g in generators]
             assert tails == [g.tail_orbits for g in generators]
@@ -943,6 +948,27 @@ class TestArcReads:
         arcs = sum(map(len, graph.predecessors))
         assert reads[0] == arcs == n + 1
         assert poly == char_poly(M)
+
+    def test_stretch_certificate_reads_the_arcs_only(self):
+        """Tooling guard: the Collatz-Wielandt product of ``verify_stretch``
+        reads M at its arcs only, once each. The lift k of [[2]] has n = k
+        and k arcs, so from k = 64 to 128 its reads double, where a product
+        over whole rows would quadruple them."""
+        counts = []
+        for k in (64, 128):
+            M = block_lift(IntMatrix.from_rows([[2]]), k)
+            eigen = perron_eigendata(M)
+            reads = [0]
+            counting = MatrixFacts(
+                SimpleNamespace(entries=_counting_rows(M.entries, reads), n=M.n)
+            )
+            assert counting.graph == _analyse(M)
+            reads[0] = 0
+            verify_stretch(
+                counting, SimpleNamespace(stretch_factor=eigen.lam, eta=eigen.eta)
+            )
+            counts.append(reads[0])
+        assert counts == [64, 128]
 
     def test_boundary_offsets_read_one_term_per_distinct_source(self):
         """Tooling guard: each strip boundary offset reads eta or omega

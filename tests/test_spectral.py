@@ -20,7 +20,6 @@ from endperiodic import (
     InvalidInputError,
     PreconditionError,
     block_lift,
-    bracket_sign_changes,
     char_poly,
     determinant,
     graph_period,
@@ -521,35 +520,6 @@ class TestLargestRealRootIsBitExact:
             largest_real_root(IntPolynomial(coeffs))
         with pytest.raises(InvalidInputError):
             _fraction_sturm_root(coeffs)
-
-
-class TestBracketSignChanges:
-    """V(lo-) - V(hi+) counts the distinct roots in [lo, hi], ends
-    included, and V(hi+) - V(+oo) those above hi, also when an end is a
-    repeated root, where the whole Sturm chain vanishes."""
-
-    def test_integer_roots_of_any_multiplicity(self):
-        rng = np.random.default_rng(3)
-        ends = [x / 4 for x in range(-18, 19)] + [1.5 + 2**-40, 2 - 2**-52]
-        for _ in range(60):
-            roots = sorted({int(r) for r in rng.integers(-4, 5, size=3)})
-            factors = [[-r, 1] for r in roots for _ in range(int(rng.integers(1, 4)))]
-            # x^2 + 1 has no real root
-            poly = spectral.IntPolynomial(tuple(_poly_product(*factors, [1, 0, 1])))
-            for _ in range(20):
-                lo, hi = sorted(rng.choice(ends, size=2).tolist())
-                at_lo, at_hi, at_infinity = bracket_sign_changes(poly, lo, hi)
-                assert at_lo - at_hi == sum(lo <= r <= hi for r in roots)
-                assert at_hi - at_infinity == sum(r > hi for r in roots)
-
-    def test_matches_the_bisected_root(self):
-        for M in random_irreducible_matrices(200)[::10]:
-            poly = char_poly(M)
-            lam = largest_real_root(poly)
-            at_lo, at_hi, at_infinity = bracket_sign_changes(
-                poly, lam * (1 - 1e-12), lam * (1 + 1e-12)
-            )
-            assert at_lo == at_hi + 1 and at_hi == at_infinity
 
 
 class TestLargestRealRoot:

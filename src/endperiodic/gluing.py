@@ -11,13 +11,13 @@ boundaries and then march upward.
 Identifications are certified at segment granularity: each interior strip
 boundary (a point set shared by two adjacent strips of a rectangle) yields,
 per depth, a pair of identified image segments. Endpoint nodes of these
-segments, merged up to coordinate tolerance plus exact corner aliasing,
-form equivalence classes whose census drives the surface report.
+segments, named exactly by integers, form equivalence classes whose
+census drives the surface report.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
 from itertools import islice
 from math import inf, ulp
@@ -40,7 +40,6 @@ from .errors import (
     PrecisionError,
 )
 from .spectral import (
-    COORD_TOL,
     IntMatrix,
     MatrixFacts,
     _Value,
@@ -51,8 +50,8 @@ from .spectral import (
 _TRANSFER_TOL = 1e-9
 
 #: the most pair states (generators times ``depth_cap``) in a window that
-#: ``enumerate_identifications`` accepts: the census costs about 2.1 KiB
-#: per pair state, so this is about 1 GiB
+#: ``enumerate_identifications`` accepts: the census costs about 1.3 KiB
+#: per pair state, so this is about 650 MiB
 MAX_PAIR_STATES = 500_000
 
 #: the least default window N + 3m: N is at least 2 and m at least 1
@@ -84,11 +83,6 @@ class InfiniteStrip(NamedTuple):
         if self.kind in ("L", "R"):
             return (self.hi - offset) / self.length
         return (offset - self.lo) / self.length
-
-    def z_to_offset(self, z: float) -> float:
-        if self.kind in ("L", "R"):
-            return self.hi - z * self.length
-        return self.lo + z * self.length
 
 
 def attach_strips(
@@ -513,89 +507,7 @@ def _window(side, step, depth_cap) -> list:
 
 
 # ---------------------------------------------------------------------------
-# node tables and class census
-
-
-_WINDOW = 2 * COORD_TOL
-
-
-def _least_within(positions: list[float], ids: list[int], z: float,
-                  new: int) -> int:
-    """The least of ``ids`` whose position is within ``COORD_TOL`` of z;
-    if there is none, ``new``, inserted with z at its sorted place.
-
-    ``positions`` is sorted and ``ids[t]`` belongs to ``positions[t]``. The
-    search bisects to the window ``[z - 2 COORD_TOL, z + 2 COORD_TOL]`` and
-    tests each position p in it with ``abs(p - z) <= COORD_TOL``. The
-    window is wider than that test reaches by ``COORD_TOL`` on each side,
-    and computing ``z - p`` or a window end rounds by at most a unit in the
-    last place of coordinates of size about 1, some 1e-16: every position
-    that passes the test lies in the window, so the test alone decides.
-    Positions that were inserted here are more than ``COORD_TOL`` apart,
-    so the window holds a few of them. Where ids grow in insertion order,
-    the least id is the first position that a scan in insertion order
-    would meet.
-    """
-    lo = t = bisect_left(positions, z - _WINDOW)
-    top = z + _WINDOW
-    end = len(positions)
-    least = None
-    while t < end and positions[t] <= top:
-        if abs(positions[t] - z) <= COORD_TOL:
-            if least is None or ids[t] < least:
-                least = ids[t]
-        t += 1
-    if least is not None:
-        return least
-    while lo < t and positions[lo] < z:
-        lo += 1
-    positions.insert(lo, z)
-    ids.insert(lo, new)
-    return new
-
-
-class _EdgeTable(dict):
-    """pos -> id on one rectangle edge ``(rect, side)``.
-
-    A position that the table has not answered snaps to 0 or to the edge
-    length within ``COORD_TOL``; there it is the edge's start or end
-    corner, one node per corner in ``corners``, which all edges share.
-    Any other position takes the least id of the edge within
-    ``COORD_TOL`` (``_least_within`` on the edge's sorted ``positions``)
-    or becomes the next node. New nodes are appended to ``nodes``."""
-
-    __slots__ = ("nodes", "corners", "length", "start", "end", "prefix",
-                 "positions", "ids")
-
-    def __init__(self, nodes: list[tuple], corners: dict[tuple, int], D,
-                 rect: int, side: str):
-        self.nodes, self.corners = nodes, corners
-        vertical = side in ("L", "R")
-        self.length = D.rect_height(rect) if vertical else D.rect_width(rect)
-        self.start = ("C", rect, _CORNER_AT_START[side])
-        self.end = ("C", rect, _CORNER_AT_END[side])
-        self.prefix = ("E", rect, side)
-        self.positions: list[float] = []
-        self.ids: list[int] = []
-
-    def __missing__(self, pos: float) -> int:
-        nodes, length = self.nodes, self.length
-        at = 0.0 if abs(pos) <= COORD_TOL else pos
-        if abs(at - length) <= COORD_TOL:
-            at = length
-        if at == 0.0 or at == length:
-            corner = self.start if at == 0.0 else self.end
-            i = self.corners.get(corner)
-            if i is None:
-                i = self.corners[corner] = len(nodes)
-                nodes.append(corner)
-        else:
-            new = len(nodes)
-            i = _least_within(self.positions, self.ids, pos, new)
-            if i == new:
-                nodes.append(self.prefix + (pos,))
-        self[pos] = i
-        return i
+# node names and class census
 
 
 def _find(parent, x):
@@ -640,11 +552,17 @@ class ClassCensus(_Value):
     least id), its link label, its size, its representative (where
     classify first saw its least id, ``generator:side:depth:endpoint``)
     and its member ids: all that ``to_json_dict`` and
-    ``assemble_surface`` read. ``nodes`` (id -> node tuple, in order of
-    first sight, as the pass's node tables made them) and ``parent`` (id
-    -> union-find root, fully compressed) are the nodes and the forest of
-    the pass, and ``infinite_roots`` the roots of its infinite classes;
-    the record reads none of them.
+    ``assemble_surface`` read. ``nodes`` (id -> the node's exact name, in
+    order of first sight) and ``parent`` (id -> union-find root, fully
+    compressed) are the nodes and the forest of the pass, and
+    ``infinite_roots`` the roots of its infinite classes; the record reads
+    none of them. A name (``_NodeNames``) is a tuple of ints, letters and
+    keys, one per point: ``("C", rect, corner)`` for a rectangle corner,
+    ``("E", kind, rect, t, s)`` for boundary t of the strips along the
+    ``kind`` edge of ``rect`` after s steps of that kind's edge map, and
+    ``("S", key, s, name)`` for a strip point s steps past its orbit's
+    entry strip ``key``, ``name`` the edge point where its side entered.
+    Names with one tag compare field by field, so any two compare.
 
     Two views are built from these on first read and then cached:
     ``infinite_classes``, one ``EquivalenceClass`` per summary listing its
@@ -735,115 +653,142 @@ def _node_str(node) -> str:
     return ":".join(map(str, node))
 
 
-def _snapped(z: float) -> float:
-    """A strip coordinate snapped to 0 or 1 within ``COORD_TOL``, else
-    unchanged: the position that a ``_StripLevel`` looks up."""
-    if abs(z) <= COORD_TOL:
-        return 0.0
-    if abs(z - 1.0) <= COORD_TOL:
-        return 1.0
-    return z
+def _boundary(kind: str, rect: int, t: int, count: int) -> tuple:
+    """The name of boundary t of the ``count`` strips along the ``kind``
+    edge of ``rect``: the edge's start or end corner, or ``("E", kind,
+    rect, t, 0)``."""
+    if t == 0:
+        return ("C", rect, _CORNER_AT_START[kind])
+    if t == count:
+        return ("C", rect, _CORNER_AT_END[kind])
+    return ("E", kind, rect, t, 0)
 
 
-class _StripLevel(dict):
-    """z -> id on one strip level ``(key, w)``, for z snapped by
-    ``_snapped``. At height 0, ``edge`` is the table of the strip's host
-    edge, and z = 0 or 1, a base corner, is the edge point that it
-    answers. Any other z takes the least id of the level within
-    ``COORD_TOL`` (``_least_within``) where the level may merge
-    (``positions`` is a list), or else becomes the next node."""
+def _strip_end(system: EdgeMapSystem, kind: str, label, place) -> tuple:
+    """(r, first, last): the end, on the ``kind`` edge of rect r, of the
+    strip that the piece-map branch of the vertical strip ``label`` maps
+    onto (L, R), or that the branch onto the horizontal strip ``label``
+    maps from (T, B), and the names of its two points, boundaries t and
+    t + 1 of the strips along that edge, t the strip's ``place``."""
+    D, P = system.decomposition, system.piece_map
+    if kind in ("L", "R"):
+        strip = P.source_index[label].target_label
+        count = len(D.horizontal_order[strip.rect])
+    else:
+        strip = P.target_index[label].source_label
+        count = len(D.vertical_order[strip.rect])
+    r, t = strip.rect, place[strip]
+    return r, _boundary(kind, r, t, count), _boundary(kind, r, t + 1, count)
 
-    __slots__ = ("nodes", "prefix", "strip", "edge", "positions", "ids")
 
-    def __init__(self, nodes: list[tuple], prefix: tuple,
-                 strip: InfiniteStrip, edge: _EdgeTable | None, merge: bool):
-        self.nodes, self.prefix = nodes, prefix
-        self.strip, self.edge = strip, edge
-        self.positions: list[float] | None = [] if merge else None
-        self.ids: list[int] | None = [] if merge else None
+def _step(images: dict[tuple, tuple], name: tuple) -> tuple:
+    """The name of the image of ``name`` under one step of an edge map
+    whose corner images are ``images`` (``_NodeNames.images``)."""
+    if name[0] == "C":
+        return images[name]
+    tag, kind, rect, t, s = name
+    return (tag, kind, rect, t, s + 1)
 
-    def __missing__(self, z: float) -> int:
-        if self.edge is not None and (z == 0.0 or z == 1.0):
-            i = self.edge[self.strip.z_to_offset(z)]
-        else:
-            nodes = self.nodes
-            i = new = len(nodes)
-            if self.positions is not None:
-                i = _least_within(self.positions, self.ids, z, new)
-            if i == new:
-                nodes.append(self.prefix + (z,))
-        self[z] = i
+
+class _NodeNames:
+    """Exact names of classify's nodes (``ClassCensus``), their ids in
+    order of first sight, and each generator side's id column.
+
+    ``images[kind]`` sends each corner name of a ``kind`` edge to the name
+    of its image under one step of that kind's edge map: the first or last
+    point of the strip end that the edge's branch maps the edge onto
+    (``_strip_end``); ``_step`` sends every other edge name to s + 1.
+    ``runs[key]`` holds the names of the two ends of the entry strip
+    ``key`` at each level of height 0 (``entry_runs``). ``index`` maps
+    the edge and corner names to their ids. A strip name is read only
+    through ``tails[key, name]``, the ids of one entry point by steps past
+    entry, so its first sight is where that list grows, and it is a new
+    id there.
+    """
+
+    def __init__(self, ext: ExtendedPieceMap, cap: int):
+        self.ext, self.cap = ext, cap
+        system = ext.system
+        D = system.decomposition
+        self.place = {
+            label: t
+            for orders in (D.vertical_order, D.horizontal_order)
+            for order in orders.values() for t, label in enumerate(order)
+        }
+        self.images: dict[str, dict[tuple, tuple]] = {}
+        for kind in KINDS:
+            vertical = kind in ("L", "R")
+            orders = D.vertical_order if vertical else D.horizontal_order
+            self.images[kind] = images = {}
+            for r, order in orders.items():
+                label = order[0 if kind in ("L", "T") else -1]
+                _, first, last = _strip_end(system, kind, label, self.place)
+                images["C", r, _CORNER_AT_START[kind]] = first
+                images["C", r, _CORNER_AT_END[kind]] = last
+        self.nodes: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        self.runs: dict[tuple[str, int], dict[tuple, list[tuple]]] = {}
+        self.tails: dict[tuple, list[int]] = {}
+
+    def id(self, name: tuple) -> int:
+        i = self.index.get(name)
+        if i is None:
+            i = self.index[name] = len(self.nodes)
+            self.nodes.append(name)
         return i
 
+    def entry_runs(self, key: tuple[str, int]) -> dict[tuple, list[tuple]]:
+        """Each end of the entry strip ``key`` -> its names at the levels
+        of height 0 past entry, where a side that entered at that end
+        stands on its edge. The ends are the images of the corners of the
+        edge of ``key`` under 2p steps, p the orbit's period, as in
+        ``attach_strips``, and the tail rule keeps height 0 until its
+        first rise."""
+        runs = self.runs.get(key)
+        if runs is None:
+            kind, rect = key
+            images = self.images[kind]
+            ends = [("C", rect, _CORNER_AT_START[kind]),
+                    ("C", rect, _CORNER_AT_END[kind])]
+            for _ in range(2 * self.ext.strips[key].period):
+                ends = [_step(images, x) for x in ends]
+            runs = self.runs[key] = {x: [x] for x in ends}
+            at, rise = self.ext.step[key]
+            while not rise:
+                for run in runs.values():
+                    run.append(_step(images, run[-1]))
+                at, rise = self.ext.step[at]
+        return runs
 
-def _strip_levels(
-    schema: IdentificationSchema, ext: ExtendedPieceMap,
-    edges: dict[tuple[int, str], _EdgeTable], nodes: list[tuple],
-) -> dict[tuple[str, int], list[_StripLevel]]:
-    """Each strip orbit's entry strip key -> its ``_StripLevel`` at each
-    step s after entry, to the last step in the window of its earliest
-    side.
-
-    A level (key, w) is one step of one orbit: every side enters its
-    orbit at the orbit's initial strip, at height 0 (``_strip_entry``),
-    so the key of its entry state names the orbit, and the tail rule
-    moves it one strip per step and one unit up per period, keeping its
-    (za, zb). So s steps past entry every side of the orbit is on the
-    same level, and the level's lookups are the snapped entry
-    coordinates of the orbit's sides, without 0 and 1 at height 0, which
-    its host edge answers.
-
-    A level searches only if its orbit's snapped entry coordinates come
-    within ``COORD_TOL`` of each other, by the float difference that
-    ``_least_within`` tests; float subtraction is monotone, so comparing
-    neighbours of the sorted distinct values decides this. Where none
-    do, each new z is more than ``COORD_TOL`` from every earlier one, so
-    it is a new node without a search.
-    """
-    cap = schema.depth_cap
-    first: dict[tuple[str, int], int] = {}
-    entries: dict[tuple[str, int], set[float]] = {}
-    for gen in schema.generators:
-        for side in gen.sides:
-            state = side[-1]
-            if state[0] == "S":
-                key = state[1]
-                first[key] = min(first.get(key, cap), len(side))
-                entries.setdefault(key, set()).update(
-                    (_snapped(state[2]), _snapped(state[3]))
-                )
-    levels = {}
-    for entry_key, zs in entries.items():
-        zs = sorted(zs)
-        merge = any(b - a <= COORD_TOL for a, b in zip(zs, islice(zs, 1, None)))
-        key, w = entry_key, 0
-        steps = levels[entry_key] = []
-        for _ in range(cap - first[entry_key] + 1):
-            strip = ext.strips[key]
-            edge = None if w else edges[strip.rect, strip.kind]
-            steps.append(_StripLevel(nodes, ("S", key, w), strip, edge, merge))
-            key, rise = ext.step[key]
-            w += rise
-    return levels
-
-
-def _side_ids(side, levels, edges, cap) -> list[int]:
-    """One side's id column: the ids of its first and second endpoints at
-    depth 1, then at depth 2, and so on to ``cap`` (``classify_classes``)."""
-    entry = side[-1]
-    if entry[0] == "E":
-        states, tables, zs = side, (), ()
-    else:
-        states = side[:-1]
-        tables = levels[entry[1]][:cap - len(states)]
-        zs = (_snapped(entry[2]), _snapped(entry[3]))
-    ids = []
-    for _, rect, kind, a, b in states:
-        table = edges[rect, kind]
-        ids.append(table[a])
-        ids.append(table[b])
-    ids += [table[z] for table in tables for z in zs]
-    return ids
+    def column(self, kind: str, label, entry: int) -> list[int]:
+        """The id column of a side of ``kind`` whose depth-1 segment is
+        ``_strip_end(kind, label)`` and whose entry depth is ``entry``: the
+        ids of its first and second endpoints at depth 1, then at depth 2,
+        and so on to ``cap``."""
+        images, cap, node = self.images[kind], self.cap, self.id
+        digraph = self.ext.system.maps[kind].digraph
+        rect, a, b = _strip_end(self.ext.system, kind, label, self.place)
+        ids = []
+        for _ in range(min(entry - 1, cap)):
+            ids += (node(a), node(b))
+            a, b, rect = _step(images, a), _step(images, b), digraph[rect]
+        if entry > cap:
+            return ids
+        key = (kind, rect)
+        runs, nodes, need = self.entry_runs(key), self.nodes, cap - entry + 1
+        ta, tb = (self.tails.setdefault((key, x), []) for x in (a, b))
+        for s in range(min(len(ta), len(tb)), need):
+            for x, tail in ((a, ta), (b, tb)):
+                if len(tail) == s:
+                    run = runs.get(x, ())
+                    if s < len(run):
+                        tail.append(node(run[s]))
+                    else:
+                        tail.append(len(nodes))
+                        nodes.append(("S", key, s, x))
+        steps = [0] * (2 * need)
+        steps[::2], steps[1::2] = ta[:need], tb[:need]
+        return ids + steps
 
 
 def classify_classes(
@@ -889,9 +834,24 @@ def classify_classes(
     the edge maps give, and one above 0 is no corner. So TL(r) is paired
     with the first endpoint of an R-side state, which is TR or no corner,
     and with that of a B-side state, which is BL or no corner: three
-    different nodes. The argument is about exact points, so it holds where
-    the node tables merge exactly the coincident ones, as ``COORD_TOL``
-    assumes.
+    different nodes.
+
+    The argument is about exact points, and so are the nodes: each is an
+    exact name (``_NodeNames``), and two are one point iff their names are
+    equal. Each edge-map branch maps its full edge injectively onto the
+    end of one strip, and distinct rectangles map onto the ends of
+    distinct strips, whose interiors are disjoint. So a point inside an
+    image has exactly one preimage, on the edge of one rectangle, and no
+    strip boundary or corner lies inside an image. An edge name of s >= 1
+    steps lies inside an image, and a boundary (s = 0) or a corner does
+    not. So two edge names on one edge are one point only if both are the
+    same boundary, or both have s >= 1 and their preimages are one point,
+    which by induction on s makes them equal. A
+    strip point is its level and its strip coordinate, an injective
+    affine image of the edge point where its side entered, so it is named
+    by that point's name. At height 0 the strip's base corners are its
+    attachment's ends, which are edge points; a side that entered at one
+    of them is there, and any other strip point lies on no edge.
 
     Links of infinite chains are labeled conservatively from the pairing
     graph: a path is a Line, two or more disjoint cycles are
@@ -903,45 +863,21 @@ def classify_classes(
     for a family).
 
     The pass runs over dense integer node ids, builds only what the census
-    reads and steps no side past its entry depth. Each side of a
-    generator is one id column (``_side_ids``): the ids of its first and
-    second endpoints at depth 1, then at depth 2, and so on to
-    ``depth_cap``. Side a's column is made before side b's, generator by
-    generator, and a node's id is the number of nodes seen before it. The
-    rule is that of one scan per edge or strip level in order of first
-    sight: a position within ``COORD_TOL`` of 0 or of the edge length (of
-    0 or 1 on strips) snaps there, a rectangle corner is one node, a strip
-    base corner at height 0 is its edge point, and any other position
-    takes the least id of its edge or level within ``COORD_TOL``, or a new
-    one. Every node site has one lookup table, pos -> id, that applies
-    this rule at the lookup, in classify's order: an ``_EdgeTable`` per
-    rectangle edge, all made up front, and a ``_StripLevel`` per strip
-    level, made by ``_strip_levels``. An edge state reads its edge's table
-    at its two offsets; from its entry depth t on, a side reads its
-    level's table at its snapped entry coordinates. The tables give the
-    scan's ids:
-
-    * a level (key, w) is one step of one orbit (``_strip_levels``), so
-      its lookups are the snapped entry coordinates of that orbit's sides
-      in classify's order, and the scan of the level sees them in the
-      same order;
-    * a table keeps each float that it has answered, and that answer
-      stays the scan's: ids grow in order of first sight, so a node made
-      later is a greater id, and none within ``COORD_TOL`` of the float
-      can come before the answer;
-    * a level whose orbit's entry coordinates are pairwise more than
-      ``COORD_TOL`` apart makes each new z a new node without a search,
-      since the scan finds no earlier node within ``COORD_TOL`` of it;
-      every other miss runs ``_least_within``, the least id within
-      ``COORD_TOL``, which is the first node that the scan meets.
+    reads, steps no side past its entry depth and reads no coordinate.
+    Each side of a generator is one id column (``_NodeNames.column``): the
+    ids of its first and second endpoints at depth 1, then at depth 2, and
+    so on to ``depth_cap``. Side a's column is made before side b's,
+    generator by generator, and a node's id is the number of nodes seen
+    before it. A side's depth-1 names come from the piece-map branch that
+    its generator id names, by its strip's place in the rectangle's order;
+    the side steps them by its kind's edge map to its entry depth t, and
+    from t on it stands on its orbit's strip levels at its entry names.
 
     The columns make the nodes that each depth's pair in turn (a0, b0, a1,
-    b1) would make, numbered in another order: the two sides of a
-    generator touch disjoint tables, side a only L or T edges, strips and
-    corners (TL, BL or TR), side b only R or B ones (TR, BR or BL; one
-    family's two kinds share no corner). So each table sees its lookups
-    in the same order either way, and a node's depth of first sight is
-    the same too.
+    b1) would make, numbered in another order: side a names only points of
+    L or T edges and strips and corners TL, BL or TR, side b only R or B
+    ones (TR, BR or BL; one family's two kinds share no corner). So a
+    node's depth of first sight is the same either way.
 
     The same pass counts each distinct pairing edge once into the degrees
     of its ends: an edge whose ends have different roots is new, since the
@@ -965,14 +901,9 @@ def classify_classes(
     class objects on first read.
     """
     D = ext.system.decomposition
-    nodes: list[tuple] = []
-    corners: dict[tuple, int] = {}
-    edges = {
-        (rect, side): _EdgeTable(nodes, corners, D, rect, side)
-        for rect in range(1, D.n + 1) for side in KINDS
-    }
     cap, m = schema.depth_cap, schema.nesting_period
-    levels = _strip_levels(schema, ext, edges, nodes)
+    names = _NodeNames(ext, cap)
+    nodes = names.nodes
 
     # late[i] is 1 iff node i was first seen past depth cap - m: a side
     # makes its new ids in column order, so those are the ones above
@@ -982,11 +913,15 @@ def classify_classes(
     columns: list[tuple[list[int], list[int]]] = []
     starts: list[int] = []  # the node count before each side's column
     for gen in schema.generators:
+        family, k, t = gen.gen_id.split(":")
+        order = (D.vertical_order if family == "X" else D.horizontal_order)[int(k)]
+        labels = (order[int(t)], order[int(t) - 1])
         sides = []
-        for side in gen.sides:
+        for kind, label, entry in zip(SIDE_KINDS[family], labels,
+                                      gen.entry_depths):
             known = len(nodes)
             starts.append(known)
-            ids = _side_ids(side, levels, edges, cap)
+            ids = names.column(kind, label, entry)
             mark = max(known, max(ids[:early], default=-1) + 1)
             late += bytes(mark - known) + b"\x01" * (len(nodes) - mark)
             sides.append(ids)

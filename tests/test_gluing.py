@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,9 +9,9 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import endperiodic
 from endperiodic import (
@@ -38,16 +37,13 @@ from endperiodic import (
     run_pipeline,
 )
 from endperiodic import gluing
-from endperiodic.edgemaps import _CORNER_AT_END, _CORNER_AT_START
+from endperiodic.edgemaps import _CORNER_AT_END, _CORNER_AT_START, KINDS
 from endperiodic.gluing import (
     SIDE_KINDS,
     EquivalenceClass,
-    InfiniteStrip,
-    _EdgeTable,
     _find,
     _node_str,
     _strip_entry,
-    _strip_levels,
     _union,
 )
 from endperiodic.spectral import COORD_TOL
@@ -588,191 +584,315 @@ class TestCensusInvariants:
         )
 
 
-class _ScanTables:
-    """The reference node tables: every lookup scans its whole bin in
-    insertion order and takes the first node within ``COORD_TOL``.
-    ``lookups`` lists, per edge ``("E", rect, side)`` or strip level
-    ``("S", key, w)``, the snapped positions looked up there, in order;
-    a corner is looked up on neither."""
+#: the oracle's working precision, in decimal digits
+ORACLE_DPS = 60
+#: positions are held as integers in units of 10^-45; the oracle merges
+#: points within 1e-40 and asserts that distinct points are more than
+#: 1e-35 apart, so that no merge is a close call
+_UNIT = 10**45
+_MERGE = 10**5
+_GAP = 10**10
 
-    def __init__(self, decomposition, strips):
-        self.D = decomposition
-        self.strips = strips
+
+def _perron(ctx, rows, lam, v):
+    """(lambda, v) with ``rows`` times v = lambda v to the precision of
+    ``ctx``, refined from the float guesses by Newton steps on (M - lam I)
+    v = 0 with v's last entry fixed: each step takes the residual in
+    ``ctx`` over M's nonzero entries and solves for its correction in
+    floats, which gains about 14 digits."""
+    n = len(rows)
+    J = np.zeros((n + 1, n + 1))
+    J[:n, :n] = np.array(rows, dtype=float) - lam * np.eye(n)
+    J[:n, n] = [-x for x in v]
+    J[n, n - 1] = 1.0
+    arcs = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    lam, v = ctx.mpf(lam), [ctx.mpf(x) for x in v]
+    for _ in range(6):
+        r = [ctx.fsum(a * v[j] for j, a in row) - lam * v[i]
+             for i, row in enumerate(arcs)]
+        d = np.linalg.solve(J, [-float(x) for x in r] + [0.0])
+        v = [x + float(e) for x, e in zip(v, d)]
+        lam += float(d[n])
+    assert max(abs(x) for x in r) < ctx.mpf(10) ** (5 - ORACLE_DPS)
+    return lam, v
+
+
+def _integer(ctx, x) -> int:
+    return int(ctx.nint(x * _UNIT))
+
+
+class _Oracle:
+    """Classify's lookups at positions recomputed in mpmath at
+    ``ORACLE_DPS`` digits, from M, the construction's strip labels and
+    permutations, each side's entry depth and the tail rule.
+
+    lambda, eta and omega are refined from the floats (``_perron``), and
+    the strip boundaries, the piece-map branches, the edge maps, the strip
+    attachments and each side's segments are rebuilt from them by the
+    construction's rules. A point is an edge point ``(rect, kind, x)`` or
+    a strip point ``(key, w, z)``, its coordinate an integer in units of
+    10^-45 (``_UNIT``). The scan gives each point the id of the node
+    within 1e-40 on its site, an edge or a strip level, or a new one; an
+    edge point within 1e-40 of an edge end is that corner, and a strip
+    point at height 0 within 1e-40 of z = 0 or 1 is the edge point at
+    that end of the strip. ``check_gaps`` asserts that distinct nodes of
+    a site, with the edge ends (and 0 and 1 on levels of height 0), are
+    more than 1e-35 apart, so no merge decides a close case.
+    """
+
+    def __init__(self, ext):
+        self.ext = ext
+        system = ext.system
+        D, P = system.decomposition, system.piece_map
+        ctx = self.ctx = mpmath.MPContext()
+        ctx.dps = ORACLE_DPS
+        rows = [list(row) for row in D.facts.matrix.entries]
+        lam, eta = _perron(ctx, rows, D.eigen.lam, D.eigen.eta)
+        _, omega = _perron(ctx, [list(c) for c in zip(*rows)], D.eigen.lam,
+                           D.eigen.omega)
+        self.lam, self.eta, self.omega = lam, eta, omega
+        bounds = {}
+        for k in range(1, D.n + 1):
+            # widths and heights by the decomposition's resizing rule
+            sigma_inv = {v: u for u, v in D.sigma[k].items()}
+            vertical, horizontal = D.vertical_order[k], D.horizontal_order[k]
+            widths = [omega[D.tau[k][lab].source - 1] for lab in vertical]
+            heights = [eta[sigma_inv[lab].source - 1] for lab in horizontal]
+            for order, sizes in ((vertical, widths), (horizontal, heights)):
+                x = ctx.mpf(0)
+                for label, size in zip(order, sizes):
+                    bounds[label] = x
+                    x += size / lam
+        self.bounds = bounds
+        # each kind's branches: rect -> (target rect, offset of its image)
+        self.branches = {}
+        for kind in KINDS:
+            out = self.branches[kind] = {}
+            for r in range(1, D.n + 1):
+                if kind in ("L", "R"):
+                    label = D.vertical_order[r][0 if kind == "L" else -1]
+                    image = P.source_index[label].target_label
+                else:
+                    label = D.horizontal_order[r][0 if kind == "T" else -1]
+                    image = P.target_index[label].source_label
+                out[r] = (image.rect, bounds[image])
+        lengths = {
+            (r, kind): eta[r - 1] if kind in ("L", "R") else omega[r - 1]
+            for r in range(1, D.n + 1) for kind in KINDS
+        }
+        self.lengths = {edge: _integer(ctx, x) for edge, x in lengths.items()}
+        # each strip key -> (lo, hi), its attachment f^(2p+j) of the full
+        # edge of its orbit's initial rect, both ends stepped by the branches
+        self.ends = {}
+        for key, strip in ext.strips.items():
+            if strip.j == 0:
+                kind, rect = key
+                xs = [ctx.mpf(0), lengths[rect, kind]]
+                for step in range(3 * strip.period):
+                    if step >= 2 * strip.period:
+                        self.ends[kind, rect] = tuple(xs)
+                    rect, offset = self.branches[kind][rect]
+                    xs = [offset + x / lam for x in xs]
         self.nodes = []
         self.lookups = {}
-        self._corner_ids = {}
-        self._bins = {}
+        self._corners = {}
+        self._sites = {}
 
-    def _new(self, node, bin=None):
+    def first_segment(self, gen_id, side):
+        """(rect, a, b) of a side's depth-1 segment: the image (y0, y0 +
+        eta_k / lambda) of the t-th (side a) or (t-1)-th vertical strip of
+        rect k for ``X:k:t``, the preimage (x0, x0 + omega_k / lambda) of
+        its horizontal strips for ``Y:k:t``."""
+        D, P = self.ext.system.decomposition, self.ext.system.piece_map
+        family, k, t = gen_id.split(":")
+        k, t = int(k), int(t) - side
+        if family == "X":
+            image = P.source_index[D.vertical_order[k][t]].target_label
+            size = self.eta[k - 1]
+        else:
+            image = P.target_index[D.horizontal_order[k][t]].source_label
+            size = self.omega[k - 1]
+        a = self.bounds[image]
+        return image.rect, a, a + size / self.lam
+
+    def side_points(self, gen, side, cap):
+        """A side's two points at each depth 1..cap: edge points stepped
+        by the branches of its kind up to its entry depth t, then strip
+        points at its entry strip coordinates, stepped by the tail rule."""
+        kind = SIDE_KINDS[gen.gen_id[0]][side]
+        t = gen.entry_depths[side]
+        rect, a, b = self.first_segment(gen.gen_id, side)
+        ctx = self.ctx
+        points = []
+        for _ in range(min(t - 1, cap)):
+            points.append(tuple(("E", rect, kind, _integer(ctx, x))
+                                for x in (a, b)))
+            rect, offset = self.branches[kind][rect]
+            a, b = offset + a / self.lam, offset + b / self.lam
+        if t > cap:
+            return points
+        key, w = (kind, rect), 0
+        lo, hi = self.ends[key]
+        zs = [((hi - x) if kind in ("L", "R") else (x - lo)) / (hi - lo)
+              for x in (a, b)]
+        zs = [_integer(ctx, z) for z in zs]
+        assert all(-_MERGE <= z <= _UNIT + _MERGE for z in zs)
+        for _ in range(cap - t + 1):
+            points.append(tuple(("S", key, w, z) for z in zs))
+            key, rise = self.ext.step[key]
+            w += rise
+        return points
+
+    def _new(self, node):
         self.nodes.append(node)
-        if bin is not None:
-            bin.append(len(self.nodes) - 1)
         return len(self.nodes) - 1
 
-    def _scan(self, prefix, pos):
-        self.lookups.setdefault(prefix, []).append(pos)
-        bin = self._bins.setdefault(prefix, [])
-        for i in bin:
-            if abs(self.nodes[i][3] - pos) <= COORD_TOL:
-                return i
-        return self._new(prefix + (pos,), bin)
+    def _edge_id(self, rect, kind, x):
+        length = self.lengths[rect, kind]
+        if abs(x) <= _MERGE or abs(x - length) <= _MERGE:
+            at = _CORNER_AT_START if abs(x) <= _MERGE else _CORNER_AT_END
+            corner = ("C", rect, at[kind])
+            if corner not in self._corners:
+                self._corners[corner] = self._new(corner)
+            return self._corners[corner]
+        return self._scan(("E", rect, kind), x)
 
-    def edge_id(self, rect, side, pos):
-        if side in ("L", "R"):
-            length = self.D.rect_height(rect)
-        else:
-            length = self.D.rect_width(rect)
-        if abs(pos) <= COORD_TOL:
-            pos = 0.0
-        if abs(pos - length) <= COORD_TOL:
-            pos = length
-        if pos == 0.0 or pos == length:
-            at = _CORNER_AT_START if pos == 0.0 else _CORNER_AT_END
-            corner = ("C", rect, at[side])
-            if corner not in self._corner_ids:
-                self._corner_ids[corner] = self._new(corner)
-            return self._corner_ids[corner]
-        return self._scan(("E", rect, side), pos)
+    def _scan(self, site, x):
+        self.lookups.setdefault(site, []).append(x)
+        buckets = self._sites.setdefault(site, {})
+        home = x // (_GAP // 100)
+        for bucket in (home - 1, home, home + 1):
+            for i in buckets.get(bucket, ()):
+                if abs(self.nodes[i][3] - x) <= _MERGE:
+                    return i
+        i = self._new(site + (x,))
+        buckets.setdefault(home, []).append(i)
+        return i
 
-    def node_id(self, state, endpoint):
-        if state[0] == "E":
-            return self.edge_id(state[1], state[2], state[3 + endpoint])
-        _, key, _, _, w = state
-        z = state[2 + endpoint]
-        if abs(z) <= COORD_TOL:
-            z = 0.0
-        elif abs(z - 1.0) <= COORD_TOL:
-            z = 1.0
-        if w == 0 and z in (0.0, 1.0):
-            strip = self.strips[key]
-            return self.edge_id(strip.rect, strip.kind, strip.z_to_offset(z))
+    def node_id(self, point):
+        if point[0] == "E":
+            return self._edge_id(*point[1:])
+        _, key, w, z = point
+        if w == 0 and (abs(z) <= _MERGE or abs(z - _UNIT) <= _MERGE):
+            # a base corner of the strip, its attachment's end: z runs
+            # against the edge offset on vertical sides
+            lo, hi = self.ends[key]
+            at_hi = (abs(z) <= _MERGE) == (key[0] in ("L", "R"))
+            return self._edge_id(key[1], key[0],
+                                 _integer(self.ctx, hi if at_hi else lo))
         return self._scan(("S", key, w), z)
+
+    def check_gaps(self):
+        """Distinct nodes of a site, with the ends of an edge and 0 and 1
+        on a level of height 0, are more than 1e-35 apart."""
+        for site, buckets in self._sites.items():
+            xs = sorted(self.nodes[i][3] for ids in buckets.values() for i in ids)
+            if site[0] == "E":
+                xs = [0] + xs + [self.lengths[site[1], site[2]]]
+            elif site[2] == 0:
+                xs = [0] + xs + [_UNIT]
+            gaps = [y - x for x, y in zip(xs, xs[1:])]
+            assert min(gaps, default=_GAP + 1) > _GAP, site
+
+
+#: (M's entries, depth_cap, by_side) -> the oracle's nodes and lookups,
+#: and its ids
+_ORACLE_RUNS = {}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _forget_oracle_runs():
+    """Free the kept oracle runs when this module's tests are done."""
+    yield
+    _ORACLE_RUNS.clear()
 
 
 def _scan_ids(schema, ext, by_side=True):
-    """A ``_ScanTables`` fed the lookups of ``classify_classes`` in its
-    order, and per generator the ids ``(a0, b0, a1, b1)`` of each depth's
-    pair: the first endpoints of sides a and b, then the second ones.
+    """The oracle (``_Oracle``) fed the lookups of ``classify_classes`` in
+    its order, and per generator the ids ``(a0, b0, a1, b1)`` of each
+    depth's pair: the first endpoints of sides a and b, then the second
+    ones.
 
     classify looks up, per generator, side a's first and second endpoint
     at each depth from 1 to ``depth_cap``, then side b's (``by_side``).
     With ``by_side`` False the scan is fed each depth's pair in turn, a0,
     b0, a1, b1, the order of classify before its id columns: the same
-    nodes, numbered in another order."""
-    scan = _ScanTables(ext.system.decomposition, ext.strips)
-    node_id = scan.node_id
-    ids = []
-    for gen in schema.generators:
-        pairs = gen.pair_states
-        if by_side:
-            a, b = (
-                [(node_id(state, 0), node_id(state, 1)) for state in side]
-                for side in zip(*pairs)
-            )
-            ids.append([(a0, b0, a1, b1) for (a0, a1), (b0, b1) in zip(a, b)])
-        else:
-            ids.append([
-                (node_id(sa, 0), node_id(sb, 0), node_id(sa, 1), node_id(sb, 1))
-                for sa, sb in pairs
-            ])
-    return scan, ids
+    nodes, numbered in another order. Runs are kept by M, window and
+    order, since several tests ask for the same one."""
+    run = (ext.system.decomposition.facts.matrix.entries, schema.depth_cap,
+           by_side)
+    if run not in _ORACLE_RUNS:
+        oracle = _Oracle(ext)
+        node_id = oracle.node_id
+        ids = []
+        for gen in schema.generators:
+            a, b = (oracle.side_points(gen, side, schema.depth_cap)
+                    for side in (0, 1))
+            if by_side:
+                a, b = ([(node_id(p), node_id(q)) for p, q in side]
+                        for side in (a, b))
+                ids.append([(a0, b0, a1, b1) for (a0, a1), (b0, b1) in zip(a, b)])
+            else:
+                ids.append([
+                    (node_id(pa), node_id(pb), node_id(qa), node_id(qb))
+                    for (pa, qa), (pb, qb) in zip(a, b)
+                ])
+        oracle.check_gaps()
+        # keep what the tests read, not the construction or the geometry
+        kept = SimpleNamespace(nodes=oracle.nodes, lookups=oracle.lookups)
+        _ORACLE_RUNS[run] = kept, ids
+    return _ORACLE_RUNS[run]
 
 
-def _tolerance_points(a):
-    """``a``, a point exactly ``COORD_TOL`` above it (the float difference
-    equals ``COORD_TOL``, so the two are within tolerance), and the next
-    float above that one (not within tolerance of ``a``)."""
-    b = a + COORD_TOL
-    assert b - a == COORD_TOL
-    return a, b, math.nextafter(b, math.inf)
-
-
-def _synthetic_states(res):
-    """Edge states that exercise each rule of the lookup: new nodes, hits
-    on earlier ones, hits within tolerance but not equal, a point within
-    tolerance of two nodes of which the later one is closer (the earlier
-    one wins), points exactly ``COORD_TOL`` apart, snaps to 0 and the edge
-    length, and corners."""
-    a, b, c = _tolerance_points(5e-7)
-    states = []
-    D = res.decomposition
-    for rect in range(1, D.n + 1):
-        for side in ("L", "R", "T", "B"):
-            length = D.rect_height(rect) if side in ("L", "R") else D.rect_width(rect)
-            third = length / 3
-            states += [
-                ("E", rect, side, x, y)
-                for x, y in [
-                    (0.0, length), (5e-8, length - 5e-8),
-                    (-COORD_TOL, length + 5e-8),
-                    (third, third + 1.2e-7), (third + 0.7e-7, third + 0.5e-7),
-                    (a, b), (c, third),
-                ]
-            ]
-    return states
-
-
-def _edge_tables(D, nodes):
-    """An ``_EdgeTable`` per edge of D, sharing one corner dict, as
-    ``classify_classes`` makes them."""
-    corners = {}
-    return {
-        (rect, side): _EdgeTable(nodes, corners, D, rect, side)
-        for rect in range(1, D.n + 1) for side in ("L", "R", "T", "B")
-    }
+def _oracle_forest(scan, ids) -> list[int]:
+    """The roots, by id, of the unions of each depth's pairs (a0, b0) and
+    (a1, b1) in the oracle's ids, in classify's order."""
+    parent = list(range(len(scan.nodes)))
+    for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
+        _union(parent, a0, b0)
+        _union(parent, a1, b1)
+    return [_find(parent, i) for i in parent]
 
 
 class TestNodeTables:
-    def test_synthetic_points(self, running_result):
-        """The edge tables and the scan give the same id on every edge
-        state's endpoints, and end with the same nodes."""
-        res = running_result
-        nodes = []
-        edges = _edge_tables(res.decomposition, nodes)
-        reference = _ScanTables(res.decomposition, res.extended.strips)
-        for _, rect, side, *ends in _synthetic_states(res):
-            for pos in ends:
-                expected = reference.edge_id(rect, side, pos)
-                assert edges[rect, side][pos] == expected, (rect, pos)
-        assert nodes == reference.nodes
-
-    def test_answered_float_is_not_searched_again(self, running_result,
-                                                  monkeypatch):
-        """A float looked up again on an edge gets the scan's id from the
-        table, without a second ``_least_within`` search: the first answer
-        is the least id within ``COORD_TOL``, and every later node is a
-        greater id."""
-        res = running_result
-        nodes = []
-        edges = _edge_tables(res.decomposition, nodes)
-        reference = _ScanTables(res.decomposition, res.extended.strips)
-        searches = []
-        least_within = gluing._least_within
-
-        def counting(positions, ids, z, new):
-            searches.append(z)
-            return least_within(positions, ids, z, new)
-
-        monkeypatch.setattr(gluing, "_least_within", counting)
-        third = res.decomposition.rect_height(1) / 3
-        near = third + COORD_TOL / 2
-        for pos in (third, near, third + 1e-3, near, third):
-            assert edges[1, "L"][pos] == reference.edge_id(1, "L", pos), pos
-        assert searches == [third, near, third + 1e-3]
-        assert nodes == reference.nodes
-
-    @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
+    @pytest.mark.parametrize(
+        "case", ["running", "corpus", "lifts", "n16", "sparse", "sparse79"]
+    )
     def test_every_pair_in_classify_order(self, case, running_result):
-        for res in _table_results(case, running_result):
-            # the census's nodes and forest are those of a scan fed
-            # classify's lookups in its order, with its unions
+        for res in _oracle_results(case, running_result):
+            # classify's nodes and forest are those of the oracle fed its
+            # lookups in its order, with its unions: every node that it
+            # names apart lies more than 1e-35 from every other, and every
+            # node that it names alike within 1e-40
             scan, ids = _scan_ids(res.schema, res.extended)
-            assert scan.nodes == res.census.nodes
-            parent = list(range(len(scan.nodes)))
-            for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
-                _union(parent, a0, b0)
-                _union(parent, a1, b1)
-            assert [_find(parent, i) for i in parent] == res.census.parent
+            census = res.census
+            assert len(scan.nodes) == len(census.nodes)
+            assert _oracle_forest(scan, ids) == census.parent
+            for node, name in zip(scan.nodes, census.nodes):
+                assert node[0] == name[0]
+                if node[0] == "C":
+                    assert node == name
+
+    def test_sparse7_corner_classes_hold_only_their_own_points(self):
+        """On SPARSE7 the corner nodes, and the class of each, are the
+        oracle's. TL(1) to TL(7) lie on one corner orbit of period 7, so
+        they are blown up into strips and are no node's point
+        (``classify_classes``). Float node tables, which snapped every
+        edge point within 1e-7 of an edge end onto its corner, made each
+        of them a node anyway, with 12 to 14 distinct interior points on
+        each of TL(2) to TL(7) and one on TL(1)."""
+        res = run_pipeline(IntMatrix.from_rows(SPARSE7))
+        scan, ids = _scan_ids(res.schema, res.extended)
+        forest, census = _oracle_forest(scan, ids), res.census
+        corners = [name for name in census.nodes if name[0] == "C"]
+        assert corners == [node for node in scan.nodes if node[0] == "C"]
+        assert not {("C", r, "TL") for r in range(1, 8)} & set(corners)
+        for corner in corners:
+            i = census.nodes.index(corner)
+            assert scan.nodes[i] == corner
+            assert [root == census.parent[i] for root in census.parent] == [
+                root == forest[i] for root in forest
+            ]
 
     @pytest.mark.parametrize("case", ["running", "corpus", "n16", "sparse"])
     def test_side_order_keeps_each_table_and_class(self, case, running_result):
@@ -782,159 +902,34 @@ class TestNodeTables:
         edge and strip level the same positions in the same order. It
         makes the same nodes, and each node's class has the same root
         node: only the numbering differs."""
-        for res in _table_results(case, running_result):
-            by_side, _ = _scan_ids(res.schema, res.extended)
-            by_pair, ids = _scan_ids(res.schema, res.extended, by_side=False)
+        for res in _oracle_results(case, running_result):
+            by_side, side_ids = _scan_ids(res.schema, res.extended)
+            by_pair, pair_ids = _scan_ids(res.schema, res.extended, by_side=False)
             assert by_side.lookups == by_pair.lookups
-            nodes = by_pair.nodes
-            parent = list(range(len(nodes)))
-            for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
-                _union(parent, a0, b0)
-                _union(parent, a1, b1)
-            census = res.census
-            assert {
-                node: census.nodes[root]
-                for node, root in zip(census.nodes, census.parent)
-            } == {node: nodes[_find(parent, i)] for i, node in enumerate(nodes)}
+            assert sorted(by_side.nodes) == sorted(by_pair.nodes)
+            roots = [
+                {node: scan.nodes[root]
+                 for node, root in zip(scan.nodes, _oracle_forest(scan, ids))}
+                for scan, ids in ((by_side, side_ids), (by_pair, pair_ids))
+            ]
+            assert roots[0] == roots[1]
 
 
-def _table_results(case, running_result):
+def _oracle_results(case, running_result):
     if case == "running":
         return [running_result]
     if case == "corpus":
         return [run_pipeline(M) for M in random_irreducible_matrices(200)]
+    if case == "lifts":
+        return [_lift_result(k) for k in range(2, 13)]
     if case == "n16":
         return [run_pipeline(seeded_irreducible_matrix(16))]
-    # the first 30 of sparse_irreducible_matrices(120): deep windows where
-    # 63 of 178 orbits have entries that may merge, so their levels search
+    if case == "sparse79":
+        return [run_pipeline(IntMatrix.from_rows(rows))
+                for rows in (SPARSE7, SPARSE9)]
+    # the first 30 of sparse_irreducible_matrices(120), whose deep windows
+    # hold points of one edge or strip level less than 1e-7 apart
     return [run_pipeline(M) for M in sparse_irreducible_matrices(30)]
-
-
-# offsets up to 1.5 COORD_TOL: multiples of COORD_TOL / 8, which repeat
-# values and shrink fast, or any float in range
-_NEAR = st.one_of(
-    st.integers(-12, 12).map(lambda k: k * COORD_TOL / 8),
-    st.floats(-1.5 * COORD_TOL, 1.5 * COORD_TOL),
-)
-_CLUSTERED = st.builds(float.__add__, st.sampled_from([0.0, 0.5, 1.0]), _NEAR)
-
-
-@st.composite
-def _orbit_entries(draw):
-    """A depth cap and, per side in generator order, its entry depth and
-    two entry coordinates, drawn from clusters at 0, 0.5 and 1 whose
-    values lie within 1.5 ``COORD_TOL`` of each other."""
-    cap = draw(st.integers(1, 7))
-    sides = draw(st.lists(
-        st.tuples(st.integers(1, cap), _CLUSTERED, _CLUSTERED),
-        min_size=1, max_size=8,
-    ))
-    return cap, sides
-
-
-class TestStripLevels:
-    @settings(max_examples=300, deadline=None, database=None,
-              derandomize=True)
-    @given(_orbit_entries())
-    def test_levels_equal_a_scan_of_their_lookups(self, entries):
-        """The ``_StripLevel`` tables and the ``_EdgeTable`` of their host
-        edges give the ids of a scan that takes the least id within
-        ``COORD_TOL`` of each lookup, in classify's order.
-
-        One L orbit of period 2 on rectangles 1 and 2, so two levels sit at
-        height 0, where a base corner z = 0 or 1 is the point that its host
-        edge's table answers. Each side
-        enters at its drawn depth t, and the level s steps past entry sees
-        the sides with t <= cap - s, so the sets of lookups shrink as s
-        grows, and the values within 1.5 ``COORD_TOL`` merge differently
-        in each."""
-        cap, sides = entries
-        D = SimpleNamespace(n=2, rect_height=lambda rect: 1.0,
-                            rect_width=lambda rect: 1.0)
-        strips = {
-            ("L", r): InfiniteStrip(("L", r), "L", "L:1", 2, r - 1, r,
-                                    0.25, 0.5)
-            for r in (1, 2)
-        }
-        system = SimpleNamespace(maps={"L": SimpleNamespace(digraph={1: 2, 2: 1})})
-        ext = build_extended_map(system, strips, {})
-        entry_states = [
-            ("S", ("L", 1), z0, z1, 0) for _, z0, z1 in sides
-        ]
-        schema = SimpleNamespace(depth_cap=cap, generators=[
-            SimpleNamespace(sides=((None,) * (t - 1) + (state,),))
-            for (t, _, _), state in zip(sides, entry_states)
-        ])
-        nodes = []
-        levels = _strip_levels(schema, ext, _edge_tables(D, nodes), nodes)
-        reference = _ScanTables(D, strips)
-        for (t, _, _), state in zip(sides, entry_states):
-            # the side reads its orbit's table s steps past entry at depth
-            # t + s, at its snapped entry coordinates
-            _, key, za, zb, w = state
-            z0, z1 = gluing._snapped(za), gluing._snapped(zb)
-            for table in levels[key][:cap - t + 1]:
-                at = ("S", key, za, zb, w)
-                assert table[z0] == reference.node_id(at, 0)
-                assert table[z1] == reference.node_id(at, 1)
-                key, rise = ext.step[key]
-                w += rise
-        assert nodes == reference.nodes
-
-
-def _searches(results, monkeypatch) -> tuple[int, int, int, int]:
-    """What the ``classify_classes`` passes on ``results`` search: the
-    strip orbits, those whose levels may merge, those whose levels ran
-    ``_least_within``, and the searches on edges. A search is keyed by its
-    pass and its list of positions: a pass makes its levels before it
-    searches, and the lists of one pass are alive together."""
-    made, searched = [], []
-    strip_levels, least_within = gluing._strip_levels, gluing._least_within
-
-    def recording_levels(*args):
-        made.append(strip_levels(*args))
-        return made[-1]
-
-    def recording_search(positions, ids, z, new):
-        searched.append((len(made), id(positions)))
-        return least_within(positions, ids, z, new)
-
-    monkeypatch.setattr(gluing, "_strip_levels", recording_levels)
-    monkeypatch.setattr(gluing, "_least_within", recording_search)
-    for res in results:
-        classify_classes(res.schema, res.extended)
-    monkeypatch.undo()
-    orbits = [
-        (run, steps) for run, levels in enumerate(made, 1)
-        for steps in levels.values()
-    ]
-    merging = [
-        (run, steps) for run, steps in orbits if steps[0].positions is not None
-    ]
-    level_of = {
-        (run, id(level.positions)): n
-        for n, (run, steps) in enumerate(merging) for level in steps
-    }
-    on_levels = {level_of[p] for p in searched if p in level_of}
-    on_edges = sum(p not in level_of for p in searched)
-    return len(orbits), len(merging), len(on_levels), on_edges
-
-
-class TestTailLookups:
-    def test_tail_levels_bisect_only_where_entries_may_merge(self, monkeypatch):
-        """Tooling guard: a ``_StripLevel`` runs ``_least_within`` only
-        where its orbit's snapped entry coordinates come within
-        ``COORD_TOL`` of each other; every other level makes each new z a
-        node without a search. The lifts k = 2..12 of [[2]] have no such
-        orbit, so no level searches. corpus200 has 164 of 877, and only
-        their levels search, on each of the 164. An edge searches once per float it has not
-        answered: 22,538 times on corpus200, where a search per lookup
-        was 39,364."""
-        lifts = [_lift_result(k) for k in range(2, 13)]
-        orbits, merging, searched, _ = _searches(lifts, monkeypatch)
-        assert (merging, searched) == (0, 0) and orbits > 0
-        corpus = [run_pipeline(M) for M in random_irreducible_matrices(200)]
-        assert _searches(corpus, monkeypatch) == (877, 164, 164, 22_538)
 
 
 class TestClassPartition:
@@ -950,10 +945,12 @@ class TestClassPartition:
             classes = res.census.classes
             seen = Counter(node for c in classes for node in c.nodes)
             assert all(n == 1 for n in seen.values())
+            names = res.census.nodes
+            assert len(set(names)) == len(names)
+            assert set(seen) == set(names)
+            # the oracle finds as many distinct points
             scan_nodes = _scan_ids(res.schema, res.extended)[0].nodes
-            assert len(set(scan_nodes)) == len(scan_nodes)
-            assert sum(c.size for c in classes) == len(scan_nodes)
-            assert set(seen) == set(scan_nodes)
+            assert len(set(scan_nodes)) == len(scan_nodes) == len(names)
 
     def test_node_order_within_classes(self, running_result):
         for c in running_result.census.classes:
@@ -1092,6 +1089,8 @@ def _reference_labels(res) -> list[str]:
     the class's nodes and the pairing edges among them."""
     census = res.census
     scan, ids = _scan_ids(res.schema, res.extended)
+    # the oracle's ids are classify's, with the same forest
+    assert _oracle_forest(scan, ids) == census.parent
     edges_by_root = {}
     for a0, b0, a1, b1 in (i for gen_ids in ids for i in gen_ids):
         for na, nb in ((a0, b0), (a1, b1)):
@@ -1099,9 +1098,7 @@ def _reference_labels(res) -> list[str]:
                 edges_by_root.setdefault(census.parent[na], set()).add(
                     (min(na, nb), max(na, nb))
                 )
-    # the same lookups in the same order as classify_classes
-    assert scan.nodes == census.nodes
-    ids = {node: i for i, node in enumerate(scan.nodes)}
+    ids = {node: i for i, node in enumerate(census.nodes)}
     labels = []
     for c in census.infinite_classes:
         class_ids = [ids[node] for node in c.nodes]
@@ -1130,12 +1127,13 @@ class TestLinkLabelsFromShards:
             assert labels == _reference_labels(res)
 
 
-def _eager_classes(schema, ext):
-    """The census as one eager pass builds it: every class grouped into
-    member lists, pairing edges as one set, orbit steps as a list of id
-    pairs. Returns (finite counts, infinite classes, all classes)."""
+def _eager_classes(schema, ext, nodes):
+    """The census as one eager pass builds it from the oracle's ids: every
+    class grouped into member lists, pairing edges as one set, orbit steps
+    as a list of id pairs, each id named by ``nodes``. Returns (finite
+    counts, infinite classes, all classes)."""
     scan, ids = _scan_ids(schema, ext)
-    nodes = scan.nodes
+    assert len(scan.nodes) == len(nodes)
     parent, first_depth = list(range(len(nodes))), {}
     pair_edges, orbit_steps = set(), []
     for gen_ids in ids:
@@ -1214,7 +1212,8 @@ class TestLazyClasses:
             assert "classes" not in vars(census)
             census.to_json_dict()
             assert "infinite_classes" not in vars(census)
-            counts, infinite, classes = _eager_classes(res.schema, res.extended)
+            counts, infinite, classes = _eager_classes(res.schema, res.extended,
+                                                       census.nodes)
             assert (
                 census.finite_singletons,
                 census.finite_pairs,
@@ -1228,7 +1227,7 @@ class TestLazyClasses:
 
 def _first_sight(schema, ext) -> dict[int, str]:
     """Each node id -> ``generator:side:depth:endpoint`` of its first
-    place in classify's order of lookups, read off a scan: per generator,
+    place in classify's order of lookups, read off the oracle: per generator,
     side a's first and second endpoints at depths 1, 2, ..., then side
     b's."""
     _, ids = _scan_ids(schema, ext)

@@ -1,6 +1,7 @@
 """Property suite over a seeded corpus of random irreducible matrices."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from endperiodic import (
     run_pipeline,
 )
 
-from conftest import random_irreducible_matrices
+from conftest import random_irreducible_matrices, seeded_irreducible_matrix
 
 CORPUS_SIZE = 200
 
@@ -205,3 +206,20 @@ class TestWindowIndependence:
                     res.extended, schema, census, weak_perron_k=k
                 )
                 assert _invariants(surface, census) == expected, cap
+
+    def test_label_counts_equal_on_seeded_n16(self):
+        # Seeded n = 16 has N 6 and m 2, so its default window is 12. The
+        # float node tables merged points of one edge or strip level within
+        # 1e-7 that are distinct, and those false merges moved its label
+        # counts from 59 Line, 25 Undetermined and 24 CountableCircles at
+        # cap 12 to 56, 28 and 24 at caps 24, 27 and 47. With exact names
+        # every cap gives 59, 23 and 20.
+        res = run_pipeline(seeded_irreducible_matrix(16))
+        counts = [
+            Counter(c.link_type for c in classify_classes(
+                enumerate_identifications(res.extended, depth_cap=cap),
+                res.extended,
+            ).infinite_classes)
+            for cap in (12, 24, 27, 47)
+        ]
+        assert counts == [counts[0]] * 4

@@ -61,12 +61,17 @@ RUNNING_HASH = "0bbd032f745ce0294b330c46047e031120e80c523fb16f00cdb0b8ff3f02ecac
 # 10 of [[2]], each built with weak_perron_k = k; the large inputs: the
 # sparse 7x7 and 9x9, seeded n = 12, 16 and 20, x^16 - x - 1 and the running
 # example lifted k = 4 (built with weak_perron_k = 4); and the 120 inputs of
-# ``sparse_irreducible_matrices(120)``.
+# ``sparse_irreducible_matrices(120)``. "large" and "sparse120" were
+# re-pinned when classify came to name its nodes exactly: the float node
+# tables had merged distinct points within 1e-7 on SPARSE7, SPARSE9, seeded
+# n = 16 and 53 of the 120 sparse inputs, which changed their
+# ``class_census``; the other two lists, whose census held no such merge,
+# kept their digests.
 DIGESTS = {
     "corpus200": "0a82c8da5168437a32bba73c735fffa1964a97962c745b12291153294879c986",
     "lifts": "f8d18ee8eb0aab5c46f3cc9b66d6a7da09d7dfeceb6f5837097788124c2b65fb",
-    "large": "6ca051ce066a553344755d56501645bd65da9701cfd2e9883cf58a794a6f3c24",
-    "sparse120": "9fd7df9de8acf35f62dad95837b2ece4d4c9eae447d726c0ce3906aa4483240c",
+    "large": "23dd220060298968b45700a8715f56bfe23cfe53e532225192492821f8117875",
+    "sparse120": "a58997733d36e302c6d2f74f3f65aa6d78625218e967b2cba39bdaf1e5dae5cb",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path

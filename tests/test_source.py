@@ -11,12 +11,14 @@ optional argument,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
 a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
 construction takes no settings beyond the four it has, every default
-of an exported callable is set by some package or benchmark call, and
-every package call of the benchmark's traced pass still binds."""
+of an exported callable is set by some package or benchmark call,
+every package call of the benchmark's traced pass still binds, and
+gluing reads no coordinate tolerance nor classify a coordinate."""
 
 import ast
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from endperiodic import (
     block_lift,
     build_record,
     char_poly,
+    classify_classes,
     corner_selection,
     determinant,
     facts,
@@ -41,7 +44,7 @@ from endperiodic import (
 from endperiodic.record import _config_dict
 from endperiodic.spectral import _analyse
 
-from conftest import RUNNING_ROWS
+from conftest import RUNNING_ROWS, SPARSE7
 
 SOURCES = sorted(Path(endperiodic.__file__).parent.glob("*.py"))
 
@@ -185,18 +188,53 @@ def test_a_fact_of_another_matrix_cannot_be_passed(running_matrix):
     assert determinant(A) == -2
 
 
-def test_one_tolerance_search_in_gluing():
-    # the edge tables and the strip levels that may merge take the least
-    # id within COORD_TOL by one windowed search, ``_least_within``; a
-    # second bisection would be a second copy of that rule
+def test_gluing_reads_no_coordinate_tolerance():
+    # classify names its nodes exactly, so gluing neither merges within
+    # COORD_TOL nor bisects sorted positions; COORD_TOL stays exported for
+    # the acceptance tests
     tree = ast.parse((SOURCES[0].parent / "gluing.py").read_text(encoding="utf-8"))
-    calls = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and "bisect_left" in {
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        }
-    ]
-    assert len(calls) == 1
+    read = {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+    }
+    assert not {"COORD_TOL", "bisect_left"} & read
+    assert "COORD_TOL" in endperiodic.__all__
+
+
+@pytest.mark.parametrize(
+    "rows, k", [(RUNNING_ROWS, None), (SPARSE7, None), ([[2]], 4)],
+    ids=["running", "sparse7", "lift4"],
+)
+def test_classify_reads_no_coordinate(rows, k):
+    # the census is the same when every float of every stored side state
+    # is NaN: classify reads the generator ids, the entry depths and the
+    # combinatorics of the construction, not a coordinate
+    M = IntMatrix.from_rows(rows)
+    if k is not None:
+        M = block_lift(M, k)
+    result = run_pipeline(M, weak_perron_k=k)
+    schema = result.schema
+    blank = schema._replace(generators=tuple(
+        gen._replace(sides=tuple(
+            tuple(
+                tuple(math.nan if isinstance(x, float) else x for x in state)
+                for state in side
+            )
+            for side in gen.sides
+        ))
+        for gen in schema.generators
+    ))
+    assert any(
+        isinstance(x, float) and math.isnan(x)
+        for gen in blank.generators for side in gen.sides
+        for state in side for x in state
+    )
+    census = classify_classes(blank, result.extended)
+    assert census == result.census
+    assert census.nodes == result.census.nodes
+    assert census.parent == result.census.parent
 
 
 def _window_readers(sources) -> list[str]:

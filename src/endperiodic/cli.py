@@ -75,13 +75,23 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``, else an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _load_matrix(args) -> tuple[IntMatrix, str]:
     if args.integer is not None:
         if args.integer < 2:
             raise InvalidInputError("--integer requires d >= 2")
         M, stem = IntMatrix.from_rows([[args.integer]]), f"integer-{args.integer}"
     else:
-        M = parse_matrix_text(Path(args.matrix).read_text(encoding="utf-8"))
+        M = parse_matrix_text(_read_text(args.matrix))
         stem = Path(args.matrix).stem
     if args.lift is not None:
         M = block_lift(M, args.lift)
@@ -168,7 +178,7 @@ def _verify(data: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    _verify(load_record(Path(args.record).read_text(encoding="utf-8")))
+    _verify(load_record(_read_text(args.record)))
     print("record verified")
     return 0
 

@@ -75,14 +75,10 @@ class InfiniteStrip(NamedTuple):
     lo: float
     hi: float
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def offset_to_z(self, offset: float) -> float:
         if self.kind in ("L", "R"):
-            return (self.hi - offset) / self.length
-        return (offset - self.lo) / self.length
+            return (self.hi - offset) / (self.hi - self.lo)
+        return (offset - self.lo) / (self.hi - self.lo)
 
 
 def attach_strips(
@@ -242,26 +238,22 @@ class GeneratorTrace(NamedTuple):
     ``gen_id`` is ``"X:k:t"`` for the t-th interior vertical boundary of
     rectangle k, ``"Y:k:t"`` for its t-th interior horizontal one; the
     family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
-    and the position (``vertical_offsets[k][t]`` or
-    ``horizontal_offsets[k][t]`` of the decomposition) follow from it.
-    ``entry_depths`` holds each side's strip-entry depth t
-    (``_strip_entry``), and ``sides`` each side's states at depths
-    1..min(t, depth_cap), so a side ends at its first strip state unless
-    it has not entered by ``depth_cap``; ``tail_orbits`` holds the orbit
-    ids of the two strips. ``stabilization_depth`` is the larger t, the
-    first depth at which both images live on strip boundaries, if reached
-    within the cap. ``step`` is the tail rule ``ExtendedPieceMap.step``.
+    and the strips whose branches give the sides (``_side_labels``)
+    follow from it. ``entry_depths`` holds each side's strip-entry depth
+    t, ``entry_strips`` the key of that strip (``_strip_entry``) and
+    ``tail_orbits`` its orbit id; ``stabilization_depth`` is the larger t.
 
-    ``pair_states[d]``, the two identified image segments at depth d+1,
-    side a's then side b's, is derived on each read (``_window``); only
-    the figure reads it.
+    ``sides``, each side's float states at depths 1..min(t, depth_cap)
+    (``_side_states``), and ``pair_states[d]``, the two identified image
+    segments at depth d+1, side a's then side b's, stepped past t by the
+    tail rule of ``ext`` (``_window``), are derived on each read; only the
+    figure reads them.
     """
 
     gen_id: str
     entry_depths: tuple[int, int]
-    sides: tuple[tuple, tuple]
-    tail_orbits: tuple[str, str]
-    step: dict[tuple[str, int], tuple[tuple[str, int], int]]
+    entry_strips: tuple[tuple[str, int], tuple[str, int]]
+    ext: ExtendedPieceMap
     depth_cap: int
 
     @property
@@ -270,8 +262,23 @@ class GeneratorTrace(NamedTuple):
         return s if s <= self.depth_cap else None
 
     @property
+    def tail_orbits(self) -> tuple[str, str]:
+        strips = self.ext.strips
+        return tuple(strips[key].orbit_id for key in self.entry_strips)
+
+    @property
+    def sides(self) -> tuple[tuple, tuple]:
+        ext, cap = self.ext, self.depth_cap
+        labels = _side_labels(ext.system.decomposition, self.gen_id)
+        return tuple(
+            _side_states(ext, kind, label, t, key, cap)
+            for kind, label, t, key in zip(SIDE_KINDS[self.gen_id[0]], labels,
+                                           self.entry_depths, self.entry_strips)
+        )
+
+    @property
     def pair_states(self) -> tuple[tuple[tuple, tuple], ...]:
-        step, cap = self.step, self.depth_cap
+        step, cap = self.ext.step, self.depth_cap
         a, b = (_window(side, step, cap) for side in self.sides)
         return tuple(zip(a, b))
 
@@ -287,8 +294,8 @@ class IdentificationSchema(NamedTuple):
         they lie within ``depth_cap``.
 
         The states follow from these and the sections the record already
-        has; the arithmetic is that of ``enumerate_identifications``, so
-        each float is the builder's to the bit. The id ``X:k:t`` (``Y:k:t``)
+        has; the arithmetic is that of ``GeneratorTrace.sides``, so each
+        float is the builder's to the bit. The id ``X:k:t`` (``Y:k:t``)
         names the piece-map branch of the t-th and (t-1)-th vertical strip
         of rect k (horizontal strip, by target), whose images (``y0``,
         ``y0 + eta_k / lambda``), or (``x0``, ``x0 + omega_k / lambda``),
@@ -364,19 +371,20 @@ def enumerate_identifications(
       keeps the side of the strip that the squared step follows: the
       stitch needs no even m.
 
-    Each side of a generator is built only up to its own entry depth t,
-    and the record stores t alone (``IdentificationSchema.to_json_dict``).
-    That is sound from depth t itself: t is the first depth at which that
-    side is a strip state, and ``ExtendedPieceMap.step`` sends a strip
-    state to the strip state named by its key, the edge digraph and the
-    initial flags alone. So the side's state at depth t and the rule fix
-    all of its states up to ``depth_cap``, whatever the other side does,
-    so no state past t is built unless ``GeneratorTrace.pair_states`` is
-    read.
+    No state is built: each side of a generator keeps its entry depth t
+    and entry strip (``_strip_entry``, run once per kind and depth-1
+    rect), and the record stores t alone
+    (``IdentificationSchema.to_json_dict``). That is sound from depth t
+    itself: t is the first depth at which that side is a strip state, and
+    ``ExtendedPieceMap.step`` sends a strip state to the strip state named
+    by its key, the edge digraph and the initial flags alone. So the
+    side's depth-1 segment, t and the rule fix all of its states up to
+    ``depth_cap``, whatever the other side does; ``GeneratorTrace.sides``
+    and ``pair_states`` derive them on read.
 
     A window of more than ``MAX_PAIR_STATES`` pair states (generators
-    times ``depth_cap``) raises ``InvalidInputError`` before any state is
-    built, as does a ``depth_cap`` below N.
+    times ``depth_cap``) raises ``InvalidInputError``, as does a
+    ``depth_cap`` below N.
     """
     system = ext.system
     D = system.decomposition
@@ -389,35 +397,28 @@ def enumerate_identifications(
         raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
     _refuse_oversized_window(D.facts.matrix, depth_cap)
 
-    by_source = system.piece_map.source_index
-    by_target = system.piece_map.target_index
-    lam = D.eigen.lam
+    entries = {}  # (kind, rect of the depth-1 segment) -> (strip, t)
     traces = []
     for k in range(1, D.n + 1):
-        vorder = D.vertical_order[k]
-        for t in range(1, len(vorder)):
-            height = D.rect_height(k)
-            br_right = by_source[vorder[t]]
-            br_left = by_source[vorder[t - 1]]
-            first = (
-                ("E", br_right.target_label.rect, "L", br_right.y0,
-                 br_right.y0 + height / lam),
-                ("E", br_left.target_label.rect, "R", br_left.y0,
-                 br_left.y0 + height / lam),
-            )
-            traces.append(_trace(ext, f"X:{k}:{t}", first, depth_cap))
-        horder = D.horizontal_order[k]
-        for t in range(1, len(horder)):
-            width = D.rect_width(k)
-            br_below = by_target[horder[t]]
-            br_above = by_target[horder[t - 1]]
-            first = (
-                ("E", br_below.source_label.rect, "T", br_below.x0,
-                 br_below.x0 + width / lam),
-                ("E", br_above.source_label.rect, "B", br_above.x0,
-                 br_above.x0 + width / lam),
-            )
-            traces.append(_trace(ext, f"Y:{k}:{t}", first, depth_cap))
+        for family, orders in (("X", D.vertical_order),
+                               ("Y", D.horizontal_order)):
+            for t in range(1, len(orders[k])):
+                gen_id = f"{family}:{k}:{t}"
+                sides = []
+                for kind, label in zip(SIDE_KINDS[family],
+                                       _side_labels(D, gen_id)):
+                    key = (kind, _side_branch(system, kind, label)[1].rect)
+                    if key not in entries:
+                        entries[key] = _strip_entry(*key, ext)
+                    sides.append(entries[key])
+                (sa, ta), (sb, tb) = sides
+                traces.append(GeneratorTrace(
+                    gen_id=gen_id,
+                    entry_depths=(ta, tb),
+                    entry_strips=(sa.key, sb.key),
+                    ext=ext,
+                    depth_cap=depth_cap,
+                ))
     if default_window:
         for trace in traces:
             s = trace.stabilization_depth
@@ -457,39 +458,49 @@ def _refuse_oversized_window(M: IntMatrix, depth_cap: int | None) -> None:
         )
 
 
-def _side_states(ext, kind, first, depth_cap):
-    """One side's states at depths 1..min(t, depth_cap) from its depth-1
-    edge state ``first``, its entry depth t and its entry strip
-    (``_strip_entry``): edge states stepped by the branches of ``kind``,
-    the state at depth t, if within the cap, converted to the strip's z."""
-    _, rect, side, a, b = first
-    strip, t = _strip_entry(kind, rect, ext)
-    E = ext.system.maps[kind]
-    branches, lam = E.branches, E.lam
-    states = [first]
-    for _ in range(min(t, depth_cap) - 1):
-        br = branches[rect]
-        rect, a, b = br.target_rect, br.apply(a, lam), br.apply(b, lam)
-        states.append(("E", rect, side, a, b))
-    if t <= depth_cap:
-        states[-1] = ("S", strip.key, strip.offset_to_z(a),
-                      strip.offset_to_z(b), 0)
-    return tuple(states), t, strip
+def _side_labels(D, gen_id: str) -> tuple:
+    """The strips whose branches give the sides a and b of ``gen_id``: the
+    t-th and (t-1)-th vertical (X:k:t) or horizontal (Y:k:t) strips of k."""
+    family, k, t = gen_id.split(":")
+    order = (D.vertical_order if family == "X" else D.horizontal_order)[int(k)]
+    return order[int(t)], order[int(t) - 1]
 
 
-def _trace(ext, gen_id, first, depth_cap):
-    (a, ta, sa), (b, tb, sb) = (
-        _side_states(ext, kind, state, depth_cap)
-        for kind, state in zip(SIDE_KINDS[gen_id[0]], first)
-    )
-    return GeneratorTrace(
-        gen_id=gen_id,
-        entry_depths=(ta, tb),
-        sides=(a, b),
-        tail_orbits=(sa.orbit_id, sb.orbit_id),
-        step=ext.step,
-        depth_cap=depth_cap,
-    )
+def _side_branch(system: EdgeMapSystem, kind: str, label) -> tuple:
+    """The piece-map branch that gives a side of ``kind`` its depth-1
+    segment, for the strip ``label``, and the strip of the ``kind`` edge
+    that the segment spans: the branch of the vertical strip ``label``
+    and its image (L, R), or the branch onto the horizontal strip
+    ``label`` and its preimage (T, B)."""
+    P = system.piece_map
+    if kind in ("L", "R"):
+        br = P.source_index[label]
+        return br, br.target_label
+    br = P.target_index[label]
+    return br, br.source_label
+
+
+def _side_states(ext, kind, label, entry, key, depth_cap):
+    """One side's float states at depths 1..min(entry, depth_cap): its
+    depth-1 edge segment from ``_side_branch``, stepped by the branches
+    of ``kind``; the state at depth ``entry``, if within the cap, is
+    converted to the z of its strip ``key``."""
+    D = ext.system.decomposition
+    br, strip = _side_branch(ext.system, kind, label)
+    if kind in ("L", "R"):
+        a, b = br.y0, br.y0 + D.rect_height(label.rect) / D.eigen.lam
+    else:
+        a, b = br.x0, br.x0 + D.rect_width(label.rect) / D.eigen.lam
+    E, rect = ext.system.maps[kind], strip.rect
+    states = [("E", rect, kind, a, b)]
+    for _ in range(min(entry, depth_cap) - 1):
+        br = E.branches[rect]
+        rect, a, b = br.target_rect, br.apply(a, E.lam), br.apply(b, E.lam)
+        states.append(("E", rect, kind, a, b))
+    if entry <= depth_cap:
+        z = ext.strips[key].offset_to_z
+        states[-1] = ("S", key, z(a), z(b), 0)
+    return tuple(states)
 
 
 def _window(side, step, depth_cap) -> list:
@@ -665,20 +676,16 @@ def _boundary(kind: str, rect: int, t: int, count: int) -> tuple:
 
 
 def _strip_end(system: EdgeMapSystem, kind: str, label, place) -> tuple:
-    """(r, first, last): the end, on the ``kind`` edge of rect r, of the
-    strip that the piece-map branch of the vertical strip ``label`` maps
-    onto (L, R), or that the branch onto the horizontal strip ``label``
-    maps from (T, B), and the names of its two points, boundaries t and
-    t + 1 of the strips along that edge, t the strip's ``place``."""
-    D, P = system.decomposition, system.piece_map
-    if kind in ("L", "R"):
-        strip = P.source_index[label].target_label
-        count = len(D.horizontal_order[strip.rect])
-    else:
-        strip = P.target_index[label].source_label
-        count = len(D.vertical_order[strip.rect])
+    """The names of the two points of the strip end, on a ``kind`` edge,
+    that the piece-map branch of ``label`` spans (``_side_branch``):
+    boundaries t and t + 1 of the strips along that edge, t the strip's
+    ``place``."""
+    D = system.decomposition
+    _, strip = _side_branch(system, kind, label)
+    orders = D.horizontal_order if kind in ("L", "R") else D.vertical_order
     r, t = strip.rect, place[strip]
-    return r, _boundary(kind, r, t, count), _boundary(kind, r, t + 1, count)
+    count = len(orders[r])
+    return _boundary(kind, r, t, count), _boundary(kind, r, t + 1, count)
 
 
 def _step(images: dict[tuple, tuple], name: tuple) -> tuple:
@@ -722,7 +729,7 @@ class _NodeNames:
             self.images[kind] = images = {}
             for r, order in orders.items():
                 label = order[0 if kind in ("L", "T") else -1]
-                _, first, last = _strip_end(system, kind, label, self.place)
+                first, last = _strip_end(system, kind, label, self.place)
                 images["C", r, _CORNER_AT_START[kind]] = first
                 images["C", r, _CORNER_AT_END[kind]] = last
         self.nodes: list[tuple] = []
@@ -760,21 +767,19 @@ class _NodeNames:
                 at, rise = self.ext.step[at]
         return runs
 
-    def column(self, kind: str, label, entry: int) -> list[int]:
+    def column(self, kind: str, label, entry: int, key) -> list[int]:
         """The id column of a side of ``kind`` whose depth-1 segment is
-        ``_strip_end(kind, label)`` and whose entry depth is ``entry``: the
-        ids of its first and second endpoints at depth 1, then at depth 2,
-        and so on to ``cap``."""
+        ``_strip_end(kind, label)`` and which enters the strip ``key`` at
+        depth ``entry``: the ids of its first and second endpoints at
+        depth 1, then at depth 2, and so on to ``cap``."""
         images, cap, node = self.images[kind], self.cap, self.id
-        digraph = self.ext.system.maps[kind].digraph
-        rect, a, b = _strip_end(self.ext.system, kind, label, self.place)
+        a, b = _strip_end(self.ext.system, kind, label, self.place)
         ids = []
         for _ in range(min(entry - 1, cap)):
             ids += (node(a), node(b))
-            a, b, rect = _step(images, a), _step(images, b), digraph[rect]
+            a, b = _step(images, a), _step(images, b)
         if entry > cap:
             return ids
-        key = (kind, rect)
         runs, nodes, need = self.entry_runs(key), self.nodes, cap - entry + 1
         ta, tb = (self.tails.setdefault((key, x), []) for x in (a, b))
         for s in range(min(len(ta), len(tb)), need):
@@ -871,7 +876,8 @@ def classify_classes(
     before it. A side's depth-1 names come from the piece-map branch that
     its generator id names, by its strip's place in the rectangle's order;
     the side steps them by its kind's edge map to its entry depth t, and
-    from t on it stands on its orbit's strip levels at its entry names.
+    from t on it stands on the levels of its entry strip, which the trace
+    holds, at its entry names.
 
     The columns make the nodes that each depth's pair in turn (a0, b0, a1,
     b1) would make, numbered in another order: side a names only points of
@@ -913,15 +919,14 @@ def classify_classes(
     columns: list[tuple[list[int], list[int]]] = []
     starts: list[int] = []  # the node count before each side's column
     for gen in schema.generators:
-        family, k, t = gen.gen_id.split(":")
-        order = (D.vertical_order if family == "X" else D.horizontal_order)[int(k)]
-        labels = (order[int(t)], order[int(t) - 1])
         sides = []
-        for kind, label, entry in zip(SIDE_KINDS[family], labels,
-                                      gen.entry_depths):
+        for kind, label, entry, key in zip(
+            SIDE_KINDS[gen.gen_id[0]], _side_labels(D, gen.gen_id),
+            gen.entry_depths, gen.entry_strips,
+        ):
             known = len(nodes)
             starts.append(known)
-            ids = names.column(kind, label, entry)
+            ids = names.column(kind, label, entry, key)
             mark = max(known, max(ids[:early], default=-1) + 1)
             late += bytes(mark - known) + b"\x01" * (len(nodes) - mark)
             sides.append(ids)

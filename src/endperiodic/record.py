@@ -62,48 +62,9 @@ from .spectral import (
 )
 
 #: "10": ``incidence`` holds the bracket alone, certified by the
-#: Collatz-Wielandt product of M with ``eigendata.eta``, with no Sturm
-#: sign-change counts; ``decomposition`` has no ``vertical_boundaries`` or
-#: ``horizontal_boundaries`` (``eigendata``, ``sigma``/``tau`` and
-#: ``config.matrix`` give them);
-#: "9": ``identifications`` stores each side's strip-entry depth, not
-#: its segments, which the other sections give; a ``class_census``
-#: representative names where classify first saw the class's least node
-#: (generator, side, depth, endpoint), and the classes are listed in that
-#: order; ``eigendata`` writes each float by ``repr``, exactly; ``surface``
-#: has no ``stretch_factor`` (``eigendata.lambda``) and no
-#: ``genus_insertion_site``;
-#: "8": ``incidence`` holds the Sturm bracket of the stretch factor and
-#: its two sign-change counts, with no copy of the doubled matrix and no
-#: second radius; ``surface`` has no ``doubled`` (``config.doubled``), and
-#: ``identifications`` no ``depth_cap``, ``escape_depth`` or
-#: ``nesting_period`` (``config.depth_cap`` and the edge digraphs);
-#: "7": no field that the edge digraphs or the matrix give: a stored side
-#: writes its depth-1 edge state as ``[rect, a, b]``, each later edge state
-#: as ``[a, b]`` and its strip-entry state as ``["S", za, zb]`` (the rects
-#: follow the edge digraph), with no ``tail_orbits``; ``periodic_points``
-#: rows have no ``period``, ``orbit`` or ``position`` (the digraph cycle
-#: through the rect gives them); ``decomposition`` has no
-#: ``vertical_order``/``horizontal_order`` (the canonical labels of
-#: ``config.matrix``), and ``sigma``/``tau`` list the positions of their
-#: images in that order;
-#: "6": each fact is written once: an edge state is ``[rect, a, b]`` and a
-#: strip-entry state ``["S", rect, za, zb]`` (the side gives the kind, and
-#: the height at entry is 0), with no ``stabilization_depth``, which the
-#: stored sides give; ``sigma``/``tau`` list their images in the order of
-#: their domains; ``periodic_points`` has no ``initial`` (``position`` 0),
-#: ``surface`` no copy of the identifications' ``nesting_period`` and
-#: ``escape_depth``, and ``incidence`` no ``target_lambda``
-#: (``eigendata.lambda``); "5": ``identifications`` stores each side of a
-#: generator up to its own strip-entry depth, with the orbit ids of its
-#: tail and no field that its id gives, and ``decomposition`` no copy of
-#: the matrix or the eigendata;
-#: "4": ``identifications`` stores each generator's pairs up to its
-#: stabilization depth, not to ``depth_cap``; "3": eigendata come from the
-#: Sturm root and inverse iteration, so every stored float moves in its
-#: last digits against version "2"; "2": a null ``depth_cap`` means
-#: N + 3m with m the lcm of the cycle periods; in version "1" it meant the
-#: product of the periods.
+#: Collatz-Wielandt product of M with ``eigendata.eta``, and
+#: ``decomposition`` no strip boundaries; README ("Older records") lists
+#: what each earlier version stored
 SCHEMA_VERSION = "10"
 
 

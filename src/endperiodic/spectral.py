@@ -639,45 +639,67 @@ def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
 # Perron eigendata
 
 
-def _inverse_iteration_step(rows, lam: float, tiny: float) -> list[float]:
-    """Solve (A - lam*I) x = (1, ..., 1) for the integer matrix with ``rows``.
+def _inverse_iteration_step(
+    rows, row_arcs, column_arcs, lam: float, tiny: float
+) -> list[float]:
+    """Solve (A - lam*I) x = (1, ..., 1) for the integer matrix with
+    ``rows``, nonzero in row i at the columns ``row_arcs[i]`` and in column
+    j at the rows ``column_arcs[j]`` only.
 
-    Gaussian elimination with partial pivoting in floats; rows are swapped
-    to the first largest pivot, and zero entries of a pivot row are
-    skipped, so a sparse block lift eliminates in O(n**2). At an exact
-    eigenvalue a pivot can be exactly zero (``[[2]]`` at 2, or
-    ``[[1, 1], [1, 1]]`` at 2); it is replaced by ``tiny``, and the solve
-    returns a large multiple of the null vector.
+    Gaussian elimination with partial pivoting in floats on dicts of each
+    row's nonzeros: ``below[c]`` lists the rows with an entry in column c,
+    fill-in included, so step c reads and eliminates only those below the
+    pivot and swaps the first largest by position (``place``) into place.
+    Each float is that of a dense solve, and a sparse block lift
+    eliminates in O(arcs). At an exact eigenvalue a pivot can be exactly
+    zero (``[[2]]`` at 2, or ``[[1, 1], [1, 1]]`` at 2); it is replaced by
+    ``tiny``, and the solve returns a large multiple of the null vector.
     """
     n = len(rows)
-    a = [[float(v) for v in row] for row in rows]
-    for i in range(n):
-        a[i][i] -= lam
+    a = [{j: float(row[j]) for j in js} for row, js in zip(rows, row_arcs)]
+    below = [list(js) for js in column_arcs]
+    for i, row in enumerate(a):
+        if i not in row:
+            below[i].append(i)
+        row[i] = row.get(i, 0.0) - lam
     b = [1.0] * n
+    order = list(range(n))  # position -> row
+    place = order[:]  # row -> position
+    upper = []  # per position: pivot, right-hand side, sorted nonzeros
     for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(a[r][c]))
-        a[c], a[p] = a[p], a[c]
-        b[c], b[p] = b[p], b[c]
-        top = a[c]
-        if top[c] == 0.0:
-            top[c] = tiny
-        pivot = top[c]
-        support = [j for j in range(c + 1, n) if top[j] != 0.0]
-        for r in range(c + 1, n):
+        q = p = order[c]
+        best = abs(a[p].get(c, 0.0))
+        rest = []
+        for r in below[c]:
+            if place[r] > c:
+                rest.append(r)
+                v = abs(a[r][c])
+                if v > best or v == best and place[r] < place[p]:
+                    p, best = r, v
+        if p != q:
+            order[c], order[place[p]] = p, q
+            place[q], place[p] = place[p], c
+            rest[rest.index(p)] = q
+        top, bp = a[p], b[p]
+        pivot = top.get(c, 0.0) or tiny
+        support = [(j, v) for j, v in top.items() if j > c and v != 0.0]
+        support.sort()
+        upper.append((pivot, bp, support))
+        for r in rest:
             row = a[r]
-            if row[c] != 0.0:
+            if row.get(c, 0.0) != 0.0:
                 factor = row[c] / pivot
-                for j in support:
-                    row[j] -= factor * top[j]
-                b[r] -= factor * b[c]
+                for j, v in support:
+                    if j not in row:
+                        below[j].append(r)
+                    row[j] = row.get(j, 0.0) - factor * v
+                b[r] -= factor * bp
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = b[i]
-        for j in range(i + 1, n):
-            if row[j] != 0.0:
-                acc -= row[j] * x[j]
-        x[i] = acc / row[i]
+        pivot, acc, support = upper[i]
+        for j, v in support:
+            acc -= v * x[j]
+        x[i] = acc / pivot
     return x
 
 
@@ -725,8 +747,10 @@ def perron_eigendata(
     tiny = float_info.epsilon * max(sum(row) for row in rows)
 
     vectors = []
-    for name, A in (("eta", rows), ("omega", columns)):
-        x = _inverse_iteration_step(A, lam, tiny)
+    pre, suc = graph.predecessors, graph.successors
+    for name, A, arcs in (("eta", rows, (pre, suc)),
+                          ("omega", columns, (suc, pre))):
+        x = _inverse_iteration_step(A, *arcs, lam, tiny)
         v = [xi / x[-1] for xi in x] if x[-1] else x
         if not all(0.0 < vi < inf for vi in v):
             raise ConvergenceError(f"{name} is not a positive vector", inf)

@@ -418,6 +418,25 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["construct", "render", "spectral",
+                                         "verify"])
+    def test_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys,
+                                                  command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        argv = {
+            "construct": ["construct", "--matrix", str(path)],
+            "render": ["render", "--matrix", str(path), "--fig", "orbits"],
+            "spectral": ["spectral", "--matrix", str(path)],
+            "verify": ["verify", str(path)],
+        }[command]
+        assert main(argv + ([] if command == "verify"
+                            else ["--out", str(tmp_path)])) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("command", ["spectral", "construct"])
     def test_json_matrix_not_valid_json(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"

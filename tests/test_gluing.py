@@ -295,20 +295,22 @@ class TestIdentifications:
 
 class TestDerivedWindow:
     @pytest.mark.parametrize(
-        "rows, k", [(RUNNING_ROWS, None), ([[2]], 4)], ids=["running", "lift4"]
+        "rows, k", [(RUNNING_ROWS, None), (SPARSE7, None), ([[2]], 4)],
+        ids=["running", "sparse7", "lift4"],
     )
     def test_certifying_derives_no_window(self, rows, k, monkeypatch):
-        # the record and the census read each side up to its entry depth
-        # and its orbit's strip levels; only a reader of pair_states steps
-        # the tail rule to depth_cap
+        # the record and the census read each side's entry depth and
+        # strip, integers, and its orbit's strip levels: they step no
+        # float segment, convert none to strip coordinates and step no
+        # tail rule to depth_cap; only a reader of sides or pair_states does
         calls = []
-        window = gluing._window
+        for owner, name in ((gluing, "_window"), (gluing, "_side_states"),
+                            (gluing.InfiniteStrip, "offset_to_z")):
+            def spy(*args, name=name, original=getattr(owner, name)):
+                calls.append(name)
+                return original(*args)
 
-        def spy(*args):
-            calls.append(args)
-            return window(*args)
-
-        monkeypatch.setattr(gluing, "_window", spy)
+            monkeypatch.setattr(owner, name, spy)
         M = IntMatrix.from_rows(rows)
         if k is not None:
             M = block_lift(M, k)
@@ -317,7 +319,8 @@ class TestDerivedWindow:
         assert calls == []
         schema = result.schema
         assert len(schema.generators[0].pair_states) == schema.depth_cap
-        assert len(calls) == 2
+        assert calls.count("_window") == calls.count("_side_states") == 2
+        assert "offset_to_z" in calls
 
     def test_window_is_the_sides_stepped_by_the_tail_rule(self):
         # the rule the record states: from its entry depth on a side is a

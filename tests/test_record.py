@@ -32,7 +32,13 @@ from endperiodic import (
 )
 from endperiodic.edgemaps import KINDS
 from endperiodic.record import SCHEMA_VERSION
-from endperiodic.spectral import MatrixFacts, _analyse, _max_residual
+from endperiodic import spectral
+from endperiodic.spectral import (
+    MatrixFacts,
+    _analyse,
+    _inverse_iteration_step,
+    _max_residual,
+)
 
 from conftest import (
     RUNNING_ROWS,
@@ -928,6 +934,47 @@ class TestArcReads:
         # each arc is read once per label table and once per residual
         assert counts == [4 * 64, 4 * 128]
         assert counts[1] == 2 * counts[0]
+
+    def test_inverse_iteration_reads_the_rows_with_an_entry_only(
+        self, monkeypatch
+    ):
+        """Tooling guard: step c of the inverse-iteration solve reads the
+        pivot column, one ``abs`` each, only in the row at position c and
+        the rows below it that hold an entry there, fill-in included, and
+        it reads M at its arcs only. On the lift k of [[2]] that is the
+        row at c and at most one row below, so from k = 64 to 128 the rows
+        read double, where a scan of every row below the pivot, as the
+        dense solve made (n(n + 1)/2 a solve), would quadruple them."""
+        lifts = [block_lift(IntMatrix.from_rows([[2]]), k) for k in (64, 128)]
+        eigens = [perron_eigendata(M) for M in lifts]
+        touched = [0]
+
+        def counting_abs(v):
+            touched[0] += 1
+            return abs(v)
+
+        monkeypatch.setattr(spectral, "abs", counting_abs, raising=False)
+        counts = []
+        for M, eigen in zip(lifts, eigens):
+            graph = _analyse(M)
+            reads = [0]
+            rows = _counting_rows(M.entries, reads)
+            columns = _counting_rows(zip(*M.entries), reads)
+            tiny = sys.float_info.epsilon * 2  # the largest row sum is 2
+            touched[0] = 0
+            x = _inverse_iteration_step(
+                rows, graph.predecessors, graph.successors, eigen.lam, tiny
+            )
+            y = _inverse_iteration_step(
+                columns, graph.successors, graph.predecessors, eigen.lam, tiny
+            )
+            assert [v / x[-1] for v in x] == list(eigen.eta)
+            assert [v / y[-1] for v in y] == list(eigen.omega)
+            assert reads[0] == 2 * M.n  # each arc once a solve
+            counts.append(touched[0])
+        # k rows at their own position and k - 1 below them, a solve
+        assert counts == [2 * (2 * 64 - 1), 2 * (2 * 128 - 1)]
+        assert counts[1] < 3 * counts[0]
 
     def test_char_poly_reads_the_arcs_only(self):
         """Tooling guard: the cyclic block product of ``char_poly`` reads

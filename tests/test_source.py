@@ -41,6 +41,7 @@ from endperiodic import (
     perron_eigendata,
     run_pipeline,
 )
+from endperiodic import gluing
 from endperiodic.record import _config_dict
 from endperiodic.spectral import _analyse
 
@@ -207,31 +208,30 @@ def test_gluing_reads_no_coordinate_tolerance():
     "rows, k", [(RUNNING_ROWS, None), (SPARSE7, None), ([[2]], 4)],
     ids=["running", "sparse7", "lift4"],
 )
-def test_classify_reads_no_coordinate(rows, k):
-    # the census is the same when every float of every stored side state
-    # is NaN: classify reads the generator ids, the entry depths and the
-    # combinatorics of the construction, not a coordinate
+def test_classify_reads_no_coordinate(rows, k, monkeypatch):
+    # the census is the same when every float of every side state is NaN:
+    # classify reads the generator ids, the entry depths and strips and
+    # the combinatorics of the construction, not a coordinate
     M = IntMatrix.from_rows(rows)
     if k is not None:
         M = block_lift(M, k)
     result = run_pipeline(M, weak_perron_k=k)
+    side_states = gluing._side_states
+
+    def blank(*args):
+        return tuple(
+            tuple(math.nan if isinstance(x, float) else x for x in state)
+            for state in side_states(*args)
+        )
+
+    monkeypatch.setattr(gluing, "_side_states", blank)
     schema = result.schema
-    blank = schema._replace(generators=tuple(
-        gen._replace(sides=tuple(
-            tuple(
-                tuple(math.nan if isinstance(x, float) else x for x in state)
-                for state in side
-            )
-            for side in gen.sides
-        ))
-        for gen in schema.generators
-    ))
     assert any(
         isinstance(x, float) and math.isnan(x)
-        for gen in blank.generators for side in gen.sides
+        for gen in schema.generators for side in gen.sides
         for state in side for x in state
     )
-    census = classify_classes(blank, result.extended)
+    census = classify_classes(schema, result.extended)
     assert census == result.census
     assert census.nodes == result.census.nodes
     assert census.parent == result.census.parent
@@ -251,8 +251,9 @@ def _window_readers(sources) -> list[str]:
 
 def test_only_render_reads_the_window():
     # ``GeneratorTrace.pair_states`` steps every side to depth_cap on each
-    # read; the record and the census read the sides and the strip
-    # levels, so only the figure, which draws every depth, may ask for it
+    # read; the record and the census read the entry depths and strips
+    # and the strip levels, so only the figure, which draws every depth,
+    # may ask for it
     assert _window_readers(SOURCES) == ["render.py"]
 
 

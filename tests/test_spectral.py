@@ -608,6 +608,39 @@ def _max_residual(M: IntMatrix, lam: float, v) -> float:
     )
 
 
+def _dense_solve(rows, lam: float, tiny: float) -> list[float]:
+    """Reference for ``_inverse_iteration_step``: dense Gaussian elimination
+    of (A - lam*I) x = (1, ..., 1) over every row below the pivot, rows
+    swapped to the first largest pivot, an exactly zero pivot replaced by
+    ``tiny``, then back-substitution over the nonzero entries in
+    ascending column order."""
+    n = len(rows)
+    a = [[float(v) for v in row] for row in rows]
+    for i in range(n):
+        a[i][i] -= lam
+    b = [1.0] * n
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(a[r][c]))
+        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
+        if a[c][c] == 0.0:
+            a[c][c] = tiny
+        for r in range(c + 1, n):
+            if a[r][c] != 0.0:
+                factor = a[r][c] / a[c][c]
+                for j in range(c + 1, n):
+                    if a[c][j] != 0.0:
+                        a[r][j] -= factor * a[c][j]
+                b[r] -= factor * b[c]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            if a[i][j] != 0.0:
+                acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return x
+
+
 class TestInverseIteration:
     """Eigendata by inverse iteration at the Sturm root."""
 
@@ -629,6 +662,31 @@ class TestInverseIteration:
         for M in inputs:
             root = _sympy_top_root(M)
             assert abs(perron_eigendata(M).lam - root) <= 4 * math.ulp(root)
+
+    def test_sparse_solve_is_the_dense_solve_to_the_bit(self):
+        # same pivots, same operations on each stored float: every entry,
+        # signed zeros included, equals the dense reference's, on random
+        # matrices (reducible ones too) at their top root and at exact
+        # integers, where pivots tie and some are exactly zero
+        rng = np.random.default_rng(20261020)
+        same = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            rows = rng.choice([0, 0, 0, 1, 2, 3], size=(n, n)).tolist()
+            M = IntMatrix.from_rows(rows)
+            graph = spectral._analyse(M)
+            pre, suc = graph.predecessors, graph.successors
+            columns = tuple(zip(*M.entries))
+            lams = [0.0, 1.0, 2.0, 3.0]
+            if any(map(any, rows)):
+                lams.append(largest_real_root(char_poly(M)))
+            for lam in lams:
+                for A, arcs in ((M.entries, (pre, suc)), (columns, (suc, pre))):
+                    x = spectral._inverse_iteration_step(A, *arcs, lam, 1e-15)
+                    y = _dense_solve(A, lam, 1e-15)
+                    assert list(map(repr, x)) == list(map(repr, y))
+                    same += 1
+        assert same > 2400
 
     @pytest.mark.parametrize(
         "rows, eta", [([[2]], (1.0,)), ([[1, 1], [1, 1]], (1.0, 1.0))]

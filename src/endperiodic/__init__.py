@@ -16,7 +16,6 @@ from .errors import (
     VerificationError,
 )
 from .spectral import (
-    COORD_TOL,
     DEFAULT_TOL,
     HORIZONTAL,
     VERTICAL,

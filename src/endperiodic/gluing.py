@@ -576,26 +576,18 @@ class ClassCensus(_Value):
     Names with one tag compare field by field, so any two compare.
 
     Two views are built from these on first read and then cached:
-    ``infinite_classes``, one ``EquivalenceClass`` per summary listing its
-    nodes in ``_node_str`` order, and ``classes``, the finite classes
-    first, in order of their smallest id, each listing its nodes in tuple
-    order, then ``infinite_classes``.
-
-    ``oversized_finite`` is 0 by construction: ``classify_classes`` counts
-    every class of three or more nodes as infinite, so no finite class
-    has more than two. A check that it is 0 tests nothing; the field
-    stays in the record until it leaves with the fixed ``config`` keys.
+    ``infinite_classes``, one ``EquivalenceClass`` per summary, and
+    ``classes``, the finite classes first, in order of their smallest id,
+    then ``infinite_classes``; each class lists its nodes in tuple order.
     """
 
     #: compared and shown; the nodes, forest and roots are neither
-    _fields = ("finite_singletons", "finite_pairs", "oversized_finite",
-               "infinite_summaries")
+    _fields = ("finite_singletons", "finite_pairs", "infinite_summaries")
 
     def __init__(
         self,
         finite_singletons: int,
         finite_pairs: int,
-        oversized_finite: int,
         infinite_summaries: tuple[InfiniteClassSummary, ...],
         nodes: list[tuple],
         parent: list[int],
@@ -604,7 +596,6 @@ class ClassCensus(_Value):
         vars(self).update(
             finite_singletons=finite_singletons,
             finite_pairs=finite_pairs,
-            oversized_finite=oversized_finite,
             infinite_summaries=infinite_summaries,
             nodes=nodes,
             parent=parent,
@@ -616,7 +607,7 @@ class ClassCensus(_Value):
         nodes = self.nodes
         return tuple(
             EquivalenceClass(
-                nodes=tuple(sorted((nodes[i] for i in s.ids), key=_node_str)),
+                nodes=tuple(sorted(nodes[i] for i in s.ids)),
                 link_type=s.link_type,
             )
             for s in self.infinite_summaries
@@ -648,7 +639,6 @@ class ClassCensus(_Value):
         return {
             "finite_singletons": self.finite_singletons,
             "finite_pairs": self.finite_pairs,
-            "oversized_finite": self.oversized_finite,
             "infinite_classes": [
                 {
                     "link": s.link_type,
@@ -658,10 +648,6 @@ class ClassCensus(_Value):
                 for s in self.infinite_summaries
             ],
         }
-
-
-def _node_str(node) -> str:
-    return ":".join(map(str, node))
 
 
 def _boundary(kind: str, rect: int, t: int, count: int) -> tuple:
@@ -810,8 +796,7 @@ def classify_classes(
     bi-infinite chains in their own right; saturated corner classes are
     per-depth shards of one family and are stitched together along the
     generator-endpoint orbits that produced them. The remaining classes
-    are the finite ones and have size one or two, so the census's
-    ``oversized_finite`` is always 0.
+    are the finite ones and have size one or two.
 
     A class that holds a rectangle corner has at least three nodes, so
     size alone decides which classes are infinite. Take the corner TL(r)
@@ -1026,7 +1011,6 @@ def classify_classes(
     return ClassCensus(
         finite_singletons=finite_sizes[1],
         finite_pairs=finite_sizes[2],
-        oversized_finite=0,
         infinite_summaries=tuple(summaries),
         nodes=nodes,
         parent=parent,
@@ -1072,7 +1056,6 @@ class SurfaceReport(NamedTuple):
 
     ends: tuple[End, ...]
     infinite_type: bool
-    genus_insertion_applied: bool
     connected: bool | None
     weak_perron_gluing: dict | None
     stretch_factor: float
@@ -1085,7 +1068,6 @@ class SurfaceReport(NamedTuple):
                 for e in self.ends
             ],
             "infinite_type": self.infinite_type,
-            "genus_insertion_applied": self.genus_insertion_applied,
             "connected": self.connected,
             "weak_perron_gluing": self.weak_perron_gluing,
         }
@@ -1095,7 +1077,6 @@ def assemble_surface(
     ext: ExtendedPieceMap,
     schema: IdentificationSchema,
     census: ClassCensus,
-    insert_genus: bool = False,
     weak_perron_k: int | None = None,
 ) -> SurfaceReport:
     """Group strip orbits into signed ends and decide connectedness.
@@ -1134,14 +1115,13 @@ def assemble_surface(
 
     connected, weak_record = _connectedness(D.facts, ext, weak_perron_k)
 
-    infinite_type = insert_genus or any(
+    infinite_type = any(
         s.link_type == "Line" for s in census.infinite_summaries
     )
 
     return SurfaceReport(
         ends=tuple(ends),
         infinite_type=infinite_type,
-        genus_insertion_applied=insert_genus,
         connected=connected,
         weak_perron_gluing=weak_record,
         stretch_factor=D.eigen.lam,

@@ -61,11 +61,10 @@ from .spectral import (
     perron_eigendata,
 )
 
-#: "10": ``incidence`` holds the bracket alone, certified by the
-#: Collatz-Wielandt product of M with ``eigendata.eta``, and
-#: ``decomposition`` no strip boundaries; README ("Older records") lists
-#: what each earlier version stored
-SCHEMA_VERSION = "10"
+#: "11": ``surface`` holds no ``genus_insertion_applied`` and
+#: ``class_census`` no ``oversized_finite``; README ("Older records")
+#: lists what each earlier version stored
+SCHEMA_VERSION = "11"
 
 
 class PipelineResult(NamedTuple):
@@ -86,7 +85,6 @@ class PipelineResult(NamedTuple):
 def run_pipeline(
     M: IntMatrix,
     depth_cap: int | None = None,
-    insert_genus: bool = False,
     weak_perron_k: int | None = None,
 ) -> PipelineResult:
     """Run the full construction on one irreducible matrix.
@@ -100,7 +98,7 @@ def run_pipeline(
     of M off one ``facts(M)``, so each is computed once; the
     decomposition keeps them, and nothing is cached on M.
     """
-    _check_settings(depth_cap, insert_genus, weak_perron_k)
+    _check_settings(depth_cap, weak_perron_k)
     _refuse_oversized_window(M, depth_cap)
     F = facts(M)
     eigen = perron_eigendata(F, DEFAULT_TOL)
@@ -115,7 +113,7 @@ def run_pipeline(
     ext = build_extended_map(system, strips, points)
     schema = enumerate_identifications(ext, depth_cap=depth_cap)
     census = classify_classes(schema, ext)
-    surface = assemble_surface(ext, schema, census, insert_genus, weak_perron_k)
+    surface = assemble_surface(ext, schema, census, weak_perron_k)
     incidence = verify_stretch(F, surface)
     return PipelineResult(
         eigen=eigen,
@@ -212,8 +210,12 @@ _CONFIG_KEYS = (
 )
 
 #: the config values of settings the construction no longer has: every
-#: record holds exactly these, and their keys stay until a schema bump
-_FIXED_CONFIG = {"tol": DEFAULT_TOL, "corner_selection": True, "doubled": True}
+#: record holds exactly these, and their keys stay while the benchmark
+#: passes ``_config_dict`` all seven values
+_FIXED_CONFIG = {
+    "tol": DEFAULT_TOL, "corner_selection": True, "insert_genus": False,
+    "doubled": True,
+}
 
 
 def _config_dict(
@@ -239,16 +241,10 @@ def _config_dict(
 def build_record(
     M: IntMatrix,
     depth_cap: int | None = None,
-    insert_genus: bool = False,
     weak_perron_k: int | None = None,
 ) -> tuple[ConstructionRecord, PipelineResult]:
     """Run the pipeline and freeze the result into a record."""
-    result = run_pipeline(
-        M,
-        depth_cap=depth_cap,
-        insert_genus=insert_genus,
-        weak_perron_k=weak_perron_k,
-    )
+    result = run_pipeline(M, depth_cap=depth_cap, weak_perron_k=weak_perron_k)
     sections = {
         "eigendata": result.eigen.to_json_dict(),
         "decomposition": result.decomposition.to_json_dict(),
@@ -263,7 +259,7 @@ def build_record(
         "incidence": result.incidence.to_json_dict(),
     }
     config = _config_dict(
-        M, DEFAULT_TOL, depth_cap, True, insert_genus, weak_perron_k, True
+        M, DEFAULT_TOL, depth_cap, True, False, weak_perron_k, True
     )
     record = ConstructionRecord(
         schema_version=SCHEMA_VERSION, config=config, sections=sections
@@ -306,27 +302,22 @@ def load_record(text: str) -> dict:
     return data
 
 
-def _check_settings(depth_cap, insert_genus, weak_perron_k, where="") -> None:
+def _check_settings(depth_cap, weak_perron_k, where="") -> None:
     """Raise :class:`InvalidInputError` unless ``depth_cap`` and
-    ``weak_perron_k`` are ``None`` or an int and ``insert_genus`` a bool;
-    ``where`` prefixes each name in the message."""
+    ``weak_perron_k`` are ``None`` or an int; ``where`` prefixes each name
+    in the message."""
     for key, value in (("depth_cap", depth_cap), ("weak_perron_k", weak_perron_k)):
         if not (value is None or _is_int(value)):
             raise InvalidInputError(
                 f"{where}{key} {value!r} is neither null nor an integer"
             )
-    if not isinstance(insert_genus, bool):
-        raise InvalidInputError(
-            f"{where}insert_genus {insert_genus!r} is not a boolean"
-        )
 
 
 def _check_config_values(config: dict) -> None:
     """Raise :class:`InvalidInputError` unless each config value is one
     ``build_record`` writes: ``matrix`` a non-empty square list of lists
-    of non-negative ints, the three settings as ``_check_settings`` takes
-    them, and ``tol``, ``corner_selection`` and ``doubled`` their fixed
-    values."""
+    of non-negative ints, the two settings as ``_check_settings`` takes
+    them, and the keys of ``_FIXED_CONFIG`` their fixed values."""
     rows = config["matrix"]
     if not (
         isinstance(rows, list)
@@ -342,8 +333,8 @@ def _check_config_values(config: dict) -> None:
             "record config.matrix is not a non-empty square list of lists "
             "of non-negative integers"
         )
-    _check_settings(config["depth_cap"], config["insert_genus"],
-                    config["weak_perron_k"], "record config.")
+    _check_settings(config["depth_cap"], config["weak_perron_k"],
+                    "record config.")
     for key, fixed in _FIXED_CONFIG.items():
         value = config[key]
         if not (type(value) is type(fixed) and value == fixed):
@@ -378,10 +369,7 @@ def check_record(data: dict) -> list[SectionCheck]:
     cfg = data["config"]
     M = IntMatrix.from_rows(cfg["matrix"])
     fresh, _ = build_record(
-        M,
-        depth_cap=cfg["depth_cap"],
-        insert_genus=cfg["insert_genus"],
-        weak_perron_k=cfg["weak_perron_k"],
+        M, depth_cap=cfg["depth_cap"], weak_perron_k=cfg["weak_perron_k"]
     )
     stored = {name: _canonical(section) for name, section in data["sections"].items()}
     results = []

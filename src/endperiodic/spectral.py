@@ -26,8 +26,6 @@ from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
 #: residual target for eigendata
 DEFAULT_TOL = 1e-10
-#: coarser tolerance used for all downstream coordinate comparisons
-COORD_TOL = 1e-7
 
 
 class _Value:

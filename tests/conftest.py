@@ -12,6 +12,10 @@ from endperiodic import IntMatrix, facts, run_pipeline
 
 RUNNING_ROWS = [[0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [1, 2, 0, 0]]
 
+#: slack of the tests that bound a float coordinate: a strip-base z in
+#: [0, 1], or an escaped boundary point inside its strip
+COORD_SLACK = 1e-7
+
 #: a sparse irreducible 7 x 7 input (escape depth 15, lcm of its cycle periods 28)
 SPARSE7 = [
     [0, 0, 0, 0, 0, 1, 0],
@@ -131,6 +135,19 @@ def sparse_irreducible_matrices(count: int, seed: int = LARGE_INPUT_SEED):
         if is_irreducible(M) and spectral_radius_exact(M) >= 3.8:
             out.append(M)
     return out
+
+
+def finite_classes_are_small(census) -> bool:
+    """Whether every finite class of ``census`` has one or two nodes, and
+    its singletons, its pairs and its infinite classes hold every node
+    once."""
+    finite = [c for c in census.classes if c.link_type is None]
+    return all(c.size in (1, 2) for c in finite) and (
+        census.finite_singletons
+        + 2 * census.finite_pairs
+        + sum(c.size for c in census.infinite_classes)
+        == len(census.nodes)
+    )
 
 
 def hash_digest(hashes: list[str]) -> str:

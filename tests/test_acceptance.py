@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from endperiodic import (
-    COORD_TOL,
     IntMatrix,
     InternalConsistencyError,
     VerificationError,
@@ -34,7 +33,9 @@ from endperiodic import (
 )
 
 from conftest import (
+    COORD_SLACK,
     RUNNING_ROWS,
+    finite_classes_are_small,
     random_irreducible_matrices,
     record_criterion,
     sparse_irreducible_matrices,
@@ -179,10 +180,8 @@ def _property_suite(results, rng) -> bool:
                 strip = res.extended.strips.get((kind, rect))
                 ok &= strip is not None
                 if strip is not None:
-                    ok &= strip.lo - COORD_TOL <= pos <= strip.hi + COORD_TOL
-        # always 0: classify_classes counts every class of three or more
-        # nodes as infinite, so this checks nothing (ClassCensus)
-        ok &= res.census.oversized_finite == 0
+                    ok &= strip.lo - COORD_SLACK <= pos <= strip.hi + COORD_SLACK
+        ok &= finite_classes_are_small(res.census)
     return ok
 
 
@@ -207,7 +206,7 @@ def _strip_states_on_their_strips(res) -> bool:
     """z runs over [0, 1] across a strip's base; a strip state outside it
     is a segment put on a strip it does not lie on."""
     return all(
-        -COORD_TOL <= z <= 1 + COORD_TOL
+        -COORD_SLACK <= z <= 1 + COORD_SLACK
         for gen in res.schema.generators
         for pair in gen.pair_states
         for state in pair

@@ -215,6 +215,11 @@ class TestVerify:
         # matrix give
         self._assert_version_refused(tmp_path, capsys, "6")
 
+    def test_version_10_record_is_input_error(self, tmp_path, capsys):
+        # version "10" wrote surface.genus_insertion_applied, a copy of the
+        # config, and class_census.oversized_finite, always 0
+        self._assert_version_refused(tmp_path, capsys, "10")
+
     def test_oversized_window_is_input_error(self, tmp_path, capsys):
         # a window past MAX_PAIR_STATES is refused before any state is
         # built, from a stored record and from construct alike
@@ -281,6 +286,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: record config.{key} ")
         assert err.count("\n") == 1
+
+    def test_genus_insertion_record_is_input_error(self, tmp_path, capsys):
+        # genus insertion constructed nothing and is no longer a setting:
+        # a record that asks for it is refused, not re-run without it
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        data["config"]["insert_genus"] = True
+        record.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(record)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record config.insert_genus True is not False, the value "
+            "every record holds\n"
+        )
 
 
 class TestSpectral:
@@ -490,12 +510,13 @@ class TestUsageErrors:
         "command, flag",
         [("construct", "--tol=1e-11"), ("render", "--tol=1e-11"),
          ("spectral", "--tol=1e-11"), ("construct", "--no-corner-selection"),
-         ("render", "--corner-selection")],
+         ("render", "--corner-selection"), ("construct", "--insert-genus"),
+         ("render", "--insert-genus")],
     )
     def test_deleted_settings_are_unknown_flags(self, tmp_path, capsys,
                                                 command, flag):
-        # the eigendata residual, the corner selection and the double are
-        # fixed; a record states them in its config
+        # the eigendata residual, the corner selection, the genus insertion
+        # and the double are fixed; a record states them in its config
         figs = ["--fig", "complex"] if command == "render" else []
         code = main([command, "--integer", "2", flag, "--out", str(tmp_path)]
                     + figs)

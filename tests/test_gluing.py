@@ -42,16 +42,16 @@ from endperiodic.gluing import (
     SIDE_KINDS,
     EquivalenceClass,
     _find,
-    _node_str,
     _strip_entry,
     _union,
 )
-from endperiodic.spectral import COORD_TOL
 
 from conftest import (
+    COORD_SLACK,
     RUNNING_ROWS,
     SPARSE7,
     SPARSE9,
+    finite_classes_are_small,
     identity_permutations,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
@@ -112,7 +112,7 @@ class TestIntegerCaseGeometry:
 
     def test_finite_classes_are_pairs(self, d_results):
         for d, res in d_results.items():
-            assert res.census.oversized_finite == 0
+            assert finite_classes_are_small(res.census)
             assert res.census.finite_pairs > 0
 
 
@@ -290,7 +290,7 @@ class TestIdentifications:
                     for state in pair:
                         if state[0] == "S":
                             for z in state[2:4]:
-                                assert -COORD_TOL <= z <= 1 + COORD_TOL
+                                assert -COORD_SLACK <= z <= 1 + COORD_SLACK
 
 
 class TestDerivedWindow:
@@ -371,13 +371,12 @@ class TestRunningExample:
 
     def test_census_totals(self, running_result):
         census = running_result.census
-        assert census.oversized_finite == 0
+        assert finite_classes_are_small(census)
         assert census.finite_pairs > 0
         assert len(census.infinite_classes) > 0
         total = (
             census.finite_singletons
             + census.finite_pairs
-            + census.oversized_finite
             + len(census.infinite_classes)
         )
         assert total == len(census.classes)
@@ -448,13 +447,6 @@ class TestWeakPerronGluing:
             assemble_surface(ext, schema, census, weak_perron_k=2)
 
 
-class TestGenusInsertion:
-    def test_insertion_is_recorded_and_makes_infinite_type(self):
-        res = run_pipeline(IntMatrix.from_rows([[2]]), insert_genus=True)
-        assert res.surface.genus_insertion_applied is True
-        assert res.surface.infinite_type is True
-
-
 def _census_sha(census) -> str:
     text = json.dumps(census.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -466,54 +458,55 @@ def _census_sha(census) -> str:
 # lift) differ from the census at N + 3 * product. Re-pinned at schema "9",
 # where each representative names a place in classify's order and the
 # classes come by least id; ``TestCensusInvariants`` holds what that left
-# unchanged.
-RUNNING_CENSUS_SHA = "4ea189ecab31731df4a63ac87577a59d844093253f356c8436ce9537e7d7256c"
+# unchanged. Re-pinned at schema "11", which drops ``oversized_finite``:
+# each pin is the parent's section with that key deleted.
+RUNNING_CENSUS_SHA = "544373fa8d32da4695fcf7f85bcb2abba37ad56e0d4d91dbb481ca81842bfba6"
 CORPUS40_CENSUS_SHA = [
-    "c9fa88c45a22389312076d004fa315548fd9666c34e4607d882829f081619329",
-    "185e6ffb12477d033768df7977af6f6460120bf096a9dcf17e7eb1bf85b78598",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
-    "e58b1ee9bf2526e8a98ac513ed21e6965b52570bf30ae439848930863bc3ba33",
-    "0888767fbc94edebbbf890d027a0bd2745b73493f92c4aed29afcc16420038cc",
-    "22306f6fbef890d3ea785fed0c310ff885d5c2d4631e946a3178c02d4914267b",
-    "7cfff40424db1128997f96addc36a464de4309bb9ca60bf30d867af6743b7144",
-    "3e9f901a6b0e624cc1a5f5a252bb14daf5f2ae1a592430625978499a815f1bb3",
-    "9dd0d075c8e8cc2280fafb243e7a3fe3fac56d9dc501ca11afbf5bb2da1d4b3b",
-    "e8531f0021a19ac45e8b19fec31c5ea7f18c39ec5155a799a46487d27a33d1a1",
-    "ba485c73baf11e73b81b6a6ea722b54f6cca139b9c3729545ce161e24c8aa9ec",
-    "0d819c29e4a18cbfb7f521c512ad66e81d7de94f91baf68ce1da86200f2b79ec",
-    "7454663fd82f138f0d0dabd8f539aa371e38ca9f8b75d60448b2736af6516689",
-    "f75d91c2a0513451eb55bc1c504a287bc4c98732b76409da12c526b3a2804c8c",
-    "0ceedcb7606fb3f5baa5a12281b92142ed8fba36fa686da4c3c9ebedb4ae3671",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
-    "6b7e9b8eab2a9ddfc60da66fb405027c166e2e7cf06c3049a81faa3cb6e8b15d",
-    "27d29af259cb11b089445366d8df0bf87ea39dc3ccdf85f2fc0dca72a1ecfb1e",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
-    "7c77a37a35ed22aa4b1cc52ec338da4d223d3c4feb82b6a79b8066875a641e70",
-    "88c2bfe399dae86e8df03c8f5c53e49973ff6420e1b6ce08edfea375e86d44e7",
-    "26773e16d54ea075c57918931ae2aa73e209686300591ec75e5007f2e0e0a82f",
-    "aa74f08abb65819de3a3b0bab294d17704bf4f7cdec4a346b2c210959debb477",
-    "b9986cd57b55577adff266f30b9c626573e6703cbe05bf38f49aa07b85d0676a",
-    "9d1b1ab9cb16c9b802beeb11bdd850c3f1bf64df57724335677d6b26f972567e",
-    "e1b4494c571c9de3b57aec2ff5e302c31e3b472835ff539cdbf43eb4f3388f55",
-    "5b932847ed21a6d8ca7fd6c42bc9f047f5d18d449a1ee26317b62c60964125d6",
-    "b9986cd57b55577adff266f30b9c626573e6703cbe05bf38f49aa07b85d0676a",
-    "80eef179d54131aa2cf3aa90609c7ff755241efeb3ec3d811c9163ad38ab60ab",
-    "bcff4e2e7403072d05f88c926b0b0d1d153e97845fa81f84ae265c827fa79457",
-    "cd091e626b4e2f7ac3ab35142395bf4974fc62dfd19bd12031115b9579b6327a",
-    "0e175a8ba5b26b6c191ab72a3f2c430dd40d7f4f7dbdfcc5ad269b698b221737",
-    "914c46c21c33c89e6a255ecc696b1adf0b1eeff565ce1a30e457092324d31896",
-    "5d13f85a208fe5f6f4d850a84ba0a13551d74c20d0de13ba68d5a33ea21044b8",
-    "3bbbe5163efdc72a905fbc34cd8ea73dc5ea234196c0c794a7d092c03a7cdb6c",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
-    "22a6b7dbf6c7a862dc7dfffc0f0d50dddd2ebff5a36ea9fbc790ed10b1e90e72",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
-    "71e0e12985451e9ad39699e64621be1155c76f04a4a2be7ad16f0f52c5f4e201",
+    "e324baaccae87eff3fedd211a227edd91c455c4996c8536a2873b30aaea39fa9",
+    "6b2e82c41e572c25e51cafdd58cf33c1e4878be8112422819a890d57ee9395e0",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
+    "da974832f4e518a3107998a58263f6b7dc3c69b6879b19ada190255aa2c2761c",
+    "d3e413cd68131081d3948a68e0b353c10f926e1312fbf01c59abd92b75c74a91",
+    "39abb836c23be535bd464ff44664ea4423e98401de1c61f6e147f6b69e9b3a26",
+    "df673c6de856b4773ff468f82c7c688263fd33503fe1b5a08d8279c5b7e54306",
+    "0b25f31b035f74ad8418c6b2050e453c411cdf3bf80a0f9a6214709acee9475f",
+    "6e3255ddbe9ad042449734277326b44f772ea97c9b83093b12fa6550fae0e05f",
+    "872b8e86687929c7ad4991110812210e1a03e1897b501813b3692828717cbf68",
+    "30fa8edb3ba18ff25389132627a543f58c5064c3e6e2d5715477735ecfc0ef40",
+    "73bd6200b5cb4e80b34f61044c665216e90d3b360de0f663b6be94c7c69bb8bc",
+    "0fa916ab7c36204d3928b1d37eadd22ebeae6a261eb4cc04299df5fe645b7165",
+    "aea730210e7aa31f45873d005202c511eff9b2ffbbb1195160a68c08a83edc37",
+    "e65336238430678c702e33f37b5bf07f0435c30fab92ce498e191c87beded0dc",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
+    "484dbe1a263afe8290f55e9302c6fafb318fc6da408429075bda2324cd52dc02",
+    "ea40681b09e6ca1f5a8260d86623dbdf6a496ce5bd987439030d8f86dbca2fb3",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
+    "caa4b15f81fa2189036976573bb1acb5629ab1ca3f1419cfadaa42fde7a61fdc",
+    "a2235af3f9303d19bba01126f4a93152a2c63a8b52b6f83b3cb2ecd6a4cc1f35",
+    "593cec844cdf89e60e33a129852a296f430fad7624397d10c303d635320ad94b",
+    "3ba478bc3aa737f341e4110ad4cd19920b37a57b76fe3d2ad9d3d5ce1eaed032",
+    "881fe17ade3e6e3dd1783e3a599468a805d333d945feda653b7db5a8529c350e",
+    "fbc6d9ee0c59f5dce2040b13d29bb860c9f2f231b6560896516f90484100606d",
+    "e6bdb682f109622dfc7a14bf7bc007fb741328fd4756465d30549f2566fb6b36",
+    "30cfd289f293892c4a7320433084a110df402cd143ba27e43eadf389a9dbbc69",
+    "881fe17ade3e6e3dd1783e3a599468a805d333d945feda653b7db5a8529c350e",
+    "39b2e41db115004d36e064dfef3efc48deb827dec5b0de544e898138e6513a75",
+    "657742e0c02906a1c5a72be59b65afd6ac9ead9c489844b72fe302494645fc7d",
+    "8e553b975f0c48eebb3fd401e16a443065c123c2f0d6b5353272b739b73808e5",
+    "07e15a49557ccafeb77bbfabf4956d37193cda8d4da3dd3bc97229349e885633",
+    "c7d2138a88c76d8543ca6ed57c21a2669e209352c278f378e93263b3dd26bfea",
+    "e1cf8956f536adb9eca2b7041704597e8fccdf78d69d7521a711165216ceb5ec",
+    "d1e9c0de0d0a64de1c3c5d31aed2883bf7dd7c065645b294b580b8e8586e4103",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
+    "758ee9e67524936f185c8f84ae297e7bd1c322c45a98d34cf92b0d0101cbf162",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
+    "9a07555a3ec182a1ee9b09d47403c4f786ddeeeff2790ee8a31ab99fb37e9a66",
 ]
 LIFT_CENSUS_SHA = {
-    2: "d4f93d9b73891da8845a6f2b3fd031340dbd72b67cc2baad1942ab18d2bd82ff",
-    3: "e67c005a2328fa3a6e3f6e2fd47b1a968b385c73889e84c7e05f4244d33a0c66",
-    4: "d6d4241f4acc17150a318c2865f915fba71a69c1b325bb6a4a20a5f49c766a70",
+    2: "86fa886d9b4564baa2b648c776bcce75ddd909d48e22e12cc8c09dd1b2a3b2ac",
+    3: "e9237bf8ff0b072b784c3ab792500be51b52b823525c4b6fa3050c83bddf5ca5",
+    4: "e700bb4bb197385685fab80dc3f74ff9a319342075ff4420e41c0e5718761fca",
 }
 
 
@@ -538,11 +531,14 @@ class TestPinnedCensus:
 
 
 def _census_invariants(census) -> list:
-    """What names no node: the finite counts and the sorted (link,
-    size_at_cap) pairs of the ``class_census`` section."""
+    """What names no node: the finite counts of the ``class_census``
+    section, the number of finite classes above two nodes, counted from
+    ``census.classes``, and the section's sorted (link, size_at_cap)
+    pairs."""
     d = census.to_json_dict()
     return [
-        d["finite_singletons"], d["finite_pairs"], d["oversized_finite"],
+        d["finite_singletons"], d["finite_pairs"],
+        sum(c.link_type is None and c.size > 2 for c in census.classes),
         sorted([c["link"], c["size_at_cap"]] for c in d["infinite_classes"]),
     ]
 
@@ -957,10 +953,7 @@ class TestClassPartition:
 
     def test_node_order_within_classes(self, running_result):
         for c in running_result.census.classes:
-            if c.link_type is not None:
-                assert list(c.nodes) == sorted(c.nodes, key=_node_str)
-            else:
-                assert list(c.nodes) == sorted(c.nodes)
+            assert list(c.nodes) == sorted(c.nodes)
 
 
 class TestCensusDeterminism:
@@ -1177,7 +1170,7 @@ def _eager_classes(schema, ext, nodes):
         return [e for e in pair_edges if parent[e[0]] in roots]
 
     def infinite_class(ids, edges):
-        class_nodes = tuple(sorted((nodes[i] for i in ids), key=_node_str))
+        class_nodes = tuple(sorted(nodes[i] for i in ids))
         return EquivalenceClass(class_nodes, _classify_link(ids, edges))
 
     # every infinite class by its least id
@@ -1190,7 +1183,7 @@ def _eager_classes(schema, ext, nodes):
         for roots in groups
     ]
     sizes = Counter(len(c) for c in finite)
-    counts = (sizes[1], sizes[2], sum(n for k, n in sizes.items() if k > 2))
+    counts = (sizes[1], sizes[2])
     classes = tuple(EquivalenceClass(c, None) for c in finite) + tuple(
         infinite
     )
@@ -1217,11 +1210,7 @@ class TestLazyClasses:
             assert "infinite_classes" not in vars(census)
             counts, infinite, classes = _eager_classes(res.schema, res.extended,
                                                        census.nodes)
-            assert (
-                census.finite_singletons,
-                census.finite_pairs,
-                census.oversized_finite,
-            ) == counts
+            assert (census.finite_singletons, census.finite_pairs) == counts
             assert census.infinite_classes == infinite
             assert census.classes == classes
             assert "classes" in vars(census)

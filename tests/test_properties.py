@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from endperiodic import (
-    COORD_TOL,
     IntMatrix,
     assemble_surface,
     block_lift,
@@ -17,7 +16,12 @@ from endperiodic import (
     run_pipeline,
 )
 
-from conftest import random_irreducible_matrices, seeded_irreducible_matrix
+from conftest import (
+    COORD_SLACK,
+    finite_classes_are_small,
+    random_irreducible_matrices,
+    seeded_irreducible_matrix,
+)
 
 CORPUS_SIZE = 200
 
@@ -116,13 +120,13 @@ class TestEscape:
                         rect = E.digraph[rect]
                     strip = strips.get((kind, rect))
                     assert strip is not None
-                    assert strip.lo - COORD_TOL <= pos <= strip.hi + COORD_TOL
+                    assert strip.lo - COORD_SLACK <= pos <= strip.hi + COORD_SLACK
 
 
 class TestCensus:
     def test_finite_classes_have_size_at_most_two(self, corpus_results):
         for _, res in corpus_results:
-            assert res.census.oversized_finite == 0
+            assert finite_classes_are_small(res.census)
 
     def test_finitely_many_infinite_classes(self, corpus_results):
         for _, res in corpus_results:

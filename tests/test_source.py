@@ -10,7 +10,7 @@ function takes a fact of M (``graph``, ``labels``, ``poly``) as an
 optional argument,
 ``import endperiodic`` loads neither the figure nor the warm-up code until
 a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
-construction takes no settings beyond the four it has, every default
+construction takes no settings beyond the three it has, every default
 of an exported callable is set by some package or benchmark call,
 every package call of the benchmark's traced pass still binds, and
 gluing reads no coordinate tolerance nor classify a coordinate."""
@@ -190,18 +190,21 @@ def test_a_fact_of_another_matrix_cannot_be_passed(running_matrix):
 
 
 def test_gluing_reads_no_coordinate_tolerance():
-    # classify names its nodes exactly, so gluing neither merges within
-    # COORD_TOL nor bisects sorted positions; COORD_TOL stays exported for
-    # the acceptance tests
-    tree = ast.parse((SOURCES[0].parent / "gluing.py").read_text(encoding="utf-8"))
-    read = {
-        name
-        for node in ast.walk(tree)
-        for name in (getattr(node, "id", None), getattr(node, "attr", None),
-                     getattr(node, "name", None))
-    }
-    assert not {"COORD_TOL", "bisect_left"} & read
-    assert "COORD_TOL" in endperiodic.__all__
+    # classify names its nodes exactly, so gluing neither merges within a
+    # coordinate tolerance nor bisects sorted positions, and no package
+    # module defines or reads the coarse COORD_TOL that it once did
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {
+            name
+            for node in ast.walk(tree)
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None))
+        }
+        assert "COORD_TOL" not in names, path.name
+        if path.name == "gluing.py":
+            assert "bisect_left" not in names
+    assert not hasattr(endperiodic, "COORD_TOL")
 
 
 @pytest.mark.parametrize(
@@ -372,16 +375,15 @@ def test_census_equality_ignores_the_node_tables(running_values):
     census = running_values[3][0]
     other = ClassCensus(
         census.finite_singletons, census.finite_pairs,
-        census.oversized_finite, census.infinite_summaries,
-        nodes=[], parent=[], infinite_roots=set(),
+        census.infinite_summaries, nodes=[], parent=[], infinite_roots=set(),
     )
     assert other == census
     assert repr(other) == repr(census)
     assert "nodes" not in repr(census)
     changed = ClassCensus(
         census.finite_singletons + 1, census.finite_pairs,
-        census.oversized_finite, census.infinite_summaries,
-        census.nodes, census.parent, census.infinite_roots,
+        census.infinite_summaries, census.nodes, census.parent,
+        census.infinite_roots,
     )
     assert changed != census
 
@@ -444,11 +446,14 @@ def test_construct_without_fig_does_not_load_render(tmp_path):
 
 @pytest.mark.parametrize("function", [run_pipeline, build_record],
                          ids=lambda f: f.__name__)
-def test_construction_takes_only_its_four_parameters(function):
-    # the eigendata residual, the corner selection and the double are fixed
+def test_construction_takes_only_its_three_parameters(function):
+    # the eigendata residual, the corner selection, the genus insertion
+    # and the double are fixed
     assert list(inspect.signature(function).parameters) == [
-        "M", "depth_cap", "insert_genus", "weak_perron_k"
+        "M", "depth_cap", "weak_perron_k"
     ]
+    with pytest.raises(TypeError):
+        function(IntMatrix.from_rows([[2]]), insert_genus=True)
 
 
 @pytest.mark.parametrize(

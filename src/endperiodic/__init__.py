@@ -87,11 +87,13 @@ from .record import (
 __version__ = "0.1.0"
 
 #: names bound on first use, by the submodule that defines them: certify
-#: and verify read neither module, and ``warmup`` pulls in ``fractions``
+#: and verify read none of these modules, and ``warmup`` pulls in
+#: ``fractions``
 _LAZY = {
     "render": ("DIAGRAM_KINDS", "render", "strip_color"),
     "warmup": ("IntegerCase", "build_integer_case", "cross_validate",
                "f0_integer"),
+    "window": ("derive_window",),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

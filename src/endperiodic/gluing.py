@@ -75,11 +75,6 @@ class InfiniteStrip(NamedTuple):
     lo: float
     hi: float
 
-    def offset_to_z(self, offset: float) -> float:
-        if self.kind in ("L", "R"):
-            return (self.hi - offset) / (self.hi - self.lo)
-        return (offset - self.lo) / (self.hi - self.lo)
-
 
 def attach_strips(
     system: EdgeMapSystem, points: dict[str, list[PeriodicPoint]]
@@ -243,11 +238,10 @@ class GeneratorTrace(NamedTuple):
     t, ``entry_strips`` the key of that strip (``_strip_entry``) and
     ``tail_orbits`` its orbit id; ``stabilization_depth`` is the larger t.
 
-    ``sides``, each side's float states at depths 1..min(t, depth_cap)
-    (``_side_states``), and ``pair_states[d]``, the two identified image
-    segments at depth d+1, side a's then side b's, stepped past t by the
-    tail rule of ``ext`` (``_window``), are derived on each read; only the
-    figure reads them.
+    ``pair_states[d]``, the two identified image segments at depth d+1,
+    side a's then side b's, is derived on each read by
+    ``endperiodic.window`` from the sections that the run writes; only
+    the figure reads it.
     """
 
     gen_id: str
@@ -267,20 +261,25 @@ class GeneratorTrace(NamedTuple):
         return tuple(strips[key].orbit_id for key in self.entry_strips)
 
     @property
-    def sides(self) -> tuple[tuple, tuple]:
-        ext, cap = self.ext, self.depth_cap
-        labels = _side_labels(ext.system.decomposition, self.gen_id)
-        return tuple(
-            _side_states(ext, kind, label, t, key, cap)
-            for kind, label, t, key in zip(SIDE_KINDS[self.gen_id[0]], labels,
-                                           self.entry_depths, self.entry_strips)
-        )
-
-    @property
     def pair_states(self) -> tuple[tuple[tuple, tuple], ...]:
-        step, cap = self.ext.step, self.depth_cap
-        a, b = (_window(side, step, cap) for side in self.sides)
-        return tuple(zip(a, b))
+        from .window import derive_window
+
+        system = self.ext.system
+        D = system.decomposition
+        generator = {"id": self.gen_id, "entry_depths": list(self.entry_depths)}
+        record = {
+            "config": {"matrix": D.facts.matrix.to_lists(),
+                       "depth_cap": self.depth_cap},
+            "sections": {
+                "eigendata": D.eigen.to_json_dict(),
+                "decomposition": D.to_json_dict(),
+                "edge_digraphs": {kind: E.export_digraph()
+                                  for kind, E in system.maps.items()},
+                "identifications": {"generators": [generator]},
+            },
+        }
+        [(pairs, _, _)] = derive_window(record)[3]
+        return pairs
 
 
 class IdentificationSchema(NamedTuple):
@@ -294,8 +293,8 @@ class IdentificationSchema(NamedTuple):
         they lie within ``depth_cap``.
 
         The states follow from these and the sections the record already
-        has; the arithmetic is that of ``GeneratorTrace.sides``, so each
-        float is the builder's to the bit. The id ``X:k:t`` (``Y:k:t``)
+        has; ``endperiodic.window`` derives them, each float the
+        builder's to the bit. The id ``X:k:t`` (``Y:k:t``)
         names the piece-map branch of the t-th and (t-1)-th vertical strip
         of rect k (horizontal strip, by target), whose images (``y0``,
         ``y0 + eta_k / lambda``), or (``x0``, ``x0 + omega_k / lambda``),
@@ -379,8 +378,9 @@ def enumerate_identifications(
     ``ExtendedPieceMap.step`` sends a strip state to the strip state named
     by its key, the edge digraph and the initial flags alone. So the
     side's depth-1 segment, t and the rule fix all of its states up to
-    ``depth_cap``, whatever the other side does; ``GeneratorTrace.sides``
-    and ``pair_states`` derive them on read.
+    ``depth_cap``, whatever the other side does; ``endperiodic.window``
+    derives them from the record, and ``GeneratorTrace.pair_states``
+    from the run's own sections, on read.
 
     A window of more than ``MAX_PAIR_STATES`` pair states (generators
     times ``depth_cap``) raises ``InvalidInputError``, as does a
@@ -407,7 +407,7 @@ def enumerate_identifications(
                 sides = []
                 for kind, label in zip(SIDE_KINDS[family],
                                        _side_labels(D, gen_id)):
-                    key = (kind, _side_branch(system, kind, label)[1].rect)
+                    key = (kind, _side_strip(system, kind, label).rect)
                     if key not in entries:
                         entries[key] = _strip_entry(*key, ext)
                     sides.append(entries[key])
@@ -466,55 +466,15 @@ def _side_labels(D, gen_id: str) -> tuple:
     return order[int(t)], order[int(t) - 1]
 
 
-def _side_branch(system: EdgeMapSystem, kind: str, label) -> tuple:
-    """The piece-map branch that gives a side of ``kind`` its depth-1
-    segment, for the strip ``label``, and the strip of the ``kind`` edge
-    that the segment spans: the branch of the vertical strip ``label``
-    and its image (L, R), or the branch onto the horizontal strip
-    ``label`` and its preimage (T, B)."""
+def _side_strip(system: EdgeMapSystem, kind: str, label):
+    """The strip of the ``kind`` edge that the depth-1 segment of a side
+    spans, for the strip ``label``: the image of the vertical strip
+    ``label`` under its piece-map branch (L, R), or the preimage of the
+    horizontal strip ``label`` (T, B)."""
     P = system.piece_map
     if kind in ("L", "R"):
-        br = P.source_index[label]
-        return br, br.target_label
-    br = P.target_index[label]
-    return br, br.source_label
-
-
-def _side_states(ext, kind, label, entry, key, depth_cap):
-    """One side's float states at depths 1..min(entry, depth_cap): its
-    depth-1 edge segment from ``_side_branch``, stepped by the branches
-    of ``kind``; the state at depth ``entry``, if within the cap, is
-    converted to the z of its strip ``key``."""
-    D = ext.system.decomposition
-    br, strip = _side_branch(ext.system, kind, label)
-    if kind in ("L", "R"):
-        a, b = br.y0, br.y0 + D.rect_height(label.rect) / D.eigen.lam
-    else:
-        a, b = br.x0, br.x0 + D.rect_width(label.rect) / D.eigen.lam
-    E, rect = ext.system.maps[kind], strip.rect
-    states = [("E", rect, kind, a, b)]
-    for _ in range(min(entry, depth_cap) - 1):
-        br = E.branches[rect]
-        rect, a, b = br.target_rect, br.apply(a, E.lam), br.apply(b, E.lam)
-        states.append(("E", rect, kind, a, b))
-    if entry <= depth_cap:
-        z = ext.strips[key].offset_to_z
-        states[-1] = ("S", key, z(a), z(b), 0)
-    return tuple(states)
-
-
-def _window(side, step, depth_cap) -> list:
-    """A side's states at depths 1..depth_cap: its stored states, and, if
-    the last of them is a strip state, that state stepped by the tail rule
-    ``step`` to ``depth_cap``."""
-    states = list(side)
-    if side[-1][0] == "S":
-        _, key, za, zb, w = side[-1]
-        for _ in range(depth_cap - len(side)):
-            key, rise = step[key]
-            w += rise
-            states.append(("S", key, za, zb, w))
-    return states
+        return P.source_index[label].target_label
+    return P.target_index[label].source_label
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +623,11 @@ def _boundary(kind: str, rect: int, t: int, count: int) -> tuple:
 
 def _strip_end(system: EdgeMapSystem, kind: str, label, place) -> tuple:
     """The names of the two points of the strip end, on a ``kind`` edge,
-    that the piece-map branch of ``label`` spans (``_side_branch``):
+    that the piece-map branch of ``label`` spans (``_side_strip``):
     boundaries t and t + 1 of the strips along that edge, t the strip's
     ``place``."""
     D = system.decomposition
-    _, strip = _side_branch(system, kind, label)
+    strip = _side_strip(system, kind, label)
     orders = D.horizontal_order if kind in ("L", "R") else D.vertical_order
     r, t = strip.rect, place[strip]
     count = len(orders[r])

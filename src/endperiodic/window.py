@@ -1,0 +1,271 @@
+"""The window of identified segments, derived from a stored record alone.
+
+README ("The ``identifications`` section") states how each generator's
+id and entry depths, ``config.matrix``, the exact ``eigendata``,
+``decomposition.sigma``/``tau`` and the edge digraphs give every
+identified segment pair at depths 1..``depth_cap``; ``derive_window`` is
+that rule, run. It imports no module of the construction. In the
+package only ``GeneratorTrace.pair_states`` calls it, for the
+``Complex2D`` figure, so certifying and verifying never load it.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cache
+from typing import Callable, NamedTuple
+
+from .errors import VerificationError
+
+#: the edge-map kinds of a generator's sides a and b, by the family that
+#: its id starts with
+_FAMILY_KINDS = {"X": ("L", "R"), "Y": ("T", "B")}
+
+
+class _Geometry(NamedTuple):
+    """What the segments are made of: lambda, eta and omega; ``vb(k)`` and
+    ``hb(k)``, the vertical and horizontal strip boundaries of rect k,
+    each computed on its first read; the piece map as ``source[(k, s)] =
+    (i, q)``, the vertical strip at position s of rect k onto the
+    horizontal strip at position q of rect i, with ``target`` its
+    inverse; and ``edges[kind][r] = (i, q)``, the edge-map branch of
+    ``kind`` at rect r: onto rect i, its offset0 the boundary q of i's
+    horizontal (L, R) or vertical (T, B) strips."""
+
+    lam: float
+    eta: list
+    omega: list
+    vb: Callable[[int], list]
+    hb: Callable[[int], list]
+    source: dict
+    target: dict
+    edges: dict
+
+
+def derive_window(record: dict) -> tuple[int, int, int, list]:
+    """The escape depth N, the nesting period m, ``depth_cap`` and each
+    generator's window, from the ``config`` and ``sections`` of a record
+    as ``load_record`` returns it.
+
+    Each generator, in record order, gives ``(pairs, tail_orbits,
+    stabilization_depth)``. ``pairs[d]`` holds the two identified
+    segments at depth d + 1, side a's then side b's: an edge state
+    ``("E", rect, kind, a, b)`` before the side's entry depth t and a
+    strip state ``("S", (kind, i0), za, zb, w)`` from t on. The tail
+    orbits are ``"<kind>:<i0>"`` of the two sides, and the
+    stabilization depth is the larger t, or None past ``depth_cap``.
+
+    Raises :class:`VerificationError` if a stored entry depth is not the
+    one that the edge digraph gives, or if an edge digraph is not the
+    one that the piece map gives.
+    """
+    config, sections = record["config"], record["sections"]
+    digraphs = _digraphs(sections)
+    orbits = {kind: _orbits(digraph) for kind, digraph in digraphs.items()}
+    every = [orbit for per in orbits.values() for orbit in per.values()]
+    N = max(steps for steps, _ in every) + 2 * max(len(c) for _, c in every)
+    m = math.lcm(*{len(cycle) for _, cycle in every})
+    cap = N + 3 * m if config["depth_cap"] is None else config["depth_cap"]
+    g = _geometry(config["matrix"], sections)
+    for kind, digraph in digraphs.items():
+        if {r: i for r, (i, _) in g.edges[kind].items()} != digraph:
+            raise VerificationError(
+                f"edge_digraphs.{kind} is not the digraph of the {kind} edge "
+                "map that decomposition and config.matrix give"
+            )
+    initial = {
+        (kind, rect)
+        for kind, per in orbits.items()
+        for rect, (_, cycle) in per.items()
+        if cycle[0] == rect
+    }
+    windows = []
+    for i, gen in enumerate(sections["identifications"]["generators"]):
+        depths = gen["entry_depths"]
+        sides, tails = [], []
+        for side, (kind, first, t) in enumerate(zip(
+            _FAMILY_KINDS[gen["id"][0]], _first_segments(g, gen["id"]), depths
+        )):
+            where = f"identifications.generators[{i}].entry_depths[{side}]"
+            states, tail = _side(kind, first, t, cap, g, orbits[kind], where)
+            if states[-1][0] == "S":
+                # the tail rule: one step along the digraph, one unit
+                # higher on passing the orbit's initial rect
+                _, (_, rect), za, zb, w = states[-1]
+                while len(states) < cap:
+                    target = digraphs[kind][rect]
+                    w += (kind, target if kind in ("L", "R") else rect) in initial
+                    rect = target
+                    states.append(("S", (kind, rect), za, zb, w))
+            sides.append(states)
+            tails.append(tail)
+        s = max(depths)
+        windows.append((tuple(zip(*sides)), tuple(tails),
+                        s if s <= cap else None))
+    return N, m, cap, windows
+
+
+def _digraphs(sections: dict) -> dict:
+    """``edge_digraphs`` as one dict rect -> successor per kind."""
+    return {
+        kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
+        for kind, text in sections["edge_digraphs"].items()
+    }
+
+
+def _orbits(digraph: dict) -> dict:
+    """rect -> (its steps to the cycle of the functional digraph that it
+    reaches, that cycle listed from its least rect)."""
+    out = {}
+    for rect in digraph:
+        path = []
+        while rect not in out and rect not in path:
+            path.append(rect)
+            rect = digraph[rect]
+        if rect in out:
+            steps, cycle = out[rect]
+        else:  # the path closed a new cycle at rect
+            cycle, path = path[path.index(rect):], path[:path.index(rect)]
+            least = cycle.index(min(cycle))
+            cycle, steps = cycle[least:] + cycle[:least], 0
+            out.update((r, (0, cycle)) for r in cycle)
+        for r in reversed(path):
+            steps += 1
+            out[r] = (steps, cycle)
+    return out
+
+
+def _units(rows: list, k: int, orientation: str) -> list[tuple[int, int]]:
+    """(source, copy) of each strip label of rect k in ascending order, as
+    the matrix ``rows`` gives them: one per unit of column k (vertical,
+    ``"V"``) or row k (horizontal), by source, then copy."""
+    mults = [row[k - 1] for row in rows] if orientation == "V" else rows[k - 1]
+    return [
+        (i, j) for i, mult in enumerate(mults, start=1)
+        for j in range(1, mult + 1)
+    ]
+
+
+def _boundaries(sources: list, basis: list, lam: float) -> list:
+    """Strip boundaries by the decomposition's rule: the t-th is lambda^-1
+    times the sum of count_i * basis_i over the strips before it, its
+    terms added in ascending i."""
+    counts, out = {}, [0.0]
+    for i in sources:
+        counts[i] = counts.get(i, 0) + 1
+        out.append(sum([counts[j] * basis[j - 1] for j in sorted(counts)]) / lam)
+    return out
+
+
+def _geometry(rows: list, sections: dict) -> _Geometry:
+    """The geometry of the segments, from the exact eigendata, sigma/tau
+    and the matrix ``rows``. The integers are built at once; a rect's
+    boundaries, floats, only when a segment reads them, so that a record
+    of one generator costs the rects that its sides visit."""
+    eigen, decomposition = sections["eigendata"], sections["decomposition"]
+    lam = float(eigen["lambda"])
+    eta, omega = ([float(v) for v in eigen[key]] for key in ("eta", "omega"))
+    rects = range(1, len(rows) + 1)
+    tau = {k: decomposition["tau"][str(k)] for k in rects}
+    sigma = {k: decomposition["sigma"][str(k)] for k in rects}
+    v_units = {k: _units(rows, k, "V") for k in rects}
+    h_units = {k: _units(rows, k, "H") for k in rects}
+
+    @cache
+    def vb(k: int) -> list:
+        return _boundaries([v_units[k][p][0] for p in tau[k]], omega, lam)
+
+    @cache
+    def hb(k: int) -> list:
+        domain = {q: p for p, q in enumerate(sigma[k])}
+        return _boundaries(
+            [h_units[k][domain[q]][0] for q in range(len(sigma[k]))], eta, lam
+        )
+
+    h_position = {k: {unit: p for p, unit in enumerate(h_units[k])}
+                  for k in rects}
+    source = {}
+    for k in rects:
+        domain = {p: s for s, p in enumerate(tau[k])}
+        for p, (i, j) in enumerate(v_units[k]):
+            source[k, domain[p]] = (i, sigma[i][h_position[i][k, j]])
+    target = {image: src for src, image in source.items()}
+    # the first (L, T) or last (R, B) strip of each rect, by its branch
+    edges = {
+        "L": {r: source[r, 0] for r in rects},
+        "R": {r: source[r, len(tau[r]) - 1] for r in rects},
+        "T": {r: target[r, 0] for r in rects},
+        "B": {r: target[r, len(sigma[r]) - 1] for r in rects},
+    }
+    return _Geometry(lam=lam, eta=eta, omega=omega, vb=vb, hb=hb,
+                     source=source, target=target, edges=edges)
+
+
+def _first_segments(g: _Geometry, gen_id: str) -> tuple:
+    """The depth-1 (rect, a, b) of each side of ``gen_id``: the images
+    (y0, y0 + eta_k / lambda) of the t-th and (t-1)-th vertical strips of
+    rect k for ``X:k:t``, the preimages (x0, x0 + omega_k / lambda) of
+    its horizontal strips for ``Y:k:t``."""
+    family, k, t = gen_id.split(":")
+    k, t = int(k), int(t)
+    out = []
+    for position in (t, t - 1):
+        if family == "X":
+            i, q = g.source[k, position]
+            a = g.hb(i)[q]
+            out.append((i, a, a + g.eta[k - 1] / g.lam))
+        else:
+            r, s = g.target[k, position]
+            a = g.vb(r)[s]
+            out.append((r, a, a + g.omega[k - 1] / g.lam))
+    return tuple(out)
+
+
+def _side(kind, first, t, cap, g, orbits, where) -> tuple:
+    """One side's states at depths 1..min(t, cap) and its tail orbit:
+    the depth-1 segment ``first``, its edge-map images (x to offset0 +
+    x / lambda), and at the entry depth t, where the walk is on i0, the
+    least rect of the cycle it reaches, the strip state of (kind, i0) at
+    height 0, whose (za, zb) are the strip coordinates of the segment.
+    The strip's base is the 2p-fold image of the edge of i0, p the
+    cycle's length.
+
+    t must be e + 2p + (-j mod p), e the depth at which the side reaches
+    its cycle and j its position there; else :class:`VerificationError`
+    names the stored depth by its path ``where``."""
+    edges = g.edges[kind]
+    bounds = g.hb if kind in ("L", "R") else g.vb
+    rect, a, b = first
+    steps, cycle = orbits[rect]
+    i0, p = cycle[0], len(cycle)
+    entry = rect
+    for _ in range(steps):
+        entry = edges[entry][0]
+    rule = steps + 1 + 2 * p + (-cycle.index(entry) % p)
+    if t != rule:
+        raise VerificationError(
+            f"{where} is {t}, not {rule}, the depth at which the side "
+            "enters its strip by the edge digraph",
+            expected=rule, actual=t,
+        )
+    states = [("E", rect, kind, a, b)]
+    lam = g.lam
+    for _ in range(min(t, cap) - 1):
+        rect, q = edges[rect]
+        offset0 = bounds(rect)[q]
+        a, b = offset0 + a / lam, offset0 + b / lam
+        states.append(("E", rect, kind, a, b))
+    if t <= cap:
+        lo, v = 0.0, i0
+        for _ in range(2 * p):
+            v, q = edges[v]
+            lo = bounds(v)[q] + lo / lam
+        edge = g.eta[i0 - 1] if kind in ("L", "R") else g.omega[i0 - 1]
+        hi = lo + edge * lam ** -(2 * p)
+        length = hi - lo
+        if kind in ("L", "R"):
+            za, zb = (hi - a) / length, (hi - b) / length
+        else:
+            za, zb = (a - lo) / length, (b - lo) / length
+        states[-1] = ("S", (kind, i0), za, zb, 0)
+    return states, f"{kind}:{i0}"

@@ -150,6 +150,53 @@ def finite_classes_are_small(census) -> bool:
     )
 
 
+def reference_pair_states(gen) -> tuple:
+    """The pairs at depths 1..depth_cap of the generator ``gen`` by the
+    builder's own objects, the reference that ``endperiodic.window``,
+    which reads the record alone, must equal to the bit: each side's
+    depth-1 segment from its piece-map branch, stepped by the edge-map
+    branches of its kind; at its entry depth t, if within the cap, put in
+    the z of its entry strip (against the edge offset on L and R, with it
+    on T and B), then stepped by the tail rule ``ext.step``."""
+    from endperiodic.gluing import SIDE_KINDS, _side_labels
+
+    ext, cap = gen.ext, gen.depth_cap
+    D, P = ext.system.decomposition, ext.system.piece_map
+    sides = []
+    for kind, label, entry, key in zip(
+        SIDE_KINDS[gen.gen_id[0]], _side_labels(D, gen.gen_id),
+        gen.entry_depths, gen.entry_strips,
+    ):
+        if kind in ("L", "R"):
+            br = P.source_index[label]
+            rect = br.target_label.rect
+            a, b = br.y0, br.y0 + D.rect_height(label.rect) / D.eigen.lam
+        else:
+            br = P.target_index[label]
+            rect = br.source_label.rect
+            a, b = br.x0, br.x0 + D.rect_width(label.rect) / D.eigen.lam
+        E = ext.system.maps[kind]
+        states = [("E", rect, kind, a, b)]
+        for _ in range(min(entry, cap) - 1):
+            br = E.branches[rect]
+            rect, a, b = br.target_rect, br.apply(a, E.lam), br.apply(b, E.lam)
+            states.append(("E", rect, kind, a, b))
+        if entry <= cap:
+            lo, hi = ext.strips[key].lo, ext.strips[key].hi
+            if kind in ("L", "R"):
+                za, zb = (hi - a) / (hi - lo), (hi - b) / (hi - lo)
+            else:
+                za, zb = (a - lo) / (hi - lo), (b - lo) / (hi - lo)
+            w = 0
+            states[-1] = ("S", key, za, zb, w)
+            while len(states) < cap:
+                key, rise = ext.step[key]
+                w += rise
+                states.append(("S", key, za, zb, w))
+        sides.append(states)
+    return tuple(zip(*sides))
+
+
 def hash_digest(hashes: list[str]) -> str:
     """SHA-256 over newline-joined content hashes, in input order."""
     return hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()

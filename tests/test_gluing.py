@@ -1,5 +1,6 @@
 """Infinite-strip attachments, boundary identifications, ends, surfaces."""
 
+import ast
 import hashlib
 import json
 import os
@@ -54,6 +55,7 @@ from conftest import (
     finite_classes_are_small,
     identity_permutations,
     random_irreducible_matrices,
+    reference_pair_states,
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
     x_n_minus_x_minus_1,
@@ -198,8 +200,9 @@ class TestIdentifications:
         strips = running_result.extended.strips
         for gen in running_result.schema.generators:
             for side, kind in enumerate(SIDE_KINDS[gen.gen_id[0]]):
-                entered = gen.sides[side][-1]
+                entered = gen.pair_states[gen.entry_depths[side] - 1][side]
                 assert entered[0] == "S"
+                assert entered[1] == gen.entry_strips[side]
                 assert strips[entered[1]].orbit_id == gen.tail_orbits[side]
                 assert gen.tail_orbits[side].startswith(f"{kind}:")
 
@@ -267,14 +270,14 @@ class TestIdentifications:
             ext, schema = res.extended, res.schema
             bound = max_escape_depth(res.system) + schema.nesting_period
             for gen in schema.generators:
-                depths = []
+                depths, pairs = [], gen.pair_states
                 for side, kind in enumerate(SIDE_KINDS[gen.gen_id[0]]):
-                    rect = gen.pair_states[0][side][1]
+                    rect = pairs[0][side][1]
                     strip, t = _strip_entry(kind, rect, ext)
-                    tags = [pair[side][0] for pair in gen.pair_states]
+                    tags = [pair[side][0] for pair in pairs]
                     after = schema.depth_cap - t + 1
                     assert tags == ["E"] * (t - 1) + ["S"] * after
-                    assert gen.pair_states[t - 1][side][1] == strip.key
+                    assert pairs[t - 1][side][1] == strip.key
                     assert strip.j == 0
                     assert t <= bound
                     depths.append(t)
@@ -298,49 +301,64 @@ class TestDerivedWindow:
         "rows, k", [(RUNNING_ROWS, None), (SPARSE7, None), ([[2]], 4)],
         ids=["running", "sparse7", "lift4"],
     )
-    def test_certifying_derives_no_window(self, rows, k, monkeypatch):
-        # the record and the census read each side's entry depth and
-        # strip, integers, and its orbit's strip levels: they step no
-        # float segment, convert none to strip coordinates and step no
-        # tail rule to depth_cap; only a reader of sides or pair_states does
-        calls = []
-        for owner, name in ((gluing, "_window"), (gluing, "_side_states"),
-                            (gluing.InfiniteStrip, "offset_to_z")):
-            def spy(*args, name=name, original=getattr(owner, name)):
-                calls.append(name)
-                return original(*args)
+    def test_certifying_derives_no_window(self, rows, k):
+        # the record, its verification and the census read each side's
+        # entry depth and strip, integers, and its orbit's strip levels:
+        # in a fresh interpreter they leave ``endperiodic.window``, the
+        # one code that computes a segment's floats, unloaded; only a
+        # reader of pair_states loads it
+        src = Path(endperiodic.__file__).resolve().parents[1]
+        code = (
+            "import sys; "
+            "from endperiodic import IntMatrix, block_lift, build_record, "
+            "load_record, verify_record; "
+            f"M = IntMatrix.from_rows({rows!r}); "
+            f"k = {k!r}; "
+            "M = M if k is None else block_lift(M, k); "
+            "record, result = build_record(M, weak_perron_k=k); "
+            "verify_record(load_record(record.to_json())); "
+            "print('endperiodic.window' in sys.modules); "
+            "schema = result.schema; "
+            "print(len(schema.generators[0].pair_states) == schema.depth_cap, "
+            "'endperiodic.window' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        assert out.split() == ["False", "True", "True"]
 
-            monkeypatch.setattr(owner, name, spy)
-        M = IntMatrix.from_rows(rows)
-        if k is not None:
-            M = block_lift(M, k)
-        record, result = build_record(M, weak_perron_k=k)
-        record.to_json()
-        assert calls == []
-        schema = result.schema
-        assert len(schema.generators[0].pair_states) == schema.depth_cap
-        assert calls.count("_window") == calls.count("_side_states") == 2
-        assert "offset_to_z" in calls
+    def test_gluing_defines_no_float_window(self):
+        # the builder keeps integers only: the float window, its strip
+        # coordinates and the tail stepping to depth_cap live in
+        # ``endperiodic.window``, which derives them from the record
+        tree = ast.parse(Path(gluing.__file__).read_text(encoding="utf-8"))
+        defined = {
+            target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                defined.update(item.target.id for item in node.body
+                               if isinstance(item, ast.AnnAssign)
+                               and isinstance(item.target, ast.Name))
+        assert {"GeneratorTrace", "pair_states", "lo", "hi"} <= defined
+        assert defined.isdisjoint({"offset_to_z", "sides", "_side_states",
+                                   "_window"})
 
     def test_window_is_the_sides_stepped_by_the_tail_rule(self):
         # the rule the record states: from its entry depth on a side is a
         # strip state, and its state at depth d + 1 is its state at d
-        # stepped by ``ext.step`` of its own strip key
+        # stepped by ``ext.step`` of its own strip key; the reference is
+        # the builder's own float arithmetic
         for M in random_irreducible_matrices(20):
             res = run_pipeline(M)
-            step, cap = res.extended.step, res.schema.depth_cap
             for gen in res.schema.generators:
-                sides = []
-                for side in gen.sides:
-                    states = list(side)
-                    while len(states) < cap:
-                        tag, key, za, zb, w = states[-1]
-                        assert tag == "S"
-                        key, rise = step[key]
-                        states.append(("S", key, za, zb, w + rise))
-                    sides.append(states)
-                assert len(gen.pair_states) == cap
-                assert gen.pair_states == tuple(zip(*sides))
+                pairs = gen.pair_states
+                assert len(pairs) == res.schema.depth_cap
+                assert pairs == reference_pair_states(gen)
 
 
 def _float_rule_entry(ext, kind, first, depth_cap):
@@ -989,10 +1007,10 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _entry_depth(pair_states, side: int) -> int:
-    """The depth of a side's first strip state in the whole window."""
-    tags = [pair[side][0] for pair in pair_states]
-    return tags.index("S") + 1
+def _entry_depths(pair_states) -> list[int]:
+    """The depth of each side's first strip state in the whole window."""
+    return [[pair[side][0] for pair in pair_states].index("S") + 1
+            for side in (0, 1)]
 
 
 def _list_copy_identifications(schema) -> dict:
@@ -1002,8 +1020,7 @@ def _list_copy_identifications(schema) -> dict:
         "generators": [
             {
                 "id": g.gen_id,
-                "entry_depths": [_entry_depth(g.pair_states, side)
-                                 for side in (0, 1)],
+                "entry_depths": _entry_depths(g.pair_states),
             }
             for g in schema.generators
         ],

@@ -1,6 +1,7 @@
 """Property suite over a seeded corpus of random irreducible matrices."""
 
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from conftest import (
     finite_classes_are_small,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
+    sparse_irreducible_matrices,
 )
 
 CORPUS_SIZE = 200
@@ -227,3 +229,42 @@ class TestWindowIndependence:
             for cap in (12, 24, 27, 47)
         ]
         assert counts == [counts[0]] * 4
+
+
+def _relabelled(M: IntMatrix, order: list[int]) -> IntMatrix:
+    """P·M·Pᵀ for the permutation P that moves row and column
+    ``order[i]`` of M to i."""
+    return IntMatrix.from_rows([[M.entries[a][b] for b in order] for a in order])
+
+
+def _relabel_invariants(res) -> tuple:
+    """What renaming the rectangles must keep: lambda, to the bit (the
+    characteristic polynomial is the same), the number and signs of the
+    ends, connectedness and infinite type."""
+    surface = res.surface
+    return (res.eigen.lam, sorted(e.sign for e in surface.ends),
+            surface.connected, surface.infinite_type)
+
+
+class TestRelabelling:
+    # Metamorphic: P·M·Pᵀ and Mᵀ give the same surface up to the names of
+    # its rectangles and strips, so the invariants do not move.
+    def test_corpus_relabelled_and_transposed(self, corpus_results):
+        rng = random.Random(41)
+        for M, res in corpus_results:
+            expected = _relabel_invariants(res)
+            variants = [_relabelled(M, rng.sample(range(M.n), M.n))
+                        for _ in range(2)]
+            variants.append(IntMatrix.from_rows(list(zip(*M.entries))))
+            for variant in variants:
+                assert _relabel_invariants(run_pipeline(variant)) == expected, (
+                    M.entries, variant.entries
+                )
+
+    def test_sparse120_relabelled(self):
+        rng = random.Random(41)
+        for M in sparse_irreducible_matrices(120):
+            variant = _relabelled(M, rng.sample(range(M.n), M.n))
+            assert _relabel_invariants(run_pipeline(variant)) == (
+                _relabel_invariants(run_pipeline(M))
+            ), (M.entries, variant.entries)

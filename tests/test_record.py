@@ -1,7 +1,6 @@
 """Tests for construction record serialization, hashing, and re-verification."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from endperiodic import (
     build_decomposition,
     build_record,
     char_poly,
+    derive_window,
     facts,
     load_record,
     max_escape_depth,
@@ -31,6 +31,7 @@ from endperiodic import (
     verify_stretch,
 )
 from endperiodic.edgemaps import KINDS
+from endperiodic.window import _digraphs, _geometry, _orbits, _units
 from endperiodic.record import SCHEMA_VERSION
 from endperiodic import spectral
 from endperiodic.spectral import (
@@ -47,6 +48,7 @@ from conftest import (
     hash_digest,
     identity_permutations,
     random_irreducible_matrices,
+    reference_pair_states,
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
     x_n_minus_x_minus_1,
@@ -411,252 +413,18 @@ class TestLoadRecord:
         assert load_record(json.dumps(data))["config"]["depth_cap"] == 250
 
 
-#: the edge-map kinds of a generator's sides a and b, by the family that
-#: its id starts with
-FAMILY_KINDS = {"X": ("L", "R"), "Y": ("T", "B")}
-
-
-def _digraphs(sections: dict) -> dict:
-    """``edge_digraphs`` as one dict rect -> successor per kind."""
-    return {
-        kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
-        for kind, text in sections["edge_digraphs"].items()
-    }
-
-
-def _cycle(digraph: dict, rect: int) -> list:
-    """The cycle of a functional digraph that ``rect`` reaches, listed
-    from its least rect."""
-    path, index = [], {}
-    while rect not in index:
-        index[rect] = len(path)
-        path.append(rect)
-        rect = digraph[rect]
-    cycle = path[index[rect]:]
-    start = cycle.index(min(cycle))
-    return cycle[start:] + cycle[:start]
-
-
-def _window(data: dict) -> tuple[int, int, int]:
-    """The escape depth N, the nesting period m and ``depth_cap``, from
-    the record alone: N is the longest tail to a cycle plus twice the
-    longest cycle over the edge digraphs, m the lcm of their cycle
-    lengths, and ``depth_cap`` is ``config.depth_cap``, or N + 3m when
-    that is null."""
-    tail, longest, lengths = 0, 1, set()
-    for digraph in _digraphs(data["sections"]).values():
-        for rect in digraph:
-            cycle = _cycle(digraph, rect)
-            steps = 0
-            while rect not in cycle:
-                rect, steps = digraph[rect], steps + 1
-            tail, longest = max(tail, steps), max(longest, len(cycle))
-            lengths.add(len(cycle))
-    N, m = tail + 2 * longest, math.lcm(*lengths)
-    cap = data["config"]["depth_cap"]
-    return N, m, N + 3 * m if cap is None else cap
-
-
 def _orbit_rows(sections: dict) -> list[tuple]:
     """(period, orbit id, position) of each ``periodic_points`` row, from
     the cycle of ``edge_digraphs[map]`` through its rect: the cycle's
     length, "<map>:<its least rect>" and the row's steps from that rect.
     Position 0 marks the orbit's initial point."""
-    digraph = _digraphs(sections)
+    orbits = {kind: _orbits(d) for kind, d in _digraphs(sections).items()}
     out = []
     for row in sections["periodic_points"]:
         kind, rect = row["map"], row["rect"]
-        cycle = _cycle(digraph[kind], rect)
+        _, cycle = orbits[kind][rect]
         out.append((len(cycle), f"{kind}:{cycle[0]}", cycle.index(rect)))
     return out
-
-
-def _units(rows: list, k: int, orientation: str) -> list[tuple[int, int]]:
-    """(source, copy) of each strip label of rect k in ascending order, as
-    the record's matrix gives them: one per unit of column k (vertical) or
-    row k (horizontal), by source, then copy."""
-    mults = [row[k - 1] for row in rows] if orientation == "V" else rows[k - 1]
-    return [
-        (i, j) for i, mult in enumerate(mults, start=1)
-        for j in range(1, mult + 1)
-    ]
-
-
-def _boundaries(sources: list, basis: list, lam: float) -> list:
-    """Strip boundaries by the decomposition's rule: the t-th is lambda^-1
-    times the sum of count_i * basis_i over the strips before it, its
-    terms added in ascending i."""
-    counts, out = {}, [0.0]
-    for i in sources:
-        counts[i] = counts.get(i, 0) + 1
-        out.append(sum([counts[j] * basis[j - 1] for j in sorted(counts)]) / lam)
-    return out
-
-
-def _geometry(data: dict, D) -> SimpleNamespace:
-    """The floats that the segments are made of, from the record's exact
-    eigendata, sigma/tau and ``config.matrix``: lambda, eta, omega, the
-    strip boundaries (checked against the offsets of the builder's
-    decomposition ``D``, which the record does not write), and
-    the piece map as ``source[(k, s)] = (i, q)``, the vertical strip at
-    position s of rect k onto the horizontal strip at position q of rect
-    i, with ``target`` its inverse."""
-    sections, rows = data["sections"], data["config"]["matrix"]
-    eigen, decomposition = sections["eigendata"], sections["decomposition"]
-    lam = float(eigen["lambda"])
-    eta, omega = ([float(v) for v in eigen[key]] for key in ("eta", "omega"))
-    n = len(rows)
-    tau = {k: decomposition["tau"][str(k)] for k in range(1, n + 1)}
-    sigma = {k: decomposition["sigma"][str(k)] for k in range(1, n + 1)}
-    v_units = {k: _units(rows, k, "V") for k in range(1, n + 1)}
-    h_units = {k: _units(rows, k, "H") for k in range(1, n + 1)}
-    vb, hb = {}, {}
-    for k in range(1, n + 1):
-        vb[k] = _boundaries([v_units[k][p][0] for p in tau[k]], omega, lam)
-        domain = {q: p for p, q in enumerate(sigma[k])}
-        hb[k] = _boundaries(
-            [h_units[k][domain[q]][0] for q in range(len(sigma[k]))], eta, lam
-        )
-        assert vb[k] == list(D.vertical_offsets[k])
-        assert hb[k] == list(D.horizontal_offsets[k])
-    source = {}
-    for k in range(1, n + 1):
-        domain = {p: s for s, p in enumerate(tau[k])}
-        for p, (i, j) in enumerate(v_units[k]):
-            source[k, domain[p]] = (i, sigma[i][h_units[i].index((k, j))])
-    target = {image: src for src, image in source.items()}
-    return SimpleNamespace(lam=lam, eta=eta, omega=omega, vb=vb, hb=hb,
-                           source=source, target=target)
-
-
-def _edge_branches(g: SimpleNamespace, kind: str, n: int) -> dict:
-    """rect -> (target rect, offset0) of the edge map of ``kind``: the
-    piece-map branch of the rect's first (L) or last (R) vertical strip,
-    or the inverse branch of its first (T) or last (B) horizontal one."""
-    out = {}
-    for r in range(1, n + 1):
-        if kind in ("L", "R"):
-            last = len(g.vb[r]) - 2
-            i, q = g.source[r, 0 if kind == "L" else last]
-            out[r] = (i, g.hb[i][q])
-        else:
-            last = len(g.hb[r]) - 2
-            k, s = g.target[r, 0 if kind == "T" else last]
-            out[r] = (k, g.vb[k][s])
-    return out
-
-
-def _first_segments(g: SimpleNamespace, gen_id: str) -> tuple:
-    """The depth-1 (rect, a, b) of each side of ``gen_id``: the images
-    (y0, y0 + eta_k / lambda) of the t-th and (t-1)-th vertical strips of
-    rect k for ``X:k:t``, the preimages (x0, x0 + omega_k / lambda) of
-    its horizontal strips for ``Y:k:t``."""
-    family, k, t = gen_id.split(":")
-    k, t = int(k), int(t)
-    out = []
-    for position in (t, t - 1):
-        if family == "X":
-            i, q = g.source[k, position]
-            a = g.hb[i][q]
-            out.append((i, a, a + g.eta[k - 1] / g.lam))
-        else:
-            r, s = g.target[k, position]
-            a = g.vb[r][s]
-            out.append((r, a, a + g.omega[k - 1] / g.lam))
-    return tuple(out)
-
-
-def _derived_side(kind, first, t, cap, branches, digraph, g) -> tuple:
-    """One side's states at depths 1..min(t, cap) and its tail orbit:
-    the depth-1 segment ``first``, its edge-map images, and at the entry
-    depth t, where the walk is on i0, the least rect of the cycle it
-    reaches, the strip state of (kind, i0) at height 0, whose (za, zb)
-    are the strip coordinates of the segment. The strip's base is the
-    2p-fold image of the edge of i0, p the cycle's length. t itself is
-    checked against the rule e + 2p + (-j mod p), e the depth at which
-    the side reaches its cycle and j its position there."""
-    rect, a, b = first
-    cycle = _cycle(digraph, rect)
-    i0, p = cycle[0], len(cycle)
-    walk = [rect]
-    while walk[-1] not in cycle:
-        walk.append(digraph[walk[-1]])
-    e = len(walk)
-    assert t == e + 2 * p + (-cycle.index(walk[-1]) % p)
-    states = [("E", rect, kind, a, b)]
-    lam = g.lam
-    for _ in range(min(t, cap) - 1):
-        r, offset0 = branches[rect]
-        assert r == digraph[rect]
-        rect, a, b = r, offset0 + a / lam, offset0 + b / lam
-        states.append(("E", rect, kind, a, b))
-    if t <= cap:
-        assert rect == i0
-        lo, v = 0.0, i0
-        for _ in range(2 * p):
-            v, offset0 = branches[v]
-            lo = offset0 + lo / lam
-        edge = g.eta[i0 - 1] if kind in ("L", "R") else g.omega[i0 - 1]
-        hi = lo + edge * lam ** -(2 * p)
-        length = hi - lo
-        if kind in ("L", "R"):
-            za, zb = (hi - a) / length, (hi - b) / length
-        else:
-            za, zb = (a - lo) / length, (b - lo) / length
-        states[-1] = ("S", (kind, i0), za, zb, 0)
-    return states, f"{kind}:{i0}"
-
-
-def _rebuilt_window(data: dict, D) -> tuple[list, list, list]:
-    """Every generator's pairs at depths 1..depth_cap, its two tail orbit
-    ids and its stabilization depth, read from the record alone
-    (``_window`` gives ``depth_cap``; the builder's decomposition ``D``
-    only checks the rebuilt boundaries): each side's states to its stored
-    entry depth (``_derived_side``), with its kind from the generator's
-    family, then the tail rule. A strip state with key [kind, r] steps
-    to ``digraph[kind][r]``, one unit higher when the new rect (r for T
-    and B) is the least rect of its cycle, the rect of the orbit's
-    initial point. The stabilization depth is the larger entry depth,
-    if within ``depth_cap``."""
-    sections = data["sections"]
-    digraph = _digraphs(sections)
-    g = _geometry(data, D)
-    n = len(data["config"]["matrix"])
-    branches = {kind: _edge_branches(g, kind, n) for kind in KINDS}
-    initial = {
-        (kind, rect)
-        for kind, succ in digraph.items()
-        for rect in succ
-        if _cycle(succ, rect)[0] == rect
-    }
-
-    def step(state):
-        tag, (kind, rect), za, zb, w = state
-        assert tag == "S"
-        target = digraph[kind][rect]
-        rise = (kind, target if kind in ("L", "R") else rect) in initial
-        return ("S", (kind, target), za, zb, w + int(rise))
-
-    cap = _window(data)[2]
-    pairs, tails, depths = [], [], []
-    for gen in sections["identifications"]["generators"]:
-        assert set(gen) == {"id", "entry_depths"}
-        sides, orbits = [], []
-        for kind, first, t in zip(FAMILY_KINDS[gen["id"][0]],
-                                  _first_segments(g, gen["id"]),
-                                  gen["entry_depths"]):
-            states, orbit = _derived_side(
-                kind, first, t, cap, branches[kind], digraph[kind], g
-            )
-            while states[-1][0] == "S" and len(states) < cap:
-                states.append(step(states[-1]))
-            sides.append(states)
-            orbits.append(orbit)
-        pairs.append(tuple(zip(*sides)))
-        tails.append(tuple(orbits))
-        s = max(gen["entry_depths"])
-        depths.append(s if s <= cap else None)
-    return pairs, tails, depths
 
 
 def _tail_inputs(case: str) -> list:
@@ -720,15 +488,42 @@ def _check_other_removed_facts(data: dict, result) -> None:
     assert [position == 0 for _, _, position in rows] == [
         pt.is_initial for pt in points
     ]
-    # the window: escape depth, nesting period and depth cap
-    assert _window(data) == (
+    # the strip boundaries, from the exact eigendata, sigma/tau and the
+    # matrix: the builder's offsets to the bit
+    g = _geometry(data["config"]["matrix"], sections)
+    assert {k: g.vb(k) for k in D.vertical_offsets} == {
+        k: list(v) for k, v in D.vertical_offsets.items()
+    }
+    assert {k: g.hb(k) for k in D.horizontal_offsets} == {
+        k: list(v) for k, v in D.horizontal_offsets.items()
+    }
+    # the incidence's target lambda and the surface's stretch factor: the
+    # eigendata's lambda, written exactly
+    assert float(sections["eigendata"]["lambda"]) == result.surface.stretch_factor
+
+
+def _check_window(data: dict, result) -> list:
+    """Derive the window from the record ``data`` alone and match it with
+    the builder's run ``result``: N, m and ``depth_cap``, each
+    generator's pairs ``==`` to the bit with ``reference_pair_states``
+    (the builder's own arithmetic), its tail orbits and its
+    stabilization depth. Return the stabilization depths."""
+    N, m, cap, windows = derive_window(data)
+    assert (N, m, cap) == (
         max_escape_depth(result.system),
         nesting_period(result.system),
         result.schema.depth_cap,
     )
-    # the incidence's target lambda and the surface's stretch factor: the
-    # eigendata's lambda, written exactly
-    assert float(sections["eigendata"]["lambda"]) == result.surface.stretch_factor
+    generators = result.schema.generators
+    stored = data["sections"]["identifications"]["generators"]
+    assert all(set(gen) == {"id", "entry_depths"} for gen in stored)
+    assert [pairs for pairs, _, _ in windows] == [
+        reference_pair_states(g) for g in generators
+    ]
+    assert [tails for _, tails, _ in windows] == [g.tail_orbits for g in generators]
+    depths = [s for _, _, s in windows]
+    assert depths == [g.stabilization_depth for g in generators]
+    return depths
 
 
 class TestTailFromRecord:
@@ -737,22 +532,18 @@ class TestTailFromRecord:
     )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
         # Every fact that schemas "6" to "10" no longer write, rebuilt from
-        # the record alone: the strip boundaries, and each side's segments
-        # from the exact eigendata, sigma/tau and the matrix to its stored
-        # entry depth (checked against the digraph rule), its kind from its
+        # the record alone: each side's segments by ``derive_window``, from
+        # the exact eigendata, sigma/tau and the matrix to its stored entry
+        # depth (checked against the digraph rule), its kind from its
         # family and side, its rects from the edge digraph, height 0 at
-        # strip entry (the rebuilt window is the builder's to the bit), the
-        # tail orbits, the stabilization depths, and the facts of
+        # strip entry (the derived window is the builder's to the bit), the
+        # tail orbits, the stabilization depths, the escape depth, nesting
+        # period and depth cap, and the facts of
         # ``_check_other_removed_facts``.
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
-            data = json.loads(record.to_json())
-            generators = result.schema.generators
-            pairs, tails, depths = _rebuilt_window(data, result.decomposition)
-            assert None not in depths
-            assert depths == [g.stabilization_depth for g in generators]
-            assert pairs == [g.pair_states for g in generators]
-            assert tails == [g.tail_orbits for g in generators]
+            data = load_record(record.to_json())
+            assert None not in _check_window(data, result)
             _check_other_removed_facts(data, result)
 
     def test_window_at_the_escape_depth(self):
@@ -766,20 +557,40 @@ class TestTailFromRecord:
             record, result = build_record(
                 M, depth_cap=max_escape_depth(full.system)
             )
-            data = json.loads(record.to_json())
+            data = load_record(record.to_json())
             cap = result.schema.depth_cap
             unstabilized += sum(
                 t > cap
                 for gen in data["sections"]["identifications"]["generators"]
                 for t in gen["entry_depths"]
             )
-            generators = result.schema.generators
-            pairs, tails, depths = _rebuilt_window(data, result.decomposition)
-            assert depths == [g.stabilization_depth for g in generators]
-            assert pairs == [g.pair_states for g in generators]
-            assert tails == [g.tail_orbits for g in generators]
-            assert tails == [g.tail_orbits for g in full.schema.generators]
+            _check_window(data, result)
+            assert [g.tail_orbits for g in result.schema.generators] == [
+                g.tail_orbits for g in full.schema.generators
+            ]
         assert unstabilized > 0
+
+    def test_edited_entry_depth_is_named(self, running_record):
+        # the stored entry depth is checked against the digraph rule by a
+        # typed error that names its path, not by an assert
+        data = json.loads(running_record.to_json())
+        data["sections"]["identifications"]["generators"][2]["entry_depths"][1] += 1
+        with pytest.raises(VerificationError) as info:
+            derive_window(load_record(json.dumps(data)))
+        assert str(info.value).startswith(
+            "identifications.generators[2].entry_depths[1] is "
+        )
+        assert info.value.actual == info.value.expected + 1
+
+    def test_edited_edge_digraph_is_named(self, running_record):
+        data = json.loads(running_record.to_json())
+        digraph = _digraphs(data["sections"])["L"]
+        digraph[1] = digraph[1] % len(digraph) + 1
+        data["sections"]["edge_digraphs"]["L"] = "".join(
+            f"{rect} {target}\n" for rect, target in digraph.items()
+        )
+        with pytest.raises(VerificationError, match="edge_digraphs.L "):
+            derive_window(load_record(json.dumps(data)))
 
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
     def test_window_holds_two_periods_past_the_last_stabilization(self, case):

@@ -10,6 +10,7 @@ from endperiodic import (
     DIAGRAM_KINDS,
     IntMatrix,
     InvalidInputError,
+    block_lift,
     render,
     run_pipeline,
     strip_color,
@@ -32,12 +33,18 @@ FIGURE_SHA = {
     "Complex2D": "da0b2fc6620ee11647a38a51864bafbdab65348b541ffb4b0c3e7da2ce1086d3",
 }
 
-#: SHA-256 of two figures of [[2]]: every edge digraph is a self-loop at
-#: rectangle 1, so these draw the loop arcs and the one-rectangle orbits
+#: SHA-256 of three figures of [[2]]: every edge digraph is a self-loop at
+#: rectangle 1, so these draw the loop arcs, the one-rectangle orbits and
+#: the one generator's window
 TWO_FIGURE_SHA = {
     "Digraphs": "09975c6788bb6456092704e32ee3d659e4c105fd3619f93955d17c2a9f5ba850",
     "Orbits": "5a62f6f2ae6aa9a119837934f5579ec0977cb12958806796a8bbd4fcb029bbb1",
+    "Complex2D": "da0d2c32181ff1c1dfaf18a2c2faa8c4cc380a6d4a0b0180fe1e48220d3e1cf5",
 }
+
+#: SHA-256 of the Complex2D figure of block_lift([[2]], 3) with
+#: weak_perron_k=3: two generators, depth cap 15
+LIFT_COMPLEX_SHA = "1c98465b5e1512bd4528b43bdb3eb9ac535ff77d8a7db5b84051e67d1cba6fbc"
 
 
 class TestDocuments:
@@ -53,6 +60,14 @@ class TestDocuments:
             result, pins = run_pipeline(IntMatrix.from_rows(rows)), TWO_FIGURE_SHA
         document = render(kind, result)
         assert hashlib.sha256(document.encode("utf-8")).hexdigest() == pins[kind]
+
+    def test_pinned_lift_window(self):
+        result = run_pipeline(block_lift(IntMatrix.from_rows([[2]]), 3),
+                              weak_perron_k=3)
+        assert len(result.schema.generators) == 2
+        assert result.schema.depth_cap == 15
+        document = render("Complex2D", result)
+        assert hashlib.sha256(document.encode("utf-8")).hexdigest() == LIFT_COMPLEX_SHA
 
     @pytest.mark.parametrize("kind", DIAGRAM_KINDS)
     def test_well_formed_xml(self, kind, running_result):

@@ -8,12 +8,14 @@ dataclass is frozen and every value type of the pipeline
 refuses a field assignment, so a value is complete when it is built, no
 function takes a fact of M (``graph``, ``labels``, ``poly``) as an
 optional argument,
-``import endperiodic`` loads neither the figure nor the warm-up code until
-a name of theirs is read, nor ``dataclasses`` and ``inspect``, the
-construction takes no settings beyond the three it has, every default
-of an exported callable is set by some package or benchmark call,
-every package call of the benchmark's traced pass still binds, and
-gluing reads no coordinate tolerance nor classify a coordinate."""
+``import endperiodic`` loads neither the figure, the warm-up code nor the
+window's derivation until a name of theirs is read, nor ``dataclasses``
+and ``inspect``, the window's derivation imports no module of the
+construction, the construction takes no settings beyond the three it
+has, every default of an exported callable is set by some package or
+benchmark call, every package call of the benchmark's traced pass still
+binds, and gluing reads no coordinate tolerance nor classify a
+coordinate."""
 
 import ast
 import importlib
@@ -211,30 +213,48 @@ def test_gluing_reads_no_coordinate_tolerance():
     "rows, k", [(RUNNING_ROWS, None), (SPARSE7, None), ([[2]], 4)],
     ids=["running", "sparse7", "lift4"],
 )
-def test_classify_reads_no_coordinate(rows, k, monkeypatch):
-    # the census is the same when every float of every side state is NaN:
-    # classify reads the generator ids, the entry depths and strips and
-    # the combinatorics of the construction, not a coordinate
+def test_classify_reads_no_coordinate(rows, k):
+    # the census is the same when every float that classify could reach
+    # through ``ext`` is NaN: each strip's base, each edge-map branch's
+    # offset0, each piece-map branch's x0 and y0, the strip boundaries and
+    # each periodic point's offset. Classify reads the generator ids, the
+    # entry depths and strips and the combinatorics of the construction,
+    # not a coordinate
     M = IntMatrix.from_rows(rows)
     if k is not None:
         M = block_lift(M, k)
     result = run_pipeline(M, weak_perron_k=k)
-    side_states = gluing._side_states
-
-    def blank(*args):
-        return tuple(
-            tuple(math.nan if isinstance(x, float) else x for x in state)
-            for state in side_states(*args)
-        )
-
-    monkeypatch.setattr(gluing, "_side_states", blank)
-    schema = result.schema
-    assert any(
-        isinstance(x, float) and math.isnan(x)
-        for gen in schema.generators for side in gen.sides
-        for state in side for x in state
+    nan = math.nan
+    ext, D = result.extended, result.decomposition
+    D = D._replace(
+        vertical_offsets={r: (nan,) * len(v) for r, v in D.vertical_offsets.items()},
+        horizontal_offsets={r: (nan,) * len(v)
+                            for r, v in D.horizontal_offsets.items()},
     )
-    census = classify_classes(schema, result.extended)
+    P = ext.system.piece_map
+    P = P._replace(decomposition=D, **{
+        index: {label: br._replace(x0=nan, y0=nan)
+                for label, br in getattr(P, index).items()}
+        for index in ("source_index", "target_index")
+    })
+    maps = {
+        kind: E._replace(branches={
+            rect: br._replace(offset0=nan) for rect, br in E.branches.items()
+        })
+        for kind, E in ext.system.maps.items()
+    }
+    ext = ext._replace(
+        system=ext.system._replace(piece_map=P, maps=maps),
+        strips={key: strip._replace(lo=nan, hi=nan)
+                for key, strip in ext.strips.items()},
+        points={kind: [pt._replace(offset=nan) for pt in points]
+                for kind, points in ext.points.items()},
+    )
+    assert ext.system.decomposition is D
+    schema = result.schema._replace(generators=tuple(
+        gen._replace(ext=ext) for gen in result.schema.generators
+    ))
+    census = classify_classes(schema, ext)
     assert census == result.census
     assert census.nodes == result.census.nodes
     assert census.parent == result.census.parent
@@ -253,11 +273,37 @@ def _window_readers(sources) -> list[str]:
 
 
 def test_only_render_reads_the_window():
-    # ``GeneratorTrace.pair_states`` steps every side to depth_cap on each
-    # read; the record and the census read the entry depths and strips
-    # and the strip levels, so only the figure, which draws every depth,
-    # may ask for it
+    # ``GeneratorTrace.pair_states`` derives the whole window from the
+    # run's sections on each read (``endperiodic.window``); the record
+    # and the census read the entry depths and strips and the strip
+    # levels, so only the figure, which draws every depth, may ask for it
     assert _window_readers(SOURCES) == ["render.py"]
+
+
+#: the modules of the construction, which the window's derivation from a
+#: record must not import: it reads the record, not the builder
+BUILDER_MODULES = {"spectral", "decomposition", "edgemaps", "gluing",
+                   "markov", "record"}
+
+
+def test_window_imports_no_builder_module():
+    tree = ast.parse(
+        (Path(endperiodic.__file__).parent / "window.py").read_text(encoding="utf-8")
+    )
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            imported.add(name if node.level == 0 else f".{name}")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert ".errors" in imported
+    assert not any(
+        name.lstrip(".").split(".")[-1] in BUILDER_MODULES
+        or name.startswith("endperiodic")
+        or name == "."
+        for name in imported
+    ), sorted(imported)
 
 
 #: public names that only the benchmark reads: ``bench/run.py`` writes its
@@ -401,6 +447,7 @@ LAZY_NAMES = {
     "render": ["DIAGRAM_KINDS", "render", "strip_color"],
     "warmup": ["IntegerCase", "build_integer_case", "cross_validate",
                "f0_integer"],
+    "window": ["derive_window"],
 }
 
 
@@ -408,7 +455,8 @@ def test_import_loads_neither_render_nor_warmup():
     out = _run_fresh(
         "import sys, endperiodic; "
         "print(sorted(m for m in ('endperiodic.render', 'endperiodic.warmup', "
-        "'endperiodic.cli', 'fractions', 'dataclasses', 'inspect') "
+        "'endperiodic.window', 'endperiodic.cli', 'fractions', 'dataclasses', "
+        "'inspect') "
         "if m in sys.modules)); "
         f"lazy = {LAZY_NAMES!r}; "
         "import importlib; "
@@ -439,9 +487,10 @@ def test_construct_without_fig_does_not_load_render(tmp_path):
     out = _run_fresh(
         "import sys; from endperiodic.cli import main; "
         f"code = main(['construct', '--integer', '2', '--out', {str(tmp_path)!r}]); "
-        "print(code, 'endperiodic.render' in sys.modules)"
+        "print(code, 'endperiodic.render' in sys.modules, "
+        "'endperiodic.window' in sys.modules)"
     )
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-1] == "0 False False"
 
 
 @pytest.mark.parametrize("function", [run_pipeline, build_record],

@@ -106,9 +106,6 @@ def _add_input_options(sub, with_flags=True):
     sub.add_argument("--lift", type=int, default=None, metavar="K",
                      help="replace the matrix by its k-th block lift")
     if with_flags:
-        sub.add_argument("--depth", type=int, default=None,
-                         help="identification depth cap (default: N + 3m, N the "
-                              "escape depth, m the lcm of the cycle periods)")
         sub.add_argument("--weak-perron-k", type=int, default=None,
                          help="record the boundary-ray regluing for a k-lift input")
     sub.add_argument("--out", default=None, help="output directory")
@@ -119,7 +116,7 @@ def _build(args):
     weak_k = args.weak_perron_k
     if weak_k is None and args.lift:
         weak_k = args.lift
-    record, result = build_record(M, depth_cap=args.depth, weak_perron_k=weak_k)
+    record, result = build_record(M, weak_perron_k=weak_k)
     return M, stem, record, result
 
 

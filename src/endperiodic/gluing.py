@@ -54,9 +54,6 @@ _TRANSFER_TOL = 1e-9
 #: per pair state, so this is about 650 MiB
 MAX_PAIR_STATES = 500_000
 
-#: the least default window N + 3m: N is at least 2 and m at least 1
-_LEAST_DEFAULT_WINDOW = 5
-
 
 class InfiniteStrip(NamedTuple):
     """One infinite strip [0,1] x [0,oo) attached at a periodic point.
@@ -238,22 +235,21 @@ class GeneratorTrace(NamedTuple):
     t, ``entry_strips`` the key of that strip (``_strip_entry``) and
     ``tail_orbits`` its orbit id; ``stabilization_depth`` is the larger t.
 
-    ``pair_states[d]``, the two identified image segments at depth d+1,
-    side a's then side b's, is derived on each read by
-    ``endperiodic.window`` from the sections that the run writes; only
-    the figure reads it.
+    ``pair_states[d]``, the two identified image segments at depth d+1
+    of the window N + 3m, side a's then side b's, is derived on each read
+    by ``endperiodic.window`` from the sections that the run writes; no
+    stage reads it, only the ``Complex2D`` figure and the benchmark's
+    traced counter.
     """
 
     gen_id: str
     entry_depths: tuple[int, int]
     entry_strips: tuple[tuple[str, int], tuple[str, int]]
     ext: ExtendedPieceMap
-    depth_cap: int
 
     @property
-    def stabilization_depth(self) -> int | None:
-        s = max(self.entry_depths)
-        return s if s <= self.depth_cap else None
+    def stabilization_depth(self) -> int:
+        return max(self.entry_depths)
 
     @property
     def tail_orbits(self) -> tuple[str, str]:
@@ -268,8 +264,7 @@ class GeneratorTrace(NamedTuple):
         D = system.decomposition
         generator = {"id": self.gen_id, "entry_depths": list(self.entry_depths)}
         record = {
-            "config": {"matrix": D.facts.matrix.to_lists(),
-                       "depth_cap": self.depth_cap},
+            "config": {"matrix": D.facts.matrix.to_lists()},
             "sections": {
                 "eigendata": D.eigen.to_json_dict(),
                 "decomposition": D.to_json_dict(),
@@ -289,29 +284,11 @@ class IdentificationSchema(NamedTuple):
 
     def to_json_dict(self) -> dict:
         """The ``identifications`` section: each generator's id and its
-        two sides' strip-entry depths ``[t_a, t_b]``, ints whether or not
-        they lie within ``depth_cap``.
-
-        The states follow from these and the sections the record already
-        has; ``endperiodic.window`` derives them, each float the
-        builder's to the bit. The id ``X:k:t`` (``Y:k:t``)
-        names the piece-map branch of the t-th and (t-1)-th vertical strip
-        of rect k (horizontal strip, by target), whose images (``y0``,
-        ``y0 + eta_k / lambda``), or (``x0``, ``x0 + omega_k / lambda``),
-        are the depth-1 segments of sides a and b on the edges of the
-        family's kinds (``SIDE_KINDS``). Depth d + 1 is the edge-map image
-        ``offset0 + x / lambda`` of depth d, its rect the successor in
-        ``edge_digraphs[kind]``. At depth t the side is on i0, the least
-        rect of the cycle that it reaches, and its state is the strip
-        state of (kind, i0) at height 0 with (za, zb) the strip
-        coordinates of that segment. The side's tail orbit is
-        ``"<kind>:<i0>"``, and past t it steps by the tail rule
-        ``ExtendedPieceMap.step``, which reads only the digraph. The
-        window is not restated: ``nesting_period`` is the lcm of the
-        digraph cycle lengths, ``escape_depth`` the longest tail to a
-        cycle plus twice the longest cycle, and ``depth_cap`` is
-        ``config.depth_cap``, or, when that is null, ``escape_depth`` plus
-        three nesting periods.
+        two sides' strip-entry depths ``[t_a, t_b]``. Every state of the
+        window follows from these and the other sections by the rule that
+        README ("The ``identifications`` section") states and
+        ``endperiodic.window`` runs, each float the builder's to the bit;
+        the window N + 3m, read off ``edge_digraphs``, is not restated.
         """
         return {
             "generators": [
@@ -321,9 +298,7 @@ class IdentificationSchema(NamedTuple):
         }
 
 
-def enumerate_identifications(
-    ext: ExtendedPieceMap, depth_cap: int | None = None
-) -> IdentificationSchema:
+def enumerate_identifications(ext: ExtendedPieceMap) -> IdentificationSchema:
     """All identified segment pairs up to depth_cap, plus periodic tails.
 
     Each interior strip boundary generates one identified pair per depth;
@@ -331,9 +306,9 @@ def enumerate_identifications(
     boundaries and advance by unit translation once per orbit period, so
     the bounded table plus the tail record certifies the full relation.
 
-    The default window is ``N + 3m``, with N the escape depth and m the
-    ``nesting_period``, the lcm of the cycle periods. Why one common
-    period is enough:
+    The window ``depth_cap`` is ``N + 3m``, with N the escape depth and
+    m the ``nesting_period``, the lcm of the cycle periods. Why one
+    common period is enough:
 
     * From its ``stabilization_depth`` s on, both images of a generator
       are strip states ``("S", key, za, zb, w)``. The tail rule
@@ -356,9 +331,9 @@ def enumerate_identifications(
       ``s = max(t) <= N + m`` and the window holds at least two whole
       periods past the last stabilization. The bound is tight: the lifts
       of ``[[2]]`` stabilize at N + m, and so does ``corpus:1`` (N 4, m 1,
-      cap 7, max s 5). With the default window every generator is still
-      checked against it: one with s unset or above N + m raises
-      ``InternalConsistencyError``, naming the generator and both depths.
+      cap 7, max s 5). Every generator is still checked against it: one
+      with s above N + m raises ``InternalConsistencyError``, naming the
+      generator and both depths.
     * The test in ``classify_classes`` for a class that acquired a node
       after ``cap - m`` (one whole period at the end of the window) is a
       statement about windows of whole periods, so it needs only that m
@@ -383,18 +358,13 @@ def enumerate_identifications(
     from the run's own sections, on read.
 
     A window of more than ``MAX_PAIR_STATES`` pair states (generators
-    times ``depth_cap``) raises ``InvalidInputError``, as does a
-    ``depth_cap`` below N.
+    times ``depth_cap``) raises ``InvalidInputError``.
     """
     system = ext.system
     D = system.decomposition
     N = max_escape_depth(system)
     m = nesting_period(system)
-    default_window = depth_cap is None
-    if default_window:
-        depth_cap = N + 3 * m
-    if depth_cap < N:
-        raise InvalidInputError(f"depth_cap {depth_cap} below escape depth {N}")
+    depth_cap = N + 3 * m
     _refuse_oversized_window(D.facts.matrix, depth_cap)
 
     entries = {}  # (kind, rect of the depth-1 segment) -> (strip, t)
@@ -417,17 +387,15 @@ def enumerate_identifications(
                     entry_depths=(ta, tb),
                     entry_strips=(sa.key, sb.key),
                     ext=ext,
-                    depth_cap=depth_cap,
                 ))
-    if default_window:
-        for trace in traces:
-            s = trace.stabilization_depth
-            if s is None or s > N + m:
-                raise InternalConsistencyError(
-                    f"generator {trace.gen_id} stabilizes at depth {s}, past "
-                    f"N + m = {N + m}: the default window {depth_cap} holds "
-                    "less than two whole periods past its stabilization"
-                )
+    for trace in traces:
+        if trace.stabilization_depth > N + m:
+            raise InternalConsistencyError(
+                f"generator {trace.gen_id} stabilizes at depth "
+                f"{trace.stabilization_depth}, past N + m = {N + m}: the "
+                f"window {depth_cap} holds less than two whole periods past "
+                "its stabilization"
+            )
     return IdentificationSchema(
         generators=tuple(traces),
         depth_cap=depth_cap,
@@ -443,13 +411,13 @@ def _refuse_oversized_window(M: IntMatrix, depth_cap: int | None) -> None:
     vertical and row sum k horizontal strips, and each boundary between
     two of them is a generator, so there are 2 * (sum of the entries) -
     2n. ``run_pipeline`` calls this before any stage runs, with
-    ``depth_cap`` None standing for the default window N + 3m, which is
-    at least 5; ``enumerate_identifications`` calls it with the window
-    it is about to build.
+    ``depth_cap`` None standing for the window N + 3m, which is at least
+    5 (N is at least 2 and m at least 1); ``enumerate_identifications``
+    calls it with the window it is about to build.
     """
     generators = 2 * sum(map(sum, M.entries)) - 2 * M.n
     least = "at least " if depth_cap is None else ""
-    cap = _LEAST_DEFAULT_WINDOW if depth_cap is None else depth_cap
+    cap = 5 if depth_cap is None else depth_cap
     if generators * cap > MAX_PAIR_STATES:
         raise InvalidInputError(
             f"depth_cap {least}{cap} with {generators} generators is "
@@ -718,15 +686,13 @@ class _NodeNames:
         ``_strip_end(kind, label)`` and which enters the strip ``key`` at
         depth ``entry``: the ids of its first and second endpoints at
         depth 1, then at depth 2, and so on to ``cap``."""
-        images, cap, node = self.images[kind], self.cap, self.id
+        images, node = self.images[kind], self.id
         a, b = _strip_end(self.ext.system, kind, label, self.place)
         ids = []
-        for _ in range(min(entry - 1, cap)):
+        for _ in range(entry - 1):
             ids += (node(a), node(b))
             a, b = _step(images, a), _step(images, b)
-        if entry > cap:
-            return ids
-        runs, nodes, need = self.entry_runs(key), self.nodes, cap - entry + 1
+        runs, nodes, need = self.entry_runs(key), self.nodes, self.cap - entry + 1
         ta, tb = (self.tails.setdefault((key, x), []) for x in (a, b))
         for s in range(min(len(ta), len(tb)), need):
             for x, tail in ((a, ta), (b, tb)):
@@ -859,7 +825,7 @@ def classify_classes(
     # late[i] is 1 iff node i was first seen past depth cap - m: a side
     # makes its new ids in column order, so those are the ones above
     # every id in the column's first 2 (cap - m) entries
-    early = 2 * max(cap - m, 0)
+    early = 2 * (cap - m)
     late = bytearray()
     columns: list[tuple[list[int], list[int]]] = []
     starts: list[int] = []  # the node count before each side's column

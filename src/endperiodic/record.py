@@ -83,23 +83,22 @@ class PipelineResult(NamedTuple):
 
 
 def run_pipeline(
-    M: IntMatrix,
-    depth_cap: int | None = None,
-    weak_perron_k: int | None = None,
+    M: IntMatrix, weak_perron_k: int | None = None
 ) -> PipelineResult:
     """Run the full construction on one irreducible matrix.
 
     The eigendata residual is bounded by ``DEFAULT_TOL``, the strip
-    decomposition takes its permutations from ``corner_selection(M)`` and
-    the surface is the double: the construction has no other settings.
+    decomposition takes its permutations from ``corner_selection(M)``,
+    the window is N + 3m and the surface is the double: the construction
+    has no other settings.
 
-    Ill-typed settings, and a window that M alone shows to be too large,
-    are refused before any stage runs. Then every stage reads the facts
-    of M off one ``facts(M)``, so each is computed once; the
+    An ill-typed ``weak_perron_k``, and a window that M alone shows to be
+    too large, are refused before any stage runs. Then every stage reads
+    the facts of M off one ``facts(M)``, so each is computed once; the
     decomposition keeps them, and nothing is cached on M.
     """
-    _check_settings(depth_cap, weak_perron_k)
-    _refuse_oversized_window(M, depth_cap)
+    _check_weak_perron_k(weak_perron_k)
+    _refuse_oversized_window(M, None)
     F = facts(M)
     eigen = perron_eigendata(F, DEFAULT_TOL)
     sigma, tau = corner_selection(F)
@@ -111,7 +110,7 @@ def run_pipeline(
     choose_initial_points(points)
     strips = attach_strips(system, points)
     ext = build_extended_map(system, strips, points)
-    schema = enumerate_identifications(ext, depth_cap=depth_cap)
+    schema = enumerate_identifications(ext)
     census = classify_classes(schema, ext)
     surface = assemble_surface(ext, schema, census, weak_perron_k)
     incidence = verify_stretch(F, surface)
@@ -203,7 +202,8 @@ def _hash_hex(config: str, version: str, sections: str) -> str:
     return h.hexdigest()
 
 
-#: the keys of a record's ``config``, as ``_config_dict`` writes them
+#: the keys of a record's ``config``, in the order of ``_config_dict``'s
+#: parameters
 _CONFIG_KEYS = (
     "matrix", "tol", "depth_cap", "corner_selection", "insert_genus",
     "weak_perron_k", "doubled",
@@ -213,8 +213,8 @@ _CONFIG_KEYS = (
 #: record holds exactly these, and their keys stay while the benchmark
 #: passes ``_config_dict`` all seven values
 _FIXED_CONFIG = {
-    "tol": DEFAULT_TOL, "corner_selection": True, "insert_genus": False,
-    "doubled": True,
+    "tol": DEFAULT_TOL, "depth_cap": None, "corner_selection": True,
+    "insert_genus": False, "doubled": True,
 }
 
 
@@ -227,24 +227,17 @@ def _config_dict(
     weak_perron_k: int | None,
     doubled: bool,
 ) -> dict:
-    return {
-        "matrix": M.to_lists(),
-        "tol": tol,
-        "depth_cap": depth_cap,
-        "corner_selection": use_corner_selection,
-        "insert_genus": insert_genus,
-        "weak_perron_k": weak_perron_k,
-        "doubled": doubled,
-    }
+    return dict(zip(_CONFIG_KEYS, (
+        M.to_lists(), tol, depth_cap, use_corner_selection, insert_genus,
+        weak_perron_k, doubled,
+    )))
 
 
 def build_record(
-    M: IntMatrix,
-    depth_cap: int | None = None,
-    weak_perron_k: int | None = None,
+    M: IntMatrix, weak_perron_k: int | None = None
 ) -> tuple[ConstructionRecord, PipelineResult]:
     """Run the pipeline and freeze the result into a record."""
-    result = run_pipeline(M, depth_cap=depth_cap, weak_perron_k=weak_perron_k)
+    result = run_pipeline(M, weak_perron_k=weak_perron_k)
     sections = {
         "eigendata": result.eigen.to_json_dict(),
         "decomposition": result.decomposition.to_json_dict(),
@@ -259,7 +252,7 @@ def build_record(
         "incidence": result.incidence.to_json_dict(),
     }
     config = _config_dict(
-        M, DEFAULT_TOL, depth_cap, True, False, weak_perron_k, True
+        M, DEFAULT_TOL, None, True, False, weak_perron_k, True
     )
     record = ConstructionRecord(
         schema_version=SCHEMA_VERSION, config=config, sections=sections
@@ -302,22 +295,20 @@ def load_record(text: str) -> dict:
     return data
 
 
-def _check_settings(depth_cap, weak_perron_k, where="") -> None:
-    """Raise :class:`InvalidInputError` unless ``depth_cap`` and
-    ``weak_perron_k`` are ``None`` or an int; ``where`` prefixes each name
-    in the message."""
-    for key, value in (("depth_cap", depth_cap), ("weak_perron_k", weak_perron_k)):
-        if not (value is None or _is_int(value)):
-            raise InvalidInputError(
-                f"{where}{key} {value!r} is neither null nor an integer"
-            )
+def _check_weak_perron_k(value, where="") -> None:
+    """Raise :class:`InvalidInputError` unless ``weak_perron_k`` is
+    ``None`` or an int; ``where`` prefixes its name in the message."""
+    if not (value is None or _is_int(value)):
+        raise InvalidInputError(
+            f"{where}weak_perron_k {value!r} is neither null nor an integer"
+        )
 
 
 def _check_config_values(config: dict) -> None:
     """Raise :class:`InvalidInputError` unless each config value is one
     ``build_record`` writes: ``matrix`` a non-empty square list of lists
-    of non-negative ints, the two settings as ``_check_settings`` takes
-    them, and the keys of ``_FIXED_CONFIG`` their fixed values."""
+    of non-negative ints, ``weak_perron_k`` as ``_check_weak_perron_k``
+    takes it, and the keys of ``_FIXED_CONFIG`` their fixed values."""
     rows = config["matrix"]
     if not (
         isinstance(rows, list)
@@ -333,8 +324,7 @@ def _check_config_values(config: dict) -> None:
             "record config.matrix is not a non-empty square list of lists "
             "of non-negative integers"
         )
-    _check_settings(config["depth_cap"], config["weak_perron_k"],
-                    "record config.")
+    _check_weak_perron_k(config["weak_perron_k"], "record config.")
     for key, fixed in _FIXED_CONFIG.items():
         value = config[key]
         if not (type(value) is type(fixed) and value == fixed):
@@ -368,9 +358,7 @@ def check_record(data: dict) -> list[SectionCheck]:
     """
     cfg = data["config"]
     M = IntMatrix.from_rows(cfg["matrix"])
-    fresh, _ = build_record(
-        M, depth_cap=cfg["depth_cap"], weak_perron_k=cfg["weak_perron_k"]
-    )
+    fresh, _ = build_record(M, weak_perron_k=cfg["weak_perron_k"])
     stored = {name: _canonical(section) for name, section in data["sections"].items()}
     results = []
     for name in sorted(stored.keys() | fresh.sections.keys()):

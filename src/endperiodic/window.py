@@ -3,15 +3,17 @@
 README ("The ``identifications`` section") states how each generator's
 id and entry depths, ``config.matrix``, the exact ``eigendata``,
 ``decomposition.sigma``/``tau`` and the edge digraphs give every
-identified segment pair at depths 1..``depth_cap``; ``derive_window`` is
-that rule, run. It imports no module of the construction. In the
-package only ``GeneratorTrace.pair_states`` calls it, for the
-``Complex2D`` figure, so certifying and verifying never load it.
+identified segment pair at depths 1..``depth_cap``, the window N + 3m;
+``derive_window`` is that rule, run. It imports no module of the
+construction. In the package only ``GeneratorTrace.pair_states`` calls
+it, for the ``Complex2D`` figure, so certifying and verifying never load
+it.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -43,9 +45,9 @@ class _Geometry(NamedTuple):
 
 
 def derive_window(record: dict) -> tuple[int, int, int, list]:
-    """The escape depth N, the nesting period m, ``depth_cap`` and each
-    generator's window, from the ``config`` and ``sections`` of a record
-    as ``load_record`` returns it.
+    """The escape depth N, the nesting period m, ``depth_cap`` = N + 3m
+    and each generator's window, from the ``config.matrix`` and
+    ``sections`` of a record as ``load_record`` returns it.
 
     Each generator, in record order, gives ``(pairs, tail_orbits,
     stabilization_depth)``. ``pairs[d]`` holds the two identified
@@ -53,26 +55,31 @@ def derive_window(record: dict) -> tuple[int, int, int, list]:
     ``("E", rect, kind, a, b)`` before the side's entry depth t and a
     strip state ``("S", (kind, i0), za, zb, w)`` from t on. The tail
     orbits are ``"<kind>:<i0>"`` of the two sides, and the
-    stabilization depth is the larger t, or None past ``depth_cap``.
+    stabilization depth is the larger t.
 
-    Raises :class:`VerificationError` if a stored entry depth is not the
-    one that the edge digraph gives, or if an edge digraph is not the
-    one that the piece map gives.
+    Raises :class:`VerificationError`, naming the JSON path in the
+    sections, if a value that the rule reads is missing or of the wrong
+    shape, if a generator id names no interior boundary, if a stored
+    entry depth is not the one that the edge digraph gives, or if an edge
+    digraph is not the one that the piece map gives.
     """
-    config, sections = record["config"], record["sections"]
-    digraphs = _digraphs(sections)
-    orbits = {kind: _orbits(digraph) for kind, digraph in digraphs.items()}
-    every = [orbit for per in orbits.values() for orbit in per.values()]
-    N = max(steps for steps, _ in every) + 2 * max(len(c) for _, c in every)
-    m = math.lcm(*{len(cycle) for _, cycle in every})
-    cap = N + 3 * m if config["depth_cap"] is None else config["depth_cap"]
-    g = _geometry(config["matrix"], sections)
-    for kind, digraph in digraphs.items():
-        if {r: i for r, (i, _) in g.edges[kind].items()} != digraph:
+    sections = record["sections"]
+    g = _geometry(record["config"]["matrix"], sections)
+    digraphs = {kind: {r: i for r, (i, _) in branches.items()}
+                for kind, branches in g.edges.items()}
+    stored = _get(sections, "edge_digraphs", shape=dict)
+    for kind in sorted(stored.keys() | digraphs.keys()):
+        text = "".join(f"{r} {i}\n" for r, i in digraphs.get(kind, {}).items())
+        if kind not in digraphs or stored.get(kind) != text:
             raise VerificationError(
                 f"edge_digraphs.{kind} is not the digraph of the {kind} edge "
                 "map that decomposition and config.matrix give"
             )
+    orbits = {kind: _orbits(digraph) for kind, digraph in digraphs.items()}
+    every = [orbit for per in orbits.values() for orbit in per.values()]
+    N = max(steps for steps, _ in every) + 2 * max(len(c) for _, c in every)
+    m = math.lcm(*{len(cycle) for _, cycle in every})
+    cap = N + 3 * m
     initial = {
         (kind, rect)
         for kind, per in orbits.items()
@@ -80,37 +87,62 @@ def derive_window(record: dict) -> tuple[int, int, int, list]:
         if cycle[0] == rect
     }
     windows = []
-    for i, gen in enumerate(sections["identifications"]["generators"]):
-        depths = gen["entry_depths"]
+    generators = _get(sections, "identifications.generators", shape=list)
+    for i, gen in enumerate(generators):
+        where = f"identifications.generators[{i}]"
+        family, firsts = _first_segments(g, _get(gen, "id", where), where)
+        depths = _get(gen, "entry_depths", where, shape=list)
+        if len(depths) != 2 or any(type(t) is not int for t in depths):
+            raise VerificationError(
+                f"{where}.entry_depths {depths!r} is not two ints"
+            )
         sides, tails = [], []
-        for side, (kind, first, t) in enumerate(zip(
-            _FAMILY_KINDS[gen["id"][0]], _first_segments(g, gen["id"]), depths
-        )):
-            where = f"identifications.generators[{i}].entry_depths[{side}]"
-            states, tail = _side(kind, first, t, cap, g, orbits[kind], where)
-            if states[-1][0] == "S":
-                # the tail rule: one step along the digraph, one unit
-                # higher on passing the orbit's initial rect
-                _, (_, rect), za, zb, w = states[-1]
-                while len(states) < cap:
-                    target = digraphs[kind][rect]
-                    w += (kind, target if kind in ("L", "R") else rect) in initial
-                    rect = target
-                    states.append(("S", (kind, rect), za, zb, w))
+        for side, (kind, first, t) in enumerate(
+            zip(_FAMILY_KINDS[family], firsts, depths)
+        ):
+            states, tail = _side(kind, first, t, g, orbits[kind],
+                                 f"{where}.entry_depths[{side}]")
+            # the tail rule: one step along the digraph, one unit higher
+            # on passing the orbit's initial rect
+            _, (_, rect), za, zb, w = states[-1]
+            while len(states) < cap:
+                target = digraphs[kind][rect]
+                w += (kind, target if kind in ("L", "R") else rect) in initial
+                rect = target
+                states.append(("S", (kind, rect), za, zb, w))
             sides.append(states)
             tails.append(tail)
-        s = max(depths)
-        windows.append((tuple(zip(*sides)), tuple(tails),
-                        s if s <= cap else None))
+        windows.append((tuple(zip(*sides)), tuple(tails), max(depths)))
     return N, m, cap, windows
 
 
-def _digraphs(sections: dict) -> dict:
-    """``edge_digraphs`` as one dict rect -> successor per kind."""
-    return {
-        kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
-        for kind, text in sections["edge_digraphs"].items()
-    }
+def _get(obj, path: str, where: str = "", shape: type | None = None):
+    """The value at the dotted ``path`` below ``obj``, which sits at the
+    JSON path ``where``; :class:`VerificationError` names the full path if
+    a key on it is missing or the value is not a ``shape`` (dict, list)."""
+    for key in path.split("."):
+        where = f"{where}.{key}" if where else key
+        if not isinstance(obj, dict) or key not in obj:
+            raise VerificationError(f"{where} is missing")
+        obj = obj[key]
+    if shape is not None and not isinstance(obj, shape):
+        raise VerificationError(f"{where} is not a {shape.__name__}")
+    return obj
+
+
+def _numbers(sections: dict, path: str, n: int) -> list[float]:
+    """The ``n`` floats of the array at ``path``, each stored by ``repr``."""
+    values = _get(sections, path, shape=list)
+    if len(values) != n:
+        raise VerificationError(f"{path} holds {len(values)} numbers, not {n}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
+def _number(value, path: str) -> float:
+    """The float that ``value``, a number or its text, states."""
+    with suppress(TypeError, ValueError):
+        return float(value)
+    raise VerificationError(f"{path} {value!r} is not a number")
 
 
 def _orbits(digraph: dict) -> dict:
@@ -162,14 +194,18 @@ def _geometry(rows: list, sections: dict) -> _Geometry:
     and the matrix ``rows``. The integers are built at once; a rect's
     boundaries, floats, only when a segment reads them, so that a record
     of one generator costs the rects that its sides visit."""
-    eigen, decomposition = sections["eigendata"], sections["decomposition"]
-    lam = float(eigen["lambda"])
-    eta, omega = ([float(v) for v in eigen[key]] for key in ("eta", "omega"))
-    rects = range(1, len(rows) + 1)
-    tau = {k: decomposition["tau"][str(k)] for k in rects}
-    sigma = {k: decomposition["sigma"][str(k)] for k in rects}
+    n = len(rows)
+    lam = _number(_get(sections, "eigendata.lambda"), "eigendata.lambda")
+    eta, omega = (_numbers(sections, f"eigendata.{key}", n)
+                  for key in ("eta", "omega"))
+    rects = range(1, n + 1)
     v_units = {k: _units(rows, k, "V") for k in rects}
     h_units = {k: _units(rows, k, "H") for k in rects}
+    tau = {k: _permutation(sections, f"decomposition.tau.{k}", len(v_units[k]))
+           for k in rects}
+    sigma = {k: _permutation(sections, f"decomposition.sigma.{k}",
+                             len(h_units[k]))
+             for k in rects}
 
     @cache
     def vb(k: int) -> list:
@@ -201,28 +237,39 @@ def _geometry(rows: list, sections: dict) -> _Geometry:
                      source=source, target=target, edges=edges)
 
 
-def _first_segments(g: _Geometry, gen_id: str) -> tuple:
-    """The depth-1 (rect, a, b) of each side of ``gen_id``: the images
-    (y0, y0 + eta_k / lambda) of the t-th and (t-1)-th vertical strips of
-    rect k for ``X:k:t``, the preimages (x0, x0 + omega_k / lambda) of
-    its horizontal strips for ``Y:k:t``."""
-    family, k, t = gen_id.split(":")
-    k, t = int(k), int(t)
+def _permutation(sections: dict, path: str, n: int) -> list[int]:
+    """The array at ``path``, which must order 0..n-1."""
+    value = _get(sections, path, shape=list)
+    if any(type(v) is not int for v in value) or sorted(value) != list(range(n)):
+        raise VerificationError(f"{path} is not a permutation of 0..{n - 1}")
+    return value
+
+
+def _first_segments(g: _Geometry, gen_id, where: str) -> tuple:
+    """The family of ``gen_id`` and the depth-1 (rect, a, b) of each of
+    its sides: the images (y0, y0 + eta_k / lambda) of the t-th and
+    (t-1)-th vertical strips of rect k for ``X:k:t``, the preimages (x0,
+    x0 + omega_k / lambda) of its horizontal strips for ``Y:k:t``. An id
+    that names no interior boundary raises :class:`VerificationError`
+    naming ``where``."""
+    family, *place = gen_id.split(":") if isinstance(gen_id, str) else [""]
+    decimal = len(place) == 2 and all(map(str.isdecimal, place))
+    k, t = map(int, place) if decimal else (0, 0)
+    strips, bounds, edge = (
+        (g.source, g.hb, g.eta) if family == "X" else (g.target, g.vb, g.omega)
+    )
+    if family not in _FAMILY_KINDS or t < 1 or (k, t) not in strips:
+        raise VerificationError(f"{where}.id {gen_id!r} names no interior boundary")
     out = []
     for position in (t, t - 1):
-        if family == "X":
-            i, q = g.source[k, position]
-            a = g.hb(i)[q]
-            out.append((i, a, a + g.eta[k - 1] / g.lam))
-        else:
-            r, s = g.target[k, position]
-            a = g.vb(r)[s]
-            out.append((r, a, a + g.omega[k - 1] / g.lam))
-    return tuple(out)
+        r, q = strips[k, position]
+        a = bounds(r)[q]
+        out.append((r, a, a + edge[k - 1] / g.lam))
+    return family, tuple(out)
 
 
-def _side(kind, first, t, cap, g, orbits, where) -> tuple:
-    """One side's states at depths 1..min(t, cap) and its tail orbit:
+def _side(kind, first, t, g, orbits, where) -> tuple:
+    """One side's states at depths 1..t and its tail orbit:
     the depth-1 segment ``first``, its edge-map images (x to offset0 +
     x / lambda), and at the entry depth t, where the walk is on i0, the
     least rect of the cycle it reaches, the strip state of (kind, i0) at
@@ -250,22 +297,21 @@ def _side(kind, first, t, cap, g, orbits, where) -> tuple:
         )
     states = [("E", rect, kind, a, b)]
     lam = g.lam
-    for _ in range(min(t, cap) - 1):
+    for _ in range(t - 1):
         rect, q = edges[rect]
         offset0 = bounds(rect)[q]
         a, b = offset0 + a / lam, offset0 + b / lam
         states.append(("E", rect, kind, a, b))
-    if t <= cap:
-        lo, v = 0.0, i0
-        for _ in range(2 * p):
-            v, q = edges[v]
-            lo = bounds(v)[q] + lo / lam
-        edge = g.eta[i0 - 1] if kind in ("L", "R") else g.omega[i0 - 1]
-        hi = lo + edge * lam ** -(2 * p)
-        length = hi - lo
-        if kind in ("L", "R"):
-            za, zb = (hi - a) / length, (hi - b) / length
-        else:
-            za, zb = (a - lo) / length, (b - lo) / length
-        states[-1] = ("S", (kind, i0), za, zb, 0)
+    lo, v = 0.0, i0
+    for _ in range(2 * p):
+        v, q = edges[v]
+        lo = bounds(v)[q] + lo / lam
+    edge = g.eta[i0 - 1] if kind in ("L", "R") else g.omega[i0 - 1]
+    hi = lo + edge * lam ** -(2 * p)
+    length = hi - lo
+    if kind in ("L", "R"):
+        za, zb = (hi - a) / length, (hi - b) / length
+    else:
+        za, zb = (a - lo) / length, (b - lo) / length
+    states[-1] = ("S", (kind, i0), za, zb, 0)
     return states, f"{kind}:{i0}"

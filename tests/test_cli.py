@@ -222,23 +222,24 @@ class TestVerify:
 
     def test_oversized_window_is_input_error(self, tmp_path, capsys):
         # a window past MAX_PAIR_STATES is refused before any state is
-        # built, from a stored record and from construct alike
+        # built, from a stored record and from construct alike: [[10**5]]
+        # has 199,998 generators, and the window is at least 5
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"
         data = json.loads(record.read_text())
-        data["config"]["depth_cap"] = 10**9
+        data["config"]["matrix"] = [[10**5]]
         record.write_text(json.dumps(data))
         capsys.readouterr()
         for argv in (["verify", str(record)],
-                     ["construct", "--integer", "2", "--depth", str(10**9),
+                     ["construct", "--integer", str(10**5),
                       "--out", str(tmp_path)]):
             start = time.perf_counter()
             assert main(argv) == 2
             assert time.perf_counter() - start < 1.0
             err = capsys.readouterr().err
             assert err == (
-                f"error: depth_cap {10**9} with 2 generators is "
-                f"{2 * 10**9} pair states, above the limit {MAX_PAIR_STATES}\n"
+                "error: depth_cap at least 5 with 199998 generators is at "
+                f"least 999990 pair states, above the limit {MAX_PAIR_STATES}\n"
             )
 
     def test_large_integer_is_refused_from_the_matrix(self, tmp_path):
@@ -286,6 +287,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: record config.{key} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cap", [250, 10**9])
+    def test_depth_cap_record_is_input_error(self, tmp_path, capsys, cap):
+        # the window is N + 3m on every run and no longer a setting: a
+        # record that asks for another is refused, not re-run at N + 3m
+        assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
+        record = tmp_path / "integer-2.record.json"
+        data = json.loads(record.read_text())
+        data["config"]["depth_cap"] = cap
+        record.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(record)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: record config.depth_cap {cap} is not None, the value "
+            "every record holds\n"
+        )
 
     def test_genus_insertion_record_is_input_error(self, tmp_path, capsys):
         # genus insertion constructed nothing and is no longer a setting:
@@ -468,15 +485,6 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.record.json"))
 
-    def test_depth_below_escape_depth(self, tmp_path, capsys):
-        code = main(["construct", "--integer", "2", "--depth", "1",
-                     "--out", str(tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: depth_cap 1 below escape depth 2\n"
-        )
-        assert not list(tmp_path.glob("*.record.json"))
-
     def test_weak_perron_k_of_a_matrix_that_is_no_such_lift(
         self, matrix_file, tmp_path, capsys
     ):
@@ -511,12 +519,14 @@ class TestUsageErrors:
         [("construct", "--tol=1e-11"), ("render", "--tol=1e-11"),
          ("spectral", "--tol=1e-11"), ("construct", "--no-corner-selection"),
          ("render", "--corner-selection"), ("construct", "--insert-genus"),
-         ("render", "--insert-genus")],
+         ("render", "--insert-genus"), ("construct", "--depth=22"),
+         ("render", "--depth=22")],
     )
     def test_deleted_settings_are_unknown_flags(self, tmp_path, capsys,
                                                 command, flag):
-        # the eigendata residual, the corner selection, the genus insertion
-        # and the double are fixed; a record states them in its config
+        # the eigendata residual, the corner selection, the genus insertion,
+        # the window and the double are fixed; a record states them in its
+        # config
         figs = ["--fig", "complex"] if command == "render" else []
         code = main([command, "--integer", "2", flag, "--out", str(tmp_path)]
                     + figs)

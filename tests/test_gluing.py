@@ -176,24 +176,21 @@ def entry_results(request):
 
 
 class TestIdentifications:
-    def test_depth_cap_below_escape_depth_rejected(self, running_result):
-        with pytest.raises(InvalidInputError):
-            enumerate_identifications(running_result.extended, depth_cap=3)
-
     def test_window_above_the_pair_state_limit_rejected(
         self, running_result, monkeypatch
     ):
-        # The running example has 6 generators and N 10: with the limit at
-        # 6 * 20 pair states the window 20 is built and 21 is refused,
-        # naming depth_cap, the generator count and the limit.
-        monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 120)
+        # The running example has 6 generators and the window 22: with the
+        # limit at 6 * 22 pair states the window is built, and at one less
+        # it is refused, naming depth_cap, the generator count and the limit.
         ext = running_result.extended
-        assert len(enumerate_identifications(ext, depth_cap=20).generators) == 6
+        monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 132)
+        assert len(enumerate_identifications(ext).generators) == 6
+        monkeypatch.setattr(endperiodic.gluing, "MAX_PAIR_STATES", 131)
         with pytest.raises(InvalidInputError) as exc:
-            enumerate_identifications(ext, depth_cap=21)
+            enumerate_identifications(ext)
         assert str(exc.value) == (
-            "depth_cap 21 with 6 generators is 126 pair states, above the "
-            "limit 120"
+            "depth_cap 22 with 6 generators is 132 pair states, above the "
+            "limit 131"
         )
 
     def test_generator_tails_reach_cycles(self, running_result):
@@ -215,27 +212,11 @@ class TestIdentifications:
                 fams[family] = fams.get(family, 0) + 1
             assert fams == {"X": d - 1, "Y": d - 1}
 
-    def test_tails_of_unstabilized_generators(self):
-        # At depth_cap = N some lift generators still have an image on a
-        # rectangle edge; their tails come from the strip they would enter
-        # past the window, the same tails as at the default window.
-        for k in (2, 4, 64):
-            res = _lift_result(k)
-            short = enumerate_identifications(
-                res.extended, depth_cap=max_escape_depth(res.system)
-            )
-            unstabilized = 0
-            for gen, full in zip(short.generators, res.schema.generators):
-                if gen.stabilization_depth is None:
-                    unstabilized += 1
-                    assert gen.tail_orbits == full.tail_orbits
-            assert unstabilized == 2
-
     def test_default_window_checks_the_two_period_margin(
         self, running_result, monkeypatch
     ):
         # The running example has N 10, m 4 and stabilizes by depth 12
-        # (X:4:1). Reporting N as 7 leaves the default window 7 + 12 with
+        # (X:4:1). Reporting N as 7 leaves the window 7 + 12 with
         # X:4:1 past N + m = 11, which must be named, not certified.
         ext = running_result.extended
         monkeypatch.setattr(endperiodic.gluing, "max_escape_depth", lambda s: 7)
@@ -243,8 +224,6 @@ class TestIdentifications:
             enumerate_identifications(ext)
         message = str(info.value)
         assert "X:4:1" in message and "12" in message and "11" in message
-        # an explicit depth_cap is the caller's window and is not checked
-        assert enumerate_identifications(ext, depth_cap=19).depth_cap == 19
 
     @pytest.mark.parametrize(
         "entry_results", ["corpus", "lifts", "x^n-x-1", "seeded"], indirect=True
@@ -358,7 +337,7 @@ class TestDerivedWindow:
             for gen in res.schema.generators:
                 pairs = gen.pair_states
                 assert len(pairs) == res.schema.depth_cap
-                assert pairs == reference_pair_states(gen)
+                assert pairs == reference_pair_states(gen, res.schema.depth_cap)
 
 
 def _float_rule_entry(ext, kind, first, depth_cap):

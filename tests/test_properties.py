@@ -12,7 +12,6 @@ from endperiodic import (
     assemble_surface,
     block_lift,
     classify_classes,
-    enumerate_identifications,
     max_escape_depth,
     run_pipeline,
 )
@@ -21,6 +20,8 @@ from conftest import (
     COORD_SLACK,
     finite_classes_are_small,
     random_irreducible_matrices,
+    relabel_invariants,
+    relabelled,
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
 )
@@ -206,7 +207,7 @@ class TestWindowIndependence:
         for res, k in inputs:
             expected = _invariants(res.surface, res.census)
             for cap in _window_caps(res):
-                schema = enumerate_identifications(res.extended, depth_cap=cap)
+                schema = res.schema._replace(depth_cap=cap)
                 census = classify_classes(schema, res.extended)
                 surface = assemble_surface(
                     res.extended, schema, census, weak_perron_k=k
@@ -223,27 +224,11 @@ class TestWindowIndependence:
         res = run_pipeline(seeded_irreducible_matrix(16))
         counts = [
             Counter(c.link_type for c in classify_classes(
-                enumerate_identifications(res.extended, depth_cap=cap),
-                res.extended,
+                res.schema._replace(depth_cap=cap), res.extended,
             ).infinite_classes)
             for cap in (12, 24, 27, 47)
         ]
         assert counts == [counts[0]] * 4
-
-
-def _relabelled(M: IntMatrix, order: list[int]) -> IntMatrix:
-    """P·M·Pᵀ for the permutation P that moves row and column
-    ``order[i]`` of M to i."""
-    return IntMatrix.from_rows([[M.entries[a][b] for b in order] for a in order])
-
-
-def _relabel_invariants(res) -> tuple:
-    """What renaming the rectangles must keep: lambda, to the bit (the
-    characteristic polynomial is the same), the number and signs of the
-    ends, connectedness and infinite type."""
-    surface = res.surface
-    return (res.eigen.lam, sorted(e.sign for e in surface.ends),
-            surface.connected, surface.infinite_type)
 
 
 class TestRelabelling:
@@ -252,19 +237,19 @@ class TestRelabelling:
     def test_corpus_relabelled_and_transposed(self, corpus_results):
         rng = random.Random(41)
         for M, res in corpus_results:
-            expected = _relabel_invariants(res)
-            variants = [_relabelled(M, rng.sample(range(M.n), M.n))
+            expected = relabel_invariants(res)
+            variants = [relabelled(M, rng.sample(range(M.n), M.n))
                         for _ in range(2)]
             variants.append(IntMatrix.from_rows(list(zip(*M.entries))))
             for variant in variants:
-                assert _relabel_invariants(run_pipeline(variant)) == expected, (
+                assert relabel_invariants(run_pipeline(variant)) == expected, (
                     M.entries, variant.entries
                 )
 
     def test_sparse120_relabelled(self):
         rng = random.Random(41)
         for M in sparse_irreducible_matrices(120):
-            variant = _relabelled(M, rng.sample(range(M.n), M.n))
-            assert _relabel_invariants(run_pipeline(variant)) == (
-                _relabel_invariants(run_pipeline(M))
+            variant = relabelled(M, rng.sample(range(M.n), M.n))
+            assert relabel_invariants(run_pipeline(variant)) == (
+                relabel_invariants(run_pipeline(M))
             ), (M.entries, variant.entries)

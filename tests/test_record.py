@@ -31,7 +31,7 @@ from endperiodic import (
     verify_stretch,
 )
 from endperiodic.edgemaps import KINDS
-from endperiodic.window import _digraphs, _geometry, _orbits, _units
+from endperiodic.window import _geometry, _orbits, _units
 from endperiodic.record import SCHEMA_VERSION
 from endperiodic import spectral
 from endperiodic.spectral import (
@@ -316,7 +316,6 @@ class TestLoadRecord:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("depth_cap", 40.0),
             ("weak_perron_k", 2.0),
             ("weak_perron_k", True),
         ],
@@ -390,6 +389,7 @@ class TestLoadRecord:
             ("depth_cap", "q"),
             ("depth_cap", 2.5),
             ("depth_cap", False),
+            ("depth_cap", 250),
             ("weak_perron_k", "2"),
             ("corner_selection", 1),
             ("corner_selection", False),
@@ -408,9 +408,18 @@ class TestLoadRecord:
             load_record(json.dumps(data))
 
     def test_good_config_values_load(self, running_record):
+        # weak_perron_k is the one setting a record states: None or an int
         data = json.loads(running_record.to_json())
-        data["config"].update(depth_cap=250, weak_perron_k=None)
-        assert load_record(json.dumps(data))["config"]["depth_cap"] == 250
+        data["config"].update(weak_perron_k=3)
+        assert load_record(json.dumps(data))["config"]["weak_perron_k"] == 3
+
+
+def _digraphs(sections: dict) -> dict:
+    """``edge_digraphs`` as one dict rect -> successor per kind."""
+    return {
+        kind: dict(tuple(map(int, line.split())) for line in text.splitlines())
+        for kind, text in sections["edge_digraphs"].items()
+    }
 
 
 def _orbit_rows(sections: dict) -> list[tuple]:
@@ -502,12 +511,12 @@ def _check_other_removed_facts(data: dict, result) -> None:
     assert float(sections["eigendata"]["lambda"]) == result.surface.stretch_factor
 
 
-def _check_window(data: dict, result) -> list:
+def _check_window(data: dict, result) -> None:
     """Derive the window from the record ``data`` alone and match it with
     the builder's run ``result``: N, m and ``depth_cap``, each
     generator's pairs ``==`` to the bit with ``reference_pair_states``
     (the builder's own arithmetic), its tail orbits and its
-    stabilization depth. Return the stabilization depths."""
+    stabilization depth."""
     N, m, cap, windows = derive_window(data)
     assert (N, m, cap) == (
         max_escape_depth(result.system),
@@ -518,12 +527,12 @@ def _check_window(data: dict, result) -> list:
     stored = data["sections"]["identifications"]["generators"]
     assert all(set(gen) == {"id", "entry_depths"} for gen in stored)
     assert [pairs for pairs, _, _ in windows] == [
-        reference_pair_states(g) for g in generators
+        reference_pair_states(g, cap) for g in generators
     ]
     assert [tails for _, tails, _ in windows] == [g.tail_orbits for g in generators]
-    depths = [s for _, _, s in windows]
-    assert depths == [g.stabilization_depth for g in generators]
-    return depths
+    assert [s for _, _, s in windows] == [
+        g.stabilization_depth for g in generators
+    ]
 
 
 class TestTailFromRecord:
@@ -543,32 +552,8 @@ class TestTailFromRecord:
         for M, k in _tail_inputs(case):
             record, result = build_record(M, weak_perron_k=k)
             data = load_record(record.to_json())
-            assert None not in _check_window(data, result)
-            _check_other_removed_facts(data, result)
-
-    def test_window_at_the_escape_depth(self):
-        # At depth_cap = N some sides have not entered their strips: their
-        # entry depths lie past the window, they hold all N edge states,
-        # and their tail orbits, rebuilt from the digraph, are those of the
-        # strips they enter past the window, as at the default window.
-        unstabilized = 0
-        for M, _ in _tail_inputs("corpus"):
-            full = run_pipeline(M)
-            record, result = build_record(
-                M, depth_cap=max_escape_depth(full.system)
-            )
-            data = load_record(record.to_json())
-            cap = result.schema.depth_cap
-            unstabilized += sum(
-                t > cap
-                for gen in data["sections"]["identifications"]["generators"]
-                for t in gen["entry_depths"]
-            )
             _check_window(data, result)
-            assert [g.tail_orbits for g in result.schema.generators] == [
-                g.tail_orbits for g in full.schema.generators
-            ]
-        assert unstabilized > 0
+            _check_other_removed_facts(data, result)
 
     def test_edited_entry_depth_is_named(self, running_record):
         # the stored entry depth is checked against the digraph rule by a
@@ -592,6 +577,42 @@ class TestTailFromRecord:
         with pytest.raises(VerificationError, match="edge_digraphs.L "):
             derive_window(load_record(json.dumps(data)))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s["identifications"]["generators"][0].update(id="Z:1:1"),
+             "identifications.generators[0].id 'Z:1:1' names no interior boundary"),
+            (lambda s: s["identifications"]["generators"][1].update(id="X:9:1"),
+             "identifications.generators[1].id 'X:9:1' names no interior boundary"),
+            (lambda s: s["eigendata"].pop("eta"), "eigendata.eta is missing"),
+            (lambda s: s.pop("edge_digraphs"), "edge_digraphs is missing"),
+            (lambda s: s["decomposition"]["tau"].pop("1"),
+             "decomposition.tau.1 is missing"),
+            (lambda s: s["eigendata"].update(eta=["x"]),
+             "eigendata.eta[0] 'x' is not a number"),
+            (lambda s: s["identifications"]["generators"][0].update(
+                entry_depths=[3]),
+             "identifications.generators[0].entry_depths [3] is not two ints"),
+            (lambda s: s["identifications"]["generators"][1].update(
+                entry_depths=[3, 3, 99]),
+             "identifications.generators[1].entry_depths [3, 3, 99] is not two "),
+        ],
+        ids=["family", "rect", "no-eta", "no-digraphs", "no-tau", "eta-text",
+             "one-depth", "three-depths"],
+    )
+    def test_malformed_section_is_named(self, edit, message):
+        # each edit of a [[2]] record once raised a bare KeyError or
+        # ValueError, or was taken as a one-sided pair or an unstabilized
+        # generator; the derivation refuses it by a typed error that names
+        # the JSON path it read
+        record, _ = build_record(IntMatrix.from_rows([[2]]))
+        data = load_record(record.to_json())
+        derive_window(data)
+        edit(data["sections"])
+        with pytest.raises(VerificationError) as info:
+            derive_window(data)
+        assert str(info.value).startswith(message)
+
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
     def test_window_holds_two_periods_past_the_last_stabilization(self, case):
         # Past each stabilization depth the stored prefix and the rule give
@@ -601,7 +622,6 @@ class TestTailFromRecord:
         for M, k in _tail_inputs(case):
             schema = run_pipeline(M, weak_perron_k=k).schema
             depths = [g.stabilization_depth for g in schema.generators]
-            assert None not in depths
             assert max(depths) <= schema.depth_cap - 2 * schema.nesting_period
 
 

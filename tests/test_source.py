@@ -495,14 +495,15 @@ def test_construct_without_fig_does_not_load_render(tmp_path):
 
 @pytest.mark.parametrize("function", [run_pipeline, build_record],
                          ids=lambda f: f.__name__)
-def test_construction_takes_only_its_three_parameters(function):
-    # the eigendata residual, the corner selection, the genus insertion
-    # and the double are fixed
+def test_construction_takes_only_its_two_parameters(function):
+    # the eigendata residual, the corner selection, the genus insertion,
+    # the window and the double are fixed
     assert list(inspect.signature(function).parameters) == [
-        "M", "depth_cap", "weak_perron_k"
+        "M", "weak_perron_k"
     ]
-    with pytest.raises(TypeError):
-        function(IntMatrix.from_rows([[2]]), insert_genus=True)
+    for setting in ({"insert_genus": True}, {"depth_cap": 5}):
+        with pytest.raises(TypeError):
+            function(IntMatrix.from_rows([[2]]), **setting)
 
 
 @pytest.mark.parametrize(

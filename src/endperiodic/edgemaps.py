@@ -366,21 +366,18 @@ def nesting_period(system: EdgeMapSystem) -> int:
 
 def census_rows(points: dict[str, list[PeriodicPoint]]) -> list[dict]:
     """One JSON-ready row per periodic point, map by map in ``KINDS`` order:
-    its map, rect, offset and corner.
+    its map, rect and corner, the vertex of ``edge_digraphs[map]`` that
+    the point sits on and whether it sits at a corner of its edge.
 
-    A row writes nothing that the ``edge_digraphs`` section gives: the
-    point's period is the length of the cycle of ``digraph[map]`` through
-    its rect, its orbit id ``"<map>:<i0>"`` with i0 that cycle's least
-    rect, and its orbit position the number of steps from i0 to its rect;
-    the initial point of an orbit is its row on i0.
+    The cycle of ``digraph[map]`` through the rect gives the rest: the
+    period is its length, the orbit id ``"<map>:<i0>"`` with i0 its least
+    rect, the orbit position the steps from i0, and the initial point the
+    row on i0. The offset is 0.0 or the edge length at a corner, else the
+    fixed point b / (1 - lambda^-p) of the cycle's composed branch, whose
+    b the eigendata and ``decomposition`` give.
     """
     return [
-        {
-            "map": pt.map_kind,
-            "rect": pt.rect,
-            "offset": pt.offset,
-            "corner": pt.corner_type,
-        }
+        {"map": pt.map_kind, "rect": pt.rect, "corner": pt.corner_type}
         for kind in KINDS
         for pt in points[kind]
     ]

@@ -174,11 +174,6 @@ def build_extended_map(
 # ---------------------------------------------------------------------------
 # symbolic boundary dynamics
 
-# states:
-#   ("E", rect, side, a, b)    segment on a rectangle edge; a is the image of
-#                              the generator's first endpoint
-#   ("S", key, za, zb, w)      segment on a strip boundary at height w
-
 
 def _strip_entry(
     kind: str, rect: int, ext: ExtendedPieceMap
@@ -299,12 +294,13 @@ class IdentificationSchema(NamedTuple):
 
 
 def enumerate_identifications(ext: ExtendedPieceMap) -> IdentificationSchema:
-    """All identified segment pairs up to depth_cap, plus periodic tails.
+    """Each generator with the entry depth and strip of both its sides,
+    which fix its identified segment pair at every depth (no pair is built).
 
     Each interior strip boundary generates one identified pair per depth;
     from a generator's stabilization depth on, both images lie in strip
     boundaries and advance by unit translation once per orbit period, so
-    the bounded table plus the tail record certifies the full relation.
+    the window to ``depth_cap`` and the tail rule certify the relation.
 
     The window ``depth_cap`` is ``N + 3m``, with N the escape depth and
     m the ``nesting_period``, the lcm of the cycle periods. Why one
@@ -900,12 +896,12 @@ def classify_classes(
     # second image returns to the same side of its strip: the stitch runs
     # along the square of the edge maps, from depth d-2 to depth d: four
     # entries on in side a's column, first endpoints then second ones.
+    # Each distinct pair of roots is joined once.
     family = {root: root for root in shard_roots}
-    for a, _ in columns:
-        for x, y in zip(a, islice(a, 4, None)):
-            rx, ry = parent[x], parent[y]
-            if rx != ry and rx in family and ry in family:
-                _union(family, rx, ry)
+    for rx, ry in {(parent[x], parent[y])
+                   for a, _ in columns for x, y in zip(a, islice(a, 4, None))}:
+        if rx != ry and rx in family and ry in family:
+            _union(family, rx, ry)
 
     families: dict[int, list[int]] = {}
     for root in shard_roots:

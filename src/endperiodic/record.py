@@ -61,10 +61,10 @@ from .spectral import (
     perron_eigendata,
 )
 
-#: "11": ``surface`` holds no ``genus_insertion_applied`` and
-#: ``class_census`` no ``oversized_finite``; README ("Older records")
-#: lists what each earlier version stored
-SCHEMA_VERSION = "11"
+#: "12": ``periodic_points`` rows hold no ``offset`` and ``eigendata`` no
+#: ``residual``; README ("Older records") lists what each earlier version
+#: stored
+SCHEMA_VERSION = "12"
 
 
 class PipelineResult(NamedTuple):

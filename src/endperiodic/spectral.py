@@ -171,12 +171,12 @@ class PerronData(NamedTuple):
     residual: float
 
     def to_json_dict(self) -> dict:
-        """Each float as its ``repr``, which reads back to the same float."""
+        """lambda, eta and omega by ``repr``, which reads back to the same
+        float; ``_max_residual`` gives the residual from M and these."""
         return {
             "lambda": repr(self.lam),
             "eta": list(map(repr, self.eta)),
             "omega": list(map(repr, self.omega)),
-            "residual": repr(self.residual),
         }
 
 
@@ -511,12 +511,16 @@ def _primitive(q: list[int]) -> tuple[int, ...]:
 
 
 def _dyadic_value(q: tuple[int, ...], num: int, exp: int) -> int:
-    """``2**(exp*d) * q(num / 2**exp)`` for q of degree d; same sign as q there."""
+    """``2**(exp*d) * q(num / 2**exp)`` for q of degree d; same sign as q
+    there. Horner over the nonzero coefficients only: a run of g zeros is
+    one product with num**g."""
     d = len(q) - 1
-    acc = q[d]
-    for i in range(d - 1, -1, -1):
-        acc = acc * num + (q[i] << (exp * (d - i)))
-    return acc
+    acc, prev = 0, d
+    for i in range(d, -1, -1):
+        if q[i]:
+            acc = acc * num ** (prev - i) + (q[i] << (exp * (d - i)))
+            prev = i
+    return acc * num ** prev
 
 
 def _count_sign_changes(values) -> int:

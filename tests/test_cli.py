@@ -220,6 +220,11 @@ class TestVerify:
         # config, and class_census.oversized_finite, always 0
         self._assert_version_refused(tmp_path, capsys, "10")
 
+    def test_version_11_record_is_input_error(self, tmp_path, capsys):
+        # version "11" wrote each periodic point's offset and the eigendata
+        # residual, which the eigendata, decomposition and matrix give
+        self._assert_version_refused(tmp_path, capsys, "11")
+
     def test_oversized_window_is_input_error(self, tmp_path, capsys):
         # a window past MAX_PAIR_STATES is refused before any state is
         # built, from a stored record and from construct alike: [[10**5]]

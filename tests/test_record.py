@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import suppress
 from datetime import datetime
+from math import fsum
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,7 +32,7 @@ from endperiodic import (
     verify_record,
     verify_stretch,
 )
-from endperiodic.edgemaps import KINDS
+from endperiodic.edgemaps import _CORNER_AT_START, KINDS
 from endperiodic.window import _geometry, _orbits, _units
 from endperiodic.record import SCHEMA_VERSION
 from endperiodic import spectral
@@ -55,17 +57,18 @@ from conftest import (
 )
 
 
-# schema version "11": default window N + 3m with m the lcm of the
+# schema version "12": default window N + 3m with m the lcm of the
 # periods, each fact written once, no field that the edge digraphs, the
-# matrix, the config or the eigendata give (the strip boundaries among
-# them), the stretch factor's bracket alone in ``incidence``, certified by
-# the Collatz-Wielandt product with ``eigendata.eta``, each generator side
-# as its strip-entry depth, census classes named by their place of first
+# matrix, the config or the eigendata give (the strip boundaries, the
+# periodic-point offsets and the eigendata residual among them), the
+# stretch factor's bracket alone in ``incidence``, certified by the
+# Collatz-Wielandt product with ``eigendata.eta``, each generator side as
+# its strip-entry depth, census classes named by their place of first
 # sight, the eigendata written by ``repr``, and no constant field. Every
-# pin below is the schema "10" record's hash with
-# ``surface.genus_insertion_applied`` and ``class_census.oversized_finite``
-# deleted and the version set to "11".
-RUNNING_HASH = "d900e4a880843e1c503af756e1ad181c9990cd07e4e57235ab707cc5170e4641"
+# pin below is the schema "11" record's hash with each
+# ``periodic_points`` row's ``offset`` and ``eigendata.residual`` deleted
+# and the version set to "12".
+RUNNING_HASH = "3cbfdb24ca9f3dabe9f31e3c94e142742c92291652134c298de3c2c5f64ae50e"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -77,12 +80,12 @@ RUNNING_HASH = "d900e4a880843e1c503af756e1ad181c9990cd07e4e57235ab707cc5170e4641
 # tables had merged distinct points within 1e-7 on SPARSE7, SPARSE9, seeded
 # n = 16 and 53 of the 120 sparse inputs, which changed their
 # ``class_census``; the other two lists, whose census held no such merge,
-# kept their digests. All four were re-pinned at schema "11" as above.
+# kept their digests. All four were re-pinned at schema "12" as above.
 DIGESTS = {
-    "corpus200": "0aa58050501ab92c3ad413deccaa30d86a68614c69e63bef056f3c9d678c417d",
-    "lifts": "4793517691693019f1b376929b4ddeeaa25f48425354e002b55fbe33665ddb7b",
-    "large": "26b37e626f8b52efda856dba7dccf85931db4829ac6b6f9b84ba67c483222727",
-    "sparse120": "11d8ab7392197709548320e56240348b40802ddfc7b6dcd7babb8a85eb47b2c6",
+    "corpus200": "8a840043d2ea00b05dae02087dba299b5b4388b0a86082519e3fa08154052370",
+    "lifts": "9c3dfc0a59f4b1a9e476b4d0129a8bc774f7306425f1801f5674e4a1102efc39",
+    "large": "0a5af58b1c485b9fb23e8319ed7ca1d3f6517c239dd0eecafaff288c357eb9f4",
+    "sparse120": "f079e886407d761d40d4616006d2ee55b8cd11df3deb4eaaf568227da8efb9c2",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -192,9 +195,11 @@ class TestDeterminism:
                 assert proc.returncode == 0, err
                 assert out.strip() == DIGESTS["sparse120"], f"PYTHONHASHSEED={seed}"
         finally:
+            # communicate, not wait: it also closes both pipes of a child
+            # that an assertion above left unread
             for proc in procs.values():
                 proc.kill()
-                proc.wait()
+                proc.communicate()
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     def test_hash_independent_of_hash_seed(self, seed):
@@ -462,9 +467,9 @@ def _labels(rows: list, k: int, orientation: str) -> list[str]:
 
 
 def _check_other_removed_facts(data: dict, result) -> None:
-    """Rebuild from the record the facts that schemas "6" to "10" no
+    """Rebuild from the record the facts that schemas "6" to "12" no
     longer write, other than the sides' states, and match them with the
-    builder's."""
+    builder's to the bit."""
     sections = data["sections"]
     rows = data["config"]["matrix"]
     # the label orders, from config.matrix, and sigma and tau: each
@@ -509,6 +514,45 @@ def _check_other_removed_facts(data: dict, result) -> None:
     # the incidence's target lambda and the surface's stretch factor: the
     # eigendata's lambda, written exactly
     assert float(sections["eigendata"]["lambda"]) == result.surface.stretch_factor
+    # each periodic point's offset: 0.0 or the edge length at a corner,
+    # else the fixed point b / (1 - lambda^-p) of the p-fold composition
+    # x -> offset0 + x / lambda around its cycle, offset0 the start of the
+    # strip that each branch maps onto
+    assert [
+        _stored_offset(g, row, period)
+        for row, (period, _, _) in zip(sections["periodic_points"], rows)
+    ] == [pt.offset for pt in points]
+    # the eigendata residual: max |(A v)_i - lambda v_i| over M with eta
+    # and over M^T with omega, each row summed exactly over its arcs
+    matrix = data["config"]["matrix"]
+    assert max(_stored_residual(matrix, g.lam, g.eta),
+               _stored_residual(list(zip(*matrix)), g.lam, g.omega)
+               ) == result.eigen.residual
+
+
+def _stored_offset(g, row: dict, p: int) -> float:
+    """The offset of a ``periodic_points`` row whose cycle has period p,
+    from the geometry ``g`` that ``_geometry`` reads off the record."""
+    kind, rect, corner = row["map"], row["rect"], row["corner"]
+    vertical = kind in ("L", "R")
+    if corner is not None:
+        edge = (g.eta if vertical else g.omega)[rect - 1]
+        return 0.0 if corner == _CORNER_AT_START[kind] else edge
+    bounds = g.hb if vertical else g.vb
+    b, v = 0.0, rect
+    for _ in range(p):
+        v, q = g.edges[kind][v]
+        b = bounds(v)[q] + b / g.lam
+    return b / (1.0 - g.lam ** (-p))
+
+
+def _stored_residual(rows: list, lam: float, v: list) -> float:
+    """max_i |(A v)_i - lambda v_i| for the matrix A with ``rows``, each
+    entry summed exactly by ``fsum`` over the arcs of row i."""
+    return max(
+        abs(fsum([a * v[j] for j, a in enumerate(row) if a] + [-lam * v[i]]))
+        for i, row in enumerate(rows)
+    )
 
 
 def _check_window(data: dict, result) -> None:
@@ -540,7 +584,7 @@ class TestTailFromRecord:
         "case", ["corpus", "sparse120", "lifts", "sparse7", "n12", "n16", "large"]
     )
     def test_stored_prefix_and_rule_give_the_whole_window(self, case):
-        # Every fact that schemas "6" to "10" no longer write, rebuilt from
+        # Every fact that schemas "6" to "12" no longer write, rebuilt from
         # the record alone: each side's segments by ``derive_window``, from
         # the exact eigendata, sigma/tau and the matrix to its stored entry
         # depth (checked against the digraph rule), its kind from its
@@ -661,6 +705,46 @@ class TestIntegerSections:
             for name in ("identifications", "class_census"):
                 assert _non_integers(sections[name], name) == []
             assert sections["class_census"]["infinite_classes"]
+
+    @pytest.mark.parametrize("case", ["corpus", "sparse120", "lifts"])
+    def test_floats_stand_only_at_the_eigendata_bracket_and_tol(self, case):
+        # The record states the construction's integers, not the floats
+        # they determine: lambda, eta and omega, written by ``repr``; the
+        # certified bracket around lambda; and the fixed config.tol. Every
+        # other float (strip boundaries, periodic-point offsets, the
+        # residual, segment coordinates) follows from these.
+        for M, k in _tail_inputs(case):
+            record, _ = build_record(M, weak_perron_k=k)
+            data = json.loads(record.to_json())
+            hashed = {"config": data["config"], **data["sections"]}
+            assert _float_paths(hashed) == (
+                {"config.tol", "incidence.bracket[]"},
+                {"eigendata.lambda", "eigendata.eta[]", "eigendata.omega[]"},
+            )
+
+
+def _float_paths(obj, path: str = "") -> tuple[set, set]:
+    """The JSON paths below ``obj`` of float values and of strings that
+    ``float`` reads, each list index written as ``[]``."""
+    if isinstance(obj, float):
+        return {path}, set()
+    if isinstance(obj, str):
+        with suppress(ValueError):
+            float(obj)
+            return set(), {path}
+        return set(), set()
+    if isinstance(obj, dict):
+        items = [(f"{path}.{key}" if path else key, v) for key, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [(f"{path}[]", v) for v in obj]
+    else:
+        return set(), set()
+    floats, texts = set(), set()
+    for sub, value in items:
+        more_floats, more_texts = _float_paths(value, sub)
+        floats |= more_floats
+        texts |= more_texts
+    return floats, texts
 
 
 class TestOncePerRun:

@@ -472,6 +472,45 @@ class TestIntegerSturmChain:
             self._assert_positive_multiples(coeffs)
 
 
+def _horner_value(q, num: int, exp: int) -> int:
+    """Reference for ``_dyadic_value``: Horner over every coefficient of
+    q, zeros included, one shift per term."""
+    d = len(q) - 1
+    acc = q[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + (q[i] << (exp * (d - i)))
+    return acc
+
+
+class TestDyadicValue:
+    """``_dyadic_value`` skips the zero coefficients and gives the same
+    integer as Horner over all of them."""
+
+    @pytest.mark.parametrize("case", ["dense", "sparse", "lifts"])
+    def test_equals_horner_over_every_coefficient(self, case):
+        rng = np.random.default_rng(29)
+        if case == "dense":
+            polys = [rng.integers(-9, 10, size=int(rng.integers(1, 12))).tolist()
+                     for _ in range(300)]
+            for q in polys:
+                q[-1] = q[-1] or 1
+        elif case == "sparse":
+            polys = _sparse_polynomials(300) + [[0, 0, 0, 2], [0, 1], [-1]]
+        else:
+            polys = [[-2] + [0] * (k - 1) + [1] for k in range(1, 130)]
+            polys += [list(q) for k in (256, 1100)
+                      for q in spectral._integer_sturm_chain(
+                          [-2] + [0] * (k - 1) + [1])]
+        for q in polys:
+            q = tuple(int(c) for c in q)
+            for num, exp in ((0, 0), (1, 0), (-1, 3), (3, 1), (-5, 2),
+                             (int(rng.integers(-10**9, 10**9)), 33),
+                             (2**70 + 1, 70)):
+                got = spectral._dyadic_value(q, num, exp)
+                assert type(got) is int
+                assert got == _horner_value(q, num, exp), (q, num, exp)
+
+
 class TestLargestRealRootIsBitExact:
     """The integer bisection returns exactly the Fraction oracle's float."""
 

@@ -226,13 +226,16 @@ class GeneratorTrace(NamedTuple):
     rectangle k, ``"Y:k:t"`` for its t-th interior horizontal one; the
     family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
     and the strips whose branches give the sides (``_side_labels``)
-    follow from it. ``entry_depths`` holds each side's strip-entry depth
+    follow from it. It is a run value, which the census's representatives
+    and the figures read; the record stores none, since M fixes the
+    generator order. ``entry_depths`` holds each side's strip-entry depth
     t, ``entry_strips`` the key of that strip (``_strip_entry``) and
     ``tail_orbits`` its orbit id; ``stabilization_depth`` is the larger t.
 
     ``pair_states[d]``, the two identified image segments at depth d+1
     of the window N + 3m, side a's then side b's, is derived on each read
-    by ``endperiodic.window`` from the sections that the run writes; no
+    by ``endperiodic.window._generator_window``, the per-generator step
+    of ``derive_window``, from the sections that the run writes; no
     stage reads it, only the ``Complex2D`` figure and the benchmark's
     traced counter.
     """
@@ -253,23 +256,17 @@ class GeneratorTrace(NamedTuple):
 
     @property
     def pair_states(self) -> tuple[tuple[tuple, tuple], ...]:
-        from .window import derive_window
+        from .window import _generator_window, _geometry
 
-        system = self.ext.system
-        D = system.decomposition
-        generator = {"id": self.gen_id, "entry_depths": list(self.entry_depths)}
-        record = {
-            "config": {"matrix": D.facts.matrix.to_lists()},
-            "sections": {
-                "eigendata": D.eigen.to_json_dict(),
-                "decomposition": D.to_json_dict(),
-                "edge_digraphs": {kind: E.export_digraph()
-                                  for kind, E in system.maps.items()},
-                "identifications": {"generators": [generator]},
-            },
-        }
-        [(pairs, _, _)] = derive_window(record)[3]
-        return pairs
+        D = self.ext.system.decomposition
+        g = _geometry(D.facts.matrix.to_lists(), {
+            "eigendata": D.eigen.to_json_dict(),
+            "decomposition": D.to_json_dict(),
+        })
+        family, k, t = self.gen_id.split(":")
+        return _generator_window(
+            g, (family, int(k), int(t)), list(self.entry_depths), self.gen_id
+        )[0]
 
 
 class IdentificationSchema(NamedTuple):
@@ -278,19 +275,15 @@ class IdentificationSchema(NamedTuple):
     nesting_period: int
 
     def to_json_dict(self) -> dict:
-        """The ``identifications`` section: each generator's id and its
-        two sides' strip-entry depths ``[t_a, t_b]``. Every state of the
-        window follows from these and the other sections by the rule that
-        README ("The ``identifications`` section") states and
+        """The ``identifications`` section: ``entry_depths``, each
+        generator's two strip-entry depths ``[t_a, t_b]``, in the order
+        that M's column and row sums fix (README, "The ``identifications``
+        section"), so no id is stored. Every state of the window follows
+        from these and the other sections by the rule that
         ``endperiodic.window`` runs, each float the builder's to the bit;
         the window N + 3m, read off ``edge_digraphs``, is not restated.
         """
-        return {
-            "generators": [
-                {"id": g.gen_id, "entry_depths": list(g.entry_depths)}
-                for g in self.generators
-            ],
-        }
+        return {"entry_depths": [list(g.entry_depths) for g in self.generators]}
 
 
 def enumerate_identifications(ext: ExtendedPieceMap) -> IdentificationSchema:

@@ -61,10 +61,9 @@ from .spectral import (
     perron_eigendata,
 )
 
-#: "12": ``periodic_points`` rows hold no ``offset`` and ``eigendata`` no
-#: ``residual``; README ("Older records") lists what each earlier version
-#: stored
-SCHEMA_VERSION = "12"
+#: "13": ``identifications`` holds entry depths alone, no generator id;
+#: README ("Older records") lists what each earlier version stored
+SCHEMA_VERSION = "13"
 
 
 class PipelineResult(NamedTuple):

@@ -1,13 +1,14 @@
 """The window of identified segments, derived from a stored record alone.
 
-README ("The ``identifications`` section") states how each generator's
-id and entry depths, ``config.matrix``, the exact ``eigendata``,
-``decomposition.sigma``/``tau`` and the edge digraphs give every
-identified segment pair at depths 1..``depth_cap``, the window N + 3m;
-``derive_window`` is that rule, run. It imports no module of the
-construction. In the package only ``GeneratorTrace.pair_states`` calls
-it, for the ``Complex2D`` figure, so certifying and verifying never load
-it.
+README ("The ``identifications`` section") states how the entry depths,
+``config.matrix``, the exact ``eigendata``, ``decomposition.sigma``/``tau``
+and the edge digraphs give every identified segment pair at depths
+1..``depth_cap``, the window N + 3m. ``derive_window`` is that rule, run
+over the generators in the order that M's column and row sums fix, and
+``_generator_window`` its step for one generator, which
+``GeneratorTrace.pair_states`` also calls for the ``Complex2D`` figure.
+It imports no module of the construction; certifying and verifying
+never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Callable, NamedTuple
 
 from .errors import VerificationError
 
-#: the edge-map kinds of a generator's sides a and b, by the family that
-#: its id starts with
+#: the edge-map kinds of a generator's sides a and b, by its family
 _FAMILY_KINDS = {"X": ("L", "R"), "Y": ("T", "B")}
 
 
@@ -30,9 +30,11 @@ class _Geometry(NamedTuple):
     each computed on its first read; the piece map as ``source[(k, s)] =
     (i, q)``, the vertical strip at position s of rect k onto the
     horizontal strip at position q of rect i, with ``target`` its
-    inverse; and ``edges[kind][r] = (i, q)``, the edge-map branch of
+    inverse; ``edges[kind][r] = (i, q)``, the edge-map branch of
     ``kind`` at rect r: onto rect i, its offset0 the boundary q of i's
-    horizontal (L, R) or vertical (T, B) strips."""
+    horizontal (L, R) or vertical (T, B) strips; ``orbits[kind]``, the
+    ``_orbits`` of that edge digraph; the escape depth N, the nesting
+    period m and the window ``cap`` = N + 3m."""
 
     lam: float
     eta: list
@@ -42,84 +44,91 @@ class _Geometry(NamedTuple):
     source: dict
     target: dict
     edges: dict
+    orbits: dict
+    N: int
+    m: int
+    cap: int
 
 
 def derive_window(record: dict) -> tuple[int, int, int, list]:
     """The escape depth N, the nesting period m, ``depth_cap`` = N + 3m
-    and each generator's window, from the ``config.matrix`` and
-    ``sections`` of a record as ``load_record`` returns it.
-
-    Each generator, in record order, gives ``(pairs, tail_orbits,
-    stabilization_depth)``. ``pairs[d]`` holds the two identified
-    segments at depth d + 1, side a's then side b's: an edge state
-    ``("E", rect, kind, a, b)`` before the side's entry depth t and a
-    strip state ``("S", (kind, i0), za, zb, w)`` from t on. The tail
-    orbits are ``"<kind>:<i0>"`` of the two sides, and the
-    stabilization depth is the larger t.
+    and each generator's window (``_generator_window``), from the
+    ``config.matrix`` and ``sections`` of a record as ``load_record``
+    returns it. The i-th pair of ``identifications.entry_depths`` is the
+    i-th generator's, in the order that M's column and row sums fix: for
+    each rect k = 1..n, ``X:k:1`` .. ``X:k:(colsum k - 1)``, then
+    ``Y:k:1`` .. ``Y:k:(rowsum k - 1)``.
 
     Raises :class:`VerificationError`, naming the JSON path in the
     sections, if a value that the rule reads is missing or of the wrong
-    shape, if a generator id names no interior boundary, if a stored
-    entry depth is not the one that the edge digraph gives, or if an edge
-    digraph is not the one that the piece map gives.
+    shape, if ``entry_depths`` does not hold one pair per generator, if a
+    stored entry depth is not the one that the edge digraph gives, or if
+    an edge digraph is not the one that the piece map gives.
     """
-    sections = record["sections"]
-    g = _geometry(record["config"]["matrix"], sections)
-    digraphs = {kind: {r: i for r, (i, _) in branches.items()}
-                for kind, branches in g.edges.items()}
+    sections, rows = record["sections"], record["config"]["matrix"]
+    g = _geometry(rows, sections)
     stored = _get(sections, "edge_digraphs", shape=dict)
-    for kind in sorted(stored.keys() | digraphs.keys()):
-        text = "".join(f"{r} {i}\n" for r, i in digraphs.get(kind, {}).items())
-        if kind not in digraphs or stored.get(kind) != text:
+    for kind in sorted(stored.keys() | g.edges.keys()):
+        text = "".join(f"{r} {i}\n" for r, (i, _) in g.edges.get(kind, {}).items())
+        if kind not in g.edges or stored.get(kind) != text:
             raise VerificationError(
                 f"edge_digraphs.{kind} is not the digraph of the {kind} edge "
                 "map that decomposition and config.matrix give"
             )
-    orbits = {kind: _orbits(digraph) for kind, digraph in digraphs.items()}
-    every = [orbit for per in orbits.values() for orbit in per.values()]
-    N = max(steps for steps, _ in every) + 2 * max(len(c) for _, c in every)
-    m = math.lcm(*{len(cycle) for _, cycle in every})
-    cap = N + 3 * m
-    initial = {
-        (kind, rect)
-        for kind, per in orbits.items()
-        for rect, (_, cycle) in per.items()
-        if cycle[0] == rect
-    }
-    windows = []
-    generators = _get(sections, "identifications.generators", shape=list)
-    for i, gen in enumerate(generators):
-        where = f"identifications.generators[{i}]"
-        family, firsts = _first_segments(g, _get(gen, "id", where), where)
-        depths = _get(gen, "entry_depths", where, shape=list)
-        if len(depths) != 2 or any(type(t) is not int for t in depths):
-            raise VerificationError(
-                f"{where}.entry_depths {depths!r} is not two ints"
-            )
-        sides, tails = [], []
-        for side, (kind, first, t) in enumerate(
-            zip(_FAMILY_KINDS[family], firsts, depths)
-        ):
-            states, tail = _side(kind, first, t, g, orbits[kind],
-                                 f"{where}.entry_depths[{side}]")
-            # the tail rule: one step along the digraph, one unit higher
-            # on passing the orbit's initial rect
-            _, (_, rect), za, zb, w = states[-1]
-            while len(states) < cap:
-                target = digraphs[kind][rect]
-                w += (kind, target if kind in ("L", "R") else rect) in initial
-                rect = target
-                states.append(("S", (kind, rect), za, zb, w))
-            sides.append(states)
-            tails.append(tail)
-        windows.append((tuple(zip(*sides)), tuple(tails), max(depths)))
-    return N, m, cap, windows
+    generators = [(family, k, t) for k, column in enumerate(zip(*rows), 1)
+                  for family, strips in (("X", sum(column)), ("Y", sum(rows[k - 1])))
+                  for t in range(1, strips)]
+    where = "identifications.entry_depths"
+    depths = _get(sections, where, shape=list)
+    if len(depths) != len(generators):
+        raise VerificationError(
+            f"{where} holds {len(depths)} pairs, not {len(generators)}"
+        )
+    windows = [
+        _generator_window(g, generator, pair, f"{where}[{i}]")
+        for i, (generator, pair) in enumerate(zip(generators, depths))
+    ]
+    return g.N, g.m, g.cap, windows
 
 
-def _get(obj, path: str, where: str = "", shape: type | None = None):
-    """The value at the dotted ``path`` below ``obj``, which sits at the
-    JSON path ``where``; :class:`VerificationError` names the full path if
-    a key on it is missing or the value is not a ``shape`` (dict, list)."""
+def _generator_window(g: _Geometry, generator: tuple, depths, where: str
+                      ) -> tuple:
+    """``(pairs, tail_orbits, stabilization_depth)`` of the generator
+    ``(family, k, t)`` whose sides enter their strips at ``depths``, the
+    pair stored at the JSON path ``where``. ``pairs[d]`` holds the two
+    identified segments at depth d + 1, side a's then side b's: an edge
+    state ``("E", rect, kind, a, b)`` before the side's entry depth t
+    and a strip state ``("S", (kind, i0), za, zb, w)`` from t on. The
+    tail orbits are ``"<kind>:<i0>"`` of the two sides, and the
+    stabilization depth is the larger t."""
+    if (not isinstance(depths, list) or len(depths) != 2
+            or any(type(t) is not int for t in depths)):
+        raise VerificationError(f"{where} {depths!r} is not two ints")
+    sides, tails = [], []
+    for side, (kind, first, t) in enumerate(
+        zip(_FAMILY_KINDS[generator[0]], _first_segments(g, *generator), depths)
+    ):
+        orbits = g.orbits[kind]
+        states, tail = _side(kind, first, t, g, orbits, f"{where}[{side}]")
+        # the tail rule: one step along the digraph, one unit higher on
+        # passing the orbit's initial rect
+        _, (_, rect), za, zb, w = states[-1]
+        while len(states) < g.cap:
+            target = g.edges[kind][rect][0]
+            passed = target if kind in ("L", "R") else rect
+            w += orbits[passed][1][0] == passed
+            rect = target
+            states.append(("S", (kind, rect), za, zb, w))
+        sides.append(states)
+        tails.append(tail)
+    return tuple(zip(*sides)), tuple(tails), max(depths)
+
+
+def _get(sections: dict, path: str, shape: type | None = None):
+    """The value at the dotted JSON ``path`` in ``sections``;
+    :class:`VerificationError` names the path if a key on it is missing
+    or the value is not a ``shape`` (dict, list)."""
+    obj, where = sections, ""
     for key in path.split("."):
         where = f"{where}.{key}" if where else key
         if not isinstance(obj, dict) or key not in obj:
@@ -191,9 +200,9 @@ def _boundaries(sources: list, basis: list, lam: float) -> list:
 
 def _geometry(rows: list, sections: dict) -> _Geometry:
     """The geometry of the segments, from the exact eigendata, sigma/tau
-    and the matrix ``rows``. The integers are built at once; a rect's
-    boundaries, floats, only when a segment reads them, so that a record
-    of one generator costs the rects that its sides visit."""
+    and the matrix ``rows``. The integers and orbits are built at once; a
+    rect's boundaries, floats, only when a segment reads them, so that a
+    record of one generator costs the rects that its sides visit."""
     n = len(rows)
     lam = _number(_get(sections, "eigendata.lambda"), "eigendata.lambda")
     eta, omega = (_numbers(sections, f"eigendata.{key}", n)
@@ -233,8 +242,14 @@ def _geometry(rows: list, sections: dict) -> _Geometry:
         "T": {r: target[r, 0] for r in rects},
         "B": {r: target[r, len(sigma[r]) - 1] for r in rects},
     }
+    orbits = {kind: _orbits({r: i for r, (i, _) in branches.items()})
+              for kind, branches in edges.items()}
+    every = [orbit for per in orbits.values() for orbit in per.values()]
+    N = max(steps for steps, _ in every) + 2 * max(len(c) for _, c in every)
+    m = math.lcm(*{len(cycle) for _, cycle in every})
     return _Geometry(lam=lam, eta=eta, omega=omega, vb=vb, hb=hb,
-                     source=source, target=target, edges=edges)
+                     source=source, target=target, edges=edges,
+                     orbits=orbits, N=N, m=m, cap=N + 3 * m)
 
 
 def _permutation(sections: dict, path: str, n: int) -> list[int]:
@@ -245,27 +260,20 @@ def _permutation(sections: dict, path: str, n: int) -> list[int]:
     return value
 
 
-def _first_segments(g: _Geometry, gen_id, where: str) -> tuple:
-    """The family of ``gen_id`` and the depth-1 (rect, a, b) of each of
-    its sides: the images (y0, y0 + eta_k / lambda) of the t-th and
-    (t-1)-th vertical strips of rect k for ``X:k:t``, the preimages (x0,
-    x0 + omega_k / lambda) of its horizontal strips for ``Y:k:t``. An id
-    that names no interior boundary raises :class:`VerificationError`
-    naming ``where``."""
-    family, *place = gen_id.split(":") if isinstance(gen_id, str) else [""]
-    decimal = len(place) == 2 and all(map(str.isdecimal, place))
-    k, t = map(int, place) if decimal else (0, 0)
+def _first_segments(g: _Geometry, family: str, k: int, t: int) -> tuple:
+    """The depth-1 (rect, a, b) of each side of the generator ``family:k:t``:
+    the images (y0, y0 + eta_k / lambda) of the t-th and (t-1)-th
+    vertical strips of rect k for family X, the preimages (x0, x0 +
+    omega_k / lambda) of its horizontal strips for family Y."""
     strips, bounds, edge = (
         (g.source, g.hb, g.eta) if family == "X" else (g.target, g.vb, g.omega)
     )
-    if family not in _FAMILY_KINDS or t < 1 or (k, t) not in strips:
-        raise VerificationError(f"{where}.id {gen_id!r} names no interior boundary")
     out = []
     for position in (t, t - 1):
         r, q = strips[k, position]
         a = bounds(r)[q]
         out.append((r, a, a + edge[k - 1] / g.lam))
-    return family, tuple(out)
+    return tuple(out)
 
 
 def _side(kind, first, t, g, orbits, where) -> tuple:

@@ -125,7 +125,7 @@ class TestVerify:
         assert main(["construct", "--integer", "2", "--out", str(tmp_path)]) == 0
         record = tmp_path / "integer-2.record.json"
         data = json.loads(record.read_text())
-        data["sections"]["identifications"]["generators"][0]["entry_depths"][1] += 1
+        data["sections"]["identifications"]["entry_depths"][0][1] += 1
         record.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", str(record)]) == 1
@@ -139,7 +139,7 @@ class TestVerify:
             size = len(json.dumps(data["sections"][name], sort_keys=True,
                                   separators=(",", ":")))
             assert line.startswith(f"verify {name}: {size} bytes, ")
-        path = "identifications.generators[0].entry_depths[1]"
+        path = "identifications.entry_depths[0][1]"
         assert lines[sections.index("identifications")].endswith(
             f"FAIL (stored section differs from recomputation at {path})"
         )
@@ -224,6 +224,24 @@ class TestVerify:
         # version "11" wrote each periodic point's offset and the eigendata
         # residual, which the eigendata, decomposition and matrix give
         self._assert_version_refused(tmp_path, capsys, "11")
+
+    def test_version_12_record_is_input_error(self, tmp_path, capsys):
+        # version "12" named each generator by its id, which the column
+        # and row sums of the matrix give
+        self._assert_version_refused(tmp_path, capsys, "12")
+
+    def test_readme_names_every_older_version(self):
+        # README's "Older records" paragraph says what each version before
+        # SCHEMA_VERSION stored, so a schema bump must add its line there
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        start = text.index("Older records are refused")
+        paragraph = " ".join(text[start:text.index("\n\n", start)].split())
+        missing = [
+            str(v) for v in range(1, int(SCHEMA_VERSION))
+            if f'Version "{v}" records' not in paragraph
+        ]
+        assert missing == []
 
     def test_oversized_window_is_input_error(self, tmp_path, capsys):
         # a window past MAX_PAIR_STATES is refused before any state is

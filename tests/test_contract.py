@@ -2,8 +2,11 @@
 
 The seeded corpora draw fixed inputs; these properties let hypothesis
 draw irreducible, non-permutation matrices with n <= 5 and entries <= 3
-(the construction's documented preconditions, and no other filter), and
-seeded relabellings P·M·Pᵀ of them. The contract, on every such input:
+(the construction's documented preconditions, and no other filter),
+block lifts ``block_lift(A, k)`` of primitive A with n <= 3 and entries
+<= 2, k = 2..6 (imprimitive inputs up to 18 x 18, past the first draw's
+n <= 5), and seeded relabellings P·M·Pᵀ of the first kind.
+The contract, on every such input:
 
 - ``build_record`` returns a record, or raises an ``EndPeriodicError``
   subclass (a typed refusal, such as an oversized window, meets it);
@@ -30,9 +33,11 @@ from hypothesis import strategies as st
 from endperiodic import (
     EndPeriodicError,
     IntMatrix,
+    block_lift,
     build_record,
     derive_window,
     is_irreducible,
+    is_primitive,
     load_record,
     run_pipeline,
     verify_record,
@@ -45,7 +50,7 @@ from conftest import (
     relabelled,
 )
 
-#: fixed examples per property: the two searches take about 5 s on a 2-core
+#: fixed examples per property: the module takes about 9 s on a 2-core
 #: machine with Python 3.11
 SEARCH = settings(max_examples=300, derandomize=True, database=None,
                   deadline=None)
@@ -60,13 +65,31 @@ def _admissible(rows: list[list[int]]) -> bool:
     return is_irreducible(M) and not permutation
 
 
-def _square(n: int):
-    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+def _square(n: int, top: int = 3):
+    row = st.lists(st.integers(0, top), min_size=n, max_size=n)
     return st.lists(row, min_size=n, max_size=n)
 
 
 #: irreducible, non-permutation matrices with n <= 5 and entries <= 3
 matrices = st.integers(1, 5).flatmap(_square).filter(_admissible)
+
+
+def _lift(case: tuple) -> list[list[int]]:
+    base, k = case
+    return block_lift(IntMatrix.from_rows(base), k).to_lists()
+
+
+def _primitive(rows: list[list[int]]) -> bool:
+    M = IntMatrix.from_rows(rows)
+    return is_irreducible(M) and is_primitive(M)
+
+
+#: block lifts of primitive matrices with n <= 3 and entries <= 2, k = 2..6
+#: (the lift of [[1]] is a permutation matrix, which ``_admissible`` drops)
+lifts = st.tuples(
+    st.integers(1, 3).flatmap(lambda n: _square(n, 2)).filter(_primitive),
+    st.integers(2, 6),
+).map(_lift).filter(_admissible)
 
 
 def _check_contract(rows: list[list[int]]) -> None:
@@ -90,8 +113,10 @@ def _check_relabelling(rows: list[list[int]], order: list[int]) -> None:
     assert relabel_invariants(run_pipeline(relabelled(M, order))) == expected
 
 
-@SEARCH
-@given(matrices)
+# the contract search draws both kinds of input: about 250 matrices and
+# 200 lifts, 6 s of the module's 9
+@settings(SEARCH, max_examples=450)
+@given(st.one_of(matrices, lifts))
 def test_certify_or_refuse_typed(rows):
     _check_contract(rows)
 

@@ -994,15 +994,9 @@ def _entry_depths(pair_states) -> list[int]:
 
 def _list_copy_identifications(schema) -> dict:
     """The ``identifications`` section with each side's entry depth read
-    off ``pair_states``."""
+    off ``pair_states``, in generator order."""
     return {
-        "generators": [
-            {
-                "id": g.gen_id,
-                "entry_depths": _entry_depths(g.pair_states),
-            }
-            for g in schema.generators
-        ],
+        "entry_depths": [_entry_depths(g.pair_states) for g in schema.generators],
     }
 
 

@@ -32,7 +32,7 @@ from endperiodic import (
     verify_record,
     verify_stretch,
 )
-from endperiodic.edgemaps import _CORNER_AT_START, KINDS
+from endperiodic.edgemaps import _CORNER_AT_END, _CORNER_AT_START, KINDS
 from endperiodic.window import _geometry, _orbits, _units
 from endperiodic.record import SCHEMA_VERSION
 from endperiodic import spectral
@@ -57,18 +57,19 @@ from conftest import (
 )
 
 
-# schema version "12": default window N + 3m with m the lcm of the
+# schema version "13": default window N + 3m with m the lcm of the
 # periods, each fact written once, no field that the edge digraphs, the
 # matrix, the config or the eigendata give (the strip boundaries, the
 # periodic-point offsets and the eigendata residual among them), the
 # stretch factor's bracket alone in ``incidence``, certified by the
 # Collatz-Wielandt product with ``eigendata.eta``, each generator side as
-# its strip-entry depth, census classes named by their place of first
-# sight, the eigendata written by ``repr``, and no constant field. Every
-# pin below is the schema "11" record's hash with each
-# ``periodic_points`` row's ``offset`` and ``eigendata.residual`` deleted
-# and the version set to "12".
-RUNNING_HASH = "3cbfdb24ca9f3dabe9f31e3c94e142742c92291652134c298de3c2c5f64ae50e"
+# its strip-entry depth, in the generator order that M fixes and with no
+# id, census classes named by their place of first sight, the eigendata
+# written by ``repr``, and no constant field. Every pin below is the
+# schema "12" record's hash with ``identifications.generators`` replaced
+# by ``entry_depths``, the list of each generator's depths, and the
+# version set to "13".
+RUNNING_HASH = "c298f25312b053fccf6348ae475619b05f4a048e79c72fd21645092a236a279f"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -80,12 +81,12 @@ RUNNING_HASH = "3cbfdb24ca9f3dabe9f31e3c94e142742c92291652134c298de3c2c5f64ae50e
 # tables had merged distinct points within 1e-7 on SPARSE7, SPARSE9, seeded
 # n = 16 and 53 of the 120 sparse inputs, which changed their
 # ``class_census``; the other two lists, whose census held no such merge,
-# kept their digests. All four were re-pinned at schema "12" as above.
+# kept their digests. All four were re-pinned at schema "13" as above.
 DIGESTS = {
-    "corpus200": "8a840043d2ea00b05dae02087dba299b5b4388b0a86082519e3fa08154052370",
-    "lifts": "9c3dfc0a59f4b1a9e476b4d0129a8bc774f7306425f1801f5674e4a1102efc39",
-    "large": "0a5af58b1c485b9fb23e8319ed7ca1d3f6517c239dd0eecafaff288c357eb9f4",
-    "sparse120": "f079e886407d761d40d4616006d2ee55b8cd11df3deb4eaaf568227da8efb9c2",
+    "corpus200": "97b4a85d4fd688505b1555617cacb87f4c902bd1bed617cb6cb2e877846c8049",
+    "lifts": "b9b8597b3bfa5a61917bc0cfa0f321df029743aaee327306829c9dcbd404e801",
+    "large": "cd736fd7d221f4c1ebcc1588336ad7ca92e20f5756f34b762a22ad7e47a1d8a3",
+    "sparse120": "ffef60f4189b99f3d9b9ff6083f2c4a74a11ed5989253dbc3656c9424851846e",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -254,12 +255,11 @@ class TestVerifyRecord:
         # one side's entry depth, one more: the depth is an int that the
         # edge digraph's rule fixes, so the recomputation differs there
         data = load_record(running_record.to_json())
-        depths = data["sections"]["identifications"]["generators"][2]["entry_depths"]
-        depths[1] += 1
+        data["sections"]["identifications"]["entry_depths"][2][1] += 1
         with pytest.raises(VerificationError) as exc:
             verify_record(_rehashed(data))
         assert exc.value.actual == ["identifications"]
-        path = "identifications.generators[2].entry_depths[1]"
+        path = "identifications.entry_depths[2][1]"
         assert f"at {path})" in str(exc.value)
 
     def test_changed_representative_fails_at_its_path(self, running_record):
@@ -494,6 +494,9 @@ def _check_other_removed_facts(data: dict, result) -> None:
             rect: {str(a): str(b) for a, b in images.items()}
             for rect, images in perm.items()
         }
+    # the whole periodic_points section, from the matrix, sigma/tau and
+    # the edge digraphs
+    assert _rebuilt_periodic_points(rows, sections) == sections["periodic_points"]
     # each periodic point's period, orbit and position (position 0: the
     # initial point), from the edge digraphs
     points = [pt for kind in KINDS for pt in result.points[kind]]
@@ -528,6 +531,36 @@ def _check_other_removed_facts(data: dict, result) -> None:
     assert max(_stored_residual(matrix, g.lam, g.eta),
                _stored_residual(list(zip(*matrix)), g.lam, g.omega)
                ) == result.eigen.residual
+
+
+def _rebuilt_periodic_points(matrix: list, sections: dict) -> list[dict]:
+    """The ``periodic_points`` rows from ``config.matrix`` and the other
+    sections: each edge digraph's cycle vertices, in ``KINDS`` order, each
+    cycle from its least rect and the cycles sorted. ``corner`` is the
+    start (end) corner of the edge exactly when every branch around the
+    cycle maps onto the first (last) strip of its target, as
+    ``_geometry``'s ``edges`` give them; a target rect i holds row sum i
+    horizontal strips (L, R) and column sum i vertical ones (T, B)."""
+    g = _geometry(matrix, sections)
+    digraphs = _digraphs(sections)
+    out = []
+    for kind in KINDS:
+        orbits = _orbits(digraphs[kind]).values()
+        for cycle in sorted({tuple(c) for steps, c in orbits if steps == 0}):
+            targets = [g.edges[kind][v] for v in cycle]
+            strips = [
+                sum(matrix[i - 1]) if kind in ("L", "R")
+                else sum(row[i - 1] for row in matrix)
+                for i, _ in targets
+            ]
+            if all(q == 0 for _, q in targets):
+                corner = _CORNER_AT_START[kind]
+            elif all(q == n - 1 for (_, q), n in zip(targets, strips)):
+                corner = _CORNER_AT_END[kind]
+            else:
+                corner = None
+            out += [{"map": kind, "rect": v, "corner": corner} for v in cycle]
+    return out
 
 
 def _stored_offset(g, row: dict, p: int) -> float:
@@ -568,8 +601,7 @@ def _check_window(data: dict, result) -> None:
         result.schema.depth_cap,
     )
     generators = result.schema.generators
-    stored = data["sections"]["identifications"]["generators"]
-    assert all(set(gen) == {"id", "entry_depths"} for gen in stored)
+    assert list(data["sections"]["identifications"]) == ["entry_depths"]
     assert [pairs for pairs, _, _ in windows] == [
         reference_pair_states(g, cap) for g in generators
     ]
@@ -603,11 +635,11 @@ class TestTailFromRecord:
         # the stored entry depth is checked against the digraph rule by a
         # typed error that names its path, not by an assert
         data = json.loads(running_record.to_json())
-        data["sections"]["identifications"]["generators"][2]["entry_depths"][1] += 1
+        data["sections"]["identifications"]["entry_depths"][2][1] += 1
         with pytest.raises(VerificationError) as info:
             derive_window(load_record(json.dumps(data)))
         assert str(info.value).startswith(
-            "identifications.generators[2].entry_depths[1] is "
+            "identifications.entry_depths[2][1] is "
         )
         assert info.value.actual == info.value.expected + 1
 
@@ -624,31 +656,33 @@ class TestTailFromRecord:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda s: s["identifications"]["generators"][0].update(id="Z:1:1"),
-             "identifications.generators[0].id 'Z:1:1' names no interior boundary"),
-            (lambda s: s["identifications"]["generators"][1].update(id="X:9:1"),
-             "identifications.generators[1].id 'X:9:1' names no interior boundary"),
             (lambda s: s["eigendata"].pop("eta"), "eigendata.eta is missing"),
             (lambda s: s.pop("edge_digraphs"), "edge_digraphs is missing"),
             (lambda s: s["decomposition"]["tau"].pop("1"),
              "decomposition.tau.1 is missing"),
             (lambda s: s["eigendata"].update(eta=["x"]),
              "eigendata.eta[0] 'x' is not a number"),
-            (lambda s: s["identifications"]["generators"][0].update(
-                entry_depths=[3]),
-             "identifications.generators[0].entry_depths [3] is not two ints"),
-            (lambda s: s["identifications"]["generators"][1].update(
-                entry_depths=[3, 3, 99]),
-             "identifications.generators[1].entry_depths [3, 3, 99] is not two "),
+            (lambda s: s["identifications"]["entry_depths"].__setitem__(0, [3]),
+             "identifications.entry_depths[0] [3] is not two ints"),
+            (lambda s: s["identifications"]["entry_depths"].__setitem__(
+                1, [3, 3, 99]),
+             "identifications.entry_depths[1] [3, 3, 99] is not two ints"),
+            (lambda s: s["identifications"]["entry_depths"].pop(),
+             "identifications.entry_depths holds 1 pairs, not 2"),
+            (lambda s: s["identifications"]["entry_depths"].append([3, 3]),
+             "identifications.entry_depths holds 3 pairs, not 2"),
+            (lambda s: s["identifications"].update(entry_depths={"0": [3, 3]}),
+             "identifications.entry_depths is not a list"),
         ],
-        ids=["family", "rect", "no-eta", "no-digraphs", "no-tau", "eta-text",
-             "one-depth", "three-depths"],
+        ids=["no-eta", "no-digraphs", "no-tau", "eta-text", "one-depth",
+             "three-depths", "one-pair-short", "one-pair-long", "non-list"],
     )
     def test_malformed_section_is_named(self, edit, message):
-        # each edit of a [[2]] record once raised a bare KeyError or
-        # ValueError, or was taken as a one-sided pair or an unstabilized
-        # generator; the derivation refuses it by a typed error that names
-        # the JSON path it read
+        # each edit of a [[2]] record (two generators, X:1:1 and Y:1:1)
+        # once raised a bare KeyError or ValueError, or was taken as a
+        # one-sided pair, an unstabilized generator or a record of fewer
+        # generators; the derivation refuses it by a typed error that
+        # names the JSON path it read
         record, _ = build_record(IntMatrix.from_rows([[2]]))
         data = load_record(record.to_json())
         derive_window(data)
@@ -704,6 +738,10 @@ class TestIntegerSections:
             sections = json.loads(record.to_json())["sections"]
             for name in ("identifications", "class_census"):
                 assert _non_integers(sections[name], name) == []
+            # no generator id either: one pair of ints per generator
+            depths = sections["identifications"]["entry_depths"]
+            assert list(sections["identifications"]) == ["entry_depths"]
+            assert all(type(t) is int for pair in depths for t in pair)
             assert sections["class_census"]["infinite_classes"]
 
     @pytest.mark.parametrize("case", ["corpus", "sparse120", "lifts"])

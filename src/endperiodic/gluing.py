@@ -50,8 +50,9 @@ from .spectral import (
 _TRANSFER_TOL = 1e-9
 
 #: the most pair states (generators times ``depth_cap``) in a window that
-#: ``enumerate_identifications`` accepts: the census costs about 1.3 KiB
-#: per pair state, so this is about 650 MiB
+#: ``enumerate_identifications`` accepts: a run costs about 1.5 KiB per
+#: pair state (``tracemalloc`` peak of ``run_pipeline`` on x^64 - x - 1,
+#: 24,450 pair states: 36.3 MiB), so this is about 740 MiB
 MAX_PAIR_STATES = 500_000
 
 
@@ -226,11 +227,12 @@ class GeneratorTrace(NamedTuple):
     rectangle k, ``"Y:k:t"`` for its t-th interior horizontal one; the
     family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
     and the strips whose branches give the sides (``_side_labels``)
-    follow from it. It is a run value, which the census's representatives
-    and the figures read; the record stores none, since M fixes the
-    generator order. ``entry_depths`` holds each side's strip-entry depth
-    t, ``entry_strips`` the key of that strip (``_strip_entry``) and
-    ``tail_orbits`` its orbit id; ``stabilization_depth`` is the larger t.
+    follow from it. It is a run value, which classify's columns and the
+    figures read; the census names a generator by its index in the order
+    that M fixes, and the record stores no id. ``entry_depths`` holds each
+    side's strip-entry depth t, ``entry_strips`` the key of that strip
+    (``_strip_entry``) and ``tail_orbits`` its orbit id;
+    ``stabilization_depth`` is the larger t.
 
     ``pair_states[d]``, the two identified image segments at depth d+1
     of the window N + 3m, side a's then side b's, is derived on each read
@@ -469,7 +471,7 @@ class InfiniteClassSummary(NamedTuple):
 
     link_type: str
     size: int
-    representative: str
+    representative: tuple[int, int, int, int]
     ids: list[int]
 
 
@@ -478,8 +480,9 @@ class ClassCensus(_Value):
 
     ``infinite_summaries`` holds, per infinite class in record order (by
     least id), its link label, its size, its representative (where
-    classify first saw its least id, ``generator:side:depth:endpoint``)
-    and its member ids: all that ``to_json_dict`` and
+    classify first saw its least id, ``(g, side, depth, endpoint)``, no
+    ``gen_id``) and its member ids: all that ``to_json_dict``, one row
+    ``[link, [g, side, depth, endpoint], size_at_cap]`` per class, and
     ``assemble_surface`` read. ``nodes`` (id -> the node's exact name, in
     order of first sight) and ``parent`` (id -> union-find root, fully
     compressed) are the nodes and the forest of the pass, and
@@ -557,11 +560,7 @@ class ClassCensus(_Value):
             "finite_singletons": self.finite_singletons,
             "finite_pairs": self.finite_pairs,
             "infinite_classes": [
-                {
-                    "link": s.link_type,
-                    "size_at_cap": s.size,
-                    "representative": s.representative,
-                }
+                [s.link_type, list(s.representative), s.size]
                 for s in self.infinite_summaries
             ],
         }
@@ -800,8 +799,9 @@ def classify_classes(
     keeps its member ids, link label and size, and is named by where the
     pass first saw its least id i: i is new in the last column that
     starts (by the node count before it) at or below i, and first stands
-    there at its first place in that column, which gives its generator,
-    side (a or b), depth and endpoint (0 or 1), as in ``X:3:1:a:5:0``.
+    there at its first place in that column, which gives its generator's
+    index g, side (0 for a, 1 for b), depth and endpoint (0 or 1), as in
+    ``(2, 0, 5, 0)``.
     The infinite classes are listed by least id.
     ``ClassCensus.infinite_classes`` and ``ClassCensus.classes`` build the
     class objects on first read.
@@ -900,12 +900,10 @@ def classify_classes(
     for root in shard_roots:
         families.setdefault(_find(family, root), []).append(root)
 
-    def name(i: int) -> str:
-        c = bisect_right(starts, i) - 1
-        g, side = divmod(c, 2)
+    def name(i: int) -> tuple[int, int, int, int]:
+        g, side = divmod(bisect_right(starts, i) - 1, 2)
         place = columns[g][side].index(i)
-        return (f"{schema.generators[g].gen_id}:{'ab'[side]}:"
-                f"{place // 2 + 1}:{place % 2}")
+        return (g, side, place // 2 + 1, place % 2)
 
     infinite = [(members[root], 1) for root in growing_roots] + [
         ([i for r in roots for i in members[r]], len(roots))

@@ -61,9 +61,10 @@ from .spectral import (
     perron_eigendata,
 )
 
-#: "13": ``identifications`` holds entry depths alone, no generator id;
-#: README ("Older records") lists what each earlier version stored
-SCHEMA_VERSION = "13"
+#: "14": ``class_census`` rows name each generator by its index, as
+#: ``identifications`` orders them; README ("Older records") lists what
+#: each earlier version stored
+SCHEMA_VERSION = "14"
 
 
 class PipelineResult(NamedTuple):

@@ -434,8 +434,8 @@ def graph_period(M: IntMatrix) -> int:
 
 
 def is_primitive(M: IntMatrix) -> bool:
-    """True iff M is irreducible with cycle-length gcd 1."""
-    return graph_period(M) == 1
+    """True iff M is irreducible with cycle-length gcd 1: one cyclic class."""
+    return len(_analyse(M).classes) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,11 @@ class TestVerify:
         # and row sums of the matrix give
         self._assert_version_refused(tmp_path, capsys, "12")
 
+    def test_version_13_record_is_input_error(self, tmp_path, capsys):
+        # version "13" wrote each infinite class as an object whose
+        # representative named its generator by id, X:k:t:a:d:e
+        self._assert_version_refused(tmp_path, capsys, "13")
+
     def test_readme_names_every_older_version(self):
         # README's "Older records" paragraph says what each version before
         # SCHEMA_VERSION stored, so a schema bump must add its line there

@@ -5,7 +5,8 @@ draw irreducible, non-permutation matrices with n <= 5 and entries <= 3
 (the construction's documented preconditions, and no other filter),
 block lifts ``block_lift(A, k)`` of primitive A with n <= 3 and entries
 <= 2, k = 2..6 (imprimitive inputs up to 18 x 18, past the first draw's
-n <= 5), and seeded relabellings P·M·Pᵀ of the first kind.
+n <= 5), cyclic block matrices of period 2 and 3 with n <= 9 and entries
+<= 2, and seeded relabellings P·M·Pᵀ of the first kind.
 The contract, on every such input:
 
 - ``build_record`` returns a record, or raises an ``EndPeriodicError``
@@ -50,7 +51,7 @@ from conftest import (
     relabelled,
 )
 
-#: fixed examples per property: the module takes about 9 s on a 2-core
+#: fixed examples per property: the module takes about 12 s on a 2-core
 #: machine with Python 3.11
 SEARCH = settings(max_examples=300, derandomize=True, database=None,
                   deadline=None)
@@ -80,8 +81,7 @@ def _lift(case: tuple) -> list[list[int]]:
 
 
 def _primitive(rows: list[list[int]]) -> bool:
-    M = IntMatrix.from_rows(rows)
-    return is_irreducible(M) and is_primitive(M)
+    return is_primitive(IntMatrix.from_rows(rows))
 
 
 #: block lifts of primitive matrices with n <= 3 and entries <= 2, k = 2..6
@@ -90,6 +90,37 @@ lifts = st.tuples(
     st.integers(1, 3).flatmap(lambda n: _square(n, 2)).filter(_primitive),
     st.integers(2, 6),
 ).map(_lift).filter(_admissible)
+
+
+def _cyclic(case: tuple) -> list[list[int]]:
+    """The matrix whose only nonzero blocks are ``blocks[c]``, rows in
+    class c and columns in class c + 1 mod d, with the classes' sizes."""
+    sizes, blocks = case
+    starts = [sum(sizes[:c]) for c in range(len(sizes))]
+    rows = [[0] * sum(sizes) for _ in range(sum(sizes))]
+    for c, block in enumerate(blocks):
+        nxt = starts[(c + 1) % len(sizes)]
+        for i, row in enumerate(block):
+            rows[starts[c] + i][nxt:nxt + len(row)] = row
+    return rows
+
+
+def _blocks(sizes: list[int]):
+    d = len(sizes)
+    return st.tuples(st.just(sizes), st.tuples(*(
+        st.lists(st.lists(st.integers(0, 2), min_size=sizes[(c + 1) % d],
+                          max_size=sizes[(c + 1) % d]),
+                 min_size=sizes[c], max_size=sizes[c])
+        for c in range(d)
+    )))
+
+
+#: cyclic block matrices of period 2 and 3 (a multiple of it, if the
+#: blocks' product is imprimitive too): classes of 1 to 3 vertices, each
+#: arc from one class to the next, entries <= 2
+cyclic_blocks = st.integers(2, 3).flatmap(
+    lambda d: st.lists(st.integers(1, 3), min_size=d, max_size=d)
+).flatmap(_blocks).map(_cyclic).filter(_admissible)
 
 
 def _check_contract(rows: list[list[int]]) -> None:
@@ -114,10 +145,17 @@ def _check_relabelling(rows: list[list[int]], order: list[int]) -> None:
 
 
 # the contract search draws both kinds of input: about 250 matrices and
-# 200 lifts, 6 s of the module's 9
+# 200 lifts, 6 s of the module's 12
 @settings(SEARCH, max_examples=450)
 @given(st.one_of(matrices, lifts))
 def test_certify_or_refuse_typed(rows):
+    _check_contract(rows)
+
+
+# about 250 cyclic block matrices, 3 s of the module's 12
+@settings(SEARCH, max_examples=250)
+@given(cyclic_blocks)
+def test_cyclic_blocks_certify_or_refuse_typed(rows):
     _check_contract(rows)
 
 

@@ -57,19 +57,20 @@ from conftest import (
 )
 
 
-# schema version "13": default window N + 3m with m the lcm of the
+# schema version "14": default window N + 3m with m the lcm of the
 # periods, each fact written once, no field that the edge digraphs, the
 # matrix, the config or the eigendata give (the strip boundaries, the
 # periodic-point offsets and the eigendata residual among them), the
 # stretch factor's bracket alone in ``incidence``, certified by the
 # Collatz-Wielandt product with ``eigendata.eta``, each generator side as
 # its strip-entry depth, in the generator order that M fixes and with no
-# id, census classes named by their place of first sight, the eigendata
-# written by ``repr``, and no constant field. Every pin below is the
-# schema "12" record's hash with ``identifications.generators`` replaced
-# by ``entry_depths``, the list of each generator's depths, and the
-# version set to "13".
-RUNNING_HASH = "c298f25312b053fccf6348ae475619b05f4a048e79c72fd21645092a236a279f"
+# id, census classes named by their place of first sight as rows of ints
+# (the generator by its index), the eigendata written by ``repr``, and no
+# constant field. Every pin below is the schema "13" record's hash with
+# each ``class_census.infinite_classes`` object written as its row
+# ``[link, [g, side, depth, endpoint], size_at_cap]`` and the version set
+# to "14".
+RUNNING_HASH = "194e40c43c39e8291d0a5e87f1f069b07882680cc2ac57f2f4cac55971061cf7"
 
 
 # Digests of whole input lists: the 200-matrix corpus; the lifts k = 4, 8,
@@ -81,12 +82,12 @@ RUNNING_HASH = "c298f25312b053fccf6348ae475619b05f4a048e79c72fd21645092a236a279f
 # tables had merged distinct points within 1e-7 on SPARSE7, SPARSE9, seeded
 # n = 16 and 53 of the 120 sparse inputs, which changed their
 # ``class_census``; the other two lists, whose census held no such merge,
-# kept their digests. All four were re-pinned at schema "13" as above.
+# kept their digests. All four were re-pinned at schema "14" as above.
 DIGESTS = {
-    "corpus200": "97b4a85d4fd688505b1555617cacb87f4c902bd1bed617cb6cb2e877846c8049",
-    "lifts": "b9b8597b3bfa5a61917bc0cfa0f321df029743aaee327306829c9dcbd404e801",
-    "large": "cd736fd7d221f4c1ebcc1588336ad7ca92e20f5756f34b762a22ad7e47a1d8a3",
-    "sparse120": "ffef60f4189b99f3d9b9ff6083f2c4a74a11ed5989253dbc3656c9424851846e",
+    "corpus200": "e174147936bcda91d8ff111d6f2fbf896a6425e4b02e1d0a002a77dfd3bf78d6",
+    "lifts": "f2706b390a19ee78a9b1ac831c406df32e6f916e7d082776a986cc47d7c625bb",
+    "large": "3ecf5fb4b68821ddd6b19a5a66f7b272ec62d976247a9ecfe495f6433f8166e9",
+    "sparse120": "c1eadfacdca1df7dbe50a025e3cae0663ffeb8d46d03cfa4163a5363f50c4e57",
 }
 
 #: prints the sparse120 digest; run with ``tests`` on the path
@@ -262,18 +263,24 @@ class TestVerifyRecord:
         path = "identifications.entry_depths[2][1]"
         assert f"at {path})" in str(exc.value)
 
-    def test_changed_representative_fails_at_its_path(self, running_record):
-        # a class named by another place of first sight: the depth of the
-        # fourth class's representative, one more
-        data = load_record(running_record.to_json())
-        classes = data["sections"]["class_census"]["infinite_classes"]
-        head, depth, endpoint = classes[3]["representative"].rsplit(":", 2)
-        classes[3]["representative"] = f"{head}:{int(depth) + 1}:{endpoint}"
+    @staticmethod
+    def _assert_representative_field_fails(record, field):
+        data = load_record(record.to_json())
+        data["sections"]["class_census"]["infinite_classes"][3][1][field] += 1
         with pytest.raises(VerificationError) as exc:
             verify_record(_rehashed(data))
         assert exc.value.actual == ["class_census"]
-        path = "class_census.infinite_classes[3].representative"
+        path = f"class_census.infinite_classes[3][1][{field}]"
         assert f"at {path})" in str(exc.value)
+
+    def test_changed_representative_fails_at_its_path(self, running_record):
+        # a class named by another place of first sight: the depth of the
+        # fourth class's representative, one more
+        self._assert_representative_field_fails(running_record, 2)
+
+    def test_changed_generator_index_fails_at_its_path(self, running_record):
+        # the fourth class's representative on the next generator
+        self._assert_representative_field_fails(running_record, 0)
 
     def test_swapped_tau_images_fail_at_their_path(self, running_record):
         # tau[k] lists the positions of its images in the canonical order
@@ -735,14 +742,26 @@ class TestIntegerSections:
             inputs = [(block_lift(two, k), k) for k in range(2, 9)]
         for M, k in inputs:
             record, _ = build_record(M, weak_perron_k=k)
-            sections = json.loads(record.to_json())["sections"]
+            data = load_record(record.to_json())
+            sections = data["sections"]
             for name in ("identifications", "class_census"):
                 assert _non_integers(sections[name], name) == []
-            # no generator id either: one pair of ints per generator
+            # no generator id either: one pair of ints per generator, and
+            # each class a row [link, [g, side, depth, endpoint], size]
+            # with g an index into those pairs
             depths = sections["identifications"]["entry_depths"]
             assert list(sections["identifications"]) == ["entry_depths"]
             assert all(type(t) is int for pair in depths for t in pair)
-            assert sections["class_census"]["infinite_classes"]
+            _, _, cap, _ = derive_window(data)
+            rows = sections["class_census"]["infinite_classes"]
+            assert rows
+            for row in rows:
+                assert [type(v) for v in row] == [str, list, int]
+                assert [type(v) for v in row[1]] == [int] * 4
+                g, side, depth, endpoint = row[1]
+                assert 0 <= g < len(depths)
+                assert side in (0, 1) and endpoint in (0, 1)
+                assert 1 <= depth <= cap
 
     @pytest.mark.parametrize("case", ["corpus", "sparse120", "lifts"])
     def test_floats_stand_only_at_the_eigendata_bracket_and_tol(self, case):

@@ -225,6 +225,16 @@ class TestIrreducibility:
         with pytest.raises(PreconditionError):
             graph_period(M)
 
+    @pytest.mark.parametrize(
+        "rows", [[[0]], [[1, 0], [0, 1]], [[1, 1], [0, 1]]]
+    )
+    def test_reducible_is_not_primitive(self, rows):
+        # primitive means irreducible with period 1, so a reducible matrix
+        # is not primitive; it once raised graph_period's PreconditionError
+        M = IntMatrix.from_rows(rows)
+        assert not is_irreducible(M)
+        assert is_primitive(M) is False
+
 
 class TestCharPoly:
     def test_running_example(self, running_matrix):

@@ -18,10 +18,10 @@ census drives the surface report.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from math import inf, ulp
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .edgemaps import (
     _CORNER_AT_END,
@@ -42,6 +42,7 @@ from .errors import (
 from .spectral import (
     IntMatrix,
     MatrixFacts,
+    StripLabel,
     _Value,
     is_primitive,
     lift_base,
@@ -50,9 +51,9 @@ from .spectral import (
 _TRANSFER_TOL = 1e-9
 
 #: the most pair states (generators times ``depth_cap``) in a window that
-#: ``enumerate_identifications`` accepts: a run costs about 1.5 KiB per
+#: ``enumerate_identifications`` accepts: a run costs about 1.2 KiB per
 #: pair state (``tracemalloc`` peak of ``run_pipeline`` on x^64 - x - 1,
-#: 24,450 pair states: 36.3 MiB), so this is about 740 MiB
+#: 24,450 pair states: 27.9 MiB), so this is about 570 MiB
 MAX_PAIR_STATES = 500_000
 
 
@@ -225,12 +226,12 @@ class GeneratorTrace(NamedTuple):
 
     ``gen_id`` is ``"X:k:t"`` for the t-th interior vertical boundary of
     rectangle k, ``"Y:k:t"`` for its t-th interior horizontal one; the
-    family, the rectangle, the side kinds (``SIDE_KINDS`` of the family)
-    and the strips whose branches give the sides (``_side_labels``)
-    follow from it. It is a run value, which classify's columns and the
-    figures read; the census names a generator by its index in the order
-    that M fixes, and the record stores no id. ``entry_depths`` holds each
-    side's strip-entry depth t, ``entry_strips`` the key of that strip
+    family and the side kinds (``SIDE_KINDS`` of the family) follow from
+    it. It is a run value, which classify and the figures read; the
+    census names a generator by its index in the order that M fixes, and
+    the record stores no id. Per side, ``first_strips`` holds the strip
+    that its depth-1 segment spans (``_side_strip``), ``entry_depths``
+    its strip-entry depth t, ``entry_strips`` the key of that strip
     (``_strip_entry``) and ``tail_orbits`` its orbit id;
     ``stabilization_depth`` is the larger t.
 
@@ -243,6 +244,7 @@ class GeneratorTrace(NamedTuple):
     """
 
     gen_id: str
+    first_strips: tuple[StripLabel, StripLabel]
     entry_depths: tuple[int, int]
     entry_strips: tuple[tuple[str, int], tuple[str, int]]
     ext: ExtendedPieceMap
@@ -364,17 +366,18 @@ def enumerate_identifications(ext: ExtendedPieceMap) -> IdentificationSchema:
         for family, orders in (("X", D.vertical_order),
                                ("Y", D.horizontal_order)):
             for t in range(1, len(orders[k])):
-                gen_id = f"{family}:{k}:{t}"
                 sides = []
                 for kind, label in zip(SIDE_KINDS[family],
-                                       _side_labels(D, gen_id)):
-                    key = (kind, _side_strip(system, kind, label).rect)
+                                       (orders[k][t], orders[k][t - 1])):
+                    strip = _side_strip(system, kind, label)
+                    key = (kind, strip.rect)
                     if key not in entries:
                         entries[key] = _strip_entry(*key, ext)
-                    sides.append(entries[key])
-                (sa, ta), (sb, tb) = sides
+                    sides.append((strip, *entries[key]))
+                (fa, sa, ta), (fb, sb, tb) = sides
                 traces.append(GeneratorTrace(
-                    gen_id=gen_id,
+                    gen_id=f"{family}:{k}:{t}",
+                    first_strips=(fa, fb),
                     entry_depths=(ta, tb),
                     entry_strips=(sa.key, sb.key),
                     ext=ext,
@@ -417,19 +420,12 @@ def _refuse_oversized_window(M: IntMatrix, depth_cap: int | None) -> None:
         )
 
 
-def _side_labels(D, gen_id: str) -> tuple:
-    """The strips whose branches give the sides a and b of ``gen_id``: the
-    t-th and (t-1)-th vertical (X:k:t) or horizontal (Y:k:t) strips of k."""
-    family, k, t = gen_id.split(":")
-    order = (D.vertical_order if family == "X" else D.horizontal_order)[int(k)]
-    return order[int(t)], order[int(t) - 1]
-
-
 def _side_strip(system: EdgeMapSystem, kind: str, label):
     """The strip of the ``kind`` edge that the depth-1 segment of a side
-    spans, for the strip ``label``: the image of the vertical strip
-    ``label`` under its piece-map branch (L, R), or the preimage of the
-    horizontal strip ``label`` (T, B)."""
+    spans, for the strip ``label`` whose branch gives it (of X:k:t or
+    Y:k:t, the t-th for side a and the (t-1)-th for side b of the vertical
+    or horizontal strips of k): the image of ``label`` under its piece-map
+    branch (L, R), or its preimage (T, B)."""
     P = system.piece_map
     if kind in ("L", "R"):
         return P.source_index[label].target_label
@@ -483,25 +479,26 @@ class ClassCensus(_Value):
     classify first saw its least id, ``(g, side, depth, endpoint)``, no
     ``gen_id``) and its member ids: all that ``to_json_dict``, one row
     ``[link, [g, side, depth, endpoint], size_at_cap]`` per class, and
-    ``assemble_surface`` read. ``nodes`` (id -> the node's exact name, in
-    order of first sight) and ``parent`` (id -> union-find root, fully
-    compressed) are the nodes and the forest of the pass, and
-    ``infinite_roots`` the roots of its infinite classes; the record reads
-    none of them. A name (``_NodeNames``) is a tuple of ints, letters and
-    keys, one per point: ``("C", rect, corner)`` for a rectangle corner,
-    ``("E", kind, rect, t, s)`` for boundary t of the strips along the
-    ``kind`` edge of ``rect`` after s steps of that kind's edge map, and
-    ``("S", key, s, name)`` for a strip point s steps past its orbit's
-    entry strip ``key``, ``name`` the edge point where its side entered.
-    Names with one tag compare field by field, so any two compare.
+    ``assemble_surface`` read. ``parent`` (id -> union-find root, fully
+    compressed) is the forest of the pass, ``infinite_roots`` the roots of
+    its infinite classes, and ``decode()`` returns the name of each id
+    (``_node_names``); the record reads none of them.
 
-    Two views are built from these on first read and then cached:
+    Three views are built on first read and then cached: ``nodes``
+    (``decode()``: id -> the node's exact name, in order of first sight),
     ``infinite_classes``, one ``EquivalenceClass`` per summary, and
     ``classes``, the finite classes first, in order of their smallest id,
     then ``infinite_classes``; each class lists its nodes in tuple order.
+    A name is a tuple of ints, letters and keys: ``("C", rect, corner)``
+    for a rectangle corner, ``("E", kind, rect, t, s)`` for boundary t of
+    the strips along the ``kind`` edge of ``rect`` after s steps of that
+    kind's edge map, and ``("S", key, s, name)`` for a strip point s steps
+    past its orbit's entry strip ``key``, ``name`` the edge point where
+    its side entered. Names with one tag compare field by field, so any
+    two compare.
     """
 
-    #: compared and shown; the nodes, forest and roots are neither
+    #: compared and shown; the forest, roots and names are neither
     _fields = ("finite_singletons", "finite_pairs", "infinite_summaries")
 
     def __init__(
@@ -509,7 +506,7 @@ class ClassCensus(_Value):
         finite_singletons: int,
         finite_pairs: int,
         infinite_summaries: tuple[InfiniteClassSummary, ...],
-        nodes: list[tuple],
+        decode: Callable[[], list[tuple]],
         parent: list[int],
         infinite_roots: set[int],
     ):
@@ -517,43 +514,34 @@ class ClassCensus(_Value):
             finite_singletons=finite_singletons,
             finite_pairs=finite_pairs,
             infinite_summaries=infinite_summaries,
-            nodes=nodes,
+            decode=decode,
             parent=parent,
             infinite_roots=infinite_roots,
         )
 
     @cached_property
+    def nodes(self) -> list[tuple]:
+        return self.decode()
+
+    @cached_property
     def infinite_classes(self) -> tuple[EquivalenceClass, ...]:
         nodes = self.nodes
         return tuple(
-            EquivalenceClass(
-                nodes=tuple(sorted(nodes[i] for i in s.ids)),
-                link_type=s.link_type,
-            )
+            EquivalenceClass(tuple(sorted(nodes[i] for i in s.ids)), s.link_type)
             for s in self.infinite_summaries
         )
 
     @cached_property
     def classes(self) -> tuple[EquivalenceClass, ...]:
-        nodes = self.nodes
-        infinite_roots = self.infinite_roots
+        nodes, infinite_roots = self.nodes, self.infinite_roots
         groups: dict[int, list[tuple]] = {}
         for i, root in enumerate(self.parent):
-            if root in infinite_roots:
-                continue
-            group = groups.get(root)
-            if group is None:
-                groups[root] = [nodes[i]]
-            else:
-                group.append(nodes[i])
-        finite = tuple(
-            EquivalenceClass(
-                nodes=tuple(sorted(group)),
-                link_type=None,
-            )
+            if root not in infinite_roots:
+                groups.setdefault(root, []).append(nodes[i])
+        return tuple(
+            EquivalenceClass(tuple(sorted(group)), None)
             for group in groups.values()
-        )
-        return finite + self.infinite_classes
+        ) + self.infinite_classes
 
     def to_json_dict(self) -> dict:
         return {
@@ -566,134 +554,87 @@ class ClassCensus(_Value):
         }
 
 
-def _boundary(kind: str, rect: int, t: int, count: int) -> tuple:
-    """The name of boundary t of the ``count`` strips along the ``kind``
-    edge of ``rect``: the edge's start or end corner, or ``("E", kind,
-    rect, t, 0)``."""
-    if t == 0:
-        return ("C", rect, _CORNER_AT_START[kind])
-    if t == count:
-        return ("C", rect, _CORNER_AT_END[kind])
-    return ("E", kind, rect, t, 0)
+#: the corners of a rectangle, by their place c in the code ~(4 rect + c)
+_CORNERS = ("TL", "TR", "BL", "BR")
 
 
-def _strip_end(system: EdgeMapSystem, kind: str, label, place) -> tuple:
-    """The names of the two points of the strip end, on a ``kind`` edge,
-    that the piece-map branch of ``label`` spans (``_side_strip``):
-    boundaries t and t + 1 of the strips along that edge, t the strip's
-    ``place``."""
+def _edge_corners(kind: str, rect: int) -> list[int]:
+    """Codes of the start and end corners of the ``kind`` edge of ``rect``."""
+    return [~(4 * rect + _CORNERS.index(at[kind]))
+            for at in (_CORNER_AT_START, _CORNER_AT_END)]
+
+
+def _edge_codes(system: EdgeMapSystem, stride: int) -> tuple:
+    """The int codes of classify's edge points and corners, as ``(ends,
+    images, edges)``. ``ends[kind][strip]`` holds the codes of boundaries
+    t and t + 1 of the count strips along the ``kind`` edge of the rect of
+    ``strip``, t its place there. Boundaries 0 and count are that edge's
+    corners (``_edge_corners``); boundary t after s steps of the
+    kind's edge map is ``base * stride + s``, ``edges[base] == (kind,
+    rect, t)``. ``images[kind]`` sends each corner of a ``kind`` edge one
+    step, to the first or last end of the strip that the edge's branch
+    maps it onto (``_side_strip``); any other code x steps to x + 1."""
     D = system.decomposition
-    strip = _side_strip(system, kind, label)
-    orders = D.horizontal_order if kind in ("L", "R") else D.vertical_order
-    r, t = strip.rect, place[strip]
-    count = len(orders[r])
-    return _boundary(kind, r, t, count), _boundary(kind, r, t + 1, count)
+    ends, images, edges = {k: {} for k in KINDS}, {k: {} for k in KINDS}, []
+    for kind, strip_ends in ends.items():
+        for r, order in (D.horizontal_order if kind in ("L", "R")
+                         else D.vertical_order).items():
+            base = len(edges)
+            edges += [(kind, r, t) for t in range(1, len(order))]
+            start, end = _edge_corners(kind, r)
+            points = [start, *range(base * stride, len(edges) * stride,
+                                    stride), end]
+            strip_ends.update(zip(order, zip(points, points[1:])))
+    for kind, image in images.items():
+        for r, order in (D.vertical_order if kind in ("L", "R")
+                         else D.horizontal_order).items():
+            label = order[0 if kind in ("L", "T") else -1]
+            image.update(zip(_edge_corners(kind, r),
+                             ends[kind][_side_strip(system, kind, label)]))
+    return ends, images, edges
 
 
-def _step(images: dict[tuple, tuple], name: tuple) -> tuple:
-    """The name of the image of ``name`` under one step of an edge map
-    whose corner images are ``images`` (``_NodeNames.images``)."""
-    if name[0] == "C":
-        return images[name]
-    tag, kind, rect, t, s = name
-    return (tag, kind, rect, t, s + 1)
+def _base_levels(ext: ExtendedPieceMap, key, image) -> dict[int, list[int]]:
+    """Each end of the entry strip ``key`` -> the codes of its points at
+    the levels of height 0 past entry, where a side that entered at that
+    end stands on its edge; ``image`` is ``_edge_codes``' corner table of
+    its kind. The ends are the images of the corners of the edge of
+    ``key`` under 2p steps, p the orbit's period, as in ``attach_strips``,
+    and the tail rule keeps height 0 until its first rise."""
+    ends = _edge_corners(*key)
+    for _ in range(2 * ext.strips[key].period):
+        ends = [x + 1 if x >= 0 else image[x] for x in ends]
+    levels = {x: [x] for x in ends}
+    at, rise = ext.step[key]
+    while not rise:
+        for run in levels.values():
+            run.append(run[-1] + 1 if run[-1] >= 0 else image[run[-1]])
+        at, rise = ext.step[at]
+    return levels
 
 
-class _NodeNames:
-    """Exact names of classify's nodes (``ClassCensus``), their ids in
-    order of first sight, and each generator side's id column.
+def _node_names(count, index, blocks, edges, stride) -> list[tuple]:
+    """The names (``ClassCensus``) of the ``count`` nodes of one classify
+    pass, by id: ``index`` maps the code of each edge point and corner
+    (``_edge_codes``) to its id, and ``blocks`` holds the strip points as
+    ``(ids, key, code, s)``: the points s, s + 1, ... steps past the entry
+    strip ``key`` of a side that entered at the point ``code``."""
 
-    ``images[kind]`` sends each corner name of a ``kind`` edge to the name
-    of its image under one step of that kind's edge map: the first or last
-    point of the strip end that the edge's branch maps the edge onto
-    (``_strip_end``); ``_step`` sends every other edge name to s + 1.
-    ``runs[key]`` holds the names of the two ends of the entry strip
-    ``key`` at each level of height 0 (``entry_runs``). ``index`` maps
-    the edge and corner names to their ids. A strip name is read only
-    through ``tails[key, name]``, the ids of one entry point by steps past
-    entry, so its first sight is where that list grows, and it is a new
-    id there.
-    """
+    def name(code: int) -> tuple:
+        if code < 0:
+            rect, corner = divmod(~code, 4)
+            return ("C", rect, _CORNERS[corner])
+        base, s = divmod(code, stride)
+        return ("E", *edges[base], s)
 
-    def __init__(self, ext: ExtendedPieceMap, cap: int):
-        self.ext, self.cap = ext, cap
-        system = ext.system
-        D = system.decomposition
-        self.place = {
-            label: t
-            for orders in (D.vertical_order, D.horizontal_order)
-            for order in orders.values() for t, label in enumerate(order)
-        }
-        self.images: dict[str, dict[tuple, tuple]] = {}
-        for kind in KINDS:
-            vertical = kind in ("L", "R")
-            orders = D.vertical_order if vertical else D.horizontal_order
-            self.images[kind] = images = {}
-            for r, order in orders.items():
-                label = order[0 if kind in ("L", "T") else -1]
-                first, last = _strip_end(system, kind, label, self.place)
-                images["C", r, _CORNER_AT_START[kind]] = first
-                images["C", r, _CORNER_AT_END[kind]] = last
-        self.nodes: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-        self.runs: dict[tuple[str, int], dict[tuple, list[tuple]]] = {}
-        self.tails: dict[tuple, list[int]] = {}
-
-    def id(self, name: tuple) -> int:
-        i = self.index.get(name)
-        if i is None:
-            i = self.index[name] = len(self.nodes)
-            self.nodes.append(name)
-        return i
-
-    def entry_runs(self, key: tuple[str, int]) -> dict[tuple, list[tuple]]:
-        """Each end of the entry strip ``key`` -> its names at the levels
-        of height 0 past entry, where a side that entered at that end
-        stands on its edge. The ends are the images of the corners of the
-        edge of ``key`` under 2p steps, p the orbit's period, as in
-        ``attach_strips``, and the tail rule keeps height 0 until its
-        first rise."""
-        runs = self.runs.get(key)
-        if runs is None:
-            kind, rect = key
-            images = self.images[kind]
-            ends = [("C", rect, _CORNER_AT_START[kind]),
-                    ("C", rect, _CORNER_AT_END[kind])]
-            for _ in range(2 * self.ext.strips[key].period):
-                ends = [_step(images, x) for x in ends]
-            runs = self.runs[key] = {x: [x] for x in ends}
-            at, rise = self.ext.step[key]
-            while not rise:
-                for run in runs.values():
-                    run.append(_step(images, run[-1]))
-                at, rise = self.ext.step[at]
-        return runs
-
-    def column(self, kind: str, label, entry: int, key) -> list[int]:
-        """The id column of a side of ``kind`` whose depth-1 segment is
-        ``_strip_end(kind, label)`` and which enters the strip ``key`` at
-        depth ``entry``: the ids of its first and second endpoints at
-        depth 1, then at depth 2, and so on to ``cap``."""
-        images, node = self.images[kind], self.id
-        a, b = _strip_end(self.ext.system, kind, label, self.place)
-        ids = []
-        for _ in range(entry - 1):
-            ids += (node(a), node(b))
-            a, b = _step(images, a), _step(images, b)
-        runs, nodes, need = self.entry_runs(key), self.nodes, self.cap - entry + 1
-        ta, tb = (self.tails.setdefault((key, x), []) for x in (a, b))
-        for s in range(min(len(ta), len(tb)), need):
-            for x, tail in ((a, ta), (b, tb)):
-                if len(tail) == s:
-                    run = runs.get(x, ())
-                    if s < len(run):
-                        tail.append(node(run[s]))
-                    else:
-                        tail.append(len(nodes))
-                        nodes.append(("S", key, s, x))
-        steps = [0] * (2 * need)
-        steps[::2], steps[1::2] = ta[:need], tb[:need]
-        return ids + steps
+    nodes = [None] * count
+    for code, i in index.items():
+        nodes[i] = name(code)
+    for ids, key, code, s in blocks:
+        entry = name(code)
+        for i, step in zip(ids, range(s, s + len(ids))):
+            nodes[i] = ("S", key, step, entry)
+    return nodes
 
 
 def classify_classes(
@@ -741,9 +682,9 @@ def classify_classes(
     different nodes.
 
     The argument is about exact points, and so are the nodes: each is an
-    exact name (``_NodeNames``), and two are one point iff their names are
-    equal. Each edge-map branch maps its full edge injectively onto the
-    end of one strip, and distinct rectangles map onto the ends of
+    exact name (``ClassCensus``), and two are one point iff their names
+    are equal. Each edge-map branch maps its full edge injectively onto
+    the end of one strip, and distinct rectangles map onto the ends of
     distinct strips, whose interiors are disjoint. So a point inside an
     image has exactly one preimage, on the edge of one rectangle, and no
     strip boundary or corner lies inside an image. An edge name of s >= 1
@@ -767,16 +708,23 @@ def classify_classes(
     for a family).
 
     The pass runs over dense integer node ids, builds only what the census
-    reads, steps no side past its entry depth and reads no coordinate.
-    Each side of a generator is one id column (``_NodeNames.column``): the
-    ids of its first and second endpoints at depth 1, then at depth 2, and
-    so on to ``depth_cap``. Side a's column is made before side b's,
-    generator by generator, and a node's id is the number of nodes seen
-    before it. A side's depth-1 names come from the piece-map branch that
-    its generator id names, by its strip's place in the rectangle's order;
-    the side steps them by its kind's edge map to its entry depth t, and
-    from t on it stands on the levels of its entry strip, which the trace
-    holds, at its entry names.
+    reads, steps no side past its entry depth, and reads no coordinate
+    and builds no name: an edge point or corner is an int code
+    (``_edge_codes``), one-to-one with its name, and one edge-map step is
+    code + 1 or a corner-table lookup. Each side of a generator is one id
+    column: the ids of its first and second endpoints at depth 1, then at
+    depth 2, and so on to ``depth_cap``. Side a's column is made before
+    side b's, generator by generator, and a node's id is the number of
+    nodes seen before it. A side steps the codes of the ends of its
+    ``first_strips`` strip to its entry depth t, looking each up, and from
+    t on stands on the levels of its entry strip at its entry point. The
+    ids there are listed per strip and entry point by steps past entry,
+    shared by every side that enters there, and a side grows its two
+    lists to its need, by step, its first endpoint's before its second's.
+    A point at height 0 on an end of the strip is an edge point
+    (``_base_levels``) and is looked up; every other one is new, so its
+    ids come as ``range`` blocks, which ``ClassCensus.nodes`` names on
+    first read (``_node_names``).
 
     The columns make the nodes that each depth's pair in turn (a0, b0, a1,
     b1) would make, numbered in another order: side a names only points of
@@ -794,47 +742,98 @@ def classify_classes(
     columns of a generator side by side, each depth's first endpoints,
     then its second ones. After the unions, one pass over ``parent``
     lists every id under its root. Finite classes are only counted from
-    those lists, not built. The family stitch is the one walk of side a's
-    columns: it joins the roots of saturated shards. Each infinite class
-    keeps its member ids, link label and size, and is named by where the
-    pass first saw its least id i: i is new in the last column that
-    starts (by the node count before it) at or below i, and first stands
-    there at its first place in that column, which gives its generator's
-    index g, side (0 for a, 1 for b), depth and endpoint (0 or 1), as in
-    ``(2, 0, 5, 0)``.
-    The infinite classes are listed by least id.
-    ``ClassCensus.infinite_classes`` and ``ClassCensus.classes`` build the
-    class objects on first read.
+    those lists, not built. The family stitch, run only if there are
+    shards, is the one walk of side a's columns: it joins the roots of
+    saturated shards. Each infinite class keeps its member ids, link label
+    and size, and is named by where the pass first saw its least id i: i
+    is new in the last column that starts (by the node count before it)
+    at or below i, and first stands there at its first place in that
+    column, which gives its generator's index g, side (0 for a, 1 for b),
+    depth and endpoint (0 or 1), as in ``(2, 0, 5, 0)``. The infinite
+    classes are listed by least id; ``ClassCensus`` builds the class
+    objects on first read.
     """
-    D = ext.system.decomposition
     cap, m = schema.depth_cap, schema.nesting_period
-    names = _NodeNames(ext, cap)
-    nodes = names.nodes
+    # the stride is cap: a walk takes fewer steps past a boundary, at most
+    # t - 1 < cap to a side's entry and 3p - 1 < 3m to a base level
+    ends, images, edges = _edge_codes(ext.system, cap)
+    index: dict[int, int] = {}  # edge point or corner code -> id
+    # a code seen first gets the id n, and then the count n grows by one
+    node = index.setdefault
+    blocks: list[tuple[range, tuple[str, int], int, int]] = []
+    levels: dict[tuple[str, int], tuple[dict, dict]] = {}
+    n = 0  # the node count
 
-    # late[i] is 1 iff node i was first seen past depth cap - m: a side
-    # makes its new ids in column order, so those are the ones above
-    # every id in the column's first 2 (cap - m) entries
-    early = 2 * (cap - m)
-    late = bytearray()
+    late = bytearray()  # late[i] is 1 iff i was first seen past cap - m
     columns: list[tuple[list[int], list[int]]] = []
     starts: list[int] = []  # the node count before each side's column
     for gen in schema.generators:
         sides = []
-        for kind, label, entry, key in zip(
-            SIDE_KINDS[gen.gen_id[0]], _side_labels(D, gen.gen_id),
+        for kind, strip, entry, key in zip(
+            SIDE_KINDS[gen.gen_id[0]], gen.first_strips,
             gen.entry_depths, gen.entry_strips,
         ):
-            known = len(nodes)
+            known = n
             starts.append(known)
-            ids = names.column(kind, label, entry, key)
-            mark = max(known, max(ids[:early], default=-1) + 1)
-            late += bytes(mark - known) + b"\x01" * (len(nodes) - mark)
+            image = images[kind]
+            a, b = ends[kind][strip]
+            ids = []
+            for _ in range(entry - 1):
+                i = node(a, n)
+                n += i == n
+                j = node(b, n)
+                n += j == n
+                ids += i, j
+                a = a + 1 if a >= 0 else image[a]
+                b = b + 1 if b >= 0 else image[b]
+            base, tails = levels.get(key) or levels.setdefault(
+                key, (_base_levels(ext, key, image), {}))
+            need = cap - entry + 1
+            ta, tb = tails.setdefault(a, []), tails.setdefault(b, [])
+            # a step on a base level takes one id per list that grows at
+            # it, in turn; those levels are at most p <= m < need - m
+            for s in range(min(len(ta), len(tb)),
+                           max(len(base.get(a, ())), len(base.get(b, ())))):
+                for x, tail in ((a, ta), (b, tb)):
+                    if len(tail) == s:
+                        run = base.get(x, ())
+                        if s < len(run):
+                            i = node(run[s], n)
+                            n += i == n
+                        else:
+                            i = n
+                            blocks.append((range(n, n + 1), key, x, s))
+                            n += 1
+                        tail.append(i)
+            # every later strip point is new: the shorter list grows alone
+            # to the longer one, then the two take ids in turn. Ids are made
+            # in column order, so those past step need - m are the late ones
+            la, lb = len(ta), len(tb)
+            mark = n + max(0, need - m - la) + max(0, need - m - lb)
+            if la != lb:
+                x, tail, s = (a, ta, la) if la < lb else (b, tb, lb)
+                new = range(n, n + min(la + lb - s, need) - s)
+                if new:
+                    tail += new
+                    blocks.append((new, key, x, s))
+                    n = new.stop
+            s = len(ta)
+            if s < need and s == len(tb):
+                new = range(n, n + 2 * (need - s))
+                ta += new[::2]
+                tb += new[1::2]
+                blocks += ((new[::2], key, a, s), (new[1::2], key, b, s))
+                n = new.stop
+            late += bytes(mark - known) + b"\x01" * (n - mark)
+            steps = [0] * (2 * need)
+            steps[::2], steps[1::2] = ta[:need], tb[:need]
+            ids += steps
             sides.append(ids)
         columns.append(tuple(sides))
 
-    parent = list(range(len(nodes)))
-    degree = [0] * len(nodes)
-    edges: set[tuple[int, int]] = set()
+    parent = list(range(n))
+    degree = [0] * n
+    edges_seen: set[tuple[int, int]] = set()
     for a, b in columns:
         # union, with the find inlined: the root of x is the root of
         # parent[x], and the path to it is compressed. An edge between
@@ -848,9 +847,9 @@ def classify_classes(
                 if parent[ry] != ry:
                     ry = parent[y] = _find(parent, ry)
                 edge = (x, y) if x < y else (y, x)
-                if rx != ry or edge not in edges:
+                if rx != ry or edge not in edges_seen:
                     parent[rx] = ry
-                    edges.add(edge)
+                    edges_seen.add(edge)
                     degree[x] += 1
                     degree[y] += 1
 
@@ -889,10 +888,13 @@ def classify_classes(
     # second image returns to the same side of its strip: the stitch runs
     # along the square of the edge maps, from depth d-2 to depth d: four
     # entries on in side a's column, first endpoints then second ones.
-    # Each distinct pair of roots is joined once.
+    # Each distinct pair of roots is joined once; with no shards, no walk.
     family = {root: root for root in shard_roots}
-    for rx, ry in {(parent[x], parent[y])
-                   for a, _ in columns for x, y in zip(a, islice(a, 4, None))}:
+    pairs: set[tuple[int, int]] = set()
+    for a, _ in columns if family else ():
+        roots = list(map(parent.__getitem__, a))
+        pairs.update(zip(roots, islice(roots, 4, None)))
+    for rx, ry in pairs:
         if rx != ry and rx in family and ry in family:
             _union(family, rx, ry)
 
@@ -909,23 +911,21 @@ def classify_classes(
         ([i for r in roots for i in members[r]], len(roots))
         for roots in families.values()
     ]
-    summaries = [
+    summaries = tuple(
         InfiniteClassSummary(
-            link_type=_link_label(list(map(degree.__getitem__, ids)), shards),
-            size=len(ids),
-            representative=name(least),
-            ids=ids,
+            _link_label(list(map(degree.__getitem__, ids)), shards),
+            len(ids), name(least), ids,
         )
         for least, ids, shards in sorted(
             (min(ids), ids, shards) for ids, shards in infinite
         )
-    ]
+    )
 
     return ClassCensus(
         finite_singletons=finite_sizes[1],
         finite_pairs=finite_sizes[2],
-        infinite_summaries=tuple(summaries),
-        nodes=nodes,
+        infinite_summaries=summaries,
+        decode=partial(_node_names, n, index, blocks, edges, cap),
         parent=parent,
         infinite_roots=infinite_roots,
     )

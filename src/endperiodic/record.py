@@ -175,6 +175,13 @@ class ConstructionRecord(_Value):
         )
 
 
+#: the one encoder of ``_canonical``; ``json.dumps`` with these arguments
+#: would build a new one on every call
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
 def _canonical(obj) -> str:
     """Canonical compact JSON: sorted keys, no whitespace.
 
@@ -183,9 +190,7 @@ def _canonical(obj) -> str:
     need; the text is the same. A self-referencing object still raises,
     as ``RecursionError`` rather than ``ValueError``.
     """
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), check_circular=False
-    )
+    return _ENCODER.encode(obj)
 
 
 def _hash_hex(config: str, version: str, sections: str) -> str:

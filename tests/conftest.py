@@ -146,6 +146,41 @@ def sparse_irreducible_matrices(count: int, seed: int = LARGE_INPUT_SEED):
     return out
 
 
+#: seed of the stress draw, ``stress_matrices``
+STRESS_SEED = 20261019
+
+
+def stress_matrices(count: int, seed: int = STRESS_SEED):
+    """Seeded irreducible matrices, n in 5..20, of three densities, with
+    entries up to 1, 2 or 3.
+
+    numpy ``default_rng(seed)``; per draw, in this order: n =
+    ``rng.integers(5, 21)``, the density ``[0.15, 0.3, 0.5][rng.integers(0,
+    3)]``, e = ``rng.integers(1, 4)``, then the matrix ``(rng.random((n, n))
+    < density) * rng.integers(1, e + 1, size=(n, n))``. Reducible and
+    permutation draws are redrawn.
+    """
+    from endperiodic import is_irreducible
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(5, 21))
+        density = [0.15, 0.3, 0.5][rng.integers(0, 3)]
+        e = int(rng.integers(1, 4))
+        entries = (rng.random((n, n)) < density) * rng.integers(
+            1, e + 1, size=(n, n)
+        )
+        M = IntMatrix.from_rows(entries.tolist())
+        if not is_irreducible(M) or (
+            all(sum(row) == 1 for row in M.entries)
+            and all(sum(col) == 1 for col in zip(*M.entries))
+        ):
+            continue
+        out.append(M)
+    return out
+
+
 def finite_classes_are_small(census) -> bool:
     """Whether every finite class of ``census`` has one or two nodes, and
     its singletons, its pairs and its infinite classes hold every node
@@ -178,27 +213,29 @@ def reference_pair_states(gen, cap: int) -> tuple:
     """The pairs at depths 1..cap of the generator ``gen`` by the
     builder's own objects, the reference that ``endperiodic.window``,
     which reads the record alone, must equal to the bit: each side's
-    depth-1 segment from its piece-map branch, stepped by the edge-map
-    branches of its kind; at its entry depth t, put in the z of its entry
-    strip (against the edge offset on L and R, with it on T and B), then
-    stepped by the tail rule ``ext.step``."""
-    from endperiodic.gluing import SIDE_KINDS, _side_labels
+    depth-1 segment from the piece-map branch onto (L, R) or from (T, B)
+    its ``first_strips`` strip, stepped by the edge-map branches of its
+    kind; at its entry depth t, put in the z of its entry strip (against
+    the edge offset on L and R, with it on T and B), then stepped by the
+    tail rule ``ext.step``."""
+    from endperiodic.gluing import SIDE_KINDS
 
     ext = gen.ext
     D, P = ext.system.decomposition, ext.system.piece_map
     sides = []
-    for kind, label, entry, key in zip(
-        SIDE_KINDS[gen.gen_id[0]], _side_labels(D, gen.gen_id),
+    for kind, strip, entry, key in zip(
+        SIDE_KINDS[gen.gen_id[0]], gen.first_strips,
         gen.entry_depths, gen.entry_strips,
     ):
+        rect = strip.rect
         if kind in ("L", "R"):
-            br = P.source_index[label]
-            rect = br.target_label.rect
-            a, b = br.y0, br.y0 + D.rect_height(label.rect) / D.eigen.lam
+            br = P.target_index[strip]
+            height = D.rect_height(br.source_label.rect)
+            a, b = br.y0, br.y0 + height / D.eigen.lam
         else:
-            br = P.target_index[label]
-            rect = br.source_label.rect
-            a, b = br.x0, br.x0 + D.rect_width(label.rect) / D.eigen.lam
+            br = P.source_index[strip]
+            width = D.rect_width(br.target_label.rect)
+            a, b = br.x0, br.x0 + width / D.eigen.lam
         E = ext.system.maps[kind]
         states = [("E", rect, kind, a, b)]
         for _ in range(entry - 1):

@@ -864,7 +864,68 @@ def _oracle_forest(scan, ids) -> list[int]:
     return [_find(parent, i) for i in parent]
 
 
+#: SHA-256 of each input's ``census.nodes`` (names as lists), then of its
+#: ``census.parent``, as ``_table_shas`` hashes them: the node names, their
+#: ids and the forest, pinned while classify still built a name tuple for
+#: every point
+NODE_TABLE_SHA = {
+    "running": (
+        "709d1a7c347c25cae0709415772a0ca84315a838efc4582c1c1a254cd3fa1320",
+        "77afebadb07e2094c259d6bc86b66e161b336888e71bb47164fd097d56877891",
+    ),
+    "corpus200": (
+        "2f3510149449d9ea30680fa327a39dbc338c76bc6ef94bcf8e37685b5c5cbcc7",
+        "dcddbeda31b26295f1acc12c7fdd7aa8a3c1603212bb44f8731ae970539d14d2",
+    ),
+    "lifts": (
+        "72f3d3996855e9ed02d87658c4998293188db9c00016915fa908a31ca3486b97",
+        "d4496d12f1e8cefcb5b19f67299d86d80b160901ac8999c5c3339fb77327b189",
+    ),
+}
+
+
+def _table_results(case, running_result):
+    """The inputs of ``NODE_TABLE_SHA``: the running example, the corpus of
+    200, or the lifts k = 2..8 of ``[[2]]``."""
+    if case == "running":
+        return [running_result]
+    if case == "corpus200":
+        return [run_pipeline(M) for M in random_irreducible_matrices(200)]
+    return [_lift_result(k) for k in range(2, 9)]
+
+
+def _table_shas(censuses) -> tuple[str, str]:
+    """SHA-256 over ``json.dumps`` of each census's ``nodes``, one line per
+    census, and the same over its ``parent``."""
+    nodes, parent = hashlib.sha256(), hashlib.sha256()
+    for census in censuses:
+        nodes.update(json.dumps(census.nodes).encode() + b"\n")
+        parent.update(json.dumps(census.parent).encode() + b"\n")
+    return nodes.hexdigest(), parent.hexdigest()
+
+
 class TestNodeTables:
+    @pytest.mark.parametrize("case", sorted(NODE_TABLE_SHA))
+    def test_node_names_and_forest_are_pinned(self, case, running_result):
+        results = _table_results(case, running_result)
+        assert _table_shas(res.census for res in results) == NODE_TABLE_SHA[case]
+
+    @pytest.mark.parametrize("case", sorted(NODE_TABLE_SHA))
+    def test_names_are_decoded_on_first_read(self, case, running_result):
+        """classify numbers its points by int codes and builds no name:
+        the names are decoded when ``nodes`` is first read, and then they
+        are the pinned ones."""
+        censuses = [
+            classify_classes(res.schema, res.extended)
+            for res in _table_results(case, running_result)
+        ]
+        for census in censuses:
+            assert "nodes" not in vars(census)
+            census.to_json_dict()
+            assert "nodes" not in vars(census)
+        assert _table_shas(censuses) == NODE_TABLE_SHA[case]
+        assert all(census.nodes is census.nodes for census in censuses)
+
     @pytest.mark.parametrize(
         "case", ["running", "corpus", "lifts", "n16", "sparse", "sparse79"]
     )

@@ -55,6 +55,7 @@ from conftest import (
     SPARSE7,
     SPARSE9,
     seeded_irreducible_matrix,
+    stress_matrices,
     x_n_minus_x_minus_1,
 )
 
@@ -183,3 +184,20 @@ def test_wide_perron_vectors_certify_or_fail_typed(a, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: strip ('R', 1) has float length 0.0" in err
         assert "eta spans 2.75e+11 and omega 2.75e+11" in err
+
+
+def test_stress_draw_seven_is_a_precision_error(tmp_path, capsys):
+    """The 7th of ``stress_matrices`` (n = 16): strip ('R', 14) is
+    2.3e-17 wide where floats lie 5.55e-17 apart, so both its ends round
+    to one float (ROADMAP item 10, class B). ``build_record`` raises
+    ``PrecisionError`` naming the strip, and ``construct`` exits 2 with
+    the same message."""
+    M = stress_matrices(7)[6]
+    assert M.n == 16
+    with pytest.raises(PrecisionError) as info:
+        build_record(M)
+    assert str(info.value).startswith("strip ('R', 14) has float length 0.0 ")
+    path = tmp_path / "stress7.json"
+    path.write_text(json.dumps(M.to_lists()), encoding="utf-8")
+    assert main(["construct", "--matrix", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: {info.value}" in capsys.readouterr().err

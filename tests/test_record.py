@@ -167,6 +167,15 @@ class TestDeterminism:
             running_record.to_json_dict(), sort_keys=True, separators=(",", ":")
         )
 
+    def test_canonical_text_of_a_cycle_raises(self):
+        """The shared encoder skips the circular check, so a
+        self-referencing object raises ``RecursionError``, as the
+        docstring of ``_canonical`` says, not ``ValueError``."""
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(RecursionError):
+            endperiodic.record._canonical(cycle)
+
     def test_running_example_hash_is_pinned(self, running_record):
         assert running_record.content_hash() == RUNNING_HASH
 

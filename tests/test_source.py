@@ -421,14 +421,15 @@ def test_census_equality_ignores_the_node_tables(running_values):
     census = running_values[3][0]
     other = ClassCensus(
         census.finite_singletons, census.finite_pairs,
-        census.infinite_summaries, nodes=[], parent=[], infinite_roots=set(),
+        census.infinite_summaries, decode=list, parent=[],
+        infinite_roots=set(),
     )
     assert other == census
     assert repr(other) == repr(census)
     assert "nodes" not in repr(census)
     changed = ClassCensus(
         census.finite_singletons + 1, census.finite_pairs,
-        census.infinite_summaries, census.nodes, census.parent,
+        census.infinite_summaries, census.decode, census.parent,
         census.infinite_roots,
     )
     assert changed != census

@@ -556,12 +556,10 @@ class ClassCensus(_Value):
 
 #: the corners of a rectangle, by their place c in the code ~(4 rect + c)
 _CORNERS = ("TL", "TR", "BL", "BR")
-
-
-def _edge_corners(kind: str, rect: int) -> list[int]:
-    """Codes of the start and end corners of the ``kind`` edge of ``rect``."""
-    return [~(4 * rect + _CORNERS.index(at[kind]))
-            for at in (_CORNER_AT_START, _CORNER_AT_END)]
+#: kind -> ~c of the start and end corners of its edge, at ~c - 4 rect
+_EDGE_CORNERS = {kind: tuple(~_CORNERS.index(at[kind])
+                             for at in (_CORNER_AT_START, _CORNER_AT_END))
+                 for kind in KINDS}
 
 
 def _edge_codes(system: EdgeMapSystem, stride: int) -> tuple:
@@ -569,28 +567,30 @@ def _edge_codes(system: EdgeMapSystem, stride: int) -> tuple:
     images, edges)``. ``ends[kind][strip]`` holds the codes of boundaries
     t and t + 1 of the count strips along the ``kind`` edge of the rect of
     ``strip``, t its place there. Boundaries 0 and count are that edge's
-    corners (``_edge_corners``); boundary t after s steps of the
-    kind's edge map is ``base * stride + s``, ``edges[base] == (kind,
-    rect, t)``. ``images[kind]`` sends each corner of a ``kind`` edge one
-    step, to the first or last end of the strip that the edge's branch
-    maps it onto (``_side_strip``); any other code x steps to x + 1."""
+    corners (``_EDGE_CORNERS``); boundary t after s steps of the kind's
+    edge map is ``(base + t - 1) * stride + s``, base the number of inner
+    boundaries of the edges before it in ``edges``, which lists ``(kind,
+    rect, count)`` per edge. ``images[kind]`` sends each corner of a
+    ``kind`` edge one step, to the first or last end of the strip that the
+    edge's branch maps it onto (``_side_strip``); any other code x steps
+    to x + 1."""
     D = system.decomposition
-    ends, images, edges = {k: {} for k in KINDS}, {k: {} for k in KINDS}, []
+    ends, images, edges, base = {k: {} for k in KINDS}, {k: {} for k in KINDS}, [], 0
     for kind, strip_ends in ends.items():
-        for r, order in (D.horizontal_order if kind in ("L", "R")
-                         else D.vertical_order).items():
-            base = len(edges)
-            edges += [(kind, r, t) for t in range(1, len(order))]
-            start, end = _edge_corners(kind, r)
-            points = [start, *range(base * stride, len(edges) * stride,
-                                    stride), end]
+        start, end = _EDGE_CORNERS[kind]
+        along, across = D.horizontal_order, D.vertical_order
+        if kind in ("T", "B"):
+            along, across = across, along
+        for r, order in along.items():
+            edges.append((kind, r, len(order)))
+            points = range(base * stride, (base + len(order) - 1) * stride, stride)
+            points = [start - 4 * r, *points, end - 4 * r]
             strip_ends.update(zip(order, zip(points, points[1:])))
-    for kind, image in images.items():
-        for r, order in (D.vertical_order if kind in ("L", "R")
-                         else D.horizontal_order).items():
-            label = order[0 if kind in ("L", "T") else -1]
-            image.update(zip(_edge_corners(kind, r),
-                             ends[kind][_side_strip(system, kind, label)]))
+            base += len(order) - 1
+        first, image = 0 if kind in ("L", "T") else -1, images[kind]
+        for r, order in across.items():
+            image[start - 4 * r], image[end - 4 * r] = strip_ends[
+                _side_strip(system, kind, order[first])]
     return ends, images, edges
 
 
@@ -601,7 +601,7 @@ def _base_levels(ext: ExtendedPieceMap, key, image) -> dict[int, list[int]]:
     its kind. The ends are the images of the corners of the edge of
     ``key`` under 2p steps, p the orbit's period, as in ``attach_strips``,
     and the tail rule keeps height 0 until its first rise."""
-    ends = _edge_corners(*key)
+    ends = [c - 4 * key[1] for c in _EDGE_CORNERS[key[0]]]
     for _ in range(2 * ext.strips[key].period):
         ends = [x + 1 if x >= 0 else image[x] for x in ends]
     levels = {x: [x] for x in ends}
@@ -619,6 +619,7 @@ def _node_names(count, index, blocks, edges, stride) -> list[tuple]:
     (``_edge_codes``) to its id, and ``blocks`` holds the strip points as
     ``(ids, key, code, s)``: the points s, s + 1, ... steps past the entry
     strip ``key`` of a side that entered at the point ``code``."""
+    edges = [(kind, r, t) for kind, r, size in edges for t in range(1, size)]
 
     def name(code: int) -> tuple:
         if code < 0:

@@ -2,22 +2,17 @@
 
 Matrices are kept as exact integers; the characteristic polynomial and its
 largest real root are computed exactly (Sturm-sequence bisection in exact
-integer arithmetic at dyadic probes). The Perron eigenvectors come from
-inverse iteration at that root, with a checked residual. Inverse iteration
-at an approximation t of lambda converges at |lambda - t| / |mu - t| over
-the other eigenvalues mu; with t a few ulps from lambda one solve
-suffices, however close lambda is to 1 and whether or not other
-eigenvalues share its modulus. Power iteration on M + I, used before,
-converged at max |mu + 1| / (lambda + 1), which tends to 1 for the block
-lifts lambda = 2**(1/k) and failed from k = 40 on. The module is plain
-Python: no numpy.
+integer arithmetic at dyadic probes, along a path that a float Newton
+guess predicts and two Sturm counts check). The Perron eigenvectors come
+from one step of inverse iteration at that root, with a checked residual
+(``perron_eigendata``). The module is plain Python: no numpy.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
-from math import fsum, gcd, inf
+from math import fsum, gcd, inf, isfinite, ulp
 from operator import index
 from sys import float_info
 from typing import NamedTuple
@@ -26,6 +21,8 @@ from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
 #: residual target for eigendata
 DEFAULT_TOL = 1e-10
+#: the most steps of ``_newton_guess``, which only picks a cell to check
+_NEWTON_STEPS = 500
 
 
 class _Value:
@@ -534,14 +531,37 @@ def _count_sign_changes(values) -> int:
     return changes
 
 
-def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
-    """Bisect ``[-bound, bound]`` down to the topmost root of ``chain[0]``.
+def _newton_guess(p: tuple[int, ...], bound: int) -> float | None:
+    """A float near p's top real root: Newton's method from ``bound`` until
+    a step stops moving down; None past ``_NEWTON_STEPS`` steps or on overflow."""
+    x = float(bound)
+    for _ in range(_NEWTON_STEPS):
+        value = slope = 0.0
+        for c in reversed(p):
+            value, slope = value * x + c, slope * x + value
+        step = x - value / slope if slope else x
+        if not step < x:
+            return x if isfinite(value) else None
+        x = step
+    return None
 
-    ``chain`` is an integer Sturm chain and ``bound`` exceeds every real
-    root of ``chain[0]``. Every bracket end and probe is ``num / 2**exp``,
-    so a sign is one integer Horner pass. The returned float is the
-    rounded midpoint once it no longer lies strictly between the rounded
-    bracket ends (float resolution).
+
+def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
+    """Bisect ``[-bound, bound]`` down to the top root λ of ``chain[0]``,
+    the monic p whose integer Sturm chain ``chain`` is; ``bound`` exceeds
+    p's real roots, so the chain's sign changes V there are those at ±inf,
+    which the leading coefficients give. Probes are ``num / 2**exp``, a
+    sign one integer Horner pass; the result is the rounded midpoint once
+    it no longer lies strictly between the rounded bracket ends.
+
+    A guess g in the bracket (``_newton_guess``) predicts the path, each
+    probe over 8 ulps from g put on g's side of λ, up to the first nearer
+    one; p is evaluated only at integer probes, to nudge them off a root,
+    as p's rational roots are integers. V(hi) = V(+inf) < V(lo) checks
+    that λ is in the cell reached. Each predicted probe lies outside it,
+    so on the same side of λ as of g: its decision is exact. The cell,
+    over 16 ulps of g wide, is above float resolution. Without a guess,
+    or if the check fails, the loop bisects from the top.
     """
     p, rest = chain[0], chain[1:]
     # a constant last term means p has no repeated root; then, once the
@@ -550,17 +570,31 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
     squarefree = len(chain[-1]) == 1
 
     def sign_changes(num: int, exp: int, head: int) -> int:
-        return _count_sign_changes(
-            [head] + [_dyadic_value(q, num, exp) for q in rest]
-        )
+        return _count_sign_changes([head] + [_dyadic_value(q, num, exp) for q in rest])
 
-    # the bracket is [lo, hi] / 2**exp
-    lo, hi, exp = -bound, bound, 0
-    head_hi = _dyadic_value(p, hi, exp)
-    changes_hi = sign_changes(hi, exp, head_hi)
-    changes_lo = sign_changes(lo, exp, _dyadic_value(p, lo, exp))
+    changes_hi = _count_sign_changes([q[-1] for q in chain])
+    changes_lo = _count_sign_changes([q[-1] * (-1) ** (len(q) - 1) for q in chain])
     if changes_lo == changes_hi:
         raise InvalidInputError("polynomial has no real roots")
+
+    # the bracket is [lo, hi] / 2**exp; p is monic, positive at hi
+    lo, hi, exp, head_hi, changes_lo = top = -bound, bound, 0, 1, changes_lo
+    guess = _newton_guess(p, bound)
+    if guess is not None and -bound < guess < bound:
+        (a, b), (c, d) = ((guess + t * ulp(guess)).as_integer_ratio() for t in (-8, 8))
+        while True:
+            num, probe_exp = lo + hi, exp + 1
+            while not (num % (1 << probe_exp) or _dyadic_value(p, num, probe_exp)):
+                num, probe_exp = 2 * num + (hi - lo), probe_exp + 1
+            root_above = num * b < a << probe_exp
+            if not root_above and num * d <= c << probe_exp:
+                break
+            shift, exp = probe_exp - exp, probe_exp
+            lo, hi = (num, hi << shift) if root_above else (lo << shift, num)
+        head_hi = _dyadic_value(p, hi, exp)
+        changes_lo = sign_changes(lo, exp, _dyadic_value(p, lo, exp))
+        if not changes_lo > changes_hi == sign_changes(hi, exp, head_hi):
+            lo, hi, exp, head_hi, changes_lo = top
 
     # shrink toward the topmost root; sign-change counts need probe points
     # that are not themselves roots, so nudge a midpoint that is a root
@@ -583,13 +617,11 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
             # moves), and more iff a root lies above the probe
             changes = sign_changes(num, probe_exp, head)
             root_above = changes > changes_hi
-        lo <<= probe_exp - exp
-        hi <<= probe_exp - exp
-        exp = probe_exp
+        shift, exp = probe_exp - exp, probe_exp
         if root_above:
-            lo, changes_lo = num, changes
+            lo, hi, changes_lo = num, hi << shift, changes
         else:
-            hi, head_hi = num, head
+            lo, hi, head_hi = lo << shift, num, head
 
 
 def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
@@ -619,9 +651,10 @@ def largest_real_root(poly: IntPolynomial) -> float:
 
     Exact integer arithmetic at dyadic probes on the cached
     ``sturm_chain`` of ``poly``, from a bracket at the Cauchy bound
-    1 + max |c|. The bisection stops once the float midpoint no longer
-    lies strictly inside the rounded bracket, so the result is within a
-    few units in the last place of the root.
+    1 + max |c|, along a path that a Newton guess predicts and two Sturm
+    counts check. It stops once the float midpoint no longer lies strictly
+    inside the rounded bracket, so the result is within a few units in the
+    last place of the root, the same float with any guess or none.
     """
     bound = 1 + max(map(abs, poly.coefficients))
     return _bisect_top_root(poly.sturm_chain, bound)
@@ -632,7 +665,7 @@ def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
 
     For non-negative matrices the spectral radius is itself an eigenvalue,
     hence the largest real root of char_poly(M), bisected to float
-    resolution.
+    resolution along a predicted, checked path (``largest_real_root``).
     """
     return max(0.0, largest_real_root(facts(M).poly))
 

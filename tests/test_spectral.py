@@ -37,6 +37,8 @@ from conftest import (
     SPARSE7,
     random_irreducible_matrices,
     seeded_irreducible_matrix,
+    sparse_irreducible_matrices,
+    stress_matrices,
 )
 
 
@@ -368,24 +370,28 @@ def _fraction_sturm_root(coeffs) -> float:
     half the distance to ``hi``, and the same stopping rule, float
     resolution: the rounded midpoint, once it no longer lies strictly
     between the rounded bracket ends. An exact implementation must
-    return the same float.
+    return the same float. Each term of the rational chain is scaled by
+    the lcm of its denominators, and its sign at x = n/d read off the
+    integer d**deg * q(n/d); the count at ``hi`` is kept with ``hi``.
     """
 
     def value(q, x):
-        acc = Fraction(0)
-        for c in reversed(q):
-            acc = acc * x + c
-        return acc
+        n, d, top = x.numerator, x.denominator, len(q) - 1
+        return sum(c * n**i * d ** (top - i) for i, c in enumerate(q) if c)
 
     def changes(x):
         signs = [v > 0 for v in (value(q, x) for q in chain) if v != 0]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    chain = _fraction_sturm_chain(coeffs)
+    chain = []
+    for q in _fraction_sturm_chain(coeffs):
+        scale = math.lcm(*(c.denominator for c in q))
+        chain.append([int(c * scale) for c in q])
     p = chain[0]
     hi = Fraction(1 + max(abs(c) for c in coeffs))
     lo = -hi
-    if changes(lo) == changes(hi):
+    changes_hi = changes(hi)
+    if changes(lo) == changes_hi:
         raise InvalidInputError("polynomial has no real roots")
     while True:
         probe = (lo + hi) / 2
@@ -395,10 +401,11 @@ def _fraction_sturm_root(coeffs) -> float:
         while value(p, probe) == 0:
             probe += shift
             shift /= 2
-        if changes(probe) > changes(hi):
+        changes_probe = changes(probe)
+        if changes_probe > changes_hi:
             lo = probe
         else:
-            hi = probe
+            hi, changes_hi = probe, changes_probe
 
 
 def _poly_product(*factors):
@@ -521,6 +528,16 @@ class TestDyadicValue:
                 assert got == _horner_value(q, num, exp), (q, num, exp)
 
 
+#: the polynomials of ``test_roots_on_dyadic_probes``
+DYADIC_PROBE_ROOTS = [
+    ([0, 0, 1], 0.0),  # x^2: the first probe is the double root
+    ([0, -1, 1], 1.0),  # x(x-1): the first nudge lands on a root too
+    ([0, -3, 2, 1], 1.0),  # x(x-1)(x+3)
+    ([4, 0, -3, 1], 2.0),  # (x-2)^2 (x+1)
+    ([-16, 0, 0, 0, 1], 2.0),  # x^4 - 16
+]
+
+
 class TestLargestRealRootIsBitExact:
     """The integer bisection returns exactly the Fraction oracle's float."""
 
@@ -542,22 +559,28 @@ class TestLargestRealRootIsBitExact:
 
     def test_x_n_minus_x_minus_1(self):
         # lambda tends to 1 as n grows, where the float spacing is finest
-        for n in range(2, 33):
+        for n in range(2, 65):
             coeffs = [-1, -1] + [0] * (n - 2) + [1]
             assert largest_real_root(IntPolynomial(coeffs)) == (
                 _fraction_sturm_root(coeffs)
             )
 
-    @pytest.mark.parametrize(
-        "coeffs, root",
-        [
-            ([0, 0, 1], 0.0),  # x^2: the first probe is the double root
-            ([0, -1, 1], 1.0),  # x(x-1): the first nudge lands on a root too
-            ([0, -3, 2, 1], 1.0),  # x(x-1)(x+3)
-            ([4, 0, -3, 1], 2.0),  # (x-2)^2 (x+1)
-            ([-16, 0, 0, 0, 1], 2.0),  # x^4 - 16
-        ],
-    )
+    def test_stress_and_sparse_draws(self):
+        # n up to 20, with Cauchy bounds up to about 3e10
+        for M in stress_matrices(30) + sparse_irreducible_matrices(40):
+            poly = char_poly(M)
+            assert largest_real_root(poly) == _fraction_sturm_root(poly.coefficients)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_wide_companions(self, a):
+        # x^n - a x^(n-1) - 1: lambda just above a, far below the bound
+        for n in range(8, 25):
+            coeffs = [-1] + [0] * (n - 2) + [-a, 1]
+            assert largest_real_root(IntPolynomial(coeffs)) == (
+                _fraction_sturm_root(coeffs)
+            )
+
+    @pytest.mark.parametrize("coeffs, root", DYADIC_PROBE_ROOTS)
     def test_roots_on_dyadic_probes(self, coeffs, root):
         got = largest_real_root(IntPolynomial(coeffs))
         assert got == _fraction_sturm_root(coeffs)
@@ -569,6 +592,65 @@ class TestLargestRealRootIsBitExact:
             largest_real_root(IntPolynomial(coeffs))
         with pytest.raises(InvalidInputError):
             _fraction_sturm_root(coeffs)
+
+
+class TestGuessNeverDecides:
+    """The Newton guess only picks the cell that the bisection checks; a
+    wrong guess, or none, gives the same float."""
+
+    @staticmethod
+    def _polys():
+        polys = [char_poly(M) for M in random_irreducible_matrices(200)]
+        polys += [char_poly(_lift_of_two(k)) for k in range(2, 13)]
+        return polys + [IntPolynomial(c) for c, _ in DYADIC_PROBE_ROOTS]
+
+    @pytest.fixture
+    def dyadic_calls(self, monkeypatch):
+        """The list that gets one entry per ``_dyadic_value`` call."""
+        calls = []
+        original = spectral._dyadic_value
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(spectral, "_dyadic_value", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "wrong_guess",
+        [
+            lambda lam: None,
+            lambda lam: lam * (1 + 1e-6),
+            lambda lam: lam * (1 - 1e-6),
+            # across the first probe, 0, and across probes near lambda
+            lambda lam: -lam,
+            lambda lam: lam + 40 * math.ulp(lam),
+            lambda lam: lam - 40 * math.ulp(lam),
+        ],
+        ids=["none", "1e-6 above", "1e-6 below", "mirrored", "40 ulps above",
+             "40 ulps below"],
+    )
+    def test_same_float_for_any_guess(self, monkeypatch, dyadic_calls, wrong_guess):
+        polys = self._polys()
+        want = [largest_real_root(poly) for poly in polys]
+        costs = {}
+        for name, guess in (("exact", lambda lam: lam), ("wrong", wrong_guess)):
+            del dyadic_calls[:]
+            for poly, lam in zip(polys, want):
+                monkeypatch.setattr(
+                    spectral, "_newton_guess", lambda p, bound: guess(lam)
+                )
+                assert largest_real_root(poly) == lam
+            costs[name] = len(dyadic_calls)
+        # a wrong guess fails the check, and either bisects from the top
+        assert costs["wrong"] > costs["exact"] + 20 * len(polys)
+
+    def test_dyadic_value_calls_are_pinned(self, dyadic_calls):
+        # a count, not a timing: 14,051 calls when every probe was exact
+        for M in random_irreducible_matrices(200):
+            largest_real_root(char_poly(M))
+        assert len(dyadic_calls) <= 4000
 
 
 class TestLargestRealRoot:

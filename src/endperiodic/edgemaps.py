@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .decomposition import PieceMap
 from .errors import InternalConsistencyError, PreconditionError
+from .spectral import StripLabel
 
 KINDS = ("L", "R", "T", "B")
 
@@ -32,12 +33,16 @@ _PARTNER_KIND = {"TL": {"L": "T", "T": "L"}, "BL": {"L": "B", "B": "L"},
 class EdgeBranch(NamedTuple):
     """Affine action x -> offset0 + x/lam on the full edge of one rectangle,
     the rectangle being its key in ``EdgeMap.branches``; lam is the map's
-    ``EdgeMap.lam``."""
+    ``EdgeMap.lam``. ``target`` is the strip whose end the edge maps onto:
+    the piece-map image (L, R) or preimage (T, B) of the rectangle's
+    extreme strip (``_side_branch``)."""
 
-    target_rect: int
+    target: StripLabel
     offset0: float
-    targets_first: bool
-    targets_last: bool
+
+    @property
+    def target_rect(self) -> int:
+        return self.target.rect
 
     def apply(self, x: float, lam: float) -> float:
         return self.offset0 + x / lam
@@ -157,6 +162,17 @@ def _functional_analysis(digraph: dict[int, int]):
     return tuple(cycles), {v: tails[v] for v in digraph}
 
 
+def _side_branch(P: PieceMap, kind: str, label: StripLabel) -> EdgeBranch:
+    """The ``kind`` edge-map branch through the strip ``label``: the strip
+    that its piece-map branch maps it onto (L, R; ``label`` vertical) or
+    from (T, B; ``label`` horizontal), at that branch's offset."""
+    if kind in ("L", "R"):
+        br = P.source_index[label]
+        return EdgeBranch(br.target_label, br.y0)
+    br = P.target_index[label]
+    return EdgeBranch(br.source_label, br.x0)
+
+
 def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
     """The four edge maps induced by a piece map.
 
@@ -171,48 +187,15 @@ def build_edge_maps(P: PieceMap) -> EdgeMapSystem:
     # sums are equal; so it is 1 exactly when every row sums to 1.
     if all(sum(row) == 1 for row in D.facts.matrix.entries):
         raise PreconditionError("edge dynamics require spectral radius > 1")
-    lam = D.eigen.lam
-    by_source = P.source_index
-    by_target = P.target_index
-    n = D.n
     maps = {}
-
-    for kind in ("L", "R"):
-        branches = {}
-        for k in range(1, n + 1):
-            order = D.vertical_order[k]
-            strip = order[0] if kind == "L" else order[-1]
-            br = by_source[strip]
-            i = br.target_label.rect
-            tgt_order = D.horizontal_order[i]
-            branches[k] = EdgeBranch(
-                target_rect=i,
-                offset0=br.y0,
-                targets_first=br.target_label == tgt_order[0],
-                targets_last=br.target_label == tgt_order[-1],
-            )
-        digraph = {k: b.target_rect for k, b in branches.items()}
+    for kind in KINDS:
+        orders = D.vertical_order if kind in ("L", "R") else D.horizontal_order
+        end = 0 if kind in ("L", "T") else -1
+        branches = {r: _side_branch(P, kind, orders[r][end])
+                    for r in range(1, D.n + 1)}
+        digraph = {r: b.target_rect for r, b in branches.items()}
         cycles, tails = _functional_analysis(digraph)
-        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails, lam)
-
-    for kind in ("T", "B"):
-        branches = {}
-        for i in range(1, n + 1):
-            order = D.horizontal_order[i]
-            strip = order[0] if kind == "T" else order[-1]
-            br = by_target[strip]
-            k = br.source_label.rect
-            src_order = D.vertical_order[k]
-            branches[i] = EdgeBranch(
-                target_rect=k,
-                offset0=br.x0,
-                targets_first=br.source_label == src_order[0],
-                targets_last=br.source_label == src_order[-1],
-            )
-        digraph = {i: b.target_rect for i, b in branches.items()}
-        cycles, tails = _functional_analysis(digraph)
-        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails, lam)
-
+        maps[kind] = EdgeMap(kind, branches, digraph, cycles, tails, D.eigen.lam)
     return EdgeMapSystem(piece_map=P, maps=maps)
 
 
@@ -238,18 +221,22 @@ def periodic_points(E: EdgeMap, decomposition) -> list[PeriodicPoint]:
     The p-fold composition from a cycle vertex is x -> lam^-p * x + b, whose
     fixed point is b / (1 - lam^-p). Corner status is decided exactly: the
     point sits at the starting (resp. far) corner of its edge if and only if
-    every branch around the cycle targets the first (resp. last) strip.
+    every branch around the cycle targets the first (resp. last) strip of
+    its rectangle, in horizontal (L, R) or vertical (T, B) order.
     Each orbit is listed from its point on its least rectangle, position 0,
     its initial point; a corner point names its partner on the same
     rectangle.
     """
     lam = E.lam
+    across = (decomposition.horizontal_order if E.kind in ("L", "R")
+              else decomposition.vertical_order)
     points = []
     for cyc in E.cycles:
         p = len(cyc)
         orbit_id = f"{E.kind}:{cyc[0]}"
-        all_first = all(E.branches[v].targets_first for v in cyc)
-        all_last = all(E.branches[v].targets_last for v in cyc)
+        targets = [E.branches[v].target for v in cyc]
+        all_first = all(s == across[s.rect][0] for s in targets)
+        all_last = all(s == across[s.rect][-1] for s in targets)
         if all_first and all_last:
             raise InternalConsistencyError(
                 f"cycle {cyc} in {E.kind} is simultaneously first and last"

@@ -29,6 +29,7 @@ from .edgemaps import (
     KINDS,
     EdgeMapSystem,
     PeriodicPoint,
+    _side_branch,
     composed_branch,
     max_escape_depth,
     nesting_period,
@@ -230,10 +231,10 @@ class GeneratorTrace(NamedTuple):
     it. It is a run value, which classify and the figures read; the
     census names a generator by its index in the order that M fixes, and
     the record stores no id. Per side, ``first_strips`` holds the strip
-    that its depth-1 segment spans (``_side_strip``), ``entry_depths``
-    its strip-entry depth t, ``entry_strips`` the key of that strip
-    (``_strip_entry``) and ``tail_orbits`` its orbit id;
-    ``stabilization_depth`` is the larger t.
+    that its depth-1 segment spans, the target of its edge-map branch
+    (``_side_branch``), ``entry_depths`` its strip-entry depth t,
+    ``entry_strips`` the key of that strip (``_strip_entry``) and
+    ``tail_orbits`` its orbit id; ``stabilization_depth`` is the larger t.
 
     ``pair_states[d]``, the two identified image segments at depth d+1
     of the window N + 3m, side a's then side b's, is derived on each read
@@ -369,7 +370,7 @@ def enumerate_identifications(ext: ExtendedPieceMap) -> IdentificationSchema:
                 sides = []
                 for kind, label in zip(SIDE_KINDS[family],
                                        (orders[k][t], orders[k][t - 1])):
-                    strip = _side_strip(system, kind, label)
+                    strip = _side_branch(system.piece_map, kind, label).target
                     key = (kind, strip.rect)
                     if key not in entries:
                         entries[key] = _strip_entry(*key, ext)
@@ -418,18 +419,6 @@ def _refuse_oversized_window(M: IntMatrix, depth_cap: int | None) -> None:
             f"{least}{generators * cap} pair states, above the limit "
             f"{MAX_PAIR_STATES}"
         )
-
-
-def _side_strip(system: EdgeMapSystem, kind: str, label):
-    """The strip of the ``kind`` edge that the depth-1 segment of a side
-    spans, for the strip ``label`` whose branch gives it (of X:k:t or
-    Y:k:t, the t-th for side a and the (t-1)-th for side b of the vertical
-    or horizontal strips of k): the image of ``label`` under its piece-map
-    branch (L, R), or its preimage (T, B)."""
-    P = system.piece_map
-    if kind in ("L", "R"):
-        return P.source_index[label].target_label
-    return P.target_index[label].source_label
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +561,22 @@ def _edge_codes(system: EdgeMapSystem, stride: int) -> tuple:
     boundaries of the edges before it in ``edges``, which lists ``(kind,
     rect, count)`` per edge. ``images[kind]`` sends each corner of a
     ``kind`` edge one step, to the first or last end of the strip that the
-    edge's branch maps it onto (``_side_strip``); any other code x steps
-    to x + 1."""
+    edge's branch maps it onto, the branch's ``target``; any other code x
+    steps to x + 1."""
     D = system.decomposition
     ends, images, edges, base = {k: {} for k in KINDS}, {k: {} for k in KINDS}, [], 0
     for kind, strip_ends in ends.items():
         start, end = _EDGE_CORNERS[kind]
-        along, across = D.horizontal_order, D.vertical_order
-        if kind in ("T", "B"):
-            along, across = across, along
+        along = D.horizontal_order if kind in ("L", "R") else D.vertical_order
         for r, order in along.items():
             edges.append((kind, r, len(order)))
             points = range(base * stride, (base + len(order) - 1) * stride, stride)
             points = [start - 4 * r, *points, end - 4 * r]
             strip_ends.update(zip(order, zip(points, points[1:])))
             base += len(order) - 1
-        first, image = 0 if kind in ("L", "T") else -1, images[kind]
-        for r, order in across.items():
-            image[start - 4 * r], image[end - 4 * r] = strip_ends[
-                _side_strip(system, kind, order[first])]
+        image = images[kind]
+        for r, br in system.maps[kind].branches.items():
+            image[start - 4 * r], image[end - 4 * r] = strip_ends[br.target]
     return ends, images, edges
 
 

@@ -804,11 +804,20 @@ def perron_eigendata(
 # weak-Perron block lift
 
 
+#: the largest dimension k * m of a lift that ``block_lift`` builds: the
+#: dense lift costs 8 bytes per entry as lists and again as the matrix's
+#: row tuples, 2 * 8 * 2048**2 bytes = 64 MiB at the bound; it admits the
+#: lifts k <= 1100 of a 1 x 1 matrix, and ``gluing.MAX_PAIR_STATES``
+#: bounds the window that a lift's run builds
+MAX_LIFT_DIMENSION = 2048
+
+
 def block_lift(M: IntMatrix, k: int) -> IntMatrix:
     """km x km block matrix: M in the top-right block, identities below the diagonal.
 
     The spectral radius of the lift is the k-th root of the spectral radius
-    of M.
+    of M. A lift of dimension above ``MAX_LIFT_DIMENSION`` raises
+    ``InvalidInputError`` before anything is allocated.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -816,6 +825,11 @@ def block_lift(M: IntMatrix, k: int) -> IntMatrix:
         return M
     m = M.n
     n = k * m
+    if n > MAX_LIFT_DIMENSION:
+        raise InvalidInputError(
+            f"the {k}-lift of a {m} x {m} matrix has dimension {n}, above "
+            f"the limit {MAX_LIFT_DIMENSION}"
+        )
     out = [[0] * n for _ in range(n)]
     for i in range(m):
         for j in range(m):

@@ -148,10 +148,13 @@ def _numbers(sections: dict, path: str, n: int) -> list[float]:
 
 
 def _number(value, path: str) -> float:
-    """The float that ``value``, a number or its text, states."""
+    """The float that ``value``, a number or its text but not a bool,
+    states; it must be finite and positive, as lambda, eta and omega are."""
     with suppress(TypeError, ValueError):
-        return float(value)
-    raise VerificationError(f"{path} {value!r} is not a number")
+        number = float(value)
+        if not isinstance(value, bool) and 0 < number < math.inf:
+            return number
+    raise VerificationError(f"{path} {value!r} is not a number in (0, inf)")
 
 
 def _orbits(digraph: dict) -> dict:

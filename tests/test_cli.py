@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from endperiodic import InternalConsistencyError
 from endperiodic.cli import main
 from endperiodic.gluing import MAX_PAIR_STATES
 from endperiodic.record import SCHEMA_VERSION
+from endperiodic.spectral import MAX_LIFT_DIMENSION
 
 from conftest import RUNNING_ROWS
 
@@ -417,6 +419,25 @@ class TestUsageErrors:
                      "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not list(tmp_path.glob("*.record.json"))
+
+    def test_lift_over_the_dimension_bound(self, tmp_path, capsys):
+        # the dense 100000 x 100000 lift is refused by its dimension before
+        # it is built: the call allocates under 1 MiB, where it once built
+        # the lift's rows until a MemoryError exited 1
+        tracemalloc.start()
+        try:
+            code = main(["construct", "--integer", "2", "--lift", "100000",
+                         "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert capsys.readouterr().err == (
+            "error: the 100000-lift of a 1 x 1 matrix has dimension 100000, "
+            f"above the limit {MAX_LIFT_DIMENSION}\n"
+        )
         assert not list(tmp_path.glob("*.record.json"))
 
     @pytest.mark.parametrize("command", ["spectral", "construct"])

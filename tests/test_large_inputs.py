@@ -54,6 +54,7 @@ from conftest import (
     RUNNING_ROWS,
     SPARSE7,
     SPARSE9,
+    hash_digest,
     seeded_irreducible_matrix,
     stress_matrices,
     x_n_minus_x_minus_1,
@@ -201,3 +202,24 @@ def test_stress_draw_seven_is_a_precision_error(tmp_path, capsys):
     path.write_text(json.dumps(M.to_lists()), encoding="utf-8")
     assert main(["construct", "--matrix", str(path), "--out", str(tmp_path)]) == 2
     assert f"error: {info.value}" in capsys.readouterr().err
+
+
+#: SHA-256 of the content hashes of the 39 of the first 40
+#: ``stress_matrices`` draws that certify, in draw order
+STRESS40_DIGEST = "cfbb6cdf057d68d727306c9766d9f9c0b6d0ce00a8e4703db0a22d427bf102bf"
+
+
+def test_first_40_stress_draws_are_pinned():
+    """Each of the first 40 ``stress_matrices`` draws (n = 5..20) keeps its
+    outcome: the 7th raises ``PrecisionError``, as the test above checks
+    in detail, and the other 39 certify with the pinned content hashes. An input that moves from certified to refused is a
+    regression; no draw is redrawn or dropped. About 1-2 s on a 2-core
+    machine."""
+    hashes, refused = [], {}
+    for i, M in enumerate(stress_matrices(40), start=1):
+        try:
+            hashes.append(build_record(M)[0].content_hash())
+        except PrecisionError:
+            refused[i] = PrecisionError
+    assert refused == {7: PrecisionError}
+    assert hash_digest(hashes) == STRESS40_DIGEST

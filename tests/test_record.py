@@ -707,6 +707,34 @@ class TestTailFromRecord:
             derive_window(data)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [("lambda", None, "inf"), ("lambda", None, "0"), ("lambda", None, True),
+         ("lambda", None, "nan"), ("lambda", None, "-1.5"), ("eta", 0, True),
+         ("omega", 0, "nan")],
+        ids=["lambda-inf", "lambda-0", "lambda-true", "lambda-nan",
+             "lambda-negative", "eta-true", "omega-nan"],
+    )
+    def test_eigendata_number_out_of_range_is_named(
+        self, running_record, key, index, value
+    ):
+        # lambda "inf" or "0" once raised a bare ZeroDivisionError, and the
+        # other edits were read as NaN, negative or 1.0 and gave wrong
+        # segment floats; the derivation takes only a finite positive
+        # number that is not a bool, and names the path of any other
+        data = load_record(running_record.to_json())
+        derive_window(data)
+        eigendata = data["sections"]["eigendata"]
+        path = f"eigendata.{key}"
+        if index is None:
+            eigendata[key] = value
+        else:
+            eigendata[key][index] = value
+            path = f"{path}[{index}]"
+        with pytest.raises(VerificationError) as info:
+            derive_window(data)
+        assert str(info.value) == f"{path} {value!r} is not a number in (0, inf)"
+
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
     def test_window_holds_two_periods_past_the_last_stabilization(self, case):
         # Past each stabilization depth the stored prefix and the rule give

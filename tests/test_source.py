@@ -44,6 +44,7 @@ from endperiodic import (
     run_pipeline,
 )
 from endperiodic import gluing
+from endperiodic.edgemaps import EdgeBranch
 from endperiodic.record import _config_dict
 from endperiodic.spectral import _analyse
 
@@ -207,6 +208,20 @@ def test_gluing_reads_no_coordinate_tolerance():
         if path.name == "gluing.py":
             assert "bisect_left" not in names
     assert not hasattr(endperiodic, "COORD_TOL")
+
+
+def test_edge_map_branches_are_the_one_reader_of_the_piece_map():
+    # where each rectangle edge goes is said once, by the edge-map branch
+    # (``edgemaps._side_branch``), which keeps its target strip and offset
+    # alone; gluing reads those branches, never the piece-map indexes
+    tree = ast.parse(Path(gluing.__file__).read_text(encoding="utf-8"))
+    names = {
+        name
+        for node in ast.walk(tree)
+        for name in (getattr(node, "attr", None), getattr(node, "value", None))
+    }
+    assert names.isdisjoint({"source_index", "target_index"})
+    assert EdgeBranch._fields == ("target", "offset0")
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from endperiodic import (
     perron_eigendata,
     spectral_radius_exact,
 )
-from endperiodic.spectral import lift_base
+from endperiodic.spectral import MAX_LIFT_DIMENSION, lift_base
 
 from conftest import (
     RUNNING_ROWS,
@@ -891,3 +891,12 @@ class TestBlockLift:
     def test_invalid_k(self):
         with pytest.raises(InvalidInputError):
             block_lift(IntMatrix.from_rows([[2]]), 0)
+
+    def test_dimension_bound(self):
+        # the bound admits the lifts k <= 1100 of a 1 x 1 matrix; one past
+        # it is refused before the dense lift is built
+        assert MAX_LIFT_DIMENSION >= 1100
+        base = IntMatrix.from_rows([[0, 1], [1, 1]])
+        k = MAX_LIFT_DIMENSION // 2 + 1
+        with pytest.raises(InvalidInputError, match=f"dimension {2 * k}, above"):
+            block_lift(base, k)

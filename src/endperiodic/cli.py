@@ -89,7 +89,7 @@ def _load_matrix(args) -> tuple[IntMatrix, str]:
     if args.integer is not None:
         if args.integer < 2:
             raise InvalidInputError("--integer requires d >= 2")
-        M, stem = IntMatrix.from_rows([[args.integer]]), f"integer-{args.integer}"
+        M, stem = IntMatrix([[args.integer]]), f"integer-{args.integer}"
     else:
         M = parse_matrix_text(_read_text(args.matrix))
         stem = Path(args.matrix).stem

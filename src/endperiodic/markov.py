@@ -34,7 +34,7 @@ def incidence_matrix(M: IntMatrix, doubled: bool = True) -> IntMatrix:
         rows.append(list(M.entries[i]) + [0] * n)
     for i in range(n):
         rows.append([0] * n + list(M.entries[i]))
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 class IncidenceReport(NamedTuple):

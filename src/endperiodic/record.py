@@ -214,15 +214,6 @@ _CONFIG_KEYS = (
     "weak_perron_k", "doubled",
 )
 
-#: the config values of settings the construction no longer has: every
-#: record holds exactly these, and their keys stay while the benchmark
-#: passes ``_config_dict`` all seven values
-_FIXED_CONFIG = {
-    "tol": DEFAULT_TOL, "depth_cap": None, "corner_selection": True,
-    "insert_genus": False, "doubled": True,
-}
-
-
 def _config_dict(
     M: IntMatrix,
     tol: float,
@@ -236,6 +227,12 @@ def _config_dict(
         M.to_lists(), tol, depth_cap, use_corner_selection, insert_genus,
         weak_perron_k, doubled,
     )))
+
+
+def _config(M: IntMatrix, weak_perron_k: int | None) -> dict:
+    """The config of a record of M, the one statement of the settings the
+    construction no longer has; the benchmark still passes all seven."""
+    return _config_dict(M, DEFAULT_TOL, None, True, False, weak_perron_k, True)
 
 
 def build_record(
@@ -256,11 +253,9 @@ def build_record(
         "surface": result.surface.to_json_dict(),
         "incidence": result.incidence.to_json_dict(),
     }
-    config = _config_dict(
-        M, DEFAULT_TOL, None, True, False, weak_perron_k, True
-    )
     record = ConstructionRecord(
-        schema_version=SCHEMA_VERSION, config=config, sections=sections
+        schema_version=SCHEMA_VERSION, config=_config(M, weak_perron_k),
+        sections=sections,
     )
     return record, result
 
@@ -268,10 +263,10 @@ def build_record(
 def load_record(text: str) -> dict:
     """Parse a stored record, checking its schema version and shape.
 
-    The record must be a JSON object whose ``config`` is an object with
-    exactly the keys of ``_config_dict``, each holding a value that
-    ``build_record`` may write, and whose ``sections`` is an object; anything
-    else raises :class:`InvalidInputError`.
+    The record must be a JSON object whose ``sections`` is an object and
+    whose ``config``, key for key and type for type, is the ``_config``
+    that ``build_record`` writes for its ``matrix`` and ``weak_perron_k``;
+    anything else raises :class:`InvalidInputError`.
     """
     try:
         data = json.loads(text)
@@ -294,7 +289,18 @@ def load_record(text: str) -> dict:
             f"record config must hold exactly the keys {list(_CONFIG_KEYS)}, "
             f"not {sorted(config)}"
         )
-    _check_config_values(config)
+    try:
+        M = IntMatrix(config["matrix"])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"record config.{exc}") from None
+    _check_weak_perron_k(config["weak_perron_k"], "record config.")
+    for key, written in _config(M, config["weak_perron_k"]).items():
+        value = config[key]
+        if not (type(value) is type(written) and value == written):
+            raise InvalidInputError(
+                f"record config.{key} {value!r} is not {written!r}, the value "
+                "every record holds"
+            )
     if not isinstance(data.get("sections"), dict):
         raise InvalidInputError("record sections are missing or not an object")
     return data
@@ -307,36 +313,6 @@ def _check_weak_perron_k(value, where="") -> None:
         raise InvalidInputError(
             f"{where}weak_perron_k {value!r} is neither null nor an integer"
         )
-
-
-def _check_config_values(config: dict) -> None:
-    """Raise :class:`InvalidInputError` unless each config value is one
-    ``build_record`` writes: ``matrix`` a non-empty square list of lists
-    of non-negative ints, ``weak_perron_k`` as ``_check_weak_perron_k``
-    takes it, and the keys of ``_FIXED_CONFIG`` their fixed values."""
-    rows = config["matrix"]
-    if not (
-        isinstance(rows, list)
-        and rows
-        and all(
-            isinstance(row, list)
-            and len(row) == len(rows)
-            and all(_is_int(v) and v >= 0 for v in row)
-            for row in rows
-        )
-    ):
-        raise InvalidInputError(
-            "record config.matrix is not a non-empty square list of lists "
-            "of non-negative integers"
-        )
-    _check_weak_perron_k(config["weak_perron_k"], "record config.")
-    for key, fixed in _FIXED_CONFIG.items():
-        value = config[key]
-        if not (type(value) is type(fixed) and value == fixed):
-            raise InvalidInputError(
-                f"record config.{key} {value!r} is not {fixed!r}, the value "
-                "every record holds"
-            )
 
 
 class SectionCheck(NamedTuple):
@@ -362,7 +338,7 @@ def check_record(data: dict) -> list[SectionCheck]:
     ``eigendata.lambda``.
     """
     cfg = data["config"]
-    M = IntMatrix.from_rows(cfg["matrix"])
+    M = IntMatrix(cfg["matrix"])
     fresh, _ = build_record(M, weak_perron_k=cfg["weak_perron_k"])
     stored = {name: _canonical(section) for name, section in data["sections"].items()}
     results = []

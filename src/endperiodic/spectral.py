@@ -11,6 +11,7 @@ from one step of inverse iteration at that root, with a checked residual
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, MappingView, Set
 from functools import cached_property
 from math import fsum, gcd, inf, isfinite, ulp
 from operator import index
@@ -65,24 +66,27 @@ def _is_int(v) -> bool:
 
 
 class IntMatrix(_Value):
-    """Square matrix of non-negative integers, stored as a tuple of row
-    tuples; ``entries`` may be given as any iterable of rows."""
+    """Square matrix of non-negative integers, stored as row tuples of
+    Python ints. The constructor is the package's one matrix check: it
+    takes any iterable of rows of Python or numpy integers, and names the
+    first bad row or entry in an :class:`InvalidInputError` "matrix ..."."""
 
     _fields = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries):
-        entries = tuple(map(tuple, entries))
-        n = len(entries)
-        if n == 0:
-            raise InvalidInputError("matrix dimension must be positive")
-        for row in entries:
-            if len(row) != n:
-                raise InvalidInputError("matrix must be square")
-            for v in row:
-                if not _is_int(v) or v < 0:
-                    raise InvalidInputError("entries must be non-negative integers")
-        vars(self).update(entries=entries)
+        rows = _sequence(entries, "matrix")
+        if not rows:
+            raise InvalidInputError("matrix has no rows")
+        checked = []
+        for i, row in enumerate(rows):
+            row = _sequence(row, f"matrix row [{i}]")
+            if len(row) != len(rows):
+                raise InvalidInputError(
+                    f"matrix row [{i}] has {len(row)} entries, not {len(rows)}"
+                )
+            checked.append(tuple([_index(v, i, j) for j, v in enumerate(row)]))
+        vars(self).update(entries=tuple(checked))
 
     @property
     def n(self) -> int:
@@ -94,24 +98,38 @@ class IntMatrix(_Value):
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        """The matrix of ``rows``, whose entries may be Python or numpy
-        integers (``operator.index``); a ``bool``, ``float``, ``str`` or
-        other value raises :class:`InvalidInputError`."""
-        return cls([[_index(v, i, j) for j, v in enumerate(row)]
-                    for i, row in enumerate(rows)])
+        """``IntMatrix(rows)``, kept for the benchmark's callers."""
+        return cls(rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
 
+def _sequence(value, where: str) -> tuple:
+    """``value`` as a tuple; a non-iterable, or a str, bytes-like value,
+    mapping, set or mapping view, whose items are characters, bytes, keys
+    or in hash order, is refused."""
+    try:
+        if not isinstance(value, (str, bytes, bytearray, memoryview, Mapping,
+                                  Set, MappingView)):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{where} is of type {type(value).__name__}, not a list")
+
+
 def _index(v, i: int, j: int) -> int:
-    """Entry ``[i][j]`` as a Python int, or :class:`InvalidInputError`."""
-    if not isinstance(v, bool):
-        try:
-            return index(v)
-        except TypeError:
-            pass
-    raise InvalidInputError(f"matrix entry [{i}][{j}] is {v!r}, not an integer")
+    """Entry ``[i][j]`` as a non-negative Python int, or InvalidInputError."""
+    try:
+        value = index(v)
+        if value >= 0 and not isinstance(v, bool):
+            return value
+    except TypeError:
+        pass
+    raise InvalidInputError(
+        f"matrix entry [{i}][{j}] of type {type(v).__name__} is refused: "
+        "entries must be non-negative integers"
+    )
 
 
 class IntPolynomial(_Value):
@@ -193,18 +211,10 @@ def parse_matrix_text(text: str) -> IntMatrix:
             raise InvalidInputError(
                 f"matrix input is not valid JSON: {exc}"
             ) from exc
-        for i, row in enumerate(data):
-            if not isinstance(row, list):
-                raise InvalidInputError(
-                    f"JSON matrix row [{i}] is {json.dumps(row)}, not a list"
-                )
-            for j, v in enumerate(row):
-                if not _is_int(v):
-                    raise InvalidInputError(
-                        f"JSON matrix entry [{i}][{j}] is {json.dumps(v)}, "
-                        "not an integer"
-                    )
-        return IntMatrix.from_rows(data)
+        try:
+            return IntMatrix(data)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"JSON {exc}") from None
     rows = []
     for line in stripped.splitlines():
         line = line.strip()
@@ -216,7 +226,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
             raise InvalidInputError(f"bad matrix row {line!r}") from exc
     if not rows:
         raise InvalidInputError("empty matrix input")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +575,8 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
     """
     p, rest = chain[0], chain[1:]
     # a constant last term means p has no repeated root; then, once the
-    # bracket holds a single root, the sign of p at a probe against its
-    # sign at hi takes the decision the whole chain would take
+    # bracket holds a single root, the sign of p at a probe (positive at
+    # hi, above λ and no root) takes the decision the whole chain would
     squarefree = len(chain[-1]) == 1
 
     def sign_changes(num: int, exp: int, head: int) -> int:
@@ -578,7 +588,7 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
         raise InvalidInputError("polynomial has no real roots")
 
     # the bracket is [lo, hi] / 2**exp; p is monic, positive at hi
-    lo, hi, exp, head_hi, changes_lo = top = -bound, bound, 0, 1, changes_lo
+    lo, hi, exp, changes_lo = top = -bound, bound, 0, changes_lo
     guess = _newton_guess(p, bound)
     if guess is not None and -bound < guess < bound:
         (a, b), (c, d) = ((guess + t * ulp(guess)).as_integer_ratio() for t in (-8, 8))
@@ -591,10 +601,10 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
                 break
             shift, exp = probe_exp - exp, probe_exp
             lo, hi = (num, hi << shift) if root_above else (lo << shift, num)
-        head_hi = _dyadic_value(p, hi, exp)
         changes_lo = sign_changes(lo, exp, _dyadic_value(p, lo, exp))
-        if not changes_lo > changes_hi == sign_changes(hi, exp, head_hi):
-            lo, hi, exp, head_hi, changes_lo = top
+        changes_top = sign_changes(hi, exp, _dyadic_value(p, hi, exp))
+        if not changes_lo > changes_hi == changes_top:
+            lo, hi, exp, changes_lo = top
 
     # shrink toward the topmost root; sign-change counts need probe points
     # that are not themselves roots, so nudge a midpoint that is a root
@@ -611,7 +621,7 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
             head = _dyadic_value(p, num, probe_exp)
         if squarefree and changes_lo == changes_hi + 1:
             changes = changes_lo
-            root_above = (head > 0) != (head_hi > 0)
+            root_above = head < 0
         else:
             # the probe has at least hi's sign changes (hi's count never
             # moves), and more iff a root lies above the probe
@@ -621,7 +631,7 @@ def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
         if root_above:
             lo, hi, changes_lo = num, hi << shift, changes
         else:
-            lo, hi, head_hi = lo << shift, num, head
+            lo, hi = lo << shift, num
 
 
 def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
@@ -837,7 +847,7 @@ def block_lift(M: IntMatrix, k: int) -> IntMatrix:
     for b in range(k - 1):
         for i in range(m):
             out[(b + 1) * m + i][b * m + i] = 1
-    return IntMatrix.from_rows(out)
+    return IntMatrix(out)
 
 
 def lift_base(M: IntMatrix, k: int) -> IntMatrix | None:

@@ -93,7 +93,7 @@ def build_integer_case(d: int) -> IntegerCase:
         ends={"Attracting": ("E_L", "E_R"), "Repelling": ("E_B", "E_T")},
         stretch_factor=d,
     )
-    pipeline = run_pipeline(IntMatrix.from_rows([[d]]))
+    pipeline = run_pipeline(IntMatrix([[d]]))
     return IntegerCase(direct=direct, pipeline=pipeline)
 
 

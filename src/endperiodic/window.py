@@ -207,7 +207,10 @@ def _geometry(rows: list, sections: dict) -> _Geometry:
     rect's boundaries, floats, only when a segment reads them, so that a
     record of one generator costs the rects that its sides visit."""
     n = len(rows)
-    lam = _number(_get(sections, "eigendata.lambda"), "eigendata.lambda")
+    stored = _get(sections, "eigendata.lambda")
+    lam = _number(stored, "eigendata.lambda")
+    if lam <= 1:  # the builder writes only a stretch factor above 1
+        raise VerificationError(f"eigendata.lambda {stored!r} is not above 1")
     eta, omega = (_numbers(sections, f"eigendata.{key}", n)
                   for key in ("eta", "omega"))
     rects = range(1, n + 1)
@@ -320,6 +323,11 @@ def _side(kind, first, t, g, orbits, where) -> tuple:
     edge = g.eta[i0 - 1] if kind in ("L", "R") else g.omega[i0 - 1]
     hi = lo + edge * lam ** -(2 * p)
     length = hi - lo
+    if not 0 < length < math.inf:
+        raise VerificationError(
+            f"eigendata give the strip {kind}:{i0} of {where} the float "
+            f"length {length!r}"
+        )
     if kind in ("L", "R"):
         za, zb = (hi - a) / length, (hi - b) / length
     else:

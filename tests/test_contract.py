@@ -18,6 +18,11 @@ The contract, on every such input:
 - renaming the rectangles keeps λ to the bit, the number and signs of
   the ends, connectedness and infinite type.
 
+A last property draws JSON-like values, near-matrices among them: as a
+matrix given to ``IntMatrix``, as JSON matrix text and as a record's
+``config.matrix``, each is accepted by all three or refused by all
+three with ``InvalidInputError``.
+
 The search is derandomized and keeps no example database, so every run
 draws the same examples. A counterexample that it finds is pinned, in
 its shrunk form, in ``tests/conftest.py``, and the property is not
@@ -28,18 +33,23 @@ randomized run of the relabelling search, shows that
 
 from __future__ import annotations
 
+import json
+from functools import cache
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endperiodic import (
     EndPeriodicError,
     IntMatrix,
+    InvalidInputError,
     block_lift,
     build_record,
     derive_window,
     is_irreducible,
     is_primitive,
     load_record,
+    parse_matrix_text,
     run_pipeline,
     verify_record,
 )
@@ -182,3 +192,48 @@ def test_pinned_relabelling_moves_infinite_type():
                      for m in (rows, variant.entries))
     assert before[:3] == after[:3]
     assert (before[3], after[3]) == (True, False)
+
+
+#: JSON-like values: scalars, and lists and objects of them, with square
+#: matrices of small integers and their entries' edits among them
+json_like = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: _square(n, 2)),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+        | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=1), inner, max_size=2),
+        max_leaves=12,
+    ),
+)
+
+
+@cache
+def _record_text() -> str:
+    return build_record(IntMatrix([[2]]))[0].to_json()
+
+
+def _accepts(check, value) -> bool:
+    try:
+        check(value)
+    except InvalidInputError:
+        return False
+    return True
+
+
+def _with_matrix(value) -> str:
+    data = json.loads(_record_text())
+    data["config"]["matrix"] = value
+    return json.dumps(data)
+
+
+# 300 values, about 2 s, most of it drawing them
+@SEARCH
+@given(json_like)
+def test_a_matrix_is_accepted_or_refused_typed(value):
+    accepted = _accepts(IntMatrix, value)
+    if accepted:
+        assert IntMatrix(value).to_lists() == value
+    if isinstance(value, list):
+        assert _accepts(parse_matrix_text, json.dumps(value)) == accepted
+    assert _accepts(load_record, _with_matrix(value)) == accepted

@@ -735,6 +735,30 @@ class TestTailFromRecord:
             derive_window(data)
         assert str(info.value) == f"{path} {value!r} is not a number in (0, inf)"
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("lambda", "1e308", "eigendata give the strip "),
+         ("eta", "1e300", "eigendata give the strip "),
+         ("lambda", "1", "eigendata.lambda '1' is not above 1"),
+         ("lambda", "0.5", "eigendata.lambda '0.5' is not above 1")],
+        ids=["lambda-huge", "eta-huge", "lambda-1", "lambda-half"],
+    )
+    def test_eigendata_out_of_the_builders_range_is_named(
+        self, running_record, key, value, message
+    ):
+        # lambda 1e308 or eta[0] 1e300 once raised a bare ZeroDivisionError
+        # on a strip of float length 0, and lambda 1 or 0.5, which the
+        # builder never writes (lambda > 1), was accepted
+        data = load_record(running_record.to_json())
+        eigendata = data["sections"]["eigendata"]
+        if key == "lambda":
+            eigendata[key] = value
+        else:
+            eigendata[key][0] = value
+        with pytest.raises(VerificationError) as info:
+            derive_window(data)
+        assert str(info.value).startswith(message)
+
     @pytest.mark.parametrize("case", ["corpus", "lifts", "sparse7", "n12", "n16"])
     def test_window_holds_two_periods_past_the_last_stabilization(self, case):
         # Past each stabilization depth the stored prefix and the rule give

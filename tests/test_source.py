@@ -14,8 +14,8 @@ and ``inspect``, the window's derivation imports no module of the
 construction, the construction takes no settings beyond the three it
 has, every default of an exported callable is set by some package or
 benchmark call, every package call of the benchmark's traced pass still
-binds, and gluing reads no coordinate tolerance nor classify a
-coordinate."""
+binds, the fixed config settings are stated once, and gluing reads no
+coordinate tolerance nor classify a coordinate."""
 
 import ast
 import importlib
@@ -533,6 +533,23 @@ def test_config_of_the_fixed_settings(rows, k):
         M = block_lift(M, k)
     expected = build_record(M, weak_perron_k=k)[0].config
     assert _config_dict(M, DEFAULT_TOL, None, True, False, k, True) == expected
+
+
+def test_the_fixed_settings_are_stated_once():
+    # ``record._config`` is the one statement of the settings a record
+    # holds: build_record writes it and load_record compares a stored
+    # config with it, so no second table of the fixed values exists
+    calls = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_config_dict"
+    ]
+    assert calls == ["record.py"]
+    record = importlib.import_module("endperiodic.record")
+    assert not hasattr(record, "_FIXED_CONFIG")
+    assert not hasattr(record, "_check_config_values")
 
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"

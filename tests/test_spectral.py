@@ -160,6 +160,22 @@ class TestIntMatrix:
         with pytest.raises(InvalidInputError, match=r"entry \[1\]\[0\]"):
             IntMatrix.from_rows([[1, 1], [value, 1]])
 
+    @pytest.mark.parametrize("build", [IntMatrix, IntMatrix.from_rows],
+                             ids=["init", "from_rows"])
+    @pytest.mark.parametrize(
+        "rows",
+        [5, None, "ab", [[1, 2], 3], [[0, 1], {0: 1, 1: 0}], [[0, 1], {5, 6}],
+         [[1, 2], [3]], [], [[-1]], [bytearray(b"\x01")], {0: 1}.keys(),
+         [{0: 1}.values()], [{0: 1}.items()]],
+        ids=repr,
+    )
+    def test_malformed_matrix_is_input_error(self, build, rows):
+        # a number, None, a str, a dict or a set as the matrix or a row
+        # once raised a bare TypeError or was read as its characters, keys
+        # or hash order; bytes-like rows and dict views are refused too
+        with pytest.raises(InvalidInputError, match="^matrix "):
+            build(rows)
+
     def test_from_rows_takes_numpy_integers(self):
         M = IntMatrix.from_rows(np.array(RUNNING_ROWS, dtype=np.int64))
         assert M == IntMatrix.from_rows(RUNNING_ROWS)

@@ -1,9 +1,9 @@
 """Exact integer matrix algebra and Perron eigendata.
 
-Matrices are kept as exact integers; the characteristic polynomial and its
-largest real root are computed exactly (Sturm-sequence bisection in exact
-integer arithmetic at dyadic probes, along a path that a float Newton
-guess predicts and two Sturm counts check). The Perron eigenvectors come
+Matrices are kept as exact integers; the characteristic polynomial is
+exact, and its largest real root is the float nearest it, which a float
+Newton guess proposes and two exact integer Sturm counts at the ends of
+that float's rounding interval confirm. The Perron eigenvectors come
 from one step of inverse iteration at that root, with a checked residual
 (``perron_eigendata``). The module is plain Python: no numpy.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, MappingView, Set
 from functools import cached_property
-from math import fsum, gcd, inf, isfinite, ulp
-from operator import index
+from math import fsum, gcd, inf, isfinite, nextafter
+from operator import index, ne
 from sys import float_info
 from typing import NamedTuple
 
@@ -22,7 +22,7 @@ from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
 #: residual target for eigendata
 DEFAULT_TOL = 1e-10
-#: the most steps of ``_newton_guess``, which only picks a cell to check
+#: the most steps of ``_newton_guess``, which only proposes a float to check
 _NEWTON_STEPS = 500
 
 
@@ -153,9 +153,11 @@ class IntPolynomial(_Value):
 
     @cached_property
     def sturm_chain(self) -> list[tuple[int, ...]]:
-        """The integer Sturm chain, built on first read and then kept, so
-        every bisection on one polynomial object shares it."""
-        return _integer_sturm_chain(self.coefficients)
+        """The integer Sturm chain over its last term g = gcd(p, p'), built
+        on first read and then kept: a Sturm chain of p / g, with p's
+        distinct roots, that does not vanish at a repeated root of p."""
+        chain = _integer_sturm_chain(self.coefficients)
+        return [_quotient(q, chain[-1]) for q in chain]
 
     def pretty(self) -> str:
         terms = []
@@ -493,7 +495,7 @@ def determinant(M: IntMatrix | MatrixFacts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact largest real root (Sturm bisection)
+# largest real root: the nearest float, by exact Sturm counts
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -531,19 +533,31 @@ def _dyadic_value(q: tuple[int, ...], num: int, exp: int) -> int:
 
 
 def _count_sign_changes(values) -> int:
-    changes = 0
-    prev = 0
-    for v in values:
-        if v:
-            if prev and (v > 0) != (prev > 0):
-                changes += 1
-            prev = v
-    return changes
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _root_up(a: int, k: int) -> int:
+    """The least integer r with r**k >= a, for a >= 1, by bisection."""
+    lo, hi = 1, 1 << -(-a.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** k >= a else (mid + 1, hi)
+    return lo
+
+
+def _fujiwara_bound(p: tuple[int, ...]) -> int:
+    """Fujiwara's bound 2 * max(|a_(n-k)|**(1/k), |a_0 / 2|**(1/n)) on the
+    moduli of the roots of p = ±(x**n + a_(n-1) x**(n-1) + ... + a_0),
+    each root rounded up to an integer."""
+    n = len(p) - 1
+    terms = [(abs(p[n - k]), k) for k in range(1, n)] + [((abs(p[0]) + 1) // 2, n)]
+    return 2 * max((_root_up(a, k) for a, k in terms if a), default=0)
 
 
 def _newton_guess(p: tuple[int, ...], bound: int) -> float | None:
-    """A float near p's top real root: Newton's method from ``bound`` until
-    a step stops moving down; None past ``_NEWTON_STEPS`` steps or on overflow."""
+    """A float near p's top real root: Newton's method from ``bound`` above
+    it until a step stops moving down; None on overflow or past the cap."""
     x = float(bound)
     for _ in range(_NEWTON_STEPS):
         value = slope = 0.0
@@ -556,90 +570,75 @@ def _newton_guess(p: tuple[int, ...], bound: int) -> float | None:
     return None
 
 
-def _bisect_top_root(chain: list[tuple[int, ...]], bound: int) -> float:
-    """Bisect ``[-bound, bound]`` down to the top root λ of ``chain[0]``,
-    the monic p whose integer Sturm chain ``chain`` is; ``bound`` exceeds
-    p's real roots, so the chain's sign changes V there are those at ±inf,
-    which the leading coefficients give. Probes are ``num / 2**exp``, a
-    sign one integer Horner pass; the result is the rounded midpoint once
-    it no longer lies strictly between the rounded bracket ends.
+def _halfway(x: float, y: float) -> tuple[int, int]:
+    """(x + y) / 2 exactly, as (num, exp) with value num / 2**exp."""
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    m = max(b, d)  # b and d are powers of two
+    return a * (m // b) + c * (m // d), m.bit_length()
 
-    A guess g in the bracket (``_newton_guess``) predicts the path, each
-    probe over 8 ulps from g put on g's side of λ, up to the first nearer
-    one; p is evaluated only at integer probes, to nudge them off a root,
-    as p's rational roots are integers. V(hi) = V(+inf) < V(lo) checks
-    that λ is in the cell reached. Each predicted probe lies outside it,
-    so on the same side of λ as of g: its decision is exact. The cell,
-    over 16 ulps of g wide, is above float resolution. Without a guess,
-    or if the check fails, the loop bisects from the top.
+
+def _bisect_top_root(chain: list[tuple[int, ...]]) -> float:
+    """The float nearest the top root λ of ``chain[0]``, from exact counts
+    on its Sturm chain ``chain`` (``IntPolynomial.sturm_chain``).
+
+    V(x), the chain's sign changes at x = num / 2**exp, less V(+inf) is
+    the number of distinct roots above x, at a root too: no two adjacent
+    terms vanish there, and the first two agree in sign just above it.
+    λ rounds to g if V(b) = V(+inf) < V(a) at the ends a < b of g's
+    rounding interval, halfway to its neighbours, as then a < λ <= b; a
+    tie λ = b is a root and rounds to even. Else g steps to the neighbour
+    the counts point to, at most twice. g is a Newton guess from
+    Fujiwara's bound F. Without one, or if it is not reached,
+    [-F - 1, F + 1] is bisected until its ends round to one float or two
+    adjacent ones (a bracket around a tie never shrinks to one), and g is
+    the upper one, at most one step above λ's float.
     """
-    p, rest = chain[0], chain[1:]
-    # a constant last term means p has no repeated root; then, once the
-    # bracket holds a single root, the sign of p at a probe (positive at
-    # hi, above λ and no root) takes the decision the whole chain would
-    squarefree = len(chain[-1]) == 1
-
-    def sign_changes(num: int, exp: int, head: int) -> int:
-        return _count_sign_changes([head] + [_dyadic_value(q, num, exp) for q in rest])
-
-    changes_hi = _count_sign_changes([q[-1] for q in chain])
-    changes_lo = _count_sign_changes([q[-1] * (-1) ** (len(q) - 1) for q in chain])
-    if changes_lo == changes_hi:
+    p = chain[0]
+    top = _count_sign_changes([q[-1] for q in chain])
+    if top == _count_sign_changes([q[-1] * (-1) ** (len(q) - 1) for q in chain]):
         raise InvalidInputError("polynomial has no real roots")
 
-    # the bracket is [lo, hi] / 2**exp; p is monic, positive at hi
-    lo, hi, exp, changes_lo = top = -bound, bound, 0, changes_lo
-    guess = _newton_guess(p, bound)
-    if guess is not None and -bound < guess < bound:
-        (a, b), (c, d) = ((guess + t * ulp(guess)).as_integer_ratio() for t in (-8, 8))
-        while True:
-            num, probe_exp = lo + hi, exp + 1
-            while not (num % (1 << probe_exp) or _dyadic_value(p, num, probe_exp)):
-                num, probe_exp = 2 * num + (hi - lo), probe_exp + 1
-            root_above = num * b < a << probe_exp
-            if not root_above and num * d <= c << probe_exp:
-                break
-            shift, exp = probe_exp - exp, probe_exp
-            lo, hi = (num, hi << shift) if root_above else (lo << shift, num)
-        changes_lo = sign_changes(lo, exp, _dyadic_value(p, lo, exp))
-        changes_top = sign_changes(hi, exp, _dyadic_value(p, hi, exp))
-        if not changes_lo > changes_hi == changes_top:
-            lo, hi, exp, changes_lo = top
+    def above(num: int, exp: int) -> bool:  # λ > num / 2**exp
+        return _count_sign_changes([_dyadic_value(q, num, exp) for q in chain]) > top
 
-    # shrink toward the topmost root; sign-change counts need probe points
-    # that are not themselves roots, so nudge a midpoint that is a root
-    # toward hi by a quarter of the bracket, then an eighth, and so on
-    while True:
-        scale = 1 << exp
-        mid = (lo + hi) / (scale << 1)
-        if not lo / scale < mid < hi / scale:
-            return mid
-        num, probe_exp = lo + hi, exp + 1
-        head = _dyadic_value(p, num, probe_exp)
-        while head == 0:
-            num, probe_exp = 2 * num + (hi - lo), probe_exp + 1
-            head = _dyadic_value(p, num, probe_exp)
-        if squarefree and changes_lo == changes_hi + 1:
-            changes = changes_lo
-            root_above = head < 0
-        else:
-            # the probe has at least hi's sign changes (hi's count never
-            # moves), and more iff a root lies above the probe
-            changes = sign_changes(num, probe_exp, head)
-            root_above = changes > changes_hi
-        shift, exp = probe_exp - exp, probe_exp
-        if root_above:
-            lo, hi, changes_lo = num, hi << shift, changes
-        else:
-            lo, hi = lo << shift, num
+    def nearest(g: float) -> float | None:
+        for _ in range(3):
+            a, b = (_halfway(g, nextafter(g, to)) for to in (-inf, inf))
+            if above(*b):
+                g = nextafter(g, inf)
+            elif not above(*a):
+                g = nextafter(g, -inf)
+            else:  # g, as 0.0 if -0.0; if λ = b, b rounded to even
+                return g + 0.0 if _dyadic_value(p, *b) else b[0] / (1 << b[1])
+        return None
+
+    bound = _fujiwara_bound(p)
+    guess = _newton_guess(p, bound)
+    if guess is not None and (found := nearest(guess)) is not None:
+        return found
+    lo, hi, exp = -bound - 1, bound + 1, 0  # λ in (lo, hi] / 2**exp
+    while nextafter(lo / (1 << exp), inf) < hi / (1 << exp):
+        mid, exp = lo + hi, exp + 1
+        lo, hi = (mid, hi << 1) if above(mid, exp) else (lo << 1, mid)
+    return nearest(hi / (1 << exp))
+
+
+def _quotient(q: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """q / g for integer polynomials, g dividing q and of leading term ±1."""
+    q, out = list(q), []
+    for shift in range(len(q) - len(g), -1, -1):
+        c = q[shift + len(g) - 1] * g[-1]
+        out.append(c)
+        for i, gc in enumerate(g):
+            q[shift + i] -= c * gc
+    return tuple(reversed(out))
 
 
 def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
     """The Sturm chain of p, each term a positive multiple of the rational
     chain p, p', -rem(p, p'), ...: built by pseudo-remainders, each term
-    cut to its primitive part. A positive factor keeps every sign, so the
-    bisection takes the same steps as on the rational chain, with far
-    smaller integers."""
+    cut to its primitive part. A positive factor keeps every sign, so each
+    count is the rational chain's, with far smaller integers."""
     p = list(coefficients)
     derivative = [i * c for i, c in enumerate(p)][1:]
     while derivative and derivative[-1] == 0:
@@ -657,25 +656,23 @@ def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
 
 
 def largest_real_root(poly: IntPolynomial) -> float:
-    """Largest real root of a monic integer polynomial, by Sturm bisection.
+    """The float nearest the largest real root of a monic integer
+    polynomial (``_bisect_top_root``); ``InvalidInputError`` if it has none.
 
-    Exact integer arithmetic at dyadic probes on the cached
-    ``sturm_chain`` of ``poly``, from a bracket at the Cauchy bound
-    1 + max |c|, along a path that a Newton guess predicts and two Sturm
-    counts check. It stops once the float midpoint no longer lies strictly
-    inside the rounded bracket, so the result is within a few units in the
-    last place of the root, the same float with any guess or none.
+    A root halfway between two floats, an integer above 2**53 (a monic
+    integer polynomial's rational roots are integers), rounds to the even
+    one, as int / int does. Exact Sturm counts decide the float, so it is
+    the same with any Newton guess or none.
     """
-    bound = 1 + max(map(abs, poly.coefficients))
-    return _bisect_top_root(poly.sturm_chain, bound)
+    return _bisect_top_root(poly.sturm_chain)
 
 
 def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
     """Spectral radius of a non-negative integer matrix.
 
     For non-negative matrices the spectral radius is itself an eigenvalue,
-    hence the largest real root of char_poly(M), bisected to float
-    resolution along a predicted, checked path (``largest_real_root``).
+    hence the largest real root of char_poly(M): the float nearest it
+    (``largest_real_root``).
     """
     return max(0.0, largest_real_root(facts(M).poly))
 
@@ -763,14 +760,14 @@ def perron_eigendata(
 ) -> PerronData:
     """Spectral radius and positive right/left eigenvectors of an irreducible M.
 
-    lambda is the largest real root of char_poly(M), bisected on its
-    integer Sturm chain to float resolution. Irreducibility and the arcs
+    lambda is the float nearest the largest real root of char_poly(M),
+    decided on its integer Sturm chain. Irreducibility and the arcs
     that the residual sums over are read off M's digraph analysis.
     eta and omega come from one step of inverse iteration at that lambda:
     one solve each with M - lambda*I and its transpose, from the all-ones
     vector, scaled to last entry 1. Inverse iteration at an approximation
     t of lambda converges at |lambda - t| / |mu - t| over the other
-    eigenvalues mu, and t is a few ulps from lambda, so one solve
+    eigenvalues mu, and t is within half an ulp of lambda, so one solve
     suffices. Power iteration on M + I, used before, converged at
     max |mu + 1| / (lambda + 1), which tends to 1 for lambda = 2**(1/k)
     as k grows; from k = 40 on its residual stayed above 1e-10.

@@ -133,12 +133,14 @@ def _wide_companion(n: int, a: int) -> IntMatrix:
 
 #: n in 8..24 whose wide companion fails, by a: float eigendata and
 #: coordinates cannot resolve the small entries (ROADMAP item 10), and
-#: each failure is an exit-2 error; every other n certifies
+#: each failure is an exit-2 error; every other n certifies. a = 4,
+#: n = 11 has certified since λ became the float nearest the top root: at
+#: the float one ulp above it, the eigendata residual was 9.3e-10, above
+#: its bound 4e-10
 WIDE_FAILURES = {
     2: {21: "ConvergenceError", 23: "ConvergenceError", 24: "ConvergenceError"},
     3: {15: "ConvergenceError", **dict.fromkeys(range(17, 25), "ConvergenceError")},
     4: {
-        11: "ConvergenceError",
         **dict.fromkeys((14, 15, 16, 17, 18, 19, 21, 22, 23, 24),
                         "ConvergenceError"),
         20: "PrecisionError",
@@ -205,8 +207,10 @@ def test_stress_draw_seven_is_a_precision_error(tmp_path, capsys):
 
 
 #: SHA-256 of the content hashes of the 39 of the first 40
-#: ``stress_matrices`` draws that certify, in draw order
-STRESS40_DIGEST = "cfbb6cdf057d68d727306c9766d9f9c0b6d0ce00a8e4703db0a22d427bf102bf"
+#: ``stress_matrices`` draws that certify, in draw order; re-pinned when λ
+#: became the float nearest the top root, which moved it by one ulp on 13
+#: of them
+STRESS40_DIGEST = "56b4822e0a3e4c34f251737f6eab15c299e8dbb9c83fb206a6b11636c100d659"
 
 
 def test_first_40_stress_draws_are_pinned():

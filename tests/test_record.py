@@ -1,12 +1,13 @@
 """Tests for construction record serialization, hashing, and re-verification."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from contextlib import suppress
 from datetime import datetime
-from math import fsum
+from math import fsum, inf, nextafter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from endperiodic import (
     ConstructionRecord,
     IntMatrix,
     InvalidInputError,
+    PrecisionError,
     VerificationError,
     block_lift,
     build_decomposition,
@@ -53,6 +55,7 @@ from conftest import (
     reference_pair_states,
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
+    stress_matrices,
     x_n_minus_x_minus_1,
 )
 
@@ -83,12 +86,31 @@ RUNNING_HASH = "194e40c43c39e8291d0a5e87f1f069b07882680cc2ac57f2f4cac55971061cf7
 # n = 16 and 53 of the 120 sparse inputs, which changed their
 # ``class_census``; the other two lists, whose census held no such merge,
 # kept their digests. All four were re-pinned at schema "14" as above.
+# "corpus200", "large" and "sparse120" were re-pinned when λ became the
+# float nearest the top root, one ulp from the old float on 35, 4 and 40
+# of their inputs; only ``eigendata`` and ``incidence`` moved
+# (``INTEGER_SECTIONS_DIGEST`` holds), and the lifts kept their λ.
 DIGESTS = {
-    "corpus200": "e174147936bcda91d8ff111d6f2fbf896a6425e4b02e1d0a002a77dfd3bf78d6",
+    "corpus200": "767546ec3ed25e308da16fd25887e380fb73d232dd66e651a58ea7ecbc557614",
     "lifts": "f2706b390a19ee78a9b1ac831c406df32e6f916e7d082776a986cc47d7c625bb",
-    "large": "3ecf5fb4b68821ddd6b19a5a66f7b272ec62d976247a9ecfe495f6433f8166e9",
-    "sparse120": "c1eadfacdca1df7dbe50a025e3cae0663ffeb8d46d03cfa4163a5363f50c4e57",
+    "large": "a3471a0e4095ee010f9725f4498945a1845ad25297aaeae9e90ca40aa089deb8",
+    "sparse120": "867aaab935a1a201d261458f1e00a96af9d9fbc93af89a80cfbb16b5dea628b0",
 }
+
+#: the sections that no float of λ's enters: all but ``eigendata`` and
+#: ``incidence``
+INTEGER_SECTIONS = ("decomposition", "edge_digraphs", "periodic_points",
+                    "identifications", "class_census", "surface")
+#: SHA-256 over the canonical text of those sections, record by record, of
+#: "corpus200", "sparse120", "large" and the 39 of the first 40
+#: ``stress_matrices`` draws that certify, in that order. A move of λ by
+#: an ulp keeps it; so does any change that leaves what the construction
+#: decides alone. Restricting classify's family stitch to the side-a
+#: columns in which a shard id is first made changed 4 corpus censuses,
+#: the first at corpus input 85, which ``CORPUS40_CENSUS_SHA`` does not see
+INTEGER_SECTIONS_DIGEST = (
+    "3ab058c86ec73eb01ea2d2246de6263172c21f883854376a4290c6dc10b54ba4"
+)
 
 #: prints the sparse120 digest; run with ``tests`` on the path
 SPARSE120_DIGEST_CODE = (
@@ -185,6 +207,23 @@ class TestDeterminism:
                   for M, k in _digest_inputs(case)]
         assert hash_digest(hashes) == DIGESTS[case]
 
+    def test_integer_sections_are_pinned(self):
+        # about 2 s on a 2-core machine
+        inputs = (_digest_inputs("corpus200")
+                  + [(M, None) for M in sparse_irreducible_matrices(120)]
+                  + _digest_inputs("large")
+                  + [(M, None) for M in stress_matrices(40)])
+        digest = hashlib.sha256()
+        for M, k in inputs:
+            try:
+                sections = build_record(M, weak_perron_k=k)[0].sections
+            except PrecisionError:  # the 7th stress draw alone
+                continue
+            text = json.dumps({name: sections[name] for name in INTEGER_SECTIONS},
+                              sort_keys=True, separators=(",", ":"))
+            digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == INTEGER_SECTIONS_DIGEST
+
     def test_sparse120_digest_is_pinned_under_hash_seeds(self):
         # one interpreter per PYTHONHASHSEED, 0 and 3, run side by side
         paths = [Path(endperiodic.__file__).resolve().parents[1],
@@ -259,6 +298,16 @@ class TestVerifyRecord:
         with pytest.raises(VerificationError) as exc:
             verify_record(data)
         assert "eigendata" in str(exc.value)
+        assert "at eigendata.lambda" in str(exc.value)
+
+    @pytest.mark.parametrize("to", [-inf, inf], ids=["below", "above"])
+    def test_lambda_one_float_off_fails_at_its_path(self, running_record, to):
+        # λ is the float nearest the root, so a neighbour is not it
+        data = load_record(running_record.to_json())
+        eigendata = data["sections"]["eigendata"]
+        eigendata["lambda"] = repr(nextafter(float(eigendata["lambda"]), to))
+        with pytest.raises(VerificationError) as exc:
+            verify_record(_rehashed(data))
         assert "at eigendata.lambda" in str(exc.value)
 
     def test_changed_entry_depth_fails_at_its_path(self, running_record):

@@ -31,7 +31,6 @@ from .spectral import (
     graph_period,
     is_irreducible,
     is_primitive,
-    largest_real_root,
     parse_matrix_text,
     perron_eigendata,
     spectral_radius_exact,

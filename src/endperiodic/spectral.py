@@ -1,8 +1,8 @@
 """Exact integer matrix algebra and Perron eigendata.
 
 Matrices are kept as exact integers; the characteristic polynomial is
-exact, and its largest real root is the float nearest it, which a float
-Newton guess proposes and two exact integer Sturm counts at the ends of
+exact, and the spectral radius is the float nearest it, which a float
+Newton guess proposes and two exact integer sign tests at the ends of
 that float's rounding interval confirm. The Perron eigenvectors come
 from one step of inverse iteration at that root, with a checked residual
 (``perron_eigendata``). The module is plain Python: no numpy.
@@ -14,7 +14,7 @@ import json
 from collections.abc import Mapping, MappingView, Set
 from functools import cached_property
 from math import fsum, gcd, inf, isfinite, nextafter
-from operator import index, ne
+from operator import index
 from sys import float_info
 from typing import NamedTuple
 
@@ -150,14 +150,6 @@ class IntPolynomial(_Value):
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    @cached_property
-    def sturm_chain(self) -> list[tuple[int, ...]]:
-        """The integer Sturm chain over its last term g = gcd(p, p'), built
-        on first read and then kept: a Sturm chain of p / g, with p's
-        distinct roots, that does not vanish at a repeated root of p."""
-        chain = _integer_sturm_chain(self.coefficients)
-        return [_quotient(q, chain[-1]) for q in chain]
 
     def pretty(self) -> str:
         terms = []
@@ -495,46 +487,7 @@ def determinant(M: IntMatrix | MatrixFacts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# largest real root: the nearest float, by exact Sturm counts
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """A positive integer multiple of the remainder of a by b: each step
-    scales a by ``abs(b[-1])`` before it cancels the leading term."""
-    a = list(a)
-    scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
-    while len(a) >= len(b):
-        factor = sign * a[-1]
-        shift = len(a) - len(b)
-        a = [scale * c for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _primitive(q: list[int]) -> tuple[int, ...]:
-    g = gcd(*q) or 1  # the zero polynomial stays as it is
-    return tuple(c // g for c in q)
-
-
-def _dyadic_value(q: tuple[int, ...], num: int, exp: int) -> int:
-    """``2**(exp*d) * q(num / 2**exp)`` for q of degree d; same sign as q
-    there. Horner over the nonzero coefficients only: a run of g zeros is
-    one product with num**g."""
-    d = len(q) - 1
-    acc, prev = 0, d
-    for i in range(d, -1, -1):
-        if q[i]:
-            acc = acc * num ** (prev - i) + (q[i] << (exp * (d - i)))
-            prev = i
-    return acc * num ** prev
-
-
-def _count_sign_changes(values) -> int:
-    signs = [v > 0 for v in values if v]
-    return sum(map(ne, signs, signs[1:]))
+# spectral radius: the nearest float, by exact sign tests
 
 
 def _root_up(a: int, k: int) -> int:
@@ -555,17 +508,18 @@ def _fujiwara_bound(p: tuple[int, ...]) -> int:
     return 2 * max((_root_up(a, k) for a, k in terms if a), default=0)
 
 
-def _newton_guess(p: tuple[int, ...], bound: int) -> float | None:
-    """A float near p's top real root: Newton's method from ``bound`` above
-    it until a step stops moving down; None on overflow or past the cap."""
+def _newton_guess(q: tuple[int, ...], d: int, bound: int) -> float | None:
+    """A float near r**(1/d), r the top real root of q: Newton's method on
+    q from ``bound`` above r until a step stops moving down; None on
+    overflow, past the cap or below 0."""
     x = float(bound)
     for _ in range(_NEWTON_STEPS):
         value = slope = 0.0
-        for c in reversed(p):
+        for c in reversed(q):
             value, slope = value * x + c, slope * x + value
         step = x - value / slope if slope else x
         if not step < x:
-            return x if isfinite(value) else None
+            return x ** (1 / d) if isfinite(value) and x >= 0 else None
         x = step
     return None
 
@@ -577,104 +531,93 @@ def _halfway(x: float, y: float) -> tuple[int, int]:
     return a * (m // b) + c * (m // d), m.bit_length()
 
 
-def _bisect_top_root(chain: list[tuple[int, ...]]) -> float:
-    """The float nearest the top root λ of ``chain[0]``, from exact counts
-    on its Sturm chain ``chain`` (``IntPolynomial.sturm_chain``).
+def _taylor_shift(q: tuple[int, ...], num: int, exp: int) -> list[int]:
+    """The ascending coefficients of 2**(exp*m) * q((y + num) / 2**exp),
+    m = deg q, by Horner's rule: m * (m + 1) / 2 integer steps."""
+    m = len(q) - 1
+    s = [c << exp * (m - i) for i, c in enumerate(q)]
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            s[j] += num * s[j + 1]
+    return s
 
-    V(x), the chain's sign changes at x = num / 2**exp, less V(+inf) is
-    the number of distinct roots above x, at a root too: no two adjacent
-    terms vanish there, and the first two agree in sign just above it.
-    λ rounds to g if V(b) = V(+inf) < V(a) at the ends a < b of g's
-    rounding interval, halfway to its neighbours, as then a < λ <= b; a
-    tie λ = b is a root and rounds to even. Else g steps to the neighbour
-    the counts point to, at most twice. g is a Newton guess from
-    Fujiwara's bound F. Without one, or if it is not reached,
-    [-F - 1, F + 1] is bisected until its ends round to one float or two
-    adjacent ones (a bracket around a tie never shrinks to one), and g is
-    the upper one, at most one step above λ's float.
+
+def _shift_test(q: tuple[int, ...], d: int, num: int, exp: int) -> int:
+    """-1, 0 or 1 as b = num / 2**exp is below, at or above ρ, where ρ**d
+    is the spectral radius r of a non-negative matrix with char_poly q.
+
+    Every root μ of q has |μ| <= r, and r is one (Perron-Frobenius). The
+    roots of s, the ``_taylor_shift`` of q to c = b**d, are the
+    2**(exp*d) * (μ - c). If c > r, all lie in the open left half-plane,
+    so every coefficient of s is positive (Gantmacher, *The Theory of
+    Matrices*, vol. 2, ch. XV). If c = r, s is y**k times such a
+    polynomial, as every other μ has real part below r: no coefficient
+    is negative, and s(0) = 0. If c < r, s has a positive root, so some
+    coefficient is negative. A b < 0 is below ρ >= 0, and b >= 0
+    compares with ρ as b**d with r.
     """
-    p = chain[0]
-    top = _count_sign_changes([q[-1] for q in chain])
-    if top == _count_sign_changes([q[-1] * (-1) ** (len(q) - 1) for q in chain]):
-        raise InvalidInputError("polynomial has no real roots")
+    if num < 0:
+        return -1
+    s = _taylor_shift(q, num ** d, exp * d)
+    return -1 if min(s) < 0 else 1 if s[0] else 0
 
-    def above(num: int, exp: int) -> bool:  # λ > num / 2**exp
-        return _count_sign_changes([_dyadic_value(q, num, exp) for q in chain]) > top
+
+def _cycle_poly(F: MatrixFacts) -> tuple[tuple[int, ...], int]:
+    """(q, d) with χ(x) = x**(n - d*m) * q(x**d), m = deg q: d is M's
+    period and q, char_poly of the cycle product, the slice of χ that
+    ``MatrixFacts.poly`` spreads out; d = 1 and q = χ for a primitive or
+    reducible M."""
+    classes, n = F.graph.classes, F.matrix.n
+    d = len(classes) or 1
+    return F.poly.coefficients[n - d * min(map(len, classes), default=n)::d], d
+
+
+def _perron_root(F: MatrixFacts) -> float:
+    """The float nearest the spectral radius ρ of M, from ``_shift_test``
+    on (q, d) = ``_cycle_poly(F)``.
+
+    ρ rounds to g if a <= ρ < b at the ends a < b of g's rounding
+    interval, halfway to its neighbours; a tie ρ = a, an integer above
+    2**53, rounds to even, as int / int does. Else g steps to the
+    neighbour the tests point to, at most twice. g is a Newton guess on
+    q from B, the smaller of Cauchy's and Fujiwara's bounds on q's
+    roots. Without one, or if it is not reached, [-B - 1, B + 1] is
+    bisected until its ends round to one float or two adjacent ones (a
+    bracket around a tie never shrinks to one), and g is the upper one,
+    at most one step above ρ's float.
+    """
+    q, d = _cycle_poly(F)
 
     def nearest(g: float) -> float | None:
         for _ in range(3):
             a, b = (_halfway(g, nextafter(g, to)) for to in (-inf, inf))
-            if above(*b):
-                g = nextafter(g, inf)
-            elif not above(*a):
+            low = _shift_test(q, d, *a)
+            if low > 0:  # ρ < a
                 g = nextafter(g, -inf)
-            else:  # g, as 0.0 if -0.0; if λ = b, b rounded to even
-                return g + 0.0 if _dyadic_value(p, *b) else b[0] / (1 << b[1])
+            elif low == 0:  # ρ = a, rounded to even
+                return a[0] / (1 << a[1])
+            elif _shift_test(q, d, *b) <= 0:  # ρ >= b
+                g = nextafter(g, inf)
+            else:  # g, as 0.0 if -0.0
+                return g + 0.0
         return None
 
-    bound = _fujiwara_bound(p)
-    guess = _newton_guess(p, bound)
+    bound = min(1 + max(map(abs, q[:-1])), _fujiwara_bound(q))
+    guess = _newton_guess(q, d, bound)
     if guess is not None and (found := nearest(guess)) is not None:
         return found
-    lo, hi, exp = -bound - 1, bound + 1, 0  # λ in (lo, hi] / 2**exp
+    lo, hi, exp = -bound - 1, bound + 1, 0  # ρ in (lo, hi] / 2**exp
     while nextafter(lo / (1 << exp), inf) < hi / (1 << exp):
         mid, exp = lo + hi, exp + 1
-        lo, hi = (mid, hi << 1) if above(mid, exp) else (lo << 1, mid)
+        below = _shift_test(q, d, mid, exp) < 0
+        lo, hi = (mid, hi << 1) if below else (lo << 1, mid)
     return nearest(hi / (1 << exp))
 
 
-def _quotient(q: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """q / g for integer polynomials, g dividing q and of leading term ±1."""
-    q, out = list(q), []
-    for shift in range(len(q) - len(g), -1, -1):
-        c = q[shift + len(g) - 1] * g[-1]
-        out.append(c)
-        for i, gc in enumerate(g):
-            q[shift + i] -= c * gc
-    return tuple(reversed(out))
-
-
-def _integer_sturm_chain(coefficients) -> list[tuple[int, ...]]:
-    """The Sturm chain of p, each term a positive multiple of the rational
-    chain p, p', -rem(p, p'), ...: built by pseudo-remainders, each term
-    cut to its primitive part. A positive factor keeps every sign, so each
-    count is the rational chain's, with far smaller integers."""
-    p = list(coefficients)
-    derivative = [i * c for i, c in enumerate(p)][1:]
-    while derivative and derivative[-1] == 0:
-        derivative.pop()
-    chain = [_primitive(p)]
-    if not derivative:
-        return chain
-    chain.append(_primitive(derivative))
-    while len(chain[-1]) > 1:
-        rem = _pseudo_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
-    return chain
-
-
-def largest_real_root(poly: IntPolynomial) -> float:
-    """The float nearest the largest real root of a monic integer
-    polynomial (``_bisect_top_root``); ``InvalidInputError`` if it has none.
-
-    A root halfway between two floats, an integer above 2**53 (a monic
-    integer polynomial's rational roots are integers), rounds to the even
-    one, as int / int does. Exact Sturm counts decide the float, so it is
-    the same with any Newton guess or none.
-    """
-    return _bisect_top_root(poly.sturm_chain)
-
-
 def spectral_radius_exact(M: IntMatrix | MatrixFacts) -> float:
-    """Spectral radius of a non-negative integer matrix.
-
-    For non-negative matrices the spectral radius is itself an eigenvalue,
-    hence the largest real root of char_poly(M): the float nearest it
-    (``largest_real_root``).
-    """
-    return max(0.0, largest_real_root(facts(M).poly))
+    """Spectral radius of a non-negative integer matrix: the float nearest
+    it (``_perron_root``), ties to even."""
+    return _perron_root(facts(M))
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +703,8 @@ def perron_eigendata(
 ) -> PerronData:
     """Spectral radius and positive right/left eigenvectors of an irreducible M.
 
-    lambda is the float nearest the largest real root of char_poly(M),
-    decided on its integer Sturm chain. Irreducibility and the arcs
+    lambda is the float nearest the spectral radius, the largest real
+    root of char_poly(M) (``_perron_root``). Irreducibility and the arcs
     that the residual sums over are read off M's digraph analysis.
     eta and omega come from one step of inverse iteration at that lambda:
     one solve each with M - lambda*I and its transpose, from the all-ones
@@ -783,7 +726,7 @@ def perron_eigendata(
     graph = F.graph
     if not graph.irreducible:
         raise PreconditionError("perron_eigendata requires an irreducible matrix")
-    lam = largest_real_root(F.poly)
+    lam = _perron_root(F)
     rows = F.matrix.entries
     columns = tuple(zip(*rows))
     tiny = float_info.epsilon * max(sum(row) for row in rows)

@@ -59,6 +59,17 @@ def x_n_minus_x_minus_1(n: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def wide_companion(n: int, a: int) -> IntMatrix:
+    """Companion matrix of x^n - a*x^(n-1) - 1: first row (a, 0, ..., 0,
+    1), ones below the diagonal. Primitive; scaled to last entry 1, its
+    Perron vector spans about λ^(n-1)."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0], rows[0][n - 1] = a, 1
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    return IntMatrix.from_rows(rows)
+
+
 def identity_permutations(M):
     """(sigma, tau) that fix every strip label of M, the permutations
     that ``build_decomposition`` takes where a test needs no corner

@@ -23,7 +23,6 @@ from endperiodic import (
     incidence_matrix,
     is_irreducible,
     is_primitive,
-    largest_real_root,
     load_record,
     max_escape_depth,
     run_pipeline,
@@ -62,7 +61,7 @@ def test_criterion_1_running_example(running_matrix, running_result):
     ok &= poly.coefficients == (-2, -1, -2, 0, 1)  # x^4 - 2x^2 - x - 2
     ok &= determinant(running_matrix) == -2
     lam = running_result.eigen.lam
-    root = largest_real_root(poly)
+    root = spectral_radius_exact(running_matrix)
     ok &= abs(lam - 1.785) <= 1e-3
     ok &= abs(lam - root) <= 1e-9
     eta = running_result.eigen.eta

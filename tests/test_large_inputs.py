@@ -57,6 +57,7 @@ from conftest import (
     hash_digest,
     seeded_irreducible_matrix,
     stress_matrices,
+    wide_companion,
     x_n_minus_x_minus_1,
 )
 
@@ -120,17 +121,6 @@ def test_content_hash_independent_of_hash_seed(name):
         assert out.stdout.strip() == expected
 
 
-def _wide_companion(n: int, a: int) -> IntMatrix:
-    """Companion matrix of x^n - a*x^(n-1) - 1: first row (a, 0, ..., 0,
-    1), ones below the diagonal. Primitive; scaled to last entry 1, its
-    Perron vector spans about λ^(n-1)."""
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0], rows[0][n - 1] = a, 1
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    return IntMatrix.from_rows(rows)
-
-
 #: n in 8..24 whose wide companion fails, by a: float eigendata and
 #: coordinates cannot resolve the small entries (ROADMAP item 10), and
 #: each failure is an exit-2 error; every other n certifies. a = 4,
@@ -165,7 +155,7 @@ def test_wide_perron_vectors_certify_or_fail_typed(a, tmp_path, capsys):
     # traceback, exit 1 or exit 3
     failures, messages = {}, {}
     for n in range(8, 25):
-        M = _wide_companion(n, a)
+        M = wide_companion(n, a)
         try:
             record, _ = build_record(M)
         except (ConvergenceError, PrecisionError) as exc:

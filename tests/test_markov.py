@@ -11,7 +11,6 @@ from endperiodic import (
     InvalidInputError,
     VerificationError,
     block_lift,
-    char_poly,
     facts,
     incidence_matrix,
     is_primitive,
@@ -258,12 +257,12 @@ class TestBracketMutations:
 )
 def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch):
     """Tooling guard: the pipeline computes no characteristic polynomial of
-    a matrix larger than its input, such as the doubled incidence matrix,
-    computes char_poly(M) and its Sturm chain once, and bisects λ once,
-    all in the eigen stage: verify_stretch reads neither (see
-    ``test_verify_stretch_reads_no_char_poly``). Faddeev-LeVerrier runs
-    once, on the whole of a primitive M and on the 1 x 1 cycle product of
-    the lift."""
+    a matrix larger than its input, such as the doubled incidence matrix:
+    Faddeev-LeVerrier runs once, in the eigen stage, on the whole of a
+    primitive M and on the 1 x 1 cycle product of the lift, and
+    verify_stretch reads no char_poly (see
+    ``test_verify_stretch_reads_no_char_poly``). ``TestOncePerRun`` pins
+    one char_poly and one λ decision per run."""
     if rows is None:
         M = random_irreducible_matrices(200)[137]
     else:
@@ -274,16 +273,6 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
     # reads char_poly(M) off it
     original = endperiodic.spectral.MatrixFacts.__init__
     sizes = []
-    chains = []
-    bisections = []
-    original_bisect = endperiodic.spectral._bisect_top_root
-
-    def recording_bisect(*args):
-        bisections.append(args)
-        return original_bisect(*args)
-
-    monkeypatch.setattr(endperiodic.spectral, "_bisect_top_root", recording_bisect)
-
     recurrences = []
     original_recurrence = endperiodic.spectral._faddeev_leverrier
 
@@ -299,31 +288,19 @@ def test_no_matrix_larger_than_the_input_reaches_char_poly(rows, k, monkeypatch)
         sizes.append(A.n)
         original(F, A)
 
-    original_chain = endperiodic.spectral._integer_sturm_chain
-
-    def recording_chain(coefficients):
-        chains.append(tuple(coefficients))
-        return original_chain(coefficients)
-
-    monkeypatch.setattr(
-        endperiodic.spectral, "_integer_sturm_chain", recording_chain
-    )
-
     monkeypatch.setattr(endperiodic.spectral.MatrixFacts, "__init__", recording)
     run_pipeline(M, weak_perron_k=k)
     assert sizes == [M.n]
     assert recurrences == ([1] if k is not None else [M.n])
-    assert chains == [char_poly(M).coefficients]
-    assert len(bisections) == 1
 
 
 def test_verify_stretch_reads_no_char_poly(
     running_matrix, running_result, monkeypatch
 ):
     """Tooling guard: ``verify_stretch`` on a bare M certifies from eta
-    alone; it runs neither Faddeev-LeVerrier nor a Sturm chain."""
+    alone; it runs neither Faddeev-LeVerrier nor a shift test of λ."""
     calls = []
-    for name in ("_faddeev_leverrier", "_integer_sturm_chain"):
+    for name in ("_faddeev_leverrier", "_shift_test"):
         monkeypatch.setattr(
             endperiodic.spectral, name,
             lambda *args, name=name: calls.append(name),

@@ -924,9 +924,10 @@ class TestOncePerRun:
         self, rows, k, monkeypatch
     ):
         """Tooling guard: one build_record (run_pipeline and the record
-        sections) analyses M's digraph once, builds one canonical label
-        table per rectangle and orientation and one piece map, whose
-        indexes every reader shares, and leaves nothing cached on M. The strip boundaries
+        sections) analyses M's digraph once, computes one char_poly and
+        decides λ once, builds one canonical label table per rectangle
+        and orientation and one piece map, whose indexes every reader
+        shares, and leaves nothing cached on M. The strip boundaries
         have one float each, whose reads ``TestArcReads`` counts."""
         if rows is None:
             M = random_irreducible_matrices(200)[137]
@@ -965,8 +966,23 @@ class TestOncePerRun:
                     or piece_maps[-1],
                 )
 
+        recurrences, decisions = [], []
+        faddeev_leverrier, perron_root = (
+            spectral._faddeev_leverrier, spectral._perron_root
+        )
+        monkeypatch.setattr(
+            spectral, "_faddeev_leverrier",
+            lambda rows: recurrences.append(len(rows)) or faddeev_leverrier(rows),
+        )
+        monkeypatch.setattr(
+            spectral, "_perron_root",
+            lambda F: decisions.append(F) or perron_root(F),
+        )
+
         _, result = build_record(M, weak_perron_k=k)
 
+        assert len(recurrences) == 1
+        assert [F.matrix for F in decisions] == [M]
         # M itself once; a lift's primitive base is checked on its own
         assert [A for A in analysed if A is M] == [M]
         assert len(analysed) == (1 if k is None else 2)

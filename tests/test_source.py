@@ -688,7 +688,7 @@ def test_signatures_of_the_one_configuration():
 
     render = importlib.import_module("endperiodic.render").render
     cross_validate = importlib.import_module("endperiodic.warmup").cross_validate
-    assert list(parameters(endperiodic.largest_real_root)) == ["poly"]
+    assert list(parameters(endperiodic.spectral_radius_exact)) == ["M"]
     assert all(
         p.default is p.empty
         for p in parameters(endperiodic.build_decomposition).values()

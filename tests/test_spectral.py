@@ -18,7 +18,6 @@ from endperiodic import spectral
 from endperiodic import (
     ConvergenceError,
     IntMatrix,
-    IntPolynomial,
     InvalidInputError,
     PreconditionError,
     block_lift,
@@ -27,7 +26,6 @@ from endperiodic import (
     graph_period,
     is_irreducible,
     is_primitive,
-    largest_real_root,
     parse_matrix_text,
     perron_eigendata,
     spectral_radius_exact,
@@ -41,6 +39,8 @@ from conftest import (
     seeded_irreducible_matrix,
     sparse_irreducible_matrices,
     stress_matrices,
+    wide_companion,
+    x_n_minus_x_minus_1,
 )
 
 
@@ -384,7 +384,7 @@ def _fraction_sturm_chain(coeffs) -> list[list[Fraction]]:
 def _nearest_float(coeffs) -> float | None:
     """The float nearest the top real root λ of the monic p with ``coeffs``,
     or None if p has no real root, from exact Fraction signs of p's
-    rational Sturm chain; it shares no code with ``spectral``'s.
+    rational Sturm chain; it shares no code with ``spectral``.
 
     V(x), the chain's sign changes at x, less V(+inf) counts the distinct
     roots above x when x is not a root. A monic integer p's rational
@@ -434,6 +434,36 @@ def _nearest_float(coeffs) -> float | None:
             return f
 
 
+def _fraction_side(coeffs, x: Fraction) -> int:
+    """-1, 0 or 1 as x is below, at or above the top real root of the monic
+    p with ``coeffs``, from exact Fraction signs of p's rational Sturm
+    chain divided by its last term gcd(p, p'): a Sturm chain of p over
+    its repeated roots, whose sign changes at x less those at +inf count
+    the distinct roots above x, at a root too."""
+    chain = _fraction_sturm_chain(coeffs)
+    g = chain[-1]
+
+    def quotient(q):
+        q, out = q[:], []
+        for shift in range(len(q) - len(g), -1, -1):
+            c = q[shift + len(g) - 1] / g[-1]
+            out.append(c)
+            for i, gc in enumerate(g):
+                q[shift + i] -= c * gc
+        assert not any(q)
+        return out[::-1]
+
+    def changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    chain = [quotient(q) for q in chain]
+    at_x = [sum(c * x**i for i, c in enumerate(q)) for q in chain]
+    if changes(at_x) > changes([q[-1] for q in chain]):
+        return -1
+    return 0 if at_x[0] == 0 else 1
+
+
 def _poly_product(*factors):
     out = [1]
     for q in factors:
@@ -445,29 +475,9 @@ def _poly_product(*factors):
     return out
 
 
-def _repeated_root_polynomials(count, seed=17):
-    """Random a * b^2 * c^3 with small integer coefficients; leading
-    coefficients of either sign."""
-    rng = np.random.default_rng(seed)
-
-    def factor():
-        q = rng.integers(-3, 4, size=int(rng.integers(2, 4))).tolist()
-        q[-1] = int(rng.choice([-2, -1, 1, 3]))
-        return q
-
-    out = []
-    for _ in range(count):
-        a, b, c = factor(), factor(), factor()
-        out.append(_poly_product(a, b, b, c, c, c))
-    return out
-
-
 def _sparse_polynomials(count, seed=5):
     """Random polynomials of degree 2..7, about half their coefficients
-    zero, leading coefficients of either sign: their chains drop by more
-    than one degree, where a pseudo-remainder by a term with a negative
-    leading coefficient would flip the sign if it scaled by that
-    coefficient rather than by its absolute value."""
+    zero, leading coefficients of either sign."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -478,46 +488,9 @@ def _sparse_polynomials(count, seed=5):
     return out
 
 
-class TestIntegerSturmChain:
-    """Each term of the integer chain is a positive multiple of the term of
-    the rational chain, so every sign the bisection reads is the same."""
-
-    @staticmethod
-    def _assert_positive_multiples(coeffs):
-        chain = spectral._integer_sturm_chain(coeffs)
-        reference = _fraction_sturm_chain(coeffs)
-        assert len(chain) == len(reference), coeffs
-        for term, q in zip(chain, reference):
-            assert len(term) == len(q)
-            ratio = Fraction(term[-1]) / q[-1]
-            assert ratio > 0
-            assert all(Fraction(a) == ratio * b for a, b in zip(term, q)), coeffs
-
-    @pytest.mark.parametrize(
-        "case", ["corpus", "lifts", "x^n-x-1", "repeated", "sparse"]
-    )
-    def test_terms_are_positive_multiples(self, case):
-        if case == "corpus":
-            inputs = [
-                char_poly(M).coefficients for M in random_irreducible_matrices(200)
-            ]
-        elif case == "lifts":
-            inputs = [char_poly(_lift_of_two(k)).coefficients for k in range(2, 65)]
-        elif case == "x^n-x-1":
-            inputs = [[-1, -1] + [0] * (n - 2) + [1] for n in range(2, 33)]
-        elif case == "sparse":
-            inputs = _sparse_polynomials(300) + [[3], [-2], [5, 2], [1, -4]]
-        else:
-            inputs = _repeated_root_polynomials(60)
-            # every one has a repeated root: the chain ends above degree 0
-            assert all(len(spectral._integer_sturm_chain(p)[-1]) > 1 for p in inputs)
-        for coeffs in inputs:
-            self._assert_positive_multiples(coeffs)
-
-
 def _horner_value(q, num: int, exp: int) -> int:
-    """Reference for ``_dyadic_value``: Horner over every coefficient of
-    q, zeros included, one shift per term."""
+    """``2**(exp*d) * q(num / 2**exp)`` for q of degree d: Horner over
+    every coefficient of q, zeros included, one shift per term."""
     d = len(q) - 1
     acc = q[d]
     for i in range(d - 1, -1, -1):
@@ -526,8 +499,10 @@ def _horner_value(q, num: int, exp: int) -> int:
 
 
 class TestDyadicValue:
-    """``_dyadic_value`` skips the zero coefficients and gives the same
-    integer as Horner over all of them."""
+    """``_taylor_shift`` of q to num / 2**exp: its constant term is the
+    dyadic value 2**(exp*d) * q(num / 2**exp), the same integer as Horner
+    over every coefficient, and its term in y**k is the binomial sum
+    over q's terms."""
 
     @pytest.mark.parametrize("case", ["dense", "sparse", "lifts"])
     def test_equals_horner_over_every_coefficient(self, case):
@@ -540,28 +515,76 @@ class TestDyadicValue:
         elif case == "sparse":
             polys = _sparse_polynomials(300) + [[0, 0, 0, 2], [0, 1], [-1]]
         else:
-            polys = [[-2] + [0] * (k - 1) + [1] for k in range(1, 130)]
-            polys += [list(q) for k in (256, 1100)
-                      for q in spectral._integer_sturm_chain(
-                          [-2] + [0] * (k - 1) + [1])]
+            polys = [[-2] + [0] * (k - 1) + [1] for k in range(1, 40)]
         for q in polys:
             q = tuple(int(c) for c in q)
+            d = len(q) - 1
             for num, exp in ((0, 0), (1, 0), (-1, 3), (3, 1), (-5, 2),
                              (int(rng.integers(-10**9, 10**9)), 33),
                              (2**70 + 1, 70)):
-                got = spectral._dyadic_value(q, num, exp)
-                assert type(got) is int
-                assert got == _horner_value(q, num, exp), (q, num, exp)
+                got = spectral._taylor_shift(q, num, exp)
+                assert all(type(c) is int for c in got)
+                assert got[0] == _horner_value(q, num, exp), (q, num, exp)
+                assert got == [
+                    sum(q[i] * math.comb(i, k) * num ** (i - k) << exp * (d - i)
+                        for i in range(k, d + 1))
+                    for k in range(d + 1)
+                ], (q, num, exp)
 
 
-#: the polynomials of ``test_roots_on_dyadic_probes``
+def _block_diagonal(*blocks) -> IntMatrix:
+    """The block-diagonal matrix of ``blocks``, lists of rows."""
+    n = sum(map(len, blocks))
+    rows, at = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append([0] * at + list(row) + [0] * (n - at - len(row)))
+        at += len(block)
+    return IntMatrix(rows)
+
+
+def _doubled(M: IntMatrix) -> IntMatrix:
+    """diag(M, M), whose characteristic polynomial is char_poly(M) squared."""
+    return _block_diagonal(M.entries, M.entries)
+
+
+#: the matrices of ``test_roots_on_dyadic_probes``, each with an integer
+#: spectral radius, which a bisection from [-B - 1, B + 1] probes
 DYADIC_PROBE_ROOTS = [
-    ([0, 0, 1], 0.0),  # x^2: the first probe is the double root
-    ([0, -1, 1], 1.0),  # x(x-1): the first nudge lands on a root too
-    ([0, -3, 2, 1], 1.0),  # x(x-1)(x+3)
-    ([4, 0, -3, 1], 2.0),  # (x-2)^2 (x+1)
-    ([-16, 0, 0, 0, 1], 2.0),  # x^4 - 16
+    ([[0, 0], [0, 0]], 0.0),  # x^2: the first probe is the double root
+    ([[0, 1], [0, 1]], 1.0),  # x(x - 1)
+    ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], 1.0),  # x(x - 1)(x + 1)
+    ([[2, 0, 0], [0, 0, 2], [0, 1, 1]], 2.0),  # (x - 2)^2 (x + 1)
+    ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [16, 0, 0, 0]], 2.0),  # x^4 - 16
 ]
+
+
+#: (matrix, b, the side of b against ρ) at the branches of ``_shift_test``
+SHIFT_SIDES = {
+    "simple root": ([[2]], Fraction(2), 0),
+    "below a simple root": ([[2]], Fraction(3, 2), -1),
+    "above a simple root": ([[2]], Fraction(5, 2), 1),
+    "double root": ([[2, 0], [0, 2]], Fraction(2), 0),
+    "above a double root": ([[2, 0], [0, 2]], Fraction(9, 4), 1),
+    "another eigenvalue": ([[1, 0], [0, 3]], Fraction(1), -1),
+    "root of a mirrored pair": ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], Fraction(1), 0),
+    "period 4 at rho": (DYADIC_PROBE_ROOTS[4][0], Fraction(2), 0),
+    "period 4 at -rho": (DYADIC_PROBE_ROOTS[4][0], Fraction(-2), -1),
+    "period 4 below -rho": (DYADIC_PROBE_ROOTS[4][0], Fraction(-3), -1),
+    "nilpotent at 0": ([[0, 1], [0, 0]], Fraction(0), 0),
+    "above nilpotent": ([[0, 1], [0, 0]], Fraction(1, 4), 1),
+    "below nilpotent": ([[0, 1], [0, 0]], Fraction(-1, 4), -1),
+}
+
+
+@pytest.mark.parametrize("rows, b, side", SHIFT_SIDES.values(), ids=SHIFT_SIDES)
+def test_shift_test_places_b_against_rho(rows, b, side):
+    # b**d on the cycle polynomial, b on char_poly(M) itself
+    F = endperiodic.facts(IntMatrix(rows))
+    num, exp = b.numerator, b.denominator.bit_length() - 1
+    assert _fraction_side(F.poly.coefficients, b) == side
+    assert spectral._shift_test(F.poly.coefficients, 1, num, exp) == side
+    assert spectral._shift_test(*spectral._cycle_poly(F), num, exp) == side
 
 
 #: odd integers above 2**53, each halfway between two floats, with the
@@ -570,115 +593,136 @@ TIES = [(2**53 + 1, 2**53), (2**53 + 3, 2**53 + 4)]
 
 
 class TestLargestRealRootIsBitExact:
-    """``largest_real_root`` returns the float nearest the top root, the
-    Fraction oracle's, on every family."""
+    """``spectral_radius_exact`` returns the float nearest the largest real
+    root of char_poly(M), the Fraction oracle's, on every family."""
 
     def test_corpus_and_squares(self):
         for M in random_irreducible_matrices(200):
-            poly = char_poly(M)
-            coeffs = list(poly.coefficients)
-            assert largest_real_root(poly) == _nearest_float(coeffs)
-            # the doubled incidence matrix has the squared polynomial
-            squared = _poly_product(coeffs, coeffs)
-            assert largest_real_root(IntPolynomial(squared)) == (
-                _nearest_float(squared)
+            coeffs = list(char_poly(M).coefficients)
+            assert spectral_radius_exact(M) == _nearest_float(coeffs)
+            # diag(M, M), the doubled incidence matrix, has the square
+            assert spectral_radius_exact(_doubled(M)) == _nearest_float(
+                _poly_product(coeffs, coeffs)
             )
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_lifts_of_two(self, k):
-        poly = char_poly(block_lift(IntMatrix.from_rows([[2]]), k))
-        assert largest_real_root(poly) == _nearest_float(poly.coefficients)
+        M = _lift_of_two(k)
+        assert spectral_radius_exact(M) == _nearest_float(char_poly(M).coefficients)
+
+    def test_deep_lift_gets_a_guess(self):
+        # x^1100 - 2: Newton runs on the cycle polynomial x - 2, as 2**1100
+        # overflows a float
+        F = endperiodic.facts(_lift_of_two(1100))
+        q, d = spectral._cycle_poly(F)
+        assert (q, d) == ((-2, 1), 1100)
+        assert spectral._newton_guess(q, d, 2) is not None
+        assert spectral_radius_exact(F) == _nearest_float(F.poly.coefficients)
 
     def test_x_n_minus_x_minus_1(self):
         # lambda tends to 1 as n grows, where the float spacing is finest
         for n in range(2, 65):
-            coeffs = [-1, -1] + [0] * (n - 2) + [1]
-            assert largest_real_root(IntPolynomial(coeffs)) == (
-                _nearest_float(coeffs)
-            )
+            M = x_n_minus_x_minus_1(n)
+            assert spectral_radius_exact(M) == _nearest_float(char_poly(M).coefficients)
 
     def test_stress_and_sparse_draws(self):
         # n up to 20, with Cauchy bounds up to about 3e10
         for M in stress_matrices(30) + sparse_irreducible_matrices(40):
-            poly = char_poly(M)
-            assert largest_real_root(poly) == _nearest_float(poly.coefficients)
+            assert spectral_radius_exact(M) == _nearest_float(char_poly(M).coefficients)
 
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_wide_companions(self, a):
         # x^n - a x^(n-1) - 1: lambda just above a, far below the bound
         for n in range(8, 25):
-            coeffs = [-1] + [0] * (n - 2) + [-a, 1]
-            assert largest_real_root(IntPolynomial(coeffs)) == (
-                _nearest_float(coeffs)
-            )
+            M = wide_companion(n, a)
+            assert spectral_radius_exact(M) == _nearest_float(char_poly(M).coefficients)
 
-    @pytest.mark.parametrize("coeffs, root", DYADIC_PROBE_ROOTS)
-    def test_roots_on_dyadic_probes(self, coeffs, root):
-        got = largest_real_root(IntPolynomial(coeffs))
-        assert got == _nearest_float(coeffs)
-        assert got == pytest.approx(root, abs=1e-12)
-
-    @pytest.mark.parametrize("coeffs", [[1, 0, 1], [5, 2, 1], [1, 0, 0, 0, 1], [1]])
-    def test_no_real_roots_raises(self, coeffs):
-        with pytest.raises(InvalidInputError, match="no real roots"):
-            largest_real_root(IntPolynomial(coeffs))
-        assert _nearest_float(coeffs) is None
+    @pytest.mark.parametrize("rows, root", DYADIC_PROBE_ROOTS)
+    def test_roots_on_dyadic_probes(self, rows, root):
+        M = IntMatrix(rows)
+        got = spectral_radius_exact(M)
+        assert got == _nearest_float(char_poly(M).coefficients)
+        assert got == root
 
     @pytest.mark.parametrize("root, want", TIES)
     def test_tie_rounds_to_even(self, root, want):
         assert float(root) == want
-        assert largest_real_root(IntPolynomial([-root, 1])) == want
+        assert spectral_radius_exact(IntMatrix([[root]])) == want
 
 
-#: monic integer polynomials of degree 0..8 with coefficients in
-#: [-20, 20]: any such; products q * r**2 * (x - c), with a repeated root
-#: and an integer root; and products of x**2 + bx + c with b**2 < 4c,
-#: with no real root
-_SMALL_MONIC = st.one_of(
-    st.lists(st.integers(-20, 20), max_size=8).map(lambda c: c + [1]),
-    st.tuples(
-        st.lists(st.integers(-2, 2), max_size=2),
-        st.lists(st.integers(-2, 2), min_size=1, max_size=2),
-        st.integers(-3, 3),
-    ).map(lambda t: _poly_product(t[0] + [1], t[1] + [1], t[1] + [1], [-t[2], 1])),
-    st.lists(st.tuples(st.integers(3, 5), st.integers(-3, 3)), min_size=1,
-             max_size=2).map(lambda qs: _poly_product(*[[c, b, 1] for c, b in qs])),
-).filter(lambda c: max(map(abs, c)) <= 20)
+def _shaped(rows: list[list[int]], shape: str) -> list[list[int]]:
+    """``rows`` with the entries outside ``shape`` set to 0: "any" keeps
+    them all, "nilpotent" those above the diagonal, "reducible" all but
+    the lower-left block, "bipartite" the two off-diagonal blocks, and
+    "cyclic" those from class i mod 3 to class i + 1 mod 3."""
+    n, cut = len(rows), len(rows) // 2
+    keep = {
+        "any": lambda i, j: True,
+        "nilpotent": lambda i, j: j > i,
+        "reducible": lambda i, j: i < cut or j >= cut,
+        "bipartite": lambda i, j: (i < cut) != (j < cut),
+        "cyclic": lambda i, j: i % 3 == (j + 1) % 3,
+    }[shape]
+    return [[v if keep(i, j) else 0 for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+#: non-negative integer matrices with n <= 6 and entries <= 3, reducible,
+#: nilpotent and imprimitive ones included
+_SMALL_MATRICES = st.builds(
+    _shaped,
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ),
+    st.sampled_from(["any", "nilpotent", "reducible", "bipartite", "cyclic"]),
+)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(_SMALL_MONIC)
-def test_small_polynomials_give_the_nearest_float(coeffs):
-    want = _nearest_float(coeffs)
-    if want is None:
-        with pytest.raises(InvalidInputError, match="no real roots"):
-            largest_real_root(IntPolynomial(coeffs))
-    else:
-        assert largest_real_root(IntPolynomial(coeffs)) == want
+@given(_SMALL_MATRICES, st.lists(st.fractions(-2, 16, max_denominator=8).map(
+    lambda x: Fraction(math.floor(x * 8), 8)), max_size=4))
+def test_small_matrices_give_the_nearest_float(rows, drawn):
+    """``spectral_radius_exact`` is the oracle's float, and ``_shift_test``
+    on (q, d) and on (char_poly(M), 1) gives the oracle's side at the
+    two ends of its rounding interval and at drawn dyadics."""
+    F = endperiodic.facts(IntMatrix(rows))
+    coeffs = F.poly.coefficients
+    lam = spectral_radius_exact(F)
+    assert lam == _nearest_float(coeffs)
+    ends = [(Fraction(lam) + Fraction(math.nextafter(lam, to))) / 2
+            for to in (-math.inf, math.inf)]
+    q, d = spectral._cycle_poly(F)
+    for x in ends + drawn:
+        num, exp = x.numerator, x.denominator.bit_length() - 1
+        want = _fraction_side(coeffs, x)
+        assert spectral._shift_test(coeffs, 1, num, exp) == want
+        assert spectral._shift_test(q, d, num, exp) == want
 
 
 class TestGuessNeverDecides:
     """The Newton guess only picks the float whose rounding interval two
-    Sturm counts check; a wrong guess, or none, gives the same float."""
+    shift tests check; a wrong guess, or none, gives the same float."""
 
     @staticmethod
-    def _polys():
-        polys = [char_poly(M) for M in random_irreducible_matrices(200)]
-        polys += [char_poly(_lift_of_two(k)) for k in range(2, 13)]
-        polys += [IntPolynomial([-root, 1]) for root, _ in TIES]
-        return polys + [IntPolynomial(c) for c, _ in DYADIC_PROBE_ROOTS]
+    def _facts():
+        matrices = random_irreducible_matrices(200)
+        matrices += [_lift_of_two(k) for k in range(2, 13)]
+        matrices += [IntMatrix([[root]]) for root, _ in TIES]
+        matrices += [IntMatrix(rows) for rows, _ in DYADIC_PROBE_ROOTS]
+        return [endperiodic.facts(M) for M in matrices]
 
     @pytest.fixture
     def dyadic_calls(self, monkeypatch):
-        """The list that gets one entry per ``_dyadic_value`` call."""
+        """The list that gets one entry per ``_shift_test`` call."""
         calls = []
-        original = spectral._dyadic_value
+        original = spectral._shift_test
 
         def counting(*args):
             calls.append(None)
             return original(*args)
 
-        monkeypatch.setattr(spectral, "_dyadic_value", counting)
+        monkeypatch.setattr(spectral, "_shift_test", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -696,43 +740,40 @@ class TestGuessNeverDecides:
              "40 ulps below"],
     )
     def test_same_float_for_any_guess(self, monkeypatch, dyadic_calls, wrong_guess):
-        polys = self._polys()
-        want = [largest_real_root(poly) for poly in polys]
+        facts = self._facts()
+        want = [spectral_radius_exact(F) for F in facts]
         costs = {}
         for name, guess in (("exact", lambda lam: lam), ("wrong", wrong_guess)):
             del dyadic_calls[:]
-            for poly, lam in zip(polys, want):
+            for F, lam in zip(facts, want):
                 monkeypatch.setattr(
-                    spectral, "_newton_guess", lambda p, bound: guess(lam)
+                    spectral, "_newton_guess", lambda *args: guess(lam)
                 )
-                assert largest_real_root(poly) == lam
+                assert spectral_radius_exact(F) == lam
             costs[name] = len(dyadic_calls)
         # a wrong guess fails the check, and either bisects from the top
-        assert costs["wrong"] > costs["exact"] + 20 * len(polys)
+        assert costs["wrong"] > costs["exact"] + 20 * len(facts)
 
     def test_dyadic_value_calls_are_pinned(self, dyadic_calls):
-        # a count, not a timing: 14,051 calls when every probe was exact,
-        # 3,077 along a replayed bisection path
+        # a count, not a timing: two shift tests for each of the 200
+        # guesses, 194 of them the answer, one more for each of 3 steps
+        # down and two more for each of 3 steps up; the Sturm counts that
+        # the shift test replaced evaluated their chains at 1,738 dyadics
         for M in random_irreducible_matrices(200):
-            largest_real_root(char_poly(M))
-        assert len(dyadic_calls) <= 1738
+            spectral_radius_exact(M)
+        assert len(dyadic_calls) <= 409
 
 
 class TestLargestRealRoot:
     def test_against_numpy_roots(self):
         for M in random_irreducible_matrices(40, seed=13):
-            poly = char_poly(M)
-            roots = np.roots(poly.coefficients[::-1])
+            roots = np.roots(char_poly(M).coefficients[::-1])
             real = [r.real for r in roots if abs(r.imag) < 1e-9]
-            assert largest_real_root(poly) == pytest.approx(max(real), abs=1e-8)
+            assert spectral_radius_exact(M) == pytest.approx(max(real), abs=1e-8)
 
     def test_non_squarefree(self, running_matrix):
         # blockdiag(M, M) squares the characteristic polynomial
-        n = running_matrix.n
-        rows = [list(r) + [0] * n for r in running_matrix.entries]
-        rows += [[0] * n + list(r) for r in running_matrix.entries]
-        big = IntMatrix.from_rows(rows)
-        assert spectral_radius_exact(big) == pytest.approx(
+        assert spectral_radius_exact(_doubled(running_matrix)) == pytest.approx(
             spectral_radius_exact(running_matrix), abs=1e-11
         )
 
@@ -838,7 +879,7 @@ def _dense_solve(rows, lam: float, tiny: float) -> list[float]:
 
 
 class TestInverseIteration:
-    """Eigendata by inverse iteration at the Sturm root."""
+    """Eigendata by inverse iteration at λ, the float nearest ρ."""
 
     def test_residual_and_positivity(self):
         inputs = random_irreducible_matrices(200) + _large_inputs()
@@ -875,7 +916,7 @@ class TestInverseIteration:
             columns = tuple(zip(*M.entries))
             lams = [0.0, 1.0, 2.0, 3.0]
             if any(map(any, rows)):
-                lams.append(largest_real_root(char_poly(M)))
+                lams.append(spectral_radius_exact(M))
             for lam in lams:
                 for A, arcs in ((M.entries, (pre, suc)), (columns, (suc, pre))):
                     x = spectral._inverse_iteration_step(A, *arcs, lam, 1e-15)
